@@ -7,7 +7,6 @@ plain numbers: virtual seconds, joules, watts, and phase breakdowns.
 
 from __future__ import annotations
 
-import gc
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
@@ -218,8 +217,6 @@ def run_training_experiment(
             report = monitor.stop()
             result = ExperimentResult(label=label, phases=profiler.snapshot(),
                                       energy=report, oom=True, error=str(exc))
-        finally:
-            gc.collect()
         if injector is not None:
             result.resilience = injector.summary()
         if tsession is not None:
@@ -337,8 +334,6 @@ def run_fullbatch_experiment(
         report = monitor.stop()
         return ExperimentResult(label=label, phases=profiler.snapshot(),
                                 energy=report, oom=True, error=str(exc))
-    finally:
-        gc.collect()
 
 
 # ----------------------------------------------------------------------
@@ -435,5 +430,3 @@ def measure_conv_forward(framework: str, dataset: str, kind: str,
     except OutOfMemoryError as exc:
         monitor.stop()
         return ExperimentResult(label=label, oom=True, error=str(exc))
-    finally:
-        gc.collect()

@@ -27,7 +27,7 @@ def gather(adj: SparseAdj, x: Tensor, side: str = "src") -> Tensor:
         raise ValueError("side must be 'src' or 'dst'")
     index = adj.src if side == "src" else adj.dst
     out = Tensor(
-        x.data[index],
+        np.take(x.data, index, axis=0),
         device=adj.device,
         requires_grad=x.requires_grad,
         work_scale=adj.edge_scale,
@@ -39,10 +39,10 @@ def gather(adj: SparseAdj, x: Tensor, side: str = "src") -> Tensor:
     charge(adj.device, "gather", "gather", bytes_moved=moved)
 
     if out.requires_grad:
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             # Segment-reduce fast path (reduceat over sorted edge order)
             # with the np.add.at reference behind use_reference_kernels().
-            x._accumulate(adj.sum_edges(out.grad, side=side))
+            x._accumulate(adj.sum_edges(out.grad, side=side), fresh=True)
             charge(adj.device, "gather.bwd", "scatter", flops=adj.logical_num_edges * feat_width,
                    bytes_moved=2.0 * moved)
         out._backward = _backward
@@ -68,8 +68,8 @@ def scatter_add(adj: SparseAdj, messages: Tensor) -> Tensor:
            bytes_moved=4.0 * 3.0 * e_log * feat_width)
 
     if out.requires_grad:
-        def _backward() -> None:
-            messages._accumulate(out.grad[adj.dst])
+        def _backward(out: Tensor) -> None:
+            messages._accumulate(np.take(out.grad, adj.dst, axis=0), fresh=True)
             charge(adj.device, "scatter_add.bwd", "gather",
                    bytes_moved=4.0 * 2.0 * e_log * feat_width)
         out._backward = _backward

@@ -21,7 +21,8 @@ def sddmm_u_add_v(adj: SparseAdj, u_feat: Tensor, v_feat: Tensor,
     """``out[e] = u_feat[src[e]] + v_feat[dst[e]]`` (GAT's score assembly)."""
     if u_feat.shape[0] != adj.num_src or v_feat.shape[0] != adj.num_dst:
         raise ValueError("endpoint feature rows must match adjacency sides")
-    out_data = (u_feat.data[adj.src] + v_feat.data[adj.dst]).astype(FLOAT_DTYPE)
+    out_data = np.take(u_feat.data, adj.src, axis=0)
+    out_data += np.take(v_feat.data, adj.dst, axis=0)
     requires = u_feat.requires_grad or v_feat.requires_grad
     out = Tensor(
         out_data,
@@ -37,11 +38,11 @@ def sddmm_u_add_v(adj: SparseAdj, u_feat: Tensor, v_feat: Tensor,
            bytes_moved=4.0 * 3.0 * e_log * width)
 
     if out.requires_grad:
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if u_feat.requires_grad:
-                u_feat._accumulate(adj.sum_edges(out.grad, side="src"))
+                u_feat._accumulate(adj.sum_edges(out.grad, side="src"), fresh=True)
             if v_feat.requires_grad:
-                v_feat._accumulate(adj.sum_edges(out.grad, side="dst"))
+                v_feat._accumulate(adj.sum_edges(out.grad, side="dst"), fresh=True)
             charge(adj.device, "sddmm_u_add_v.bwd", family, flops=e_log * width,
                    bytes_moved=4.0 * 3.0 * e_log * width)
         out._backward = _backward
@@ -54,8 +55,9 @@ def sddmm_u_dot_v(adj: SparseAdj, u_feat: Tensor, v_feat: Tensor,
     if u_feat.ndim != 3 or v_feat.ndim != 3:
         raise ValueError("u_dot_v expects (N, H, D) endpoint features")
     out_data = np.einsum(
-        "ehd,ehd->eh", u_feat.data[adj.src], v_feat.data[adj.dst]
-    ).astype(FLOAT_DTYPE)
+        "ehd,ehd->eh", np.take(u_feat.data, adj.src, axis=0),
+        np.take(v_feat.data, adj.dst, axis=0),
+    ).astype(FLOAT_DTYPE, copy=False)
     requires = u_feat.requires_grad or v_feat.requires_grad
     out = Tensor(
         out_data,
@@ -71,15 +73,15 @@ def sddmm_u_dot_v(adj: SparseAdj, u_feat: Tensor, v_feat: Tensor,
            bytes_moved=4.0 * 2.0 * e_log * heads * dim)
 
     if out.requires_grad:
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if u_feat.requires_grad:
-                u_feat._accumulate(
-                    adj.sum_edges(out.grad[:, :, None] * v_feat.data[adj.dst], side="src")
-                )
+                grad_edge = np.take(v_feat.data, adj.dst, axis=0)
+                grad_edge *= out.grad[:, :, None]
+                u_feat._accumulate(adj.sum_edges(grad_edge, side="src"), fresh=True)
             if v_feat.requires_grad:
-                v_feat._accumulate(
-                    adj.sum_edges(out.grad[:, :, None] * u_feat.data[adj.src], side="dst")
-                )
+                grad_edge = np.take(u_feat.data, adj.src, axis=0)
+                grad_edge *= out.grad[:, :, None]
+                v_feat._accumulate(adj.sum_edges(grad_edge, side="dst"), fresh=True)
             charge(adj.device, "sddmm_u_dot_v.bwd", family,
                    flops=4.0 * e_log * heads * dim,
                    bytes_moved=4.0 * 4.0 * e_log * heads * dim)
@@ -101,9 +103,22 @@ def fused_gatv2_scores(adj: SparseAdj, u_feat: Tensor, v_feat: Tensor,
     """
     if u_feat.ndim != 3 or v_feat.ndim != 3 or att.ndim != 2:
         raise ValueError("fused_gatv2_scores expects (N,H,D) features, (H,D) att")
-    summed = u_feat.data[adj.src] + v_feat.data[adj.dst]  # internal temp
-    activated = np.where(summed > 0, summed, negative_slope * summed)
-    out_data = np.einsum("ehd,hd->eh", activated, att.data).astype(FLOAT_DTYPE)
+    # Two E x H x D buffers, both internal to the kernel: the gathered
+    # sum, and a second one that holds the dst gather, then the scaled
+    # copy, then the activation.
+    slope = FLOAT_DTYPE(negative_slope)
+    summed = np.take(u_feat.data, adj.src, axis=0)
+    activated = np.take(v_feat.data, adj.dst, axis=0)
+    summed += activated
+    np.multiply(summed, slope, out=activated)
+    # maximum(x, slope * x) is leaky-ReLU to the last bit only for
+    # 0 < slope <= 1 (see repro.tensor.functional.leaky_relu).
+    as_maximum = 0.0 < negative_slope <= 1.0
+    if as_maximum:
+        np.maximum(summed, activated, out=activated)
+    else:
+        np.copyto(activated, summed, where=summed > 0)
+    out_data = np.einsum("ehd,hd->eh", activated, att.data).astype(FLOAT_DTYPE, copy=False)
     requires = u_feat.requires_grad or v_feat.requires_grad or att.requires_grad
     out = Tensor(
         out_data,
@@ -119,18 +134,23 @@ def fused_gatv2_scores(adj: SparseAdj, u_feat: Tensor, v_feat: Tensor,
            bytes_moved=4.0 * 3.0 * e_log * heads * dim)
 
     if out.requires_grad:
-        def _backward() -> None:
-            slope = np.where(summed > 0, 1.0, negative_slope).astype(FLOAT_DTYPE)
-            # d activated[e,h,d] = out.grad[e,h] * att[h,d] * slope[e,h,d]
-            grad_act = out.grad[:, :, None] * att.data[None, :, :] * slope
+        def _backward(out: Tensor) -> None:
+            # d activated[e,h,d] = out.grad[e,h] * att[h,d] * slope[e,h,d],
+            # slope being 1 where summed > 0 and negative_slope elsewhere.
+            grad_act = out.grad[:, :, None] * att.data[None, :, :]
+            if as_maximum:
+                edge_slope = np.empty_like(summed)
+                np.greater(summed, 0, out=edge_slope)
+                np.maximum(edge_slope, slope, out=edge_slope)
+                grad_act *= edge_slope
+            else:
+                np.multiply(grad_act, slope, out=grad_act, where=~(summed > 0))
             if u_feat.requires_grad:
-                u_feat._accumulate(adj.sum_edges(grad_act, side="src"))
+                u_feat._accumulate(adj.sum_edges(grad_act, side="src"), fresh=True)
             if v_feat.requires_grad:
-                v_feat._accumulate(adj.sum_edges(grad_act, side="dst"))
+                v_feat._accumulate(adj.sum_edges(grad_act, side="dst"), fresh=True)
             if att.requires_grad:
-                att._accumulate(
-                    np.einsum("ehd,eh->hd", activated, out.grad).astype(FLOAT_DTYPE)
-                )
+                att._accumulate(np.einsum("ehd,eh->hd", activated, out.grad), fresh=True)
             charge(adj.device, "fused_gatv2.bwd", family,
                    flops=8.0 * e_log * heads * dim,
                    bytes_moved=4.0 * 6.0 * e_log * heads * dim)
@@ -146,10 +166,11 @@ def segment_softmax(adj: SparseAdj, scores: Tensor, family: str = "sddmm") -> Te
     width_shape = scores.shape[1:]
     # Per-destination max for numerical stability (reduceat fast path).
     max_buf = adj.max_edges(scores.data)
-    shifted = scores.data - max_buf[dst]
-    exp = np.exp(shifted).astype(FLOAT_DTYPE)
-    sum_buf = adj.sum_edges(exp, side="dst")
-    out_data = exp / np.maximum(sum_buf[dst], np.finfo(FLOAT_DTYPE).tiny)
+    out_data = scores.data - np.take(max_buf, dst, axis=0)
+    np.exp(out_data, out=out_data)
+    sum_buf = adj.sum_edges(out_data, side="dst")
+    np.maximum(sum_buf, np.finfo(FLOAT_DTYPE).tiny, out=sum_buf)
+    out_data /= np.take(sum_buf, dst, axis=0)
     out = Tensor(
         out_data,
         device=adj.device,
@@ -164,10 +185,11 @@ def segment_softmax(adj: SparseAdj, scores: Tensor, family: str = "sddmm") -> Te
            bytes_moved=4.0 * 4.0 * e_log * width)
 
     if out.requires_grad:
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             weighted = out.grad * out.data
             dot_buf = adj.sum_edges(weighted, side="dst")
-            scores._accumulate(weighted - out.data * dot_buf[dst])
+            weighted -= out.data * np.take(dot_buf, dst, axis=0)
+            scores._accumulate(weighted, fresh=True)
             charge(adj.device, "segment_softmax.bwd", family, flops=4.0 * e_log * width,
                    bytes_moved=4.0 * 4.0 * e_log * width)
         out._backward = _backward

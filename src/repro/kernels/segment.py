@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.kernels.adj import SparseAdj
 from repro.tensor.context import charge
-from repro.tensor.tensor import FLOAT_DTYPE, Tensor
+from repro.tensor.tensor import Tensor
 
 
 def segment_sum(adj: SparseAdj, values: Tensor, family: str = "scatter") -> Tensor:
@@ -46,11 +46,12 @@ def segment_max(adj: SparseAdj, values: Tensor, family: str = "scatter") -> Tens
            bytes_moved=4.0 * 3.0 * e_log * width)
 
     if out.requires_grad:
-        def _backward() -> None:
-            # Route gradient to the (first) argmax edge of each segment.
-            winners = values.data == out.data[adj.dst]
-            grad = np.where(winners, out.grad[adj.dst], 0.0).astype(FLOAT_DTYPE)
-            values._accumulate(grad)
+        def _backward(out: Tensor) -> None:
+            # Route gradient to the argmax edges of each segment.
+            losers = values.data != np.take(out.data, adj.dst, axis=0)
+            grad = np.take(out.grad, adj.dst, axis=0)
+            grad[losers] = 0.0
+            values._accumulate(grad, fresh=True)
             charge(adj.device, "segment_max.bwd", family, flops=e_log * width,
                    bytes_moved=4.0 * 3.0 * e_log * width)
         out._backward = _backward

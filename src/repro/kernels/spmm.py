@@ -80,7 +80,7 @@ def spmm(adj: SparseAdj, x: Tensor, weight: Optional[Tensor] = None,
     charge(adj.device, f"{family}.fwd", family, flops=flops, bytes_moved=bytes_moved)
 
     if out.requires_grad:
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             if x.requires_grad:
                 if weight is not None and multihead:
                     grad_x = np.empty_like(x.data)
@@ -94,16 +94,17 @@ def spmm(adj: SparseAdj, x: Tensor, weight: Optional[Tensor] = None,
                     grad_x = adj.rmatmul(out.grad.reshape(adj.num_dst, -1)).reshape(x.shape)
                 else:
                     grad_x = adj.rmatmul(out.grad)
-                x._accumulate(grad_x)
+                x._accumulate(grad_x, fresh=True)
             if weight is not None and weight.requires_grad:
                 # dW[e] = <x[src[e]], grad[dst[e]]>, an SDDMM.
+                x_src = np.take(x.data, adj.src, axis=0)
+                grad_dst = np.take(out.grad, adj.dst, axis=0)
                 if multihead:
-                    grad_w = np.einsum(
-                        "ehd,ehd->eh", x.data[adj.src], out.grad[adj.dst]
-                    ).astype(FLOAT_DTYPE)
+                    grad_w = np.einsum("ehd,ehd->eh", x_src, grad_dst)
                 else:
-                    grad_w = (x.data[adj.src] * out.grad[adj.dst]).sum(axis=1).astype(FLOAT_DTYPE)
-                weight._accumulate(grad_w)
+                    x_src *= grad_dst
+                    grad_w = x_src.sum(axis=1)
+                weight._accumulate(grad_w, fresh=True)
             charge(adj.device, f"{family}.bwd", family, flops=2.0 * flops,
                    bytes_moved=2.0 * bytes_moved)
         out._backward = _backward

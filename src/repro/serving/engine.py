@@ -30,7 +30,6 @@ Stale service requires a feature cache; without one the engine sheds.
 
 from __future__ import annotations
 
-import gc
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
@@ -213,8 +212,6 @@ def run_serving_experiment(
         except BaseException:
             monitor.stop()
             raise
-        finally:
-            gc.collect()
         if injector is not None:
             result.resilience = injector.summary()
         from repro.profiling.kernel_report import group_by_family

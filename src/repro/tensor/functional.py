@@ -25,8 +25,8 @@ def relu(x: Tensor) -> Tensor:
     charge(out.device, "relu", "elementwise", flops=n, bytes_moved=8 * n, scale=out.work_scale)
 
     if out.requires_grad:
-        def _backward() -> None:
-            x._accumulate(out.grad * (x.data > 0))
+        def _backward(out: Tensor) -> None:
+            x._accumulate(out.grad * (x.data > 0), fresh=True)
             charge(out.device, "relu.bwd", "elementwise", flops=n, bytes_moved=8 * n,
                    scale=out.work_scale)
         out._backward = _backward
@@ -34,16 +34,34 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
-    out_data = np.where(x.data > 0, x.data, negative_slope * x.data)
+    """``x`` where positive, ``negative_slope * x`` elsewhere."""
+    slope = FLOAT_DTYPE(negative_slope)
+    # maximum(x, slope * x) is the select to the last bit only for
+    # 0 < slope <= 1: outside it the wrong branch wins (or signed zeros
+    # differ), and 0 * inf is NaN where the select keeps inf.
+    as_maximum = 0.0 < negative_slope <= 1.0
+    out_data = np.multiply(x.data, slope, out=np.empty_like(x.data))
+    if as_maximum:
+        np.maximum(x.data, out_data, out=out_data)
+    else:
+        np.copyto(out_data, x.data, where=x.data > 0)
     out = Tensor._result(out_data, (x,), "leaky_relu")
     n = out.data.size
     charge(out.device, "leaky_relu", "elementwise", flops=2 * n, bytes_moved=8 * n,
            scale=out.work_scale)
 
     if out.requires_grad:
-        def _backward() -> None:
-            slope = np.where(x.data > 0, 1.0, negative_slope).astype(FLOAT_DTYPE)
-            x._accumulate(out.grad * slope)
+        def _backward(out: Tensor) -> None:
+            if as_maximum:
+                # Per-element slope, max(x > 0, slope), built in place.
+                grad = np.empty_like(x.data)
+                np.greater(x.data, 0, out=grad)
+                np.maximum(grad, slope, out=grad)
+                np.multiply(out.grad, grad, out=grad)
+            else:
+                grad = np.multiply(out.grad, slope, out=np.empty_like(x.data))
+                np.copyto(grad, out.grad, where=x.data > 0)
+            x._accumulate(grad, fresh=True)
             charge(out.device, "leaky_relu.bwd", "elementwise", flops=2 * n, bytes_moved=8 * n,
                    scale=out.work_scale)
         out._backward = _backward
@@ -51,15 +69,25 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
 
 
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    out_data = np.where(x.data > 0, x.data, alpha * (np.exp(np.minimum(x.data, 0.0)) - 1.0))
+    out_data = np.minimum(x.data, 0.0, out=np.empty_like(x.data))
+    np.exp(out_data, out=out_data)
+    out_data -= 1.0
+    out_data *= alpha
+    if 0.0 < alpha < np.inf:
+        # alpha * (exp(0) - 1) is exactly +0 wherever x > 0.
+        out_data += np.maximum(x.data, 0.0)
+    else:
+        np.copyto(out_data, x.data, where=x.data > 0)
     out = Tensor._result(out_data, (x,), "elu")
     n = out.data.size
     charge(out.device, "elu", "elementwise", flops=5 * n, bytes_moved=8 * n, scale=out.work_scale)
 
     if out.requires_grad:
-        def _backward() -> None:
-            slope = np.where(x.data > 0, 1.0, out.data + alpha).astype(FLOAT_DTYPE)
-            x._accumulate(out.grad * slope)
+        def _backward(out: Tensor) -> None:
+            grad = np.add(out.data, alpha, out=np.empty_like(out.data))
+            grad *= out.grad
+            np.copyto(grad, out.grad, where=x.data > 0)
+            x._accumulate(grad, fresh=True)
             charge(out.device, "elu.bwd", "elementwise", flops=2 * n, bytes_moved=8 * n,
                    scale=out.work_scale)
         out._backward = _backward
@@ -74,8 +102,8 @@ def sigmoid(x: Tensor) -> Tensor:
            scale=out.work_scale)
 
     if out.requires_grad:
-        def _backward() -> None:
-            x._accumulate(out.grad * out.data * (1.0 - out.data))
+        def _backward(out: Tensor) -> None:
+            x._accumulate(out.grad * out.data * (1.0 - out.data), fresh=True)
             charge(out.device, "sigmoid.bwd", "elementwise", flops=3 * n, bytes_moved=8 * n,
                    scale=out.work_scale)
         out._backward = _backward
@@ -88,8 +116,8 @@ def tanh(x: Tensor) -> Tensor:
     charge(out.device, "tanh", "elementwise", flops=6 * n, bytes_moved=8 * n, scale=out.work_scale)
 
     if out.requires_grad:
-        def _backward() -> None:
-            x._accumulate(out.grad * (1.0 - out.data * out.data))
+        def _backward(out: Tensor) -> None:
+            x._accumulate(out.grad * (1.0 - out.data * out.data), fresh=True)
             charge(out.device, "tanh.bwd", "elementwise", flops=3 * n, bytes_moved=8 * n,
                    scale=out.work_scale)
         out._backward = _backward
@@ -106,9 +134,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
            scale=out.work_scale)
 
     if out.requires_grad:
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             dot = (out.grad * out.data).sum(axis=axis, keepdims=True)
-            x._accumulate(out.data * (out.grad - dot))
+            x._accumulate(out.data * (out.grad - dot), fresh=True)
             charge(out.device, "softmax.bwd", "elementwise", flops=4 * n, bytes_moved=12 * n,
                    scale=out.work_scale)
         out._backward = _backward
@@ -124,10 +152,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
            scale=out.work_scale)
 
     if out.requires_grad:
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             softmax_data = np.exp(out.data)
             grad_sum = out.grad.sum(axis=axis, keepdims=True)
-            x._accumulate(out.grad - softmax_data * grad_sum)
+            x._accumulate(out.grad - softmax_data * grad_sum, fresh=True)
             charge(out.device, "log_softmax.bwd", "elementwise", flops=4 * n, bytes_moved=12 * n,
                    scale=out.work_scale)
         out._backward = _backward
@@ -142,15 +170,16 @@ def dropout(x: Tensor, p: float = 0.5, training: bool = True,
     if not training or p == 0.0:
         return x
     rng = rng if rng is not None else _FALLBACK_RNG
-    mask = (rng.random(x.shape) >= p).astype(FLOAT_DTYPE) / (1.0 - p)
+    mask = (rng.random(x.shape) >= p).astype(FLOAT_DTYPE)
+    mask /= 1.0 - p
     out = Tensor._result(x.data * mask, (x,), "dropout")
     n = out.data.size
     charge(out.device, "dropout", "elementwise", flops=2 * n, bytes_moved=12 * n,
            scale=out.work_scale)
 
     if out.requires_grad:
-        def _backward() -> None:
-            x._accumulate(out.grad * mask)
+        def _backward(out: Tensor) -> None:
+            x._accumulate(out.grad * mask, fresh=True)
             charge(out.device, "dropout.bwd", "elementwise", flops=n, bytes_moved=12 * n,
                    scale=out.work_scale)
         out._backward = _backward
@@ -177,10 +206,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
            scale=out.work_scale)
 
     if out.requires_grad:
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             probs = np.exp(log_probs)
             probs[np.arange(n_rows), labels] -= 1.0
-            logits._accumulate(out.grad * probs / n_rows)
+            logits._accumulate(out.grad * probs / n_rows, fresh=True)
             charge(out.device, "cross_entropy.bwd", "elementwise", flops=4 * n,
                    bytes_moved=12 * n, scale=out.work_scale)
         out._backward = _backward
@@ -201,9 +230,9 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
            scale=out.work_scale)
 
     if out.requires_grad:
-        def _backward() -> None:
+        def _backward(out: Tensor) -> None:
             probs = 1.0 / (1.0 + np.exp(-z))
-            logits._accumulate(out.grad * (probs - targets) / logits.data.size)
+            logits._accumulate(out.grad * (probs - targets) / logits.data.size, fresh=True)
             charge(out.device, "bce_logits.bwd", "elementwise", flops=5 * n,
                    bytes_moved=12 * n, scale=out.work_scale)
         out._backward = _backward

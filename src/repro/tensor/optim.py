@@ -60,11 +60,13 @@ class SGD(Optimizer):
             if self.weight_decay:
                 grad = grad + self.weight_decay * p.data
             if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(p.data, dtype=FLOAT_DTYPE)
-                self._velocity[i] = self.momentum * self._velocity[i] + grad
-                grad = self._velocity[i]
-            p.data = (p.data - self.lr * grad).astype(FLOAT_DTYPE)
+                velocity = self._velocity[i]
+                if velocity is None:
+                    velocity = self._velocity[i] = np.zeros_like(p.data, dtype=FLOAT_DTYPE)
+                np.multiply(velocity, self.momentum, out=velocity)
+                np.add(velocity, grad, out=velocity)
+                grad = velocity
+            np.subtract(p.data, self.lr * grad, out=p.data)
         self._charge_update(flops_per_elem=4)
 
 
@@ -95,9 +97,21 @@ class Adam(Optimizer):
             if self._m[i] is None:
                 self._m[i] = np.zeros_like(p.data, dtype=FLOAT_DTYPE)
                 self._v[i] = np.zeros_like(p.data, dtype=FLOAT_DTYPE)
-            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * grad
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * grad * grad
-            m_hat = self._m[i] / bc1
-            v_hat = self._v[i] / bc2
-            p.data = (p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(FLOAT_DTYPE)
+            m, v = self._m[i], self._v[i]
+            # Same operations in the same order as the textbook update,
+            # written into m, v, p.data and two scratch buffers.
+            scratch = np.multiply(grad, 1 - self.beta1, out=np.empty_like(m))
+            np.multiply(m, self.beta1, out=m)
+            np.add(m, scratch, out=m)
+            np.multiply(grad, 1 - self.beta2, out=scratch)
+            np.multiply(scratch, grad, out=scratch)
+            np.multiply(v, self.beta2, out=v)
+            np.add(v, scratch, out=v)
+            np.divide(m, bc1, out=scratch)  # m_hat
+            np.multiply(scratch, self.lr, out=scratch)
+            denom = np.divide(v, bc2, out=np.empty_like(v))  # v_hat
+            np.sqrt(denom, out=denom)
+            np.add(denom, self.eps, out=denom)
+            np.divide(scratch, denom, out=scratch)
+            np.subtract(p.data, scratch, out=p.data)
         self._charge_update(flops_per_elem=12)

@@ -44,12 +44,18 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
-def _noop_backward() -> None:
+def _noop_backward(out: "Tensor") -> None:
     return None
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
+    """Reduce ``grad`` back to ``shape`` after numpy broadcasting.
+
+    Returns ``grad`` itself when nothing was broadcast, so a caller can
+    tell a pass-through (``result is grad``) from a freshly reduced buffer.
+    """
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -116,7 +122,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self.device = device
         self.work_scale = float(work_scale)
-        self._backward: Callable[[], None] = lambda: None
+        self._backward: Callable[["Tensor"], None] = _noop_backward
         self._prev: Tuple[Tensor, ...] = _prev if _grad_enabled else ()
         self._op = _op
         self._alloc = None
@@ -197,11 +203,22 @@ class Tensor:
         )
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = grad.astype(FLOAT_DTYPE, copy=True)
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``, which this tensor owns.
+
+        ``fresh=True`` is the caller's promise that it computed ``grad`` for
+        this call and keeps no other reference to it or to a view of it: the
+        first touch then adopts the buffer instead of copying it.  Anything
+        that may alias another array (``out.grad`` itself, a reshape, slice
+        or transpose of it) is copied, so no two tensors ever share a
+        ``.grad`` buffer and later touches can add in place.
+        """
+        if self.grad is not None:
+            np.add(self.grad, grad, out=self.grad)
+        elif fresh:
+            self.grad = np.asarray(grad, dtype=FLOAT_DTYPE)
         else:
-            self.grad = self.grad + grad
+            self.grad = np.array(grad, dtype=FLOAT_DTYPE)  # always a copy
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -218,11 +235,11 @@ class Tensor:
         charge(out.device, "add", "elementwise", flops=n, bytes_moved=12 * n, scale=out.work_scale)
 
         if out.requires_grad:
-            def _backward() -> None:
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(out.grad, self.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(out.grad, other.shape))
+            def _backward(out: "Tensor") -> None:
+                for parent in (self, other):
+                    if parent.requires_grad:
+                        grad = _unbroadcast(out.grad, parent.shape)
+                        parent._accumulate(grad, fresh=grad is not out.grad)
                 charge(out.device, "add.bwd", "elementwise", flops=n, bytes_moved=12 * n,
                        scale=out.work_scale)
             out._backward = _backward
@@ -247,11 +264,11 @@ class Tensor:
         charge(out.device, "mul", "elementwise", flops=n, bytes_moved=12 * n, scale=out.work_scale)
 
         if out.requires_grad:
-            def _backward() -> None:
+            def _backward(out: "Tensor") -> None:
                 if self.requires_grad:
-                    self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
+                    self._accumulate(_unbroadcast(out.grad * other.data, self.shape), fresh=True)
                 if other.requires_grad:
-                    other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
+                    other._accumulate(_unbroadcast(out.grad * self.data, other.shape), fresh=True)
                 charge(out.device, "mul.bwd", "elementwise", flops=2 * n, bytes_moved=16 * n,
                        scale=out.work_scale)
             out._backward = _backward
@@ -267,12 +284,12 @@ class Tensor:
         charge(out.device, "div", "elementwise", flops=n, bytes_moved=12 * n, scale=out.work_scale)
 
         if out.requires_grad:
-            def _backward() -> None:
+            def _backward(out: "Tensor") -> None:
                 if self.requires_grad:
-                    self._accumulate(_unbroadcast(out.grad / other.data, self.shape))
+                    self._accumulate(_unbroadcast(out.grad / other.data, self.shape), fresh=True)
                 if other.requires_grad:
                     grad_other = -out.grad * self.data / (other.data * other.data)
-                    other._accumulate(_unbroadcast(grad_other, other.shape))
+                    other._accumulate(_unbroadcast(grad_other, other.shape), fresh=True)
                 charge(out.device, "div.bwd", "elementwise", flops=3 * n, bytes_moved=16 * n,
                        scale=out.work_scale)
             out._backward = _backward
@@ -289,8 +306,8 @@ class Tensor:
         charge(out.device, "pow", "elementwise", flops=2 * n, bytes_moved=8 * n, scale=out.work_scale)
 
         if out.requires_grad:
-            def _backward() -> None:
-                self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
+            def _backward(out: "Tensor") -> None:
+                self._accumulate(out.grad * exponent * self.data ** (exponent - 1), fresh=True)
                 charge(out.device, "pow.bwd", "elementwise", flops=3 * n, bytes_moved=12 * n,
                        scale=out.work_scale)
             out._backward = _backward
@@ -310,13 +327,13 @@ class Tensor:
         charge(out.device, "matmul", "gemm", flops=flops, bytes_moved=moved, scale=out.work_scale)
 
         if out.requires_grad:
-            def _backward() -> None:
+            def _backward(out: "Tensor") -> None:
                 if self.requires_grad:
                     grad_self = out.grad @ np.swapaxes(other.data, -1, -2)
-                    self._accumulate(_unbroadcast(grad_self, self.shape))
+                    self._accumulate(_unbroadcast(grad_self, self.shape), fresh=True)
                 if other.requires_grad:
                     grad_other = np.swapaxes(self.data, -1, -2) @ out.grad
-                    other._accumulate(_unbroadcast(grad_other, other.shape))
+                    other._accumulate(_unbroadcast(grad_other, other.shape), fresh=True)
                 charge(out.device, "matmul.bwd", "gemm", flops=2 * flops, bytes_moved=2 * moved,
                        scale=out.work_scale)
             out._backward = _backward
@@ -334,7 +351,7 @@ class Tensor:
         out = Tensor._result(self.data.reshape(shape), (self,), "reshape", owns_memory=False)
 
         if out.requires_grad:
-            def _backward() -> None:
+            def _backward(out: "Tensor") -> None:
                 self._accumulate(out.grad.reshape(self.shape))
             out._backward = _backward
         return out
@@ -345,7 +362,7 @@ class Tensor:
         )
 
         if out.requires_grad:
-            def _backward() -> None:
+            def _backward(out: "Tensor") -> None:
                 self._accumulate(np.swapaxes(out.grad, axis0, axis1))
             out._backward = _backward
         return out
@@ -362,12 +379,12 @@ class Tensor:
         charge(out.device, "index_select", "index", bytes_moved=moved, scale=out.work_scale)
 
         if out.requires_grad:
-            def _backward() -> None:
+            def _backward(out: "Tensor") -> None:
                 grad = np.zeros_like(self.data, dtype=FLOAT_DTYPE)
                 # Arbitrary caller-supplied index: no sorted-segment
                 # structure to reduceat over.
                 np.add.at(grad, index, out.grad)  # repro-lint: disable=ADD-AT generic unsorted index
-                self._accumulate(grad)
+                self._accumulate(grad, fresh=True)
                 charge(out.device, "index_select.bwd", "index", bytes_moved=2 * moved,
                        scale=out.work_scale)
             out._backward = _backward
@@ -379,10 +396,10 @@ class Tensor:
         out = Tensor._result(self.data[key], (self,), "slice", owns_memory=False)
 
         if out.requires_grad:
-            def _backward() -> None:
+            def _backward(out: "Tensor") -> None:
                 grad = np.zeros_like(self.data, dtype=FLOAT_DTYPE)
                 grad[key] = out.grad
-                self._accumulate(grad)
+                self._accumulate(grad, fresh=True)
             out._backward = _backward
         return out
 
@@ -395,11 +412,11 @@ class Tensor:
         charge(out.device, "sum", "reduce", flops=n, bytes_moved=4 * n, scale=out.work_scale)
 
         if out.requires_grad:
-            def _backward() -> None:
+            def _backward(out: "Tensor") -> None:
                 grad = out.grad
                 if axis is not None and not keepdims:
                     grad = np.expand_dims(grad, axis)
-                self._accumulate(np.broadcast_to(grad, self.shape).astype(FLOAT_DTYPE))
+                self._accumulate(np.broadcast_to(grad, self.shape))
                 charge(out.device, "sum.bwd", "elementwise", bytes_moved=4 * n,
                        scale=out.work_scale)
             out._backward = _backward
@@ -416,12 +433,12 @@ class Tensor:
         charge(out.device, "max", "reduce", flops=n, bytes_moved=4 * n, scale=out.work_scale)
 
         if out.requires_grad:
-            def _backward() -> None:
+            def _backward(out: "Tensor") -> None:
                 expanded = out.data if keepdims or axis is None else np.expand_dims(out.data, axis)
                 grad_out = out.grad if keepdims or axis is None else np.expand_dims(out.grad, axis)
                 mask = (self.data == expanded).astype(FLOAT_DTYPE)
                 mask /= np.maximum(mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum(), 1.0)
-                self._accumulate(mask * grad_out)
+                self._accumulate(np.multiply(mask, grad_out, out=mask), fresh=True)
                 charge(out.device, "max.bwd", "elementwise", flops=2 * n, bytes_moved=8 * n,
                        scale=out.work_scale)
             out._backward = _backward
@@ -436,8 +453,8 @@ class Tensor:
         charge(out.device, "exp", "elementwise", flops=4 * n, bytes_moved=8 * n, scale=out.work_scale)
 
         if out.requires_grad:
-            def _backward() -> None:
-                self._accumulate(out.grad * out.data)
+            def _backward(out: "Tensor") -> None:
+                self._accumulate(out.grad * out.data, fresh=True)
                 charge(out.device, "exp.bwd", "elementwise", flops=n, bytes_moved=8 * n,
                        scale=out.work_scale)
             out._backward = _backward
@@ -449,8 +466,8 @@ class Tensor:
         charge(out.device, "log", "elementwise", flops=4 * n, bytes_moved=8 * n, scale=out.work_scale)
 
         if out.requires_grad:
-            def _backward() -> None:
-                self._accumulate(out.grad / self.data)
+            def _backward(out: "Tensor") -> None:
+                self._accumulate(out.grad / self.data, fresh=True)
                 charge(out.device, "log.bwd", "elementwise", flops=n, bytes_moved=8 * n,
                        scale=out.work_scale)
             out._backward = _backward
@@ -487,12 +504,14 @@ class Tensor:
         self.grad = np.asarray(grad, dtype=FLOAT_DTYPE).reshape(self.shape).copy()
         for node in reversed(topo):
             if node.grad is not None:
-                node._backward()
-        # Free the graph: backward closures capture their output tensor,
-        # forming reference cycles that would keep device memory pinned
-        # until a full GC pass.  Breaking the links here lets refcounting
-        # release intermediate tensors immediately (torch's
-        # retain_graph=False behaviour).
+                node._backward(node)
+        # Free the graph (torch's retain_graph=False behaviour): the root
+        # usually outlives this call, and through ``_prev`` and the
+        # closures it would keep every intermediate's device memory
+        # pinned.  The tape itself holds no reference cycle -- a closure
+        # gets its output tensor as an argument instead of capturing it
+        # -- so refcounting also frees a graph that never reaches
+        # backward(), e.g. one abandoned by an out-of-memory error.
         for node in topo:
             node._backward = _noop_backward
             node._prev = ()
@@ -514,7 +533,7 @@ def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         sizes = [t.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
                 if t.requires_grad:
                     idx = [slice(None)] * data.ndim

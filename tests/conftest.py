@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,32 @@ def machine() -> Machine:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """``cyclic_garbage(fn)``: type names of what only the cycle collector
+    could free after ``fn()`` ran with the collector switched off.
+
+    The experiment drivers never call ``gc.collect()``: every tensor, and
+    the device-ledger allocation its finalizer releases, must go by
+    refcount the moment the run drops it.  An empty list is that law.
+    """
+    def measure(fn):
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            fn()
+            gc.collect()
+            return sorted(type(obj).__name__ for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+    return measure
 
 
 TINY_SPEC = DatasetSpec(

@@ -1,8 +1,11 @@
 """Tests for the experiment harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.bench import harness
 from repro.bench.format import format_matrix, format_series
 from repro.bench.harness import (
     measure_conv_forward,
@@ -12,6 +15,8 @@ from repro.bench.harness import (
     run_training_experiment,
 )
 from repro.errors import BenchmarkError
+from repro.hardware.machine import Machine
+from repro.hardware.specs import PAPER_CPU, PAPER_GPU, PAPER_PCIE
 
 SMALL = dict(dataset_scale=0.3)
 
@@ -97,6 +102,47 @@ class TestFunctionalMeasurements:
         result = measure_conv_forward("pyglite", "reddit", "gat", device="gpu")
         assert result.oom
         assert "out of memory" in result.error
+
+
+class TestNoCyclicGarbage:
+    """The harness does not call gc.collect(); nothing it runs may need it."""
+
+    CASES = {
+        "conv-fused-gatv2": lambda: measure_conv_forward(
+            "dglite", "ppi", "gatv2", device="gpu", **SMALL),
+        "conv-unfused-gatv2": lambda: measure_conv_forward(
+            "pyglite", "ppi", "gatv2", device="gpu", **SMALL),
+        "fullbatch": lambda: run_fullbatch_experiment(
+            "pyglite", "ppi", device="gpu", epochs=2, **SMALL),
+        "train-serial": lambda: run_training_experiment(
+            "dglite", "ppi", "graphsage", placement="cpugpu", epochs=1,
+            representative_batches=2, **SMALL),
+        "train-depth-4": lambda: run_training_experiment(
+            "dglite", "ppi", "graphsage", placement="cpugpu", epochs=1,
+            representative_batches=2, pipeline="depth-4", **SMALL),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_entry_point_leaves_no_cycles(self, cyclic_garbage, case):
+        assert cyclic_garbage(self.CASES[case]) == []
+
+    @pytest.mark.parametrize("pipeline", ["off", "depth-4"])
+    def test_oom_with_a_live_tape_leaves_no_cycles(self, cyclic_garbage,
+                                                   monkeypatch, pipeline):
+        """A charged OOM in the middle of a training step abandons a tape
+        that backward() never gets to free."""
+        small_gpu = dataclasses.replace(PAPER_GPU, mem_capacity=20_000_000)
+        monkeypatch.setattr(harness, "paper_testbed",
+                            lambda: Machine(PAPER_CPU, small_gpu, PAPER_PCIE))
+        results = []
+
+        def run():
+            results.append(run_training_experiment(
+                "dglite", "ppi", "graphsage", placement="cpugpu", epochs=1,
+                representative_batches=2, pipeline=pipeline, **SMALL))
+
+        assert cyclic_garbage(run) == []
+        assert results[0].oom and "out of memory" in results[0].error
 
 
 class TestFormatting:

@@ -175,6 +175,50 @@ class TestFusedGatv2:
         assert np.allclose(v1.grad, v2.grad, atol=1e-4)
         assert np.allclose(a1.grad, a2.grad, atol=1e-3)
 
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 1.5, -0.1])
+    def test_bit_identical_to_select_formula(self, slope):
+        """Two-buffer kernel == the np.where formula it replaced, to the
+        bit, for every slope and for -0.0 / inf / NaN edge sums."""
+        heads, dim = 2, 3
+        small_adj = SparseAdj(np.concatenate([[0, 1], RNG.integers(0, 12, 60)]),
+                              np.concatenate([[1, 0], RNG.integers(0, 12, 60)]),
+                              12, 12)
+        specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -1e-45],
+                            dtype=np.float32)
+        u_arr = RNG.standard_normal((small_adj.num_src, heads, dim)).astype(np.float32)
+        v_arr = RNG.standard_normal((small_adj.num_dst, heads, dim)).astype(np.float32)
+        # Edges 0->1 and 1->0 sum to the special values themselves.
+        u_arr[:2] = specials.reshape(1, heads, dim)
+        v_arr[:2] = -0.0
+        att_arr = RNG.standard_normal((heads, dim)).astype(np.float32)
+        upstream = RNG.standard_normal((small_adj.num_edges, heads)).astype(np.float32)
+
+        u = Tensor(u_arr.copy(), requires_grad=True)
+        v = Tensor(v_arr.copy(), requires_grad=True)
+        att = Tensor(att_arr.copy(), requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            out = fused_gatv2_scores(small_adj, u, v, att, negative_slope=slope)
+            out.backward(upstream)
+
+            summed = u_arr[small_adj.src] + v_arr[small_adj.dst]
+            activated = np.where(summed > 0, summed, slope * summed)
+            want = np.einsum("ehd,hd->eh", activated, att_arr)
+            edge_slope = np.where(summed > 0, 1.0, slope).astype(np.float32)
+            grad_act = upstream[:, :, None] * att_arr[None, :, :] * edge_slope
+            want_u = small_adj.sum_edges(grad_act, side="src")
+            want_v = small_adj.sum_edges(grad_act, side="dst")
+            want_att = np.einsum("ehd,eh->hd", activated, upstream)
+
+        def bits(array):
+            return np.ascontiguousarray(array, dtype=np.float32).view(np.uint32)
+
+        assert np.array_equal(bits(out.data), bits(want))
+        assert np.array_equal(bits(u.grad), bits(want_u))
+        assert np.array_equal(bits(v.grad), bits(want_v))
+        assert np.array_equal(bits(att.grad), bits(want_att))
+        assert np.array_equal(bits(u.data), bits(u_arr)), "input was written to"
+        assert np.array_equal(bits(v.data), bits(v_arr)), "input was written to"
+
     def test_no_edge_feature_allocation(self, machine):
         """The fused kernel must NOT allocate the E x H x D buffer."""
         adj = SparseAdj(np.array([0, 1]), np.array([0, 1]), 2, 2,

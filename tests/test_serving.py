@@ -166,6 +166,12 @@ def _config(**overrides):
 
 
 class TestEngine:
+    def test_serving_run_leaves_no_cyclic_garbage(self, cyclic_garbage):
+        """run_serving_experiment does not call gc.collect()."""
+        assert cyclic_garbage(lambda: run_serving_experiment(
+            _config(cache_fraction=0.25, pipeline="depth-4"))) == []
+        assert cyclic_garbage(lambda: run_serving_experiment(_config())) == []
+
     def test_all_requests_complete(self):
         result = run_serving_experiment(_config())
         assert result.completed == 24 and result.shed == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tensor import functional as F
+from repro.tensor.optim import SGD, Adam
 from repro.tensor.tensor import Tensor, cat
 
 RNG = np.random.default_rng(42)
@@ -191,3 +192,153 @@ class TestLossValidation:
         ml_logits = Tensor(np.array([[1.0, -1.0]], dtype=np.float32))
         assert F.micro_f1(ml_logits, np.array([[1.0, 0.0]])) == 1.0
         assert 0.0 <= F.micro_f1(ml_logits, np.array([[0.0, 1.0]])) < 1.0
+
+
+def bits(array):
+    """float32 bit patterns, so -0.0 != 0.0 and NaN == the same NaN."""
+    return np.ascontiguousarray(array, dtype=np.float32).view(np.uint32)
+
+
+SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45,
+                     1.0, -1.0, 3.5, -2.25], dtype=np.float32)
+
+
+class TestLeakyReluBits:
+    """The single-pass forms against the np.where select they replaced."""
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 1.5, -0.1])
+    def test_forward_and_backward_match_select(self, slope):
+        noise = RNG.standard_normal(53).astype(np.float32)
+        x_data = np.concatenate([SPECIALS, noise])
+        upstream = np.concatenate([noise[:42], SPECIALS, SPECIALS[::-1]])
+        with np.errstate(invalid="ignore"):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            out = F.leaky_relu(x, slope)
+            out.backward(upstream)
+            want = np.where(x_data > 0, x_data, slope * x_data)
+            want_grad = upstream * np.where(x_data > 0, 1.0, slope).astype(np.float32)
+        assert np.array_equal(bits(out.data), bits(want))
+        assert np.array_equal(bits(x.grad), bits(want_grad))
+        assert np.array_equal(bits(x.data), bits(x_data)), "input was written to"
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0, -0.5])
+    def test_elu_matches_select(self, alpha):
+        x_data = np.concatenate([SPECIALS, RNG.standard_normal(53).astype(np.float32)])
+        upstream = RNG.standard_normal(x_data.size).astype(np.float32)
+        with np.errstate(invalid="ignore", over="ignore"):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            out = F.elu(x, alpha)
+            out.backward(upstream)
+            want = np.where(x_data > 0, x_data,
+                            alpha * (np.exp(np.minimum(x_data, 0.0)) - 1.0))
+            want_grad = upstream * np.where(x_data > 0, 1.0, want + alpha)
+        assert np.array_equal(bits(out.data), bits(want))
+        assert np.array_equal(bits(x.grad), bits(want_grad))
+
+
+class TestGradientOwnership:
+    """``.grad`` is float32, owned by its tensor, and shared with no other."""
+
+    def test_grad_stays_float32_on_every_touch(self):
+        t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        t._accumulate(np.ones(3))
+        t._accumulate(np.ones(3))
+        assert t.grad.dtype == np.float32
+        assert np.array_equal(t.grad, [2.0, 2.0, 2.0])
+
+    def test_fresh_buffer_is_adopted_and_views_are_copied(self):
+        t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        fresh = np.ones(3, dtype=np.float32)
+        t._accumulate(fresh, fresh=True)
+        assert t.grad is fresh
+        u = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        u._accumulate(fresh)
+        assert not np.shares_memory(u.grad, fresh)
+
+    def test_same_tensor_on_both_sides_of_add(self):
+        a = Tensor(np.arange(4, dtype=np.float32), requires_grad=True)
+        upstream = np.array([1.0, -2.0, 3.0, 0.5], dtype=np.float32)
+        (a + a).backward(upstream)
+        assert np.array_equal(a.grad, 2 * upstream)
+        assert not np.shares_memory(a.grad, upstream)
+
+    def test_scaling_one_grad_in_place_leaves_the_other(self):
+        a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        out = a + b
+        out.sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, out.grad)
+        a.grad *= 0.25
+        assert np.array_equal(b.grad, np.ones((2, 3)))
+        assert np.array_equal(out.grad, np.ones((2, 3)))
+
+    def test_broadcast_add_reduces_into_an_owned_buffer(self):
+        a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        bias = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        (a + bias).sum().backward()
+        assert np.array_equal(bias.grad, [2.0, 2.0, 2.0])
+        bias.grad *= 0.0
+        assert np.array_equal(a.grad, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("view", [
+        lambda t: t.reshape(3, 2),
+        lambda t: t.transpose(),
+        lambda t: t[0:1],
+        lambda t: cat([t, t], axis=0),
+    ])
+    def test_pass_through_ops_do_not_alias_upstream(self, view):
+        a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        out = view(a)
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        want = a.grad.copy()
+        assert not np.shares_memory(a.grad, out.grad)
+        out.grad *= 7.0
+        assert np.array_equal(a.grad, want)
+
+    def test_matmul_operand_used_twice(self):
+        a_data = RNG.standard_normal((3, 3)).astype(np.float32)
+        a = Tensor(a_data.copy(), requires_grad=True)
+        (a @ a).sum().backward()
+        ones = np.ones((3, 3), dtype=np.float32)
+        assert np.array_equal(bits(a.grad), bits(ones @ a_data.T + a_data.T @ ones))
+
+
+class TestOptimizerParity:
+    """In-place steps against the out-of-place update they replaced."""
+
+    GRADS = [RNG.standard_normal((4, 3)).astype(np.float32) for _ in range(5)]
+    START = RNG.standard_normal((4, 3)).astype(np.float32)
+
+    def test_sgd_momentum_weight_decay(self):
+        lr, momentum, decay = 0.05, 0.9, 0.01
+        p = Tensor(self.START.copy(), requires_grad=True)
+        opt = SGD([p], lr=lr, momentum=momentum, weight_decay=decay)
+        data = self.START.copy()
+        velocity = np.zeros_like(data)
+        for grad in self.GRADS:
+            p.grad = grad.copy()
+            opt.step()
+            assert np.array_equal(bits(p.grad), bits(grad)), "step wrote to .grad"
+            grad = grad + decay * data
+            velocity = momentum * velocity + grad
+            data = (data - lr * velocity).astype(np.float32)
+            assert np.array_equal(bits(p.data), bits(data))
+
+    def test_adam(self):
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        p = Tensor(self.START.copy(), requires_grad=True)
+        opt = Adam([p], lr=lr, betas=(beta1, beta2), eps=eps)
+        data = self.START.copy()
+        m = np.zeros_like(data)
+        v = np.zeros_like(data)
+        for step, grad in enumerate(self.GRADS, start=1):
+            p.grad = grad.copy()
+            opt.step()
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad * grad
+            m_hat = m / (1.0 - beta1 ** step)
+            v_hat = v / (1.0 - beta2 ** step)
+            data = (data - lr * m_hat / (np.sqrt(v_hat) + eps)).astype(np.float32)
+            assert np.array_equal(bits(p.data), bits(data))
+            assert np.array_equal(bits(p.grad), bits(grad)), "step wrote to .grad"
