@@ -1,10 +1,14 @@
 """Ablation: parallel sampling workers (DGL/PyG dataloader num_workers).
 
 Observation 4 says sampling needs optimization; both real frameworks ship
-worker pools for exactly that.  This bench sweeps worker counts and shows
-(a) sampling time collapsing sublinearly and (b) the total approaching the
-compute+movement floor — the fix for the scaling wall the multi-GPU
-ablation exposes.
+worker pools for exactly that.  ``num_workers=w`` puts sampling on a pool of
+``w`` lanes (each job stretched by ``w / w**0.85``) with ``w`` batches in
+flight, so this bench sweeps worker counts and shows (a) the total falling
+monotonically, by less than ``w``x, toward the compute+movement floor and
+(b) visible sampling vanishing once the pool outruns the GPU — the fix for
+the scaling wall the multi-GPU ablation exposes.  (Visible sampling is what
+the train lane does not cover; once it is fully hidden its ratio to the
+inline run says nothing, so the claims are on total time.)
 """
 
 from conftest import emit
@@ -40,14 +44,18 @@ def test_ablation_sampling_workers(once):
                        precision=2))
 
     for fw in ("dglite", "pyglite"):
-        sampling = [results[(fw, w)].phases["sampling"] for w in WORKERS]
-        # monotone improvement with workers
-        assert all(a >= b * 0.999 for a, b in zip(sampling, sampling[1:])), fw
-        # sublinear: 8 workers buy less than 8x
-        assert sampling[0] / sampling[-1] < 8.0, fw
-        # and the total improves accordingly
-        assert (results[(fw, 8)].total_time
-                < results[(fw, 0)].total_time), fw
+        totals = [results[(fw, w)].total_time for w in WORKERS]
+        # Monotone in w, up to the pipeline-fill transient: a wider pool
+        # stretches the first batch's sample job, which nothing hides.
+        assert all(b <= a * 1.001 for a, b in zip(totals, totals[1:])), fw
+        # Sublinear: w workers buy less than w-fold, and never less than
+        # the training the sampling hides behind.
+        for w, total in zip(WORKERS[1:], totals[1:]):
+            assert 1.0 < totals[0] / total < w, (fw, w)
+            assert total >= results[(fw, 0)].phases["training"], (fw, w)
+        # Workers change the schedule, never the batches.
+        assert all(results[(fw, w)].losses == results[(fw, 0)].losses
+                   for w in WORKERS), fw
 
     # The worker pool matters most where sampling dominates: PyG gains a
     # larger total-time factor than DGL.

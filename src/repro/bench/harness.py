@@ -125,10 +125,13 @@ def run_training_experiment(
     ``halt_after_epochs`` drive checkpoint-based crash–resume (see
     ``docs/resilience.md``).
 
-    ``pipeline`` ("off" or "depth-N") streams mini-batches through the
-    composable datapipe (``docs/datapipe.md``): sampler workers, feature
-    fetch, H2D copy, and training each get their own resource lane and
-    up to N batches are in flight.  "off" charges the serial schedule.
+    Every run streams its mini-batches through the composable datapipe
+    (``docs/datapipe.md``): sampler workers, feature fetch, H2D copy, and
+    training each get their own resource lane.  ``pipeline`` says how
+    many batches are in flight — "off" is one (the paper's serial loop),
+    "depth-N" is N; ``num_workers=w`` samples on a pool of ``w`` lanes
+    with at least ``w`` in flight; ``prefetch`` (DGL only) keeps two in
+    flight with sample/fetch/copy on one background loader lane.
 
     ``fastpath=False`` runs the whole experiment on the naive reference
     kernels (:func:`repro.kernels.config.use_reference_kernels`); charged

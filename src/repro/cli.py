@@ -88,11 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--prefetch", action="store_true")
     train.add_argument("--cache-fraction", type=float, default=0.0)
     train.add_argument("--workers", type=int, default=0,
-                       help="parallel sampling workers (0 = inline)")
+                       help="parallel sampling workers (0 = inline); w keeps "
+                            "at least w mini-batches in flight")
     train.add_argument("--pipeline", default="off", metavar="SPEC",
-                       help="datapipe streaming: 'off' (serial schedule) or "
-                            "'depth-N' (N mini-batches in flight on "
-                            "dedicated sampler/PCIe/GPU lanes)")
+                       help="mini-batches in flight on the sampler/PCIe/GPU "
+                            "lanes: 'off' (one: the serial schedule) or "
+                            "'depth-N'")
     train.add_argument("--seed", type=int, default=0,
                        help="sampler/model RNG seed (default 0, deterministic)")
     train.add_argument("--telemetry", default=None, metavar="DIR",
@@ -710,8 +711,8 @@ def _validate_parsed_args(parser: argparse.ArgumentParser,
                           args: argparse.Namespace) -> None:
     """Cross-flag checks that argparse cannot express per-argument.
 
-    ``--pipeline depth-N`` is CPU-side sampling overlap: combining it
-    with an on-device sampling placement is rejected here, at parse
+    ``--pipeline depth-N`` (N >= 2) is CPU-side sampling overlap: combining
+    it with an on-device sampling placement is rejected here, at parse
     time, as a hard argument error (exit code 2) — the same shared
     validation path (:func:`repro.datapipe.config.
     validate_pipeline_placement`) runs again inside ``TrainConfig`` and

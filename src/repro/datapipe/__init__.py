@@ -8,8 +8,8 @@ its own resource lane by :class:`repro.simtime.LaneScheduler` — sampling
 and H2D copy overlap GPU compute exactly as the paper's prefetching case
 study describes.
 
-``pipeline="off"`` keeps the legacy serial schedule; ``"depth-N"`` allows
-N items in flight (depth-1 *is* the serial schedule, expressed on lanes).
+``pipeline="depth-N"`` allows N items in flight; depth-1 *is* the serial
+schedule, expressed on lanes, and ``"off"`` is its spelling.
 """
 
 from repro.datapipe.config import PipelineConfig, parse_pipeline

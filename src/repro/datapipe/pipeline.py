@@ -13,13 +13,13 @@ queues hide sampling and H2D behind GPU compute.
 The ``sampler.worker`` fault seam is honoured mid-pipeline: a crashed
 worker wastes ``severity`` of the stage's cost and pays the respawn
 backoff inside the affected job; past the policy's retry budget the
-pipeline degrades to depth-1 on a single worker lane (the pipelined
-analogue of falling back to inline sampling).
+pipeline degrades to depth-1 on a single worker lane (inline sampling).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import RecoveryExhausted
@@ -51,6 +51,11 @@ class Stage:
     lanes: Tuple[str, ...]
     scale: float = 1.0
     fault_site: str = ""
+    #: Tag of every job the stage submits; maps a job back to its stage.
+    tag: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.tag = f"datapipe:{self.name}"
 
     def lane_for(self, index: int) -> str:
         return self.lanes[index % len(self.lanes)]
@@ -101,9 +106,9 @@ def run_epoch(
     state = _EpochState(machine=machine, sched=sched, depth=depth)
     outputs: List[Any] = []
 
-    for index, payload in enumerate(source):
-        if limit is not None and index >= limit:
-            break
+    # islice stops *before* drawing item ``limit``: pulling it would cost
+    # the source one more RNG draw / sub-graph induction per epoch.
+    for index, payload in enumerate(islice(source, limit)):
         prev: Optional[LaneJob] = None
         first: Optional[LaneJob] = None
         for stage in stages:
@@ -121,8 +126,9 @@ def run_epoch(
 
     lane_busy = sched.lane_busy()
     elapsed = sched.drain()
-    phases = _attribute_phases(state.phase_jobs, sched.origin, sched.finish)
-    state.record_metrics(label)
+    by_tag = {stage.tag: stage for stage in stages}
+    phases = _attribute_phases(sched.jobs, by_tag, sched.origin, sched.finish)
+    state.record_metrics(label, by_tag)
     return EpochReport(
         outputs=outputs,
         phases=phases,
@@ -146,49 +152,53 @@ class _EpochState:
         self.degraded = False
         self.max_in_flight = 1
         self.terminal: List[LaneJob] = []
-        self.phase_jobs: List[Tuple[float, float, str]] = []
         #: Clean (pre-fault, post-scale) per-stage sums for extrapolation.
         self.stage_totals: Dict[str, float] = {}
         self.stage_busy: Dict[str, Dict[str, float]] = {}
-        self.stage_waits: Dict[str, List[float]] = {}
 
     # ------------------------------------------------------------------
     def schedule(self, stage: Stage, index: int, rec: DeferredRecord,
-                 prev: Optional[LaneJob], symbolic: bool = False) -> LaneJob:
+                 prev: Optional[LaneJob]) -> LaneJob:
+        """Place one *executed* stage run: scale, fault seam, lane, span."""
         scale = 1.0 if self.degraded else stage.scale
         clean = DeferredRecord(
             total=rec.total * scale,
             busy={d: s * scale for d, s in rec.busy.items() if s > 0},
         )
-        if not symbolic:
-            totals = self.stage_totals
-            totals[stage.name] = totals.get(stage.name, 0.0) + clean.total
-            busy_bucket = self.stage_busy.setdefault(stage.name, {})
-            for device, seconds in clean.busy.items():
-                busy_bucket[device] = busy_bucket.get(device, 0.0) + seconds
+        totals = self.stage_totals
+        totals[stage.name] = totals.get(stage.name, 0.0) + clean.total
+        busy_bucket = self.stage_busy.setdefault(stage.name, {})
+        for device, seconds in clean.busy.items():
+            busy_bucket[device] = busy_bucket.get(device, 0.0) + seconds
         record = clean
         # A degraded pipe no longer has a worker pool to crash: the site
-        # is never armed again (mirrors the serial teardown semantics).
-        if stage.fault_site and not symbolic and not self.degraded:
+        # is never armed again.
+        if stage.fault_site and not self.degraded:
             record = self._survive_faults(stage, clean)
-        deps = (prev,) if prev is not None else ()
+        job = self._place(stage, index, record, prev)
+        with maybe_span(f"datapipe.{stage.name}", category="datapipe",
+                        index=index, lane=job.lane,
+                        scheduled_start=job.start, scheduled_end=job.end,
+                        queue_wait=job.wait):
+            pass
+        return job
+
+    def _place(self, stage: Stage, index: int, record: DeferredRecord,
+               prev: Optional[LaneJob]) -> LaneJob:
+        """Submit one stage job behind its item's previous stage.
+
+        An item's first stage additionally waits for the bounded queue:
+        item ``index`` enters once item ``index - depth`` has drained.
+        """
+        deps = () if prev is None else (prev,)
         not_before = 0.0
         eff_depth = 1 if self.degraded else self.depth
         if prev is None and index >= eff_depth and self.terminal:
             gate = min(index - eff_depth, len(self.terminal) - 1)
             not_before = self.terminal[gate].end
         lane = stage.lanes[0] if self.degraded else stage.lane_for(index)
-        job = self.sched.submit(lane, record, deps=deps, not_before=not_before,
-                                tag=f"datapipe:{stage.name}")
-        self.phase_jobs.append((job.start, job.end, stage.phase))
-        self.stage_waits.setdefault(stage.name, []).append(job.wait)
-        if not symbolic:
-            with maybe_span(f"datapipe.{stage.name}", category="datapipe",
-                            index=index, lane=lane,
-                            scheduled_start=job.start, scheduled_end=job.end,
-                            queue_wait=job.wait):
-                pass
-        return job
+        return self.sched.submit(lane, record, deps=deps,
+                                 not_before=not_before, tag=stage.tag)
 
     def finish_item(self, first: Optional[LaneJob],
                     last: Optional[LaneJob]) -> None:
@@ -242,81 +252,82 @@ class _EpochState:
     # ------------------------------------------------------------------
     def extrapolate(self, stages: Sequence[Stage], executed: int,
                     target: int) -> None:
-        """Replay the remaining items symbolically at measured mean cost."""
-        means: Dict[str, DeferredRecord] = {}
+        """Replay the remaining items symbolically at measured mean cost.
+
+        The same jobs an executed item submits, minus what is constant
+        per stage: the clean (pre-fault, post-scale) mean record is built
+        once, outside the per-item loop.
+        """
+        tail: List[Tuple[Stage, DeferredRecord]] = []
         for stage in stages:
-            total = self.stage_totals.get(stage.name, 0.0) / executed
-            busy = {d: s / executed
-                    for d, s in self.stage_busy.get(stage.name, {}).items()}
-            # schedule() re-applies the stage scale; the sums above are
-            # post-scale, so feed it pre-scale means.
-            scale = 1.0 if self.degraded else stage.scale
-            if scale > 0:
-                means[stage.name] = DeferredRecord(
-                    total=total / scale,
-                    busy={d: s / scale for d, s in busy.items()},
-                )
-            else:
-                means[stage.name] = DeferredRecord(total=0.0, busy={})
+            busy = self.stage_busy.get(stage.name, {})
+            tail.append((stage, DeferredRecord(
+                total=self.stage_totals.get(stage.name, 0.0) / executed,
+                busy={d: s / executed for d, s in busy.items()},
+            )))
         for index in range(executed, target):
             prev: Optional[LaneJob] = None
-            for stage in stages:
-                prev = self.schedule(stage, index, means[stage.name], prev,
-                                     symbolic=True)
+            for stage, mean in tail:
+                prev = self._place(stage, index, mean, prev)
             self.terminal.append(prev)
 
     # ------------------------------------------------------------------
-    def record_metrics(self, label: str) -> None:
+    def record_metrics(self, label: str, by_tag: Dict[str, Stage]) -> None:
         registry = telemetry.metrics()
         if registry is None:
             return
         labels = {"label": label} if label else {}
         registry.gauge("datapipe.queue_depth", **labels).set(self.max_in_flight)
         registry.gauge("datapipe.depth_limit", **labels).set(self.depth)
-        for name, waits in self.stage_waits.items():
+        waits: Dict[str, List[float]] = {}
+        for job in self.sched.jobs:
+            waits.setdefault(by_tag[job.tag].name, []).append(job.wait)
+        for name, values in waits.items():
             hist = registry.histogram("datapipe.stage_wait_seconds",
                                       stage=name, **labels)
-            for wait in waits:
+            for wait in values:
                 hist.observe(wait)
 
 
-def _attribute_phases(jobs: List[Tuple[float, float, str]], origin: float,
-                      finish: float) -> Dict[str, float]:
+def _attribute_phases(jobs: Sequence[LaneJob], by_tag: Dict[str, Stage],
+                      origin: float, finish: float) -> Dict[str, float]:
     """Exclusive four-phase split of the epoch window.
 
     Sweeps the job intervals chronologically; each elementary segment is
     attributed to the highest-priority phase active over it (training >
-    movement > sampling), matching the paper's foreground accounting.
+    movement > sampling), matching the paper's foreground accounting; a
+    job's phase is its stage's (``by_tag``).
     Window time no job covers (only the backpressure seams between
     items) falls to "sampling", so the phases always sum to the elapsed
     epoch time.
     """
-    phases: Dict[str, float] = {}
     if finish <= origin:
-        return phases
-    events: List[Tuple[float, int, str]] = []
-    for start, end, phase in jobs:
-        if end > start:
-            events.append((start, 1, phase))
-            events.append((end, -1, phase))
-    events.sort(key=lambda e: (e[0], e[1]))
+        return {}
+    # Phases by priority rank; ones outside the paper's four rank last,
+    # in first-seen order.
     rank = {phase: i for i, phase in enumerate(_PHASE_PRIORITY)}
-    active: Dict[str, int] = {}
+    events: List[Tuple[float, int, int]] = []
+    for job in jobs:
+        if job.end > job.start:
+            r = rank.setdefault(by_tag[job.tag].phase, len(rank))
+            events.append((job.start, 1, r))
+            events.append((job.end, -1, r))
+    events.sort()
+    active = [0] * len(rank)
+    seconds = [0.0] * len(rank)
     prev_t = origin
     covered = 0.0
-    for t, delta, phase in events:
+    for t, delta, r in events:
         t = min(max(t, origin), finish)
-        if t > prev_t and active:
-            current = min((p for p, n in active.items() if n > 0),
-                          key=lambda p: rank.get(p, len(rank)), default=None)
-            if current is not None:
-                phases[current] = phases.get(current, 0.0) + (t - prev_t)
-                covered += t - prev_t
         if t > prev_t:
+            for current, count in enumerate(active):
+                if count > 0:
+                    seconds[current] += t - prev_t
+                    covered += t - prev_t
+                    break
             prev_t = t
-        active[phase] = active.get(phase, 0) + delta
-        if active[phase] <= 0:
-            del active[phase]
+        active[r] += delta
+    phases = {phase: seconds[r] for phase, r in rank.items() if seconds[r] > 0}
     residual = (finish - origin) - covered
     if residual > 1e-12:
         phases["sampling"] = phases.get("sampling", 0.0) + residual

@@ -51,11 +51,10 @@ def adj_to_device(adj: SparseAdj, device: Optional[Device],
             link.h2d(adj.structure_nbytes(), tag=tag)
         elif src_kind == "gpu" and device.kind == "cpu":
             link.d2h(adj.structure_nbytes(), tag=tag)
-    # Note: on the serial schedule, transient mini-batch structures are
-    # not pinned in the ledger (one batch lives at a time; its footprint
-    # is negligible next to persistent residency).  Pipelined runs keep
-    # up to ``depth`` batches in flight, so their staging and landing
-    # buffers ARE ledger-accounted — see repro.datapipe.staging.StagingPool.
+    # Note: transient mini-batch structures are not pinned in the ledger
+    # here.  The datapipe keeps up to ``depth`` batches in flight and
+    # accounts their staging and landing buffers itself — see
+    # repro.datapipe.staging.StagingPool.
     # Persistent residency (pre-loading the full graph) stays allocated
     # explicitly by the experiment that opts into it.
     return adj.with_device(device)

@@ -19,6 +19,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.datapipe.config import parse_pipeline
+from repro.datapipe.pipeline import Stage, run_epoch
+from repro.datapipe.staging import StagingPool
 from repro.errors import BenchmarkError
 from repro.frameworks.base import Framework, FrameworkGraph
 from repro.graph.formats import INDEX_DTYPE, gather_neighborhoods
@@ -56,14 +59,13 @@ def layerwise_inference(
 
     ``batch_nodes`` is the *paper-scale* number of output rows per chunk;
     it is shrunk by the dataset's node scale like every other batch knob.
-    ``pipeline`` (``off`` or ``depth-N``) streams the chunks of each
-    layer through the datapipe lane scheduler, overlapping feature
-    staging and PCIe copies with the previous chunk's compute; the layer
-    boundary stays a barrier (layer ``i+1`` reads every chunk of layer
-    ``i``).  Logits are bit-identical in both modes.
+    The chunks of each layer stream through the datapipe lane scheduler
+    with ``pipeline`` (``off`` = one, ``depth-N`` = N) chunks in flight,
+    so deeper queues overlap feature staging and PCIe copies with the
+    previous chunk's compute; the layer boundary stays a barrier (layer
+    ``i+1`` reads every chunk of layer ``i``).  Logits are bit-identical
+    at every depth.
     """
-    from repro.datapipe.config import parse_pipeline
-
     if not hasattr(model, "_layers"):
         raise BenchmarkError("layerwise_inference needs a layered model")
     machine = fgraph.machine
@@ -78,51 +80,24 @@ def layerwise_inference(
     x_host = fgraph.features.data
     with no_grad():
         for i, layer in enumerate(layers):
-            if depth > 0:
-                x_host = _pipelined_layer(
-                    framework, fgraph, layer, x_host, target,
-                    actual_chunk, depth, profiler,
-                    apply_relu=i < len(layers) - 1,
-                )
-                continue
-            outputs = []
-            for start in range(0, graph.num_nodes, actual_chunk):
-                rows = np.arange(start, min(start + actual_chunk,
-                                            graph.num_nodes))
-                # Block: all in-edges of this chunk's rows.
-                block = _chunk_block(graph, rows, target)
-                with profiler.phase("data_movement"), framework.activate():
-                    x_in = Tensor(x_host[block_src_nodes(block, rows)],
-                                  device=machine.cpu,
-                                  work_scale=graph.node_scale)
-                    if target.kind == "gpu":
-                        x_in = to_device(x_in, target, machine.pcie,
-                                         tag="inference-features")
-                with profiler.phase("training"), framework.activate():
-                    out = layer(block, x_in)
-                    if i < len(layers) - 1:
-                        out = F.relu(out)
-                if target.kind == "gpu":
-                    with profiler.phase("data_movement"):
-                        machine.pcie.d2h(out.logical_nbytes,
-                                         tag="inference-outputs")
-                outputs.append(out.data)
-            x_host = np.concatenate(outputs, axis=0)
+            x_host = _layer_chunks(
+                framework, fgraph, layer, x_host, target,
+                actual_chunk, depth, profiler,
+                apply_relu=i < len(layers) - 1,
+            )
     return InferenceResult(logits=x_host, phases=profiler.snapshot())
 
 
-def _pipelined_layer(framework, fgraph, layer, x_host, target,
-                     actual_chunk, depth, profiler, apply_relu):
+def _layer_chunks(framework, fgraph, layer, x_host, target,
+                  actual_chunk, depth, profiler, apply_relu):
     """One GNN layer's chunks streamed through the datapipe scheduler."""
-    from repro.datapipe.pipeline import Stage, run_epoch
-    from repro.datapipe.staging import StagingPool
-
     machine = fgraph.machine
     graph = fgraph.graph
     on_gpu = target.kind == "gpu"
     pool = StagingPool(machine, depth, label="inference")
 
     def fetch(index, rows):
+        # Block: all in-edges of this chunk's rows.
         block = _chunk_block(graph, rows, target)
         with framework.activate():
             x_in = Tensor(x_host[block_src_nodes(block, rows)],

@@ -1,33 +1,36 @@
 """The mini-batch training driver with four-phase accounting.
 
-Executes real training batches (sampling, movement, forward/backward/step)
-against the virtual clock.  Because the paper-scale epoch can have hundreds
-of batches, each epoch runs ``representative_batches`` batches for real and
-extrapolates the rest: remaining batches are charged the measured per-batch
-device busy time per phase, preserving the breakdown, the power timeline,
-and the totals.
+Every epoch is one :func:`repro.datapipe.run_epoch` call: the batch's
+sample -> fetch -> copy -> train stages execute for real against the
+virtual clock and are placed on resource lanes.  Because the paper-scale
+epoch can have hundreds of batches, each epoch runs
+``representative_batches`` batches for real and the datapipe replays the
+rest symbolically at the measured per-stage mean cost, preserving the
+breakdown, the power timeline, and the totals.  ``pipeline``,
+``num_workers`` and ``prefetch`` only declare how many batches are in
+flight and which lanes the stages share; there is no second schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.datapipe.config import parse_pipeline, validate_pipeline_placement
-from repro.errors import BenchmarkError, RecoveryExhausted
+from repro.datapipe.pipeline import Stage, run_epoch
+from repro.datapipe.staging import StagingPool
+from repro.errors import BenchmarkError
 from repro.frameworks.base import Framework, FrameworkBatch, FrameworkGraph
-from repro.hardware.machine import Machine
+from repro.hardware.device import KernelCost
 from repro.kernels.transfer import adj_to_device, to_device
 from repro.models.base import make_loss
 from repro.profiling.profiler import PhaseProfiler
-from repro.resilience import runtime as resilience
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.runtime import maybe_span
 from repro.tensor.module import Module
 from repro.tensor.optim import Adam
-from repro.tensor.tensor import Tensor
 
 PLACEMENTS = ("cpu", "cpugpu", "gpu", "uvagpu")
 
@@ -41,14 +44,17 @@ class TrainConfig:
     dropout: float = 0.5
     placement: str = "cpu"
     preload: bool = False  # pre-load graph + features to GPU (case study 1)
-    prefetch: bool = False  # overlap movement with training (DGL only)
+    # DGL's background pre-fetch thread: two batches in flight with
+    # sample/fetch/copy sharing one ``loader`` lane behind GPU training.
+    prefetch: bool = False
     # Parallel sampling workers (DGL/PyG dataloader num_workers).  0 =
-    # inline sampling as the paper measures; w >= 1 divides sampling time
-    # by a sublinear speedup and pipelines it behind GPU training.
+    # inline sampling as the paper measures; w >= 1 samples on a pool of
+    # min(w, depth, cores) lanes at sublinear efficiency and keeps at
+    # least w batches in flight.
     num_workers: int = 0
-    # Streaming datapipe: "off" runs the legacy serial schedule;
-    # "depth-N" allows N mini-batches in flight on per-resource lanes
-    # (sampler workers, PCIe, GPU) — depth-1 equals the serial schedule.
+    # Mini-batches in flight on the per-resource lanes (sampler workers,
+    # fetch, PCIe, GPU): "off" is one — the serial schedule — and
+    # "depth-N" is N.
     pipeline: str = "off"
     representative_batches: int = 4
     seed: int = 0
@@ -67,17 +73,16 @@ class TrainConfig:
             raise BenchmarkError("epochs and representative_batches must be >= 1")
         if self.num_workers < 0:
             raise BenchmarkError("num_workers must be >= 0")
-        if self.num_workers and self.placement in ("gpu", "uvagpu"):
-            raise BenchmarkError(
-                "sampling workers apply to CPU-side samplers only"
-            )
+        if self.num_workers and self.samples_on_gpu:
+            raise BenchmarkError("sampling workers apply to CPU-side samplers only")
         # Shared validation path (also run at CLI parse time and by
-        # ``repro serve``): parses the spec and rejects depth-N under
+        # ``repro serve``): parses the spec and rejects depth >= 2 under
         # the on-device sampling placements.
-        depth = validate_pipeline_placement(self.pipeline, self.placement).depth
-        if depth > 0 and self.prefetch:
+        validate_pipeline_placement(self.pipeline, self.placement)
+        if self.pipeline != "off" and self.prefetch:
             raise BenchmarkError(
-                "pipeline subsumes prefetch; use one or the other"
+                "prefetch declares its own pipe (two batches in flight on a "
+                "loader lane); it cannot be combined with an explicit depth-N"
             )
         if self.checkpoint_every < 0:
             raise BenchmarkError("checkpoint_every must be >= 0")
@@ -88,7 +93,7 @@ class TrainConfig:
 
     @property
     def pipeline_depth(self) -> int:
-        """Parsed depth of the ``pipeline`` knob (0 = serial schedule)."""
+        """Parsed depth of the ``pipeline`` knob (``off`` is 1)."""
         return parse_pipeline(self.pipeline).depth
 
     @property
@@ -124,26 +129,6 @@ class RunResult:
         return self.phases.get(name, 0.0) / total if total > 0 else 0.0
 
 
-class _UsageMeter:
-    """Per-device busy-second deltas used for epoch extrapolation."""
-
-    def __init__(self, machine: Machine) -> None:
-        self.machine = machine
-
-    def snapshot(self) -> Dict[str, float]:
-        snap = {
-            "cpu": self.machine.cpu.counters.busy_seconds,
-            "pcie": self.machine.pcie.counters.seconds,
-        }
-        if self.machine.gpu is not None:
-            snap["gpu"] = self.machine.gpu.counters.busy_seconds
-        return snap
-
-    @staticmethod
-    def delta(before: Dict[str, float], after: Dict[str, float]) -> Dict[str, float]:
-        return {key: after[key] - before.get(key, 0.0) for key in after}
-
-
 class MiniBatchTrainer:
     """Drives one (framework, dataset, sampler, model, placement) run."""
 
@@ -172,9 +157,8 @@ class MiniBatchTrainer:
         self.label = label or f"{framework.name}-{config.placement}"
         self.loss_fn = make_loss(fgraph.stats.multilabel)
         self.feature_cache = feature_cache
-        self._usage = _UsageMeter(self.machine)
-        # Set when the worker pool burned through its respawn budget and
-        # sampling fell back to inline (no speedup, no pipelining).
+        # Set when the worker pool burned through its respawn budget: the
+        # rest of the run samples inline (one lane, one batch in flight).
         self._workers_degraded = False
 
     # ------------------------------------------------------------------
@@ -214,8 +198,6 @@ class MiniBatchTrainer:
 
     def _move_features_cached(self, batch: FrameworkBatch, gpu, link) -> None:
         """Move only cache-miss feature rows; gather hits on the GPU."""
-        from repro.hardware.device import KernelCost
-
         mask = self.feature_cache.record(batch.input_nodes)
         hit_fraction = float(mask.mean()) if mask.size else 0.0
         miss_bytes = batch.x.logical_nbytes * (1.0 - hit_fraction)
@@ -228,145 +210,6 @@ class MiniBatchTrainer:
                                    bytes_moved=2.0 * hit_bytes,
                                    compute_eff=0.6, memory_eff=0.6))
         batch.x = to_device(batch.x, gpu, None)  # bytes already charged
-
-    def worker_speedup(self) -> float:
-        """Effective sampling parallelism from ``num_workers``.
-
-        Sublinear (85% scaling per doubling), capped at the physical
-        cores so oversubscription cannot fabricate speedup.
-        """
-        w = self.config.num_workers
-        if w <= 1:
-            return 1.0
-        cores = getattr(self.machine.cpu.spec, "cores_per_socket", 10) * \
-            getattr(self.machine.cpu.spec, "sockets", 1)
-        return min(float(cores), w ** 0.85)
-
-    def _sample_with_workers(self, batch_iter, prev_train_dt: float,
-                             phase_usage, phase_wall):
-        """Sample via the worker pool: parallel, pipelined behind training.
-
-        The batch is built physically inside a deferred clock region; its
-        measured cost is divided by the worker speedup, and (when training
-        runs on the GPU) the portion covered by the previous batch's
-        training step is hidden — the CPU busy time for that portion is
-        backfilled into the elapsed training window.
-        """
-        clock = self.machine.clock
-        with clock.deferred() as record:
-            batch = next(batch_iter, None)
-        if batch is None:
-            return None
-        if self._workers_degraded:
-            # Respawn budget exhausted earlier in the run: inline
-            # sampling, full cost, no overlap with training.
-            speedup = 1.0
-        else:
-            speedup = self.worker_speedup()
-        effective = record.total / speedup
-        if not self._workers_degraded:
-            effective = self._survive_worker_crashes(effective, record.total)
-        can_pipeline = self.config.trains_on_gpu and not self._workers_degraded
-        hidden = min(prev_train_dt, effective) if can_pipeline else 0.0
-        residual = effective - hidden
-
-        before = self._usage.snapshot()
-        start = clock.now
-        total = max(record.total, 1e-12)
-        with self.profiler.phase("sampling"):
-            for device, busy in record.busy.items():
-                visible = (busy / total) * residual
-                if visible > 0:
-                    clock.occupy(device, visible, tag="sampling-workers")
-            if hidden > 0:
-                hidden_busy = {
-                    device: (busy / total) * hidden
-                    for device, busy in record.busy.items()
-                }
-                try:
-                    clock.occupy_parallel(hidden_busy, tag="sampling-pipelined",
-                                          backfill=True)
-                except ValueError:
-                    # The backfill window was not idle (e.g. CPU-side work
-                    # during training); charge serially instead.
-                    for device, busy in hidden_busy.items():
-                        clock.occupy(device, busy, tag="sampling-workers")
-        elapsed = clock.now - start
-        phase_wall["sampling"] = phase_wall.get("sampling", 0.0) + elapsed
-        delta = self._usage.delta(before, self._usage.snapshot())
-        bucket = phase_usage.setdefault("sampling", {})
-        for key, value in delta.items():
-            bucket[key] = bucket.get(key, 0.0) + value
-        return batch
-
-    def _survive_worker_crashes(self, effective: float,
-                                inline_total: float) -> float:
-        """The ``sampler.worker`` fault site: crashed sampling workers.
-
-        Arms once per respawn attempt.  Each crash wastes ``severity`` of
-        the parallel sampling cost, pays the policy's backoff as respawn
-        latency, and re-runs; past ``max_retries`` crashes the pool is
-        torn down for the rest of the run (graceful degradation to inline
-        sampling) when the policy allows it.  Returns the sampling cost
-        the caller should charge.  All recovery time lands in the
-        "sampling" phase but outside the per-batch usage window, so
-        extrapolated batches are not billed for it.
-        """
-        injector = resilience.active()
-        if injector is None:
-            return effective
-        clock = self.machine.clock
-        policy = injector.policy("sampler.worker")
-        cpu_name = self.machine.cpu.name
-        crashes = 0
-        while True:
-            fault = injector.arm("sampler.worker")
-            if fault is None or fault.kind != "crash":
-                break
-            crashes += 1
-            injector.record_injected("sampler.worker", "crash")
-            wasted = effective * fault.severity
-            delay = injector.backoff_delay("sampler.worker", crashes)
-            with self.profiler.phase("sampling"), \
-                    maybe_span("recover.respawn", category="resilience",
-                               attempt=crashes, wasted_seconds=wasted):
-                if wasted > 0:
-                    clock.occupy(cpu_name, wasted, tag="sampling-worker-crash")
-                if delay > 0:
-                    clock.advance(delay)  # worker respawn latency
-            if crashes > policy.max_retries:
-                if policy.degrade:
-                    self._workers_degraded = True
-                    injector.record_degraded("sampler.worker")
-                    injector.record_recovered("sampler.worker",
-                                              action="degrade")
-                    return inline_total
-                raise RecoveryExhausted("sampler.worker", crashes)
-            # Each crash is cleared by one respawn; a pool that keeps
-            # crashing re-arms fresh occurrences until it degrades.
-            injector.record_retry("sampler.worker")
-            injector.record_recovered("sampler.worker", action="respawn")
-        return effective
-
-    def _movement_seconds(self, batch: FrameworkBatch) -> float:
-        """PCIe seconds the batch copy would take (prefetch accounting)."""
-        gpu = self.machine.gpu
-        link = self.machine.pcie
-        seconds = 0.0
-        for adj in batch.adjs:
-            if adj.device is not gpu:
-                seconds += link.transfer_time(adj.structure_nbytes())
-        if batch.x.device is not gpu:
-            seconds += link.transfer_time(batch.x.logical_nbytes)
-            if batch.y_logical_nbytes > 0:
-                seconds += link.transfer_time(batch.y_logical_nbytes)
-        return seconds
-
-    def _relocate_silently(self, batch: FrameworkBatch) -> None:
-        """Re-place batch tensors on GPU without charging (already copied)."""
-        gpu = self.machine.gpu
-        batch.adjs = [adj_to_device(adj, gpu, None) for adj in batch.adjs]
-        batch.x = to_device(batch.x, gpu, None)
 
     def _train_step(self, batch: FrameworkBatch) -> float:
         """One forward/backward/update on a mini-batch."""
@@ -390,54 +233,69 @@ class MiniBatchTrainer:
         return loss.item()
 
     # ------------------------------------------------------------------
-    # streaming datapipe (pipeline=depth-N)
+    # the epoch schedule: what is in flight, on which lanes
     # ------------------------------------------------------------------
-    def pipeline_workers(self) -> int:
-        """Sampler-worker lanes for the pipelined schedule.
+    @property
+    def prefetching(self) -> bool:
+        """Whether a background pre-fetch thread feeds the GPU (DGL only)."""
+        config = self.config
+        return (config.prefetch and self.framework.profile.supports_prefetch
+                and config.trains_on_gpu and not config.samples_on_gpu)
+
+    def in_flight(self) -> int:
+        """Mini-batches in flight: the queue depth of the epoch's pipe.
+
+        ``num_workers=w`` keeps at least ``w`` batches in flight (one per
+        worker, DataLoader-style); pre-fetching keeps two (the batch
+        training and the one the loader thread is preparing).
+        """
+        if self._workers_degraded:
+            return 1
+        depth = 2 if self.prefetching else self.config.pipeline_depth
+        return max(depth, self.config.num_workers)
+
+    def sampler_pool(self) -> Tuple[int, float]:
+        """Sampler-worker lanes and the per-job cost inflation they pay.
 
         One worker per in-flight slot by default (DataLoader-style
-        ``prefetch_factor`` semantics); an explicit ``num_workers``
-        bounds the pool.  Capped at the physical cores so a deep queue
-        cannot fabricate parallelism the testbed does not have.
+        ``prefetch_factor`` semantics) or ``num_workers`` when given —
+        never more than are in flight (one, once the pool is torn down)
+        or than the physical cores, so a deep queue cannot fabricate
+        parallelism the testbed does not have.  The lanes run
+        concurrently but aggregate sampling throughput scales as
+        ``workers ** 0.85`` (85% per doubling): each job is stretched by
+        ``workers / speedup`` so the pool's rate stays sublinear.
         """
-        config = self.config
-        depth = config.pipeline_depth
-        cores = getattr(self.machine.cpu.spec, "cores_per_socket", 10) * \
-            getattr(self.machine.cpu.spec, "sockets", 1)
-        workers = config.num_workers if config.num_workers > 0 else depth
-        return max(1, min(workers, depth, int(cores)))
-
-    def _pipeline_inflation(self, workers: int) -> float:
-        """Per-job cost inflation preserving the sublinear worker model.
-
-        ``workers`` lanes run concurrently, but aggregate throughput must
-        match the serial path's ``worker_speedup`` (85% scaling per
-        doubling): each job is stretched by ``workers / speedup`` so the
-        pool's effective rate stays sublinear.
-        """
-        if workers <= 1:
-            return 1.0
-        cores = getattr(self.machine.cpu.spec, "cores_per_socket", 10) * \
-            getattr(self.machine.cpu.spec, "sockets", 1)
-        speedup = min(float(cores), workers ** 0.85)
-        return workers / speedup
+        spec = self.machine.cpu.spec
+        cores = getattr(spec, "cores_per_socket", 10) * getattr(spec, "sockets", 1)
+        depth = self.in_flight()
+        workers = min(self.config.num_workers or depth, depth, cores)
+        return workers, workers / min(float(cores), workers ** 0.85)
 
     def _batch_staging_bytes(self, batch: FrameworkBatch) -> float:
         """Logical bytes one in-flight batch pins (structure + x + y)."""
         structure = sum(adj.structure_nbytes() for adj in batch.adjs)
         return structure + batch.x.logical_nbytes + batch.y_logical_nbytes
 
-    def _run_pipelined_epoch(self, reps: int, num_batches: int,
-                             losses: List[float]) -> int:
+    def _run_epoch(self, reps: int, num_batches: int,
+                   losses: List[float]) -> int:
         """One epoch on the datapipe; returns executed batch count."""
-        from repro.datapipe.pipeline import Stage, run_epoch
-        from repro.datapipe.staging import StagingPool
-
         config = self.config
-        workers = 1 if self._workers_degraded else self.pipeline_workers()
-        depth = 1 if self._workers_degraded else config.pipeline_depth
+        depth = self.in_flight()
         needs_move = config.trains_on_gpu and not config.samples_on_gpu
         pool = StagingPool(self.machine, depth)
+        # The pre-fetch thread does the CPU-side stages and the copy one
+        # after the other; otherwise each stage owns its resource lane.
+        loader = ("loader",) if self.prefetching else None
+        if loader and not config.num_workers:
+            sample_lanes, inflation = loader, 1.0
+        else:
+            workers, inflation = self.sampler_pool()
+            sample_lanes = tuple(f"worker/{w}" for w in range(workers))
+        # Only a pool can lose a worker: inline sampling (one batch in
+        # flight, ``num_workers=0``) and a torn-down pool arm nothing.
+        has_pool = not self._workers_degraded and (
+            config.num_workers >= 1 or depth >= 2)
 
         def fetch(index: int, sample) -> FrameworkBatch:
             batch = self.sampler.assemble_features(sample)
@@ -448,21 +306,18 @@ class MiniBatchTrainer:
             pool.stage_gpu(index, self._batch_staging_bytes(batch))
             return self._move_batch(batch)
 
-        def train(index: int, batch: FrameworkBatch) -> float:
-            return self._train_step(batch)
-
         stages = [
             Stage("sample", "sampling",
                   fn=lambda i, req: self.sampler.sample_structure(req),
-                  lanes=tuple(f"worker/{w}" for w in range(workers)),
-                  scale=self._pipeline_inflation(workers),
-                  fault_site="sampler.worker"),
-            Stage("fetch", "sampling", fn=fetch, lanes=("fetch",)),
+                  lanes=sample_lanes, scale=inflation,
+                  fault_site="sampler.worker" if has_pool else ""),
+            Stage("fetch", "sampling", fn=fetch, lanes=loader or ("fetch",)),
         ]
         if needs_move:
             stages.append(Stage("copy", "data_movement", fn=copy,
-                                lanes=("copy",)))
-        stages.append(Stage("train", "training", fn=train, lanes=("train",)))
+                                lanes=loader or ("copy",)))
+        stages.append(Stage("train", "training", lanes=("train",),
+                            fn=lambda i, batch: self._train_step(batch)))
 
         try:
             report = run_epoch(
@@ -472,8 +327,6 @@ class MiniBatchTrainer:
         finally:
             pool.close()
         if report.degraded:
-            # The worker pool burned its respawn budget: the rest of the
-            # run degrades to a single-lane depth-1 pipe (inline analogue).
             self._workers_degraded = True
         losses.extend(report.outputs)
         for phase, seconds in sorted(report.phases.items()):
@@ -494,83 +347,10 @@ class MiniBatchTrainer:
         if config.resume_from:
             start_epoch, losses, executed = self._resume(config.resume_from)
 
-        prev_train_dt = 0.0
         for epoch in range(start_epoch, config.epochs):
-            if config.pipeline_depth > 0:
-                with maybe_span("train.epoch", epoch=epoch, label=self.label,
-                                pipeline=config.pipeline):
-                    ran = self._run_pipelined_epoch(reps, num_batches, losses)
-                executed += ran
-                done = epoch + 1
-                if (config.checkpoint_every
-                        and done % config.checkpoint_every == 0):
-                    self._save_checkpoint(done, losses, executed)
-                if (config.halt_after_epochs is not None
-                        and done >= start_epoch + config.halt_after_epochs
-                        and done < config.epochs):
-                    completed = False
-                    break
-                continue
-            batch_iter = iter(self.sampler.epoch())
-            phase_usage: Dict[str, Dict[str, float]] = {}
-            phase_wall: Dict[str, float] = {}
-            ran = 0
-            with maybe_span("train.epoch", epoch=epoch, label=self.label):
-                for _ in range(reps):
-                    with maybe_span("train.batch", index=ran):
-                        if config.num_workers > 0:
-                            batch = self._sample_with_workers(
-                                batch_iter, prev_train_dt if ran > 0 else 0.0,
-                                phase_usage, phase_wall,
-                            )
-                        else:
-                            batch = self._timed_phase("sampling",
-                                                      lambda: next(batch_iter, None),
-                                                      phase_usage, phase_wall)
-                        if batch is None:
-                            break
-                        needs_move = config.trains_on_gpu and not config.samples_on_gpu
-                        prefetching = (
-                            needs_move
-                            and config.prefetch
-                            and self.framework.profile.supports_prefetch
-                            and ran > 0  # the first batch of an epoch cannot overlap
-                        )
-                        if needs_move and not prefetching:
-                            self._timed_phase(
-                                "data_movement", lambda: self._move_batch(batch),
-                                phase_usage, phase_wall,
-                            )
-                        elif prefetching:
-                            # Asynchronous pre-fetching: this batch's copy ran
-                            # behind the previous batch's compute.  Only the part
-                            # of the copy that exceeds one training step remains
-                            # visible as data movement.
-                            pending_move = self._movement_seconds(batch)
-                            self._relocate_silently(batch)
-                        train_start = self.machine.clock.now
-                        loss = self._timed_phase("training",
-                                                 lambda: self._train_step(batch),
-                                                 phase_usage, phase_wall)
-                        prev_train_dt = self.machine.clock.now - train_start
-                        if prefetching:
-                            train_dt = self.machine.clock.now - train_start
-                            residual = max(0.0, pending_move - train_dt)
-                            if residual > 0:
-                                self._timed_phase(
-                                    "data_movement",
-                                    lambda: self.machine.clock.occupy(
-                                        "pcie", residual, tag="prefetch-residual"),
-                                    phase_usage, phase_wall,
-                                )
-                        losses.append(loss)
-                        ran += 1
-            executed += ran
-
-            remaining = num_batches - ran
-            if remaining > 0 and ran > 0:
-                self._extrapolate(phase_usage, phase_wall, ran, remaining)
-
+            with maybe_span("train.epoch", epoch=epoch, label=self.label,
+                            pipeline=config.pipeline):
+                executed += self._run_epoch(reps, num_batches, losses)
             done = epoch + 1
             if (config.checkpoint_every
                     and done % config.checkpoint_every == 0):
@@ -668,43 +448,3 @@ class MiniBatchTrainer:
         if registry is not None:
             registry.counter("checkpoint.resumes", label=self.label).inc()
         return start_epoch, losses, executed
-
-    # ------------------------------------------------------------------
-    def _timed_phase(self, name: str, fn, usage: Dict[str, Dict[str, float]],
-                     wall: Dict[str, float]):
-        before = self._usage.snapshot()
-        start = self.machine.clock.now
-        with self.profiler.phase(name):
-            result = fn()
-        elapsed = self.machine.clock.now - start
-        wall[name] = wall.get(name, 0.0) + elapsed
-        delta = self._usage.delta(before, self._usage.snapshot())
-        bucket = usage.setdefault(name, {})
-        for key, value in delta.items():
-            bucket[key] = bucket.get(key, 0.0) + value
-        return result
-
-    def _extrapolate(self, usage: Dict[str, Dict[str, float]],
-                     wall: Dict[str, float], ran: int, remaining: int) -> None:
-        """Charge the non-executed batches at measured per-batch rates."""
-        clock = self.machine.clock
-        device_names = {
-            "cpu": self.machine.cpu.name,
-            "pcie": "pcie",
-        }
-        if self.machine.gpu is not None:
-            device_names["gpu"] = self.machine.gpu.name
-        for phase in ("sampling", "data_movement", "training"):
-            if phase not in wall:
-                continue
-            scale = remaining / ran
-            busy_total = 0.0
-            for key, seconds in usage.get(phase, {}).items():
-                extra = seconds * scale
-                if extra > 0:
-                    clock.occupy(device_names[key], extra, tag=f"extrapolate:{phase}")
-                    busy_total += extra
-            idle = wall[phase] * scale - busy_total
-            if idle > 0:
-                clock.advance(idle)
-            self.profiler.add(phase, wall[phase] * scale)

@@ -2,10 +2,11 @@
 
 One line per unique root-to-span path — ``a;b;c <microseconds>`` — in
 the classic Brendan-Gregg folded format every flamegraph renderer eats.
-The value is the span's *exclusive* virtual time (its duration minus its
-children's, plus any credited extrapolation) rounded to integer
-microseconds, and lines are emitted in sorted path order, so two
-same-seed runs fold to byte-identical output.
+The value is the span's *exclusive* virtual time (its duration plus any
+credited extrapolation, minus its children's duration and credit)
+rounded to integer microseconds, and lines are emitted in sorted path
+order, so two same-seed runs fold to byte-identical output and the
+values sum to the run's total time.
 """
 
 from __future__ import annotations
@@ -20,17 +21,20 @@ SEPARATOR = ";"
 def folded_stacks(span_records: Sequence[dict]) -> Dict[str, int]:
     """Path -> exclusive virtual microseconds, aggregated over the run."""
     by_id = {r["id"]: r for r in span_records}
-    child_dur: Dict[object, float] = {}
+    # A phase credited under an epoch span (dur 0, credited > 0) covers
+    # part of the epoch's duration just as a timed child does.
+    child_time: Dict[object, float] = {}
     for record in span_records:
         parent = record.get("parent")
         if parent is not None:
-            child_dur[parent] = child_dur.get(parent, 0.0) \
-                + float(record.get("dur", 0.0))
+            child_time[parent] = child_time.get(parent, 0.0) \
+                + float(record.get("dur", 0.0)) \
+                + float(record.get("credited", 0.0))
     paths: Dict[str, int] = {}
     for record in span_records:
         exclusive = float(record.get("dur", 0.0)) \
-            - child_dur.get(record["id"], 0.0) \
-            + float(record.get("credited", 0.0))
+            + float(record.get("credited", 0.0)) \
+            - child_time.get(record["id"], 0.0)
         micros = int(round(max(0.0, exclusive) * 1e6))
         if micros <= 0:
             continue

@@ -13,8 +13,9 @@ site                where it arms
                     same way a corrupted ``arrays.npz`` does)
 ``transfer.h2d``    :meth:`repro.hardware.interconnect.Interconnect.h2d`
                     (every PCIe batch copy)
-``sampler.worker``  the ``num_workers`` sampling path of
-                    :class:`repro.models.trainer.MiniBatchTrainer`
+``sampler.worker``  every ``sample`` job of a datapipe epoch that has
+                    a worker pool (``num_workers >= 1`` or more than
+                    one batch in flight)
 ``replica``         :class:`repro.distributed.trainer.DataParallelTrainer`
                     global steps (dead or straggling replicas)
 ==================  ====================================================

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.datapipe.config import validate_pipeline_placement
+from repro.datapipe.config import parse_pipeline, validate_pipeline_placement
 from repro.errors import BenchmarkError, ResilienceError
 from repro.frameworks import get_framework
 from repro.hardware.device import KernelCost
@@ -114,9 +114,7 @@ class ServeConfig:
     @property
     def depth(self) -> int:
         """Batches in flight: ``off`` and ``depth-1`` both serialize."""
-        from repro.datapipe.config import parse_pipeline
-
-        return max(1, parse_pipeline(self.pipeline).depth)
+        return parse_pipeline(self.pipeline).depth
 
     @property
     def label(self) -> str:

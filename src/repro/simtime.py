@@ -18,10 +18,6 @@ gets its own timeline, jobs are placed at the max of their dependency
 finish times and their lane's front, and ``drain()`` commits the busy
 intervals and advances the machine clock once to the latest lane front —
 replacing per-call serial ``advance()`` on the hot path.
-
-The legacy *async overlap window* (``overlap()``: charge the maximum of
-the overlapped durations) is kept as a thin compatibility shim over the
-lane scheduler; new code should schedule lanes explicitly.
 """
 
 from __future__ import annotations
@@ -72,8 +68,6 @@ class VirtualClock:
         self._starts: Dict[str, List[float]] = {}
         self._ends: Dict[str, List[float]] = {}
         self._cumdur: Dict[str, List[float]] = {}
-        self._overlap_depth: int = 0
-        self._overlap_sched: Optional["LaneScheduler"] = None
         self._listeners: List[Callable[[float, float], None]] = []
 
     @property
@@ -95,13 +89,6 @@ class VirtualClock:
         if self._defer_depth > 0:
             self._defer_record.total += dt
             return
-        if self._overlap_depth > 0:
-            # Inside an overlap window durations race: each advance is a
-            # job on its own anonymous lane, so the window's makespan is
-            # the longest duration (charged when the window closes).
-            sched = self._overlap_sched
-            sched.submit(f"overlap/{len(sched.jobs)}", dt)
-            return
         old = self._now
         self._now += dt
         for fn in self._listeners:
@@ -119,7 +106,7 @@ class VirtualClock:
         start = self._now
         # Record the interval before advancing so clock listeners (power
         # sampling) see the kernel that is causing this advance.
-        if dt > 0 and self._overlap_depth == 0:
+        if dt > 0:
             self._busy.append(BusyInterval(device, start, start + dt, tag))
             starts = self._starts.setdefault(device, [])
             ends = self._ends.setdefault(device, [])
@@ -136,9 +123,9 @@ class VirtualClock:
         Every ``advance``/``occupy`` inside the block accumulates into the
         returned :class:`DeferredRecord` (total seconds + per-device busy)
         and leaves ``now`` untouched.  The caller decides how to apply the
-        measured cost afterwards — e.g. the multi-worker sampling path
-        divides it by the worker speedup and overlaps part of it with the
-        previous batch's training.  Nesting is not supported.
+        measured cost afterwards — the datapipe scales it by the stage's
+        worker inflation and places it on the stage's lane.  Nesting is
+        not supported.
         """
         if self._defer_depth > 0:
             raise RuntimeError("deferred() blocks cannot nest")
@@ -196,38 +183,6 @@ class VirtualClock:
             starts.append(start)
             ends.append(self._now)
             cum.append(cum[-1] + dt)
-
-    @contextmanager
-    def overlap(self, device: str = "", tag: str = "overlap") -> Iterator[None]:
-        """Charge the *max* of the durations advanced inside the window.
-
-        .. deprecated::
-            ``overlap()`` predates :class:`LaneScheduler` and survives as a
-            thin compatibility shim over it: every ``advance`` inside the
-            window becomes a job on its own anonymous lane of a private
-            scheduler, and closing the window charges the scheduler's
-            makespan (= the longest duration, exactly the old semantics).
-            New code should build a :class:`LaneScheduler` with explicit
-            per-resource lanes instead.
-
-        Models asynchronous copy/compute overlap (DGL pre-fetching).  Nested
-        overlaps share one window.
-        """
-        self._overlap_depth += 1
-        if self._overlap_depth == 1:
-            self._overlap_sched = LaneScheduler(self)
-        try:
-            yield
-        finally:
-            self._overlap_depth -= 1
-            if self._overlap_depth == 0:
-                sched = self._overlap_sched
-                self._overlap_sched = None
-                dt = sched.makespan
-                if device:
-                    self.occupy(device, dt, tag)
-                else:
-                    self.advance(dt)
 
     def commit_interval(self, device: str, start: float, end: float,
                         tag: str = "", lane: str = "") -> None:
@@ -311,8 +266,6 @@ class VirtualClock:
         self._starts.clear()
         self._ends.clear()
         self._cumdur.clear()
-        self._overlap_depth = 0
-        self._overlap_sched = None
 
 
 @dataclass
@@ -358,46 +311,35 @@ class LaneScheduler:
         self._fronts: Dict[str, float] = {}
         self._drained = False
 
-    def front(self, lane: str) -> float:
-        """The time at which ``lane`` next becomes free."""
-        return self._fronts.get(lane, self.origin)
-
     @property
     def finish(self) -> float:
         """The latest lane front (absolute time)."""
         return max(self._fronts.values()) if self._fronts else self.origin
 
-    @property
-    def makespan(self) -> float:
-        """Elapsed schedule time so far (``finish - origin``)."""
-        return self.finish - self.origin
-
     def submit(self, lane: str, work: Union[DeferredRecord, float], *,
                deps: Sequence[LaneJob] = (), not_before: float = 0.0,
-               tag: str = "", scale: float = 1.0) -> LaneJob:
+               tag: str = "") -> LaneJob:
         """Schedule measured ``work`` on ``lane``.
 
         ``work`` is a :class:`DeferredRecord` (measured inside
         ``clock.deferred()``) or plain seconds.  ``deps`` are jobs that
         must finish first; ``not_before`` adds an absolute lower bound
-        (e.g. bounded-queue backpressure).  ``scale`` multiplies the
-        job's duration and busy time — the datapipe uses it to model
-        sublinear sampler-worker efficiency.
+        (e.g. bounded-queue backpressure).  The job keeps the record's
+        own busy dict: nothing mutates a submitted record.
         """
         if self._drained:
             raise RuntimeError("LaneScheduler already drained")
-        if scale < 0:
-            raise ValueError("scale must be >= 0")
         if isinstance(work, DeferredRecord):
-            total = work.total * scale
-            busy = {d: s * scale for d, s in work.busy.items() if s > 0}
+            total, busy = work.total, work.busy
+        elif work < 0:
+            raise ValueError("cannot schedule negative duration")
         else:
-            if work < 0:
-                raise ValueError("cannot schedule negative duration")
-            total = float(work) * scale
-            busy = {}
-        ready = max([self.origin, not_before] + [dep.end for dep in deps])
-        start = max(ready, self.front(lane))
+            total, busy = float(work), {}
+        ready = max(self.origin, not_before)
+        for dep in deps:
+            if dep.end > ready:
+                ready = dep.end
+        start = max(ready, self._fronts.get(lane, self.origin))
         job = LaneJob(
             job_id=len(self.jobs), lane=lane, start=start, end=start + total,
             total=total, busy=busy, tag=tag, ready=ready,
@@ -425,12 +367,12 @@ class LaneScheduler:
         self._drained = True
         commits = []
         for job in self.jobs:
-            for device in sorted(job.busy):
-                seconds = min(job.busy[device], job.total)
+            for device, seconds in job.busy.items():
+                seconds = min(seconds, job.total)
                 if seconds > 0:
-                    commits.append((job.start, device, seconds, job))
-        commits.sort(key=lambda c: (c[0], c[1], c[3].job_id))
-        for start, device, seconds, job in commits:
+                    commits.append((job.start, device, job.job_id, seconds, job))
+        commits.sort()  # (start, device, job_id): unique, never compares jobs
+        for start, device, _, seconds, job in commits:
             self.clock.commit_interval(device, start, start + seconds,
                                        tag=job.tag, lane=job.lane)
         elapsed = self.finish - self.clock.now

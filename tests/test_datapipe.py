@@ -1,10 +1,11 @@
 """Tests for the composable datapipe: config, staging, scheduler, trainer.
 
-The load-bearing invariants: ``pipeline=off`` *is* the serial schedule,
-``depth-1`` charges identically to it, deeper queues only ever help,
-numerics are bit-identical at every depth, staging buffers live in the
-memory ledger, and the ``sampler.worker`` fault seam degrades the pipe
-the same way it tears down the serial worker pool.
+The load-bearing invariants: ``pipeline=off`` is a spelling of
+``depth-1``, depth-1 *is* the serial schedule (its epoch lasts exactly
+the sum of its stage costs), deeper queues only ever help, numerics are
+bit-identical at every depth, staging buffers live in the memory ledger,
+and the ``sampler.worker`` fault seam degrades the pipe to one lane with
+one batch in flight.
 """
 
 import numpy as np
@@ -17,11 +18,12 @@ from repro.errors import BenchmarkError, OutOfMemoryError, RecoveryExhausted
 from repro.frameworks import get_framework
 from repro.hardware.machine import paper_testbed
 from repro.models.graphsage import build_graphsage
+from repro.models import inference as inference_module
+from repro.models import trainer as trainer_module
 from repro.models.trainer import MiniBatchTrainer, TrainConfig
 from repro.profiling.profiler import PhaseProfiler
 from repro.resilience import runtime as resilience
 from repro.resilience.plan import FaultPlan, FaultSpec, RecoveryPolicy
-from repro.simtime import LaneScheduler, VirtualClock
 
 
 def make_trainer(pipeline="off", placement="cpugpu", scale=0.3, reps=4,
@@ -41,6 +43,32 @@ def make_trainer(pipeline="off", placement="cpugpu", scale=0.3, reps=4,
     return trainer, machine, net
 
 
+def spy_on_run_epoch(monkeypatch, module):
+    """Collect the :class:`EpochReport` of every epoch ``module`` runs."""
+    reports = []
+
+    def spy(*args, **kwargs):
+        reports.append(run_epoch(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(module, "run_epoch", spy)
+    return reports
+
+
+def assert_serial_sum(report):
+    """The depth-1 conservation law for one epoch: nothing overlaps, so
+    the epoch lasts exactly the executed plus extrapolated stage costs,
+    and the exclusive phases add up to it."""
+    assert report.max_in_flight == 1
+    assert report.overlap_seconds == pytest.approx(0.0, abs=1e-12)
+    assert report.elapsed == pytest.approx(
+        sum(job.total for job in report.jobs), rel=1e-12)
+    assert sum(report.phases.values()) == pytest.approx(report.elapsed,
+                                                        rel=1e-12)
+    for before, after in zip(report.jobs, report.jobs[1:]):
+        assert after.start == pytest.approx(before.end, abs=1e-12)
+
+
 def run_one(pipeline, **kwargs):
     trainer, machine, net = make_trainer(pipeline, **kwargs)
     result = trainer.run()
@@ -53,12 +81,9 @@ def run_one(pipeline, **kwargs):
 # ---------------------------------------------------------------------------
 class TestPipelineConfig:
     def test_parse_off_and_depths(self):
-        assert parse_pipeline("off") == PipelineConfig(0)
-        assert not parse_pipeline("off").enabled
+        assert parse_pipeline("off") == PipelineConfig(1)
         assert parse_pipeline("depth-1") == PipelineConfig(1)
         assert parse_pipeline("depth-8").depth == 8
-        assert parse_pipeline("depth-8").describe() == "depth-8"
-        assert PipelineConfig(0).describe() == "off"
 
     @pytest.mark.parametrize("spec", ["", "on", "depth-0", "depth--1",
                                       "depth-", "depth-x", "2"])
@@ -67,19 +92,29 @@ class TestPipelineConfig:
             parse_pipeline(spec)
 
     def test_negative_depth_rejected(self):
-        with pytest.raises(BenchmarkError):
-            PipelineConfig(-1)
+        for depth in (0, -1):
+            with pytest.raises(BenchmarkError):
+                PipelineConfig(depth)
 
     def test_pipeline_excludes_prefetch(self):
-        with pytest.raises(BenchmarkError, match="prefetch"):
-            TrainConfig(placement="cpugpu", pipeline="depth-2", prefetch=True)
+        # prefetch *is* a depth declaration (two in flight on a loader
+        # lane); an explicit depth-N next to it is a contradiction.
+        for spec in ("depth-1", "depth-2"):
+            with pytest.raises(BenchmarkError, match="prefetch"):
+                TrainConfig(placement="cpugpu", pipeline=spec, prefetch=True)
+        TrainConfig(placement="cpugpu", pipeline="off", prefetch=True)
 
     def test_pipeline_excludes_gpu_sampling(self):
-        with pytest.raises(BenchmarkError, match="sample on-device"):
-            TrainConfig(placement="gpu", pipeline="depth-2")
+        for placement in ("gpu", "uvagpu"):
+            with pytest.raises(BenchmarkError, match="sample on-device"):
+                TrainConfig(placement=placement, pipeline="depth-2")
+            # One batch in flight is no overlap: both spellings pass.
+            for spec in ("off", "depth-1"):
+                assert TrainConfig(placement=placement,
+                                   pipeline=spec).pipeline_depth == 1
 
     def test_trainconfig_depth_property(self):
-        assert TrainConfig(pipeline="off").pipeline_depth == 0
+        assert TrainConfig(pipeline="off").pipeline_depth == 1
         assert TrainConfig(pipeline="depth-3").pipeline_depth == 3
 
 
@@ -87,12 +122,29 @@ class TestPipelineConfig:
 # charged-time invariants
 # ---------------------------------------------------------------------------
 class TestChargedTime:
-    def test_depth1_equals_serial(self):
-        r_off, t_off, p_off = run_one("off")
-        r_d1, t_d1, p_d1 = run_one("depth-1")
-        assert t_d1 == pytest.approx(t_off, abs=1e-9)
-        assert r_d1.losses == r_off.losses
-        np.testing.assert_array_equal(p_d1, p_off)
+    def test_depth1_equals_serial(self, monkeypatch):
+        """Depth-1 is the serial schedule, as a law rather than against
+        a second implementation: every epoch lasts the sum of its stage
+        costs — 4 stages x (executed + extrapolated) batches — and the
+        run's phases add up to the clock time its epochs took."""
+        reports = spy_on_run_epoch(monkeypatch, trainer_module)
+        trainer, machine, _ = make_trainer("off", reps=3, epochs=2)
+        started = machine.clock.now
+        result = trainer.run()
+        assert len(reports) == 2
+        for report in reports:
+            assert report.executed == 3
+            assert report.executed + report.extrapolated \
+                == result.batches_per_epoch
+            assert len(report.jobs) == 4 * result.batches_per_epoch
+            assert_serial_sum(report)
+            # The symbolic tail is billed at the executed per-stage mean.
+            head = sum(job.total for job in report.jobs[:4 * 3])
+            tail = sum(job.total for job in report.jobs[4 * 3:])
+            assert tail == pytest.approx(head / 3 * report.extrapolated,
+                                         rel=1e-12)
+        assert sum(result.phases.values()) == pytest.approx(
+            machine.clock.now - started, rel=1e-12)
 
     def test_depth_monotonic(self):
         times = {d: run_one(f"depth-{d}")[1] for d in (1, 2, 4)}
@@ -201,6 +253,31 @@ class TestRunEpoch:
         machine = paper_testbed()
         with pytest.raises(ValueError):
             run_epoch(machine, _two_stage(machine), range(2), depth=0)
+
+    def test_source_is_pulled_exactly_limit_times(self):
+        """Drawing item ``limit`` just to drop it costs a sampler an RNG
+        draw (GraphSAINT) or a sub-graph induction (ClusterGCN)."""
+        pulled = []
+
+        def source():
+            for i in range(10):
+                pulled.append(i)
+                yield i
+
+        machine = paper_testbed()
+        report = run_epoch(machine, _two_stage(machine), source(), depth=2,
+                           limit=3, extrapolate_to=10)
+        assert pulled == [0, 1, 2]
+        assert (report.executed, report.extrapolated) == (3, 7)
+
+    def test_extrapolated_tail_is_billed_at_the_mean(self):
+        machine = paper_testbed()
+        report = run_epoch(machine, _two_stage(machine), range(8), depth=1,
+                           limit=2, extrapolate_to=8)
+        assert_serial_sum(report)
+        assert report.elapsed == pytest.approx(8 * 0.03, rel=1e-12)
+        assert report.phases["sampling"] == pytest.approx(8 * 0.02, rel=1e-12)
+        assert report.phases["training"] == pytest.approx(8 * 0.01, rel=1e-12)
 
     def test_lane_busy_and_phase_split(self):
         machine = paper_testbed()
@@ -332,36 +409,6 @@ class TestFaultSeam:
 
 
 # ---------------------------------------------------------------------------
-# the overlap() compatibility shim
-# ---------------------------------------------------------------------------
-class TestOverlapShim:
-    def test_shim_charges_scheduler_makespan(self):
-        clock = VirtualClock()
-        with clock.overlap("gpu"):
-            clock.advance(0.3)
-            clock.advance(0.5)
-            clock.advance(0.2)
-        assert clock.now == pytest.approx(0.5)
-        assert clock.busy_time("gpu") == pytest.approx(0.5)
-
-    def test_shim_matches_explicit_lane_scheduler(self):
-        """The old prefetching case study charged max(copy, compute);
-        the shim must agree with an explicit two-lane schedule."""
-        durations = (0.004, 0.0115)  # H2D copy vs training step
-        shim = VirtualClock()
-        with shim.overlap():
-            for dt in durations:
-                shim.advance(dt)
-        explicit = VirtualClock()
-        sched = LaneScheduler(explicit)
-        sched.submit("copy", durations[0])
-        sched.submit("train", durations[1])
-        sched.drain()
-        assert shim.now == pytest.approx(explicit.now, abs=1e-15)
-        assert shim.now == pytest.approx(max(durations))
-
-
-# ---------------------------------------------------------------------------
 # layerwise inference on the pipe
 # ---------------------------------------------------------------------------
 class TestPipelinedInference:
@@ -381,10 +428,19 @@ class TestPipelinedInference:
         r_d3, _ = self._run("depth-3")
         np.testing.assert_array_equal(r_off.logits, r_d3.logits)
 
-    def test_depth1_equals_serial(self):
-        _, t_off = self._run("off")
-        _, t_d1 = self._run("depth-1")
-        assert t_d1 == pytest.approx(t_off, abs=1e-9)
+    def test_depth1_equals_serial(self, monkeypatch):
+        """One chunk in flight: each layer lasts the sum of its chunks'
+        fetch -> h2d -> compute -> d2h costs, and the inference phases
+        add up to those layers."""
+        reports = spy_on_run_epoch(monkeypatch, inference_module)
+        result, _ = self._run("off")
+        assert len(reports) == 2  # one barrier-separated pipe per layer
+        for report in reports:
+            assert report.extrapolated == 0
+            assert len(report.jobs) == 4 * report.executed
+            assert_serial_sum(report)
+        assert result.total_time == pytest.approx(
+            sum(report.elapsed for report in reports), rel=1e-12)
 
     def test_depth_no_slower(self):
         _, t_off = self._run("off")

@@ -637,8 +637,7 @@ def test_lane_flow_tp_named_fn_direct_escape(tmp_path):
 def test_lane_flow_tp_transitive_callee(tmp_path):
     findings = deep_findings(tmp_path, {"repro/train/t.py": LANE_PREAMBLE + """
         def charge_directly(clock):
-            with clock.overlap("cpu"):
-                clock.advance(1.0)
+            clock.occupy_parallel({"cpu": 1.0})
 
         def sneaky_stage(index, payload):
             charge_directly(payload.clock)
@@ -650,7 +649,7 @@ def test_lane_flow_tp_transitive_callee(tmp_path):
     """}, select=["LANE-FLOW"])
     assert len(findings) == 1
     assert "sneaky_stage" in findings[0].message
-    assert "overlap" in findings[0].message
+    assert "occupy_parallel" in findings[0].message
 
 
 def test_lane_flow_tp_lambda_commit_interval(tmp_path):

@@ -207,6 +207,21 @@ class TestFlame:
         assert "p" not in stacks  # clamped to zero, dropped
         assert stacks["p;c"] == 500000
 
+    def test_credited_children_reduce_the_parent(self):
+        """An epoch's phases are credited spans (dur 0): they cover the
+        epoch's duration, so the epoch keeps only what they leave."""
+        spans = [
+            {"id": 1, "parent": None, "name": "epoch", "dur": 1.0},
+            {"id": 2, "parent": 1, "name": "sampling", "dur": 0.0,
+             "credited": 0.7},
+            {"id": 3, "parent": 1, "name": "training", "dur": 0.0,
+             "credited": 0.2},
+        ]
+        stacks = folded_stacks(spans)
+        assert stacks["epoch"] == pytest.approx(100000)
+        assert stacks["epoch;sampling"] == 700000
+        assert stacks["epoch;training"] == 200000
+
 
 # ----------------------------------------------------------------------
 # unit: diff alignment
@@ -279,6 +294,14 @@ class TestAnalyzeEndToEnd:
                     for line in text.splitlines())
         assert total == payload["flame"]["total_micros"]
         assert len(text.splitlines()) == payload["flame"]["stacks"]
+
+    def test_flame_sums_to_run_total(self, analyzed_run):
+        """Every virtual second of the run folds into exactly one line."""
+        out, payload = analyzed_run
+        manifest = json.loads((out / "run.json").read_text())
+        total_micros = sum(manifest["phases"].values()) * 1e6
+        assert abs(payload["flame"]["total_micros"] - total_micros) \
+            <= payload["flame"]["stacks"]  # integer rounding, 1 us a line
 
     def test_byte_identical_across_same_seed_runs(self, analyzed_run, tmp_path):
         out, _ = analyzed_run

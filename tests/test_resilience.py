@@ -357,6 +357,7 @@ class TestTransferSeam:
 
 def _minibatch_trainer(machine, num_workers=0, epochs=1, framework="dglite",
                        **config_kwargs):
+    """``num_workers=0`` at the default ``pipeline="off"`` samples inline."""
     fw = get_framework(framework)
     fgraph = fw.load("ppi", machine, scale=0.3)
     sampler = graphsage_sampler(fw, fgraph, seed=0)
@@ -406,6 +407,39 @@ class TestWorkerSeam:
         # is never armed again.
         assert injector.occurrence("sampler.worker") == 2
         assert result.losses
+
+    def test_torn_down_pool_stays_inline_for_the_rest_of_the_run(self):
+        machine = paper_testbed()
+        trainer = _minibatch_trainer(machine, num_workers=2, epochs=3)
+        plan = _plan(
+            FaultSpec(site="sampler.worker", kind="crash", count=99),
+            policies={"sampler.worker": RecoveryPolicy(max_retries=1,
+                                                       backoff=0.0,
+                                                       degrade=True)},
+        )
+        with resilience.session(plan) as injector:
+            result = trainer.run()
+        # Later epochs have no pool to crash: one lane, one batch in
+        # flight, and the site is not armed again.
+        assert injector.occurrence("sampler.worker") == 2
+        assert injector.summary()["degraded"] == 1
+        assert (trainer.in_flight(), trainer.sampler_pool()) == (1, (1, 1.0))
+        assert len(result.losses) == 3 * 2
+
+    def test_pool_exists_with_workers_or_depth(self):
+        """The site is armed iff there is a pool to lose a worker from:
+        ``num_workers >= 1`` or more than one batch in flight."""
+        plan = _plan(FaultSpec(site="sampler.worker", kind="crash", at=1,
+                               severity=0.5),
+                     policies={"sampler.worker": RecoveryPolicy(backoff=0.0)})
+        for kwargs, armed in ((dict(num_workers=1), True),
+                              (dict(pipeline="depth-2"), True),
+                              (dict(prefetch=True), True),
+                              (dict(pipeline="depth-1"), False)):
+            trainer = _minibatch_trainer(paper_testbed(), **kwargs)
+            with resilience.session(plan) as injector:
+                trainer.run()
+            assert (injector.occurrence("sampler.worker") > 0) == armed, kwargs
 
     def test_degrade_disabled_exhausts(self):
         machine = paper_testbed()

@@ -76,37 +76,6 @@ class TestOccupy:
             VirtualClock().occupy("cpu", -1.0)
 
 
-class TestOverlap:
-    def test_overlap_charges_max_not_sum(self):
-        clock = VirtualClock()
-        with clock.overlap():
-            clock.advance(2.0)
-            clock.advance(5.0)
-            clock.advance(1.0)
-        assert clock.now == pytest.approx(5.0)
-
-    def test_overlap_attributes_to_device(self):
-        clock = VirtualClock()
-        with clock.overlap("gpu"):
-            clock.advance(3.0)
-        assert clock.busy_time("gpu") == pytest.approx(3.0)
-
-    def test_nested_overlaps_share_one_window(self):
-        clock = VirtualClock()
-        with clock.overlap():
-            clock.advance(1.0)
-            with clock.overlap():
-                clock.advance(4.0)
-        assert clock.now == pytest.approx(4.0)
-
-    def test_occupy_inside_overlap_defers_busy_recording(self):
-        clock = VirtualClock()
-        with clock.overlap():
-            clock.occupy("cpu", 2.0)
-        assert clock.busy_time("cpu") == 0.0
-        assert clock.now == pytest.approx(2.0)
-
-
 class TestReset:
     def test_reset_clears_time_and_busy(self):
         clock = VirtualClock()
