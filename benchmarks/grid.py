@@ -7,7 +7,7 @@ from typing import Dict
 from conftest import DATASETS, EPOCHS, REPRESENTATIVE_BATCHES
 
 from repro.bench import ExperimentResult, format_series, run_training_experiment
-from repro.profiling.profiler import PHASES
+from repro.telemetry.spans import PHASES
 
 CONFIGS = (
     ("dglite", "cpu"),

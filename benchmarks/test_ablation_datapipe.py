@@ -100,7 +100,6 @@ def test_datapipe_parameters_bit_identical(once):
     from repro.hardware.machine import paper_testbed
     from repro.models.graphsage import build_graphsage
     from repro.models.trainer import MiniBatchTrainer, TrainConfig
-    from repro.profiling.profiler import PhaseProfiler
 
     def params_for(pipeline):
         fw = get_framework("dglite")
@@ -112,8 +111,7 @@ def test_datapipe_parameters_bit_identical(once):
         config = TrainConfig(epochs=2, placement="cpugpu",
                              representative_batches=REPRESENTATIVE_BATCHES,
                              seed=0, pipeline=pipeline)
-        MiniBatchTrainer(fw, fgraph, sampler, net, config,
-                         profiler=PhaseProfiler(machine.clock)).run()
+        MiniBatchTrainer(fw, fgraph, sampler, net, config).run()
         return np.concatenate([p.data.ravel() for p in net.parameters()])
 
     p_off = params_for("off")

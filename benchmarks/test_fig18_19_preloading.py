@@ -8,7 +8,7 @@ saves up to ~20x data-movement time, giving ~2x overall speedup.
 from conftest import DATASETS, EPOCHS, FRAMEWORKS, REPRESENTATIVE_BATCHES, emit
 
 from repro.bench import format_series, run_training_experiment
-from repro.profiling.profiler import PHASES
+from repro.telemetry.spans import PHASES
 
 
 def test_fig18_19_preloading(once):

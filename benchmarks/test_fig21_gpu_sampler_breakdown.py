@@ -7,7 +7,7 @@ The paper: sampling share shrinks vs CPU sampling but still reaches ~40%
 from conftest import DATASETS, EPOCHS, REPRESENTATIVE_BATCHES, emit
 
 from repro.bench import run_training_experiment
-from repro.profiling.profiler import PHASES
+from repro.telemetry.spans import PHASES
 
 
 def test_fig21_gpu_sampler_breakdown(once):

@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.bench import run_training_experiment
-from repro.profiling.profiler import PHASES
+from repro.telemetry.spans import PHASES
 
 
 def main() -> None:

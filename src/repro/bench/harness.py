@@ -26,11 +26,11 @@ from repro.models.trainer import MiniBatchTrainer, TrainConfig
 from repro.kernels.config import use_reference_kernels
 from repro.kernels.transfer import adj_to_device, to_device
 from repro.power.monitor import EnergyMonitor, EnergyReport
-from repro.profiling.profiler import PhaseProfiler
 from repro.resilience.plan import FaultPlan
 from repro.resilience.runtime import session as resilience_session
-from repro.telemetry.runtime import TelemetrySession
+from repro.telemetry.runtime import TelemetrySession, tracer_for
 from repro.telemetry.runtime import session as telemetry_session
+from repro.telemetry.spans import PHASE_CATEGORY
 from repro.tensor.tensor import no_grad
 
 MODEL_BUILDERS = {
@@ -151,11 +151,11 @@ def run_training_experiment(
     kernel_cm = nullcontext() if fastpath else use_reference_kernels()
     with session_cm as tsession, fault_cm as injector, kernel_cm:
         monitor = EnergyMonitor(machine, interval=monitor_interval)
-        profiler = PhaseProfiler(machine.clock)
+        tracer = tracer_for(machine.clock)
         label = _label(framework, placement, preload, prefetch, pipeline)
         monitor.start()
         try:
-            with profiler.phase("data_loading"):
+            with tracer.span("data_loading", PHASE_CATEGORY):
                 fgraph = fw.load(dataset, machine, scale=dataset_scale)
             config = TrainConfig(
                 epochs=epochs,
@@ -176,7 +176,7 @@ def run_training_experiment(
                 if placement == "gpu":
                     # GPU-based sampling needs the graph resident on the GPU
                     # before the sampler is constructed.
-                    with profiler.phase("data_movement"):
+                    with tracer.span("data_movement", PHASE_CATEGORY):
                         fgraph.preload_to_gpu()
                 sampler = build_sampler(fw, fgraph, mode=mode, seed=seed)
             else:
@@ -194,14 +194,14 @@ def run_training_experiment(
                     )
                 from repro.frameworks.feature_cache import GpuFeatureCache
 
-                with profiler.phase("data_movement"):
+                with tracer.span("data_movement", PHASE_CATEGORY):
                     feature_cache = GpuFeatureCache(
                         fgraph, fraction=feature_cache_fraction,
                         policy=cache_policy, seed=seed,
                     )
                 label = f"{label}+cache{int(100 * feature_cache_fraction)}"
             trainer = MiniBatchTrainer(fw, fgraph, sampler, net, config,
-                                       profiler=profiler, label=label,
+                                       tracer=tracer, label=label,
                                        feature_cache=feature_cache)
             run = trainer.run()
             report = monitor.stop()
@@ -218,7 +218,7 @@ def run_training_experiment(
             )
         except OutOfMemoryError as exc:
             report = monitor.stop()
-            result = ExperimentResult(label=label, phases=profiler.snapshot(),
+            result = ExperimentResult(label=label, phases=tracer.phase_rollup(),
                                       energy=report, oom=True, error=str(exc))
         if injector is not None:
             result.resilience = injector.summary()
@@ -316,26 +316,26 @@ def run_fullbatch_experiment(
     """Full-batch GraphSAGE; reports per-epoch time and power/energy."""
     fw = get_framework(framework)
     machine = paper_testbed()
-    profiler = PhaseProfiler(machine.clock)
+    tracer = tracer_for(machine.clock)
     label = f"{_label(framework, 'cpu' if device == 'cpu' else 'cpugpu', False, False).split('-')[0]}-{device.upper()}"
     monitor = EnergyMonitor(machine, interval=monitor_interval)
     monitor.start()
     try:
-        with profiler.phase("data_loading"):
+        with tracer.span("data_loading", PHASE_CATEGORY):
             fgraph = fw.load(dataset, machine, scale=dataset_scale)
         net = build_fullbatch_sage(fw, fgraph, seed=seed)
         trainer = FullBatchTrainer(fw, fgraph, net, device=device,
-                                   profiler=profiler)
+                                   tracer=tracer)
         trainer.setup()
         losses = trainer.train_epochs(epochs)
         report = monitor.stop()
-        phases = profiler.snapshot()
+        phases = tracer.phase_rollup()
         phases["training"] = phases.get("training", 0.0) / max(1, epochs)  # per-epoch
         return ExperimentResult(label=label, phases=phases, energy=report,
                                 losses=losses)
     except OutOfMemoryError as exc:
         report = monitor.stop()
-        return ExperimentResult(label=label, phases=profiler.snapshot(),
+        return ExperimentResult(label=label, phases=tracer.phase_rollup(),
                                 energy=report, oom=True, error=str(exc))
 
 

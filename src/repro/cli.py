@@ -32,7 +32,7 @@ from repro.bench import (
     run_training_experiment,
 )
 from repro.datasets import DATASET_NAMES, list_datasets
-from repro.profiling.profiler import PHASES
+from repro.telemetry.spans import PHASES
 
 FRAMEWORKS = ("dglite", "pyglite")
 

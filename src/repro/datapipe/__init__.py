@@ -13,10 +13,11 @@ schedule, expressed on lanes, and ``"off"`` is its spelling.
 """
 
 from repro.datapipe.config import PipelineConfig, parse_pipeline
-from repro.datapipe.pipeline import EpochReport, Stage, run_epoch
+from repro.datapipe.pipeline import EndItem, EpochReport, Stage, run_epoch
 from repro.datapipe.staging import StagingPool
 
 __all__ = [
+    "EndItem",
     "EpochReport",
     "PipelineConfig",
     "Stage",

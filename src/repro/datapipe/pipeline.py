@@ -10,6 +10,11 @@ first stage cannot start before item ``i - depth``'s last stage finished
 — so ``depth-1`` reproduces the serial schedule exactly, and deeper
 queues hide sampling and H2D behind GPU compute.
 
+Two things let a serving window run on the same executor: an item may
+carry a *release time* (a micro-batch cannot start before it formed), and
+a stage may return :class:`EndItem` to finish its item early (a shed
+batch's last job is its H2D).
+
 The ``sampler.worker`` fault seam is honoured mid-pipeline: a crashed
 worker wastes ``severity`` of the stage's cost and pays the respawn
 backoff inside the affected job; past the policy's retry budget the
@@ -62,6 +67,17 @@ class Stage:
 
 
 @dataclass
+class EndItem:
+    """Returned by a stage fn to end its item here, skipping later stages.
+
+    The stage's job becomes the item's terminal job (what the bounded
+    queue gates on) and ``output`` its entry in ``EpochReport.outputs``.
+    """
+
+    output: Any
+
+
+@dataclass
 class EpochReport:
     """Outcome of one pipelined epoch."""
 
@@ -74,6 +90,10 @@ class EpochReport:
     degraded: bool = False
     jobs: List[LaneJob] = field(default_factory=list)
     lane_busy: Dict[str, float] = field(default_factory=dict)
+    #: Each item's last job, in item order (symbolic tail included).
+    terminal: List[LaneJob] = field(default_factory=list)
+    #: Clean (pre-fault, post-scale) executed seconds per stage name.
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def overlap_seconds(self) -> float:
@@ -90,6 +110,7 @@ def run_epoch(
     limit: Optional[int] = None,
     extrapolate_to: int = 0,
     label: str = "",
+    release: Optional[Callable[[Any], float]] = None,
 ) -> EpochReport:
     """Stream ``source`` through ``stages`` with ``depth`` items in flight.
 
@@ -98,6 +119,9 @@ def run_epoch(
     items are replayed symbolically through the same scheduler at the
     measured mean per-stage cost, so extrapolated epochs respect the
     same lane contention and backpressure as executed ones.
+    ``release(item)`` is the absolute time a source item becomes
+    available: its first stage starts no earlier (and no earlier than the
+    bounded queue admits it).
     """
     if depth < 1:
         raise ValueError("pipeline depth must be >= 1")
@@ -111,11 +135,15 @@ def run_epoch(
     for index, payload in enumerate(islice(source, limit)):
         prev: Optional[LaneJob] = None
         first: Optional[LaneJob] = None
+        released = release(payload) if release is not None else 0.0
         for stage in stages:
             with clock.deferred() as rec:
                 payload = stage.fn(index, payload)
-            prev = state.schedule(stage, index, rec, prev)
+            prev = state.schedule(stage, index, rec, prev, released)
             first = first or prev
+            if isinstance(payload, EndItem):
+                payload = payload.output
+                break
         state.finish_item(first, prev)
         outputs.append(payload)
 
@@ -139,6 +167,8 @@ def run_epoch(
         degraded=state.degraded,
         jobs=list(sched.jobs),
         lane_busy=lane_busy,
+        terminal=state.terminal,
+        stage_seconds=state.stage_totals,
     )
 
 
@@ -158,7 +188,7 @@ class _EpochState:
 
     # ------------------------------------------------------------------
     def schedule(self, stage: Stage, index: int, rec: DeferredRecord,
-                 prev: Optional[LaneJob]) -> LaneJob:
+                 prev: Optional[LaneJob], released: float) -> LaneJob:
         """Place one *executed* stage run: scale, fault seam, lane, span."""
         scale = 1.0 if self.degraded else stage.scale
         clean = DeferredRecord(
@@ -175,7 +205,7 @@ class _EpochState:
         # is never armed again.
         if stage.fault_site and not self.degraded:
             record = self._survive_faults(stage, clean)
-        job = self._place(stage, index, record, prev)
+        job = self._place(stage, index, record, prev, released)
         with maybe_span(f"datapipe.{stage.name}", category="datapipe",
                         index=index, lane=job.lane,
                         scheduled_start=job.start, scheduled_end=job.end,
@@ -184,18 +214,21 @@ class _EpochState:
         return job
 
     def _place(self, stage: Stage, index: int, record: DeferredRecord,
-               prev: Optional[LaneJob]) -> LaneJob:
+               prev: Optional[LaneJob], released: float = 0.0) -> LaneJob:
         """Submit one stage job behind its item's previous stage.
 
-        An item's first stage additionally waits for the bounded queue:
-        item ``index`` enters once item ``index - depth`` has drained.
+        An item's first stage additionally waits for the item's release
+        time and the bounded queue: item ``index`` enters once item
+        ``index - depth`` has drained.
         """
         deps = () if prev is None else (prev,)
         not_before = 0.0
         eff_depth = 1 if self.degraded else self.depth
-        if prev is None and index >= eff_depth and self.terminal:
-            gate = min(index - eff_depth, len(self.terminal) - 1)
-            not_before = self.terminal[gate].end
+        if prev is None:
+            not_before = released
+            if index >= eff_depth and self.terminal:
+                gate = min(index - eff_depth, len(self.terminal) - 1)
+                not_before = max(released, self.terminal[gate].end)
         lane = stage.lanes[0] if self.degraded else stage.lane_for(index)
         return self.sched.submit(lane, record, deps=deps,
                                  not_before=not_before, tag=stage.tag)

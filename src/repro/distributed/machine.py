@@ -58,9 +58,9 @@ class MultiGpuMachine(Machine):
     def total_gpu_energy(self, start: float = 0.0, end=None) -> float:
         """Exact energy across all GPUs (integration over busy intervals).
 
-        Distributed runs credit replica GPUs retroactively (backfill), so
-        energy here is integrated exactly instead of via the sampling
-        monitor.
+        Replica GPUs are credited as concurrent busy seconds on rank 0's
+        train job, so energy here is integrated exactly instead of via the
+        sampling monitor.
         """
         if end is None:
             end = self.clock.now

@@ -1,6 +1,7 @@
 """Synchronous data-parallel GraphSAGE training over k GPUs.
 
-Per global step:
+A global step is one :func:`repro.datapipe.run_epoch` item, ``sample ->
+move -> train``, at a constant depth of 1:
 
 1. the host CPU samples one batch shard per GPU (the samplers stay on the
    CPU, exactly as in the paper — this stage does NOT parallelize);
@@ -11,8 +12,8 @@ Per global step:
    window (shards are symmetric by construction);
 4. gradients ring-all-reduce across the GPUs, then every replica steps.
 
-Because replica busy time is credited retroactively, distributed energy
-is integrated exactly from busy intervals
+Replicas are busy seconds on the train job's record (one job, k
+devices), so distributed energy is integrated exactly from busy intervals
 (:meth:`~repro.distributed.machine.MultiGpuMachine.total_gpu_energy`)
 instead of the sampled monitor.
 """
@@ -20,19 +21,20 @@ instead of the sampled monitor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.datapipe.pipeline import Stage, run_epoch
 from repro.distributed.collective import ring_allreduce
 from repro.distributed.machine import MultiGpuMachine
 from repro.errors import BenchmarkError
 from repro.frameworks.base import Framework, FrameworkGraph
 from repro.kernels.transfer import adj_to_device, to_device
 from repro.models.base import make_loss
-from repro.profiling.profiler import PhaseProfiler
 from repro.resilience import runtime as resilience
-from repro.telemetry.runtime import maybe_span
+from repro.telemetry.runtime import maybe_span, tracer_for
+from repro.telemetry.spans import PHASE_CATEGORY, SpanTracer
 from repro.tensor.module import Module
 from repro.tensor.optim import Adam
 
@@ -70,7 +72,7 @@ class DataParallelTrainer:
         epochs: int = 2,
         representative_steps: int = 2,
         lr: float = 1e-3,
-        profiler: PhaseProfiler = None,
+        tracer: Optional[SpanTracer] = None,
     ) -> None:
         machine = fgraph.machine
         if not isinstance(machine, MultiGpuMachine):
@@ -84,7 +86,7 @@ class DataParallelTrainer:
         self.machine: MultiGpuMachine = machine
         self.epochs = epochs
         self.representative_steps = representative_steps
-        self.profiler = profiler or PhaseProfiler(machine.clock)
+        self.tracer = tracer or tracer_for(machine.clock)
         self.loss_fn = make_loss(fgraph.stats.multilabel)
         self.optimizer = None
         self.lr = lr
@@ -100,20 +102,15 @@ class DataParallelTrainer:
         return [self.machine.gpus[rank].name
                 for rank in self._active_ranks if rank > 0]
 
-    def _step(self, shards) -> float:
-        """One synchronous global step over ``shards`` root sets."""
+    def _sample(self, index: int, shards):
+        """(1) host-side sampling of every shard — serial on the CPU."""
+        return [self.sampler.sample(roots) for roots in shards]
+
+    def _move(self, index: int, batches):
+        """(2) PCIe transfers serialize on the shared link."""
         machine = self.machine
         gpu0 = machine.gpus[0]
-        profiler = self.profiler
-        # The "replica" fault site arms once per global step.
-        fault = resilience.arm("replica")
-
-        # (1) host-side sampling of every shard — serial on the CPU.
-        with profiler.phase("sampling"):
-            batches = [self.sampler.sample(roots) for roots in shards]
-
-        # (2) PCIe transfers serialize on the shared link.
-        with profiler.phase("data_movement"), self.framework.activate():
+        with self.framework.activate():
             batch0 = batches[0]
             batch0.adjs = [adj_to_device(a, gpu0, machine.pcie, tag="dp-graph")
                            for a in batch0.adjs]
@@ -124,27 +121,31 @@ class DataParallelTrainer:
                 for adj in extra.adjs:
                     machine.pcie.h2d(adj.structure_nbytes(), tag="dp-graph")
                 machine.pcie.h2d(extra.y_logical_nbytes, tag="dp-labels")
+        return batch0
 
-        # (3) replica compute: rank 0 runs physically; ranks 1..k-1 are
-        # credited the same busy window (symmetric shards).
-        with profiler.phase("training"), self.framework.activate():
-            start = machine.clock.now
+    def _train(self, index: int, batch0) -> float:
+        """(3) replica compute + (4) all-reduce and update: one job, k GPUs.
+
+        Rank 0 runs physically; ranks 1..k-1 are credited the same busy
+        window (symmetric shards) inside the job's record.
+        """
+        clock = self.machine.clock
+        # The "replica" fault site arms once per global step.
+        fault = resilience.arm("replica")
+        with self.framework.activate():
             self.model.train()
             self.optimizer.zero_grad()
             logits = self.model(batch0.adjs, batch0.x)
             loss = self.loss_fn(logits, batch0.y)
             loss.backward()
-            compute = machine.clock.now - start
-            if self._replica_names():
-                machine.clock.occupy_parallel(
-                    {name: compute for name in self._replica_names()},
-                    tag="dp-replica-compute", backfill=True,
-                )
+            # Inside a stage ``clock.now`` stands still; the job's cost so
+            # far is the compute window.
+            compute = clock.deferred_seconds
+            clock.credit_busy({name: compute for name in self._replica_names()})
             if fault is not None:
                 self._apply_replica_fault(fault, compute)
-            # (4) gradient synchronization + identical updates everywhere.
-            ring_allreduce(machine, self._grad_nbytes(), tag="dp-allreduce",
-                           gpus=[machine.gpus[r] for r in self._active_ranks])
+            ring_allreduce(self.machine, self._grad_nbytes(), tag="dp-allreduce",
+                           gpus=[self.machine.gpus[r] for r in self._active_ranks])
             self.optimizer.step()
         return loss.item()
 
@@ -173,22 +174,22 @@ class DataParallelTrainer:
             with maybe_span("recover.straggler", category="resilience",
                             rank=victim, extra_seconds=extra):
                 if extra > 0:
-                    machine.clock.occupy(name, extra, tag="dp-straggler")
+                    machine.clock.occupy(name, extra)
             injector.record_recovered("replica", action="wait")
         else:  # dead
             injector.record_injected("replica", "dead")
             with maybe_span("recover.exclude", category="resilience",
                             rank=victim):
                 self._active_ranks.remove(victim)
-                machine.clock.occupy(machine.gpus[0].name, compute,
-                                     tag="dp-reshard")
+                machine.clock.occupy(machine.gpus[0].name, compute)
             injector.record_recovered("replica", action="exclude")
 
     # ------------------------------------------------------------------
     def run(self) -> ScalingResult:
         machine = self.machine
         k = machine.num_gpus
-        with self.profiler.phase("data_movement"), self.framework.activate():
+        with self.tracer.span("data_movement", PHASE_CATEGORY), \
+                self.framework.activate():
             self.model.to(machine.gpus[0], link=machine.pcie)
         self.optimizer = Adam(self.model.parameters(), lr=self.lr)
 
@@ -199,13 +200,17 @@ class DataParallelTrainer:
         train = self.fgraph.graph.train_nodes()
         rng = np.random.default_rng(0)
         losses: List[float] = []
+        # A global step is one datapipe item at a constant depth of 1: the
+        # three stages never overlap, and the un-executed steps of the
+        # epoch replay at the measured per-stage mean like any other tail.
+        stages = [
+            Stage("sample", "sampling", fn=self._sample, lanes=("dp.sample",)),
+            Stage("move", "data_movement", fn=self._move, lanes=("dp.move",)),
+            Stage("train", "training", fn=self._train, lanes=("dp.train",)),
+        ]
 
-        for _ in range(self.epochs):
-            order = rng.permutation(train)
-            usage_before = self._usage_snapshot()
-            phases_before = self.profiler.snapshot()
-            wall_before = machine.clock.now
-            executed = 0
+        def steps(order):
+            """Per-step shard lists; re-sharded over the ranks still alive."""
             for step in range(reps):
                 shards = []
                 alive = len(self._active_ranks)
@@ -215,12 +220,15 @@ class DataParallelTrainer:
                     if roots.size == 0:
                         roots = order[:shard_size]
                     shards.append(roots)
-                losses.append(self._step(shards))
-                executed += 1
-            remaining = steps_per_epoch - executed
-            if remaining > 0 and executed > 0:
-                self._extrapolate(usage_before, phases_before, wall_before,
-                                  executed, remaining)
+                yield shards
+
+        for _ in range(self.epochs):
+            report = run_epoch(machine, stages, steps(rng.permutation(train)),
+                               1, extrapolate_to=steps_per_epoch,
+                               label=f"data-parallel-{k}gpu")
+            losses.extend(report.outputs)
+            for phase, seconds in sorted(report.phases.items()):
+                self.tracer.credit(phase, seconds)
 
         start = 0.0
         end = machine.clock.now
@@ -228,61 +236,8 @@ class DataParallelTrainer:
             num_gpus=k,
             epochs=self.epochs,
             steps_per_epoch=steps_per_epoch,
-            phases=self.profiler.snapshot(),
+            phases=self.tracer.phase_rollup(),
             losses=losses,
             gpu_energy=machine.total_gpu_energy(start, end),
             cpu_energy=machine.energy("cpu", start, end),
         )
-
-    # ------------------------------------------------------------------
-    def _usage_snapshot(self) -> Dict[str, float]:
-        snap = {"cpu": self.machine.cpu.counters.busy_seconds,
-                "pcie": self.machine.pcie.counters.seconds}
-        for gpu in self.machine.gpus:
-            snap[gpu.name] = self.machine.clock.busy_time(gpu.name)
-        return snap
-
-    def _extrapolate(self, busy_before: Dict[str, float],
-                     phases_before: Dict[str, float], wall_before: float,
-                     executed: int, remaining: int) -> None:
-        """Charge the unexecuted steps of the epoch at measured rates.
-
-        Serial resources (CPU, PCIe, rank-0 GPU) are occupied for their
-        scaled busy deltas; replica GPUs are backfilled in parallel; any
-        leftover measured wall time advances as idle.  Phase totals scale
-        by the same factor.
-        """
-        machine = self.machine
-        clock = machine.clock
-        scale = remaining / executed
-        wall_epoch = clock.now - wall_before
-        busy_after = self._usage_snapshot()
-
-        serial_names = {"cpu": machine.cpu.name, "pcie": "pcie",
-                        machine.gpus[0].name: machine.gpus[0].name}
-        replica_names = set(self._replica_names())
-        serial_total = 0.0
-        replica_deltas: Dict[str, float] = {}
-        for key, after_value in busy_after.items():
-            delta = (after_value - busy_before.get(key, 0.0)) * scale
-            if delta <= 0:
-                continue
-            if key in replica_names:
-                replica_deltas[key] = delta
-            else:
-                clock.occupy(serial_names.get(key, key), delta,
-                             tag="dp-extrapolate")
-                serial_total += delta
-        if replica_deltas:
-            # Replicas ran concurrently with the serial segment just
-            # charged; credit them inside that window.
-            clock.occupy_parallel(replica_deltas, tag="dp-extrapolate",
-                                  backfill=True)
-        idle = wall_epoch * scale - serial_total
-        if idle > 0:
-            clock.advance(idle)
-        for phase in ("sampling", "data_movement", "training"):
-            delta = (self.profiler.seconds(phase)
-                     - phases_before.get(phase, 0.0))
-            if delta > 0:
-                self.profiler.add(phase, delta * scale)

@@ -16,7 +16,8 @@ from repro.frameworks.base import Framework, FrameworkGraph
 from repro.kernels.adj import SparseAdj
 from repro.kernels.transfer import adj_to_device, to_device
 from repro.models.base import make_loss, two_layer_net
-from repro.profiling.profiler import PhaseProfiler
+from repro.telemetry.runtime import tracer_for
+from repro.telemetry.spans import PHASE_CATEGORY, SpanTracer
 from repro.tensor.module import Module
 from repro.tensor.optim import Adam
 from repro.tensor.tensor import Tensor
@@ -49,7 +50,7 @@ class FullBatchTrainer:
         model: Module,
         device: str = "cpu",
         lr: float = 1e-3,
-        profiler: Optional[PhaseProfiler] = None,
+        tracer: Optional[SpanTracer] = None,
     ) -> None:
         if device not in ("cpu", "gpu"):
             raise BenchmarkError("full-batch device must be 'cpu' or 'gpu'")
@@ -58,7 +59,7 @@ class FullBatchTrainer:
         self.model = model
         self.device_key = device
         self.machine = fgraph.machine
-        self.profiler = profiler or PhaseProfiler(self.machine.clock)
+        self.tracer = tracer or tracer_for(self.machine.clock)
         self.loss_fn = make_loss(fgraph.stats.multilabel)
         self.lr = lr
         self._prepared = False
@@ -69,7 +70,8 @@ class FullBatchTrainer:
         """Place the graph, features, and model on the training device."""
         machine = self.machine
         device = machine.device(self.device_key)
-        with self.profiler.phase("data_movement"), self.framework.activate():
+        with self.tracer.span("data_movement", PHASE_CATEGORY), \
+                self.framework.activate():
             self._adj = adj_to_device(self.fgraph.adj, device, machine.pcie,
                                       tag="fullbatch-graph")
             self._x = to_device(self.fgraph.features, device, machine.pcie,
@@ -88,7 +90,8 @@ class FullBatchTrainer:
         for _ in range(epochs):
             self.model.train()
             self.optimizer.zero_grad()
-            with self.profiler.phase("training"), self.framework.activate():
+            with self.tracer.span("training", PHASE_CATEGORY), \
+                    self.framework.activate():
                 logits = self.model(self._adj, self._x)
                 loss = self.loss_fn(logits[train_rows], graph.labels[train_rows])
                 loss.backward()
@@ -98,4 +101,4 @@ class FullBatchTrainer:
 
     def epoch_time(self) -> float:
         """Average training seconds per epoch so far."""
-        return self.profiler.seconds("training")
+        return self.tracer.phase_rollup().get("training", 0.0)

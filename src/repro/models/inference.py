@@ -28,7 +28,8 @@ from repro.graph.formats import INDEX_DTYPE, gather_neighborhoods
 from repro.kernels.adj import SparseAdj
 from repro.sampling.relabel import block_locals
 from repro.kernels.transfer import to_device
-from repro.profiling.profiler import PhaseProfiler
+from repro.telemetry.runtime import tracer_for
+from repro.telemetry.spans import SpanTracer
 from repro.tensor import functional as F
 from repro.tensor.module import Module
 from repro.tensor.tensor import Tensor, no_grad
@@ -52,7 +53,7 @@ def layerwise_inference(
     model: Module,
     device: str = "cpu",
     batch_nodes: int = 65536,
-    profiler: Optional[PhaseProfiler] = None,
+    tracer: Optional[SpanTracer] = None,
     pipeline: str = "off",
 ) -> InferenceResult:
     """Full-graph inference one layer at a time, in node batches.
@@ -70,7 +71,7 @@ def layerwise_inference(
         raise BenchmarkError("layerwise_inference needs a layered model")
     machine = fgraph.machine
     target = machine.device(device)
-    profiler = profiler or PhaseProfiler(machine.clock)
+    tracer = tracer or tracer_for(machine.clock)
     graph = fgraph.graph
     actual_chunk = max(1, int(round(batch_nodes / graph.node_scale)))
     depth = parse_pipeline(pipeline).depth
@@ -82,14 +83,14 @@ def layerwise_inference(
         for i, layer in enumerate(layers):
             x_host = _layer_chunks(
                 framework, fgraph, layer, x_host, target,
-                actual_chunk, depth, profiler,
+                actual_chunk, depth, tracer,
                 apply_relu=i < len(layers) - 1,
             )
-    return InferenceResult(logits=x_host, phases=profiler.snapshot())
+    return InferenceResult(logits=x_host, phases=tracer.phase_rollup())
 
 
 def _layer_chunks(framework, fgraph, layer, x_host, target,
-                  actual_chunk, depth, profiler, apply_relu):
+                  actual_chunk, depth, tracer, apply_relu):
     """One GNN layer's chunks streamed through the datapipe scheduler."""
     machine = fgraph.machine
     graph = fgraph.graph
@@ -143,7 +144,7 @@ def _layer_chunks(framework, fgraph, layer, x_host, target,
     finally:
         pool.close()
     for phase, seconds in sorted(report.phases.items()):
-        profiler.add(phase, seconds)
+        tracer.credit(phase, seconds)
     return np.concatenate(report.outputs, axis=0)
 
 

@@ -26,9 +26,9 @@ from repro.frameworks.base import Framework, FrameworkBatch, FrameworkGraph
 from repro.hardware.device import KernelCost
 from repro.kernels.transfer import adj_to_device, to_device
 from repro.models.base import make_loss
-from repro.profiling.profiler import PhaseProfiler
 from repro.telemetry import runtime as telemetry
-from repro.telemetry.runtime import maybe_span
+from repro.telemetry.runtime import maybe_span, tracer_for
+from repro.telemetry.spans import PHASE_CATEGORY, SpanTracer
 from repro.tensor.module import Module
 from repro.tensor.optim import Adam
 
@@ -139,7 +139,7 @@ class MiniBatchTrainer:
         sampler,
         model: Module,
         config: TrainConfig,
-        profiler: Optional[PhaseProfiler] = None,
+        tracer: Optional[SpanTracer] = None,
         label: str = "",
         feature_cache=None,
     ) -> None:
@@ -153,7 +153,7 @@ class MiniBatchTrainer:
         self.model = model
         self.config = config
         self.machine = fgraph.machine
-        self.profiler = profiler or PhaseProfiler(self.machine.clock)
+        self.tracer = tracer or tracer_for(self.machine.clock)
         self.label = label or f"{framework.name}-{config.placement}"
         self.loss_fn = make_loss(fgraph.stats.multilabel)
         self.feature_cache = feature_cache
@@ -166,14 +166,15 @@ class MiniBatchTrainer:
         """One-time costs: pre-loading, partitioning, initial model copy."""
         config = self.config
         if config.preload or config.placement == "gpu":
-            with self.profiler.phase("data_movement"):
+            with self.tracer.span("data_movement", PHASE_CATEGORY):
                 if not self.fgraph.preloaded_gpu:
                     self.fgraph.preload_to_gpu()
         if hasattr(self.sampler, "ensure_partitioned"):
-            with self.profiler.phase("sampling"):
+            with self.tracer.span("sampling", PHASE_CATEGORY):
                 self.sampler.ensure_partitioned()
         if config.trains_on_gpu:
-            with self.profiler.phase("data_movement"), self.framework.activate():
+            with self.tracer.span("data_movement", PHASE_CATEGORY), \
+                    self.framework.activate():
                 self.model.to(self.machine.gpu, link=self.machine.pcie)
         self.optimizer = Adam(self.model.parameters(), lr=config.lr)
 
@@ -330,7 +331,7 @@ class MiniBatchTrainer:
             self._workers_degraded = True
         losses.extend(report.outputs)
         for phase, seconds in sorted(report.phases.items()):
-            self.profiler.add(phase, seconds)
+            self.tracer.credit(phase, seconds)
         return report.executed
 
     # ------------------------------------------------------------------
@@ -372,7 +373,7 @@ class MiniBatchTrainer:
 
         return RunResult(
             label=self.label,
-            phases=self.profiler.snapshot(),
+            phases=self.tracer.phase_rollup(),
             epochs=config.epochs,
             batches_per_epoch=num_batches,
             executed_batches=executed,
@@ -403,7 +404,7 @@ class MiniBatchTrainer:
                     "epoch": next_epoch,
                     "executed_batches": executed,
                     "losses": [float(v) for v in losses],
-                    "phases": self.profiler.snapshot(),
+                    "phases": self.tracer.phase_rollup(),
                     "rng": capture_rng_states(self.model, self.sampler),
                 },
             )
@@ -430,7 +431,7 @@ class MiniBatchTrainer:
             # fresh clock, so credit only the difference.  The prefix is
             # identical by determinism, hence the delta is exactly the
             # killed run's training progress.
-            current = self.profiler.snapshot()
+            current = self.tracer.phase_rollup()
             for phase, seconds in meta.get("phases", {}).items():
                 delta = seconds - current.get(phase, 0.0)
                 if delta < -1e-9:
@@ -440,7 +441,7 @@ class MiniBatchTrainer:
                         f"but the checkpoint recorded {seconds:.6f}s"
                     )
                 if delta > 0:
-                    self.profiler.add(phase, delta)
+                    self.tracer.credit(phase, delta)
             start_epoch = int(meta["epoch"])
             losses = [float(v) for v in meta.get("losses", [])]
             executed = int(meta.get("executed_batches", 0))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.profiling.profiler import PHASES
+from repro.telemetry.spans import PHASES
 
 
 @dataclass(frozen=True)

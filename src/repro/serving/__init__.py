@@ -2,9 +2,9 @@
 
 The stack, bottom to top: :mod:`repro.serving.workload` draws seeded
 open-loop request traces; :mod:`repro.serving.batcher` coalesces them
-into latency-budgeted micro-batches; :mod:`repro.serving.engine`
-schedules each batch's fetch/h2d/compute/d2h stages on
-:class:`repro.simtime.LaneScheduler` lanes with the warm
+into latency-budgeted micro-batches; :mod:`repro.serving.engine` runs
+each batch as a fetch/h2d/compute/d2h stage chain on
+:func:`repro.datapipe.run_epoch` with the warm
 :class:`~repro.frameworks.feature_cache.GpuFeatureCache` path;
 :mod:`repro.serving.latency` turns completions into exact tail
 quantiles; :mod:`repro.serving.schema` freezes it all into the

@@ -1,9 +1,9 @@
-"""The serving engine: micro-batched layerwise inference on lane schedules.
+"""The serving engine: micro-batched layerwise inference on the datapipe.
 
 One :func:`run_serving_experiment` call simulates a serving window on a
 fresh paper testbed: a seeded open-loop trace is micro-batched under the
-latency budget, and every batch runs four stages on dedicated
-:class:`~repro.simtime.LaneScheduler` lanes —
+latency budget, and every batch is one :func:`repro.datapipe.run_epoch`
+item released at its close time, running four stages on dedicated lanes —
 
 * ``serve.fetch`` — multi-hop block construction plus the feature-store
   read for cache-miss rows (the ``storage.read`` fault seam),
@@ -16,14 +16,14 @@ latency budget, and every batch runs four stages on dedicated
 
 With ``pipeline=depth-N`` up to N batches are in flight, so batch
 ``i+1``'s feature fetch overlaps batch ``i``'s compute; ``off`` (or
-``depth-1``) serializes batches.  Work is executed for real inside
-``clock.deferred()`` so numerics and RNG order are schedule-independent;
-only the measured costs are placed on lanes.
+``depth-1``) serializes batches.  The datapipe executes the work for
+real inside ``clock.deferred()`` so numerics and RNG order are
+schedule-independent; only the measured costs are placed on lanes.
 
 Degraded modes: when a fault site exhausts its recovery budget the
-engine either **sheds** the batch (its requests never complete — offered
-load above the failure is simply dropped, protecting the budget for
-everyone else) or serves **stale**-cache answers (cache-hit rows only,
+engine either **sheds** the batch (it ends at its h2d stage and its
+requests never complete — offered load above the failure is simply
+dropped, protecting the budget for everyone else) or serves **stale**-cache answers (cache-hit rows only,
 miss rows zero-filled) so the batch still completes inside its budget.
 Stale service requires a feature cache; without one the engine sheds.
 """
@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.datapipe.config import parse_pipeline, validate_pipeline_placement
+from repro.datapipe.pipeline import EndItem, Stage, run_epoch
 from repro.errors import BenchmarkError, ResilienceError
 from repro.frameworks import get_framework
 from repro.hardware.device import KernelCost
@@ -49,7 +50,6 @@ from repro.resilience.runtime import session as resilience_session
 from repro.serving.batcher import form_batches
 from repro.serving.latency import LatencyAccountant
 from repro.serving.workload import TRACE_KINDS, generate_trace
-from repro.simtime import LaneScheduler
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.runtime import maybe_span
 from repro.tensor import functional as F
@@ -180,7 +180,7 @@ def run_serving_experiment(
     Builds a fresh machine (clocks and ledgers never leak between
     serving windows), loads the dataset, places the model, warms the
     feature cache, then replays the trace through the micro-batcher and
-    lane scheduler.  ``fault_plan`` activates deterministic fault
+    the datapipe.  ``fault_plan`` activates deterministic fault
     injection on the ``storage.read``/``transfer.h2d`` seams;
     ``fastpath=False`` runs the reference kernel schedules (charged
     virtual cost is identical — the sweep's cost-invariance axis).
@@ -218,6 +218,18 @@ def run_serving_experiment(
         return result
 
 
+@dataclass
+class _InFlight:
+    """One micro-batch's state between its stages."""
+
+    blocks: list
+    mask: Optional[np.ndarray] = None  # cache-hit rows of blocks[0]
+    miss_bytes: float = 0.0
+    hit_bytes: float = 0.0
+    degraded: Optional[str] = None  # None | "shed" | "stale"
+    out: Optional[Tensor] = None
+
+
 def _serve_trace(config: ServeConfig, fw, fgraph, build_model,
                  machine) -> ServeResult:
     """The serving loop proper (machine/session lifecycle handled above)."""
@@ -249,134 +261,113 @@ def _serve_trace(config: ServeConfig, fw, fgraph, build_model,
         seed=config.seed, nodes_per_request=config.nodes_per_request)]
     batches = form_batches(trace, config.max_batch, config.budget_s)
 
-    sched = LaneScheduler(clock, origin=t0)
-    depth = config.depth
     accountant = LatencyAccountant()
     registry = telemetry.metrics()
     x_host = fgraph.features.data
     feat_row_bytes = 4.0 * graph.node_scale * graph.num_features
-    compute_lane = "serve.gpu" if on_gpu else "serve.cpu"
-    stage_seconds = {"fetch": 0.0, "h2d": 0.0, "compute": 0.0, "d2h": 0.0}
-    terminal = []
+    # What an exhausted fault seam degrades a batch to.
+    fallback = config.degraded_mode if cache is not None else "shed"
+
+    def fetch(index, batch) -> _InFlight:
+        """Block stack + feature-store read for miss rows."""
+        item = _InFlight(batch_blocks(graph, batch.nodes, len(layers), target))
+        rows0 = item.blocks[0].src_nodes
+        hits = 0
+        if cache is not None:
+            item.mask = cache.record(rows0)
+            hits = int(item.mask.sum())
+            if registry is not None:
+                hist = registry.histogram(
+                    "serve.request_hit_rate", buckets=HIT_RATE_BUCKETS,
+                    framework=config.framework)
+                for request in batch.requests:
+                    hist.observe(float(cache.hit_mask(request.nodes).mean()))
+        item.miss_bytes = feat_row_bytes * int(rows0.size - hits)
+        item.hit_bytes = feat_row_bytes * hits
+        if item.miss_bytes > 0:
+            try:
+                machine.read_storage(item.miss_bytes, tag="serve-feature-read")
+            except ResilienceError:
+                item.degraded = fallback
+        return item
+
+    def h2d(index, item: _InFlight):
+        """Miss rows over PCIe, hit rows gathered on the GPU."""
+        if on_gpu and item.degraded is None and item.miss_bytes > 0:
+            try:
+                machine.pcie.h2d(item.miss_bytes, tag="serve-features")
+            except ResilienceError:
+                item.degraded = fallback
+        if item.degraded == "shed":
+            return EndItem("shed")
+        if on_gpu and item.hit_bytes > 0:
+            machine.gpu.execute(KernelCost(
+                name="feature-cache.gather", bytes_moved=2.0 * item.hit_bytes,
+                compute_eff=0.6, memory_eff=0.6))
+        return item
+
+    def compute(index, item: _InFlight) -> _InFlight:
+        """Exact layerwise inference over the block stack."""
+        with fw.activate():
+            x = x_host[item.blocks[0].src_nodes]
+            if item.degraded == "stale":
+                # Stale-cache answer: only cached rows carry real
+                # features; the failed miss rows are zero-filled.
+                x = x.copy()
+                x[~item.mask] = 0.0
+            out = Tensor(x, device=target, work_scale=graph.node_scale)
+            for i, layer in enumerate(layers):
+                out = layer(item.blocks[i], out)
+                if i < len(layers) - 1:
+                    out = F.relu(out)
+        item.out = out
+        return item
+
+    def d2h(index, item: _InFlight) -> str:
+        """Logits back to the host for the response path."""
+        if on_gpu:
+            machine.pcie.d2h(item.out.logical_nbytes, tag="serve-logits")
+        return "stale" if item.degraded == "stale" else "completed"
+
+    stages = [
+        Stage("fetch", "sampling", fn=fetch, lanes=("serve.fetch",)),
+        Stage("h2d", "data_movement", fn=h2d, lanes=("serve.h2d",)),
+        Stage("compute", "training", fn=compute,
+              lanes=("serve.gpu" if on_gpu else "serve.cpu",)),
+        Stage("d2h", "data_movement", fn=d2h, lanes=("serve.d2h",)),
+    ]
+    with no_grad():
+        report = run_epoch(machine, stages, batches, config.depth,
+                           label=config.label,
+                           release=lambda batch: batch.formed_at)
+
     shed = stale = 0
-    batch_sizes: List[int] = []
     batch_closes: Dict[str, int] = {}
     max_batch_wait = 0.0
     budget_violations = 0
-
-    with no_grad():
-        for batch in batches:
-            batch_sizes.append(batch.size)
-            batch_closes[batch.closed_by] = \
-                batch_closes.get(batch.closed_by, 0) + 1
-            wait = batch.max_wait()
-            max_batch_wait = max(max_batch_wait, wait)
-            if wait > config.budget_s + 1e-12:
-                budget_violations += 1
-            degraded = None
-
-            # -- fetch: block stack + feature-store read for miss rows.
-            with clock.deferred() as rec_fetch:
-                blocks = batch_blocks(graph, batch.nodes, len(layers), target)
-                rows0 = blocks[0].src_nodes
-                if cache is not None:
-                    mask = cache.record(rows0)
-                    hits = int(mask.sum())
-                    if registry is not None:
-                        hist = registry.histogram(
-                            "serve.request_hit_rate",
-                            buckets=HIT_RATE_BUCKETS,
-                            framework=config.framework)
-                        for request in batch.requests:
-                            req_mask = cache.hit_mask(request.nodes)
-                            hist.observe(float(req_mask.mean()))
-                else:
-                    mask, hits = None, 0
-                misses = int(rows0.size - hits)
-                miss_bytes = feat_row_bytes * misses
-                hit_bytes = feat_row_bytes * hits
-                if miss_bytes > 0:
-                    try:
-                        machine.read_storage(miss_bytes,
-                                             tag="serve-feature-read")
-                    except ResilienceError:
-                        degraded = (config.degraded_mode if cache is not None
-                                    else "shed")
-
-            # -- h2d: miss rows over PCIe, hit rows gathered on the GPU.
-            with clock.deferred() as rec_h2d:
-                if on_gpu and degraded is None and miss_bytes > 0:
-                    try:
-                        machine.pcie.h2d(miss_bytes, tag="serve-features")
-                    except ResilienceError:
-                        degraded = (config.degraded_mode if cache is not None
-                                    else "shed")
-                if on_gpu and hit_bytes > 0 and degraded != "shed":
-                    machine.gpu.execute(KernelCost(
-                        name="feature-cache.gather",
-                        bytes_moved=2.0 * hit_bytes,
-                        compute_eff=0.6, memory_eff=0.6))
-
-            gate = (terminal[len(terminal) - depth].end
-                    if len(terminal) >= depth else t0)
-            fetch_job = sched.submit(
-                "serve.fetch", rec_fetch,
-                not_before=max(batch.formed_at, gate),
-                tag=f"serve:fetch:{batch.batch_id}")
-            h2d_job = sched.submit("serve.h2d", rec_h2d, deps=(fetch_job,),
-                                   tag=f"serve:h2d:{batch.batch_id}")
-            stage_seconds["fetch"] += rec_fetch.total
-            stage_seconds["h2d"] += rec_h2d.total
-
-            if degraded == "shed":
-                terminal.append(h2d_job)
-                shed += batch.size
-                _record_batch(registry, config, batch, "shed", h2d_job)
-                continue
-
-            # -- compute: exact layerwise inference over the block stack.
-            with clock.deferred() as rec_compute:
-                with fw.activate():
-                    x = x_host[rows0]
-                    if degraded == "stale":
-                        # Stale-cache answer: only cached rows carry real
-                        # features; the failed miss rows are zero-filled.
-                        x = x.copy()
-                        x[~mask] = 0.0
-                    out = Tensor(x, device=target,
-                                 work_scale=graph.node_scale)
-                    for i, layer in enumerate(layers):
-                        out = layer(blocks[i], out)
-                        if i < len(layers) - 1:
-                            out = F.relu(out)
-
-            # -- d2h: logits back to the host for the response path.
-            with clock.deferred() as rec_d2h:
-                if on_gpu:
-                    machine.pcie.d2h(out.logical_nbytes, tag="serve-logits")
-
-            compute_job = sched.submit(compute_lane, rec_compute,
-                                       deps=(h2d_job,),
-                                       tag=f"serve:compute:{batch.batch_id}")
-            d2h_job = sched.submit("serve.d2h", rec_d2h, deps=(compute_job,),
-                                   tag=f"serve:d2h:{batch.batch_id}")
-            stage_seconds["compute"] += rec_compute.total
-            stage_seconds["d2h"] += rec_d2h.total
-            terminal.append(d2h_job)
-            if degraded == "stale":
+    for batch, outcome, last in zip(batches, report.outputs, report.terminal):
+        batch_closes[batch.closed_by] = batch_closes.get(batch.closed_by, 0) + 1
+        wait = batch.max_wait()
+        max_batch_wait = max(max_batch_wait, wait)
+        if wait > config.budget_s + 1e-12:
+            budget_violations += 1
+        latencies = None
+        if outcome == "shed":
+            shed += batch.size
+        else:
+            if outcome == "stale":
                 stale += batch.size
             for request in batch.requests:
-                accountant.complete(request, d2h_job.end)
-            _record_batch(registry, config, batch,
-                          "stale" if degraded == "stale" else "completed",
-                          d2h_job, accountant.latencies[-batch.size:])
+                accountant.complete(request, last.end)
+            latencies = accountant.latencies[-batch.size:]
+        _record_batch(registry, config, batch, outcome, last, latencies)
 
-    sched.drain()
-    makespan = sched.finish - t0
+    # Serving reports stage-second sums, not the exclusive timeline split.
+    seconds = report.stage_seconds
     phases = {
-        "sampling": stage_seconds["fetch"],
-        "data_movement": stage_seconds["h2d"] + stage_seconds["d2h"],
-        "training": stage_seconds["compute"],
+        "sampling": seconds.get("fetch", 0.0),
+        "data_movement": seconds.get("h2d", 0.0) + seconds.get("d2h", 0.0),
+        "training": seconds.get("compute", 0.0),
     }
     if cache is not None and registry is not None:
         registry.gauge("serve.cache_hit_rate",
@@ -388,13 +379,13 @@ def _serve_trace(config: ServeConfig, fw, fgraph, build_model,
         completed=accountant.count,
         shed=shed,
         stale=stale,
-        batch_sizes=batch_sizes,
+        batch_sizes=[batch.size for batch in batches],
         batch_closes=batch_closes,
         max_batch_wait=max_batch_wait,
         budget_violations=budget_violations,
         cache_hits=cache.hits if cache is not None else 0,
         cache_misses=cache.misses if cache is not None else 0,
-        makespan=makespan,
+        makespan=report.elapsed,
         phases=phases,
     )
 

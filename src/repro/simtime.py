@@ -103,18 +103,25 @@ class VirtualClock:
             rec.total += dt
             rec.busy[device] = rec.busy.get(device, 0.0) + dt
             return
-        start = self._now
         # Record the interval before advancing so clock listeners (power
         # sampling) see the kernel that is causing this advance.
         if dt > 0:
-            self._busy.append(BusyInterval(device, start, start + dt, tag))
-            starts = self._starts.setdefault(device, [])
-            ends = self._ends.setdefault(device, [])
-            cum = self._cumdur.setdefault(device, [0.0])
-            starts.append(start)
-            ends.append(start + dt)
-            cum.append(cum[-1] + dt)
+            self._record(device, self._now, self._now + dt, dt, tag)
         self.advance(dt)
+
+    def _record(self, key: str, start: float, end: float, seconds: float,
+                tag: str) -> None:
+        """Append one busy interval to ``key``'s trace and sorted indexes.
+
+        ``seconds`` is passed rather than derived: ``(start + dt) - start``
+        is not ``dt`` in floating point, and busy sums feed the energy
+        integral.
+        """
+        self._busy.append(BusyInterval(key, start, end, tag))
+        self._starts.setdefault(key, []).append(start)
+        self._ends.setdefault(key, []).append(end)
+        cum = self._cumdur.setdefault(key, [0.0])
+        cum.append(cum[-1] + seconds)
 
     @contextmanager
     def deferred(self) -> Iterator["DeferredRecord"]:
@@ -138,51 +145,45 @@ class VirtualClock:
             self._defer_depth -= 1
             self._defer_record = None
 
-    def occupy_parallel(self, durations: Dict[str, float], tag: str = "parallel",
-                        backfill: bool = False) -> None:
+    def occupy_parallel(self, durations: Dict[str, float],
+                        tag: str = "parallel") -> None:
         """Mark several devices busy over the same window.
 
-        With ``backfill=False`` the clock advances by the longest duration
-        and every device is busy from the old ``now`` — a synchronous
-        parallel region (e.g. a ring all-reduce).  With ``backfill=True``
-        nothing advances: intervals are recorded ending at the current
-        ``now``, crediting devices that worked concurrently with an
-        already-executed serial segment (the data-parallel trainer charges
-        replica GPUs this way).  Backfill requires each device to have
-        been idle over its window; overlapping an existing interval raises.
+        A synchronous parallel region (e.g. a ring all-reduce): every
+        device is busy from ``now`` and the clock advances by the longest
+        duration.  Inside a :meth:`deferred` block the same cost goes to
+        the open record instead — per-device busy seconds plus the longest
+        duration on ``total`` — and ``now`` stays put.
         """
         durations = {d: dt for d, dt in durations.items() if dt > 0}
-        for device, dt in durations.items():
-            if dt < 0:
-                raise ValueError("negative duration")
         if not durations:
             return
-        if not backfill:
-            start = self._now
-            longest = max(durations.values())
-            for device, dt in durations.items():
-                self._busy.append(BusyInterval(device, start, start + dt, tag))
-                starts = self._starts.setdefault(device, [])
-                ends = self._ends.setdefault(device, [])
-                cum = self._cumdur.setdefault(device, [0.0])
-                starts.append(start)
-                ends.append(start + dt)
-                cum.append(cum[-1] + dt)
-            self.advance(longest)
+        longest = max(durations.values())
+        if self._defer_depth > 0:
+            self._defer_record.total += longest
+            self.credit_busy(durations)
             return
         for device, dt in durations.items():
-            start = self._now - dt
-            ends = self._ends.setdefault(device, [])
-            if ends and ends[-1] > start + 1e-12:
-                raise ValueError(
-                    f"backfill window for {device!r} overlaps existing busy time"
-                )
-            self._busy.append(BusyInterval(device, start, self._now, tag))
-            starts = self._starts.setdefault(device, [])
-            cum = self._cumdur.setdefault(device, [0.0])
-            starts.append(start)
-            ends.append(self._now)
-            cum.append(cum[-1] + dt)
+            self._record(device, self._now, self._now + dt, dt, tag)
+        self.advance(longest)
+
+    def credit_busy(self, durations: Dict[str, float]) -> None:
+        """Credit devices that worked *concurrently* with the open
+        :meth:`deferred` block: busy seconds on the record, no time on its
+        ``total`` (the data-parallel trainer's replicas mirror rank 0).
+        There is no live-timeline form — a clock never writes busy
+        intervals into its past."""
+        if self._defer_depth == 0:
+            raise RuntimeError("credit_busy() needs an open deferred() block")
+        busy = self._defer_record.busy
+        for device, dt in durations.items():
+            busy[device] = busy.get(device, 0.0) + dt
+
+    @property
+    def deferred_seconds(self) -> float:
+        """Seconds measured so far by the open :meth:`deferred` block (0.0
+        outside one) — ``now`` does not move inside it."""
+        return self._defer_record.total if self._defer_depth > 0 else 0.0
 
     def commit_interval(self, device: str, start: float, end: float,
                         tag: str = "", lane: str = "") -> None:
@@ -202,9 +203,7 @@ class VirtualClock:
         if end - start <= 0:
             return
         key = f"{device}@{lane}" if lane else device
-        starts = self._starts.setdefault(key, [])
-        ends = self._ends.setdefault(key, [])
-        cum = self._cumdur.setdefault(key, [0.0])
+        ends = self._ends.get(key)
         if ends and start < ends[-1] - _EPS:
             raise ValueError(
                 f"interval [{start}, {end}) overlaps existing busy time on "
@@ -213,10 +212,7 @@ class VirtualClock:
         start = max(start, ends[-1]) if ends else start
         if end <= start:
             return
-        self._busy.append(BusyInterval(key, start, end, tag))
-        starts.append(start)
-        ends.append(end)
-        cum.append(cum[-1] + (end - start))
+        self._record(key, start, end, end - start, tag)
         if lane:
             self._union_merge(device, start, end)
 
@@ -258,14 +254,6 @@ class VirtualClock:
         if device is None:
             return list(self._busy)
         return [iv for iv in self._busy if iv.device == device]
-
-    def reset(self) -> None:
-        """Reset time to zero and forget busy history (listeners survive)."""
-        self._now = 0.0
-        self._busy.clear()
-        self._starts.clear()
-        self._ends.clear()
-        self._cumdur.clear()
 
 
 @dataclass
@@ -379,35 +367,3 @@ class LaneScheduler:
         if elapsed > 0:
             self.clock.advance(elapsed)
         return max(0.0, elapsed)
-
-
-@dataclass
-class Stopwatch:
-    """Measures elapsed *virtual* time between start/stop marks."""
-
-    clock: VirtualClock
-    _start: Optional[float] = field(default=None, init=False)
-    elapsed: float = field(default=0.0, init=False)
-
-    def start(self) -> "Stopwatch":
-        self._start = self.clock.now
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("Stopwatch.stop() called before start()")
-        self.elapsed += self.clock.now - self._start
-        self._start = None
-        return self.elapsed
-
-    def reset(self) -> None:
-        self._start = None
-        self.elapsed = 0.0
-
-    @contextmanager
-    def timing(self) -> Iterator["Stopwatch"]:
-        self.start()
-        try:
-            yield self
-        finally:
-            self.stop()

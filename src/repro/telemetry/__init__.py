@@ -25,11 +25,13 @@ from repro.telemetry.runtime import (
     push_session,
     session,
     tracer,
+    tracer_for,
 )
-from repro.telemetry.spans import PHASE_CATEGORY, Span, SpanTracer
+from repro.telemetry.spans import PHASE_CATEGORY, PHASES, Span, SpanTracer
 
 __all__ = [
     "PHASE_CATEGORY",
+    "PHASES",
     "Span",
     "SpanTracer",
     "Counter",
@@ -44,4 +46,5 @@ __all__ = [
     "push_session",
     "session",
     "tracer",
+    "tracer_for",
 ]

@@ -23,7 +23,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.profiling.profiler import PHASES
+from repro.telemetry.spans import PHASES
 from repro.telemetry.runtime import TelemetrySession
 
 RUN_SCHEMA = "repro.telemetry.run/1"

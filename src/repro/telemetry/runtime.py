@@ -44,6 +44,19 @@ def tracer() -> Optional[SpanTracer]:
     return _STACK[-1].tracer if _STACK else None
 
 
+def tracer_for(clock: VirtualClock) -> SpanTracer:
+    """The ambient tracer when it runs on ``clock``, else a private one.
+
+    Drivers that account phases call this once: under a session on the
+    same clock their phase spans land in its exported artifacts;
+    otherwise the rollup stays private to the run.
+    """
+    ambient = tracer()
+    if ambient is not None and ambient.clock is clock:
+        return ambient
+    return SpanTracer(clock)
+
+
 def metrics() -> Optional[MetricsRegistry]:
     return _STACK[-1].metrics if _STACK else None
 

@@ -4,16 +4,15 @@ A *span* is a named, nested interval of work: it records when it started
 and ended on the simulated :class:`~repro.simtime.VirtualClock` (the
 timebase every figure reports) **and** on the host wall clock (the
 timebase the overhead ablation budgets), plus structured attributes and
-parent/child identity.  The tracer replaces the flat, non-reentrant
-phases of the old ``PhaseProfiler``: spans nest freely, and the paper's
-four-phase rollup is derived as a *view* over the span tree
+parent/child identity.  Spans nest freely, and the paper's four-phase
+rollup is derived as a *view* over the span tree
 (:meth:`SpanTracer.phase_rollup`) instead of being the storage format.
 
 Spans tagged with ``category="phase"`` participate in the rollup with
 **exclusive** time semantics: a phase span's contribution is its own
 duration minus the duration of any phase spans nested inside it, so
-nesting never double-counts and a run without nested phases reproduces
-the legacy profiler's numbers exactly.
+nesting never double-counts and a run without nested phases sums plain
+clock deltas.
 """
 
 from __future__ import annotations
@@ -27,6 +26,8 @@ from repro.simtime import VirtualClock
 
 #: Category marking spans that contribute to the four-phase rollup.
 PHASE_CATEGORY = "phase"
+#: The paper's runtime breakdown (Figures 6, 10, 14, 19, 21).
+PHASES = ("data_loading", "sampling", "data_movement", "training")
 
 
 @dataclass

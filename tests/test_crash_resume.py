@@ -15,7 +15,6 @@ from repro.hardware.machine import paper_testbed
 from repro.models.checkpoint import CheckpointError, save_checkpoint
 from repro.models.graphsage import build_graphsage, graphsage_sampler
 from repro.models.trainer import MiniBatchTrainer, TrainConfig
-from repro.profiling.profiler import PhaseProfiler
 
 EPOCHS = 3
 KILL_AFTER = 2
@@ -30,9 +29,7 @@ def _fresh_trainer(framework, placement="cpu", **config_kwargs):
     net = build_graphsage(fw, fgraph, hidden=16, seed=0)
     config = TrainConfig(epochs=EPOCHS, placement=placement,
                          representative_batches=2, seed=0, **config_kwargs)
-    profiler = PhaseProfiler(machine.clock)
-    trainer = MiniBatchTrainer(fw, fgraph, sampler, net, config,
-                               profiler=profiler)
+    trainer = MiniBatchTrainer(fw, fgraph, sampler, net, config)
     return trainer, net
 
 

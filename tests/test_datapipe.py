@@ -11,7 +11,7 @@ one batch in flight.
 import numpy as np
 import pytest
 
-from repro.datapipe import PipelineConfig, parse_pipeline, run_epoch
+from repro.datapipe import EndItem, PipelineConfig, parse_pipeline, run_epoch
 from repro.datapipe.pipeline import Stage
 from repro.datapipe.staging import StagingPool
 from repro.errors import BenchmarkError, OutOfMemoryError, RecoveryExhausted
@@ -21,7 +21,6 @@ from repro.models.graphsage import build_graphsage
 from repro.models import inference as inference_module
 from repro.models import trainer as trainer_module
 from repro.models.trainer import MiniBatchTrainer, TrainConfig
-from repro.profiling.profiler import PhaseProfiler
 from repro.resilience import runtime as resilience
 from repro.resilience.plan import FaultPlan, FaultSpec, RecoveryPolicy
 
@@ -37,9 +36,7 @@ def make_trainer(pipeline="off", placement="cpugpu", scale=0.3, reps=4,
     config = TrainConfig(epochs=epochs, placement=placement,
                          representative_batches=reps, seed=seed,
                          pipeline=pipeline, num_workers=num_workers)
-    profiler = PhaseProfiler(machine.clock)
-    trainer = MiniBatchTrainer(fw, fgraph, sampler, net, config,
-                               profiler=profiler)
+    trainer = MiniBatchTrainer(fw, fgraph, sampler, net, config)
     return trainer, machine, net
 
 
@@ -287,6 +284,40 @@ class TestRunEpoch:
         assert report.phases["training"] > 0
         assert report.phases["sampling"] > 0
         assert sum(report.phases.values()) == pytest.approx(report.elapsed)
+
+    def test_release_time_holds_back_the_first_stage(self):
+        """An item starts at max(release, bounded-queue gate) — serving's
+        micro-batches are released at their close time."""
+        machine = paper_testbed()
+        t0 = machine.clock.now
+        releases = [t0, t0 + 0.5, t0 + 0.51, t0 + 0.52]
+        report = run_epoch(machine, _two_stage(machine), releases, depth=1,
+                           release=lambda item: item)
+        firsts = [j for j in report.jobs if j.tag == "datapipe:sample"]
+        assert firsts[0].start == t0
+        assert firsts[1].start == releases[1]  # idle pipe: release decides
+        # Items 2 and 3 were released while item 1 was in flight: at
+        # depth 1 they queue behind the previous item's last job.
+        assert firsts[2].start == report.terminal[1].end > releases[2]
+        assert firsts[3].start == report.terminal[2].end > releases[3]
+        assert firsts[2].wait == 0.0  # gated, not queued behind its lane
+
+    def test_end_item_skips_the_remaining_stages(self):
+        machine = paper_testbed()
+        stages = _two_stage(machine)
+        sample = stages[0].fn
+        stages[0].fn = lambda i, x: (EndItem("dropped") if i == 1
+                                     else sample(i, x))
+        report = run_epoch(machine, stages, range(3), depth=2)
+        assert report.outputs == [0, "dropped", 20]
+        assert [job.tag for job in report.terminal] == \
+            ["datapipe:train", "datapipe:sample", "datapipe:train"]
+        assert len(report.jobs) == 5
+        # Clean per-stage sums count what actually ran.
+        assert report.stage_seconds == {
+            "sample": pytest.approx(2 * 0.02), "train": pytest.approx(2 * 0.01)}
+        # The bounded queue gates on the early exit like on any last job.
+        assert report.jobs[-2].start >= report.terminal[0].end
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.models.trainer import MiniBatchTrainer, TrainConfig
 from repro.power.carbon import carbon_from_energy
 from repro.power.monitor import EnergyMonitor
 from repro.profiling.kernel_report import group_by_family, kernel_breakdown
-from repro.profiling.profiler import PhaseProfiler
+from repro.telemetry.spans import PHASE_CATEGORY, SpanTracer
 from repro.profiling.trace import summarize_trace, write_trace
 
 
@@ -34,10 +34,10 @@ class TestAccountingConsistency:
         """Phase seconds must equal elapsed virtual time (nothing leaks)."""
         machine = paper_testbed()
         monitor = EnergyMonitor(machine, interval=0.1)
-        profiler = PhaseProfiler(machine.clock)
+        tracer = SpanTracer(machine.clock)
         fw = get_framework("dglite")
         monitor.start()
-        with profiler.phase("data_loading"):
+        with tracer.span("data_loading", PHASE_CATEGORY):
             fgraph = fw.load("ppi", machine, scale=0.3)
         if model == "graphsage":
             sampler = fw.neighbor_sampler(fgraph, fanouts=(4, 4),
@@ -57,10 +57,10 @@ class TestAccountingConsistency:
                                 fgraph.stats.num_classes, style="subgraph", seed=0)
         config = TrainConfig(epochs=2, representative_batches=2)
         result = MiniBatchTrainer(fw, fgraph, sampler, net, config,
-                                  profiler=profiler).run()
+                                  tracer=tracer).run()
         report = monitor.stop()
 
-        total_phases = sum(profiler.snapshot().values())
+        total_phases = sum(tracer.phase_rollup().values())
         assert total_phases == pytest.approx(machine.clock.now, rel=0.02)
         assert report.duration == pytest.approx(machine.clock.now, rel=1e-6)
         assert result.total_time == pytest.approx(total_phases, rel=1e-6)
@@ -153,19 +153,17 @@ class TestFullPipeline:
                                        representative_batches=2, seed=0,
                                        dataset_scale=0.3)
         machine = paper_testbed()
-        profiler = PhaseProfiler(machine.clock)
+        tracer = SpanTracer(machine.clock)
         fw = get_framework("dglite")
-        with profiler.phase("data_loading"):
+        with tracer.span("data_loading", PHASE_CATEGORY):
             fgraph = fw.load("ppi", machine, scale=0.3)
         sampler = graphsage_sampler(fw, fgraph, mode="cpu", seed=0)
         net = build_graphsage(fw, fgraph, seed=0)
         manual = MiniBatchTrainer(
             fw, fgraph, sampler, net,
             TrainConfig(epochs=2, representative_batches=2, seed=0),
-            profiler=profiler,
+            tracer=tracer,
         ).run()
-        assert manual.total_time + profiler.seconds("data_loading") * 0 == \
-            pytest.approx(manual.total_time)
         assert sum(manual.phases.values()) == pytest.approx(
             auto.total_time, rel=1e-6)
         assert manual.losses == pytest.approx(auto.losses, rel=1e-6)

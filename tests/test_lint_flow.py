@@ -622,7 +622,7 @@ def test_lane_flow_tp_named_fn_direct_escape(tmp_path):
     findings = deep_findings(tmp_path, {"repro/train/t.py": LANE_PREAMBLE + """
         def rogue_stage(index, payload):
             clock = payload.clock
-            clock.occupy_parallel({"cpu": 1.0}, backfill=True)
+            clock.commit_interval("cpu", 0.0, 1.0)
             return payload
 
         def build(clock):
@@ -631,13 +631,13 @@ def test_lane_flow_tp_named_fn_direct_escape(tmp_path):
     """}, select=["LANE-FLOW"])
     assert len(findings) == 1
     assert "rogue_stage" in findings[0].message
-    assert "occupy_parallel" in findings[0].message
+    assert "commit_interval" in findings[0].message
 
 
 def test_lane_flow_tp_transitive_callee(tmp_path):
     findings = deep_findings(tmp_path, {"repro/train/t.py": LANE_PREAMBLE + """
         def charge_directly(clock):
-            clock.occupy_parallel({"cpu": 1.0})
+            clock.commit_interval("cpu", 0.0, 1.0)
 
         def sneaky_stage(index, payload):
             charge_directly(payload.clock)
@@ -649,7 +649,7 @@ def test_lane_flow_tp_transitive_callee(tmp_path):
     """}, select=["LANE-FLOW"])
     assert len(findings) == 1
     assert "sneaky_stage" in findings[0].message
-    assert "occupy_parallel" in findings[0].message
+    assert "commit_interval" in findings[0].message
 
 
 def test_lane_flow_tp_lambda_commit_interval(tmp_path):
@@ -669,6 +669,7 @@ def test_lane_flow_tn_deferred_capturable_work(tmp_path):
         def honest_stage(index, payload):
             payload.clock.occupy("cpu", 0.5, tag="sample")
             payload.clock.advance(0.1)
+            payload.clock.occupy_parallel({"gpu0": 1.0, "gpu1": 1.0})
             return payload
 
         def build(clock):
@@ -681,14 +682,14 @@ def test_lane_flow_tn_deferred_capturable_work(tmp_path):
 
 
 def test_lane_flow_tn_escape_outside_stage_fn(tmp_path):
-    # occupy_parallel is fine outside the datapipe: only Stage fns run
+    # commit_interval is fine outside the datapipe: only Stage fns run
     # under the scheduler's deferred capture.
     findings = deep_findings(tmp_path, {"repro/train/t.py": LANE_PREAMBLE + """
-        def allreduce(clock):
-            clock.occupy_parallel({"gpu0": 1.0, "gpu1": 1.0})
+        def materialize(clock):
+            clock.commit_interval("gpu0", 0.0, 1.0)
 
         def build(clock):
-            allreduce(clock)
+            materialize(clock)
             return [Stage("train", "training", fn=quiet_stage,
                           lanes=("train",))]
     """}, select=["LANE-FLOW"])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.metrics.gpsup import GpsUp, gps_up
-from repro.profiling.profiler import PhaseProfiler
+from repro.telemetry.spans import PHASE_CATEGORY, SpanTracer
 from repro.profiling.report import BreakdownReport, format_breakdown_table
 from repro.simtime import VirtualClock
 
@@ -42,76 +42,73 @@ class TestGpsUp:
 
 
 class TestPhaseProfiler:
+    """Phase accounting on :class:`SpanTracer` (the ``PhaseProfiler`` shim
+    these cases were written against is gone; its callers hold a tracer)."""
+
+    @staticmethod
+    def _phase(tracer, name):
+        return tracer.span(name, PHASE_CATEGORY)
+
     def test_measures_clock_deltas(self):
         clock = VirtualClock()
-        prof = PhaseProfiler(clock)
-        with prof.phase("sampling"):
+        tracer = SpanTracer(clock)
+        with self._phase(tracer, "sampling"):
             clock.advance(2.0)
-        with prof.phase("training"):
+        with self._phase(tracer, "training"):
             clock.advance(3.0)
-        assert prof.seconds("sampling") == pytest.approx(2.0)
-        assert prof.total == pytest.approx(5.0)
+        rollup = tracer.phase_rollup()
+        assert rollup["sampling"] == pytest.approx(2.0)
+        assert sum(rollup.values()) == pytest.approx(5.0)
 
     def test_phases_accumulate(self):
         clock = VirtualClock()
-        prof = PhaseProfiler(clock)
+        tracer = SpanTracer(clock)
         for _ in range(3):
-            with prof.phase("training"):
+            with self._phase(tracer, "training"):
                 clock.advance(1.0)
-        assert prof.seconds("training") == pytest.approx(3.0)
+        assert tracer.phase_rollup()["training"] == pytest.approx(3.0)
 
     def test_nested_phases_attribute_exclusively(self):
-        # Nesting is allowed since the span-tracer refactor; the inner
-        # phase's time is excluded from the outer phase so the rollup
-        # never double-counts.
+        # The inner phase's time is excluded from the outer phase so the
+        # rollup never double-counts.
         clock = VirtualClock()
-        prof = PhaseProfiler(clock)
-        with prof.phase("a"):
+        tracer = SpanTracer(clock)
+        with self._phase(tracer, "a"):
             clock.advance(2.0)
-            with prof.phase("b"):
+            with self._phase(tracer, "b"):
                 clock.advance(1.0)
             clock.advance(0.5)
-        assert prof.seconds("a") == pytest.approx(2.5)
-        assert prof.seconds("b") == pytest.approx(1.0)
-        assert prof.total == pytest.approx(3.5)
+        rollup = tracer.phase_rollup()
+        assert rollup["a"] == pytest.approx(2.5)
+        assert rollup["b"] == pytest.approx(1.0)
+        assert sum(rollup.values()) == pytest.approx(3.5)
 
     def test_phase_exception_does_not_wedge_profiler(self):
-        # Regression: a raise inside ``with phase():`` must close the
-        # span (exception-safe shim) and still record the elapsed time.
+        # Regression: a raise inside a phase span must close it and
+        # still record the elapsed time.
         clock = VirtualClock()
-        prof = PhaseProfiler(clock)
+        tracer = SpanTracer(clock)
         with pytest.raises(ValueError):
-            with prof.phase("sampling"):
+            with self._phase(tracer, "sampling"):
                 clock.advance(1.0)
                 raise ValueError("boom")
-        assert prof.tracer.current() is None
-        assert prof.seconds("sampling") == pytest.approx(1.0)
-        # The profiler is reusable afterwards.
-        with prof.phase("training"):
+        assert tracer.current() is None
+        assert tracer.phase_rollup()["sampling"] == pytest.approx(1.0)
+        # The tracer is reusable afterwards.
+        with self._phase(tracer, "training"):
             clock.advance(2.0)
-        assert prof.seconds("training") == pytest.approx(2.0)
+        assert tracer.phase_rollup()["training"] == pytest.approx(2.0)
 
     def test_add_credits_without_clock(self):
         clock = VirtualClock()
-        prof = PhaseProfiler(clock)
-        prof.add("training", 5.0)
-        assert prof.seconds("training") == 5.0
+        tracer = SpanTracer(clock)
+        tracer.credit("training", 5.0)
+        assert tracer.phase_rollup()["training"] == 5.0
         assert clock.now == 0.0
 
     def test_negative_credit_rejected(self):
         with pytest.raises(ValueError):
-            PhaseProfiler(VirtualClock()).add("x", -1.0)
-
-    def test_fractions_sum_to_one(self):
-        clock = VirtualClock()
-        prof = PhaseProfiler(clock)
-        with prof.phase("a"):
-            clock.advance(1.0)
-        with prof.phase("b"):
-            clock.advance(3.0)
-        fractions = prof.fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        assert fractions["b"] == pytest.approx(0.75)
+            SpanTracer(VirtualClock()).credit("x", -1.0)
 
 
 class TestBreakdownReport:

@@ -36,7 +36,7 @@ from repro.profiling.kernel_report import (
     format_metric_kernel_table,
     kernel_rows_from_metrics,
 )
-from repro.profiling.profiler import PhaseProfiler
+from repro.profiling.report import BreakdownReport
 from repro.simtime import VirtualClock
 
 
@@ -136,9 +136,8 @@ class TestRooflineGuards:
         assert pct_of_peak(50.0, 100.0) == pytest.approx(0.5)
 
     def test_fractions_zero_total_returns_zeros(self):
-        profiler = PhaseProfiler(VirtualClock())
-        fractions = profiler.fractions()
-        assert all(v == 0.0 for v in fractions.values())
+        report = BreakdownReport("empty", {"sampling": 0.0, "training": 0.0})
+        assert report.fraction("sampling") == report.fraction("missing") == 0.0
 
     def test_roofline_without_hardware_section_never_raises(self):
         manifest = {

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import run_training_experiment
-from repro.distributed import DataParallelTrainer, multi_gpu_testbed
+from repro.distributed import (DataParallelTrainer, multi_gpu_testbed,
+                               ring_allreduce_time)
 from repro.errors import FaultPlanError, InjectedFault, RecoveryExhausted
 from repro.frameworks import get_framework
 from repro.hardware.machine import paper_testbed
 from repro.models.graphsage import build_graphsage, graphsage_sampler
 from repro.models.trainer import MiniBatchTrainer, TrainConfig
-from repro.profiling.profiler import PhaseProfiler
 from repro.resilience import (
     DEFAULT_POLICY,
     FaultInjector,
@@ -365,9 +365,7 @@ def _minibatch_trainer(machine, num_workers=0, epochs=1, framework="dglite",
     config = TrainConfig(epochs=epochs, placement="cpugpu",
                          num_workers=num_workers, representative_batches=2,
                          seed=0, **config_kwargs)
-    profiler = PhaseProfiler(machine.clock)
-    return MiniBatchTrainer(fw, fgraph, sampler, net, config,
-                            profiler=profiler)
+    return MiniBatchTrainer(fw, fgraph, sampler, net, config)
 
 
 class TestWorkerSeam:
@@ -490,19 +488,35 @@ class TestReplicaSeam:
         assert summary["sites"]["replica"]["injected"] == 1
 
     def test_dead_replica_is_excluded_and_resharded(self):
+        clean_machine, clean = _dp_trainer(k=4)
+        clean.run()
         machine, trainer = _dp_trainer(k=4)
         plan = _plan(FaultSpec(site="replica", kind="dead", at=1, rank=2))
-        with resilience.session(plan) as injector:
+        with telemetry_session(machine.clock) as tsession, \
+                resilience.session(plan) as injector:
             result = trainer.run()
         summary = injector.summary()
         assert summary["injected"] == 1
         assert summary["recovered"] == 1
         assert trainer._active_ranks == [0, 1, 3]
         assert result.losses
-        # The re-executed shard shows up on GPU 0's ledger.
-        gpu0 = machine.gpus[0].name
-        tags = {iv.tag for iv in machine.clock.busy_intervals(gpu0)}
-        assert "dp-reshard" in tags
+        assert [span.attrs["rank"] for span in tsession.tracer.spans()
+                if span.name == "recover.exclude"] == [2]
+
+        # The re-executed shard is one more compute window on GPU 0's
+        # train job in the faulted step (the first), less what the smaller
+        # surviving ring saves.  A replica's job is compute + all-reduce.
+        def step0(m, rank):
+            key = f"{m.gpus[rank].name}@dp.train"
+            return m.clock.busy_intervals(key)[0].duration
+
+        nbytes = trainer._grad_nbytes()
+        ring4 = ring_allreduce_time(machine, nbytes)
+        ring3 = ring_allreduce_time(machine, nbytes, num_gpus=3)
+        compute = step0(clean_machine, 1) - ring4
+        assert compute > 0
+        assert step0(machine, 0) - step0(clean_machine, 0) == pytest.approx(
+            compute - (ring4 - ring3), rel=1e-9)
 
     def test_rank_zero_cannot_die(self):
         with pytest.raises(FaultPlanError):
@@ -553,9 +567,7 @@ def _run_all_seams(out_dir):
         net = build_graphsage(fw, fgraph, hidden=16, seed=0)
         config = TrainConfig(epochs=1, placement="cpugpu", num_workers=2,
                              representative_batches=2, seed=0)
-        profiler = PhaseProfiler(machine.clock)
-        MiniBatchTrainer(fw, fgraph, sampler, net, config,
-                         profiler=profiler).run()          # h2d + worker
+        MiniBatchTrainer(fw, fgraph, sampler, net, config).run()  # h2d + worker
         dp_sampler = graphsage_sampler(fw, fgraph, seed=1)
         dp_net = build_graphsage(fw, fgraph, hidden=16, seed=1)
         DataParallelTrainer(fw, fgraph, dp_sampler, dp_net, epochs=1,

@@ -1,5 +1,6 @@
 """Tests for the online serving layer (workload, batcher, engine, schema)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -323,3 +324,112 @@ class TestServeCli:
     def test_bad_rate_list_rejected(self):
         with pytest.raises(SystemExit):
             main(["serve", "--rates", "abc"])
+
+
+# ----------------------------------------------------------------------
+# What the hand-placed LaneScheduler loop reported at 716a017, before the
+# window became a datapipe stage chain: dglite/reddit x2, 96 requests,
+# seed 0.  ``float.hex()`` of every figure — the port moves no bit.  The
+# 32..96 latencies of a window are pinned as the SHA-256 of their
+# comma-joined hex strings (plus the first and last in the clear).
+# ----------------------------------------------------------------------
+_STORAGE_FAULTS = {
+    "seed": 0,
+    "faults": [{"site": "storage.read", "kind": "error", "at": 2,
+                "count": 4}],
+    "policies": {"storage.read": {"max_retries": 1, "backoff": 0.001}},
+}
+_H2D_FAULTS = {
+    "seed": 0,
+    "faults": [{"site": "transfer.h2d", "kind": "error", "at": 10,
+                "count": 9}],
+    "policies": {"transfer.h2d": {"max_retries": 1, "backoff": 0.001}},
+}
+PINNED_WINDOWS = {
+    "200rps-depth4": (dict(rate=200.0), None),
+    "5000rps-depth4": (dict(rate=5000.0), None),
+    "1000rps-off-nocache": (dict(rate=1000.0, pipeline="off",
+                                 cache_fraction=0.0), None),
+    "stale-storage": (dict(rate=1000.0, degraded_mode="stale"),
+                      _STORAGE_FAULTS),
+    "shed-storage": (dict(rate=1000.0, degraded_mode="shed"),
+                     _STORAGE_FAULTS),
+    "shed-h2d": (dict(rate=1000.0, degraded_mode="shed"), _H2D_FAULTS),
+}
+PINNED = \
+{'1000rps-off-nocache': {'counts': (96, 0, 0),
+                         'first_latency': '0x1.728f9803f8eb0p-2',
+                         'last_latency': '0x1.cd1d8c752dc50p-1',
+                         'latencies_sha256': 'ec0b0386bc47d08c6e31006e2d0095b5502f2ad5f1d2c47f8bbddf8975d14936',
+                         'makespan': '0x1.0366cdf69ef9ap+0',
+                         'phases': {'data_movement': '0x1.1833b1707777bp-3',
+                                    'sampling': '0x1.a4201dfcee924p-1',
+                                    'training': '0x1.366493a2fb0f8p-6'},
+                         'total_energy': '0x1.960930c9e2cf5p+9'},
+ '200rps-depth4': {'counts': (96, 0, 0),
+                   'first_latency': '0x1.db785a20943a0p-3',
+                   'last_latency': '0x1.34d9b986bf278p+0',
+                   'latencies_sha256': '30434cc9dfd0fefd3c397cbc3c9746e0f0c60e4004a36f47b9b78a8a89669074',
+                   'makespan': '0x1.c511e032e79b6p+0',
+                   'phases': {'data_movement': '0x1.28444a85d94a2p-2',
+                              'sampling': '0x1.b19a0361cc5d3p+0',
+                              'training': '0x1.fc57ba0ddf27dp-6'},
+                   'total_energy': '0x1.c4743fd9c569ap+9'},
+ '5000rps-depth4': {'counts': (96, 0, 0),
+                    'first_latency': '0x1.01c8158e9a5e0p-2',
+                    'last_latency': '0x1.458965d591d84p-1',
+                    'latencies_sha256': '8747102b0e127d5180c091c87b730642f668eacf9dc7d22b2c1b3f8d901f4578',
+                    'makespan': '0x1.511302872eae4p-1',
+                    'phases': {'data_movement': '0x1.a9708a51f71a6p-4',
+                               'sampling': '0x1.386ad78997ad8p-1',
+                               'training': '0x1.366493a2fb0f8p-6'},
+                    'total_energy': '0x1.82ddd614bbda4p+9'},
+ 'shed-h2d': {'counts': (64, 32, 0),
+              'first_latency': '0x1.1f822c55d5000p-2',
+              'last_latency': '0x1.aceaa46d430d8p-2',
+              'latencies_sha256': '208ea80cf0ded1d359244abc63cdb9a767c74a63b6740ad83ee535dc694373b1',
+              'makespan': '0x1.5d34239bd50ccp-1',
+              'phases': {'data_movement': '0x1.aa8c19015a7d6p-4',
+                         'sampling': '0x1.386ad78997ad8p-1',
+                         'training': '0x1.a31f2bef508dbp-7'},
+              'total_energy': '0x1.8398ea7a67542p+9'},
+ 'shed-storage': {'counts': (32, 64, 0),
+                  'first_latency': '0x1.3f52f4644f9b0p-1',
+                  'last_latency': '0x1.278d6f1862230p-1',
+                  'latencies_sha256': '1aebb4c15f94c15c3a3444456b9afda59c51f6baac52b697980496fa54ef1f30',
+                  'makespan': '0x1.613d7e9072514p-1',
+                  'phases': {'data_movement': '0x1.1b86d45374895p-5',
+                             'sampling': '0x1.3970fc66c6c82p-1',
+                             'training': '0x1.9353f6ad4b229p-8'},
+                  'total_energy': '0x1.82d16264b17d5p+9'},
+ 'stale-storage': {'counts': (96, 0, 64),
+                   'first_latency': '0x1.fba1f28d9b810p-3',
+                   'last_latency': '0x1.278d6f1862230p-1',
+                   'latencies_sha256': 'b2b17a2a9cc17a6ed5d83816f3bd2109595cff2b747b248ec9af0f541c31648a',
+                   'makespan': '0x1.613d7e9072514p-1',
+                   'phases': {'data_movement': '0x1.277ae768d8a73p-5',
+                              'sampling': '0x1.3970fc66c6c82p-1',
+                              'training': '0x1.366493a2fb0f8p-6'},
+                   'total_energy': '0x1.8445efef2ac62p+9'}}
+
+
+class TestPinnedParentValues:
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_matches_the_hand_placed_schedule_it_replaced(self, key):
+        overrides, plan = PINNED_WINDOWS[key]
+        pinned = PINNED[key]
+        result = run_serving_experiment(
+            ServeConfig("dglite", "reddit", num_requests=96,
+                        dataset_scale=2.0, seed=0, **overrides),
+            fault_plan=plan)
+        assert (result.completed, result.shed, result.stale) == \
+            pinned["counts"]
+        assert result.makespan.hex() == pinned["makespan"]
+        assert result.total_energy.hex() == pinned["total_energy"]
+        assert {name: seconds.hex()
+                for name, seconds in result.phases.items()} == pinned["phases"]
+        latencies = [latency.hex() for latency in result.latencies]
+        assert latencies[0] == pinned["first_latency"]
+        assert latencies[-1] == pinned["last_latency"]
+        assert hashlib.sha256(",".join(latencies).encode()).hexdigest() == \
+            pinned["latencies_sha256"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simtime import Stopwatch, VirtualClock
+from repro.simtime import VirtualClock
 
 
 class TestAdvance:
@@ -74,41 +74,3 @@ class TestOccupy:
     def test_negative_occupy_rejected(self):
         with pytest.raises(ValueError):
             VirtualClock().occupy("cpu", -1.0)
-
-
-class TestReset:
-    def test_reset_clears_time_and_busy(self):
-        clock = VirtualClock()
-        clock.occupy("cpu", 1.0)
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.busy_intervals() == []
-
-
-class TestStopwatch:
-    def test_measures_elapsed_virtual_time(self):
-        clock = VirtualClock()
-        watch = Stopwatch(clock).start()
-        clock.advance(2.5)
-        assert watch.stop() == pytest.approx(2.5)
-
-    def test_accumulates_across_starts(self):
-        clock = VirtualClock()
-        watch = Stopwatch(clock)
-        with watch.timing():
-            clock.advance(1.0)
-        with watch.timing():
-            clock.advance(2.0)
-        assert watch.elapsed == pytest.approx(3.0)
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch(VirtualClock()).stop()
-
-    def test_reset(self):
-        clock = VirtualClock()
-        watch = Stopwatch(clock).start()
-        clock.advance(1.0)
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0

@@ -3,9 +3,9 @@
 Covers the span tracer (nesting, ids, dual clocks, exception safety),
 the metrics registry (counter/gauge/histogram semantics), every exporter
 (JSONL events, Prometheus text, merged Chrome trace) against its schema
-validator, manifest byte-determinism under a fixed seed, the legacy
-``PhaseProfiler`` equivalence bar (span-tree rollup == flat profiler
-within 1e-9), power percentile stats, the device-lane determinism fix in
+validator, manifest byte-determinism under a fixed seed, the flat-usage
+bar (span-tree phase rollup == summed clock deltas within 1e-9), power
+percentile stats, the device-lane determinism fix in
 ``repro.profiling.trace``, and the CLI ``--telemetry`` paths.
 """
 
@@ -17,11 +17,11 @@ from repro.bench.harness import run_training_experiment
 from repro.cli import main as cli_main
 from repro.power.meter import PowerSample
 from repro.power.monitor import EnergyReport
-from repro.profiling.profiler import PHASES, PhaseProfiler
 from repro.profiling.trace import summarize_trace, trace_events, write_trace
 from repro.simtime import VirtualClock
 from repro.telemetry import (
     PHASE_CATEGORY,
+    PHASES,
     MetricsRegistry,
     SpanTracer,
     TelemetrySession,
@@ -135,30 +135,32 @@ class TestProfilerEquivalence:
         """The acceptance bar: without nesting, the span-tree rollup is
         the legacy flat accumulation, down to 1e-9."""
         clock = VirtualClock()
-        prof = PhaseProfiler(clock)
+        tracer = SpanTracer(clock)
         expected = {}
         durations = [("data_loading", 0.73), ("sampling", 2.19),
                      ("data_movement", 0.41), ("training", 1.87),
                      ("sampling", 1.03), ("training", 0.59)]
         for name, dt in durations:
-            with prof.phase(name):
+            with tracer.span(name, PHASE_CATEGORY):
                 clock.advance(dt)
             expected[name] = expected.get(name, 0.0) + dt
-        prof.add("training", 3.1415)
+        tracer.credit("training", 3.1415)
         expected["training"] += 3.1415
+        rollup = tracer.phase_rollup()
         for name, secs in expected.items():
-            assert abs(prof.seconds(name) - secs) < 1e-9
-        assert abs(prof.total - sum(expected.values())) < 1e-9
+            assert abs(rollup[name] - secs) < 1e-9
+        assert abs(sum(rollup.values()) - sum(expected.values())) < 1e-9
 
     def test_profiler_adopts_ambient_tracer(self):
         clock = VirtualClock()
         with session(clock) as sess:
-            prof = PhaseProfiler(clock)
-            assert prof.tracer is sess.tracer
-        # Different clock: the profiler stays private.
+            assert telemetry_runtime.tracer_for(clock) is sess.tracer
+        # Different clock: the driver's tracer stays private.
         with session(VirtualClock()) as sess:
-            prof = PhaseProfiler(clock)
-            assert prof.tracer is not sess.tracer
+            private = telemetry_runtime.tracer_for(clock)
+            assert private is not sess.tracer and private.clock is clock
+        # No session at all: private too.
+        assert telemetry_runtime.tracer_for(clock).clock is clock
 
 
 # ---------------------------------------------------------------------------

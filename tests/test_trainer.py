@@ -16,7 +16,6 @@ from repro.models.clustergcn import build_clustergcn
 from repro.models.graphsage import build_graphsage
 from repro.models.graphsaint import build_graphsaint, graphsaint_sampler
 from repro.models.trainer import MiniBatchTrainer, TrainConfig
-from repro.profiling.profiler import PhaseProfiler
 
 
 def make_trainer(placement="cpu", preload=False, prefetch=False, epochs=1,
@@ -41,8 +40,7 @@ def make_trainer(placement="cpu", preload=False, prefetch=False, epochs=1,
     config = TrainConfig(epochs=epochs, placement=placement, preload=preload,
                          prefetch=prefetch, representative_batches=reps, seed=0,
                          pipeline=pipeline)
-    profiler = PhaseProfiler(machine.clock)
-    return MiniBatchTrainer(fw, fgraph, sampler, net, config, profiler=profiler)
+    return MiniBatchTrainer(fw, fgraph, sampler, net, config)
 
 
 class TestTrainConfig:
