@@ -7,6 +7,11 @@ not to contaminate wall-clock measurements.  This bench times the original
 per-seed Python loop (kept below as the reference) against the shared
 vectorized engine on a synthetic power-law graph, and checks that the two
 draw from identical distributions under a pinned seed.
+
+The relabel rows time the id-table :func:`block_locals` against the
+sort-based implementation it replaced (kept below as the oracle) on the
+sampler's own block and on a serving-shaped one — few nodes, many edges,
+the shape ``inference.batch_blocks`` relabels per micro-batch.
 """
 
 import time
@@ -15,7 +20,7 @@ import numpy as np
 
 from conftest import emit
 
-from repro.graph.formats import INDEX_DTYPE
+from repro.graph.formats import INDEX_DTYPE, IdTable
 from repro.sampling.neighbor import sample_block_neighbors
 from repro.sampling.relabel import block_locals
 
@@ -24,6 +29,11 @@ BATCH_SIZE = 512
 NUM_BATCHES = 20
 FANOUT = 10
 MIN_SPEEDUP = 5.0
+#: (label, nodes, seeds, edges) of the relabel rows.
+RELABEL_BLOCKS = (
+    ("sampler block", NUM_NODES, BATCH_SIZE, BATCH_SIZE * FANOUT),
+    ("serving block", 6_400, 1_200, 55_000),
+)
 
 
 def reference_sample_block_neighbors(indptr, indices, seeds, fanout, rng):
@@ -61,6 +71,59 @@ def reference_block_locals(src_g, dst_g, dst_nodes):
     return src_nodes, src_local, dst_local
 
 
+def sort_block_locals(src_global, dst_global, dst_nodes):
+    """The sort-based relabel the id table replaced, verbatim: one
+    ``np.unique(return_inverse=True)`` over the concatenated ids."""
+    combined = np.concatenate([dst_nodes, src_global])
+    uniq, inverse = np.unique(combined, return_inverse=True)
+    seed_pos = inverse[:dst_nodes.size]
+    is_seed = np.zeros(uniq.size, dtype=bool)
+    is_seed[seed_pos] = True
+    fresh_pos = np.nonzero(~is_seed)[0]
+    to_local = np.empty(uniq.size, dtype=INDEX_DTYPE)
+    to_local[seed_pos] = np.arange(dst_nodes.size, dtype=INDEX_DTYPE)
+    to_local[fresh_pos] = dst_nodes.size + np.arange(
+        fresh_pos.size, dtype=INDEX_DTYPE
+    )
+    src_nodes = np.empty(uniq.size, dtype=INDEX_DTYPE)
+    src_nodes[to_local] = uniq
+    src_local = to_local[inverse[dst_nodes.size:]]
+    pos = np.minimum(np.searchsorted(uniq, dst_global), uniq.size - 1)
+    assert np.array_equal(uniq[pos], dst_global)
+    return src_nodes, src_local, to_local[pos]
+
+
+def best_of(fn, repeats=7):
+    # Best-of-N wall clock: scheduler noise on shared runners only
+    # ever inflates a measurement, so the minimum is the estimate.
+    fn()  # warm-up
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def _relabel_row(num_nodes, num_seeds, num_edges, seed):
+    """Table vs sort on one random block: equal outputs, ms per call."""
+    rng = np.random.default_rng(seed)
+    seeds = rng.choice(num_nodes, size=num_seeds, replace=False)
+    src = rng.integers(0, num_nodes, num_edges)
+    dst = np.sort(rng.integers(0, num_seeds, num_edges))
+    dst = seeds[dst]  # grouped by seed, as every sampler emits them
+    table = IdTable(num_nodes)
+    for got, expected in zip(block_locals(src, dst, seeds, table),
+                             sort_block_locals(src, dst, seeds)):
+        assert np.array_equal(got, expected)
+    calls = 20
+    sort_s = best_of(lambda: [sort_block_locals(src, dst, seeds)
+                              for _ in range(calls)], repeats=15)
+    table_s = best_of(lambda: [block_locals(src, dst, seeds, table)
+                               for _ in range(calls)], repeats=15)
+    return 1000.0 * sort_s / calls, 1000.0 * table_s / calls
+
+
 def powerlaw_csr(num_nodes, seed):
     """CSR with shifted zipf out-degrees and duplicate-free neighbor lists
     (each row is a contiguous id range starting at a random base).  The
@@ -80,6 +143,7 @@ def powerlaw_csr(num_nodes, seed):
 
 def _run():
     indptr, indices = powerlaw_csr(NUM_NODES, seed=0)
+    table = IdTable(NUM_NODES)
     batch_rng = np.random.default_rng(1)
     batches = [batch_rng.choice(NUM_NODES, size=BATCH_SIZE, replace=False)
                for _ in range(NUM_BATCHES)]
@@ -97,18 +161,7 @@ def _run():
         for seeds in batches:
             src, dst, _ = sample_block_neighbors(
                 indptr, indices, seeds, FANOUT, rng)
-            block_locals(src, dst, seeds)
-
-    def best_of(fn, repeats=7):
-        # Best-of-N wall clock: scheduler noise on shared runners only
-        # ever inflates a measurement, so the minimum is the estimate.
-        fn()  # warm-up
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
+            block_locals(src, dst, seeds, table)
 
     old_s = best_of(run_old)
     new_s = best_of(run_new)
@@ -147,6 +200,10 @@ def _run():
         "speedup": old_s / new_s,
         "hub_degree": degree,
         "freq_max_abs_err": max_err,
+        "relabel": [
+            (label, nodes, edges) + _relabel_row(nodes, seeds, edges, seed=5)
+            for label, nodes, seeds, edges in RELABEL_BLOCKS
+        ],
     }
 
 
@@ -162,10 +219,21 @@ def test_ablation_sampler_vectorization(once):
         f"  speedup         {row['speedup']:>9.1f}x",
         f"  hub marginal |freq - fanout/degree| <= "
         f"{row['freq_max_abs_err']:.4f} (degree {row['hub_degree']})",
+        "  relabel, id table vs sort (block_locals, ms/call):",
     ]
+    for label, nodes, edges, sort_ms, table_ms in row["relabel"]:
+        lines.append(
+            f"    {label} ({nodes:,} nodes, {edges:,} edges)"
+            f"   sort {sort_ms:.3f}   table {table_ms:.3f}"
+            f"   {sort_ms / table_ms:.1f}x"
+        )
     emit("ablation_sampler_vectorization", "\n".join(lines))
 
     assert row["speedup"] >= MIN_SPEEDUP
     # Uniform without-replacement marginals: every neighbor of the hub is
     # kept with probability fanout/degree (binomial noise at 4000 trials).
     assert row["freq_max_abs_err"] < 0.05
+    # The table relabel replaced the sort outright: it may not be slower
+    # on either shape.
+    for label, _, _, sort_ms, table_ms in row["relabel"]:
+        assert table_ms <= sort_ms, label

@@ -9,6 +9,7 @@ by the kernels layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -23,6 +24,24 @@ def _as_index(arr) -> np.ndarray:
     if out.ndim != 1:
         raise GraphFormatError("index arrays must be 1-D")
     return out
+
+
+class IdTable:
+    """Dense ``global id -> local index`` scratch over ``[0, num_nodes)``.
+
+    Relabeling a sampled edge list and testing subgraph membership are
+    both lookups in an id map; a table sized to the graph answers them
+    with one gather, where a sort-based map pays ``O(E log E)`` per batch.
+    The contract that keeps a use ``O(ids touched)`` and never
+    ``O(num_nodes)``: every entry of :attr:`local` is ``-1`` between uses,
+    and a user that assigns entries resets exactly those entries before
+    it returns (in a ``finally``, so a raised error leaks nothing into the
+    next use).  Ids index the table raw — range-check anything that did
+    not come out of the owning graph's own index arrays.
+    """
+
+    def __init__(self, num_nodes: int) -> None:
+        self.local = np.full(num_nodes, -1, dtype=INDEX_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -113,6 +132,13 @@ class AdjacencyCSR:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    @cached_property
+    def id_table(self) -> IdTable:
+        """The relabel scratch over this graph's node ids, built on first
+        use and shared by everything that relabels against this graph
+        (samplers, block builders, :func:`induced_subgraph`)."""
+        return IdTable(self.num_nodes)
 
     def to_coo(self) -> AdjacencyCOO:
         src = np.repeat(np.arange(self.num_nodes, dtype=INDEX_DTYPE), np.diff(self.indptr))
@@ -217,18 +243,22 @@ def induced_subgraph(
     same edge set.
 
     Only the selected rows are touched: the members' neighbor lists are
-    gathered in one vectorized pass and filtered by a membership lookup,
-    so the cost is O(incident edges of ``nodes``), not O(all edges).
+    gathered in one vectorized pass and filtered by a membership lookup
+    in the graph's :class:`IdTable`, so the cost is O(incident edges of
+    ``nodes``), not O(all edges) or O(all nodes).
     """
     if order not in ("src", "dst"):
         raise ValueError("order must be 'src' or 'dst'")
     nodes = _as_index(nodes)
-    mapping = np.full(csr.num_nodes, -1, dtype=INDEX_DTYPE)
-    mapping[nodes] = np.arange(nodes.size, dtype=INDEX_DTYPE)
     neighbors, degrees, positions = gather_neighborhoods(
         csr.indptr, csr.indices, nodes
     )
-    local_other = mapping[neighbors]
+    mapping = csr.id_table.local
+    try:
+        mapping[nodes] = np.arange(nodes.size, dtype=INDEX_DTYPE)
+        local_other = mapping[neighbors]
+    finally:
+        mapping[nodes] = -1
     keep = local_other >= 0
     local_owner = np.repeat(np.arange(nodes.size, dtype=INDEX_DTYPE), degrees)
     if order == "src":

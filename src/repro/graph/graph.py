@@ -10,7 +10,7 @@ Cost and memory models consume logical quantities via the ``node_scale`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Any, Dict, Hashable, Optional
 
 import numpy as np
 
@@ -93,6 +93,13 @@ class Graph:
         self.val_mask = val_mask.astype(bool)
         self.test_mask = test_mask.astype(bool)
         self.stats = stats
+        # Structure that is a pure function of this graph (the canonical
+        # edge order of its full adjacency, a seeded partition), memoised
+        # by whoever derives it so it is derived at most once and lives
+        # exactly as long as the dataset cache keeps the graph —
+        # ``datasets.clear_cache()`` drops both together.  Every reader
+        # gets the same object: store read-only arrays.
+        self.derived: Dict[Hashable, Any] = {}
 
     # ------------------------------------------------------------------
     @property

@@ -3,21 +3,31 @@
 A :class:`SparseAdj` describes a (possibly bipartite) directed edge set in
 "aggregate src -> dst" orientation, with
 
-* real scipy CSR math storage (rows = dst) for fast SpMM,
-* aligned COO arrays for per-edge kernels (edge order == CSR data order),
+* canonically ordered COO arrays for per-edge kernels,
+* real scipy CSR math storage (rows = dst, data order == COO edge order)
+  for fast SpMM,
 * the device the structure lives on, and
 * logical scale factors so charged work is paper-scale.
 
+Only the COO arrays exist after construction.  Everything derived from
+them — ``indptr``, the scipy CSR, its transpose, degrees, the src-order
+permutation, the edge-incidence selectors — is built on first read and
+then kept, so a gather/scatter step builds only the incidence it uses
+and a batch nobody multiplies by builds nothing (DGL materialises sparse
+formats on demand; PyG keeps ``edge_index`` COO until a ``SparseTensor``
+is asked for).  :meth:`from_graph` goes one step further for the
+full-graph adjacency: its canonical edge arrays are memoised on the
+cached :class:`~repro.graph.graph.Graph` (``Graph.derived``).
+
 Fast-path layer (see :mod:`repro.kernels.config`): the CSR structure is
-built once and *reused* — weighted :meth:`matmul_data` / :meth:`rmatmul`
+*reused* once built — weighted :meth:`matmul_data` / :meth:`rmatmul`
 swap the ``.data`` array in place instead of reconstructing a scipy
-matrix, the transpose structure / degrees / inverse degrees / src-order
-permutation are lazily cached, and :meth:`from_sorted_block` skips the
-canonicalizing argsort for sampler-emitted blocks that are already
-dst-sorted.  Segment reductions (:meth:`sum_edges`, :meth:`max_edges`)
-exploit the dst-sorted invariant — one SpMM against a cached
-edge-incidence selector (or ``ufunc.reduceat`` for non-float dtypes)
-rather than the 20-30x slower ``np.add.at``.  None of this changes what
+matrix, and :meth:`from_sorted_block` skips the canonicalizing argsort
+for sampler-emitted blocks that are already dst-sorted.  Segment
+reductions (:meth:`sum_edges`, :meth:`max_edges`) exploit the dst-sorted
+invariant — one SpMM against a cached edge-incidence selector (or
+``ufunc.reduceat`` for non-float dtypes) rather than the 20-30x slower
+``np.add.at``.  None of this changes what
 ``charge(...)`` records — cost depends only on logical edge/node counts.
 """
 
@@ -147,18 +157,10 @@ class SparseAdj:
         self.node_scale = float(node_scale)
         self.edge_scale = float(edge_scale)
         self.edge_weight = edge_weight
-
-        indptr = np.zeros(self.num_dst + 1, dtype=INDEX_DTYPE)
-        if self.dst.size:
-            indptr[1:] = np.cumsum(np.bincount(self.dst, minlength=self.num_dst))
-        data = edge_weight if edge_weight is not None else np.ones(self.src.size, dtype=np.float32)
-        self._mat = sp.csr_matrix(
-            (data, self.src, indptr), shape=(self.num_dst, self.num_src)
-        )
-        # scipy may copy/retype the arrays it was handed; keep references
-        # to the matrices' *actual* buffers so in-place data swaps restore
-        # the exact default storage.
-        self._default_data = self._mat.data
+        # Derived structure: every slot below is filled on first read.
+        self._indptr: Optional[np.ndarray] = None
+        self._mat: Optional[sp.csr_matrix] = None
+        self._default_data: Optional[np.ndarray] = None
         self._mat_t: Optional[sp.csr_matrix] = None
         self._default_data_t: Optional[np.ndarray] = None
         self._perm_src: Optional[np.ndarray] = None
@@ -188,7 +190,28 @@ class SparseAdj:
 
     @property
     def indptr(self) -> np.ndarray:
-        return self._mat.indptr
+        """CSR row pointer over the dst-sorted edges (treat as read-only)."""
+        if self._indptr is None:
+            indptr = np.zeros(self.num_dst + 1, dtype=INDEX_DTYPE)
+            if self.dst.size:
+                indptr[1:] = np.cumsum(np.bincount(self.dst, minlength=self.num_dst))
+            self._indptr = indptr
+        return self._indptr
+
+    def _csr(self) -> sp.csr_matrix:
+        """Lazily built-and-cached scipy CSR (rows = dst) of the structure."""
+        if self._mat is None:
+            data = self.edge_weight
+            if data is None:
+                data = np.ones(self.num_edges, dtype=np.float32)
+            self._mat = sp.csr_matrix(
+                (data, self.src, self.indptr), shape=(self.num_dst, self.num_src)
+            )
+            # scipy may copy/retype the arrays it was handed; keep a
+            # reference to the matrix's *actual* buffer so in-place data
+            # swaps restore the exact default storage.
+            self._default_data = self._mat.data
+        return self._mat
 
     @property
     def src_indptr(self) -> np.ndarray:
@@ -289,21 +312,22 @@ class SparseAdj:
         constructing a fresh ``sp.csr_matrix`` (the default data buffer is
         restored before returning).
         """
+        mat = self._csr()
         if data is None:
-            return np.asarray(self._mat @ x, dtype=np.float32)
+            return np.asarray(mat @ x, dtype=np.float32)
         data = np.asarray(data, dtype=np.float32)
         if not fastpath_enabled():
             _count_fastpath("csr_reuse", hit=False)
-            mat = sp.csr_matrix(
-                (data, self._mat.indices, self._mat.indptr), shape=self._mat.shape
+            rebuilt = sp.csr_matrix(
+                (data, mat.indices, mat.indptr), shape=mat.shape
             )
-            return np.asarray(mat @ x, dtype=np.float32)
+            return np.asarray(rebuilt @ x, dtype=np.float32)
         _count_fastpath("csr_reuse", hit=True)
         try:
-            self._mat.data = data  # repro-lint: disable=INPLACE-GRAD scipy csr buffer, not a Tensor
-            out = self._mat @ x
+            mat.data = data  # repro-lint: disable=INPLACE-GRAD scipy csr buffer, not a Tensor
+            out = mat @ x
         finally:
-            self._mat.data = self._default_data  # repro-lint: disable=INPLACE-GRAD scipy csr buffer, not a Tensor
+            mat.data = self._default_data  # repro-lint: disable=INPLACE-GRAD scipy csr buffer, not a Tensor
         return np.asarray(out, dtype=np.float32)
 
     def _transpose(self) -> sp.csr_matrix:
@@ -317,7 +341,7 @@ class SparseAdj:
             _count_fastpath("transpose_cache", hit=False)
             perm = self.src_order()
             self._mat_t = sp.csr_matrix(
-                (self._default_data[perm], self.dst[perm], self.src_indptr),
+                (self._csr().data[perm], self.dst[perm], self.src_indptr),
                 shape=(self.num_src, self.num_dst),
             )
             self._default_data_t = self._mat_t.data
@@ -333,20 +357,21 @@ class SparseAdj:
         and swap it in place.
         """
         if not fastpath_enabled():
+            mat = self._csr()
             if data is None:
                 if self._mat_t is None:
-                    self._mat_t = self._mat.T.tocsr()
+                    self._mat_t = mat.T.tocsr()
                     self._default_data_t = self._mat_t.data
                     _count_fastpath("transpose_cache", hit=False)
                 else:
                     _count_fastpath("transpose_cache", hit=True)
                 return np.asarray(self._mat_t @ grad, dtype=np.float32)
             _count_fastpath("csr_reuse", hit=False)
-            mat = sp.csr_matrix(
-                (np.asarray(data, dtype=np.float32), self._mat.indices, self._mat.indptr),
-                shape=self._mat.shape,
+            rebuilt = sp.csr_matrix(
+                (np.asarray(data, dtype=np.float32), mat.indices, mat.indptr),
+                shape=mat.shape,
             )
-            return np.asarray(mat.T @ grad, dtype=np.float32)
+            return np.asarray(rebuilt.T @ grad, dtype=np.float32)
         mat_t = self._transpose()
         if data is None:
             return np.asarray(mat_t @ grad, dtype=np.float32)
@@ -362,7 +387,7 @@ class SparseAdj:
     # -- cached degree vectors (treat results as read-only) ------------
     def in_degrees(self) -> np.ndarray:
         if self._in_degrees is None:
-            self._in_degrees = np.diff(self._mat.indptr).astype(INDEX_DTYPE)
+            self._in_degrees = np.diff(self.indptr).astype(INDEX_DTYPE)
         return self._in_degrees
 
     def out_degrees(self) -> np.ndarray:
@@ -378,7 +403,11 @@ class SparseAdj:
         return self._inv_in_degrees
 
     def with_device(self, device) -> "SparseAdj":
-        """Shallow re-placement onto another device (structure is shared)."""
+        """Shallow re-placement onto another device.
+
+        The edge arrays and whatever derived structure already exists are
+        shared; anything still unbuilt is built per view on its first read.
+        """
         clone = object.__new__(SparseAdj)
         clone.__dict__ = dict(self.__dict__)
         clone.device = device
@@ -390,18 +419,27 @@ class SparseAdj:
 
         ``reverse=False`` aggregates along stored edge direction
         (src -> dst); datasets here are symmetrized so direction is moot.
+
+        The validated, dst-sorted edge arrays are derived once per graph
+        (memoised in ``graph.derived``) and shared read-only by every
+        adjacency built from it; each call returns its own object with its
+        own device, scales and (unbuilt) derived structure, so nothing a
+        fast-path run built is visible to a reference-kernel run.
         """
-        coo = graph.adj.to_coo()
-        src, dst = (coo.dst, coo.src) if reverse else (coo.src, coo.dst)
-        return cls(
-            src,
-            dst,
-            num_src=graph.num_nodes,
-            num_dst=graph.num_nodes,
-            device=device,
-            node_scale=graph.node_scale,
-            edge_scale=graph.edge_scale,
-        )
+        key = ("SparseAdj.edges", reverse)
+        edges = graph.derived.get(key)
+        if edges is None:
+            coo = graph.adj.to_coo()
+            src, dst = (coo.dst, coo.src) if reverse else (coo.src, coo.dst)
+            canonical = cls(src, dst, num_src=graph.num_nodes,
+                            num_dst=graph.num_nodes)
+            canonical.src.setflags(write=False)
+            canonical.dst.setflags(write=False)
+            edges = graph.derived[key] = (canonical.src, canonical.dst)
+        self = object.__new__(cls)
+        self._finalize(*edges, graph.num_nodes, graph.num_nodes, device,
+                       graph.node_scale, graph.edge_scale, None)
+        return self
 
     def structure_nbytes(self) -> float:
         """Logical bytes of this structure (for transfer charging)."""

@@ -81,12 +81,12 @@ BROAD_HANDLER_NAMES = frozenset({"Exception", "BaseException"})
 #: assigning ``None`` to one is an invalidation.
 CACHE_SLOTS = frozenset({"_mat_t", "_in_degrees", "_out_degrees",
                          "_inv_in_degrees", "_inc_dst", "_inc_src",
-                         "_perm_src", "_indptr_src"})
+                         "_perm_src", "_indptr_src", "_indptr"})
 
 #: Accessor methods that serve from (and lazily fill) those caches.
-CACHE_ACCESSORS = frozenset({"_transpose", "in_degrees", "out_degrees",
-                             "inv_in_degrees", "_incidence", "src_order",
-                             "src_indptr"})
+CACHE_ACCESSORS = frozenset({"_csr", "_transpose", "in_degrees",
+                             "out_degrees", "inv_in_degrees", "_incidence",
+                             "src_order", "src_indptr"})
 
 #: Raw scipy CSR buffers; assigning to ``X.<buffer>`` mutates structure
 #: the caches were derived from.

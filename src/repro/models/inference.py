@@ -161,7 +161,7 @@ def _chunk_block(graph, rows: np.ndarray, device) -> SparseAdj:
     )
     dst_local = np.repeat(np.arange(rows.size, dtype=INDEX_DTYPE), degrees)
     src_nodes, src_local, _ = block_locals(
-        src_global, np.empty(0, dtype=INDEX_DTYPE), rows
+        src_global, np.empty(0, dtype=INDEX_DTYPE), rows, graph.adj.id_table
     )
     adj = SparseAdj.from_sorted_block(
         src_local, dst_local, num_src=src_nodes.size,

@@ -22,8 +22,9 @@ from repro.sampling.base import SampleWork, SubgraphSample
 class ClusterSampler:
     """Partition once, then yield random cluster-union subgraphs.
 
-    Batch assembly is fully vectorized: cluster membership is a single
-    ``np.isin`` over the assignment array, and the subgraph induction goes
+    Batch assembly is fully vectorized: cluster membership is one gather
+    of the assignment array through a boolean table over part ids (no
+    sort, unlike ``np.isin``), and the subgraph induction goes
     through :func:`~repro.graph.formats.induced_subgraph`, which gathers
     only the selected rows' CSR slices (O(incident edges), not O(all
     edges)).  ``seed=None`` leaves the RNG nondeterministic; the framework
@@ -63,11 +64,24 @@ class ClusterSampler:
 
     @property
     def partition(self) -> PartitionResult:
-        """The one-time partitioning (computed lazily)."""
+        """The one-time partitioning (computed lazily).
+
+        The partition is a pure function of (graph, part count, drawn
+        seed), so it is memoised in ``graph.derived``: a second sampler
+        that draws the same seed over the same cached dataset reuses it,
+        read-only.
+        """
         if self._partition is None:
-            self._partition = partition_graph(
-                self.graph.adj, self.actual_num_parts, seed=int(self.rng.integers(2**31))
-            )
+            seed = int(self.rng.integers(2**31))
+            key = ("partition", self.actual_num_parts, seed)
+            memo = self.graph.derived
+            if key not in memo:
+                result = partition_graph(
+                    self.graph.adj, self.actual_num_parts, seed=seed
+                )
+                result.assignments.setflags(write=False)
+                memo[key] = result
+            self._partition = memo[key]
         return self._partition
 
     def num_batches(self) -> int:
@@ -80,9 +94,15 @@ class ClusterSampler:
             part_ids = self.rng.choice(
                 self.actual_num_parts, size=self.actual_parts_per_batch, replace=False
             )
-        part_ids = np.asarray(part_ids)
-        member_mask = np.isin(partition.assignments, part_ids)
-        nodes = np.nonzero(member_mask)[0].astype(INDEX_DTYPE)
+        part_ids = np.asarray(part_ids, dtype=INDEX_DTYPE)
+        if part_ids.size and (part_ids.min() < 0
+                              or part_ids.max() >= self.actual_num_parts):
+            raise SamplerError(
+                f"part ids must lie in [0, {self.actual_num_parts})"
+            )
+        selected = np.zeros(self.actual_num_parts, dtype=bool)
+        selected[part_ids] = True
+        nodes = np.nonzero(selected[partition.assignments])[0].astype(INDEX_DTYPE)
         if nodes.size == 0:
             raise SamplerError("selected clusters are empty")
         # order="dst" emits dst-sorted edges (SparseAdj canonical order)

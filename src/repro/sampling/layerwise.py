@@ -33,10 +33,10 @@ from repro.sampling.base import Block, BlockSample, SampleWork
 from repro.sampling.relabel import block_locals, gather_neighborhoods
 
 
-def _block_from_edges(src_global, dst_global, dst_nodes):
+def _block_from_edges(src_global, dst_global, dst_nodes, table):
     """Assemble a Block with dst-prefix node layout from global edges."""
     src_nodes, src_local, dst_local = block_locals(
-        src_global, dst_global, dst_nodes
+        src_global, dst_global, dst_nodes, table
     )
     return src_nodes, Block(src_nodes=src_nodes, dst_nodes=dst_nodes,
                             src=src_local, dst=dst_local)
@@ -107,7 +107,8 @@ class FastGCNSampler:
             work.items += scanned * node_scale  # membership tests
             isolated += int((kept_per_node == 0).sum())
             total_frontier += frontier.size
-            src_nodes, block = _block_from_edges(src_g, dst_g, frontier)
+            src_nodes, block = _block_from_edges(
+                src_g, dst_g, frontier, self.graph.adj.id_table)
             block.edge_scale = node_scale
             block.node_scale = node_scale
             blocks.append(block)
@@ -193,7 +194,8 @@ class LadiesSampler:
                 self._indptr, self._indices, frontier, chosen
             )
             work.items += scanned * node_scale
-            src_nodes, block = _block_from_edges(src_g, dst_g, frontier)
+            src_nodes, block = _block_from_edges(
+                src_g, dst_g, frontier, self.graph.adj.id_table)
             block.edge_scale = node_scale
             block.node_scale = node_scale
             blocks.append(block)

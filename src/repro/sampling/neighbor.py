@@ -130,6 +130,7 @@ class NeighborSampler:
         self.rng = np.random.default_rng(seed)
         self._indptr = graph.adj.indptr
         self._indices = graph.adj.indices
+        self._id_table = graph.adj.id_table
         # Mean degrees drive the per-hop degree correction.
         self._d_actual = max(1.0, graph.num_edges / max(1, graph.num_nodes))
         self._d_logical = max(1.0, graph.stats.avg_degree)
@@ -162,8 +163,9 @@ class NeighborSampler:
             work.items += (examined + src_g.size) * edge_scale
 
             # Block node set: dst nodes first (self-inclusion), then new
-            # srcs; endpoints relabeled with one searchsorted pass.
-            src_nodes, src_local, dst_local = block_locals(src_g, dst_g, seeds)
+            # srcs; endpoints relabeled through the graph's id table.
+            src_nodes, src_local, dst_local = block_locals(
+                src_g, dst_g, seeds, self._id_table)
             blocks.append(
                 Block(
                     src_nodes=src_nodes,

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.datasets import clear_cache
 from repro.errors import SamplerError
 from repro.frameworks import get_framework
 from repro.hardware.machine import paper_testbed
+from repro.kernels.config import use_reference_kernels
+from repro.kernels.spmm import spmm
+from repro.tensor.tensor import Tensor
 
 
 @pytest.fixture(params=["dglite", "pyglite"])
@@ -53,6 +57,56 @@ class TestLoad:
         per_edge_1 = m1.cpu.counters.busy_seconds / yelp.logical_num_edges
         per_edge_2 = m2.cpu.counters.busy_seconds / products.logical_num_edges
         assert per_edge_2 > per_edge_1
+
+
+class TestStructureDerivedOncePerDataset:
+    """``Framework.load`` of a cached dataset re-derives no structure."""
+
+    def test_loads_share_sorted_edges_but_not_placement(self, framework):
+        m1, m2 = paper_testbed(), paper_testbed()
+        a = framework.load("ppi", m1, scale=0.3)
+        b = framework.load("ppi", m2, scale=0.3)
+        assert a.graph is b.graph
+        # Same buffers: the second load ran no edge sort and no bounds scan.
+        assert a.adj.src is b.adj.src and a.adj.dst is b.adj.dst
+        assert a.adj is not b.adj
+        assert a.adj.device is m1.cpu and b.adj.device is m2.cpu
+        assert np.all(np.diff(a.adj.dst) >= 0)
+
+    def test_shared_edge_arrays_are_read_only(self, framework, machine):
+        adj = framework.load("ppi", machine, scale=0.3).adj
+        for shared in (adj.src, adj.dst):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0
+
+    def test_clear_cache_drops_the_memo_with_the_dataset(self, framework):
+        before = framework.load("ppi", paper_testbed(), scale=0.3)
+        clear_cache()
+        after = framework.load("ppi", paper_testbed(), scale=0.3)
+        assert after.graph is not before.graph
+        assert after.adj.src is not before.adj.src
+        assert np.array_equal(after.adj.src, before.adj.src)
+        assert np.array_equal(after.adj.dst, before.adj.dst)
+
+    def test_reference_load_sees_no_fastpath_built_state(self, framework):
+        fast = framework.load("ppi", paper_testbed(), scale=0.3)
+        x = Tensor(np.ones((fast.num_nodes, 2), dtype=np.float32),
+                   device=fast.machine.cpu, requires_grad=True)
+        with framework.activate():
+            spmm(fast.adj, x).sum().backward()
+        assert fast.adj._mat is not None and fast.adj._mat_t is not None
+        with use_reference_kernels():
+            ref = framework.load("ppi", paper_testbed(), scale=0.3)
+            assert ref.adj.src is fast.adj.src
+            assert ref.adj._mat is None and ref.adj._mat_t is None
+            assert ref.adj._perm_src is None and ref.adj._indptr is None
+            x_ref = Tensor(x.data, device=ref.machine.cpu, requires_grad=True)
+            with framework.activate():
+                out = spmm(ref.adj, x_ref)
+                out.sum().backward()
+            assert ref.adj._mat_t is not fast.adj._mat_t
+        assert np.array_equal(out.data, fast.adj.matmul_data(None, x.data))
+        assert np.allclose(x_ref.grad, x.grad)
 
 
 class TestCscConversion:
@@ -168,6 +222,26 @@ class TestSubgraphBatches:
         before = machine.clock.now
         sampler.ensure_partitioned()
         assert machine.clock.now == before
+
+    def test_cluster_partition_computed_once_per_dataset(self):
+        """Same cached graph, same drawn seed: one partition, charged per
+        sampler all the same (the charge models METIS, not our host)."""
+        charged, partitions = [], []
+        for name in ("dglite", "pyglite"):
+            fw, machine = get_framework(name), paper_testbed()
+            fgraph = fw.load("ppi", machine, scale=0.3)
+            sampler = fw.cluster_sampler(fgraph, seed=0)
+            before = machine.cpu.counters.by_kernel.get("metis.partition", 0)
+            sampler.ensure_partitioned()
+            charged.append(
+                machine.cpu.counters.by_kernel["metis.partition"] - before)
+            partitions.append(sampler.algorithm.partition)
+        assert partitions[0] is partitions[1]
+        assert all(seconds > 0 for seconds in charged)
+        other = get_framework("dglite").cluster_sampler(
+            get_framework("dglite").load("ppi", paper_testbed(), scale=0.3),
+            seed=1)
+        assert other.algorithm.partition is not partitions[0]
 
 
 class TestPreload:

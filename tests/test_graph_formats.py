@@ -156,3 +156,17 @@ class TestInducedSubgraph:
         sub, kept = induced_subgraph(coo.to_csr(), np.array([], dtype=np.int64))
         assert sub.num_edges == 0
         assert sub.num_nodes == 0
+
+    def test_back_to_back_calls_share_one_clean_scratch(self, coo):
+        """Membership goes through the CSR's id table; a call resets what
+        it touched, so the next selection sees none of the last one."""
+        csr = coo.to_csr()
+        table = csr.id_table
+        first, _ = induced_subgraph(csr, np.array([0, 1, 2]))
+        assert csr.id_table is table and np.all(table.local == -1)
+        second, _ = induced_subgraph(csr, np.array([3, 0]))
+        assert np.all(table.local == -1)
+        fresh, _ = induced_subgraph(coo.to_csr(), np.array([3, 0]))
+        assert np.array_equal(second.src, fresh.src)
+        assert np.array_equal(second.dst, fresh.dst)
+        assert first.num_edges == coo.num_edges - 1

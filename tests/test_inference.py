@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, SamplerError
 from repro.frameworks import get_framework
 from repro.models.evaluate import full_graph_logits
 from repro.models.graphsage import build_graphsage
-from repro.models.inference import layerwise_inference
+from repro.models.inference import batch_blocks, layerwise_inference
 
 
 @pytest.fixture
@@ -64,3 +64,24 @@ class TestLayerwiseInference:
         from repro.tensor.module import Linear
         with pytest.raises(BenchmarkError):
             layerwise_inference(fw, fgraph, Linear(4, 2))
+
+
+class TestBatchBlocks:
+    def test_stack_chains_from_features_to_requested_rows(self, setup):
+        _, fgraph, _ = setup
+        nodes = np.array([4, 3, 9])
+        blocks = batch_blocks(fgraph.graph, nodes, 2, fgraph.machine.cpu)
+        assert np.array_equal(blocks[-1].src_nodes[:3], nodes)
+        assert blocks[-1].num_dst == 3
+        assert blocks[0].num_dst == blocks[1].num_src
+        for block in blocks:  # every in-edge of every row, relabeled
+            rows = block.src_nodes[:block.num_dst]
+            assert np.array_equal(
+                np.bincount(block.dst, minlength=block.num_dst),
+                fgraph.graph.adj.degrees()[rows])
+
+    def test_duplicate_nodes_rejected(self, setup):
+        _, fgraph, _ = setup
+        with pytest.raises(SamplerError, match="first duplicate: 3"):
+            batch_blocks(fgraph.graph, np.array([3, 3, 4]), 2,
+                         fgraph.machine.cpu)

@@ -16,6 +16,7 @@ import pytest
 from repro import telemetry
 from repro.errors import GraphFormatError
 from repro.bench.harness import run_training_experiment
+from repro.frameworks import get_framework
 from repro.frameworks.common import with_self_loops
 from repro.graph.formats import AdjacencyCOO, induced_subgraph
 from repro.hardware import paper_testbed
@@ -339,6 +340,116 @@ class TestCsrReuseInvariants:
                 scale = 1.0 if data is None else data[e]
                 dense[adj.src[e]] += scale * grad[adj.dst[e]]
             assert np.allclose(adj.rmatmul(grad, data=data), dense, atol=1e-5)
+
+
+DERIVED_SLOTS = ("_indptr", "_mat", "_default_data", "_mat_t", "_perm_src",
+                 "_indptr_src", "_in_degrees", "_out_degrees",
+                 "_inv_in_degrees", "_inc_dst", "_inc_src")
+
+
+def built_slots(adj):
+    return {slot for slot in DERIVED_SLOTS if getattr(adj, slot) is not None}
+
+
+class TestStructureOnDemand:
+    """Only the COO arrays exist until something reads derived structure."""
+
+    @pytest.fixture
+    def batch_adj(self):
+        """A sampler-built mini-batch block adjacency, untouched."""
+        machine = paper_testbed()
+        fw = get_framework("dglite")
+        fgraph = fw.load("ppi", machine, scale=0.3)
+        sampler = fw.neighbor_sampler(fgraph, fanouts=(5, 5), seed=0)
+        return next(iter(sampler.epoch())).adjs[0]
+
+    @staticmethod
+    def eager_twin(adj):
+        twin = SparseAdj(adj.src, adj.dst, num_src=adj.num_src,
+                         num_dst=adj.num_dst)
+        twin._csr()
+        return twin
+
+    def test_sampler_batch_holds_no_scipy_matrix(self, batch_adj):
+        assert batch_adj.num_edges > 0
+        assert built_slots(batch_adj) == set()
+
+    @pytest.mark.parametrize("read", [
+        lambda adj: adj.indptr,
+        lambda adj: adj.in_degrees(),
+    ])
+    def test_pointer_reads_build_no_matrix(self, batch_adj, read):
+        read(batch_adj)
+        assert "_indptr" in built_slots(batch_adj)
+        assert batch_adj._mat is None
+
+    def test_matmul_builds_the_csr_once(self, batch_adj):
+        x = np.ones((batch_adj.num_src, 2), dtype=np.float32)
+        batch_adj.matmul_data(None, x)
+        mat = batch_adj._mat
+        assert mat is not None and batch_adj._default_data is mat.data
+        batch_adj.matmul_data(np.ones(batch_adj.num_edges, np.float32), x)
+        assert batch_adj._mat is mat and mat.data is batch_adj._default_data
+        assert batch_adj._mat_t is None  # nothing ran backward
+
+    def test_scatter_step_builds_only_its_incidence(self, batch_adj):
+        msg = Tensor(np.ones((batch_adj.num_edges, 3), dtype=np.float32),
+                     requires_grad=True)
+        scatter_add(batch_adj, msg).sum().backward()
+        assert built_slots(batch_adj) == {"_indptr", "_inc_dst"}
+
+    def test_spmm_equals_an_eagerly_built_twin_bit_for_bit(self, batch_adj):
+        twin = self.eager_twin(batch_adj)
+        rng = np.random.default_rng(SEED)
+        data = rng.standard_normal((batch_adj.num_src, 6)).astype(np.float32)
+        weights = rng.random(batch_adj.num_edges).astype(np.float32)
+        results = []
+        for adj in (batch_adj.with_device(None), twin):
+            x = Tensor(data, requires_grad=True)
+            w = Tensor(weights, requires_grad=True)
+            out = spmm(adj, x, w) + spmm(adj, x)
+            probe = np.linspace(-1, 1, out.data.size, dtype=np.float32)
+            (out * probe.reshape(out.shape)).sum().backward()
+            results.append((out.data, x.grad, w.grad))
+        for lazy, eager in zip(*results):
+            assert np.array_equal(lazy, eager)
+
+    def test_views_made_before_and_after_first_use_both_work(self, batch_adj):
+        x = np.random.default_rng(SEED).standard_normal(
+            (batch_adj.num_src, 4)).astype(np.float32)
+        before = batch_adj.with_device(None)
+        expected = batch_adj.matmul_data(None, x)
+        after = batch_adj.with_device(None)
+        # A view made before first use builds its own; one made after
+        # shares what exists.
+        assert before._mat is None
+        assert after._mat is batch_adj._mat
+        grad = np.ones((batch_adj.num_dst, 4), dtype=np.float32)
+        for view in (before, after):
+            assert np.array_equal(view.matmul_data(None, x), expected)
+            assert np.array_equal(view.rmatmul(grad), batch_adj.rmatmul(grad))
+            assert np.array_equal(view.in_degrees(), batch_adj.in_degrees())
+
+    def test_reference_mode_builds_on_demand_too(self, batch_adj):
+        x = np.ones((batch_adj.num_src, 2), dtype=np.float32)
+        expected = self.eager_twin(batch_adj).matmul_data(None, x)
+        with use_reference_kernels():
+            assert np.array_equal(batch_adj.matmul_data(None, x), expected)
+            grad = np.ones((batch_adj.num_dst, 2), dtype=np.float32)
+            weights = np.full(batch_adj.num_edges, 0.5, dtype=np.float32)
+            assert np.allclose(batch_adj.rmatmul(grad, data=weights),
+                               0.5 * batch_adj.rmatmul(grad))
+
+    def test_unused_batches_leave_no_cyclic_garbage(self, cyclic_garbage):
+        def run():
+            machine = paper_testbed()
+            fw = get_framework("pyglite")
+            fgraph = fw.load("ppi", machine, scale=0.3)
+            for sampler in (fw.neighbor_sampler(fgraph, seed=0),
+                            fw.cluster_sampler(fgraph, seed=0)):
+                batch = next(iter(sampler.epoch()))
+                batch.adjs[0].in_degrees()
+        assert cyclic_garbage(run) == []
 
 
 class TestDegreeCaches:

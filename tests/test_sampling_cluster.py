@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SamplerError
+from repro.sampling import cluster
 from repro.sampling.cluster import ClusterSampler
 
 
@@ -29,6 +30,33 @@ class TestConfiguration:
         first = sampler.partition
         assert sampler.partition is first
 
+    def test_partition_is_shared_per_graph_parts_and_seed(self, tiny_graph):
+        first = ClusterSampler(tiny_graph, seed=0).partition
+        # Same graph, part count and drawn seed: the same read-only object.
+        assert ClusterSampler(tiny_graph, seed=0).partition is first
+        with pytest.raises(ValueError, match="read-only"):
+            first.assignments[0] = 0
+        assert ClusterSampler(tiny_graph, seed=1).partition is not first
+        assert ClusterSampler(tiny_graph, num_parts=1000, parts_per_batch=50,
+                              seed=0).partition is not first
+
+    def test_memoised_partition_leaves_the_rng_stream_alone(
+            self, tiny_graph, monkeypatch):
+        """A memo hit still draws the partition seed: batches after it are
+        the ones the sampler that partitioned produced."""
+        partitioned = []
+        partition_graph = cluster.partition_graph
+
+        def counting(adj, num_parts, seed):
+            partitioned.append(seed)
+            return partition_graph(adj, num_parts, seed=seed)
+
+        monkeypatch.setattr(cluster, "partition_graph", counting)
+        cold = ClusterSampler(tiny_graph, seed=77).sample().nodes
+        warm = ClusterSampler(tiny_graph, seed=77).sample().nodes
+        assert len(partitioned) == 1
+        assert np.array_equal(warm, cold)
+
 
 class TestSampling:
     def test_batch_is_union_of_clusters(self, tiny_graph):
@@ -37,6 +65,12 @@ class TestSampling:
         batch = sampler.sample(part_ids)
         expected = np.nonzero(np.isin(sampler.partition.assignments, part_ids))[0]
         assert np.array_equal(np.sort(batch.nodes), np.sort(expected))
+
+    def test_part_ids_outside_the_partition_rejected(self, tiny_graph):
+        sampler = ClusterSampler(tiny_graph, seed=0)
+        for bad in ([0, sampler.actual_num_parts], [-1, 0]):
+            with pytest.raises(SamplerError, match="part ids"):
+                sampler.sample(np.array(bad))
 
     def test_batch_edges_internal(self, tiny_graph):
         sampler = ClusterSampler(tiny_graph, seed=0)

@@ -114,6 +114,13 @@ class TestNeighborSampler:
         with pytest.raises(SamplerError):
             sampler.sample(np.array([], dtype=np.int64))
 
+    def test_duplicate_roots_rejected(self, tiny_graph):
+        sampler = NeighborSampler(tiny_graph, seed=0)
+        with pytest.raises(SamplerError, match="first duplicate: 3"):
+            sampler.sample(np.array([3, 3, 4]))
+        # The failed batch left the graph's relabel scratch clean.
+        assert sampler.sample(np.array([3, 4])).blocks[-1].dst_nodes.size == 2
+
     def test_empty_fanouts_rejected(self, tiny_graph):
         with pytest.raises(SamplerError):
             NeighborSampler(tiny_graph, fanouts=())

@@ -14,6 +14,7 @@ from repro.errors import SamplerError
 from repro.graph.formats import (
     INDEX_DTYPE,
     AdjacencyCOO,
+    IdTable,
     coalesce,
     flat_positions,
     gather_neighborhoods,
@@ -151,7 +152,8 @@ class TestBlockLocals:
         dst_nodes = np.array([10, 4, 7])
         src_g = np.array([4, 99, 10, 23, 99])
         dst_g = np.array([10, 10, 4, 7, 7])
-        src_nodes, src_local, dst_local = block_locals(src_g, dst_g, dst_nodes)
+        src_nodes, src_local, dst_local = block_locals(
+            src_g, dst_g, dst_nodes, IdTable(100))
         assert np.array_equal(src_nodes[:dst_nodes.size], dst_nodes)
         assert np.array_equal(src_nodes[src_local], src_g)
         assert np.array_equal(dst_nodes[dst_local], dst_g)
@@ -160,8 +162,36 @@ class TestBlockLocals:
         dst_nodes = np.array([2, 0, 1])
         src_g = np.array([0, 1, 2, 0])
         dst_g = np.array([2, 2, 0, 1])
-        src_nodes, _, _ = block_locals(src_g, dst_g, dst_nodes)
+        src_nodes, _, _ = block_locals(
+            src_g, dst_g, dst_nodes, IdTable(100))
         assert np.array_equal(src_nodes, dst_nodes)
+
+    def test_duplicate_seeds_rejected_naming_the_first(self):
+        table = IdTable(10)
+        with pytest.raises(SamplerError, match=r"first duplicate: 1\b"):
+            block_locals(np.array([5, 2]), np.array([1, 2]),
+                         np.array([1, 2, 2, 1]), table)
+        assert np.all(table.local == -1)
+
+    def test_ids_outside_the_table_rejected(self):
+        table = IdTable(10)
+        seeds = np.array([1, 2])
+        for src, dst, nodes in (
+            (np.array([10]), np.array([1]), seeds),
+            (np.array([-1]), np.array([1]), seeds),
+            (np.array([3]), np.array([-4]), seeds),
+            (np.array([3]), np.array([1]), np.array([1, 11])),
+        ):
+            with pytest.raises(SamplerError, match="node range"):
+                block_locals(src, dst, nodes, table)
+        assert np.all(table.local == -1)
+
+    def test_dst_outside_the_block_rejected(self):
+        table = IdTable(10)
+        with pytest.raises(SamplerError, match="first missing: 7"):
+            block_locals(np.array([5]), np.array([1, 7]),
+                         np.array([1, 2]), table)
+        assert np.all(table.local == -1)
 
 
 class TestNeighborEquivalence:
