@@ -1,13 +1,17 @@
 """Versioned ``BENCH_<area>.json`` perf-trajectory artifacts.
 
 One artifact records one sweep area (``kernels``, ``training`` or
-``serving``) as a
-list of *cells* — one point of the kernel × framework × logical-scale ×
-fastpath matrix — each carrying seeded-repeat statistics for virtual
-time, wall time, and energy.  The committed copies at the repo root are
-the perf baseline every future PR is gated against (``repro bench
-gate``), so the format is schema-versioned and validated the same way
-the telemetry bundle is (:mod:`repro.telemetry.manifest`).
+``serving``) as a list of *cells* — one point of the kernel × framework
+× logical-scale matrix — each carrying exactly what was measured: one
+virtual-time and one energy value per seed.  Both are deterministic
+functions of (code, seed), so an artifact is a pure function of the two
+and a re-sweep in the same environment is byte-identical; statistics
+over the seeds are derived by the reader
+(:class:`~repro.bench.repeats.RepeatedStats`), never stored.  The
+committed copies at the repo root are the perf baseline every future PR
+is gated against (``repro bench gate``), so the format is
+schema-versioned and validated the same way the telemetry bundle is
+(:mod:`repro.telemetry.manifest`).
 
 Writers are atomic (temp file + ``os.replace``): an interrupted sweep
 never leaves a truncated-but-parseable baseline behind.
@@ -21,15 +25,9 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.bench.repeats import RepeatedStats
-
-SWEEP_SCHEMA = "repro.bench.sweep/1"
+SWEEP_SCHEMA = "repro.bench.sweep/2"
 SWEEP_AREAS = ("kernels", "training", "serving")
-CELL_METRICS = ("virtual_s", "wall_s", "energy_j")
-# Wall-clock is recorded for the trajectory but not gated by default:
-# shared CI runners make it noisy, while virtual time and energy are
-# fully deterministic functions of the seeded simulation.
-GATED_METRICS = ("virtual_s", "energy_j")
+CELL_METRICS = ("virtual_s", "energy_j")
 
 _CELL_PARAM_KEYS = {
     "driver": str,
@@ -37,7 +35,6 @@ _CELL_PARAM_KEYS = {
     "kernel": str,
     "dataset": str,
     "scale": (int, float),
-    "fastpath": bool,
 }
 
 
@@ -65,17 +62,6 @@ def atomic_write_text(path: Union[str, Path], text: str) -> Path:
             os.unlink(tmp)
         raise
     return path
-
-
-def stats_payload(stats: RepeatedStats) -> dict:
-    """Serialize one metric's repeated-run statistics."""
-    return {
-        "mean": float(stats.mean),
-        "std": float(stats.std),
-        "cov": float(stats.cov),
-        "n": stats.n,
-        "values": [float(v) for v in stats.values],
-    }
 
 
 def build_sweep_artifact(area: str, cells: List[dict],
@@ -117,8 +103,10 @@ def validate_sweep_artifact(artifact: object) -> List[str]:
     if not isinstance(artifact, dict):
         return ["artifact is not a JSON object"]
     if artifact.get("schema") != SWEEP_SCHEMA:
-        problems.append(f"unknown schema {artifact.get('schema')!r} "
-                        f"(expected {SWEEP_SCHEMA})")
+        # Nothing below means anything under another schema: one problem,
+        # not one per cell.
+        return [f"unknown schema {artifact.get('schema')!r} (expected "
+                f"{SWEEP_SCHEMA}; re-sweep with `repro bench sweep`)"]
     if artifact.get("area") not in SWEEP_AREAS:
         problems.append(f"unknown area {artifact.get('area')!r}")
     seeds = artifact.get("seeds")
@@ -161,24 +149,18 @@ def _validate_cell(cell: object, seeds: object) -> List[str]:
     if not isinstance(metrics, dict):
         return problems + ["metrics must be an object"]
     for name in CELL_METRICS:
-        stats = metrics.get(name)
-        if not isinstance(stats, dict):
+        values = metrics.get(name)
+        if values is None:
             problems.append(f"metric {name!r} missing")
-            continue
-        for key in ("mean", "std", "cov"):
-            if not isinstance(stats.get(key), (int, float)):
-                problems.append(f"metric {name!r}.{key} missing or non-numeric")
-        values = stats.get("values")
-        if not isinstance(values, list) \
+        elif not isinstance(values, list) \
                 or not all(isinstance(v, (int, float)) for v in values):
-            problems.append(f"metric {name!r}.values must be a list of numbers")
+            problems.append(f"metric {name!r} must be a list of numbers "
+                            "(one per seed)")
         elif isinstance(seeds, list) and len(values) != len(seeds):
             problems.append(f"metric {name!r} has {len(values)} values "
                             f"for {len(seeds)} seeds")
-        if stats.get("n") != (len(values) if isinstance(values, list) else None):
-            problems.append(f"metric {name!r}.n disagrees with values")
     attribution = cell.get("attribution")
-    if attribution is not None:  # optional: absent in pre-PR-8 baselines
+    if attribution is not None:  # optional
         if not isinstance(attribution, dict):
             problems.append("attribution must be an object")
         else:
@@ -200,7 +182,8 @@ def validate_baseline_dir(root: Union[str, Path],
     for area in areas:
         path = artifact_path(root, area)
         if not path.exists():
-            report[area] = [f"{path.name}: missing"]
+            report[area] = [f"{path.name}: missing under {path.parent} "
+                            "(run `repro bench sweep`)"]
             continue
         try:
             artifact = load_sweep_artifact(path)

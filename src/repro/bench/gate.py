@@ -1,18 +1,19 @@
 """Perf-trajectory regression gate over ``BENCH_<area>.json`` baselines.
 
-The gate compares a fresh sweep against the committed baseline artifact
-and fails when any cell's gated metric regresses beyond its recorded
-noise envelope::
+The gate compares a fresh sweep against the committed baseline artifact.
+Virtual time and energy are deterministic per (code, seed), so an
+unchanged tree reproduces every per-seed value bit for bit and the gate
+says so.  Only a cell that is *not* bit-identical is held to a noise
+envelope, whose statistics are computed here from the baseline's
+per-seed values (:class:`~repro.bench.repeats.RepeatedStats`)::
 
     allowed = max(mean + k * sample_std,      # seeded-repeat noise bound
                   mean * (1 + rel_slack))     # floor for zero-std metrics
 
-Virtual time and energy are deterministic per seed, so their sample-std
-across seeds reflects genuine seed sensitivity (sampling order, model
-init), not host noise — a tight, honest envelope.  Wall time is recorded
-in the artifacts but excluded from gating by default (shared-runner
-jitter would make it a flaky gate); pass ``metrics=("wall_s",)`` to
-inspect it locally.
+The sample-std across seeds reflects genuine seed sensitivity (sampling
+order, model init), not host noise — a tight, honest envelope for
+*intentional* changes.  A cell above it fails the gate; a cell that
+moved inside it passes and is listed, so drift is never silent.
 
 Improvements (cells now *below* the envelope) never fail the gate; they
 are listed in the report as the cue to refresh the committed baseline.
@@ -21,14 +22,11 @@ are listed in the report as the cue to refresh the committed baseline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import List, Sequence
 
-from repro.bench.artifacts import (
-    GATED_METRICS,
-    load_sweep_artifact,
-    validate_sweep_artifact,
-)
+from repro.bench.artifacts import CELL_METRICS, validate_sweep_artifact
+from repro.bench.repeats import RepeatedStats
 
 DEFAULT_NOISE_K = 3.0
 DEFAULT_REL_SLACK = 0.02
@@ -36,7 +34,7 @@ DEFAULT_REL_SLACK = 0.02
 
 @dataclass(frozen=True)
 class CellRegression:
-    """One gated metric of one cell exceeding its noise envelope."""
+    """One metric of one cell exceeding its noise envelope."""
 
     cell_id: str
     metric: str
@@ -64,13 +62,26 @@ class GateResult:
     """Everything one area's comparison produced."""
 
     area: str
-    regressions: List[CellRegression]
-    improvements: List[str]
-    problems: List[str]  # structural: schema/matrix mismatches
+    regressions: List[CellRegression] = field(default_factory=list)
+    improvements: List[str] = field(default_factory=list)
+    # Structural: schema/matrix mismatches.
+    problems: List[str] = field(default_factory=list)
+    # Cells whose per-seed values changed but stayed inside the envelope.
+    moved: List[str] = field(default_factory=list)
+    # Provenance keys that differ baseline -> fresh; filled only when
+    # something moved, as the first place to look.
+    environment: List[str] = field(default_factory=list)
+    cells: int = 0  # baseline cells compared
 
     @property
     def passed(self) -> bool:
         return not self.regressions and not self.problems
+
+    @property
+    def identical(self) -> bool:
+        """Every compared cell reproduced the baseline bit for bit."""
+        return not (self.problems or self.regressions or self.improvements
+                    or self.moved)
 
 
 def noise_envelope(mean: float, std: float, k: float = DEFAULT_NOISE_K,
@@ -79,14 +90,25 @@ def noise_envelope(mean: float, std: float, k: float = DEFAULT_NOISE_K,
     return max(mean + k * std, mean * (1.0 + rel_slack))
 
 
+def provenance_delta(baseline: dict, current: dict) -> List[str]:
+    """``key: old -> new`` per provenance key the two artifacts disagree on."""
+    old, new = baseline["provenance"], current["provenance"]
+    return [f"{key}: {old.get(key)!r} -> {new.get(key)!r}"
+            for key in sorted(set(old) | set(new))
+            if old.get(key) != new.get(key)]
+
+
+def _delta_line(cell_id: str, metric: str, base: float, now: float) -> str:
+    ratio = now / base if base else float("inf")
+    return f"{cell_id} {metric}: {base:.6g} -> {now:.6g} ({ratio:.4f}x)"
+
+
 def compare_artifacts(baseline: dict, current: dict, *,
                       k: float = DEFAULT_NOISE_K,
-                      rel_slack: float = DEFAULT_REL_SLACK,
-                      metrics: Sequence[str] = GATED_METRICS) -> GateResult:
+                      rel_slack: float = DEFAULT_REL_SLACK) -> GateResult:
     """Gate ``current`` against ``baseline``; never raises on bad input."""
     area = baseline.get("area") if isinstance(baseline, dict) else "?"
-    result = GateResult(area=str(area), regressions=[], improvements=[],
-                        problems=[])
+    result = GateResult(area=str(area))
     for name, artifact in (("baseline", baseline), ("current", current)):
         for problem in validate_sweep_artifact(artifact):
             result.problems.append(f"{name} artifact: {problem}")
@@ -109,25 +131,33 @@ def compare_artifacts(baseline: dict, current: dict, *,
         if fresh is None:
             result.problems.append(f"cell {cell_id} missing from current sweep")
             continue
-        hints = None
-        for metric in metrics:
-            base = cell["metrics"][metric]
-            now = fresh["metrics"][metric]
-            allowed = noise_envelope(base["mean"], base["std"],
+        result.cells += 1
+        changed = [m for m in CELL_METRICS
+                   if fresh["metrics"][m] != cell["metrics"][m]]
+        if not changed and fresh.get("attribution") == cell.get("attribution"):
+            continue
+        hints = attribution_hints(cell, fresh)
+        if not changed:
+            result.moved.extend(f"{cell_id} attribution only: {hint}"
+                                for hint in hints)
+        for metric in changed:
+            base = RepeatedStats(tuple(cell["metrics"][metric]))
+            now = RepeatedStats(tuple(fresh["metrics"][metric])).mean
+            allowed = noise_envelope(base.mean, base.std,
                                      k=k, rel_slack=rel_slack)
-            if now["mean"] > allowed:
-                if hints is None:
-                    hints = attribution_hints(cell, fresh)
+            if now > allowed:
                 result.regressions.append(CellRegression(
                     cell_id=cell_id, metric=metric,
-                    baseline_mean=base["mean"], baseline_std=base["std"],
-                    allowed=allowed, current_mean=now["mean"],
-                    hints=hints))
-            elif now["mean"] < base["mean"] * (1.0 - rel_slack):
+                    baseline_mean=base.mean, baseline_std=base.std,
+                    allowed=allowed, current_mean=now, hints=hints))
+            elif now < base.mean * (1.0 - rel_slack):
                 result.improvements.append(
-                    f"{cell_id} {metric}: {base['mean']:.6g} -> "
-                    f"{now['mean']:.6g} "
-                    f"({now['mean'] / base['mean']:.2f}x)")
+                    _delta_line(cell_id, metric, base.mean, now))
+            else:
+                result.moved.append(
+                    _delta_line(cell_id, metric, base.mean, now))
+    if not result.identical:
+        result.environment = provenance_delta(baseline, current)
     return result
 
 
@@ -166,13 +196,14 @@ def attribution_hints(baseline_cell: dict, fresh_cell: dict,
                 f"{entry['base']:.6g}s -> {entry['current']:.6g}s "
                 f"({entry['delta']:+.6g}s)")
     if not hints and (base_attr or fresh_attr):
-        hints.append("attribution unchanged — regression is outside the "
-                     "recorded phase/kernel breakdown (wall-only?)")
+        hints.append("attribution unchanged — the change is outside the "
+                     "first seed's recorded phase/kernel breakdown "
+                     "(another seed, or energy only)")
     return tuple(hints)
 
 
 def inject_slowdown(artifact: dict, cell_id: str, factor: float) -> dict:
-    """Scale one cell's gated metrics by ``factor`` (returns a deep copy).
+    """Scale one cell's metrics by ``factor`` (returns a deep copy).
 
     This is the gate's self-test hook: a synthetic 2× slowdown injected
     into any cell must make the gate fail and name that cell.
@@ -181,10 +212,9 @@ def inject_slowdown(artifact: dict, cell_id: str, factor: float) -> dict:
     for cell in doctored.get("cells", []):
         if cell.get("id") != cell_id:
             continue
-        for metric in GATED_METRICS:
-            stats = cell["metrics"][metric]
-            stats["mean"] *= factor
-            stats["values"] = [v * factor for v in stats["values"]]
+        for metric in CELL_METRICS:
+            cell["metrics"][metric] = [v * factor
+                                       for v in cell["metrics"][metric]]
         attribution = cell.get("attribution")
         if isinstance(attribution, dict):
             # Scale the breakdown with the metrics so the self-test also
@@ -206,10 +236,13 @@ def format_gate_report(results: Sequence[GateResult]) -> str:
     lines: List[str] = []
     for result in results:
         verdict = "PASS" if result.passed else "FAIL"
+        summary = "bit-identical" if result.identical else (
+            f"{len(result.regressions)} regression(s), "
+            f"{len(result.problems)} problem(s), "
+            f"{len(result.improvements)} improvement(s), "
+            f"{len(result.moved)} moved inside envelope")
         lines.append(f"[{verdict}] bench gate: {result.area} "
-                     f"({len(result.regressions)} regression(s), "
-                     f"{len(result.problems)} problem(s), "
-                     f"{len(result.improvements)} improvement(s))")
+                     f"({result.cells} cell(s), {summary})")
         for problem in result.problems:
             lines.append(f"  problem: {problem}")
         hinted = set()
@@ -222,10 +255,18 @@ def format_gate_report(results: Sequence[GateResult]) -> str:
                 lines.append(f"    attribution: {hint}")
         for improvement in result.improvements:
             lines.append(f"  improvement: {improvement}")
-    overall = all(r.passed for r in results)
-    lines.append("perf trajectory OK" if overall
-                 else "perf trajectory REGRESSED — investigate or refresh "
-                      "the baseline (see docs/bench.md)")
+        for moved in result.moved:
+            lines.append(f"  moved (inside envelope): {moved}")
+        for key in result.environment:
+            lines.append(f"  environment: {key}")
+    if all(r.passed for r in results):
+        lines.append("perf trajectory OK")
+    elif any(r.regressions for r in results):
+        lines.append("perf trajectory REGRESSED — investigate or refresh "
+                     "the baseline (see docs/bench.md)")
+    else:
+        lines.append("perf trajectory NOT COMPARED — fix the problems above "
+                     "(see docs/bench.md)")
     return "\n".join(lines)
 
 
@@ -238,8 +279,11 @@ def gate_report_payload(results: Sequence[GateResult]) -> dict:
             {
                 "area": r.area,
                 "passed": r.passed,
+                "identical": r.identical,
                 "problems": list(r.problems),
                 "improvements": list(r.improvements),
+                "moved": list(r.moved),
+                "environment": list(r.environment),
                 "regressions": [
                     {
                         "cell": reg.cell_id,
@@ -257,13 +301,3 @@ def gate_report_payload(results: Sequence[GateResult]) -> dict:
             for r in results
         ],
     }
-
-
-def load_baseline(root, area: str) -> Optional[dict]:
-    """Load one committed baseline; None when absent."""
-    from repro.bench.artifacts import artifact_path
-
-    path = artifact_path(root, area)
-    if not path.exists():
-        return None
-    return load_sweep_artifact(path)

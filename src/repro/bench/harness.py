@@ -135,8 +135,8 @@ def run_training_experiment(
 
     ``fastpath=False`` runs the whole experiment on the naive reference
     kernels (:func:`repro.kernels.config.use_reference_kernels`); charged
-    virtual cost is identical either way, only wall clock moves — this is
-    the axis the perf-trajectory sweep (``repro bench sweep``) records.
+    virtual cost is identical either way, only host time moves (``repro
+    train --reference-kernels``; ``perf/`` measures the difference).
     """
     if model not in MODEL_BUILDERS:
         raise BenchmarkError(f"unknown model {model!r}")
@@ -400,7 +400,7 @@ def measure_conv_forward(framework: str, dataset: str, kind: str,
 
     The run is energy-monitored so the perf-trajectory sweep can record
     joules per op cell; ``fastpath=False`` runs the reference kernel
-    schedules (wall clock only — charged cost is schedule-invariant).
+    schedules (host time only — charged cost is schedule-invariant).
     """
     fw = get_framework(framework)
     machine = paper_testbed()

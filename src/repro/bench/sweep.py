@@ -1,4 +1,4 @@
-"""The perf-trajectory sweep matrix: kernel × framework × scale × fastpath.
+"""The perf-trajectory sweep matrix: kernel × framework × scale.
 
 Following the op-level benchmarking methodology of the Argonne study and
 gSuite's framework-independent kernel matrix (PAPERS.md), the sweep
@@ -6,7 +6,7 @@ measures a fixed grid of cells through the existing harness drivers:
 
 * ``kernels`` area — one conv-layer forward per cell
   (:func:`~repro.bench.harness.measure_conv_forward`): the op-level view,
-  one cell per (framework, conv kind, dataset, logical scale, fastpath).
+  one cell per (framework, conv kind, dataset, logical scale).
 * ``training`` area — one short end-to-end training run per cell
   (:func:`~repro.bench.harness.run_training_experiment`): the system view
   the paper's figures report.
@@ -14,27 +14,26 @@ measures a fixed grid of cells through the existing harness drivers:
   (:func:`~repro.serving.run_serving_experiment`): the serving makespan
   and energy under a fixed seeded trace.
 
-Every cell runs once per seed; per-metric spread is aggregated with
-:class:`~repro.bench.repeats.RepeatedStats` so the regression gate can
-build a noise envelope (mean + k·sample-std).  Virtual time and energy
-are deterministic functions of (code, seed); wall time is the only
-host-noisy metric and is recorded but not gated by default.
+Every cell runs once per seed and records the per-seed virtual seconds
+and joules, nothing else.  Both are deterministic functions of
+(code, seed), so two sweeps of one tree are byte-identical; the gate
+derives :class:`~repro.bench.repeats.RepeatedStats` from the per-seed
+values when it needs a noise envelope (mean + k·sample-std).  Host time
+is not measured here — ``perf/`` owns it.
 
-The fastpath axis runs the *identical* public API under
-:func:`repro.kernels.config.use_reference_kernels`; by the kernel layer's
-charged-cost invariance, fast/ref cell pairs must agree on virtual time
-and energy bit-for-bit — the sweep asserts that invariant every run.
+There is no fast/reference kernel axis: by the kernel layer's
+charged-cost invariance a cell costs the same under
+:func:`repro.kernels.config.use_reference_kernels`, which the tier-1
+``TestChargedCostInvariance`` law asserts for every cell of ``MATRICES``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.artifacts import build_sweep_artifact
 from repro.bench.harness import measure_conv_forward, run_training_experiment
-from repro.bench.repeats import RepeatedStats
 from repro.errors import BenchmarkError
 
 DEFAULT_SEEDS = (0, 1, 2)
@@ -50,23 +49,19 @@ class SweepCell:
     kernel: str  # conv kind for "conv", model name for "train"
     dataset: str
     scale: float
-    fastpath: bool
     # Training-only axes; the defaults keep pre-existing cell ids stable.
     placement: str = "cpu"
     pipeline: str = "off"
 
     @property
     def cell_id(self) -> str:
-        mode = "fast" if self.fastpath else "ref"
         cid = (f"{self.driver}/{self.framework}/{self.kernel}/"
                f"{self.dataset}/x{self.scale:g}")
         if self.placement != "cpu":
             cid += f"/{self.placement}"
         if self.pipeline != "off":
             cid += f"/{self.pipeline}"
-        # Mode stays the last segment: the cost-invariance check pairs
-        # cells by swapping a trailing "/fast" for "/ref".
-        return f"{cid}/{mode}"
+        return cid
 
     @property
     def params(self) -> dict:
@@ -76,7 +71,6 @@ class SweepCell:
             "kernel": self.kernel,
             "dataset": self.dataset,
             "scale": self.scale,
-            "fastpath": self.fastpath,
             "placement": self.placement,
             "pipeline": self.pipeline,
         }
@@ -92,7 +86,6 @@ class SweepCell:
             return cls(driver=params["driver"], framework=params["framework"],
                        kernel=params["kernel"], dataset=params["dataset"],
                        scale=float(params["scale"]),
-                       fastpath=bool(params["fastpath"]),
                        placement=str(params.get("placement", "cpu")),
                        pipeline=str(params.get("pipeline", "off")))
         except KeyError as exc:
@@ -102,12 +95,11 @@ class SweepCell:
 def _grid(driver: str, kernels: Sequence[str], datasets: Sequence[str],
           scales: Sequence[float]) -> tuple:
     return tuple(
-        SweepCell(driver, fw, kernel, dataset, scale, fastpath)
+        SweepCell(driver, fw, kernel, dataset, scale)
         for fw in _FRAMEWORKS
         for kernel in kernels
         for dataset in datasets
         for scale in scales
-        for fastpath in (True, False)
     )
 
 
@@ -126,23 +118,21 @@ TRAINING_MATRIX = _grid("train", kernels=("graphsage",),
 # tracks the pipelined cells' virtual time like any other metric, so a
 # change that erodes the overlap win trips the regression envelope.
 PIPELINE_MATRIX = tuple(
-    SweepCell("train", "dglite", "graphsage", "ppi", scale, fastpath,
+    SweepCell("train", "dglite", "graphsage", "ppi", scale,
               placement="cpugpu", pipeline=pipeline)
     for scale in (0.3, 0.6)
     for pipeline in ("off", "depth-4")
-    for fastpath in (True, False)
 )
 TRAINING_MATRIX = TRAINING_MATRIX + PIPELINE_MATRIX
 
-# The serving area: one micro-batched serving window per framework ×
-# fastpath on the warm-cache CPU-sample/GPU-serve placement.  Virtual
-# makespan and energy are deterministic functions of the seed, so the
-# gate tracks tail-latency-driving cost exactly like training cost.
+# The serving area: one micro-batched serving window per framework on
+# the warm-cache CPU-sample/GPU-serve placement.  Virtual makespan and
+# energy are deterministic functions of the seed, so the gate tracks
+# tail-latency-driving cost exactly like training cost.
 SERVING_MATRIX = tuple(
-    SweepCell("serve", fw, "graphsage", "ppi", 0.3, fastpath,
+    SweepCell("serve", fw, "graphsage", "ppi", 0.3,
               placement="cpugpu", pipeline="depth-4")
     for fw in _FRAMEWORKS
-    for fastpath in (True, False)
 )
 
 MATRICES = {"kernels": KERNEL_MATRIX, "training": TRAINING_MATRIX,
@@ -163,15 +153,14 @@ _SERVE_MAX_BATCH = 8
 def run_cell_once(cell: SweepCell, seed: int):
     """Run one cell for one seed.
 
-    Returns ``(metrics, attribution)``: the three per-run metrics plus
+    Returns ``(metrics, attribution)``: the two per-run metrics plus
     the phase / kernel-family virtual-second breakdown the gate uses to
     explain a regression (``repro profile`` attribution hints).
     """
-    start = time.perf_counter()
     if cell.driver == "conv":
         result = measure_conv_forward(
             cell.framework, cell.dataset, cell.kernel, device="cpu",
-            seed=seed, dataset_scale=cell.scale, fastpath=cell.fastpath)
+            seed=seed, dataset_scale=cell.scale)
         if result.oom:
             raise BenchmarkError(f"sweep cell {cell.cell_id} hit OOM: "
                                  f"{result.error}")
@@ -181,7 +170,7 @@ def run_cell_once(cell: SweepCell, seed: int):
             cell.framework, cell.dataset, cell.kernel,
             placement=cell.placement, pipeline=cell.pipeline,
             epochs=_TRAIN_EPOCHS, representative_batches=_TRAIN_BATCHES,
-            seed=seed, dataset_scale=cell.scale, fastpath=cell.fastpath)
+            seed=seed, dataset_scale=cell.scale)
         if result.oom:
             raise BenchmarkError(f"sweep cell {cell.cell_id} hit OOM: "
                                  f"{result.error}")
@@ -196,14 +185,12 @@ def run_cell_once(cell: SweepCell, seed: int):
                         budget_s=_SERVE_BUDGET_S,
                         max_batch=_SERVE_MAX_BATCH,
                         placement=cell.placement, pipeline=cell.pipeline,
-                        seed=seed, dataset_scale=cell.scale),
-            fastpath=cell.fastpath)
+                        seed=seed, dataset_scale=cell.scale))
         virtual = result.makespan
     else:
         raise BenchmarkError(f"unknown sweep driver {cell.driver!r}")
-    wall = time.perf_counter() - start
-    metrics = {"virtual_s": virtual, "wall_s": wall,
-               "energy_j": result.total_energy}
+    metrics = {"virtual_s": float(virtual),
+               "energy_j": float(result.total_energy)}
     attribution = {
         "phases": {k: float(v) for k, v in sorted(result.phases.items())},
         "kernel_families": {k: float(v) for k, v
@@ -214,8 +201,6 @@ def run_cell_once(cell: SweepCell, seed: int):
 
 def run_cell(cell: SweepCell, seeds: Sequence[int] = DEFAULT_SEEDS) -> dict:
     """Measure one cell across all seeds; returns the artifact cell payload."""
-    from repro.bench.artifacts import stats_payload
-
     if not seeds:
         raise BenchmarkError("need at least one seed")
     series: Dict[str, List[float]] = {}
@@ -231,8 +216,7 @@ def run_cell(cell: SweepCell, seeds: Sequence[int] = DEFAULT_SEEDS) -> dict:
     return {
         "id": cell.cell_id,
         "params": cell.params,
-        "metrics": {metric: stats_payload(RepeatedStats(tuple(values)))
-                    for metric, values in series.items()},
+        "metrics": series,
         "attribution": attribution,
     }
 
@@ -259,36 +243,5 @@ def run_sweep(area: str, seeds: Sequence[int] = DEFAULT_SEEDS,
         if progress is not None:
             progress(f"  {cell.cell_id}")
         payloads.append(run_cell(cell, seeds))
-    artifact = build_sweep_artifact(area, payloads, seeds,
-                                    provenance=build_provenance())
-    problems = check_cost_invariance(artifact)
-    if problems:
-        raise BenchmarkError(
-            "charged-cost invariance violated (fastpath changed virtual "
-            f"time or energy): {problems[0]}")
-    return artifact
-
-
-def check_cost_invariance(artifact: dict) -> List[str]:
-    """Fast/ref cell pairs must agree exactly on virtual time and energy.
-
-    The kernel layer guarantees ``use_reference_kernels()`` only changes
-    how the arithmetic is scheduled, never the charged logical cost
-    (tests/test_kernels_fastpath.py); a mismatch here means that
-    invariant broke and the artifact would record a phantom "regression".
-    """
-    problems: List[str] = []
-    by_id = {cell["id"]: cell for cell in artifact.get("cells", [])}
-    for cell_id, cell in by_id.items():
-        if not cell_id.endswith("/fast"):
-            continue
-        ref = by_id.get(cell_id[: -len("fast")] + "ref")
-        if ref is None:
-            continue
-        for metric in ("virtual_s", "energy_j"):
-            fast_values = cell["metrics"][metric]["values"]
-            ref_values = ref["metrics"][metric]["values"]
-            if fast_values != ref_values:
-                problems.append(f"{cell_id}: {metric} differs from reference "
-                                f"schedule ({fast_values} vs {ref_values})")
-    return problems
+    return build_sweep_artifact(area, payloads, seeds,
+                                provenance=build_provenance())

@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     gate.add_argument("--out", default=None,
                       help="also write the JSON gate report to this file")
     gate.add_argument("--inject-slowdown", default=None, metavar="CELL=FACTOR",
-                      help="self-test: scale one fresh cell's gated metrics "
+                      help="self-test: scale one fresh cell's metrics "
                            "by FACTOR before comparing (must fail the gate)")
 
     suite = sub.add_parser("suite", help="run a JSON experiment suite")
@@ -591,6 +591,12 @@ def cmd_bench_sweep(args: argparse.Namespace) -> int:
 
 def cmd_bench_gate(args: argparse.Namespace) -> int:
     from repro.bench import gate as bench_gate
+    from repro.bench.artifacts import (
+        artifact_path,
+        atomic_write_text,
+        load_sweep_artifact,
+        validate_baseline_dir,
+    )
     from repro.bench.sweep import SweepCell, run_sweep
 
     k = args.k if args.k is not None else bench_gate.DEFAULT_NOISE_K
@@ -603,33 +609,33 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
             injection = (cell_id, float(factor))
         except ValueError:
             raise SystemExit("repro bench gate: --inject-slowdown expects "
-                             "CELL=FACTOR (e.g. conv/dglite/gcn/ppi/x1/fast=2)")
-    results = []
-    injected = False
-    for area in _bench_areas(args.area):
-        baseline = bench_gate.load_baseline(args.baseline_dir, area)
-        if baseline is None:
-            results.append(bench_gate.GateResult(
-                area=area, regressions=[], improvements=[],
-                problems=[f"no committed baseline BENCH_{area}.json under "
-                          f"{args.baseline_dir} (run `repro bench sweep`)"]))
-            continue
-        cells = [SweepCell.from_params(cell["params"])
-                 for cell in baseline.get("cells", [])]
-        fresh = run_sweep(area, seeds=baseline.get("seeds", [0]), cells=cells)
-        if injection is not None and any(c["id"] == injection[0]
-                                        for c in fresh["cells"]):
-            fresh = bench_gate.inject_slowdown(fresh, *injection)
-            injected = True
-        results.append(bench_gate.compare_artifacts(
-            baseline, fresh, k=k, rel_slack=rel_slack))
-    if injection is not None and not injected:
-        raise SystemExit(f"repro bench gate: --inject-slowdown cell "
-                         f"{injection[0]!r} not found in any swept area")
+                             "CELL=FACTOR (e.g. conv/dglite/gcn/ppi/x1=2)")
+    areas = _bench_areas(args.area)
+    # A bad baseline is reported before any cell runs: nothing swept
+    # against it could be compared.
+    results = [bench_gate.GateResult(area=area, problems=problems)
+               for area, problems
+               in validate_baseline_dir(args.baseline_dir, areas).items()
+               if problems]
+    if not results:
+        injected = False
+        for area in areas:
+            baseline = load_sweep_artifact(
+                artifact_path(args.baseline_dir, area))
+            cells = [SweepCell.from_params(cell["params"])
+                     for cell in baseline["cells"]]
+            fresh = run_sweep(area, seeds=baseline["seeds"], cells=cells)
+            if injection is not None and any(c["id"] == injection[0]
+                                            for c in fresh["cells"]):
+                fresh = bench_gate.inject_slowdown(fresh, *injection)
+                injected = True
+            results.append(bench_gate.compare_artifacts(
+                baseline, fresh, k=k, rel_slack=rel_slack))
+        if injection is not None and not injected:
+            raise SystemExit(f"repro bench gate: --inject-slowdown cell "
+                             f"{injection[0]!r} not found in any swept area")
     payload = bench_gate.gate_report_payload(results)
     if args.out:
-        from repro.bench.artifacts import atomic_write_text
-
         atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")
     if args.format == "json":
         print(json.dumps(payload, indent=2))

@@ -166,7 +166,9 @@ def segment_softmax(adj: SparseAdj, scores: Tensor, family: str = "sddmm") -> Te
     width_shape = scores.shape[1:]
     # Per-destination max for numerical stability (reduceat fast path).
     max_buf = adj.max_edges(scores.data)
-    out_data = scores.data - np.take(max_buf, dst, axis=0)
+    # The gathered max is shifted in place: one E-row buffer, not two.
+    out_data = np.take(max_buf, dst, axis=0)
+    np.subtract(scores.data, out_data, out=out_data)
     np.exp(out_data, out=out_data)
     sum_buf = adj.sum_edges(out_data, side="dst")
     np.maximum(sum_buf, np.finfo(FLOAT_DTYPE).tiny, out=sum_buf)

@@ -41,7 +41,6 @@ from repro.datapipe.pipeline import EndItem, Stage, run_epoch
 from repro.errors import BenchmarkError, ResilienceError
 from repro.frameworks import get_framework
 from repro.hardware.device import KernelCost
-from repro.kernels.config import use_reference_kernels
 from repro.hardware.machine import paper_testbed
 from repro.models.inference import batch_blocks
 from repro.power.monitor import EnergyMonitor, EnergyReport
@@ -172,7 +171,6 @@ class ServeResult:
 def run_serving_experiment(
     config: ServeConfig,
     fault_plan: Optional[Union[str, Dict, FaultPlan]] = None,
-    fastpath: bool = True,
     monitor_interval: float = 0.1,
 ) -> ServeResult:
     """Serve one seeded trace and return the latency/throughput account.
@@ -181,9 +179,7 @@ def run_serving_experiment(
     serving windows), loads the dataset, places the model, warms the
     feature cache, then replays the trace through the micro-batcher and
     the datapipe.  ``fault_plan`` activates deterministic fault
-    injection on the ``storage.read``/``transfer.h2d`` seams;
-    ``fastpath=False`` runs the reference kernel schedules (charged
-    virtual cost is identical — the sweep's cost-invariance axis).
+    injection on the ``storage.read``/``transfer.h2d`` seams.
     """
     from repro.bench.harness import MODEL_BUILDERS, _coerce_fault_plan
 
@@ -198,8 +194,7 @@ def run_serving_experiment(
     machine = paper_testbed()
     fault_cm = (resilience_session(plan) if plan is not None
                 else nullcontext(None))
-    kernel_cm = nullcontext() if fastpath else use_reference_kernels()
-    with fault_cm as injector, kernel_cm:
+    with fault_cm as injector:
         monitor = EnergyMonitor(machine, interval=monitor_interval)
         monitor.start()
         try:

@@ -49,11 +49,10 @@ def event_records(tracer: SpanTracer,
 
 def write_events_jsonl(path: Union[str, Path], tracer: SpanTracer,
                        registry: Optional[MetricsRegistry] = None) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    from repro.bench.artifacts import atomic_write_text
+
     lines = [json.dumps(rec, sort_keys=True) for rec in event_records(tracer, registry)]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_events_jsonl(path: Union[str, Path]) -> List[dict]:
@@ -69,10 +68,9 @@ def read_events_jsonl(path: Union[str, Path]) -> List[dict]:
 # metrics.prom
 # ----------------------------------------------------------------------
 def write_prometheus(path: Union[str, Path], registry: MetricsRegistry) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(registry.prometheus_text())
-    return path
+    from repro.bench.artifacts import atomic_write_text
+
+    return atomic_write_text(path, registry.prometheus_text())
 
 
 # ----------------------------------------------------------------------
@@ -177,15 +175,14 @@ def merged_trace_events(clock: VirtualClock, tracer: Optional[SpanTracer],
 
 def write_merged_trace(path: Union[str, Path], clock: VirtualClock,
                        tracer: Optional[SpanTracer]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    from repro.bench.artifacts import atomic_write_text
+
     payload = {
         "traceEvents": merged_trace_events(clock, tracer),
         "displayTimeUnit": "ms",
         "metadata": {"source": TRACE_SOURCE},
     }
-    path.write_text(json.dumps(payload, sort_keys=True))
-    return path
+    return atomic_write_text(path, json.dumps(payload, sort_keys=True))
 
 
 # ----------------------------------------------------------------------

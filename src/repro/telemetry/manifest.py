@@ -135,10 +135,10 @@ def build_run_manifest(
 
 
 def write_run_manifest(path: Union[str, Path], manifest: dict) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    from repro.bench.artifacts import atomic_write_text
+
+    return atomic_write_text(
+        path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_run_manifest(path: Union[str, Path]) -> dict:

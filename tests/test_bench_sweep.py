@@ -2,10 +2,13 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.bench.artifacts import (
+    SWEEP_AREAS,
+    SWEEP_SCHEMA,
     artifact_path,
     atomic_write_text,
     build_sweep_artifact,
@@ -19,22 +22,20 @@ from repro.bench.gate import (
     gate_report_payload,
     inject_slowdown,
     noise_envelope,
+    provenance_delta,
 )
 from repro.bench.repeats import RepeatedStats
-from repro.bench.sweep import (
-    SweepCell,
-    check_cost_invariance,
-    run_cell,
-    run_sweep,
-)
+from repro.bench.sweep import SweepCell, run_cell, run_sweep
 from repro.cli import main
 from repro.errors import BenchmarkError
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
 # One tiny cell per driver keeps each sweep in the tens of milliseconds.
 CONV_CELL = SweepCell(driver="conv", framework="dglite", kernel="gcn",
-                      dataset="ppi", scale=0.3, fastpath=True)
+                      dataset="ppi", scale=0.3)
 TRAIN_CELL = SweepCell(driver="train", framework="dglite", kernel="graphsage",
-                       dataset="ppi", scale=0.3, fastpath=True)
+                       dataset="ppi", scale=0.3)
 SEEDS = (0, 1)
 
 
@@ -45,9 +46,10 @@ def tiny_sweep(cell=TRAIN_CELL, seeds=SEEDS):
 
 class TestSweepCells:
     def test_cell_id_encodes_all_axes(self):
-        assert CONV_CELL.cell_id == "conv/dglite/gcn/ppi/x0.3/fast"
-        ref = SweepCell(**{**CONV_CELL.params, "fastpath": False})
-        assert ref.cell_id.endswith("/ref")
+        assert CONV_CELL.cell_id == "conv/dglite/gcn/ppi/x0.3"
+        piped = SweepCell(**{**TRAIN_CELL.params, "placement": "cpugpu",
+                             "pipeline": "depth-4"})
+        assert piped.cell_id == "train/dglite/graphsage/ppi/x0.3/cpugpu/depth-4"
 
     def test_params_round_trip(self):
         assert SweepCell.from_params(TRAIN_CELL.params) == TRAIN_CELL
@@ -59,18 +61,18 @@ class TestSweepCells:
     def test_cell_deterministic_per_seed(self):
         a = run_cell(TRAIN_CELL, seeds=SEEDS)
         b = run_cell(TRAIN_CELL, seeds=SEEDS)
-        for metric in ("virtual_s", "energy_j"):
-            assert a["metrics"][metric]["values"] == b["metrics"][metric]["values"]
+        assert a == b
+        assert sorted(a["metrics"]) == ["energy_j", "virtual_s"]
 
     def test_seeds_actually_vary_training_time(self):
         cell = run_cell(TRAIN_CELL, seeds=(0, 1, 2))
-        values = cell["metrics"]["virtual_s"]["values"]
+        values = cell["metrics"]["virtual_s"]
         assert len(set(values)) > 1
-        assert cell["metrics"]["virtual_s"]["std"] > 0
+        assert RepeatedStats(tuple(values)).std > 0
 
     def test_unknown_driver_rejected(self):
         bad = SweepCell(driver="warp", framework="dglite", kernel="gcn",
-                        dataset="ppi", scale=0.3, fastpath=True)
+                        dataset="ppi", scale=0.3)
         with pytest.raises(BenchmarkError):
             run_cell(bad, seeds=(0,))
 
@@ -89,20 +91,34 @@ class TestArtifacts:
 
     def test_artifact_has_provenance_and_seeds(self):
         artifact = tiny_sweep(CONV_CELL)
-        assert artifact["schema"] == "repro.bench.sweep/1"
+        assert artifact["schema"] == "repro.bench.sweep/2"
         assert artifact["seeds"] == list(SEEDS)
         assert "numpy" in artifact["provenance"]
         assert artifact["provenance"]["kernel_mode"] == "fast"
 
     def test_validator_names_problems(self):
         assert validate_sweep_artifact([]) == ["artifact is not a JSON object"]
-        problems = validate_sweep_artifact(
-            {"schema": "nope", "area": "kernels", "seeds": [0],
-             "provenance": {}, "cells": [{"id": "x", "params": {},
-                                          "metrics": {}}]})
-        assert any("unknown schema" in p for p in problems)
+        shell = {"schema": SWEEP_SCHEMA, "area": "kernels", "seeds": [0],
+                 "provenance": {},
+                 "cells": [{"id": "x", "params": {}, "metrics": {}}]}
+        problems = validate_sweep_artifact(shell)
         assert any("params missing" in p for p in problems)
         assert any("metric 'virtual_s' missing" in p for p in problems)
+        # Another schema is the one problem, however many cells follow.
+        old = dict(shell, schema="repro.bench.sweep/1", cells=shell["cells"] * 3)
+        (problem,) = validate_sweep_artifact(old)
+        assert "unknown schema" in problem and "repro bench sweep" in problem
+
+    @pytest.mark.parametrize("values, expected", [
+        ({"mean": 1.0, "values": [1.0, 1.0]}, "must be a list of numbers"),
+        ([1.0, "fast"], "must be a list of numbers"),
+        ([1.0], "has 1 values for 2 seeds"),
+    ])
+    def test_validator_rejects_malformed_metric(self, values, expected):
+        artifact = json.loads(json.dumps(tiny_sweep(CONV_CELL)))
+        artifact["cells"][0]["metrics"]["virtual_s"] = values
+        (problem,) = validate_sweep_artifact(artifact)
+        assert "metric 'virtual_s'" in problem and expected in problem
 
     def test_duplicate_cell_ids_rejected(self):
         cell = run_cell(CONV_CELL, seeds=(0,))
@@ -122,21 +138,38 @@ class TestArtifacts:
         assert target.read_text() == "new"
         assert os.listdir(tmp_path) == ["out.txt"]
 
-    def test_fastpath_pair_costs_identical(self):
-        ref = SweepCell(**{**TRAIN_CELL.params, "fastpath": False})
-        artifact = run_sweep("training", seeds=(0,), cells=[TRAIN_CELL, ref])
-        assert check_cost_invariance(artifact) == []
-        fast_cell, ref_cell = artifact["cells"]
-        assert (fast_cell["metrics"]["virtual_s"]["values"]
-                == ref_cell["metrics"]["virtual_s"]["values"])
+    def test_sweep_is_a_pure_function_of_code_and_seeds(self, tmp_path):
+        paths = [write_sweep_artifact(tmp_path / name / "BENCH_training.json",
+                                      tiny_sweep())
+                 for name in ("a", "b")]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("area", SWEEP_AREAS)
+def test_committed_baselines_reproduce_exactly(area):
+    """``BENCH_<area>.json`` is what this tree produces, to the last bit."""
+    committed = load_sweep_artifact(artifact_path(REPO_ROOT, area))
+    assert validate_sweep_artifact(committed) == []
+    fresh = run_sweep(area, seeds=committed["seeds"],
+                      cells=[SweepCell.from_params(cell["params"])
+                             for cell in committed["cells"]])
+    delta = provenance_delta(committed, fresh)
+    note = "environment: " + ("; ".join(delta) if delta else "unchanged")
+    assert fresh["seeds"] == committed["seeds"], note
+    moved = [theirs["id"] for ours, theirs
+             in zip(fresh["cells"], committed["cells"]) if ours != theirs]
+    assert fresh["cells"] == committed["cells"], f"{moved} moved ({note})"
 
 
 class TestGate:
     def test_passes_on_identical_baseline(self):
         artifact = tiny_sweep(CONV_CELL)
         result = compare_artifacts(artifact, artifact)
-        assert result.passed
-        assert result.regressions == []
+        assert result.passed and result.identical
+        assert result.regressions == [] and result.moved == []
+        assert "(1 cell(s), bit-identical)" in format_gate_report([result])
+        area = gate_report_payload([result])["areas"][0]
+        assert area["identical"] is True and area["moved"] == []
 
     def test_fails_on_injected_slowdown_naming_the_cell(self):
         baseline = tiny_sweep(CONV_CELL)
@@ -153,6 +186,50 @@ class TestGate:
         baseline = tiny_sweep(CONV_CELL)
         nudged = inject_slowdown(baseline, CONV_CELL.cell_id, 1.01)
         assert compare_artifacts(baseline, nudged).passed
+
+    def test_drift_inside_envelope_is_reported_as_moved(self):
+        baseline = tiny_sweep(CONV_CELL)
+        nudged = inject_slowdown(baseline, CONV_CELL.cell_id, 0.99)
+        result = compare_artifacts(baseline, nudged)
+        assert result.passed and not result.identical
+        assert result.improvements == []
+        moved = [line for line in format_gate_report([result]).splitlines()
+                 if "moved (inside envelope): " in line]
+        assert len(moved) == 2  # virtual_s and energy_j
+        assert f"{CONV_CELL.cell_id} virtual_s: " in moved[0]
+        assert "(0.9900x)" in moved[0]
+        assert gate_report_payload([result])["areas"][0]["moved"] == result.moved
+
+    def test_environment_lines_only_when_something_moved(self):
+        baseline = tiny_sweep(CONV_CELL)
+        elsewhere = json.loads(json.dumps(baseline))
+        elsewhere["provenance"]["numpy"] = "0.0.1"
+        assert compare_artifacts(baseline, elsewhere).environment == []
+        nudged = inject_slowdown(elsewhere, CONV_CELL.cell_id, 0.99)
+        report = format_gate_report([compare_artifacts(baseline, nudged)])
+        numpy_now = baseline["provenance"]["numpy"]
+        assert f"  environment: numpy: {numpy_now!r} -> '0.0.1'" in report
+
+    def test_attribution_only_change_is_not_identical(self):
+        baseline = tiny_sweep(CONV_CELL)
+        shifted = json.loads(json.dumps(baseline))
+        phases = shifted["cells"][0]["attribution"]["phases"]
+        phases["forward"] *= 2
+        result = compare_artifacts(baseline, shifted)
+        assert result.passed and not result.identical
+        assert any("attribution only" in line for line in result.moved)
+
+    def test_injected_artifact_still_validates(self):
+        baseline = tiny_sweep(TRAIN_CELL)
+        doctored = inject_slowdown(baseline, TRAIN_CELL.cell_id, 2.0)
+        assert validate_sweep_artifact(doctored) == []
+        # Statistics are derived from the values, so they cannot go stale.
+        before, after = (RepeatedStats(tuple(
+            artifact["cells"][0]["metrics"]["virtual_s"]))
+            for artifact in (baseline, doctored))
+        assert after.n == before.n == len(SEEDS)
+        assert after.mean == pytest.approx(2.0 * before.mean)
+        assert after.std == pytest.approx(2.0 * before.std)
 
     def test_improvements_reported_not_failed(self):
         baseline = tiny_sweep(CONV_CELL)
@@ -225,6 +302,29 @@ class TestCli:
         assert main(["bench", "gate", "--area", "kernels",
                      "--baseline-dir", str(tmp_path)]) == 1
         assert "repro bench sweep" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage, expected", [
+        (lambda text: text[:200], "unparseable"),
+        (lambda text: text.replace('"driver": "train",', ""),
+         "params missing 'driver'"),
+        (lambda text: text.replace(SWEEP_SCHEMA, "repro.bench.sweep/1"),
+         "unknown schema 'repro.bench.sweep/1'"),
+    ], ids=["truncated", "no-driver", "schema-1"])
+    def test_gate_rejects_bad_baseline_before_sweeping(
+            self, tmp_path, capsys, monkeypatch, damage, expected):
+        path = artifact_path(self._baseline(tmp_path), "training")
+        path.write_text(damage(path.read_text()))
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called against a bad baseline")
+
+        monkeypatch.setattr("repro.bench.sweep.run_sweep", no_sweep)
+        assert main(["bench", "gate", "--area", "training",
+                     "--baseline-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        (problem,) = [line for line in out.splitlines() if "problem: " in line]
+        assert "BENCH_training.json" in problem and expected in problem
+        assert "NOT COMPARED" in out and "REGRESSED" not in out
 
     def test_gate_unknown_injection_cell_rejected(self, tmp_path, capsys):
         root = self._baseline(tmp_path)

@@ -16,6 +16,7 @@ import pytest
 from repro import telemetry
 from repro.errors import GraphFormatError
 from repro.bench.harness import run_training_experiment
+from repro.bench.sweep import MATRICES, run_cell_once
 from repro.frameworks import get_framework
 from repro.frameworks.common import with_self_loops
 from repro.graph.formats import AdjacencyCOO, induced_subgraph
@@ -584,3 +585,11 @@ class TestChargedCostInvariance:
         assert fast.total_energy == ref.total_energy
         # Arithmetic order may differ in the last float32 bits only.
         assert fast.losses == pytest.approx(ref.losses, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "cell", [cell for matrix in MATRICES.values() for cell in matrix],
+        ids=lambda cell: cell.cell_id)
+    def test_every_sweep_cell_costs_the_same_on_reference_kernels(self, cell):
+        """Why ``BENCH_*.json`` needs no fast/ref axis: the pair is equal."""
+        fast, ref = run_both_modes(lambda _rng: run_cell_once(cell, seed=0))
+        assert fast == ref  # (metrics, attribution), bit for bit

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import BenchmarkError
+from repro.kernels.config import use_reference_kernels
 from repro.serving import (
     ServeConfig,
     build_serve_report,
@@ -211,8 +212,9 @@ class TestEngine:
         assert a.makespan == b.makespan and a.total_energy == b.total_energy
 
     def test_fastpath_cost_invariance(self):
-        fast = run_serving_experiment(_config(), fastpath=True)
-        ref = run_serving_experiment(_config(), fastpath=False)
+        fast = run_serving_experiment(_config())
+        with use_reference_kernels():
+            ref = run_serving_experiment(_config())
         assert fast.makespan == ref.makespan
         assert fast.total_energy == ref.total_energy
 

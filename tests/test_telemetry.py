@@ -10,6 +10,7 @@ percentile stats, the device-lane determinism fix in
 """
 
 import json
+import os
 
 import pytest
 
@@ -36,6 +37,8 @@ from repro.telemetry.exporters import (
     merged_trace_events,
     read_events_jsonl,
     write_events_jsonl,
+    write_merged_trace,
+    write_prometheus,
 )
 from repro.telemetry.manifest import (
     load_run_manifest,
@@ -44,6 +47,7 @@ from repro.telemetry.manifest import (
     validate_prometheus_text,
     validate_run_dir,
     validate_run_manifest,
+    write_run_manifest,
 )
 
 
@@ -379,6 +383,50 @@ class TestExporters:
         assert {e["tid"] for e in span_events} == {0, 1}  # one lane per depth
         batch = next(e for e in span_events if e["name"] == "train.batch")
         assert batch["args"]["parent_id"] is not None
+
+
+_WRITERS = {
+    "events.jsonl": lambda path, clock, sess: write_events_jsonl(
+        path, sess.tracer, sess.metrics),
+    "metrics.prom": lambda path, clock, sess: write_prometheus(
+        path, sess.metrics),
+    "trace.json": lambda path, clock, sess: write_merged_trace(
+        path, clock, sess.tracer),
+    "run.json": lambda path, clock, sess: write_run_manifest(
+        path, {"label": "x", "seed": 0}),
+}
+
+
+class TestAtomicWriters:
+    """A killed run leaves the previous artifact or none — never a prefix
+    that still parses (events.jsonl and metrics.prom are line-oriented)."""
+
+    @pytest.mark.parametrize("name", sorted(_WRITERS))
+    def test_interrupted_write_keeps_previous_file(self, name, tmp_path,
+                                                   monkeypatch):
+        clock, sess = _sample_session()
+        path = tmp_path / "run" / name  # parents are created
+        _WRITERS[name](path, clock, sess)
+        before = path.read_bytes()
+        assert before
+
+        def killed(src, dst):
+            raise OSError("killed before the rename")
+
+        sess.metrics.counter("sampler.items", kind="neighbor").inc(1)
+        monkeypatch.setattr("repro.bench.artifacts.os.replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            _WRITERS[name](path, clock, sess)
+        assert path.read_bytes() == before
+        assert os.listdir(path.parent) == [name]  # no .tmp sibling
+
+    def test_unserialisable_payload_touches_nothing(self, tmp_path):
+        path = write_run_manifest(tmp_path / "run.json", {"seed": 0})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_run_manifest(path, {"seed": object()})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["run.json"]
 
 
 # ---------------------------------------------------------------------------
