@@ -23,9 +23,12 @@ pipeline degrades to depth-1 on a single worker lane (inline sampling).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import RecoveryExhausted
 from repro.hardware.machine import Machine
@@ -33,6 +36,7 @@ from repro.resilience import runtime as resilience
 from repro.simtime import DeferredRecord, LaneJob, LaneScheduler
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.runtime import maybe_span
+from repro.telemetry.spans import PHASES, SpanTracer
 
 #: Exclusive phase attribution priority: when jobs overlap on the
 #: timeline, the visible phase is the paper's foreground activity.
@@ -60,10 +64,10 @@ class Stage:
     tag: str = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.phase not in PHASES:
+            raise ValueError(f"stage {self.name!r}: phase {self.phase!r} is "
+                             f"not one of {PHASES}")
         self.tag = f"datapipe:{self.name}"
-
-    def lane_for(self, index: int) -> str:
-        return self.lanes[index % len(self.lanes)]
 
 
 @dataclass
@@ -99,6 +103,11 @@ class EpochReport:
     def overlap_seconds(self) -> float:
         """Scheduled lane busy time in excess of elapsed wall time."""
         return max(0.0, sum(self.lane_busy.values()) - self.elapsed)
+
+    def credit_phases(self, tracer: SpanTracer) -> None:
+        """Credit the epoch's exclusive phase seconds to ``tracer``."""
+        for phase, seconds in sorted(self.phases.items()):
+            tracer.credit(phase, seconds)
 
 
 def run_epoch(
@@ -214,24 +223,24 @@ class _EpochState:
         return job
 
     def _place(self, stage: Stage, index: int, record: DeferredRecord,
-               prev: Optional[LaneJob], released: float = 0.0) -> LaneJob:
-        """Submit one stage job behind its item's previous stage.
+               prev: Optional[LaneJob], released: float) -> LaneJob:
+        """Submit one stage job behind its item's previous stage."""
+        not_before = self._gate(index, released) if prev is None else 0.0
+        return self.sched.submit(self._lane(stage, index), record, prev,
+                                 not_before, stage.tag)
 
-        An item's first stage additionally waits for the item's release
-        time and the bounded queue: item ``index`` enters once item
-        ``index - depth`` has drained.
-        """
-        deps = () if prev is None else (prev,)
-        not_before = 0.0
+    def _gate(self, index: int, released: float = 0.0) -> float:
+        """Earliest start of item ``index``'s first stage: its release time
+        and the bounded queue — it enters once item ``index - depth`` has
+        drained."""
         eff_depth = 1 if self.degraded else self.depth
-        if prev is None:
-            not_before = released
-            if index >= eff_depth and self.terminal:
-                gate = min(index - eff_depth, len(self.terminal) - 1)
-                not_before = max(released, self.terminal[gate].end)
-        lane = stage.lanes[0] if self.degraded else stage.lane_for(index)
-        return self.sched.submit(lane, record, deps=deps,
-                                 not_before=not_before, tag=stage.tag)
+        if index >= eff_depth and self.terminal:
+            gate = min(index - eff_depth, len(self.terminal) - 1)
+            return max(released, self.terminal[gate].end)
+        return released
+
+    def _lane(self, stage: Stage, index: int) -> str:
+        return stage.lanes[0 if self.degraded else index % len(stage.lanes)]
 
     def finish_item(self, first: Optional[LaneJob],
                     last: Optional[LaneJob]) -> None:
@@ -298,11 +307,14 @@ class _EpochState:
                 total=self.stage_totals.get(stage.name, 0.0) / executed,
                 busy={d: s / executed for d, s in busy.items()},
             )))
+        # An item's chain depends on its index only through the round-robin
+        # lane of each stage: one chain per residue, one submit per item.
+        period = math.lcm(*(len(stage.lanes) for stage in stages))
+        chains = [[(self._lane(stage, residue), mean, stage.tag)
+                   for stage, mean in tail] for residue in range(period)]
         for index in range(executed, target):
-            prev: Optional[LaneJob] = None
-            for stage, mean in tail:
-                prev = self._place(stage, index, mean, prev)
-            self.terminal.append(prev)
+            self.terminal.append(self.sched.submit_chain(
+                chains[index % period], None, self._gate(index)))
 
     # ------------------------------------------------------------------
     def record_metrics(self, label: str, by_tag: Dict[str, Stage]) -> None:
@@ -333,34 +345,35 @@ def _attribute_phases(jobs: Sequence[LaneJob], by_tag: Dict[str, Stage],
     Window time no job covers (only the backpressure seams between
     items) falls to "sampling", so the phases always sum to the elapsed
     epoch time.
+
+    One array sweep; every sum that reaches a result runs left to right
+    in event order (``cumsum``/``bincount``, never the pairwise ``sum``).
     """
     if finish <= origin:
         return {}
-    # Phases by priority rank; ones outside the paper's four rank last,
-    # in first-seen order.
-    rank = {phase: i for i, phase in enumerate(_PHASE_PRIORITY)}
-    events: List[Tuple[float, int, int]] = []
-    for job in jobs:
-        if job.end > job.start:
-            r = rank.setdefault(by_tag[job.tag].phase, len(rank))
-            events.append((job.start, 1, r))
-            events.append((job.end, -1, r))
-    events.sort()
-    active = [0] * len(rank)
-    seconds = [0.0] * len(rank)
-    prev_t = origin
-    covered = 0.0
-    for t, delta, r in events:
-        t = min(max(t, origin), finish)
-        if t > prev_t:
-            for current, count in enumerate(active):
-                if count > 0:
-                    seconds[current] += t - prev_t
-                    covered += t - prev_t
-                    break
-            prev_t = t
-        active[r] += delta
-    phases = {phase: seconds[r] for phase, r in rank.items() if seconds[r] > 0}
+    rank_of = {tag: _PHASE_PRIORITY.index(stage.phase)
+               for tag, stage in by_tag.items()}
+    start = np.array([job.start for job in jobs])
+    end = np.array([job.end for job in jobs])
+    rank = np.array([rank_of[job.tag] for job in jobs], dtype=np.intp)
+    live = end > start  # an empty job would split a segment (and its sum)
+    t = np.concatenate((start[live], end[live]))
+    delta = np.repeat((1, -1), len(t) // 2)
+    rank = np.tile(rank[live], 2)
+    # Events at one instant need no order among themselves: only the first
+    # bills a segment, from the state every earlier instant left behind.
+    order = np.argsort(t, kind="stable")
+    t, delta, rank = np.clip(t[order], origin, finish), delta[order], rank[order]
+    step = np.zeros((len(t), len(_PHASE_PRIORITY)), dtype=np.intp)
+    step[np.arange(len(t)), rank] = delta
+    active = (np.cumsum(step, axis=0) - step) > 0  # before each event
+    width = np.diff(t, prepend=origin)
+    billed = (width > 0) & active.any(axis=1)
+    width = width[billed]
+    seconds = np.bincount(active[billed].argmax(axis=1), weights=width,
+                          minlength=len(_PHASE_PRIORITY)).tolist()
+    phases = {phase: s for phase, s in zip(_PHASE_PRIORITY, seconds) if s > 0}
+    covered = float(np.cumsum(np.concatenate(([0.0], width)))[-1])
     residual = (finish - origin) - covered
     if residual > 1e-12:
         phases["sampling"] = phases.get("sampling", 0.0) + residual

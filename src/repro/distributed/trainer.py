@@ -227,8 +227,7 @@ class DataParallelTrainer:
                                1, extrapolate_to=steps_per_epoch,
                                label=f"data-parallel-{k}gpu")
             losses.extend(report.outputs)
-            for phase, seconds in sorted(report.phases.items()):
-                self.tracer.credit(phase, seconds)
+            report.credit_phases(self.tracer)
 
         start = 0.0
         end = machine.clock.now

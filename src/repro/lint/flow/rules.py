@@ -28,7 +28,7 @@ baselines, and both report formats work unchanged.
   body, without re-raising.
 * **LANE-FLOW** — a datapipe ``Stage`` fn (or a function it reaches)
   calls a clock primitive that records busy intervals directly
-  (``commit_interval``), escaping the
+  (``commit_schedule``), escaping the
   ``deferred()`` capture the lane scheduler replays — that work is
   charged outside the stage's declared lane.
 """
@@ -616,7 +616,7 @@ class FaultSwallowRule(DeepRule):
 #: timeline, bypassing the ``deferred()`` capture a datapipe stage runs
 #: under.  Work routed through them lands at pre-drain timestamps on the
 #: base device instead of the stage's declared lane.
-LANE_ESCAPES = ("commit_interval",)
+LANE_ESCAPES = ("commit_schedule",)
 
 
 @register
@@ -626,7 +626,7 @@ class LaneFlowRule(DeepRule):
     description = ("datapipe stage work charged outside its declared lane: a "
                    "Stage fn (or a function it calls) reaches a clock "
                    "primitive that records busy intervals directly "
-                   "(commit_interval), escaping the "
+                   "(commit_schedule), escaping the "
                    "deferred() capture the lane scheduler replays — that "
                    "time lands on the base device at pre-drain timestamps "
                    "instead of the stage's lane")

@@ -143,8 +143,7 @@ def _layer_chunks(framework, fgraph, layer, x_host, target,
                            label="inference")
     finally:
         pool.close()
-    for phase, seconds in sorted(report.phases.items()):
-        tracer.credit(phase, seconds)
+    report.credit_phases(tracer)
     return np.concatenate(report.outputs, axis=0)
 
 

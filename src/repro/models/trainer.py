@@ -330,8 +330,7 @@ class MiniBatchTrainer:
         if report.degraded:
             self._workers_degraded = True
         losses.extend(report.outputs)
-        for phase, seconds in sorted(report.phases.items()):
-            self.tracer.credit(phase, seconds)
+        report.credit_phases(self.tracer)
         return report.executed
 
     # ------------------------------------------------------------------

@@ -2,33 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.hardware.device import Device
 from repro.simtime import VirtualClock
 
 
-@dataclass(frozen=True)
-class PowerSample:
+class PowerSample(NamedTuple):
     """One instantaneous power reading."""
 
     time: float  # virtual seconds
     watts: float
 
 
-def _busy_fraction(clock: VirtualClock, device: Device, start: float, end: float) -> float:
-    span = end - start
-    if span <= 0:
-        return 0.0
-    return min(1.0, clock.busy_time(device.name, start, end) / span)
+def _energy_between(clock: VirtualClock, device: Device,
+                    start: float | np.ndarray, end: float | np.ndarray):
+    """Exact integral of device power over [start, end) in joules.
 
-
-def _energy_between(clock: VirtualClock, device: Device, start: float, end: float) -> float:
-    """Exact integral of device power over [start, end) in joules."""
-    span = max(0.0, end - start)
+    ``end`` (and ``start``) may be arrays: one window per element.
+    """
+    span = np.maximum(0.0, end - start)
     spec = device.spec
     busy = clock.busy_time(device.name, start, end)
-    return spec.idle_power * span + (spec.busy_power - spec.idle_power) * min(busy, span)
+    return spec.idle_power * span + (spec.busy_power - spec.idle_power) * np.minimum(busy, span)
 
 
 class RaplMeter:
@@ -50,7 +48,7 @@ class RaplMeter:
         """Cumulative joules since the meter was created (RAPL-style)."""
         return _energy_between(self.clock, self.cpu, self._origin, self.clock.now)
 
-    def energy_between(self, start: float, end: float) -> float:
+    def energy_between(self, start: float, end: float | np.ndarray):
         return _energy_between(self.clock, self.cpu, start, end)
 
     def average_power(self, start: float, end: float) -> float:
@@ -78,15 +76,18 @@ class NvmlMeter:
         self.gpu = gpu
         self.window = window
 
-    def instant_power(self, at: float | None = None) -> float:
-        """Board power (watts) averaged over the trailing window."""
-        end = self.clock.now if at is None else at
-        start = max(0.0, end - self.window)
+    def instant_power(self, at: float | np.ndarray | None = None):
+        """Board power (watts) averaged over the trailing window, at one
+        instant (default: now) or at every instant of an array."""
+        end = np.asarray(self.clock.now if at is None else at, dtype=float)
+        start = np.maximum(0.0, end - self.window)
         spec = self.gpu.spec
-        if end <= start:
-            return spec.idle_power
-        frac = _busy_fraction(self.clock, self.gpu, start, end)
-        return spec.idle_power + frac * (spec.busy_power - spec.idle_power)
+        busy = self.clock.busy_time(self.gpu.name, start, end)
+        # An empty window (an instant at time zero) reads idle power.
+        frac = np.minimum(1.0, np.divide(busy, end - start, out=np.zeros(end.shape),
+                                         where=end > start))
+        watts = spec.idle_power + frac * (spec.busy_power - spec.idle_power)
+        return watts if watts.ndim else float(watts)
 
     def sample(self) -> PowerSample:
         return PowerSample(self.clock.now, self.instant_power())

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+import numpy as np
+
 from repro.hardware.machine import Machine
 from repro.power.meter import NvmlMeter, PowerSample, RaplMeter
 
@@ -117,7 +119,6 @@ class EnergyMonitor:
         self._running = False
         self._start_time = 0.0
         self._last_sample_time = 0.0
-        self._last_rapl = 0.0
         self._cpu_energy = 0.0
         self._gpu_energy = 0.0
         self._samples = 0
@@ -130,7 +131,6 @@ class EnergyMonitor:
         self._running = True
         self._start_time = self.machine.clock.now
         self._last_sample_time = self._start_time
-        self._last_rapl = self.rapl.energy_counter()
         self._cpu_energy = 0.0
         self._gpu_energy = 0.0
         self._samples = 0
@@ -138,25 +138,33 @@ class EnergyMonitor:
         self._gpu_trace = []
         self.machine.clock.add_listener(self._on_advance)
 
-    def _take_sample(self, at: float) -> None:
-        rapl_now = self.rapl.energy_between(self._start_time, at)
-        delta_cpu = rapl_now - self._cpu_energy
-        span = at - self._last_sample_time
-        self._cpu_energy = rapl_now
-        self._cpu_trace.append(PowerSample(at, delta_cpu / span if span > 0 else 0.0))
+    def _take_samples(self, times: np.ndarray) -> None:
+        """Read both meters at every instant of ``times`` (ascending)."""
+        spans = np.diff(np.concatenate(([self._last_sample_time], times)))
+        rapl = self.rapl.energy_between(self._start_time, times)
+        cpu_watts = np.divide(np.diff(np.concatenate(([self._cpu_energy], rapl))),
+                              spans, out=np.zeros(len(times)), where=spans > 0)
+        self._cpu_energy = float(rapl[-1])
+        instants = times.tolist()
+        self._cpu_trace.extend(map(PowerSample, instants, cpu_watts.tolist()))
         if self.nvml is not None:
-            gpu_watts = self.nvml.instant_power(at)
-            self._gpu_energy += gpu_watts * span
-            self._gpu_trace.append(PowerSample(at, gpu_watts))
-        self._samples += 1
-        self._last_sample_time = at
+            gpu_watts = self.nvml.instant_power(times)
+            # Accumulated sample by sample, left to right, like the tool.
+            self._gpu_energy = float(np.concatenate(
+                ([self._gpu_energy], gpu_watts * spans)).cumsum()[-1])
+            self._gpu_trace.extend(map(PowerSample, instants, gpu_watts.tolist()))
+        self._samples += len(instants)
+        self._last_sample_time = instants[-1]
 
     def _on_advance(self, old_now: float, new_now: float) -> None:
         # Fire a sample at every interval boundary crossed by this advance.
-        next_due = self._last_sample_time + self.interval
-        while next_due <= new_now:
-            self._take_sample(next_due)
-            next_due = self._last_sample_time + self.interval
+        # Instants are the recurrence t_k = t_(k-1) + interval (a cumsum),
+        # not last + k * interval, which differs in the last bit.
+        while self._last_sample_time + self.interval <= new_now:
+            crossed = int((new_now - self._last_sample_time) / self.interval) + 1
+            due = np.array([self._last_sample_time]
+                           + [self.interval] * crossed).cumsum()[1:]
+            self._take_samples(due[:due.searchsorted(new_now, side="right")])
 
     def stop(self) -> EnergyReport:
         if not self._running:
@@ -165,7 +173,7 @@ class EnergyMonitor:
         self._running = False
         end = self.machine.clock.now
         if end > self._last_sample_time:
-            self._take_sample(end)
+            self._take_samples(np.array([end]))
         duration = end - self._start_time
         return EnergyReport(
             duration=duration,

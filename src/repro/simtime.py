@@ -16,16 +16,19 @@ Multi-lane schedules (the streaming datapipe) are built with
 :class:`LaneScheduler`: each resource (sampler-worker CPUs, PCIe, GPU)
 gets its own timeline, jobs are placed at the max of their dependency
 finish times and their lane's front, and ``drain()`` commits the busy
-intervals and advances the machine clock once to the latest lane front —
-replacing per-call serial ``advance()`` on the hot path.
+intervals in one pass and advances the machine clock once to the latest
+lane front — replacing per-call serial ``advance()`` on the hot path.
 """
 
 from __future__ import annotations
 
-import bisect
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 #: Tolerance for interval-ordering checks (floating-point bookkeeping).
 _EPS = 1e-9
@@ -60,14 +63,17 @@ class VirtualClock:
         self._now: float = 0.0
         self._defer_depth: int = 0
         self._defer_record: Optional["DeferredRecord"] = None
-        self._busy: List[BusyInterval] = []
+        #: (key, start, end, tag) rows in commit order; ``busy_intervals()``
+        #: materialises :class:`BusyInterval` objects on read.
+        self._busy: List[Tuple[str, float, float, str]] = []
         # Per-device sorted indexes for O(log n) busy_time queries: the
         # energy monitor samples busy_time thousands of times per run.
         # Intervals per device are disjoint and start-ordered because the
-        # clock is serial.
-        self._starts: Dict[str, List[float]] = {}
-        self._ends: Dict[str, List[float]] = {}
-        self._cumdur: Dict[str, List[float]] = {}
+        # clock is serial.  Double arrays: appended to like lists, read by
+        # numpy without a copy.
+        self._starts: Dict[str, array] = {}
+        self._ends: Dict[str, array] = {}
+        self._cumdur: Dict[str, array] = {}
         self._listeners: List[Callable[[float, float], None]] = []
 
     @property
@@ -117,10 +123,10 @@ class VirtualClock:
         is not ``dt`` in floating point, and busy sums feed the energy
         integral.
         """
-        self._busy.append(BusyInterval(key, start, end, tag))
-        self._starts.setdefault(key, []).append(start)
-        self._ends.setdefault(key, []).append(end)
-        cum = self._cumdur.setdefault(key, [0.0])
+        self._busy.append((key, start, end, tag))
+        starts, ends, cum = self._index(key)
+        starts.append(start)
+        ends.append(end)
         cum.append(cum[-1] + seconds)
 
     @contextmanager
@@ -185,91 +191,116 @@ class VirtualClock:
         outside one) — ``now`` does not move inside it."""
         return self._defer_record.total if self._defer_depth > 0 else 0.0
 
-    def commit_interval(self, device: str, start: float, end: float,
-                        tag: str = "", lane: str = "") -> None:
-        """Record an externally scheduled busy interval.
+    def commit_schedule(
+            self, schedule: Iterable[Tuple[float, str, str, float, str]]) -> None:
+        """Record an externally scheduled multi-lane timeline in one pass.
 
-        :class:`LaneScheduler.drain` uses this to materialize a multi-lane
-        schedule: intervals may lie in the clock's *future* (the caller
-        advances afterwards) but must arrive start-ordered and disjoint per
-        key.  With ``lane`` set, the interval is recorded under the
-        ``device@lane`` key (its own trace lane) and additionally merged
-        into the base device's busy-time index as a *union* across lanes,
-        so power metering — which asks ``busy_time(device)`` — keeps
-        seeing the device as busy whenever any of its lanes is.
+        :class:`LaneScheduler.drain` hands over its whole schedule as
+        ``(start, device, lane, seconds, tag)`` rows: intervals may lie in
+        the clock's *future* (the caller advances afterwards) but must
+        arrive start-ordered and disjoint per key.  With ``lane`` set, the
+        interval is recorded under the ``device@lane`` key (its own trace
+        lane) and additionally merged into the base device's busy-time
+        index as a *union* across lanes, so power metering — which asks
+        ``busy_time(device)`` — keeps seeing the device as busy whenever
+        any of its lanes is.
         """
-        if end < start:
-            raise ValueError(f"interval ends before it starts ({start}..{end})")
-        if end - start <= 0:
-            return
-        key = f"{device}@{lane}" if lane else device
-        ends = self._ends.get(key)
-        if ends and start < ends[-1] - _EPS:
-            raise ValueError(
-                f"interval [{start}, {end}) overlaps existing busy time on "
-                f"{key!r} (last end {ends[-1]})"
-            )
-        start = max(start, ends[-1]) if ends else start
-        if end <= start:
-            return
-        self._record(key, start, end, end - start, tag)
-        if lane:
-            self._union_merge(device, start, end)
+        tracks: Dict[Tuple[str, str], tuple] = {}
+        log = self._busy.append
+        for start, device, lane, seconds, tag in schedule:
+            end = start + seconds
+            if end < start:
+                raise ValueError(f"interval ends before it starts ({start}..{end})")
+            if end - start <= 0:
+                continue
+            track = tracks.get((device, lane))
+            if track is None:  # resolve the key and its indexes once
+                key = f"{device}@{lane}" if lane else device
+                track = tracks[device, lane] = (
+                    key, self._index(key), self._index(device) if lane else None)
+            key, (starts, ends, cum), union = track
+            if ends:
+                last = ends[-1]
+                if start < last - _EPS:
+                    raise ValueError(
+                        f"interval [{start}, {end}) overlaps existing busy time on "
+                        f"{key!r} (last end {last})"
+                    )
+                if start < last:
+                    start = last
+                if end <= start:
+                    continue
+            log((key, start, end, tag))
+            starts.append(start)
+            ends.append(end)
+            cum.append(cum[-1] + (end - start))
+            if union is not None:  # fold into the base device's busy-time union
+                starts, ends, cum = union
+                last = ends[-1] if ends else None
+                if last is None or start > last + _EPS:
+                    starts.append(start)
+                    ends.append(end)
+                    cum.append(cum[-1] + (end - start))
+                elif end > last:  # extends the trailing interval
+                    cum[-1] += end - last
+                    ends[-1] = end
 
-    def _union_merge(self, device: str, start: float, end: float) -> None:
-        """Fold one lane interval into the base device's busy-time union."""
-        starts = self._starts.setdefault(device, [])
-        ends = self._ends.setdefault(device, [])
-        cum = self._cumdur.setdefault(device, [0.0])
-        if ends and start <= ends[-1] + _EPS:
-            if end > ends[-1]:  # extends the trailing interval
-                cum[-1] += end - ends[-1]
-                ends[-1] = end
-            return
-        starts.append(start)
-        ends.append(end)
-        cum.append(cum[-1] + (end - start))
+    def _index(self, key: str) -> Tuple[array, array, array]:
+        """``key``'s (starts, ends, cumulative seconds), created on first use."""
+        if key not in self._starts:
+            self._starts[key], self._ends[key] = array("d"), array("d")
+            self._cumdur[key] = array("d", (0.0,))
+        return self._starts[key], self._ends[key], self._cumdur[key]
 
-    def busy_time(self, device: str, start: float = 0.0, end: Optional[float] = None) -> float:
-        """Total busy seconds for ``device`` within [start, end)."""
-        if end is None:
-            end = self._now
-        starts = self._starts.get(device)
-        if not starts or end <= start:
-            return 0.0
-        ends = self._ends[device]
-        cum = self._cumdur[device]
-        # Intervals are disjoint and ordered; find the overlapping slice.
-        lo = bisect.bisect_right(ends, start)
-        hi = bisect.bisect_left(starts, end)
-        if lo >= hi:
-            return 0.0
-        total = cum[hi] - cum[lo]
-        total -= max(0.0, start - starts[lo])  # clip leading interval
-        total -= max(0.0, ends[hi - 1] - end)  # clip trailing interval
-        return max(0.0, total)
+    def busy_time(self, device: str, start: Union[float, np.ndarray] = 0.0,
+                  end: Union[float, np.ndarray, None] = None
+                  ) -> Union[float, np.ndarray]:
+        """Total busy seconds for ``device`` within [start, end).
+
+        ``start``/``end`` may be arrays — one window per element, ``start``
+        broadcast against ``end`` — and then so is the result; every
+        element goes through the same clip arithmetic.
+        """
+        if not self._starts.get(device):
+            return np.zeros(np.shape(end)) if np.ndim(end) else 0.0
+        starts = np.asarray(start, dtype=float)
+        ends = np.asarray(self._now if end is None else end, dtype=float)
+        first, last, cum = map(np.frombuffer, self._index(device))
+        # Intervals are disjoint and ordered; find each overlapping slice.
+        lo = last.searchsorted(starts, side="right")
+        hi = first.searchsorted(ends, side="left")
+        busy = cum[hi] - cum[lo]
+        # Clip the leading and the trailing interval (an empty slice reads
+        # a neighbour, and is discarded below).
+        busy -= np.maximum(0.0, starts - first[np.minimum(lo, len(first) - 1)])
+        busy -= np.maximum(0.0, last[hi - 1] - ends)
+        total = np.where((lo < hi) & (ends > starts), np.maximum(0.0, busy), 0.0)
+        return total if total.ndim else float(total)
 
     def busy_intervals(self, device: Optional[str] = None) -> List[BusyInterval]:
         """Busy intervals, optionally filtered by device key."""
-        if device is None:
-            return list(self._busy)
-        return [iv for iv in self._busy if iv.device == device]
+        return [BusyInterval(*row) for row in self._busy
+                if device is None or row[0] == device]
 
 
 @dataclass
 class LaneJob:
     """One scheduled unit of work on a :class:`LaneScheduler` lane."""
 
+    # An epoch holds one per batch and stage; spelled out because
+    # ``dataclass(slots=True)`` needs Python 3.10.
+    __slots__ = ("job_id", "lane", "start", "end", "total", "busy", "tag",
+                 "ready")
     job_id: int
     lane: str
     start: float
     end: float
     total: float
     busy: Dict[str, float]
-    tag: str = ""
+    tag: str
     #: Earliest time the job *could* have started (dependency finish);
     #: ``start - ready`` is the time it queued behind its lane.
-    ready: float = 0.0
+    ready: float
 
     @property
     def wait(self) -> float:
@@ -281,11 +312,11 @@ class LaneScheduler:
 
     Each lane (a sampler-worker CPU, the PCIe link, the GPU, ...) is an
     independent timeline with a monotone *front*.  ``submit()`` places a
-    job at the max of its dependency finish times, an optional explicit
+    job at the max of its predecessor's finish time, an optional explicit
     lower bound, and its lane's front — so lanes overlap freely while
     work on one lane stays serial.  Nothing touches the clock until
     ``drain()``, which commits every job's per-device busy time (under
-    ``device@lane`` keys, see :meth:`VirtualClock.commit_interval`) and
+    ``device@lane`` keys, see :meth:`VirtualClock.commit_schedule`) and
     advances the machine clock once, to the latest lane front.
 
     The scheduler is one-shot: ``drain()`` finalizes it.  Pipelines build
@@ -304,36 +335,48 @@ class LaneScheduler:
         """The latest lane front (absolute time)."""
         return max(self._fronts.values()) if self._fronts else self.origin
 
-    def submit(self, lane: str, work: Union[DeferredRecord, float], *,
-               deps: Sequence[LaneJob] = (), not_before: float = 0.0,
+    def submit(self, lane: str, work: Union[DeferredRecord, float],
+               after: Optional[LaneJob] = None, not_before: float = 0.0,
                tag: str = "") -> LaneJob:
         """Schedule measured ``work`` on ``lane``.
 
         ``work`` is a :class:`DeferredRecord` (measured inside
-        ``clock.deferred()``) or plain seconds.  ``deps`` are jobs that
+        ``clock.deferred()``) or plain seconds.  ``after`` is the job that
         must finish first; ``not_before`` adds an absolute lower bound
         (e.g. bounded-queue backpressure).  The job keeps the record's
         own busy dict: nothing mutates a submitted record.
         """
+        if not isinstance(work, DeferredRecord):
+            if work < 0:
+                raise ValueError("cannot schedule negative duration")
+            work = DeferredRecord(total=float(work))
+        return self.submit_chain(((lane, work, tag),), after, not_before)
+
+    def submit_chain(self, steps: Iterable[Tuple[str, DeferredRecord, str]],
+                     after: Optional[LaneJob] = None,
+                     not_before: float = 0.0) -> LaneJob:
+        """Schedule ``(lane, record, tag)`` steps, each after the one before
+        it, and return the last job (``after`` itself for no steps).
+
+        ``after`` and ``not_before`` bound the first step as in
+        :meth:`submit`.  This loop is the one placement rule: a job starts
+        when it is ready and its lane is free.
+        """
         if self._drained:
             raise RuntimeError("LaneScheduler already drained")
-        if isinstance(work, DeferredRecord):
-            total, busy = work.total, work.busy
-        elif work < 0:
-            raise ValueError("cannot schedule negative duration")
-        else:
-            total, busy = float(work), {}
-        ready = max(self.origin, not_before)
-        for dep in deps:
-            if dep.end > ready:
-                ready = dep.end
-        start = max(ready, self._fronts.get(lane, self.origin))
-        job = LaneJob(
-            job_id=len(self.jobs), lane=lane, start=start, end=start + total,
-            total=total, busy=busy, tag=tag, ready=ready,
-        )
-        self._fronts[lane] = job.end
-        self.jobs.append(job)
+        origin, jobs, fronts = self.origin, self.jobs, self._fronts
+        ready = max(origin, not_before)
+        job = after
+        if after is not None and after.end > ready:
+            ready = after.end
+        for lane, record, tag in steps:
+            total = record.total
+            start = max(ready, fronts.get(lane, origin))
+            end = fronts[lane] = start + total
+            job = LaneJob(len(jobs), lane, start, end, total, record.busy, tag,
+                          ready)
+            jobs.append(job)
+            ready = end
         return job
 
     def lane_busy(self) -> Dict[str, float]:
@@ -353,16 +396,14 @@ class LaneScheduler:
         if self._drained:
             raise RuntimeError("LaneScheduler already drained")
         self._drained = True
-        commits = []
-        for job in self.jobs:
-            for device, seconds in job.busy.items():
-                seconds = min(seconds, job.total)
-                if seconds > 0:
-                    commits.append((job.start, device, job.job_id, seconds, job))
-        commits.sort()  # (start, device, job_id): unique, never compares jobs
-        for start, device, _, seconds, job in commits:
-            self.clock.commit_interval(device, start, start + seconds,
-                                       tag=job.tag, lane=job.lane)
+        schedule = [
+            (job.start, device, job.lane, min(seconds, job.total), job.tag)
+            for job in self.jobs for device, seconds in job.busy.items()
+            if seconds > 0 and job.total > 0
+        ]
+        # Stable, so rows that tie on (start, device) stay in job order.
+        schedule.sort(key=itemgetter(0, 1))
+        self.clock.commit_schedule(schedule)
         elapsed = self.finish - self.clock.now
         if elapsed > 0:
             self.clock.advance(elapsed)

@@ -91,18 +91,14 @@ def device_trace_events(clock: VirtualClock, time_unit: float = 1e6) -> List[dic
     implementation; the legacy :mod:`repro.profiling.trace` module
     delegates here.
     """
+    intervals = clock.busy_intervals()  # materialised on read: read once
     lanes = {device: tid for tid, device in enumerate(DEVICE_LANES)}
-    seen = {interval.device for interval in clock.busy_intervals()}
+    seen = {interval.device for interval in intervals}
     for device in sorted(seen - set(DEVICE_LANES)):
         lanes[device] = len(lanes)
 
-    def lane_id(device: str) -> int:
-        if device not in lanes:  # devices appearing mid-iteration
-            lanes[device] = len(lanes)
-        return lanes[device]
-
     events = []
-    for interval in clock.busy_intervals():
+    for interval in intervals:
         events.append({
             "name": interval.tag or "busy",
             "cat": interval.device,
@@ -110,7 +106,7 @@ def device_trace_events(clock: VirtualClock, time_unit: float = 1e6) -> List[dic
             "ts": interval.start * time_unit,
             "dur": interval.duration * time_unit,
             "pid": DEVICE_PID,
-            "tid": lane_id(interval.device),
+            "tid": lanes[interval.device],
         })
     # lane naming metadata
     for device, tid in lanes.items():

@@ -213,6 +213,11 @@ def _two_stage(machine, sample_s=0.02, train_s=0.01, workers=1):
 
 
 class TestRunEpoch:
+    def test_stage_phase_must_be_one_of_the_four(self):
+        # A typo used to become a silent fifth key of the breakdown.
+        with pytest.raises(ValueError, match=r"'train'.*data_loading"):
+            Stage("train", "train", fn=lambda i, x: x, lanes=("train",))
+
     def test_depth_bounds_in_flight(self):
         machine = paper_testbed()
         report = run_epoch(machine, _two_stage(machine, workers=4),

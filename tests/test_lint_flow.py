@@ -622,7 +622,7 @@ def test_lane_flow_tp_named_fn_direct_escape(tmp_path):
     findings = deep_findings(tmp_path, {"repro/train/t.py": LANE_PREAMBLE + """
         def rogue_stage(index, payload):
             clock = payload.clock
-            clock.commit_interval("cpu", 0.0, 1.0)
+            clock.commit_schedule([(0.0, "cpu", "", 1.0, "")])
             return payload
 
         def build(clock):
@@ -631,13 +631,13 @@ def test_lane_flow_tp_named_fn_direct_escape(tmp_path):
     """}, select=["LANE-FLOW"])
     assert len(findings) == 1
     assert "rogue_stage" in findings[0].message
-    assert "commit_interval" in findings[0].message
+    assert "commit_schedule" in findings[0].message
 
 
 def test_lane_flow_tp_transitive_callee(tmp_path):
     findings = deep_findings(tmp_path, {"repro/train/t.py": LANE_PREAMBLE + """
         def charge_directly(clock):
-            clock.commit_interval("cpu", 0.0, 1.0)
+            clock.commit_schedule([(0.0, "cpu", "", 1.0, "")])
 
         def sneaky_stage(index, payload):
             charge_directly(payload.clock)
@@ -649,19 +649,19 @@ def test_lane_flow_tp_transitive_callee(tmp_path):
     """}, select=["LANE-FLOW"])
     assert len(findings) == 1
     assert "sneaky_stage" in findings[0].message
-    assert "commit_interval" in findings[0].message
+    assert "commit_schedule" in findings[0].message
 
 
-def test_lane_flow_tp_lambda_commit_interval(tmp_path):
+def test_lane_flow_tp_lambda_commit_schedule(tmp_path):
     findings = deep_findings(tmp_path, {"repro/train/t.py": LANE_PREAMBLE + """
         def build(clock):
             return [Stage("copy", "data_movement",
-                          fn=lambda i, p: clock.commit_interval(
-                              "pcie", 0.0, 1.0),
+                          fn=lambda i, p: clock.commit_schedule(
+                              [(0.0, "pcie", "", 1.0, "")]),
                           lanes=("copy",))]
     """}, select=["LANE-FLOW"])
     assert len(findings) == 1
-    assert "commit_interval" in findings[0].message
+    assert "commit_schedule" in findings[0].message
 
 
 def test_lane_flow_tn_deferred_capturable_work(tmp_path):
@@ -682,11 +682,11 @@ def test_lane_flow_tn_deferred_capturable_work(tmp_path):
 
 
 def test_lane_flow_tn_escape_outside_stage_fn(tmp_path):
-    # commit_interval is fine outside the datapipe: only Stage fns run
+    # commit_schedule is fine outside the datapipe: only Stage fns run
     # under the scheduler's deferred capture.
     findings = deep_findings(tmp_path, {"repro/train/t.py": LANE_PREAMBLE + """
         def materialize(clock):
-            clock.commit_interval("gpu0", 0.0, 1.0)
+            clock.commit_schedule([(0.0, "gpu0", "", 1.0, "")])
 
         def build(clock):
             materialize(clock)
