@@ -10,8 +10,7 @@ reproduced orderings are not knife-edge artifacts of the chosen values.
 from conftest import emit
 
 from repro.bench import format_series
-from repro.frameworks.dglite import DGLite
-from repro.frameworks.pyglite import PyGLite
+from repro.frameworks import PYGLITE_PROFILE, Framework, get_framework
 from repro.hardware.machine import paper_testbed
 from repro.tensor.tensor import no_grad
 
@@ -49,34 +48,35 @@ def _sampler_epoch(framework, dataset: str) -> float:
 def test_ablation_calibration_sensitivity(once):
     def run():
         out = {}
+        dgl, pyg = get_framework("dglite"), get_framework("pyglite")
 
         # Observation 3 (DGL wins conv on CPU) under a 2x *better* PyG
         # CPU SpMM than calibrated.
-        pyg_fast_spmm = PyGLite(
-            profile=PyGLite.profile.with_efficiency_scaled("spmm", "cpu", 2.0))
+        pyg_fast_spmm = Framework(
+            PYGLITE_PROFILE.with_efficiency_scaled("spmm", "cpu", 2.0))
         out["conv_cpu"] = {
-            "dgl_baseline": _conv_forward(DGLite(), "reddit", "gcn", "cpu"),
-            "pyg_baseline": _conv_forward(PyGLite(), "reddit", "gcn", "cpu"),
+            "dgl_baseline": _conv_forward(dgl, "reddit", "gcn", "cpu"),
+            "pyg_baseline": _conv_forward(pyg, "reddit", "gcn", "cpu"),
             "pyg_2x_spmm": _conv_forward(pyg_fast_spmm, "reddit", "gcn", "cpu"),
         }
 
         # Observation 2 (DGL sampler wins) under a 2x *faster* PyG
         # neighbor sampler.
-        pyg_fast_sampler = PyGLite(
-            profile=PyGLite.profile.with_sampler_scaled("neighbor", 0.5))
+        pyg_fast_sampler = Framework(
+            PYGLITE_PROFILE.with_sampler_scaled("neighbor", 0.5))
         out["sampler"] = {
-            "dgl_baseline": _sampler_epoch(DGLite(), "flickr"),
-            "pyg_baseline": _sampler_epoch(PyGLite(), "flickr"),
+            "dgl_baseline": _sampler_epoch(dgl, "flickr"),
+            "pyg_baseline": _sampler_epoch(pyg, "flickr"),
             "pyg_half_cost": _sampler_epoch(pyg_fast_sampler, "flickr"),
         }
 
         # The GPU small-graph crossover (PyG wins PPI) under a 2x *worse*
         # PyG GPU SpMM.
-        pyg_slow_gpu = PyGLite(
-            profile=PyGLite.profile.with_efficiency_scaled("spmm", "gpu", 0.5))
+        pyg_slow_gpu = Framework(
+            PYGLITE_PROFILE.with_efficiency_scaled("spmm", "gpu", 0.5))
         out["conv_gpu_ppi"] = {
-            "dgl_baseline": _conv_forward(DGLite(), "ppi", "gcn", "gpu"),
-            "pyg_baseline": _conv_forward(PyGLite(), "ppi", "gcn", "gpu"),
+            "dgl_baseline": _conv_forward(dgl, "ppi", "gcn", "gpu"),
+            "pyg_baseline": _conv_forward(pyg, "ppi", "gcn", "gpu"),
             "pyg_half_spmm": _conv_forward(pyg_slow_gpu, "ppi", "gcn", "gpu"),
         }
         return out

@@ -28,7 +28,7 @@ import numpy as np
 from conftest import emit
 
 from repro.bench.harness import run_training_experiment
-from repro.frameworks.pyglite.nn import GATConv
+from repro.frameworks.nn import UnfusedGATConv
 from repro.hardware import paper_testbed
 from repro.kernels.adj import SparseAdj
 from repro.kernels.config import use_reference_kernels
@@ -102,7 +102,7 @@ def _gat_layer_step():
     adj = SparseAdj(rng.integers(0, num_src, num_edges),
                     rng.integers(0, num_dst, num_edges),
                     num_src=num_src, num_dst=num_dst, device=machine.cpu)
-    layer = GATConv(feats, feats, heads=4, seed=0)
+    layer = UnfusedGATConv(feats, feats, heads=4, seed=0)
     for param in layer.parameters():
         param.device = machine.cpu
     x_data = rng.standard_normal((num_src, feats)).astype(np.float32)

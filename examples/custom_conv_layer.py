@@ -1,9 +1,13 @@
 """Extending the library: write a custom conv layer against the kernel API.
 
 Implements a simple GIN-style layer (Xu et al., "How Powerful are GNNs")
-twice — once in DGLite's fused style and once in PyGLite's gather/scatter
-style — verifies they agree numerically, trains both on a dataset, and
-shows how the framework profiles price the *same math* differently.
+in the terms of the library's zoo (``repro.frameworks.nn``): one class
+whose ``forward`` is the fused lowering, and a subclass that overrides
+only ``forward`` with the gather/scatter lowering.  Inside the library
+the pair would be one ``CONVS`` row and ``profile.fused_convs`` would
+pick the lowering per framework; here both are hand-written outside the
+zoo so each can be priced under *both* profiles — verifies they agree
+numerically and shows how the profiles price the *same math* differently.
 
 Run:  python examples/custom_conv_layer.py
 """
@@ -33,14 +37,8 @@ class FusedGINConv(Module):
         return self.lin2(F.relu(self.lin1(combined)))
 
 
-class ScatterGINConv(Module):
+class ScatterGINConv(FusedGINConv):
     """The same GIN layer via the unfused gather -> scatter pipeline."""
-
-    def __init__(self, in_features: int, out_features: int, seed: int = 0) -> None:
-        super().__init__()
-        self.eps = Parameter(np.zeros(1, dtype=np.float32))
-        self.lin1 = Linear(in_features, out_features, seed=seed)
-        self.lin2 = Linear(out_features, out_features, seed=seed + 1)
 
     def forward(self, adj: SparseAdj, x: Tensor) -> Tensor:
         messages = gather(adj, x, side="src")  # materializes E x F

@@ -32,6 +32,7 @@ from repro.bench import (
     run_training_experiment,
 )
 from repro.datasets import DATASET_NAMES, list_datasets
+from repro.frameworks.nn import CONVS
 from repro.telemetry.spans import PHASES
 
 FRAMEWORKS = ("dglite", "pyglite")
@@ -69,9 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     conv = sub.add_parser("conv", help="Figure 5: conv-layer forward runtime")
     conv.add_argument("--dataset", type=_dataset_args, default=["flickr"])
-    conv.add_argument("--kind", default="gcn",
-                      choices=("gcn", "gcn2", "cheb", "sage", "gat", "gatv2",
-                               "tag", "sg"))
+    conv.add_argument("--kind", default="gcn", choices=tuple(CONVS))
     conv.add_argument("--device", choices=("cpu", "gpu"), default="cpu")
 
     train = sub.add_parser("train", help="Figures 6-21: end-to-end training")

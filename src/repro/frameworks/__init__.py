@@ -1,17 +1,18 @@
-"""The two GNN framework implementations under test.
+"""The two GNN frameworks under test.
 
-* :mod:`repro.frameworks.dglite` — models DGL v0.8.2: graph-centric
-  ``DGLiteGraph``, fused g-SpMM/g-SDDMM kernels for all conv layers,
-  native (C++-rate) samplers, GPU- and UVA-based neighborhood sampling,
-  asynchronous pre-fetching.
-* :mod:`repro.frameworks.pyglite` — models PyG v2.0.4: tensor-first
-  ``Data`` objects, gather/scatter ``MessagePassing`` with a fused path
-  for only part of the layer zoo, Python-rate samplers requiring CSC.
+A framework *is* its :class:`~repro.frameworks.profiles.FrameworkProfile`:
+``get_framework("dglite")`` models DGL v0.8.2 and
+``get_framework("pyglite")`` models PyG v2.0.4 by wrapping
+:data:`~repro.frameworks.profiles.DGLITE_PROFILE` /
+:data:`~repro.frameworks.profiles.PYGLITE_PROFILE` (whose comments list
+the design choices each mirrors) in the same :class:`Framework`.
 
 Both sit on the same substrate (autograd tensors + sparse kernels +
-simulated machine); their behavioural differences come exclusively from
-their :class:`~repro.frameworks.profiles.FrameworkProfile` and from which
-kernel *paths* their layer implementations take.
+simulated machine) and build their layers from the same zoo
+(:mod:`repro.frameworks.nn`); their behavioural differences come
+exclusively from the profile — its cost constants, and its
+``fused_convs`` set, which decides whether a layer runs its fused kernel
+*path* or the gather/scatter one.
 """
 
 from repro.frameworks.base import Framework, FrameworkBatch, FrameworkGraph
@@ -23,18 +24,16 @@ from repro.frameworks.profiles import (
     SamplerCosts,
 )
 
+_ALIASES = {"dgl": "dglite", "pyg": "pyglite"}
+
 
 def get_framework(name: str) -> Framework:
-    """Instantiate a framework by name ("dglite" or "pyglite")."""
-    from repro.frameworks.dglite import DGLite
-    from repro.frameworks.pyglite import PyGLite
-
+    """Instantiate a framework by name ("dglite"/"dgl" or "pyglite"/"pyg")."""
     key = name.lower()
-    if key in ("dglite", "dgl"):
-        return DGLite()
-    if key in ("pyglite", "pyg"):
-        return PyGLite()
-    raise ValueError(f"unknown framework {name!r} (expected 'dglite' or 'pyglite')")
+    profile = PROFILES.get(_ALIASES.get(key, key))
+    if profile is None:
+        raise ValueError(f"unknown framework {name!r} (expected 'dglite' or 'pyglite')")
+    return Framework(profile)
 
 
 __all__ = [

@@ -1,16 +1,17 @@
 """Shared framework machinery: graph objects, batches, sampler wrappers.
 
-A :class:`Framework` instance owns a :class:`FrameworkProfile` and exposes
-the user-facing API (load a dataset, build samplers, build conv layers).
-Behavioural differences between DGLite and PyGLite live in (a) the profile
-constants and (b) the layer implementations in each framework's ``nn``
-module.
+A :class:`Framework` *is* its :class:`FrameworkProfile` plus the
+user-facing API (load a dataset, build samplers, build conv layers).
+Behavioural differences between DGLite and PyGLite live in the profile:
+its constants, and its ``fused_convs`` set, from which
+:meth:`Framework.conv` picks each layer's lowering out of the one layer
+zoo (:mod:`repro.frameworks.nn`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from repro.hardware.device import Device, KernelCost
 from repro.hardware.machine import Machine
 from repro.kernels.adj import SparseAdj
 from repro.kernels.transfer import adj_to_device, to_device
+from repro.frameworks.nn import CONVS
 from repro.frameworks.profiles import FrameworkProfile
 from repro.sampling.base import BlockSample, SubgraphSample
 from repro.sampling.cluster import ClusterSampler
@@ -118,19 +120,15 @@ class FrameworkBatch:
 
 
 class Framework:
-    """Abstract GNN framework; subclasses provide name, profile, nn.
+    """A GNN framework: everything it does differently is in ``profile``.
 
-    Passing ``profile`` to the constructor overrides the class default —
-    used by the calibration-sensitivity bench to perturb the tuned
-    constants without touching global state.
+    The calibration-sensitivity bench builds one from a perturbed copy of
+    a stock profile, which touches no global state.
     """
 
-    name: str = "abstract"
-    profile: FrameworkProfile = None  # type: ignore[assignment]
-
-    def __init__(self, profile: Optional[FrameworkProfile] = None) -> None:
-        if profile is not None:
-            self.profile = profile  # instance attribute shadows the class one
+    def __init__(self, profile: FrameworkProfile) -> None:
+        self.profile = profile
+        self.name = profile.name
 
     def activate(self):
         """Context manager making this framework's cost profile active."""
@@ -175,17 +173,27 @@ class Framework:
         )
 
     # ------------------------------------------------------------------
-    # conv layers (implemented by each framework's nn module)
+    # conv layers (Figure 5)
     # ------------------------------------------------------------------
     def conv(self, kind: str, in_features: int, out_features: int, **kwargs):
-        raise NotImplementedError
-
-    def conv_kinds(self) -> Sequence[str]:
-        """The eight layers of the Figure 5 functional test."""
-        return ("gcn", "gcn2", "cheb", "sage", "gat", "gatv2", "tag", "sg")
-
-    def has_fused(self, kind: str) -> bool:
-        return kind in self.profile.fused_convs
+        """Instantiate conv layer ``kind`` (a :data:`~repro.frameworks.nn.CONVS`
+        key) in the lowering this framework has for it: the fused class
+        when the profile lists the kind in ``fused_convs``, else the
+        layer's gather/scatter subclass (Observation 3)."""
+        if kind not in CONVS:
+            raise KeyError(
+                f"unknown conv kind {kind!r}; available: {', '.join(CONVS)}")
+        fused, unfused = CONVS[kind]
+        layer = fused if kind in self.profile.fused_convs else unfused
+        if layer is None:
+            raise ValueError(
+                f"{self.name} declares conv {kind!r} unfused, but the layer "
+                f"has no unfused lowering in repro.frameworks.nn")
+        registry = telemetry.metrics()
+        if registry is not None:
+            registry.counter("framework.conv_built",
+                             framework=self.name, kind=kind).inc()
+        return layer(in_features, out_features, **kwargs)
 
     # ------------------------------------------------------------------
     # samplers (Figure 4)
@@ -241,7 +249,16 @@ class Framework:
 # sampler wrappers: algorithm + profile-charged cost + batch assembly
 # ----------------------------------------------------------------------
 class _SamplerWrapper:
-    """Common charging/assembly logic for the three wrapped samplers."""
+    """Common charging logic for the wrapped samplers.
+
+    A batch is two stages — ``sample_structure`` (run the algorithm,
+    charge the sample kernel) then ``assemble_features`` (charge the
+    feature gather, build the :class:`FrameworkBatch`) — which the
+    datapipe schedules on separate lanes and ``sample()``/``epoch()``
+    run back to back.  Each stage activates the framework's profile for
+    its own duration only, so whatever runs between two batches of an
+    ``epoch()`` is priced under the consumer's profile.
+    """
 
     kind: str = ""
 
@@ -256,16 +273,11 @@ class _SamplerWrapper:
     def machine(self) -> Machine:
         return self.fgraph.machine
 
-    def _charge_sampling(self, items: float, fetch_bytes: float, hops: int = 1) -> None:
-        """Convert sampler work items into charged device time."""
+    def _charge_device_sampling(self, items: float, fetch_bytes: float,
+                                hops: int) -> None:
+        """GPU/UVA sampling: structure draw and feature gather on the GPU."""
         machine = self.machine
         profile = self.framework.profile
-        if self.mode == "cpu":
-            # The two CPU halves are separate datapipe stages; charging
-            # them back-to-back here keeps the serial schedule identical.
-            self._charge_sample_kernel(items)
-            self._charge_fetch_kernel(fetch_bytes)
-            return
         registry = telemetry.metrics()
         if registry is not None:
             labels = {"framework": self.framework.name, "kind": self.kind,
@@ -277,7 +289,7 @@ class _SamplerWrapper:
         gpu = machine.gpu
         if gpu is None:
             raise DeviceError("GPU sampling requested on a machine without GPU")
-        launch = profile.gpu_sampler_per_hop_launch * max(1, hops)
+        launch = profile.gpu_sampler_per_hop_launch * hops
         if self.mode == "gpu":
             seconds = launch + items * profile.gpu_sampler_per_item
             gpu.execute(KernelCost(name=f"{self.kind}.sample.gpu", fixed_time=seconds))
@@ -296,7 +308,7 @@ class _SamplerWrapper:
             gpu.execute(KernelCost(name=f"{self.kind}.sample.uva", fixed_time=seconds))
             machine.pcie.record_uva(structure_bytes + fetch_bytes)
 
-    def _charge_sample_kernel(self, items: float, hops: int = 1) -> None:
+    def _charge_sample_kernel(self, items: float) -> None:
         """The CPU structure-sampling half (datapipe ``NeighborSampler``)."""
         profile = self.framework.profile
         registry = telemetry.metrics()
@@ -341,18 +353,7 @@ class _SamplerWrapper:
 
 
 class _BlockSamplerWrapper(_SamplerWrapper):
-    """Shared assembly for block-batch samplers (neighbor / layer-wise).
-
-    The datapipe splits a batch into two CPU stages: ``sample_structure``
-    (run the sampling algorithm, charge the sample kernel) and
-    ``assemble_features`` (charge the feature gather, build the
-    :class:`FrameworkBatch`).  The serial ``epoch()``/``sample()`` paths
-    are expressed through the same split so both schedules charge
-    identical kernels in identical order.
-    """
-
-    def _hops(self) -> int:
-        return 1
+    """Shared assembly for block-batch samplers (neighbor / layer-wise)."""
 
     def epoch_requests(self, shuffle: bool = True) -> Iterator[np.ndarray]:
         """The ``ItemSampler`` stage: seed-node batches in epoch order."""
@@ -370,8 +371,7 @@ class _BlockSamplerWrapper(_SamplerWrapper):
         with self.framework.activate():
             sample = self.algorithm.sample(roots)
             if self.mode == "cpu":
-                self._charge_sample_kernel(sample.work.items,
-                                           hops=self._hops())
+                self._charge_sample_kernel(sample.work.items)
             return sample
 
     def assemble_features(self, sample: BlockSample) -> FrameworkBatch:
@@ -380,16 +380,10 @@ class _BlockSamplerWrapper(_SamplerWrapper):
             if self.mode == "cpu":
                 self._charge_fetch_kernel(sample.work.fetch_bytes)
             else:
-                self._charge_sampling(sample.work.items,
-                                      sample.work.fetch_bytes,
-                                      hops=self._hops())
+                self._charge_device_sampling(sample.work.items,
+                                             sample.work.fetch_bytes,
+                                             hops=len(sample.blocks))
             return self._build_batch(sample)
-
-    def _assemble(self, sample: BlockSample) -> FrameworkBatch:
-        self._charge_sampling(
-            sample.work.items, sample.work.fetch_bytes, hops=self._hops()
-        )
-        return self._build_batch(sample)
 
     def _build_batch(self, sample: BlockSample) -> FrameworkBatch:
         registry = telemetry.metrics()
@@ -435,8 +429,7 @@ class _BlockSamplerWrapper(_SamplerWrapper):
         return self.algorithm.num_batches(int(self.fgraph.graph.train_mask.sum()))
 
     def sample(self, roots: np.ndarray) -> FrameworkBatch:
-        with self.framework.activate():
-            return self._assemble(self.algorithm.sample(roots))
+        return self.assemble_features(self.sample_structure(roots))
 
     def epoch(self, shuffle: bool = True) -> Iterator[FrameworkBatch]:
         for roots in self.epoch_requests(shuffle):
@@ -457,9 +450,6 @@ class WrappedNeighborSampler(_BlockSamplerWrapper):
             )
         self.algorithm = NeighborSampler(fgraph.graph, fanouts, batch_size, seed)
 
-    def _hops(self) -> int:
-        return len(self.algorithm.fanouts)
-
 
 class _SubgraphSamplerWrapper(_SamplerWrapper):
     """Shared assembly for subgraph-batch samplers (cluster / SAINT).
@@ -470,9 +460,11 @@ class _SubgraphSamplerWrapper(_SamplerWrapper):
     ``sample_structure`` prices the structure work it produced.
     """
 
+    def _prepare(self) -> None:
+        """One-time work before the first draw (ClusterGCN's partition)."""
+
     def epoch_requests(self) -> Iterator[SubgraphSample]:
-        if hasattr(self, "ensure_partitioned"):
-            self.ensure_partitioned()
+        self._prepare()
         return self.algorithm.epoch_batches()
 
     def sample_structure(self, sample: SubgraphSample) -> SubgraphSample:
@@ -485,9 +477,19 @@ class _SubgraphSamplerWrapper(_SamplerWrapper):
             self._charge_fetch_kernel(sample.work.fetch_bytes)
             return self._build_batch(sample)
 
-    def _assemble(self, sample: SubgraphSample) -> FrameworkBatch:
-        self._charge_sampling(sample.work.items, sample.work.fetch_bytes)
-        return self._build_batch(sample)
+    def num_batches(self) -> int:
+        return self.algorithm.num_batches()
+
+    def sample(self, *request) -> FrameworkBatch:
+        """One batch; ``request`` is whatever the algorithm's ``sample``
+        takes (cluster: part ids, SAINT random walk: roots, both optional)."""
+        self._prepare()
+        return self.assemble_features(
+            self.sample_structure(self.algorithm.sample(*request)))
+
+    def epoch(self) -> Iterator[FrameworkBatch]:
+        for sample in self.epoch_requests():
+            yield self.assemble_features(self.sample_structure(sample))
 
     def _build_batch(self, sample: SubgraphSample) -> FrameworkBatch:
         registry = telemetry.metrics()
@@ -545,19 +547,7 @@ class WrappedClusterSampler(_SubgraphSamplerWrapper):
             self.machine.cpu.execute(KernelCost(name="metis.partition", fixed_time=seconds))
         self._partitioned = True
 
-    def num_batches(self) -> int:
-        return self.algorithm.num_batches()
-
-    def sample(self, part_ids: Optional[np.ndarray] = None) -> FrameworkBatch:
-        self.ensure_partitioned()
-        with self.framework.activate():
-            return self._assemble(self.algorithm.sample(part_ids))
-
-    def epoch(self) -> Iterator[FrameworkBatch]:
-        self.ensure_partitioned()
-        with self.framework.activate():
-            for sample in self.algorithm.epoch_batches():
-                yield self._assemble(sample)
+    _prepare = ensure_partitioned  # the hook sample()/epoch_requests() call
 
 
 class WrappedSaintSampler(_SubgraphSamplerWrapper):
@@ -568,15 +558,3 @@ class WrappedSaintSampler(_SubgraphSamplerWrapper):
     def __init__(self, framework, fgraph, num_roots, walk_length, seed):
         super().__init__(framework, fgraph, mode="cpu")
         self.algorithm = RandomWalkSampler(fgraph.graph, num_roots, walk_length, seed)
-
-    def num_batches(self) -> int:
-        return self.algorithm.num_batches()
-
-    def sample(self, roots: Optional[np.ndarray] = None) -> FrameworkBatch:
-        with self.framework.activate():
-            return self._assemble(self.algorithm.sample(roots))
-
-    def epoch(self) -> Iterator[FrameworkBatch]:
-        with self.framework.activate():
-            for sample in self.algorithm.epoch_batches():
-                yield self._assemble(sample)

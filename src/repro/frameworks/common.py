@@ -1,4 +1,4 @@
-"""Helpers shared by both frameworks' nn modules (normalizations, loops)."""
+"""Helpers of the conv-layer zoo (edge normalizations, self-loops, dst rows)."""
 
 from __future__ import annotations
 

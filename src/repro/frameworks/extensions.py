@@ -10,13 +10,10 @@ LADIES' "non-negligible overhead").
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.frameworks.base import (
     Framework,
-    FrameworkBatch,
     FrameworkGraph,
     _BlockSamplerWrapper,
     _SubgraphSamplerWrapper,
@@ -35,18 +32,6 @@ class WrappedSaintNodeSampler(_SubgraphSamplerWrapper):
         super().__init__(framework, fgraph, mode="cpu")
         self.algorithm = SaintNodeSampler(fgraph.graph, budget, seed)
 
-    def num_batches(self) -> int:
-        return self.algorithm.num_batches()
-
-    def sample(self) -> FrameworkBatch:
-        with self.framework.activate():
-            return self._assemble(self.algorithm.sample())
-
-    def epoch(self) -> Iterator[FrameworkBatch]:
-        with self.framework.activate():
-            for sample in self.algorithm.epoch_batches():
-                yield self._assemble(sample)
-
 
 class WrappedSaintEdgeSampler(_SubgraphSamplerWrapper):
     """GraphSAINT edge-sampling variant."""
@@ -57,18 +42,6 @@ class WrappedSaintEdgeSampler(_SubgraphSamplerWrapper):
                  budget: int = 4000, seed: Optional[int] = None) -> None:
         super().__init__(framework, fgraph, mode="cpu")
         self.algorithm = SaintEdgeSampler(fgraph.graph, budget, seed)
-
-    def num_batches(self) -> int:
-        return self.algorithm.num_batches()
-
-    def sample(self) -> FrameworkBatch:
-        with self.framework.activate():
-            return self._assemble(self.algorithm.sample())
-
-    def epoch(self) -> Iterator[FrameworkBatch]:
-        with self.framework.activate():
-            for sample in self.algorithm.epoch_batches():
-                yield self._assemble(sample)
 
 
 class WrappedFastGCNSampler(_BlockSamplerWrapper):
@@ -81,9 +54,6 @@ class WrappedFastGCNSampler(_BlockSamplerWrapper):
                  seed: Optional[int] = None) -> None:
         super().__init__(framework, fgraph, mode="cpu")
         self.algorithm = FastGCNSampler(fgraph.graph, layer_sizes, batch_size, seed)
-
-    def _hops(self) -> int:
-        return len(self.algorithm.layer_sizes)
 
     @property
     def last_isolated_fraction(self) -> float:
@@ -101,9 +71,6 @@ class WrappedLadiesSampler(_BlockSamplerWrapper):
                  seed: Optional[int] = None) -> None:
         super().__init__(framework, fgraph, mode="cpu")
         self.algorithm = LadiesSampler(fgraph.graph, layer_sizes, batch_size, seed)
-
-    def _hops(self) -> int:
-        return len(self.algorithm.layer_sizes)
 
 
 EXTENSION_SAMPLERS = {

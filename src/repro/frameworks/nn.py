@@ -1,14 +1,26 @@
-"""DGLite conv layers — all message passing through fused kernels.
+"""The conv-layer zoo, written once for both frameworks.
 
-Every layer follows DGL's ``g.update_all(message, reduce)`` pattern, which
-the runtime lowers to one fused g-SpMM (weighted aggregation) or g-SDDMM
-(per-edge score) kernel.  Working sets stay O(E + N*F): per-edge *feature*
-buffers are never materialized, only per-edge scalars/scores (E x H).
+Every layer's default ``forward`` follows DGL's ``g.update_all(message,
+reduce)`` pattern, which the runtime lowers to one fused g-SpMM (weighted
+aggregation) or g-SDDMM (per-edge score) kernel.  Working sets stay
+O(E + N*F): per-edge *feature* buffers are never materialized, only
+per-edge scalars/scores (E x H).  PyG's torch-sparse ``matmul`` path is
+the same lowering — the active profile prices the kernel at torch-sparse
+efficiency (much slower on CPU).
+
+Four layers have a second, **unfused** lowering (the ``Unfused*``
+subclasses: same parameters, another ``forward``): the literal gather ->
+per-edge compute -> scatter pipeline of PyG's ``MessagePassing``, which
+materializes ``E x F`` message buffers whose logical allocation OOMs the
+48 GB GPU on Reddit / ogbn-products (Observation 3).  Which lowering a
+framework runs is decided in one place, :meth:`Framework.conv
+<repro.frameworks.base.Framework.conv>`, from ``profile.fused_convs``
+and the :data:`CONVS` table at the bottom of this module.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.frameworks.common import (
     dst_rows,
@@ -18,6 +30,7 @@ from repro.frameworks.common import (
     with_self_loops,
 )
 from repro.kernels.adj import SparseAdj
+from repro.kernels.scatter import gather, scatter_add
 from repro.kernels.sddmm import fused_gatv2_scores, sddmm_u_add_v, segment_softmax
 from repro.kernels.spmm import spmm
 from repro.tensor import functional as F
@@ -85,18 +98,31 @@ class ChebConv(Module):
             setattr(self, f"lin{i}", Linear(in_features, out_features,
                                             bias=(bias and i == 0), seed=layer_seed))
 
+    def _propagate(self, adj: SparseAdj, x: Tensor, norm: Tensor) -> Tensor:
+        return spmm(adj, x, weight=norm)
+
     def forward(self, adj: SparseAdj, x: Tensor) -> Tensor:
         norm = neg_laplacian_weight(adj)
         t_prev, t_curr = None, x
         out = self.lin0(x)
         for i in range(1, self.k):
             if i == 1:
-                t_next = spmm(adj, t_curr, weight=norm)
+                t_next = self._propagate(adj, t_curr, norm)
             else:
-                t_next = spmm(adj, t_curr, weight=norm) * 2.0 - t_prev
+                t_next = self._propagate(adj, t_curr, norm) * 2.0 - t_prev
             out = out + getattr(self, f"lin{i}")(t_next)
             t_prev, t_curr = t_curr, t_next
         return out
+
+
+class UnfusedChebConv(ChebConv):
+    """Chebyshev conv — **unfused** in PyG: gather/scatter per hop."""
+
+    def _propagate(self, adj: SparseAdj, x: Tensor, norm: Tensor) -> Tensor:
+        # gather materializes E x F messages — the unfused path's cost.
+        messages = gather(adj, x, side="src")
+        messages = messages * norm.reshape(adj.num_edges, 1)
+        return scatter_add(adj, messages)
 
 
 class SAGEConv(Module):
@@ -150,6 +176,23 @@ class GATConv(Module):
         return out.reshape(adj.num_dst, self.heads * self.head_dim)
 
 
+class UnfusedGATConv(GATConv):
+    """GAT layer — **unfused** in PyG: per-edge feature materialization."""
+
+    def forward(self, adj: SparseAdj, x: Tensor) -> Tensor:
+        z = self.lin(x).reshape(x.shape[0], self.heads, self.head_dim)
+        z_dst = dst_rows(z, adj)
+        # Unfused: materialize endpoint features per edge (E x H x D).
+        z_src_e = gather(adj, z, side="src")
+        z_dst_e = gather(adj, z_dst, side="dst")
+        scores = (z_src_e * self.att_src).sum(axis=2) + (z_dst_e * self.att_dst).sum(axis=2)
+        scores = F.leaky_relu(scores, self.negative_slope)
+        alpha = segment_softmax(adj, scores)
+        messages = z_src_e * alpha.reshape(adj.num_edges, self.heads, 1)
+        out = scatter_add(adj, messages)
+        return out.reshape(adj.num_dst, self.heads * self.head_dim)
+
+
 class GATv2Conv(Module):
     """GATv2 (Brody et al.): attention MLP after combining endpoints.
 
@@ -180,6 +223,22 @@ class GATv2Conv(Module):
         scores = fused_gatv2_scores(adj, z_src, z_dst, self.att, self.negative_slope)
         alpha = segment_softmax(adj, scores)
         out = spmm(adj, z_src, weight=alpha)
+        return out.reshape(adj.num_dst, self.heads * self.head_dim)
+
+
+class UnfusedGATv2Conv(GATv2Conv):
+    """GATv2 layer — **unfused** in PyG (per-edge MLP inputs materialized)."""
+
+    def forward(self, adj: SparseAdj, x: Tensor) -> Tensor:
+        z_src = self.lin_src(x).reshape(x.shape[0], self.heads, self.head_dim)
+        z_dst = self.lin_dst(dst_rows(x, adj)).reshape(adj.num_dst, self.heads, self.head_dim)
+        g_src = gather(adj, z_src, side="src")
+        g_dst = gather(adj, z_dst, side="dst")
+        combined = F.leaky_relu(g_src + g_dst, self.negative_slope)
+        scores = (combined * self.att).sum(axis=2)
+        alpha = segment_softmax(adj, scores)
+        messages = g_src * alpha.reshape(adj.num_edges, self.heads, 1)
+        out = scatter_add(adj, messages)
         return out.reshape(adj.num_dst, self.heads * self.head_dim)
 
 
@@ -274,6 +333,16 @@ class GINConv(Module):
         return self.lin2(F.relu(self.lin1(combined)))
 
 
+class UnfusedGINConv(GINConv):
+    """GIN — **unfused** in PyG (its MessagePassing default): gather/scatter."""
+
+    def forward(self, adj: SparseAdj, x: Tensor) -> Tensor:
+        messages = gather(adj, x, side="src")
+        aggregated = scatter_add(adj, messages)
+        combined = x * (self.eps + 1.0) + aggregated
+        return self.lin2(F.relu(self.lin1(combined)))
+
+
 class GraphConv(Module):
     """Plain sum-aggregation convolution: ``H' = (A + I) H W`` (fused)."""
 
@@ -286,3 +355,20 @@ class GraphConv(Module):
         adj_sl = with_self_loops(adj)
         h = self.linear(x)
         return spmm(adj_sl, h)
+
+
+#: kind -> (fused class, unfused class or None).  The first eight rows are
+#: the paper's Figure 5 layers; the last three are extension layers.
+CONVS: Dict[str, Tuple[type, Optional[type]]] = {
+    "gcn": (GCNConv, None),
+    "gcn2": (GCN2Conv, None),
+    "cheb": (ChebConv, UnfusedChebConv),
+    "sage": (SAGEConv, None),
+    "gat": (GATConv, UnfusedGATConv),
+    "gatv2": (GATv2Conv, UnfusedGATv2Conv),
+    "tag": (TAGConv, None),
+    "sg": (SGConv, None),
+    "appnp": (APPNPConv, None),
+    "gin": (GINConv, UnfusedGINConv),
+    "graph": (GraphConv, None),
+}

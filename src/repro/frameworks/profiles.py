@@ -103,7 +103,20 @@ class FrameworkProfile:
 
 
 # ----------------------------------------------------------------------
-# DGLite: models DGL v0.8.2 with the PyTorch backend.
+# DGLite: models DGL v0.8.2 with the PyTorch backend.  Design choices
+# mirrored from it:
+#
+# * graph-centric programming: layers receive a graph (adjacency) object
+#   and invoke fused ``update_all``-style kernels (g-SpMM / g-SDDMM) for
+#   *every* conv layer — no per-edge feature materialization anywhere
+#   (``fused_convs`` lists the whole zoo);
+# * samplers run at native C++/OpenMP rates, with GPU-based and UVA-based
+#   neighborhood sampling available for GraphSAGE.  The shared vectorized
+#   sampling engine (:mod:`repro.sampling.relabel`) executes the actual
+#   draws; DGL's native-rate advantage is charged via the sampler costs
+#   below, not by running slower Python on our side;
+# * heavier graph-object construction (the DGLGraph abstraction) and higher
+#   per-op dispatch overhead than PyGLite.
 # ----------------------------------------------------------------------
 DGLITE_COST = CostProfile(
     name="dglite",
@@ -173,6 +186,20 @@ DGLITE_PROFILE = FrameworkProfile(
 
 # ----------------------------------------------------------------------
 # PyGLite: models PyG v2.0.4 (torch-scatter / torch-sparse kernels).
+# Design choices mirrored from it:
+#
+# * tensor-first ``Data(edge_index)`` objects — cheap construction, fast
+#   data loader (Observation 1);
+# * ``MessagePassing`` lowering: a fused ``matmul`` (torch-sparse) path for
+#   GCNConv / GCN2Conv / SAGEConv / TAGConv / SGConv, and an *unfused*
+#   gather-and-scatter path for ChebConv / GATConv / GATv2Conv (absent
+#   from ``fused_convs``), which materializes per-edge message buffers and
+#   OOMs on large graphs (Observation 3);
+# * Python-rate samplers that require a one-time CSR -> CSC conversion
+#   (Observation 2); no GPU/UVA sampling support.  The same shared
+#   vectorized engine runs the draws for both frameworks; PyG's
+#   Python-rate penalty is charged via the sampler costs below so the
+#   modeled gap stays independent of our own implementation speed.
 # ----------------------------------------------------------------------
 PYGLITE_COST = CostProfile(
     name="pyglite",

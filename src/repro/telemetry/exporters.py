@@ -87,9 +87,7 @@ def device_trace_events(clock: VirtualClock, time_unit: float = 1e6) -> List[dic
     Lane (tid) assignment is deterministic: the well-known
     :data:`DEVICE_LANES` get fixed ids, remaining devices are numbered by
     sorted name rather than first-seen order, so traces from two runs of
-    the same config diff cleanly.  This is the single device-lane trace
-    implementation; the legacy :mod:`repro.profiling.trace` module
-    delegates here.
+    the same config diff cleanly.
     """
     intervals = clock.busy_intervals()  # materialised on read: read once
     lanes = {device: tid for tid, device in enumerate(DEVICE_LANES)}

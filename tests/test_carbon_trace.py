@@ -7,7 +7,7 @@ import pytest
 from repro.hardware.device import KernelCost
 from repro.power.carbon import GRID_INTENSITY, CarbonReport, carbon_from_energy
 from repro.power.monitor import EnergyMonitor
-from repro.profiling.trace import summarize_trace, trace_events, write_trace
+from repro.telemetry.exporters import device_trace_events, write_merged_trace
 
 
 def _report(machine, busy_seconds=1.0):
@@ -60,37 +60,30 @@ class TestTrace:
     def test_events_cover_busy_intervals(self, machine):
         machine.cpu.execute(KernelCost("gemm", fixed_time=0.5))
         machine.pcie.h2d(1e9, tag="features")
-        events = trace_events(machine.clock)
+        events = device_trace_events(machine.clock)
         names = {e["name"] for e in events if e["ph"] == "X"}
         assert "gemm" in names and "features" in names
 
     def test_lane_metadata_present(self, machine):
         machine.cpu.execute(KernelCost("k", fixed_time=0.1))
-        events = trace_events(machine.clock)
+        events = device_trace_events(machine.clock)
         metas = [e for e in events if e["ph"] == "M"]
         assert any(m["args"]["name"] == machine.cpu.name for m in metas)
 
     def test_timestamps_in_microseconds(self, machine):
         machine.clock.advance(1.0)
         machine.cpu.execute(KernelCost("k", fixed_time=0.25))
-        event = next(e for e in trace_events(machine.clock) if e["ph"] == "X")
+        event = next(e for e in device_trace_events(machine.clock) if e["ph"] == "X")
         assert event["ts"] == pytest.approx(1.0e6)
         assert event["dur"] == pytest.approx(0.25e6, rel=1e-3)
 
     def test_write_trace_roundtrips(self, machine, tmp_path):
         machine.cpu.execute(KernelCost("k", fixed_time=0.1))
-        path = write_trace(machine.clock, tmp_path / "deep" / "trace.json")
+        path = write_merged_trace(tmp_path / "deep" / "trace.json",
+                                  machine.clock, tracer=None)
         payload = json.loads(path.read_text())
         assert payload["traceEvents"]
         assert payload["metadata"]["source"].startswith("repro")
-
-    def test_summary_totals_match_busy_time(self, machine):
-        machine.cpu.execute(KernelCost("k", fixed_time=0.4))
-        machine.gpu.execute(KernelCost("k", fixed_time=0.2))
-        summary = summarize_trace(machine.clock)
-        assert summary["device_busy"][machine.cpu.name] == pytest.approx(0.4, rel=1e-3)
-        assert summary["device_busy"][machine.gpu.name] == pytest.approx(0.2, rel=1e-3)
-        assert summary["wall"] == machine.clock.now
 
     def test_trace_of_real_experiment(self, tmp_path):
         """End-to-end: a training run produces a valid, non-trivial trace."""
@@ -105,6 +98,7 @@ class TestTrace:
         net = build_graphsage(fw, fgraph, hidden=16, seed=0)
         MiniBatchTrainer(fw, fgraph, sampler, net,
                          TrainConfig(epochs=1, representative_batches=2)).run()
-        path = write_trace(machine.clock, tmp_path / "run.json")
+        path = write_merged_trace(tmp_path / "run.json", machine.clock,
+                                  tracer=None)
         events = json.loads(path.read_text())["traceEvents"]
         assert len(events) > 50

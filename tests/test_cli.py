@@ -42,10 +42,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "saint_rw" in out and "x" in out
 
-    def test_conv(self, capsys):
-        assert main(["conv", "--dataset", "ppi", "--kind", "sage"]) == 0
+    @pytest.mark.parametrize("kind", ["sage", "gin"])
+    def test_conv(self, capsys, kind):
+        assert main(["conv", "--dataset", "ppi", "--kind", kind]) == 0
         out = capsys.readouterr().out
-        assert "sage" in out and "ms" in out
+        assert kind in out and "ms" in out
 
     def test_conv_reports_oom(self, capsys):
         assert main(["conv", "--dataset", "reddit", "--kind", "gat",

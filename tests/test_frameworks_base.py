@@ -9,6 +9,7 @@ from repro.frameworks import get_framework
 from repro.hardware.machine import paper_testbed
 from repro.kernels.config import use_reference_kernels
 from repro.kernels.spmm import spmm
+from repro.tensor.context import GENERIC_PROFILE, active_profile, charge, use_profile
 from repro.tensor.tensor import Tensor
 
 
@@ -271,3 +272,69 @@ class TestPreload:
         sampler = fw.neighbor_sampler(fgraph, seed=0)  # CPU sampling
         batch = sampler.sample(fgraph.graph.train_nodes()[:4])
         assert batch.x.device is machine.gpu  # features already resident
+
+
+SAMPLER_KINDS = ("neighbor", "cluster", "saint_rw", "saint_node", "saint_edge")
+
+
+def _sampler(fw_name, kind, machine=None):
+    fw = get_framework(fw_name)
+    fgraph = fw.load("ppi", machine or paper_testbed(), scale=0.3)
+    if kind == "neighbor":
+        return fw.neighbor_sampler(fgraph, fanouts=(5, 3), seed=0)
+    if kind == "cluster":
+        return fw.cluster_sampler(fgraph, seed=0)
+    if kind == "saint_rw":
+        return fw.saint_sampler(fgraph, seed=0)
+    return fw.extension_sampler(fgraph, kind, seed=0)
+
+
+class TestEpochLeavesNoProfileActive:
+    """A sampler's profile is active inside its two stages and nowhere
+    else: not between the batches of ``epoch()``, not afterwards."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_profile(self):
+        # A leak must fail the leaking test, not whichever test runs next.
+        with use_profile(GENERIC_PROFILE):
+            yield
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_between_batches_and_after_exhaustion(self, framework, kind):
+        batches = _sampler(framework.name, kind).epoch()
+        for _ in range(2):
+            next(batches)
+            assert active_profile() is GENERIC_PROFILE
+        for _ in batches:
+            pass
+        assert active_profile() is GENERIC_PROFILE
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_after_abandoning_a_half_consumed_epoch(self, framework, kind):
+        batches = _sampler(framework.name, kind).epoch()
+        next(batches)
+        del batches
+        assert active_profile() is GENERIC_PROFILE
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_after_interleaved_epochs_of_two_frameworks(self, kind):
+        first = _sampler("dglite", kind).epoch()
+        second = _sampler("pyglite", kind).epoch()
+        next(first), next(second)
+        for batches in (first, second):  # exhausted in creation order
+            for _ in batches:
+                pass
+        assert active_profile() is GENERIC_PROFILE
+
+    def test_consumer_op_between_batches_is_priced_under_its_own_profile(self):
+        def probe(machine):
+            charge(machine.cpu, "probe", "spmm", flops=1e9, bytes_moved=1e9)
+            return machine.cpu.counters.by_kernel["probe"]
+
+        generic = probe(paper_testbed())
+        with get_framework("pyglite").activate():
+            assert probe(paper_testbed()) > generic
+        machine = paper_testbed()
+        batches = _sampler("pyglite", "saint_rw", machine).epoch()
+        next(batches)
+        assert probe(machine) == generic

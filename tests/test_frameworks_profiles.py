@@ -1,7 +1,11 @@
 """Calibration invariants: the profiles must encode the paper's claims."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.frameworks import Framework
+from repro.frameworks.nn import CONVS
 from repro.frameworks.profiles import DGLITE_PROFILE, PROFILES, PYGLITE_PROFILE
 from repro.tensor.context import CostProfile
 
@@ -78,6 +82,29 @@ class TestObservation3Kernels:
         # extension GIN layer, whose PyG default is MessagePassing).
         assert paper_eight - PYGLITE_PROFILE.fused_convs == {"cheb", "gat", "gatv2"}
         assert "gin" not in PYGLITE_PROFILE.fused_convs
+
+
+class TestConvTableIsALaw:
+    """``profile.fused_convs`` x :data:`CONVS` decides every lowering."""
+
+    @pytest.mark.parametrize("profile", PROFILES.values(), ids=list(PROFILES))
+    def test_profiles_and_table_agree(self, profile):
+        assert profile.fused_convs <= set(CONVS)
+        for kind in set(CONVS) - profile.fused_convs:
+            assert CONVS[kind][1] is not None, kind
+
+    @pytest.mark.parametrize("profile", PROFILES.values(), ids=list(PROFILES))
+    @pytest.mark.parametrize("kind", CONVS)
+    def test_conv_builds_the_lowering_the_profile_declares(self, profile, kind):
+        fused, unfused = CONVS[kind]
+        layer = Framework(profile).conv(kind, 8, 8, seed=0)
+        assert type(layer) is (fused if kind in profile.fused_convs else unfused)
+
+    def test_unfused_kind_without_an_unfused_lowering_is_rejected(self):
+        profile = replace(PYGLITE_PROFILE,
+                          fused_convs=PYGLITE_PROFILE.fused_convs - {"gcn"})
+        with pytest.raises(ValueError, match="'gcn'"):
+            Framework(profile).conv("gcn", 8, 8)
 
 
 class TestGpuSampling:

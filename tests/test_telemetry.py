@@ -5,8 +5,8 @@ the metrics registry (counter/gauge/histogram semantics), every exporter
 (JSONL events, Prometheus text, merged Chrome trace) against its schema
 validator, manifest byte-determinism under a fixed seed, the flat-usage
 bar (span-tree phase rollup == summed clock deltas within 1e-9), power
-percentile stats, the device-lane determinism fix in
-``repro.profiling.trace``, and the CLI ``--telemetry`` paths.
+percentile stats, device-lane determinism of the Chrome trace, and the
+CLI ``--telemetry`` paths.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.bench.harness import run_training_experiment
 from repro.cli import main as cli_main
 from repro.power.meter import PowerSample
 from repro.power.monitor import EnergyReport
-from repro.profiling.trace import summarize_trace, trace_events, write_trace
 from repro.simtime import VirtualClock
 from repro.telemetry import (
     PHASE_CATEGORY,
@@ -33,6 +32,7 @@ from repro.telemetry import runtime as telemetry_runtime
 from repro.telemetry.exporters import (
     DEVICE_PID,
     SPAN_PID,
+    device_trace_events,
     event_records,
     merged_trace_events,
     read_events_jsonl,
@@ -306,7 +306,7 @@ class TestPowerStats:
 
 
 # ---------------------------------------------------------------------------
-# device-lane trace (profiling/trace.py)
+# device-lane trace
 
 
 class TestDeviceTrace:
@@ -317,30 +317,27 @@ class TestDeviceTrace:
         return clock
 
     def test_lane_ids_deterministic_regardless_of_first_seen_order(self):
-        a = {e["cat"]: e["tid"] for e in trace_events(self._clock(
+        a = {e["cat"]: e["tid"] for e in device_trace_events(self._clock(
             ["xeon-cpu", "pcie", "storage", "a100-gpu"])) if e["ph"] == "X"}
-        b = {e["cat"]: e["tid"] for e in trace_events(self._clock(
+        b = {e["cat"]: e["tid"] for e in device_trace_events(self._clock(
             ["storage", "a100-gpu", "pcie", "xeon-cpu"])) if e["ph"] == "X"}
         assert a == b
         assert a["storage"] == 0
         assert a["pcie"] == 1
 
     def test_thread_name_metadata_for_every_lane(self):
-        events = trace_events(self._clock(["storage", "gpu0"]))
+        events = device_trace_events(self._clock(["storage", "gpu0"]))
         lanes = {e["tid"] for e in events if e["ph"] == "X"}
         named = {e["tid"]: e["args"]["name"] for e in events
                  if e["ph"] == "M" and e["name"] == "thread_name"}
         assert lanes <= set(named)
         assert named[0] == "storage"
 
-    def test_write_trace_and_summarize(self, tmp_path):
+    def test_device_only_trace_validates(self, tmp_path):
         clock = self._clock(["storage", "pcie"])
-        path = write_trace(clock, tmp_path / "t.json")
+        path = write_merged_trace(tmp_path / "t.json", clock, tracer=None)
         payload = json.loads(path.read_text())
         assert validate_chrome_trace(payload) == []
-        summary = summarize_trace(clock)
-        assert summary["device_busy"]["storage"] == pytest.approx(0.5)
-        assert summary["top_tags"][0]["seconds"] == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
