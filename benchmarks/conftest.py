@@ -38,9 +38,9 @@ def emit(name: str, text: str) -> None:
     run must never leave a truncated ``results/*.txt`` that a later
     ``repro report`` would aggregate as if it were complete.
     """
-    from repro.bench.artifacts import atomic_write_text
+    from repro.artifacts import atomic_write
 
-    atomic_write_text(RESULTS_DIR / f"{name}.txt", text + "\n")
+    atomic_write(RESULTS_DIR / f"{name}.txt", text + "\n")
     print("\n" + text)
 
 

@@ -9,11 +9,6 @@ from repro.bench.harness import (
     run_training_experiment,
 )
 from repro.bench.format import format_matrix, format_series
-from repro.bench.artifacts import (
-    load_sweep_artifact,
-    validate_sweep_artifact,
-    write_sweep_artifact,
-)
 from repro.bench.gate import compare_artifacts, format_gate_report
 from repro.bench.sweep import SweepCell, run_sweep
 
@@ -24,10 +19,7 @@ __all__ = [
     "format_gate_report",
     "format_matrix",
     "format_series",
-    "load_sweep_artifact",
     "run_sweep",
-    "validate_sweep_artifact",
-    "write_sweep_artifact",
     "measure_conv_forward",
     "measure_data_loader",
     "measure_sampler_epoch",

@@ -9,59 +9,24 @@ and a re-sweep in the same environment is byte-identical; statistics
 over the seeds are derived by the reader
 (:class:`~repro.bench.repeats.RepeatedStats`), never stored.  The
 committed copies at the repo root are the perf baseline every future PR
-is gated against (``repro bench gate``), so the format is
-schema-versioned and validated the same way the telemetry bundle is
-(:mod:`repro.telemetry.manifest`).
-
-Writers are atomic (temp file + ``os.replace``): an interrupted sweep
-never leaves a truncated-but-parseable baseline behind.
+is gated against (``repro bench gate``); :data:`SWEEP` is their format
+(:mod:`repro.artifacts`).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-SWEEP_SCHEMA = "repro.bench.sweep/2"
+from repro.artifacts import NUM, Format, ListOf, MapOf, OneOf, Opt, load
+
 SWEEP_AREAS = ("kernels", "training", "serving")
 CELL_METRICS = ("virtual_s", "energy_j")
-
-_CELL_PARAM_KEYS = {
-    "driver": str,
-    "framework": str,
-    "kernel": str,
-    "dataset": str,
-    "scale": (int, float),
-}
 
 
 def artifact_path(root: Union[str, Path], area: str) -> Path:
     """Canonical location of one area's baseline: ``<root>/BENCH_<area>.json``."""
     return Path(root) / f"BENCH_{area}.json"
-
-
-def atomic_write_text(path: Union[str, Path], text: str) -> Path:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
-
-    A crash mid-write leaves either the old file or nothing — never a
-    truncated result that a later reader would mistake for real data.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
 
 
 def build_sweep_artifact(area: str, cells: List[dict],
@@ -71,7 +36,7 @@ def build_sweep_artifact(area: str, cells: List[dict],
     if area not in SWEEP_AREAS:
         raise ValueError(f"unknown sweep area {area!r}; expected {SWEEP_AREAS}")
     return {
-        "schema": SWEEP_SCHEMA,
+        "schema": SWEEP.schema,
         "area": area,
         "seeds": [int(s) for s in seeds],
         "provenance": dict(provenance or {}),
@@ -79,100 +44,37 @@ def build_sweep_artifact(area: str, cells: List[dict],
     }
 
 
-def write_sweep_artifact(path: Union[str, Path], artifact: dict) -> Path:
-    problems = validate_sweep_artifact(artifact)
-    if problems:
-        raise ValueError(
-            f"refusing to write invalid sweep artifact: {problems[0]}"
-            + (f" (+{len(problems) - 1} more)" if len(problems) > 1 else "")
-        )
-    return atomic_write_text(
-        path, json.dumps(artifact, indent=2, sort_keys=True) + "\n")
-
-
-def load_sweep_artifact(path: Union[str, Path]) -> dict:
-    return json.loads(Path(path).read_text())
-
-
-# ----------------------------------------------------------------------
-# validation
-# ----------------------------------------------------------------------
-def validate_sweep_artifact(artifact: object) -> List[str]:
-    """Schema-gate one artifact; returns human-readable problems."""
+def _check_sweep(artifact: dict) -> List[str]:
+    """One value per seed in every metric, and no cell id twice."""
     problems: List[str] = []
-    if not isinstance(artifact, dict):
-        return ["artifact is not a JSON object"]
-    if artifact.get("schema") != SWEEP_SCHEMA:
-        # Nothing below means anything under another schema: one problem,
-        # not one per cell.
-        return [f"unknown schema {artifact.get('schema')!r} (expected "
-                f"{SWEEP_SCHEMA}; re-sweep with `repro bench sweep`)"]
-    if artifact.get("area") not in SWEEP_AREAS:
-        problems.append(f"unknown area {artifact.get('area')!r}")
-    seeds = artifact.get("seeds")
-    if not isinstance(seeds, list) or not seeds \
-            or not all(isinstance(s, int) for s in seeds):
-        problems.append("seeds must be a non-empty list of integers")
-    if not isinstance(artifact.get("provenance"), dict):
-        problems.append("provenance must be an object")
-    cells = artifact.get("cells")
-    if not isinstance(cells, list) or not cells:
-        return problems + ["cells must be a non-empty list"]
-    seen_ids = set()
-    for index, cell in enumerate(cells):
-        for problem in _validate_cell(cell, seeds):
-            problems.append(f"cell #{index}: {problem}")
-        cell_id = cell.get("id") if isinstance(cell, dict) else None
-        if cell_id in seen_ids:
-            problems.append(f"duplicate cell id {cell_id!r}")
-        seen_ids.add(cell_id)
+    seen = set()
+    for index, cell in enumerate(artifact["cells"]):
+        for name in CELL_METRICS:
+            values = cell["metrics"][name]
+            if len(values) != len(artifact["seeds"]):
+                problems.append(
+                    f"cells[{index}].metrics.{name}: has {len(values)} values "
+                    f"for {len(artifact['seeds'])} seeds")
+        if cell["id"] in seen:
+            problems.append(f"cells[{index}].id: duplicate cell id "
+                            f"{cell['id']!r}")
+        seen.add(cell["id"])
     return problems
 
 
-def _validate_cell(cell: object, seeds: object) -> List[str]:
-    if not isinstance(cell, dict):
-        return ["cell is not an object"]
-    problems = []
-    if not isinstance(cell.get("id"), str) or not cell.get("id"):
-        problems.append("missing id")
-    params = cell.get("params")
-    if not isinstance(params, dict):
-        problems.append("params must be an object")
-    else:
-        for key, types in _CELL_PARAM_KEYS.items():
-            if key not in params:
-                problems.append(f"params missing {key!r}")
-            elif not isinstance(params[key], types):
-                problems.append(f"params.{key} has wrong type "
-                                f"{type(params[key]).__name__}")
-    metrics = cell.get("metrics")
-    if not isinstance(metrics, dict):
-        return problems + ["metrics must be an object"]
-    for name in CELL_METRICS:
-        values = metrics.get(name)
-        if values is None:
-            problems.append(f"metric {name!r} missing")
-        elif not isinstance(values, list) \
-                or not all(isinstance(v, (int, float)) for v in values):
-            problems.append(f"metric {name!r} must be a list of numbers "
-                            "(one per seed)")
-        elif isinstance(seeds, list) and len(values) != len(seeds):
-            problems.append(f"metric {name!r} has {len(values)} values "
-                            f"for {len(seeds)} seeds")
-    attribution = cell.get("attribution")
-    if attribution is not None:  # optional
-        if not isinstance(attribution, dict):
-            problems.append("attribution must be an object")
-        else:
-            for axis in ("phases", "kernel_families"):
-                section = attribution.get(axis)
-                if section is None:
-                    continue
-                if not isinstance(section, dict) or not all(
-                        isinstance(v, (int, float)) for v in section.values()):
-                    problems.append(f"attribution.{axis} must map names "
-                                    "to numbers")
-    return problems
+SWEEP = Format("repro.bench.sweep/2", {
+    "area": OneOf(*SWEEP_AREAS),
+    "seeds": ListOf(int, non_empty=True),
+    "provenance": dict,
+    "cells": ListOf({
+        "id": str,
+        "params": {"driver": str, "framework": str, "kernel": str,
+                   "dataset": str, "scale": NUM},
+        "metrics": {name: ListOf(NUM) for name in CELL_METRICS},
+        "attribution": Opt({"phases": Opt(MapOf(NUM)),
+                            "kernel_families": Opt(MapOf(NUM))}),
+    }, non_empty=True),
+}, check=_check_sweep, remedy="; re-sweep with `repro bench sweep`")
 
 
 def validate_baseline_dir(root: Union[str, Path],
@@ -186,11 +88,11 @@ def validate_baseline_dir(root: Union[str, Path],
                             "(run `repro bench sweep`)"]
             continue
         try:
-            artifact = load_sweep_artifact(path)
-        except (ValueError, json.JSONDecodeError) as exc:
+            artifact = load(path)
+        except ValueError as exc:
             report[area] = [f"{path.name}: unparseable ({exc})"]
             continue
-        problems = validate_sweep_artifact(artifact)
+        problems = SWEEP.validate(artifact)
         if isinstance(artifact, dict) and artifact.get("area") not in (None, area):
             problems.append(f"area {artifact.get('area')!r} does not match "
                             f"file name {path.name}")

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from repro.bench.artifacts import CELL_METRICS, validate_sweep_artifact
+from repro.bench.artifacts import CELL_METRICS, SWEEP
 from repro.bench.repeats import RepeatedStats
 
 DEFAULT_NOISE_K = 3.0
@@ -110,7 +110,7 @@ def compare_artifacts(baseline: dict, current: dict, *,
     area = baseline.get("area") if isinstance(baseline, dict) else "?"
     result = GateResult(area=str(area))
     for name, artifact in (("baseline", baseline), ("current", current)):
-        for problem in validate_sweep_artifact(artifact):
+        for problem in SWEEP.validate(artifact):
             result.problems.append(f"{name} artifact: {problem}")
     if result.problems:
         return result

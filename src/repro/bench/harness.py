@@ -141,7 +141,7 @@ def run_training_experiment(
     if model not in MODEL_BUILDERS:
         raise BenchmarkError(f"unknown model {model!r}")
     build_model, build_sampler = MODEL_BUILDERS[model]
-    plan = _coerce_fault_plan(fault_plan)
+    plan = FaultPlan.coerce(fault_plan)
     fw = get_framework(framework)
     machine = paper_testbed()
     session_cm = (telemetry_session(machine.clock) if telemetry_dir is not None
@@ -247,16 +247,6 @@ def run_training_experiment(
                 },
             )
         return result
-
-
-def _coerce_fault_plan(
-    fault_plan: Optional[Union[str, Dict, FaultPlan]]
-) -> Optional[FaultPlan]:
-    if fault_plan is None or isinstance(fault_plan, FaultPlan):
-        return fault_plan
-    if isinstance(fault_plan, dict):
-        return FaultPlan.from_dict(fault_plan)
-    return FaultPlan.from_file(fault_plan)
 
 
 def _write_telemetry(out_dir: str, session: TelemetrySession, machine: Machine,

@@ -23,6 +23,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
+from repro.artifacts import atomic_write, load
 from repro.bench.harness import (
     measure_conv_forward,
     measure_data_loader,
@@ -103,21 +104,18 @@ def run_suite(specs: Sequence[Dict]) -> List[Dict]:
 
 def run_suite_file(path: Union[str, Path]) -> List[Dict]:
     """Load a JSON suite file and run it."""
-    payload = json.loads(Path(path).read_text())
+    payload = load(path)
     if not isinstance(payload, list):
         raise BenchmarkError("suite file must contain a JSON list of specs")
     return run_suite(payload)
 
 
 def save_results(records: List[Dict], path: Union[str, Path]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(records, indent=2))
-    return path
+    return atomic_write(path, json.dumps(records, indent=2))
 
 
 def load_results(path: Union[str, Path]) -> List[Dict]:
-    return json.loads(Path(path).read_text())
+    return load(path)
 
 
 def compare_results(old: List[Dict], new: List[Dict],

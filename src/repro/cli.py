@@ -382,11 +382,11 @@ def _parse_rates(value: str) -> List[float]:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.errors import BenchmarkError, FaultPlanError
     from repro.serving import (
+        SERVE,
         ServeConfig,
         build_serve_report,
         format_serve_table,
         run_serving_curve,
-        write_serve_report,
     )
 
     fault_plan = args.faults
@@ -434,7 +434,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"degraded service: {shed} request(s) shed, "
               f"{stale} served stale")
     if args.out:
-        path = write_serve_report(args.out, report)
+        path = SERVE.write(args.out, report)
         print(f"wrote {path}")
     return 0
 
@@ -463,7 +463,8 @@ def cmd_telemetry_report(out_dir: str, top: int = 0,
         format_metric_kernel_table,
         kernel_rows_from_metrics,
     )
-    from repro.telemetry.manifest import load_run_manifest, validate_run_dir
+    from repro.artifacts import load
+    from repro.telemetry.manifest import validate_run_dir
 
     problems = validate_run_dir(out_dir)
     if problems:
@@ -471,7 +472,7 @@ def cmd_telemetry_report(out_dir: str, top: int = 0,
         for problem in problems:
             print(f"  {problem}")
         return 1
-    manifest = load_run_manifest(Path(out_dir) / "run.json")
+    manifest = load(Path(out_dir) / "run.json")
     print(f"{manifest['label']} / {manifest['dataset']} "
           f"(command={manifest['command']}, seed={manifest['seed']})")
     for phase in PHASES:
@@ -552,7 +553,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         sections.append(path.read_text().rstrip())
     text = "\n".join(sections) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        from repro.artifacts import atomic_write
+
+        atomic_write(args.out, text)
         print(f"wrote {args.out} ({len(files)} tables)")
     else:
         print(text)
@@ -576,26 +579,22 @@ def _parse_seeds(value: str) -> List[int]:
 
 
 def cmd_bench_sweep(args: argparse.Namespace) -> int:
-    from repro.bench.artifacts import artifact_path, write_sweep_artifact
+    from repro.bench.artifacts import SWEEP, artifact_path
     from repro.bench.sweep import run_sweep
 
     seeds = _parse_seeds(args.seeds)
     for area in _bench_areas(args.area):
         print(f"sweep: {area} (seeds {seeds})")
         artifact = run_sweep(area, seeds=seeds, progress=print)
-        path = write_sweep_artifact(artifact_path(args.out_dir, area), artifact)
+        path = SWEEP.write(artifact_path(args.out_dir, area), artifact)
         print(f"wrote {path} ({len(artifact['cells'])} cells)")
     return 0
 
 
 def cmd_bench_gate(args: argparse.Namespace) -> int:
+    from repro.artifacts import atomic_write, dumps, load
     from repro.bench import gate as bench_gate
-    from repro.bench.artifacts import (
-        artifact_path,
-        atomic_write_text,
-        load_sweep_artifact,
-        validate_baseline_dir,
-    )
+    from repro.bench.artifacts import artifact_path, validate_baseline_dir
     from repro.bench.sweep import SweepCell, run_sweep
 
     k = args.k if args.k is not None else bench_gate.DEFAULT_NOISE_K
@@ -619,8 +618,7 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
     if not results:
         injected = False
         for area in areas:
-            baseline = load_sweep_artifact(
-                artifact_path(args.baseline_dir, area))
+            baseline = load(artifact_path(args.baseline_dir, area))
             cells = [SweepCell.from_params(cell["params"])
                      for cell in baseline["cells"]]
             fresh = run_sweep(area, seeds=baseline["seeds"], cells=cells)
@@ -635,15 +633,16 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
                              f"{injection[0]!r} not found in any swept area")
     payload = bench_gate.gate_report_payload(results)
     if args.out:
-        atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        atomic_write(args.out, dumps(payload))
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(dumps(payload), end="")
     else:
         print(bench_gate.format_gate_report(results))
     return 0 if payload["passed"] else 1
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from repro.artifacts import dumps
     from repro.errors import BenchmarkError
 
     try:
@@ -655,7 +654,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
             payload = analyze_run_dir(args.dir, out_dir=args.out)
             if args.format == "json":
-                print(json.dumps(payload, indent=2, sort_keys=True))
+                print(dumps(payload), end="")
             else:
                 print(format_profile_report(payload))
                 for name, path in sorted(payload["artifacts"].items()):
@@ -665,12 +664,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
         payload = diff_run_dirs(args.base, args.current)
         if args.out:
-            from repro.profiling.analysis import write_profile_json
+            from repro.profiling.analysis import PROFILE
 
-            path = write_profile_json(args.out, payload)
+            path = PROFILE.write(args.out, payload)
             print(f"wrote diff: {path}")
         if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(dumps(payload), end="")
         else:
             print(format_diff_report(payload))
         return 0

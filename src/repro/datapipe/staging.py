@@ -42,10 +42,6 @@ class StagingPool:
         return sum(a.nbytes for a in self._host.values())
 
     @property
-    def live_gpu_bytes(self) -> int:
-        return sum(a.nbytes for a in self._gpu.values())
-
-    @property
     def live_items(self) -> int:
         return len(self._host.keys() | self._gpu.keys())
 

@@ -8,6 +8,7 @@ the logical byte sizes so loading Reddit costs like loading 115 M edges.
 
 from __future__ import annotations
 
+import io
 import json
 import zipfile
 import zlib
@@ -17,6 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.artifacts import atomic_write
 from repro.errors import DatasetError
 from repro.graph.formats import AdjacencyCSR
 from repro.graph.graph import Graph, GraphStats, Split
@@ -27,9 +29,9 @@ _FORMAT_VERSION = 1
 def save_graph(graph: Graph, directory: Union[str, Path]) -> Path:
     """Serialize ``graph`` into ``directory`` (arrays + stats sidecar)."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    buffer = io.BytesIO()
     np.savez(
-        directory / "arrays.npz",
+        buffer,
         indptr=graph.adj.indptr,
         indices=graph.adj.indices,
         features=graph.features,
@@ -38,9 +40,10 @@ def save_graph(graph: Graph, directory: Union[str, Path]) -> Path:
         val_mask=graph.val_mask,
         test_mask=graph.test_mask,
     )
+    atomic_write(directory / "arrays.npz", buffer.getvalue())
     stats = asdict(graph.stats)
     stats["_format_version"] = _FORMAT_VERSION
-    (directory / "stats.json").write_text(json.dumps(stats, indent=2))
+    atomic_write(directory / "stats.json", json.dumps(stats, indent=2))
     return directory
 
 

@@ -62,9 +62,6 @@ class FrameworkGraph:
     def num_edges(self) -> int:
         return self.graph.num_edges
 
-    def label_nbytes_per_node(self) -> float:
-        return 4.0 * self.labels.shape[1] if self.labels.ndim == 2 else 8.0
-
     def preload_to_gpu(self) -> None:
         """Copy the full graph + features to GPU upfront (case study 1).
 
@@ -113,10 +110,6 @@ class FrameworkBatch:
     # Global ids of the rows of ``x`` (used by the feature-cache movement
     # path to split hits from misses).
     input_nodes: Optional[np.ndarray] = None
-
-    @property
-    def num_output_rows(self) -> int:
-        return int(self.y.shape[0])
 
 
 class Framework:

@@ -116,8 +116,5 @@ class Device:
             return 0.0
         return self.clock.busy_time(self.name, start, end) / span
 
-    def reset_counters(self) -> None:
-        self.counters = DeviceCounters()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Device({self.spec.name}, kind={self.spec.kind})"

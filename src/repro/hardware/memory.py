@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.errors import OutOfMemoryError
 from repro.telemetry import runtime as telemetry
@@ -92,9 +92,6 @@ class MemoryLedger:
         """Free everything (used when an experiment tears down)."""
         self._live.clear()
         self._in_use = 0
-
-    def live_allocations(self) -> Iterator[Allocation]:
-        return iter(self._live.values())
 
     def would_fit(self, nbytes: int) -> bool:
         return self._in_use + int(nbytes) <= self.capacity

@@ -27,6 +27,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple, Union
 
+from repro.artifacts import atomic_write
 from repro.lint.engine import Finding
 
 BASELINE_VERSION = 1
@@ -77,5 +78,5 @@ def save_baseline(findings: Iterable[Finding], path: Union[str, Path]) -> int:
         for key, count in sorted(counter.items())
     ]
     payload = {"version": BASELINE_VERSION, "findings": entries}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    atomic_write(path, json.dumps(payload, indent=2) + "\n")
     return len(entries)

@@ -242,15 +242,6 @@ def check_context(ctx: FileContext,
     return kept, silenced
 
 
-def check_file(path: Path, rules: Sequence[Rule],
-               display_path: Optional[str] = None) -> Tuple[List[Finding], int]:
-    """Lint one file; returns (kept findings, inline-suppressed count)."""
-    ctx, error = load_context(path, display_path)
-    if error is not None:
-        return [error], 0
-    return check_context(ctx, rules)
-
-
 def split_selection(select: Optional[Sequence[str]],
                     deep: bool) -> Tuple[List[Rule], List[object]]:
     """Resolve ``--select`` against both registries.

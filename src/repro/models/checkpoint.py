@@ -1,25 +1,31 @@
 """Model / optimizer checkpointing.
 
 Saves and restores training state (model parameters, Adam moments, step
-counter, RNG-free metadata) to a single ``.npz`` + JSON sidecar, so long
+counter, RNG-free metadata) to a single ``.npz`` archive whose
+``manifest`` entry holds the metadata and parameter list, so long
 simulated runs can resume and trained models can ship to the evaluation
-or inference stages in a separate process.
+or inference stages in a separate process.  The archive is built in
+memory and replaces the previous one atomically: an interrupted save
+leaves the last complete checkpoint, never a mix of two.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 import numpy as np
 
+from repro.artifacts import atomic_write
+from repro.datasets.storage import _NPZ_READ_ERRORS
 from repro.errors import ReproError
 from repro.tensor.module import Module
 from repro.tensor.optim import Adam, Optimizer
 from repro.tensor.tensor import no_grad
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 class CheckpointError(ReproError):
@@ -27,7 +33,7 @@ class CheckpointError(ReproError):
 
 
 def _normalize_path(path: Union[str, Path]) -> Path:
-    """The path ``np.savez`` actually writes: ``.npz`` appended if absent."""
+    """The checkpoint file: ``.npz`` appended if absent, as ``np.savez`` does."""
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_name(path.name + ".npz")
@@ -39,13 +45,10 @@ def save_checkpoint(path: Union[str, Path], model: Module,
                     metadata: Optional[Dict] = None) -> Path:
     """Write model (and optionally optimizer) state to ``path``.
 
-    ``path`` should end in ``.npz`` (the suffix is appended otherwise,
-    matching what ``np.savez`` writes, and the *normalized* path is
-    returned); a ``.json`` sidecar with metadata and the parameter
-    manifest is written next to it.
+    ``path`` should end in ``.npz`` (the suffix is appended otherwise and
+    the *normalized* path is returned).
     """
     path = _normalize_path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
 
     arrays: Dict[str, np.ndarray] = {}
     manifest = {"params": [], "optimizer": None,
@@ -67,20 +70,27 @@ def save_checkpoint(path: Union[str, Path], model: Module,
             manifest["optimizer"] = {"type": type(optimizer).__name__.lower(),
                                      "lr": optimizer.lr}
 
-    np.savez(path, **arrays)
-    sidecar = path.with_suffix(".json")
-    sidecar.write_text(json.dumps(manifest, indent=2))
-    return path
+    buffer = io.BytesIO()
+    np.savez(buffer, manifest=np.array(json.dumps(manifest)), **arrays)
+    return atomic_write(path, buffer.getvalue())
 
 
 def load_checkpoint(path: Union[str, Path], model: Module,
                     optimizer: Optional[Optimizer] = None) -> Dict:
     """Restore state saved by :func:`save_checkpoint`; returns metadata."""
     path = _normalize_path(path)
-    sidecar = path.with_suffix(".json")
-    if not path.exists() or not sidecar.exists():
+    if not path.exists():
         raise CheckpointError(f"no checkpoint at {path}")
-    manifest = json.loads(sidecar.read_text())
+    try:
+        with np.load(path) as archive:
+            manifest = json.loads(str(archive["manifest"]))
+            arrays = {key: archive[key] for key in archive.files
+                      if key != "manifest"}
+    except KeyError as exc:
+        raise CheckpointError(f"{path} has no manifest (not a checkpoint "
+                              f"of format {_FORMAT_VERSION})") from exc
+    except _NPZ_READ_ERRORS as exc:
+        raise CheckpointError(f"corrupted checkpoint {path}: {exc}") from exc
     if manifest.get("_format_version") != _FORMAT_VERSION:
         raise CheckpointError("unsupported checkpoint format version")
 
@@ -92,29 +102,28 @@ def load_checkpoint(path: Union[str, Path], model: Module,
         raise CheckpointError(
             f"parameter mismatch: missing={missing}, unexpected={unexpected}"
         )
-    with np.load(path) as arrays:
-        with no_grad():
-            for name, param in own.items():
-                stored = arrays[f"param::{name}"]
-                if stored.shape != param.data.shape:
-                    raise CheckpointError(f"shape mismatch for {name}")
-                param.data = stored.astype(param.data.dtype)
+    with no_grad():
+        for name, param in own.items():
+            stored = arrays[f"param::{name}"]
+            if stored.shape != param.data.shape:
+                raise CheckpointError(f"shape mismatch for {name}")
+            param.data = stored.astype(param.data.dtype)
 
-        if optimizer is not None and manifest.get("optimizer"):
-            info = manifest["optimizer"]
-            optimizer.lr = info["lr"]
-            if isinstance(optimizer, Adam) and info["type"] == "adam":
-                optimizer._step_count = info["step"]
-                for i in range(len(optimizer.params)):
-                    key = f"adam_m::{i}"
-                    if key in arrays:
-                        optimizer._m[i] = arrays[key].copy()
-                        optimizer._v[i] = arrays[f"adam_v::{i}"].copy()
-                    else:
-                        # Saved before this parameter ever received a
-                        # gradient: the moments were never allocated.
-                        # Reset rather than keep whatever the target
-                        # optimizer accumulated before the restore.
-                        optimizer._m[i] = None
-                        optimizer._v[i] = None
+    if optimizer is not None and manifest.get("optimizer"):
+        info = manifest["optimizer"]
+        optimizer.lr = info["lr"]
+        if isinstance(optimizer, Adam) and info["type"] == "adam":
+            optimizer._step_count = info["step"]
+            for i in range(len(optimizer.params)):
+                key = f"adam_m::{i}"
+                if key in arrays:
+                    optimizer._m[i] = arrays[key].copy()
+                    optimizer._v[i] = arrays[f"adam_v::{i}"].copy()
+                else:
+                    # Saved before this parameter ever received a
+                    # gradient: the moments were never allocated.
+                    # Reset rather than keep whatever the target
+                    # optimizer accumulated before the restore.
+                    optimizer._m[i] = None
+                    optimizer._v[i] = None
     return manifest.get("metadata", {})

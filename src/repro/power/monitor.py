@@ -35,20 +35,8 @@ class EnergyReport:
         return self.cpu_energy + self.gpu_energy
 
     @property
-    def avg_cpu_power(self) -> float:
-        return self.cpu_energy / self.duration if self.duration > 0 else 0.0
-
-    @property
-    def avg_gpu_power(self) -> float:
-        return self.gpu_energy / self.duration if self.duration > 0 else 0.0
-
-    @property
     def avg_power(self) -> float:
         return self.total_energy / self.duration if self.duration > 0 else 0.0
-
-    @property
-    def total_energy_wh(self) -> float:
-        return self.total_energy / 3600.0
 
     @property
     def peak_power(self) -> float:

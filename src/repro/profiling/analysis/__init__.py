@@ -24,20 +24,14 @@ from repro.profiling.analysis.engine import (
     format_diff_report,
     format_profile_report,
 )
-from repro.profiling.analysis.schema import (
-    PROFILE_SCHEMA,
-    validate_profile_payload,
-    write_profile_json,
-)
+from repro.profiling.analysis.schema import PROFILE
 
 __all__ = [
-    "PROFILE_SCHEMA",
+    "PROFILE",
     "RunBundle",
     "analyze_run_dir",
     "diff_run_dirs",
     "format_diff_report",
     "format_profile_report",
     "load_run_bundle",
-    "validate_profile_payload",
-    "write_profile_json",
 ]

@@ -10,11 +10,11 @@ artifacts byte-identical across same-seed runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.artifacts import load, summarize
 from repro.errors import BenchmarkError
 
 
@@ -96,7 +96,7 @@ def _trace_intervals(payload: dict, time_unit: float = 1e6) -> List[LaneInterval
 def load_run_bundle(out_dir: Union[str, Path]) -> RunBundle:
     """Parse one telemetry directory; raises on missing/invalid artifacts."""
     from repro.telemetry.exporters import read_events_jsonl
-    from repro.telemetry.manifest import load_run_manifest, validate_run_manifest
+    from repro.telemetry.manifest import RUN
 
     out = Path(out_dir)
     manifest_path = out / "run.json"
@@ -107,15 +107,14 @@ def load_run_bundle(out_dir: Union[str, Path]) -> RunBundle:
             raise BenchmarkError(
                 f"not a telemetry directory: {out} is missing {path.name} "
                 "(produce one with `repro train --telemetry DIR`)")
-    manifest = load_run_manifest(manifest_path)
-    problems = validate_run_manifest(manifest)
+    manifest = load(manifest_path)
+    problems = RUN.validate(manifest)
     if problems:
-        raise BenchmarkError(
-            f"{manifest_path}: invalid run manifest ({problems[0]}"
-            + (f" +{len(problems) - 1} more)" if len(problems) > 1 else ")"))
+        raise BenchmarkError(f"{manifest_path}: invalid run manifest: "
+                             f"{summarize(problems)}")
     spans = [r for r in read_events_jsonl(events_path)
              if r.get("type") == "span"]
-    trace = json.loads(trace_path.read_text())
+    trace = load(trace_path)
     return RunBundle(manifest=manifest,
                      span_records=spans,
                      intervals=_trace_intervals(trace))

@@ -13,14 +13,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.artifacts import atomic_write
 from repro.profiling.analysis.bundle import RunBundle, load_run_bundle
 from repro.profiling.analysis.critical_path import extract_critical_path
 from repro.profiling.analysis.flame import folded_stacks, render_folded
 from repro.profiling.analysis.roofline import roofline_attribution
-from repro.profiling.analysis.schema import (
-    build_profile_payload,
-    write_profile_json,
-)
+from repro.profiling.analysis.schema import PROFILE, build_profile_payload
 
 PROFILE_FILENAME = "profile.json"
 FLAME_FILENAME = "flame.folded"
@@ -57,13 +55,11 @@ def analyze_run_dir(run_dir: Union[str, Path],
     (default: the run directory itself) and returns the validated
     payload with an ``artifacts`` map of written paths attached.
     """
-    from repro.bench.artifacts import atomic_write_text
-
     bundle = load_run_bundle(run_dir)
     out = Path(out_dir) if out_dir is not None else Path(run_dir)
     payload = analyze_bundle(bundle)
-    profile_path = write_profile_json(out / PROFILE_FILENAME, payload)
-    flame_path = atomic_write_text(
+    profile_path = PROFILE.write(out / PROFILE_FILENAME, payload)
+    flame_path = atomic_write(
         out / FLAME_FILENAME, render_folded(folded_stacks(bundle.span_records)))
     payload["artifacts"] = {"profile": str(profile_path),
                             "flame": str(flame_path)}

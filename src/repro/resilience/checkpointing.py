@@ -5,7 +5,7 @@ would have produced, which requires checkpointing every generator the
 training loop consumes: the sampler's ``np.random.Generator`` (batch
 order + neighbor draws) and each ``Dropout`` module's private generator.
 ``Generator.bit_generator.state`` is a plain nested dict of ints, so it
-round-trips through the checkpoint's JSON sidecar untouched.
+round-trips through the checkpoint's JSON manifest untouched.
 """
 
 from __future__ import annotations

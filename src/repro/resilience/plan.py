@@ -167,6 +167,16 @@ class FaultPlan:
                    policies=policies)
 
     @classmethod
+    def coerce(cls, plan: Union[None, str, Path, Dict, "FaultPlan"]
+               ) -> Optional["FaultPlan"]:
+        """A plan, a plan dict, or a path to a plan JSON file, as a plan."""
+        if plan is None or isinstance(plan, cls):
+            return plan
+        if isinstance(plan, dict):
+            return cls.from_dict(plan)
+        return cls.from_file(plan)
+
+    @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         try:
             raw = json.loads(text)

@@ -15,15 +15,12 @@ from repro.serving.batcher import Batch, form_batches
 from repro.serving.engine import (ServeConfig, ServeResult,
                                   run_serving_curve, run_serving_experiment)
 from repro.serving.latency import LatencyAccountant, nearest_rank
-from repro.serving.schema import (SERVE_SCHEMA, build_serve_report,
-                                  format_serve_table, load_serve_report,
-                                  validate_serve_payload, write_serve_report)
+from repro.serving.schema import SERVE, build_serve_report, format_serve_table
 from repro.serving.workload import TRACE_KINDS, Request, generate_trace
 
 __all__ = [
     "Batch", "form_batches", "ServeConfig", "ServeResult",
     "run_serving_curve", "run_serving_experiment", "LatencyAccountant",
-    "nearest_rank", "SERVE_SCHEMA", "build_serve_report",
-    "format_serve_table", "load_serve_report", "validate_serve_payload",
-    "write_serve_report", "TRACE_KINDS", "Request", "generate_trace",
+    "nearest_rank", "SERVE", "build_serve_report", "format_serve_table",
+    "TRACE_KINDS", "Request", "generate_trace",
 ]

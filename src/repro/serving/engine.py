@@ -42,6 +42,7 @@ from repro.errors import BenchmarkError, ResilienceError
 from repro.frameworks import get_framework
 from repro.hardware.device import KernelCost
 from repro.hardware.machine import paper_testbed
+from repro.models.graphsage import build_graphsage
 from repro.models.inference import batch_blocks
 from repro.power.monitor import EnergyMonitor, EnergyReport
 from repro.resilience.plan import FaultPlan
@@ -181,15 +182,10 @@ def run_serving_experiment(
     the datapipe.  ``fault_plan`` activates deterministic fault
     injection on the ``storage.read``/``transfer.h2d`` seams.
     """
-    from repro.bench.harness import MODEL_BUILDERS, _coerce_fault_plan
-
-    if config.model not in MODEL_BUILDERS:
-        raise BenchmarkError(f"unknown model {config.model!r}")
     if config.model != "graphsage":
-        raise BenchmarkError(
-            "serving needs a layered block model (graphsage)")
-    build_model = MODEL_BUILDERS[config.model][0]
-    plan = _coerce_fault_plan(fault_plan)
+        raise BenchmarkError(f"serving needs a layered block model "
+                             f"(graphsage), got {config.model!r}")
+    plan = FaultPlan.coerce(fault_plan)
     fw = get_framework(config.framework)
     machine = paper_testbed()
     fault_cm = (resilience_session(plan) if plan is not None
@@ -200,7 +196,7 @@ def run_serving_experiment(
         try:
             fgraph = fw.load(config.dataset, machine,
                              scale=config.dataset_scale)
-            result = _serve_trace(config, fw, fgraph, build_model, machine)
+            result = _serve_trace(config, fw, fgraph, machine)
             result.energy = monitor.stop()
         except BaseException:
             monitor.stop()
@@ -225,15 +221,14 @@ class _InFlight:
     out: Optional[Tensor] = None
 
 
-def _serve_trace(config: ServeConfig, fw, fgraph, build_model,
-                 machine) -> ServeResult:
+def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
     """The serving loop proper (machine/session lifecycle handled above)."""
     graph = fgraph.graph
     clock = machine.clock
     on_gpu = config.placement == "cpugpu"
     target = machine.device("gpu" if on_gpu else "cpu")
 
-    net = build_model(fw, fgraph, seed=config.seed)
+    net = build_graphsage(fw, fgraph, seed=config.seed)
     net.eval()
     if on_gpu:
         with fw.activate():

@@ -3,22 +3,19 @@
 One report records one serving study: the workload/batching
 configuration plus, per framework × offered load, the latency tail
 (p50/p95/p99 by exact nearest-rank), achieved throughput, request
-outcomes, cache behaviour, and phase attribution.  The writer is
-deterministic — sorted keys, fixed indentation, atomic replace, and
-**no volatile provenance** (no timestamps, no git state) — so two runs
+outcomes, cache behaviour, and phase attribution.  :data:`SERVE` writes
+it the one canonical way (:mod:`repro.artifacts`) and the report holds
+**no volatile provenance** (no timestamps, no git state), so two runs
 with the same seed produce byte-identical files; the CI serve-smoke job
 ``cmp``'s them to hold that line.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, List, Union
+from typing import List
 
+from repro.artifacts import NUM, Format, ListOf, MapOf
 from repro.serving.engine import ServeConfig, ServeResult
-
-SERVE_SCHEMA = "repro.serve/1"
 
 _CONFIG_KEYS = (
     "dataset", "model", "trace", "num_requests", "nodes_per_request",
@@ -26,11 +23,6 @@ _CONFIG_KEYS = (
     "cache_policy", "degraded_mode", "seed", "dataset_scale",
 )
 _SUMMARY_KEYS = ("p50", "p95", "p99", "mean", "max")
-_RESULT_NUMERIC_KEYS = (
-    "offered_load", "throughput", "completed", "shed", "stale",
-    "cache_hits", "cache_misses", "hit_rate", "makespan_s",
-    "max_batch_wait_s", "budget_violations", "energy_j",
-)
 
 
 def build_serve_report(config: ServeConfig,
@@ -73,84 +65,31 @@ def build_serve_report(config: ServeConfig,
                        for k, v in sorted(result.phases.items())},
         })
     return {
-        "schema": SERVE_SCHEMA,
+        "schema": SERVE.schema,
         "config": {key: getattr(config, key) for key in _CONFIG_KEYS},
         "results": entries,
     }
 
 
-def write_serve_report(path: Union[str, Path], report: dict) -> Path:
-    """Validate then atomically write one report (deterministic bytes)."""
-    from repro.bench.artifacts import atomic_write_text
-
-    problems = validate_serve_payload(report)
-    if problems:
-        raise ValueError(
-            f"refusing to write invalid serve report: {problems[0]}"
-            + (f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""))
-    return atomic_write_text(
-        path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+def _check_order(report: dict) -> List[str]:
+    keys = [(e["framework"], e["offered_load"]) for e in report["results"]]
+    return ([] if keys == sorted(keys)
+            else ["results: not sorted by (framework, offered_load)"])
 
 
-def load_serve_report(path: Union[str, Path]) -> dict:
-    return json.loads(Path(path).read_text())
-
-
-def validate_serve_payload(report: object) -> List[str]:
-    """Schema-gate one report; returns human-readable problems."""
-    problems: List[str] = []
-    if not isinstance(report, dict):
-        return ["report is not a JSON object"]
-    if report.get("schema") != SERVE_SCHEMA:
-        problems.append(f"unknown schema {report.get('schema')!r} "
-                        f"(expected {SERVE_SCHEMA})")
-    config = report.get("config")
-    if not isinstance(config, dict):
-        problems.append("config must be an object")
-    else:
-        for key in _CONFIG_KEYS:
-            if key not in config:
-                problems.append(f"config missing {key!r}")
-    results = report.get("results")
-    if not isinstance(results, list) or not results:
-        return problems + ["results must be a non-empty list"]
-    for index, entry in enumerate(results):
-        for problem in _validate_entry(entry):
-            problems.append(f"result #{index}: {problem}")
-    keys = [(e.get("framework"), e.get("offered_load"))
-            for e in results if isinstance(e, dict)]
-    if keys != sorted(keys, key=lambda k: (str(k[0]), k[1] or 0.0)):
-        problems.append("results are not sorted by (framework, offered_load)")
-    return problems
-
-
-def _validate_entry(entry: object) -> List[str]:
-    if not isinstance(entry, dict):
-        return ["entry is not an object"]
-    problems = []
-    if not isinstance(entry.get("framework"), str) or not entry.get("framework"):
-        problems.append("missing framework")
-    for key in _RESULT_NUMERIC_KEYS:
-        if not isinstance(entry.get(key), (int, float)):
-            problems.append(f"{key} missing or non-numeric")
-    latency = entry.get("latency")
-    if not isinstance(latency, dict):
-        problems.append("latency must be an object")
-    else:
-        for key in _SUMMARY_KEYS:
-            if not isinstance(latency.get(key), (int, float)):
-                problems.append(f"latency.{key} missing or non-numeric")
-    for section in ("phases",):
-        mapping = entry.get(section)
-        if not isinstance(mapping, dict) or not all(
-                isinstance(v, (int, float)) for v in mapping.values()):
-            problems.append(f"{section} must map names to numbers")
-    batches = entry.get("batches")
-    if not isinstance(batches, dict) \
-            or not isinstance(batches.get("count"), int) \
-            or not isinstance(batches.get("closed_by"), dict):
-        problems.append("batches must carry count and closed_by")
-    return problems
+SERVE = Format("repro.serve/1", {
+    "config": {key: object for key in _CONFIG_KEYS},
+    "results": ListOf({
+        "framework": str,
+        **{key: NUM for key in (
+            "offered_load", "throughput", "completed", "shed", "stale",
+            "cache_hits", "cache_misses", "hit_rate", "makespan_s",
+            "max_batch_wait_s", "budget_violations", "energy_j")},
+        "latency": {key: NUM for key in _SUMMARY_KEYS},
+        "phases": MapOf(NUM),
+        "batches": {"count": int, "closed_by": dict},
+    }, non_empty=True),
+}, check=_check_order)
 
 
 def format_serve_table(report: dict) -> str:

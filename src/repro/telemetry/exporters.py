@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.artifacts import atomic_write
 from repro.simtime import VirtualClock
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.runtime import TelemetrySession
@@ -49,10 +50,8 @@ def event_records(tracer: SpanTracer,
 
 def write_events_jsonl(path: Union[str, Path], tracer: SpanTracer,
                        registry: Optional[MetricsRegistry] = None) -> Path:
-    from repro.bench.artifacts import atomic_write_text
-
     lines = [json.dumps(rec, sort_keys=True) for rec in event_records(tracer, registry)]
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    return atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_events_jsonl(path: Union[str, Path]) -> List[dict]:
@@ -68,9 +67,7 @@ def read_events_jsonl(path: Union[str, Path]) -> List[dict]:
 # metrics.prom
 # ----------------------------------------------------------------------
 def write_prometheus(path: Union[str, Path], registry: MetricsRegistry) -> Path:
-    from repro.bench.artifacts import atomic_write_text
-
-    return atomic_write_text(path, registry.prometheus_text())
+    return atomic_write(path, registry.prometheus_text())
 
 
 # ----------------------------------------------------------------------
@@ -169,14 +166,12 @@ def merged_trace_events(clock: VirtualClock, tracer: Optional[SpanTracer],
 
 def write_merged_trace(path: Union[str, Path], clock: VirtualClock,
                        tracer: Optional[SpanTracer]) -> Path:
-    from repro.bench.artifacts import atomic_write_text
-
     payload = {
         "traceEvents": merged_trace_events(clock, tracer),
         "displayTimeUnit": "ms",
         "metadata": {"source": TRACE_SOURCE},
     }
-    return atomic_write_text(path, json.dumps(payload, sort_keys=True))
+    return atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +180,7 @@ def write_merged_trace(path: Union[str, Path], clock: VirtualClock,
 def write_run_artifacts(out_dir: Union[str, Path], session: TelemetrySession,
                         clock: VirtualClock, manifest: dict) -> Dict[str, str]:
     """Write all four run artifacts; returns name -> path written."""
-    from repro.telemetry.manifest import write_run_manifest
+    from repro.telemetry.manifest import RUN
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,6 +189,6 @@ def write_run_artifacts(out_dir: Union[str, Path], session: TelemetrySession,
                                      session.metrics),
         "metrics": write_prometheus(out / "metrics.prom", session.metrics),
         "trace": write_merged_trace(out / "trace.json", clock, session.tracer),
-        "manifest": write_run_manifest(out / "run.json", manifest),
+        "manifest": RUN.write(out / "run.json", manifest),
     }
     return {name: str(path) for name, path in paths.items()}

@@ -11,40 +11,22 @@ seeded simulation, so two runs with the same config and seed emit
 byte-identical manifests — asserted by ``tests/test_telemetry.py``.
 Wall-clock timings live only in ``events.jsonl``.
 
-The ``validate_*`` functions are the schema gate used by the tests and
-the CI telemetry smoke step (via ``repro report --telemetry``): each
+:data:`RUN` is the manifest's format (:mod:`repro.artifacts`); it and
+the ``validate_*`` stream checks are the schema gate used by the tests
+and the CI telemetry smoke step (via ``repro report --telemetry``): each
 returns a list of human-readable problems, empty when the artifact
 conforms.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.artifacts import NUM, Format, MapOf, OneOf, Opt, conform, load
+from repro.telemetry.exporters import EVENTS_SCHEMA, read_events_jsonl
 from repro.telemetry.spans import PHASES
 from repro.telemetry.runtime import TelemetrySession
-
-RUN_SCHEMA = "repro.telemetry.run/1"
-
-_REQUIRED_KEYS = {
-    "schema": str,
-    "command": str,
-    "label": str,
-    "dataset": str,
-    "seed": int,
-    "config": dict,
-    "phases": dict,
-    "phase_fractions": dict,
-    "total_seconds": (int, float),
-    "kernel_families": dict,
-    "spans": dict,
-    "metrics": list,
-    "hardware": dict,
-}
-
-_POWER_STAT_KEYS = ("avg", "p50", "p95", "peak")
 
 
 def build_provenance() -> dict:
@@ -93,7 +75,7 @@ def build_run_manifest(
     """
     total = sum(phases.values())
     manifest: dict = {
-        "schema": RUN_SCHEMA,
+        "schema": RUN.schema,
         "command": command,
         "label": label,
         "dataset": dataset,
@@ -134,128 +116,73 @@ def build_run_manifest(
     return manifest
 
 
-def write_run_manifest(path: Union[str, Path], manifest: dict) -> Path:
-    from repro.bench.artifacts import atomic_write_text
+#: One metric record as :meth:`MetricsRegistry.snapshot` writes it; the
+#: keys that carry its value depend on its kind (:data:`_METRIC_VALUE`).
+METRIC = {"name": str, "kind": OneOf("counter", "gauge", "histogram"),
+          "labels": dict}
+_METRIC_VALUE = {"counter": {"value": NUM}, "gauge": {"value": NUM},
+                 "histogram": {"buckets": list, "count": int}}
+_SPAN_COUNTS = ("count", "max_depth", "phase_spans")
+_POWER_STATS = {key: NUM for key in ("avg", "p50", "p95", "peak")}
 
-    return atomic_write_text(
-        path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+def _metric_problems(record: object, path: str) -> List[str]:
+    return (conform(record, METRIC, path)
+            or conform(record, _METRIC_VALUE[record["kind"]], path))
 
 
-def load_run_manifest(path: Union[str, Path]) -> dict:
-    return json.loads(Path(path).read_text())
-
-
-# ----------------------------------------------------------------------
-# validators
-# ----------------------------------------------------------------------
-def validate_run_manifest(manifest: object) -> List[str]:
-    problems: List[str] = []
-    if not isinstance(manifest, dict):
-        return ["manifest is not a JSON object"]
-    for key, types in _REQUIRED_KEYS.items():
-        if key not in manifest:
-            problems.append(f"missing key {key!r}")
-        elif not isinstance(manifest[key], types):
-            problems.append(f"key {key!r} has wrong type {type(manifest[key]).__name__}")
-    if problems:
-        return problems
-    if manifest["schema"] != RUN_SCHEMA:
-        problems.append(f"unknown schema {manifest['schema']!r} (expected {RUN_SCHEMA})")
-    for name, secs in manifest["phases"].items():
-        if not isinstance(secs, (int, float)) or secs < 0:
-            problems.append(f"phase {name!r} has invalid seconds {secs!r}")
-    unknown = set(manifest["phases"]) - set(PHASES)
-    if unknown:
-        problems.append(f"unknown phase name(s) {sorted(unknown)}")
+def _check_run(manifest: dict) -> List[str]:
+    """Known phases, non-negative seconds and counts, fractions summing
+    to 1, well-formed metrics, and positive device peaks."""
+    problems = []
+    for name, seconds in manifest["phases"].items():
+        if name not in PHASES:
+            problems.append(f"phases[{name!r}]: unknown phase")
+        if seconds < 0:
+            problems.append(f"phases[{name!r}]: negative seconds {seconds!r}")
     fraction_sum = sum(manifest["phase_fractions"].values())
-    if manifest["phase_fractions"] and not (0.999 <= fraction_sum <= 1.001):
-        problems.append(f"phase fractions sum to {fraction_sum}, expected 1")
-    spans = manifest["spans"]
-    for key in ("count", "max_depth", "phase_spans"):
-        if not isinstance(spans.get(key), int) or spans.get(key, -1) < 0:
-            problems.append(f"spans.{key} must be a non-negative integer")
-    for record in manifest["metrics"]:
-        problems.extend(_validate_metric_record(record))
-    problems.extend(_validate_hardware(manifest["hardware"]))
-    energy = manifest.get("energy")
-    if energy is not None:
-        problems.extend(_validate_energy(energy))
+    if manifest["phase_fractions"] and not 0.999 <= fraction_sum <= 1.001:
+        problems.append(f"phase_fractions: sum to {fraction_sum}, expected 1")
+    problems += [f"spans.{key}: negative" for key in _SPAN_COUNTS
+                 if manifest["spans"][key] < 0]
+    for index, record in enumerate(manifest["metrics"]):
+        problems += _metric_problems(record, f"metrics[{index}]")
+    hardware = manifest["hardware"]
+    if hardware and "devices" not in hardware:  # empty = legacy producer
+        problems.append("hardware.devices: missing")
+    for name, spec in (hardware.get("devices") or {}).items():
+        problems += [f"hardware.devices[{name!r}].{key}: must be positive"
+                     for key in ("peak_flops", "mem_bandwidth")
+                     if spec[key] <= 0]
     return problems
 
 
-def _validate_metric_record(record: object) -> List[str]:
-    if not isinstance(record, dict):
-        return ["metric record is not an object"]
-    problems = []
-    kind = record.get("kind")
-    if kind not in ("counter", "gauge", "histogram"):
-        problems.append(f"metric {record.get('name')!r}: unknown kind {kind!r}")
-    if not isinstance(record.get("name"), str):
-        problems.append("metric record missing name")
-    if not isinstance(record.get("labels"), dict):
-        problems.append(f"metric {record.get('name')!r}: labels must be an object")
-    if kind == "histogram":
-        if not isinstance(record.get("buckets"), list):
-            problems.append(f"histogram {record.get('name')!r} missing buckets")
-        if not isinstance(record.get("count"), int):
-            problems.append(f"histogram {record.get('name')!r} missing count")
-    elif kind in ("counter", "gauge"):
-        if not isinstance(record.get("value"), (int, float)):
-            problems.append(f"metric {record.get('name')!r} missing value")
-    return problems
-
-
-def _validate_hardware(hardware: object) -> List[str]:
-    """Shape-check the machine description (empty = legacy producer)."""
-    if not isinstance(hardware, dict):
-        return ["hardware is not an object"]
-    if not hardware:
-        return []
-    problems = []
-    devices = hardware.get("devices")
-    if not isinstance(devices, dict):
-        return ["hardware.devices missing or not an object"]
-    for name, spec in devices.items():
-        if not isinstance(spec, dict):
-            problems.append(f"hardware.devices[{name!r}] is not an object")
-            continue
-        if spec.get("kind") not in ("cpu", "gpu"):
-            problems.append(f"hardware.devices[{name!r}].kind must be cpu/gpu")
-        for key in ("peak_flops", "mem_bandwidth"):
-            value = spec.get(key)
-            if not isinstance(value, (int, float)) or value <= 0:
-                problems.append(
-                    f"hardware.devices[{name!r}].{key} must be positive")
-    for section, rate_key in (("link", "bandwidth"),
-                              ("storage", "read_bandwidth")):
-        payload = hardware.get(section)
-        if payload is None:
-            continue
-        if not isinstance(payload, dict):
-            problems.append(f"hardware.{section} is not an object")
-        elif not isinstance(payload.get(rate_key), (int, float)):
-            problems.append(f"hardware.{section}.{rate_key} missing or "
-                            "non-numeric")
-    return problems
-
-
-def _validate_energy(energy: object) -> List[str]:
-    if not isinstance(energy, dict):
-        return ["energy is not an object"]
-    problems = []
-    for key in ("duration_s", "samples", "cpu_joules", "gpu_joules",
-                "total_joules", "avg_power_w", "peak_power_w"):
-        if not isinstance(energy.get(key), (int, float)):
-            problems.append(f"energy.{key} missing or non-numeric")
-    for rail in ("cpu_power_w", "gpu_power_w"):
-        stats = energy.get(rail)
-        if not isinstance(stats, dict):
-            problems.append(f"energy.{rail} missing")
-            continue
-        for key in _POWER_STAT_KEYS:
-            if not isinstance(stats.get(key), (int, float)):
-                problems.append(f"energy.{rail}.{key} missing or non-numeric")
-    return problems
+RUN = Format("repro.telemetry.run/1", {
+    "command": str,
+    "label": str,
+    "dataset": str,
+    "seed": int,
+    "config": dict,
+    "phases": MapOf(NUM),
+    "phase_fractions": MapOf(NUM),
+    "total_seconds": NUM,
+    "kernel_families": dict,
+    "spans": {key: int for key in _SPAN_COUNTS},
+    "metrics": list,
+    "hardware": {
+        "devices": Opt(MapOf({"kind": OneOf("cpu", "gpu"),
+                              "peak_flops": NUM, "mem_bandwidth": NUM})),
+        "link": Opt({"bandwidth": NUM}),
+        "storage": Opt({"read_bandwidth": NUM}),
+    },
+    "energy": Opt({
+        **{key: NUM for key in ("duration_s", "samples", "cpu_joules",
+                                "gpu_joules", "total_joules", "avg_power_w",
+                                "peak_power_w")},
+        "cpu_power_w": _POWER_STATS,
+        "gpu_power_w": _POWER_STATS,
+    }),
+}, check=_check_run)
 
 
 def validate_events_records(records: Sequence[object]) -> List[str]:
@@ -265,10 +192,10 @@ def validate_events_records(records: Sequence[object]) -> List[str]:
     header = records[0]
     if not isinstance(header, dict) or header.get("type") != "header":
         problems.append("first record must be the schema header")
-    elif header.get("schema") != "repro.telemetry.events/1":
+    elif header.get("schema") != EVENTS_SCHEMA:
         problems.append(f"unknown events schema {header.get('schema')!r}")
     seen_ids = set()
-    for record in records[1:]:
+    for index, record in enumerate(records[1:], 1):
         if not isinstance(record, dict):
             problems.append("record is not an object")
             continue
@@ -285,7 +212,7 @@ def validate_events_records(records: Sequence[object]) -> List[str]:
             if parent is not None and parent not in seen_ids:
                 problems.append(f"span {span_id} has unknown parent {parent}")
         elif rtype == "metric":
-            problems.extend(_validate_metric_record(record))
+            problems.extend(_metric_problems(record, f"records[{index}]"))
         else:
             problems.append(f"unknown record type {rtype!r}")
     return problems
@@ -365,14 +292,12 @@ def validate_prometheus_text(text: str) -> List[str]:
 
 def validate_run_dir(out_dir: Union[str, Path]) -> List[str]:
     """Validate all four artifacts of one telemetry output directory."""
-    from repro.telemetry.exporters import read_events_jsonl
-
     out = Path(out_dir)
     problems: List[str] = []
     expected = {
-        "run.json": lambda p: validate_run_manifest(json.loads(p.read_text())),
+        "run.json": lambda p: RUN.validate(load(p)),
         "events.jsonl": lambda p: validate_events_records(read_events_jsonl(p)),
-        "trace.json": lambda p: validate_chrome_trace(json.loads(p.read_text())),
+        "trace.json": lambda p: validate_chrome_trace(load(p)),
         "metrics.prom": lambda p: validate_prometheus_text(p.read_text()),
     }
     for name, check in expected.items():
@@ -382,6 +307,6 @@ def validate_run_dir(out_dir: Union[str, Path]) -> List[str]:
             continue
         try:
             problems.extend(f"{name}: {p}" for p in check(path))
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             problems.append(f"{name}: unparseable ({exc})")
     return problems

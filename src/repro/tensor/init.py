@@ -27,23 +27,6 @@ def xavier_uniform(shape: Tuple[int, ...], gain: float = 1.0,
     return _rng(seed).uniform(-bound, bound, size=shape).astype(FLOAT_DTYPE)
 
 
-def xavier_normal(shape: Tuple[int, ...], gain: float = 1.0,
-                  seed: Optional[int] = None) -> np.ndarray:
-    """Glorot normal: N(0, std^2) with std = gain * sqrt(2 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return (_rng(seed).standard_normal(size=shape) * std).astype(FLOAT_DTYPE)
-
-
-def kaiming_uniform(shape: Tuple[int, ...], a: float = math.sqrt(5),
-                    seed: Optional[int] = None) -> np.ndarray:
-    """He uniform, matching torch.nn.Linear's default weight init."""
-    fan_in, _ = _fans(shape)
-    gain = math.sqrt(2.0 / (1.0 + a * a))
-    bound = gain * math.sqrt(3.0 / fan_in)
-    return _rng(seed).uniform(-bound, bound, size=shape).astype(FLOAT_DTYPE)
-
-
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape, dtype=FLOAT_DTYPE)
 

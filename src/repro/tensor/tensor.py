@@ -40,10 +40,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 def _noop_backward(out: "Tensor") -> None:
     return None
 

@@ -106,6 +106,22 @@ def small_x(rng) -> Tensor:
     return Tensor(rng.random((40, 8)).astype(np.float32), requires_grad=True)
 
 
+@pytest.fixture(scope="session")
+def telemetry_bundle(tmp_path_factory):
+    """One seeded ``--telemetry`` training run, analysed in place:
+    ``(dir, ExperimentResult, profile payload)``.  Shared read-only by the
+    telemetry, profiler and artifact tests."""
+    from repro.bench.harness import run_training_experiment
+    from repro.profiling.analysis import analyze_run_dir
+
+    out = tmp_path_factory.mktemp("telemetry")
+    result = run_training_experiment(
+        "dglite", "ppi", "graphsage", epochs=2,
+        representative_batches=2, seed=0, telemetry_dir=str(out),
+    )
+    return out, result, analyze_run_dir(out)
+
+
 @pytest.fixture(autouse=True)
 def _keep_dataset_cache_bounded():
     """Datasets are cached in-process; tests share the cache but never

@@ -1,21 +1,12 @@
 """Tests for the perf-trajectory sweep matrix, artifacts, and gate."""
 
 import json
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.bench.artifacts import (
-    SWEEP_AREAS,
-    SWEEP_SCHEMA,
-    artifact_path,
-    atomic_write_text,
-    build_sweep_artifact,
-    load_sweep_artifact,
-    validate_sweep_artifact,
-    write_sweep_artifact,
-)
+from repro.artifacts import load
+from repro.bench.artifacts import SWEEP, SWEEP_AREAS, artifact_path
 from repro.bench.gate import (
     compare_artifacts,
     format_gate_report,
@@ -84,9 +75,9 @@ class TestSweepCells:
 class TestArtifacts:
     def test_round_trip_validates(self, tmp_path):
         artifact = tiny_sweep()
-        path = write_sweep_artifact(tmp_path / "BENCH_training.json", artifact)
-        loaded = load_sweep_artifact(path)
-        assert validate_sweep_artifact(loaded) == []
+        path = SWEEP.write(tmp_path / "BENCH_training.json", artifact)
+        loaded = load(path)
+        assert SWEEP.validate(loaded) == []
         assert loaded == artifact
 
     def test_artifact_has_provenance_and_seeds(self):
@@ -96,51 +87,9 @@ class TestArtifacts:
         assert "numpy" in artifact["provenance"]
         assert artifact["provenance"]["kernel_mode"] == "fast"
 
-    def test_validator_names_problems(self):
-        assert validate_sweep_artifact([]) == ["artifact is not a JSON object"]
-        shell = {"schema": SWEEP_SCHEMA, "area": "kernels", "seeds": [0],
-                 "provenance": {},
-                 "cells": [{"id": "x", "params": {}, "metrics": {}}]}
-        problems = validate_sweep_artifact(shell)
-        assert any("params missing" in p for p in problems)
-        assert any("metric 'virtual_s' missing" in p for p in problems)
-        # Another schema is the one problem, however many cells follow.
-        old = dict(shell, schema="repro.bench.sweep/1", cells=shell["cells"] * 3)
-        (problem,) = validate_sweep_artifact(old)
-        assert "unknown schema" in problem and "repro bench sweep" in problem
-
-    @pytest.mark.parametrize("values, expected", [
-        ({"mean": 1.0, "values": [1.0, 1.0]}, "must be a list of numbers"),
-        ([1.0, "fast"], "must be a list of numbers"),
-        ([1.0], "has 1 values for 2 seeds"),
-    ])
-    def test_validator_rejects_malformed_metric(self, values, expected):
-        artifact = json.loads(json.dumps(tiny_sweep(CONV_CELL)))
-        artifact["cells"][0]["metrics"]["virtual_s"] = values
-        (problem,) = validate_sweep_artifact(artifact)
-        assert "metric 'virtual_s'" in problem and expected in problem
-
-    def test_duplicate_cell_ids_rejected(self):
-        cell = run_cell(CONV_CELL, seeds=(0,))
-        artifact = build_sweep_artifact("kernels", [cell, cell], seeds=(0,))
-        assert any("duplicate cell id" in p
-                   for p in validate_sweep_artifact(artifact))
-
-    def test_writer_refuses_invalid_artifact(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_sweep_artifact(tmp_path / "BENCH_kernels.json",
-                                 {"schema": "bad"})
-
-    def test_atomic_write_replaces_and_leaves_no_temps(self, tmp_path):
-        target = tmp_path / "out.txt"
-        target.write_text("old")
-        atomic_write_text(target, "new")
-        assert target.read_text() == "new"
-        assert os.listdir(tmp_path) == ["out.txt"]
-
     def test_sweep_is_a_pure_function_of_code_and_seeds(self, tmp_path):
-        paths = [write_sweep_artifact(tmp_path / name / "BENCH_training.json",
-                                      tiny_sweep())
+        paths = [SWEEP.write(tmp_path / name / "BENCH_training.json",
+                             tiny_sweep())
                  for name in ("a", "b")]
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -148,8 +97,8 @@ class TestArtifacts:
 @pytest.mark.parametrize("area", SWEEP_AREAS)
 def test_committed_baselines_reproduce_exactly(area):
     """``BENCH_<area>.json`` is what this tree produces, to the last bit."""
-    committed = load_sweep_artifact(artifact_path(REPO_ROOT, area))
-    assert validate_sweep_artifact(committed) == []
+    committed = load(artifact_path(REPO_ROOT, area))
+    assert SWEEP.validate(committed) == []
     fresh = run_sweep(area, seeds=committed["seeds"],
                       cells=[SweepCell.from_params(cell["params"])
                              for cell in committed["cells"]])
@@ -222,7 +171,7 @@ class TestGate:
     def test_injected_artifact_still_validates(self):
         baseline = tiny_sweep(TRAIN_CELL)
         doctored = inject_slowdown(baseline, TRAIN_CELL.cell_id, 2.0)
-        assert validate_sweep_artifact(doctored) == []
+        assert SWEEP.validate(doctored) == []
         # Statistics are derived from the values, so they cannot go stale.
         before, after = (RepeatedStats(tuple(
             artifact["cells"][0]["metrics"]["virtual_s"]))
@@ -271,7 +220,7 @@ class TestGate:
 class TestCli:
     def _baseline(self, tmp_path):
         artifact = tiny_sweep(TRAIN_CELL, seeds=(0,))
-        write_sweep_artifact(artifact_path(tmp_path, "training"), artifact)
+        SWEEP.write(artifact_path(tmp_path, "training"), artifact)
         return tmp_path
 
     def test_gate_exit_zero_on_baseline(self, tmp_path, capsys):
@@ -306,8 +255,8 @@ class TestCli:
     @pytest.mark.parametrize("damage, expected", [
         (lambda text: text[:200], "unparseable"),
         (lambda text: text.replace('"driver": "train",', ""),
-         "params missing 'driver'"),
-        (lambda text: text.replace(SWEEP_SCHEMA, "repro.bench.sweep/1"),
+         "cells[0].params.driver: missing"),
+        (lambda text: text.replace(SWEEP.schema, "repro.bench.sweep/1"),
          "unknown schema 'repro.bench.sweep/1'"),
     ], ids=["truncated", "no-driver", "schema-1"])
     def test_gate_rejects_bad_baseline_before_sweeping(

@@ -1,5 +1,8 @@
 """Tests for model/optimizer checkpointing."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -105,12 +108,42 @@ class TestErrors:
             load_checkpoint(tmp_path / "m.npz", Linear(2, 3, seed=0))
 
     def test_bad_version(self, tmp_path):
-        save_checkpoint(tmp_path / "m.npz", Linear(2, 2, seed=0))
-        sidecar = tmp_path / "m.json"
-        sidecar.write_text(sidecar.read_text().replace(
-            '"_format_version": 1', '"_format_version": 42'))
-        with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "m.npz", Linear(2, 2))
+        path = save_checkpoint(tmp_path / "m.npz", Linear(2, 2, seed=0))
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        manifest = json.loads(str(arrays["manifest"]))
+        manifest["_format_version"] = 42
+        arrays["manifest"] = np.array(json.dumps(manifest))
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match="format version"):
+            load_checkpoint(path, Linear(2, 2))
+
+    def test_truncated_archive_is_a_checkpoint_error(self, tmp_path):
+        """A kill inside a non-atomic write leaves a cut-short archive."""
+        path = save_checkpoint(tmp_path / "m.npz", Linear(2, 2, seed=0))
+        path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+        with pytest.raises(CheckpointError, match="m.npz"):
+            load_checkpoint(path, Linear(2, 2))
+
+    def test_interrupted_save_keeps_the_previous_checkpoint(
+            self, tmp_path, monkeypatch):
+        model = Linear(3, 1, seed=0)
+        path = save_checkpoint(tmp_path / "m.npz", model,
+                               metadata={"epoch": 1})
+        first = model.weight.data.copy()
+        model.weight.data = np.full_like(first, 2.0)
+
+        def killed(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            save_checkpoint(path, model, metadata={"epoch": 2})
+        monkeypatch.undo()
+        restored = Linear(3, 1, seed=9)
+        assert load_checkpoint(path, restored) == {"epoch": 1}
+        assert np.array_equal(restored.weight.data, first)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]
 
 
 class TestGnnModelCheckpoint:

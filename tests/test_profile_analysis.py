@@ -12,26 +12,25 @@ import json
 
 import pytest
 
+from repro.artifacts import load
 from repro.bench.gate import attribution_hints, compare_artifacts, inject_slowdown
 from repro.bench.harness import run_training_experiment
 from repro.bench.sweep import SweepCell, run_cell
 from repro.cli import main as cli_main
 from repro.errors import BenchmarkError
 from repro.profiling.analysis import (
+    PROFILE,
     analyze_run_dir,
     diff_run_dirs,
     format_diff_report,
     format_profile_report,
     load_run_bundle,
-    validate_profile_payload,
-    write_profile_json,
 )
 from repro.profiling.analysis.bundle import LaneInterval, RunBundle
 from repro.profiling.analysis.critical_path import extract_critical_path
 from repro.profiling.analysis.diff import classify_deltas, span_path_totals
 from repro.profiling.analysis.flame import folded_stacks, render_folded
 from repro.profiling.analysis.roofline import pct_of_peak, roofline_attribution
-from repro.profiling.analysis.schema import load_profile_json
 from repro.profiling.kernel_report import (
     format_metric_kernel_table,
     kernel_rows_from_metrics,
@@ -49,10 +48,8 @@ def _train_run(out_dir, seed=0, fastpath=True):
 
 
 @pytest.fixture(scope="module")
-def analyzed_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("profiled")
-    _train_run(out)
-    payload = analyze_run_dir(out)
+def analyzed_run(telemetry_bundle):
+    out, _, payload = telemetry_bundle
     return out, payload
 
 
@@ -263,8 +260,8 @@ class TestAnalyzeEndToEnd:
         out, payload = analyzed_run
         assert (out / "profile.json").exists()
         assert (out / "flame.folded").exists()
-        on_disk = load_profile_json(out / "profile.json")
-        assert validate_profile_payload(on_disk) == []
+        on_disk = load(out / "profile.json")
+        assert PROFILE.validate(on_disk) == []
         assert on_disk["kind"] == "analysis"
 
     def test_critical_path_covers_run(self, analyzed_run):
@@ -328,7 +325,7 @@ class TestDiffEndToEnd:
     def test_self_diff_is_identical(self, analyzed_run):
         out, _ = analyzed_run
         payload = diff_run_dirs(out, out)
-        assert validate_profile_payload(payload) == []
+        assert PROFILE.validate(payload) == []
         assert payload["identical"] is True
         assert payload["delta_total_seconds"] == 0.0
         text = format_diff_report(payload)
@@ -373,25 +370,8 @@ class TestSchema:
     def test_round_trip(self, analyzed_run, tmp_path):
         _, payload = analyzed_run
         clean = {k: v for k, v in payload.items() if k != "artifacts"}
-        path = write_profile_json(tmp_path / "p.json", clean)
-        assert load_profile_json(path) == json.loads(json.dumps(clean))
-
-    def test_rejects_wrong_schema(self):
-        assert validate_profile_payload({"schema": "nope", "kind": "analysis"})
-        assert validate_profile_payload([]) == \
-            ["profile payload is not a JSON object"]
-
-    def test_rejects_malformed_diff(self):
-        payload = {"schema": "repro.profile/1", "kind": "diff"}
-        problems = validate_profile_payload(payload)
-        assert any("delta_total_seconds" in p for p in problems)
-        assert any("fastpath" in p for p in problems)
-
-    def test_write_refuses_invalid(self, tmp_path):
-        with pytest.raises(ValueError, match="invalid profile artifact"):
-            write_profile_json(tmp_path / "bad.json",
-                               {"schema": "repro.profile/1", "kind": "bogus"})
-        assert not (tmp_path / "bad.json").exists()
+        path = PROFILE.write(tmp_path / "p.json", clean)
+        assert load(path) == json.loads(json.dumps(clean))
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +461,7 @@ class TestCli:
         dest = tmp_path / "diff.json"
         assert cli_main(["profile", "diff", str(out), str(out),
                          "--out", str(dest)]) == 0
-        assert validate_profile_payload(load_profile_json(dest)) == []
+        assert PROFILE.validate(load(dest)) == []
 
     def test_report_top_sort_flags(self, analyzed_run, capsys):
         out, _ = analyzed_run

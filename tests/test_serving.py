@@ -10,14 +10,13 @@ from repro.cli import main
 from repro.errors import BenchmarkError
 from repro.kernels.config import use_reference_kernels
 from repro.serving import (
+    SERVE,
     ServeConfig,
     build_serve_report,
     form_batches,
     generate_trace,
     nearest_rank,
     run_serving_experiment,
-    validate_serve_payload,
-    write_serve_report,
 )
 from repro.serving.latency import LatencyAccountant
 from repro.serving.workload import Request
@@ -266,13 +265,13 @@ class TestSchema:
 
     def test_valid_report_passes(self):
         _, report = self._report()
-        assert validate_serve_payload(report) == []
+        assert SERVE.validate(report) == []
 
     def test_report_is_byte_identical_across_runs(self, tmp_path):
         config, report_a = self._report()
         _, report_b = self._report()
-        path_a = write_serve_report(tmp_path / "a.json", report_a)
-        path_b = write_serve_report(tmp_path / "b.json", report_b)
+        path_a = SERVE.write(tmp_path / "a.json", report_a)
+        path_b = SERVE.write(tmp_path / "b.json", report_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_report_has_no_volatile_provenance(self):
@@ -280,21 +279,6 @@ class TestSchema:
         text = json.dumps(report)
         for banned in ("timestamp", "wall", "git", "hostname"):
             assert banned not in text
-
-    def test_validator_catches_problems(self):
-        assert validate_serve_payload([]) == ["report is not a JSON object"]
-        assert any("schema" in p for p in validate_serve_payload({}))
-        _, report = self._report()
-        del report["results"][0]["latency"]["p99"]
-        assert any("p99" in p for p in validate_serve_payload(report))
-        report["results"][0]["latency"]["p99"] = 0.1
-        report["schema"] = "repro.serve/999"
-        assert any("unknown schema" in p
-                   for p in validate_serve_payload(report))
-
-    def test_writer_refuses_invalid(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_serve_report(tmp_path / "bad.json", {"schema": "nope"})
 
 
 class TestServeCli:
@@ -308,7 +292,7 @@ class TestServeCli:
         assert "p99" in printed and "DGL-serve" in printed
         report = json.loads(out.read_text())
         assert report["schema"] == "repro.serve/1"
-        assert validate_serve_payload(report) == []
+        assert SERVE.validate(report) == []
 
     def test_train_pipeline_on_device_is_parse_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+from repro.artifacts import load
 from repro.bench.harness import run_training_experiment
 from repro.cli import main as cli_main
 from repro.power.meter import PowerSample
@@ -41,13 +42,12 @@ from repro.telemetry.exporters import (
     write_prometheus,
 )
 from repro.telemetry.manifest import (
-    load_run_manifest,
+    RUN,
+    build_run_manifest,
     validate_chrome_trace,
     validate_events_records,
     validate_prometheus_text,
     validate_run_dir,
-    validate_run_manifest,
-    write_run_manifest,
 )
 
 
@@ -382,6 +382,12 @@ class TestExporters:
         assert batch["args"]["parent_id"] is not None
 
 
+def _manifest(sess, **config):
+    return build_run_manifest(command="train", label="x", dataset="ppi",
+                              seed=0, config=config, phases={},
+                              kernel_families={}, session=sess)
+
+
 _WRITERS = {
     "events.jsonl": lambda path, clock, sess: write_events_jsonl(
         path, sess.tracer, sess.metrics),
@@ -389,8 +395,7 @@ _WRITERS = {
         path, sess.metrics),
     "trace.json": lambda path, clock, sess: write_merged_trace(
         path, clock, sess.tracer),
-    "run.json": lambda path, clock, sess: write_run_manifest(
-        path, {"label": "x", "seed": 0}),
+    "run.json": lambda path, clock, sess: RUN.write(path, _manifest(sess)),
 }
 
 
@@ -411,17 +416,18 @@ class TestAtomicWriters:
             raise OSError("killed before the rename")
 
         sess.metrics.counter("sampler.items", kind="neighbor").inc(1)
-        monkeypatch.setattr("repro.bench.artifacts.os.replace", killed)
+        monkeypatch.setattr("repro.artifacts.os.replace", killed)
         with pytest.raises(OSError, match="killed"):
             _WRITERS[name](path, clock, sess)
         assert path.read_bytes() == before
         assert os.listdir(path.parent) == [name]  # no .tmp sibling
 
     def test_unserialisable_payload_touches_nothing(self, tmp_path):
-        path = write_run_manifest(tmp_path / "run.json", {"seed": 0})
+        _, sess = _sample_session()
+        path = RUN.write(tmp_path / "run.json", _manifest(sess))
         before = path.read_bytes()
         with pytest.raises(TypeError):
-            write_run_manifest(path, {"seed": object()})
+            RUN.write(path, _manifest(sess, seed=object()))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["run.json"]
 
@@ -432,12 +438,8 @@ class TestAtomicWriters:
 
 
 @pytest.fixture(scope="module")
-def telemetry_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("telemetry")
-    result = run_training_experiment(
-        "dglite", "ppi", "graphsage", epochs=2,
-        representative_batches=2, seed=0, telemetry_dir=str(out),
-    )
+def telemetry_run(telemetry_bundle):
+    out, result, _ = telemetry_bundle
     return out, result
 
 
@@ -450,8 +452,8 @@ class TestEndToEnd:
 
     def test_manifest_content(self, telemetry_run):
         out, result = telemetry_run
-        manifest = load_run_manifest(out / "run.json")
-        assert validate_run_manifest(manifest) == []
+        manifest = load(out / "run.json")
+        assert RUN.validate(manifest) == []
         assert manifest["label"] == result.label
         assert manifest["dataset"] == "ppi"
         assert manifest["seed"] == 0
@@ -485,7 +487,7 @@ class TestEndToEnd:
             if parent is not None:
                 ancestor = spans[parent]["name"]
                 rollup[ancestor] = rollup.get(ancestor, 0.0) - span["dur"]
-        manifest = load_run_manifest(out / "run.json")
+        manifest = load(out / "run.json")
         assert set(rollup) == set(manifest["phases"])
         for name, secs in manifest["phases"].items():
             assert abs(rollup[name] - secs) < 1e-9

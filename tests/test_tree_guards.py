@@ -1,0 +1,125 @@
+"""Structural guards over the source tree: each row names one mechanism
+that exists exactly once and fails if a second copy reappears.
+
+A guard is a pure-Python scan of the working tree (no git needed).  Each
+row also carries a planted violation, and must catch it in a scratch
+tree — a guard that cannot fail guards nothing.
+"""
+
+import re
+from collections import Counter
+from pathlib import Path
+from typing import Callable, Dict, List, NamedTuple, Sequence
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _files(root: Path, tops: Sequence[str], exclude: Sequence[str]):
+    for top in tops:
+        base = root / top
+        paths = [base] if base.is_file() else sorted(base.rglob("*"))
+        for path in paths:
+            rel = path.relative_to(root).as_posix()
+            if path.suffix in (".py", ".md") and not rel.startswith(
+                    tuple(exclude)):
+                yield rel, path.read_text(encoding="utf-8")
+
+
+def grep(pattern: str, tops: Sequence[str] = ("src/repro",),
+         exclude: Sequence[str] = ()) -> Callable[[Path], List[str]]:
+    """A guard: every match of ``pattern`` under ``tops`` is a violation."""
+    regex = re.compile(pattern, re.MULTILINE)
+
+    def scan(root: Path) -> List[str]:
+        return [f"{rel}:{text.count(chr(10), 0, m.start()) + 1}: {m.group()}"
+                for rel, text in _files(root, tops, exclude)
+                for m in regex.finditer(text)]
+    return scan
+
+
+def absent(*paths: str) -> Callable[[Path], List[str]]:
+    return lambda root: [p for p in paths if (root / p).exists()]
+
+
+def schema_ids_spelled_twice(root: Path) -> List[str]:
+    ids = Counter(m.group(1) for _, text in _files(root, ("src/repro",), ())
+                  for m in re.finditer(r"""["'](repro\.[\w.]+/\d+)["']""",
+                                       text))
+    return [f"{schema} spelled {n} times" for schema, n in ids.items()
+            if n > 1]
+
+
+class Guard(NamedTuple):
+    name: str
+    scan: Callable[[Path], List[str]]
+    planted: Dict[str, str]  # relative path -> text that must be caught
+
+
+GUARDS = [
+    Guard("one-overlap-engine (no scheduler or extrapolator outside the "
+          "datapipe)",
+          grep(r"LaneScheduler|_usage_snapshot|_extrapolate\(",
+               exclude=("src/repro/simtime.py", "src/repro/datapipe/")),
+          {"src/repro/serving/x.py": "class LaneScheduler:\n    pass\n"}),
+    Guard("one-layer-zoo (each conv layer is written once)",
+          grep(r"^class .*Conv\b", exclude=("src/repro/frameworks/nn.py",)),
+          {"src/repro/frameworks/zoo.py": "class GCNConv(Module):\n"}),
+    Guard("one-layer-zoo (a framework is its profile)",
+          absent("src/repro/frameworks/dglite", "src/repro/frameworks/pyglite"),
+          {"src/repro/frameworks/dglite/__init__.py": ""}),
+    Guard("one-layer-zoo (one sampler charging path)",
+          grep(r"_CONVS|def _assemble|def has_fused"),
+          {"src/repro/frameworks/base.py": "    def _assemble(self):\n"}),
+    Guard("no-scalar-twin (an epoch is billed in one pass per concern)",
+          grep(r"def commit_interval|def _union_merge|def _take_sample\("),
+          {"src/repro/simtime.py": "def commit_interval(self):\n"}),
+    Guard("one-owner-of-host-time (the sweep artifact records nothing "
+          "volatile or derived)",
+          grep(r"\b(?:wall_s|check_cost_invariance|stats_payload)\b",
+               tops=("src/repro", "docs", "README.md")),
+          {"docs/bench.md": "Each cell records `wall_s`.\n"}),
+    Guard("one-artifact-layer (only repro.artifacts writes files)",
+          grep(r"os\.replace|tempfile|\.write_text\(|\.write_bytes\("
+               r"|refusing to write",
+               exclude=("src/repro/artifacts.py",)),
+          {"src/repro/lint/baseline.py": "path.write_text(text)\n"}),
+    Guard("one-artifact-layer (np.savez only into an in-memory buffer)",
+          grep(r"np\.savez\w*\((?!\s*buffer\b)",
+               exclude=("src/repro/artifacts.py",)),
+          {"src/repro/models/checkpoint.py": "np.savez(\n    path, **a)\n"}),
+    Guard("one-artifact-layer (repro.bench.artifacts is imported only by "
+          "bench and the CLI)",
+          grep(r"(?:from|import)\s+repro\.bench\.artifacts\b",
+               exclude=("src/repro/bench/", "src/repro/cli.py")),
+          {"src/repro/telemetry/x.py":
+           "    from repro.bench.artifacts import SWEEP\n"}),
+    Guard("one-artifact-layer (the layers below bench never import it)",
+          grep(r"(?:from|import)\s+repro\.bench\b",
+               tops=tuple(f"src/repro/{pkg}" for pkg in (
+                   "telemetry", "serving", "profiling", "models", "datasets",
+                   "lint"))),
+          {"src/repro/serving/engine.py":
+           "    from repro.bench.harness import MODEL_BUILDERS\n"}),
+    Guard("one-artifact-layer (each schema id is spelled once)",
+          schema_ids_spelled_twice,
+          {"src/repro/telemetry/a.py": 'A = "repro.telemetry.events/1"\n',
+           "src/repro/telemetry/b.py": "B = 'repro.telemetry.events/1'\n"}),
+]
+
+
+@pytest.mark.parametrize("guard", GUARDS, ids=lambda g: g.name)
+def test_tree_holds(guard):
+    assert guard.scan(REPO_ROOT) == []
+
+
+@pytest.mark.parametrize("guard", GUARDS, ids=lambda g: g.name)
+def test_guard_catches_a_planted_violation(guard, tmp_path):
+    for rel, text in guard.planted.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    (tmp_path / "src" / "repro").mkdir(parents=True, exist_ok=True)
+    (tmp_path / "docs").mkdir(exist_ok=True)
+    (tmp_path / "README.md").write_text("")
+    assert guard.scan(tmp_path)
