@@ -8,7 +8,7 @@ from repro.bench.harness import (
     run_fullbatch_experiment,
     run_training_experiment,
 )
-from repro.bench.format import format_matrix, format_series
+from repro.bench.format import format_series
 from repro.bench.gate import compare_artifacts, format_gate_report
 from repro.bench.sweep import SweepCell, run_sweep
 
@@ -17,7 +17,6 @@ __all__ = [
     "SweepCell",
     "compare_artifacts",
     "format_gate_report",
-    "format_matrix",
     "format_series",
     "run_sweep",
     "measure_conv_forward",

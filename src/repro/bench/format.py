@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Mapping
 
 
 def format_series(title: str, series: Mapping[str, Mapping[str, float]],
@@ -38,11 +38,3 @@ def format_series(title: str, series: Mapping[str, Mapping[str, float]],
         lines.append(f"{label:<{label_w}}" + "".join(cells))
     lines.append(f"(values in {unit})")
     return "\n".join(lines)
-
-
-def format_matrix(title: str, rows: Sequence[str], cols: Sequence[str],
-                  values: Dict[tuple, object], unit: str = "s",
-                  precision: int = 4) -> str:
-    """Render a {(row, col): value} dict as a table ('OOM' strings pass through)."""
-    series = {row: {col: values.get((row, col)) for col in cols} for row in rows}
-    return format_series(title, series, unit=unit, precision=precision)

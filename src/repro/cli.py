@@ -14,8 +14,8 @@ Commands mirror the paper's experiment families:
   the regression gate over the committed ``BENCH_*.json`` baselines.
 * ``profile analyze`` / ``profile diff`` — offline critical-path,
   roofline, and differential analysis over telemetry directories.
-* ``lint`` — static analysis enforcing the stack's hot-path,
-  determinism, and autograd invariants.
+* ``lint`` — static analysis enforcing the stack's hot-path and
+  autograd invariants.
 """
 
 from __future__ import annotations

@@ -99,11 +99,6 @@ class EpochReport:
     #: Clean (pre-fault, post-scale) executed seconds per stage name.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def overlap_seconds(self) -> float:
-        """Scheduled lane busy time in excess of elapsed wall time."""
-        return max(0.0, sum(self.lane_busy.values()) - self.elapsed)
-
     def credit_phases(self, tracer: SpanTracer) -> None:
         """Credit the epoch's exclusive phase seconds to ``tracer``."""
         for phase, seconds in sorted(self.phases.items()):

@@ -41,10 +41,6 @@ class StagingPool:
     def live_host_bytes(self) -> int:
         return sum(a.nbytes for a in self._host.values())
 
-    @property
-    def live_items(self) -> int:
-        return len(self._host.keys() | self._gpu.keys())
-
     def stage_host(self, index: int, nbytes: float) -> None:
         """Pin item ``index``'s staging buffer in host memory."""
         self._retire_drained(index)

@@ -15,7 +15,6 @@ from repro.datasets.registry import (
     get_dataset,
     list_datasets,
 )
-from repro.datasets.storage import load_graph, save_graph
 
 __all__ = [
     "DATASET_NAMES",
@@ -25,6 +24,4 @@ __all__ = [
     "dataset_spec",
     "get_dataset",
     "list_datasets",
-    "load_graph",
-    "save_graph",
 ]

@@ -54,10 +54,6 @@ class DatasetSpec:
             split=self.split,
         )
 
-    @property
-    def logical_avg_degree(self) -> float:
-        return self.logical_num_edges / self.logical_num_nodes
-
 
 _CACHE: Dict[Tuple[str, float], Graph] = {}
 

@@ -50,11 +50,6 @@ class MultiGpuMachine(Machine):
     def num_gpus(self) -> int:
         return len(self.gpus)
 
-    def gpu_rank(self, rank: int) -> Device:
-        if not (0 <= rank < self.num_gpus):
-            raise DeviceError(f"no GPU rank {rank} (have {self.num_gpus})")
-        return self.gpus[rank]
-
     def total_gpu_energy(self, start: float = 0.0, end=None) -> float:
         """Exact energy across all GPUs (integration over busy intervals).
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.datasets.base import build_dataset
 from repro.datasets.registry import dataset_spec
-from repro.datasets.storage import stored_nbytes
 from repro.errors import DeviceError, SamplerError
 from repro.graph.graph import Graph
 from repro.hardware.device import Device, KernelCost
@@ -142,7 +141,7 @@ class Framework:
         graph = build_dataset(spec, scale=scale)
         stats = graph.stats
         with self.activate():
-            machine.read_storage(stored_nbytes(stats), tag=f"load:{name}")
+            machine.read_storage(stats.stored_nbytes(), tag=f"load:{name}")
             bundled = bool(getattr(spec, self.profile.bundled_flag))
             penalty = 1.0 if bundled else self.profile.raw_process_penalty
             build_seconds = penalty * (

@@ -75,10 +75,6 @@ class GpuFeatureCache:
         self.hits = 0
         self.misses = 0
 
-    @property
-    def capacity_nodes(self) -> int:
-        return int(self.cached_nodes.size)
-
     def hit_mask(self, nodes: np.ndarray) -> np.ndarray:
         """Boolean mask of which requested nodes are cache hits.
 

@@ -1,19 +1,18 @@
 """Graph data structures: adjacency formats, the Graph container, generators.
 
-The adjacency classes are deliberately format-explicit (COO / CSR / CSC)
-because format conversions are a real cost the paper measures: PyG's
-samplers require CSC and the conversion "turns out to be quite slow on
-large datasets" (Observation 2).
+The adjacency classes are format-explicit (COO / CSR); the cost of the
+CSC conversion PyG's samplers need — which "turns out to be quite slow
+on large datasets" (Observation 2) — is charged by the framework
+profiles (:mod:`repro.frameworks.profiles`).
 """
 
-from repro.graph.formats import AdjacencyCOO, AdjacencyCSR, AdjacencyCSC
+from repro.graph.formats import AdjacencyCOO, AdjacencyCSR
 from repro.graph.graph import Graph, GraphStats, Split
 from repro.graph import generators
 from repro.graph.partition import partition_graph, PartitionResult
 
 __all__ = [
     "AdjacencyCOO",
-    "AdjacencyCSC",
     "AdjacencyCSR",
     "Graph",
     "GraphStats",

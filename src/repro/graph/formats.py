@@ -1,6 +1,6 @@
 """Sparse adjacency formats and conversions.
 
-All three formats describe a directed edge set over ``num_nodes`` nodes;
+Both formats describe a directed edge set over ``num_nodes`` nodes;
 undirected graphs store both directions.  Conversions are implemented with
 numpy sorting primitives (no scipy) so their work can be charged faithfully
 by the kernels layer.
@@ -77,20 +77,8 @@ class AdjacencyCOO:
         indptr[1:] = np.cumsum(counts)
         return AdjacencyCSR(self.num_nodes, indptr, self.dst[order], edge_ids=order)
 
-    def to_csc(self) -> "AdjacencyCSC":
-        """Sort edges by destination and build column pointers."""
-        order = np.argsort(self.dst, kind="stable")
-        sorted_dst = self.dst[order]
-        indptr = np.zeros(self.num_nodes + 1, dtype=INDEX_DTYPE)
-        counts = np.bincount(sorted_dst, minlength=self.num_nodes)
-        indptr[1:] = np.cumsum(counts)
-        return AdjacencyCSC(self.num_nodes, indptr, self.src[order], edge_ids=order)
-
     def reverse(self) -> "AdjacencyCOO":
         return AdjacencyCOO(self.num_nodes, self.dst, self.src)
-
-    def out_degrees(self) -> np.ndarray:
-        return np.bincount(self.src, minlength=self.num_nodes).astype(INDEX_DTYPE)
 
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self.dst, minlength=self.num_nodes).astype(INDEX_DTYPE)
@@ -144,51 +132,10 @@ class AdjacencyCSR:
         src = np.repeat(np.arange(self.num_nodes, dtype=INDEX_DTYPE), np.diff(self.indptr))
         return AdjacencyCOO(self.num_nodes, src, self.indices)
 
-    def to_csc(self) -> "AdjacencyCSC":
-        coo = self.to_coo()
-        return coo.to_csc()
-
     def transpose(self) -> "AdjacencyCSR":
         """CSR of the reversed edge set (used by SpMM backward)."""
         coo = self.to_coo()
         return coo.reverse().to_csr()
-
-
-@dataclass(frozen=True)
-class AdjacencyCSC:
-    """Compressed sparse column: in-neighbors of node v are
-    ``indices[indptr[v]:indptr[v+1]]``."""
-
-    num_nodes: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    edge_ids: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indptr", _as_index(self.indptr))
-        object.__setattr__(self, "indices", _as_index(self.indices))
-        if self.indptr.size != self.num_nodes + 1:
-            raise GraphFormatError("indptr must have num_nodes + 1 entries")
-        if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
-            raise GraphFormatError("indptr endpoints are inconsistent")
-        if np.any(np.diff(self.indptr) < 0):
-            raise GraphFormatError("indptr must be non-decreasing")
-        if self.indices.size and (self.indices.max() >= self.num_nodes or self.indices.min() < 0):
-            raise GraphFormatError("neighbor index out of range")
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.indices.size)
-
-    def in_neighbors(self, node: int) -> np.ndarray:
-        return self.indices[self.indptr[node]:self.indptr[node + 1]]
-
-    def in_degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def to_coo(self) -> AdjacencyCOO:
-        dst = np.repeat(np.arange(self.num_nodes, dtype=INDEX_DTYPE), np.diff(self.indptr))
-        return AdjacencyCOO(self.num_nodes, self.indices, dst)
 
 
 def flat_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -271,15 +218,6 @@ def induced_subgraph(
 def remove_self_loops(coo: AdjacencyCOO) -> AdjacencyCOO:
     keep = coo.src != coo.dst
     return AdjacencyCOO(coo.num_nodes, coo.src[keep], coo.dst[keep])
-
-
-def add_self_loops(coo: AdjacencyCOO) -> AdjacencyCOO:
-    loop = np.arange(coo.num_nodes, dtype=INDEX_DTYPE)
-    return AdjacencyCOO(
-        coo.num_nodes,
-        np.concatenate([coo.src, loop]),
-        np.concatenate([coo.dst, loop]),
-    )
 
 
 def coalesce(coo: AdjacencyCOO) -> AdjacencyCOO:

@@ -17,7 +17,6 @@ import numpy as np
 from repro.graph.formats import (
     AdjacencyCOO,
     INDEX_DTYPE,
-    coalesce,
     remove_self_loops,
     symmetrize,
 )
@@ -96,26 +95,6 @@ def dcsbm_graph(
     coo = remove_self_loops(coo)
     coo = symmetrize(coo)
     return coo, communities
-
-
-def erdos_renyi_graph(num_nodes: int, num_edges: int,
-                      seed: Optional[int] = None) -> AdjacencyCOO:
-    """Uniform random directed multigraph, deduplicated (test workloads)."""
-    rng = np.random.default_rng(seed)
-    src = rng.integers(0, num_nodes, size=num_edges).astype(INDEX_DTYPE)
-    dst = rng.integers(0, num_nodes, size=num_edges).astype(INDEX_DTYPE)
-    return coalesce(remove_self_loops(AdjacencyCOO(num_nodes, src, dst)))
-
-
-def ring_graph(num_nodes: int) -> AdjacencyCOO:
-    """Deterministic bidirectional ring (smallest sane connected graph)."""
-    ids = np.arange(num_nodes, dtype=INDEX_DTYPE)
-    nxt = (ids + 1) % num_nodes
-    return AdjacencyCOO(
-        num_nodes,
-        np.concatenate([ids, nxt]),
-        np.concatenate([nxt, ids]),
-    )
 
 
 def correlated_features(

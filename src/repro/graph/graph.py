@@ -9,13 +9,13 @@ Cost and memory models consume logical quantities via the ``node_scale`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional
 
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.formats import AdjacencyCSR, INDEX_DTYPE, induced_subgraph
+from repro.graph.formats import AdjacencyCSR, INDEX_DTYPE
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,10 @@ class GraphStats:
     def label_nbytes(self) -> int:
         per_node = 4 * self.num_classes if self.multilabel else 8
         return per_node * self.logical_num_nodes
+
+    def stored_nbytes(self) -> int:
+        """Logical on-disk footprint charged when loading this dataset."""
+        return self.feature_nbytes() + self.structure_nbytes() + self.label_nbytes()
 
 
 class Graph:
@@ -126,34 +130,6 @@ class Graph:
 
     def train_nodes(self) -> np.ndarray:
         return np.nonzero(self.train_mask)[0].astype(INDEX_DTYPE)
-
-    def val_nodes(self) -> np.ndarray:
-        return np.nonzero(self.val_mask)[0].astype(INDEX_DTYPE)
-
-    def test_nodes(self) -> np.ndarray:
-        return np.nonzero(self.test_mask)[0].astype(INDEX_DTYPE)
-
-    # ------------------------------------------------------------------
-    def subgraph(self, nodes: np.ndarray) -> "Graph":
-        """Node-induced subgraph; logical stats scale with the parent."""
-        nodes = np.asarray(nodes, dtype=INDEX_DTYPE)
-        sub_coo, _ = induced_subgraph(self.adj, nodes)
-        sub_adj = sub_coo.to_csr()
-        sub_stats = replace(
-            self.stats,
-            name=f"{self.stats.name}-sub",
-            logical_num_nodes=int(round(nodes.size * self.node_scale)),
-            logical_num_edges=int(round(sub_adj.num_edges * self.edge_scale)),
-        )
-        return Graph(
-            sub_adj,
-            self.features[nodes],
-            self.labels[nodes],
-            self.train_mask[nodes],
-            self.val_mask[nodes],
-            self.test_mask[nodes],
-            sub_stats,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

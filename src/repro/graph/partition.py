@@ -26,12 +26,6 @@ class PartitionResult:
     assignments: np.ndarray  # (num_nodes,) int64 part id
     edge_cut: int  # number of edges crossing parts
 
-    def part_nodes(self, part: int) -> np.ndarray:
-        return np.nonzero(self.assignments == part)[0].astype(INDEX_DTYPE)
-
-    def part_sizes(self) -> np.ndarray:
-        return np.bincount(self.assignments, minlength=self.num_parts)
-
 
 def bfs_order(adj: AdjacencyCSR, seed: Optional[int] = None) -> np.ndarray:
     """Visit order of a BFS over all components (random restarts)."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.hardware.memory import MemoryLedger
 from repro.hardware.specs import DeviceSpec
@@ -106,15 +106,6 @@ class Device:
             if cost.bytes_moved:
                 registry.counter("kernel.bytes_moved", **labels).inc(cost.bytes_moved)
         return seconds
-
-    def busy_fraction(self, start: float = 0.0, end: Optional[float] = None) -> float:
-        """Fraction of [start, end) this device spent busy."""
-        if end is None:
-            end = self.clock.now
-        span = end - start
-        if span <= 0:
-            return 0.0
-        return self.clock.busy_time(self.name, start, end) / span
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Device({self.spec.name}, kind={self.spec.kind})"

@@ -60,10 +60,6 @@ class Machine:
             return self.gpu
         raise DeviceError(f"unknown device {name!r} (expected 'cpu' or 'gpu')")
 
-    @property
-    def has_gpu(self) -> bool:
-        return self.gpu is not None
-
     def read_storage(self, nbytes: float, tag: str = "storage-read") -> float:
         """Read ``nbytes`` from local storage into host memory.
 
@@ -160,30 +156,10 @@ class Machine:
             },
         }
 
-    def counters_snapshot(self) -> Dict[str, float]:
-        """Aggregate activity counters, mainly for reports and tests."""
-        snap = {
-            "time": self.clock.now,
-            "cpu_kernels": self.cpu.counters.kernels,
-            "cpu_flops": self.cpu.counters.flops,
-            "pcie_bytes_h2d": self.pcie.counters.bytes_h2d,
-            "pcie_bytes_d2h": self.pcie.counters.bytes_d2h,
-            "pcie_bytes_uva": self.pcie.counters.bytes_uva,
-        }
-        if self.gpu is not None:
-            snap["gpu_kernels"] = self.gpu.counters.kernels
-            snap["gpu_flops"] = self.gpu.counters.flops
-        return snap
-
 
 def paper_testbed() -> Machine:
     """A fresh machine matching the paper's hardware configuration."""
     return Machine(PAPER_CPU, PAPER_GPU, PAPER_PCIE)
-
-
-def cpu_only_testbed() -> Machine:
-    """A machine without a GPU (negative-path tests)."""
-    return Machine(PAPER_CPU, None, PAPER_PCIE)
 
 
 def laptop_testbed() -> Machine:

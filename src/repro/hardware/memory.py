@@ -11,8 +11,8 @@ ogbn-products (Observation 3).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.errors import OutOfMemoryError
 from repro.telemetry import runtime as telemetry
@@ -50,10 +50,6 @@ class MemoryLedger:
         """High-water mark of logical bytes allocated."""
         return self._peak
 
-    @property
-    def free(self) -> int:
-        return self.capacity - self._in_use
-
     def alloc(self, nbytes: int, label: str = "") -> Allocation:
         """Allocate ``nbytes`` logical bytes; raise OutOfMemoryError if full."""
         nbytes = int(nbytes)
@@ -71,9 +67,8 @@ class MemoryLedger:
     def release(self, alloc: Allocation) -> None:
         """Free an allocation.
 
-        Idempotent: releasing an allocation twice (or after
-        :meth:`release_all`) is a no-op, because tensor finalizers may fire
-        after an experiment tears the ledger down.
+        Idempotent: releasing an allocation twice is a no-op, because
+        tensor finalizers may fire after their owner already released it.
         """
         stored = self._live.pop(alloc.handle, None)
         if stored is not None:
@@ -88,14 +83,6 @@ class MemoryLedger:
             registry.gauge("memory.peak_bytes",
                            device=self.device_name).set_max(self._peak)
 
-    def release_all(self) -> None:
-        """Free everything (used when an experiment tears down)."""
-        self._live.clear()
-        self._in_use = 0
-
-    def would_fit(self, nbytes: int) -> bool:
-        return self._in_use + int(nbytes) <= self.capacity
-
     def reset_peak(self) -> None:
         self._peak = self._in_use
 
@@ -104,22 +91,3 @@ class MemoryLedger:
             f"MemoryLedger({self.device_name}, in_use={self._in_use / 2**30:.2f} GiB,"
             f" capacity={self.capacity / 2**30:.2f} GiB)"
         )
-
-
-@dataclass
-class ScopedAllocation:
-    """Context manager that frees a temporary allocation on exit."""
-
-    ledger: MemoryLedger
-    nbytes: int
-    label: str = ""
-    _alloc: Optional[Allocation] = field(default=None, init=False)
-
-    def __enter__(self) -> Allocation:
-        self._alloc = self.ledger.alloc(self.nbytes, self.label)
-        return self._alloc
-
-    def __exit__(self, *exc_info) -> None:
-        if self._alloc is not None:
-            self.ledger.release(self._alloc)
-            self._alloc = None

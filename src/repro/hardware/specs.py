@@ -52,10 +52,6 @@ class CpuSpec(DeviceSpec):
     cores_per_socket: int = 10
     smt: int = 2
 
-    @property
-    def total_threads(self) -> int:
-        return self.sockets * self.cores_per_socket * self.smt
-
 
 @dataclass(frozen=True)
 class GpuSpec(DeviceSpec):

@@ -22,31 +22,23 @@ see :mod:`repro.kernels.config` and ``docs/kernels.md``.
 from repro.kernels.adj import SparseAdj
 from repro.kernels.config import fastpath_enabled, use_reference_kernels
 from repro.kernels.spmm import spmm
-from repro.kernels.scatter import gather, scatter_add, scatter_mean
+from repro.kernels.scatter import gather, scatter_add
 from repro.kernels.sddmm import (
     fused_gatv2_scores,
     sddmm_u_add_v,
-    sddmm_u_dot_v,
     segment_softmax,
 )
-from repro.kernels.segment import segment_sum, segment_mean, segment_max
-from repro.kernels.transfer import graph_bytes, to_device
+from repro.kernels.transfer import to_device
 
 __all__ = [
     "SparseAdj",
     "fastpath_enabled",
     "fused_gatv2_scores",
     "gather",
-    "graph_bytes",
     "use_reference_kernels",
     "scatter_add",
-    "scatter_mean",
     "sddmm_u_add_v",
-    "sddmm_u_dot_v",
-    "segment_max",
-    "segment_mean",
     "segment_softmax",
-    "segment_sum",
     "spmm",
     "to_device",
 ]

@@ -166,7 +166,6 @@ class SparseAdj:
         self._perm_src: Optional[np.ndarray] = None
         self._indptr_src: Optional[np.ndarray] = None
         self._in_degrees: Optional[np.ndarray] = None
-        self._out_degrees: Optional[np.ndarray] = None
         self._inv_in_degrees: Optional[np.ndarray] = None
         self._inc_dst: Optional[sp.csr_matrix] = None
         self._inc_src: Optional[sp.csr_matrix] = None
@@ -280,7 +279,7 @@ class SparseAdj:
             index = self.dst if side == "dst" else self.src
             # Deliberate reference fallback for A/B testing of the
             # segment-reduce fast path.
-            np.add.at(out, index, values)  # repro-lint: disable=ADD-AT reference path behind use_reference_kernels()
+            np.add.at(out, index, values)
             return out
         if values.size and values.dtype in (np.float32, np.float64):
             flat = values.reshape(values.shape[0], -1)
@@ -389,11 +388,6 @@ class SparseAdj:
         if self._in_degrees is None:
             self._in_degrees = np.diff(self.indptr).astype(INDEX_DTYPE)
         return self._in_degrees
-
-    def out_degrees(self) -> np.ndarray:
-        if self._out_degrees is None:
-            self._out_degrees = np.bincount(self.src, minlength=self.num_src).astype(INDEX_DTYPE)
-        return self._out_degrees
 
     def inv_in_degrees(self) -> np.ndarray:
         """``1 / max(in_degree, 1)`` as float32, cached on the structure."""

@@ -74,19 +74,3 @@ def scatter_add(adj: SparseAdj, messages: Tensor) -> Tensor:
                    bytes_moved=4.0 * 2.0 * e_log * feat_width)
         out._backward = _backward
     return out
-
-
-def scatter_mean(adj: SparseAdj, messages: Tensor) -> Tensor:
-    """Mean-reduce per-edge messages to destinations (degree-normalized).
-
-    The inverse-degree vector is served from the adjacency's cache — a
-    reshape view, not a fresh allocation per call.
-    """
-    total = scatter_add(adj, messages)
-    inv = Tensor(
-        adj.inv_in_degrees().reshape((adj.num_dst,) + (1,) * (total.ndim - 1)),
-        device=adj.device,
-        work_scale=adj.node_scale,
-        _owns_memory=False,
-    )
-    return total * inv

@@ -49,46 +49,6 @@ def sddmm_u_add_v(adj: SparseAdj, u_feat: Tensor, v_feat: Tensor,
     return out
 
 
-def sddmm_u_dot_v(adj: SparseAdj, u_feat: Tensor, v_feat: Tensor,
-                  family: str = "sddmm") -> Tensor:
-    """``out[e, h] = <u_feat[src[e], h], v_feat[dst[e], h]>`` (dot attention)."""
-    if u_feat.ndim != 3 or v_feat.ndim != 3:
-        raise ValueError("u_dot_v expects (N, H, D) endpoint features")
-    out_data = np.einsum(
-        "ehd,ehd->eh", np.take(u_feat.data, adj.src, axis=0),
-        np.take(v_feat.data, adj.dst, axis=0),
-    ).astype(FLOAT_DTYPE, copy=False)
-    requires = u_feat.requires_grad or v_feat.requires_grad
-    out = Tensor(
-        out_data,
-        device=adj.device,
-        requires_grad=requires,
-        work_scale=adj.edge_scale,
-        _prev=tuple(t for t in (u_feat, v_feat) if t.requires_grad),
-        _op="sddmm_u_dot_v",
-    )
-    heads, dim = u_feat.shape[1], u_feat.shape[2]
-    e_log = adj.logical_num_edges
-    charge(adj.device, "sddmm_u_dot_v", family, flops=2.0 * e_log * heads * dim,
-           bytes_moved=4.0 * 2.0 * e_log * heads * dim)
-
-    if out.requires_grad:
-        def _backward(out: Tensor) -> None:
-            if u_feat.requires_grad:
-                grad_edge = np.take(v_feat.data, adj.dst, axis=0)
-                grad_edge *= out.grad[:, :, None]
-                u_feat._accumulate(adj.sum_edges(grad_edge, side="src"), fresh=True)
-            if v_feat.requires_grad:
-                grad_edge = np.take(u_feat.data, adj.src, axis=0)
-                grad_edge *= out.grad[:, :, None]
-                v_feat._accumulate(adj.sum_edges(grad_edge, side="dst"), fresh=True)
-            charge(adj.device, "sddmm_u_dot_v.bwd", family,
-                   flops=4.0 * e_log * heads * dim,
-                   bytes_moved=4.0 * 4.0 * e_log * heads * dim)
-        out._backward = _backward
-    return out
-
-
 def fused_gatv2_scores(adj: SparseAdj, u_feat: Tensor, v_feat: Tensor,
                        att: Tensor, negative_slope: float = 0.2,
                        family: str = "sddmm") -> Tensor:

@@ -58,8 +58,3 @@ def adj_to_device(adj: SparseAdj, device: Optional[Device],
     # Persistent residency (pre-loading the full graph) stays allocated
     # explicitly by the experiment that opts into it.
     return adj.with_device(device)
-
-
-def graph_bytes(adj: SparseAdj) -> float:
-    """Logical bytes of a graph structure (helper for movement accounting)."""
-    return adj.structure_nbytes()

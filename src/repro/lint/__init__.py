@@ -1,43 +1,34 @@
 """``repro lint`` — AST-based static analysis for the reproduction stack.
 
 The paper's magnifying-glass methodology attributes framework-level
-slowdowns to a handful of recurring code patterns: per-element Python
-loops on the sampling hot path, redundant format conversions, silent
-dtype promotion, and nondeterministic RNG that makes runs incomparable.
-This package turns those observations into mechanical checks so the
-patterns cannot creep back in as the codebase grows.
+slowdowns to a handful of recurring code patterns.  This package turns
+the ones the test suite cannot see into mechanical checks: per-element
+Python loops on the hot path, silent float64 promotion, in-place
+mutation of autograd buffers, and parameters that escape the optimizer.
+Every rule is kept on evidence — a planted defect it catches that
+tier-1 misses (``docs/lint.md``).
 
 Everything here is stdlib-only (``ast`` + ``tokenize``): the linter must
 run in CI before any heavy dependency is importable.
 
-Two tiers of analysis:
-
-* the **flat** rules (:data:`repro.lint.rules.RULES`) see one function
-  at a time and always run;
-* the **deep** rules (:data:`repro.lint.flow.rules.DEEP_RULES`) see the
-  whole program — call graph, effect summaries, per-function CFGs — and
-  run under ``repro lint --deep`` (see :mod:`repro.lint.flow`).
-
 Public API:
 
-* :func:`repro.lint.engine.lint_paths` — run the rules over files/dirs
-  (``deep=True`` adds the interprocedural pass).
-* :data:`repro.lint.rules.RULES` — the flat rule registry.
-* :data:`repro.lint.flow.rules.DEEP_RULES` — the deep rule registry.
+* :func:`repro.lint.engine.lint_paths` — run the rules over files/dirs.
+* :data:`repro.lint.rules.RULES` — the rule registry.
 * :class:`repro.lint.engine.Finding` — one diagnostic.
 """
 
-from repro.lint.engine import FileContext, Finding, LintResult, Rule, lint_paths
+from repro.lint.engine import (
+    FileContext, Finding, LintResult, LintUsageError, Rule, lint_paths,
+)
 from repro.lint.rules import RULES
-from repro.lint.baseline import load_baseline, save_baseline
 
 __all__ = [
     "FileContext",
     "Finding",
     "LintResult",
+    "LintUsageError",
     "Rule",
     "RULES",
     "lint_paths",
-    "load_baseline",
-    "save_baseline",
 ]

@@ -1,112 +1,52 @@
 """CLI glue for the ``repro lint`` subcommand.
 
 Kept separate from ``repro.cli`` so the linter stays importable without
-the numeric stack (CI runs it before installing heavy extras would even
-matter) and so ``repro.cli`` only wires one function pair.
+the numeric stack and so ``repro.cli`` only wires one function pair.
 """
 
 from __future__ import annotations
 
 import argparse
-from pathlib import Path
-from typing import Optional
 
-from repro.lint.baseline import (
-    BaselineError,
-    DEFAULT_BASELINE_NAME,
-    load_baseline,
-    save_baseline,
-)
-from repro.lint.engine import lint_paths
-from repro.lint.reporting import format_json, format_text
+from repro.lint.engine import LintUsageError, lint_paths
 from repro.lint.rules import RULES
 
 
 def add_lint_parser(subparsers) -> argparse.ArgumentParser:
     parser = subparsers.add_parser(
         "lint",
-        help="static analysis: hot-path, determinism, and autograd invariants",
+        help="static analysis: hot-path and autograd invariants",
         description=(
             "AST-based lint over the reproduction stack. Rules: "
             + ", ".join(f"{r.name} ({r.severity})" for r in RULES.values())
-            + ". Exit 0 when no new (non-baselined) findings."
+            + ". Exit 0 when clean, 1 on findings, 2 when nothing can be "
+            "checked (unknown rule, missing path, no Python files)."
         ),
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
-    parser.add_argument("--deep", action="store_true",
-                        help="also run the whole-program interprocedural "
-                             "pass (call graph + effect summaries): "
-                             "UNCHARGED-COST, RNG-FLOW, STALE-CACHE, "
-                             "SPAN-FLOW, FAULT-SWALLOW, LANE-FLOW")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (default: text)")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule names to run "
-                             f"(default: all of {', '.join(RULES)}; deep "
-                             "rules additionally need --deep)")
-    parser.add_argument("--baseline", default=None,
-                        help="baseline JSON of grandfathered findings "
-                             f"(default: {DEFAULT_BASELINE_NAME} when present)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline with the current findings "
-                             "and exit 0")
-    parser.add_argument("--verbose", action="store_true",
-                        help="also list baselined findings in text output")
+                             f"(default: all of {', '.join(RULES)})")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     return parser
 
 
-def _resolve_baseline_path(arg: Optional[str]) -> Optional[Path]:
-    if arg is not None:
-        return Path(arg)
-    default = Path(DEFAULT_BASELINE_NAME)
-    return default if default.exists() else None
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
-        from repro.lint.flow.rules import DEEP_RULES
-
         for rule in RULES.values():
-            print(f"{rule.name:<16}{rule.severity:<9}{rule.description}")
-        for rule in DEEP_RULES.values():
-            print(f"{rule.name:<16}{rule.severity:<9}[deep] "
-                  f"{rule.description}")
+            print(f"{rule.name:<14}{rule.severity:<9}{rule.description}")
         return 0
-
     select = args.select.split(",") if args.select else None
-    baseline_path = _resolve_baseline_path(args.baseline)
-    baseline = None
-    if baseline_path is not None and baseline_path.exists():
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"error: {exc}")
-            return 2
-    elif args.baseline is not None and not args.update_baseline:
-        print(f"error: baseline file {args.baseline} does not exist "
-              "(use --update-baseline to create it)")
-        return 2
-
     try:
-        result = lint_paths(args.paths, select=select, baseline=baseline,
-                            deep=args.deep)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}")
+        result = lint_paths(args.paths, select=select)
+    except LintUsageError as exc:
+        print(f"error: {exc}")
         return 2
-
-    if args.update_baseline:
-        target = baseline_path if baseline_path is not None \
-            else Path(DEFAULT_BASELINE_NAME)
-        written = save_baseline(result.findings + result.baselined, target)
-        print(f"wrote {written} baseline entr{'y' if written == 1 else 'ies'} "
-              f"to {target}")
-        return 0
-
-    if args.format == "json":
-        print(format_json(result))
-    else:
-        print(format_text(result, verbose=args.verbose))
+    for f in result.findings:
+        print(f"{f.path}:{f.line}:{f.col + 1}: {f.rule} [{f.severity}] "
+              f"{f.message}")
+    print(f"{len(result.findings)} finding(s) in {result.files_checked} "
+          f"file(s) ({result.suppressed} suppressed)")
     return 0 if result.ok else 1

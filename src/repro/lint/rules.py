@@ -1,31 +1,23 @@
 """The rule catalogue.
 
-Each rule encodes one of the recurring efficiency/correctness hazards the
-paper's magnifying-glass profiling attributes framework slowdowns to:
+Each rule encodes a hazard the paper's magnifying-glass profiling
+attributes framework slowdowns or wrong numbers to, and each is kept
+only because a defect planted into real code trips it while the tier-1
+suite still passes (the mutation table in ``docs/lint.md``):
 
 * **HOTLOOP** — per-element Python iteration over array data inside the
   hot-path packages.  The exact pattern whose removal bought the ≈11x
-  sampler win in PR 1; any single instance re-serializes a vectorized
-  pipeline.
-* **RNG-SEED** — unseeded ``np.random.default_rng()`` or legacy
-  global-state ``np.random.*`` calls.  Nondeterminism makes paired
-  framework comparisons (DGLite vs PyGLite on identical minibatches)
-  unsound.
+  sampler win in PR 1; results stay identical, so no test notices it.
 * **INPLACE-GRAD** — in-place mutation of a ``Tensor`` ``.data``/``.grad``
   buffer outside ``no_grad`` blocks or the optimizer/autograd-core
-  modules.  Silently corrupts gradients because the tape closures capture
-  buffers by reference.
+  modules.  The tape captures buffers by reference, so gradients go
+  silently wrong while every forward value (and pin) stays the same.
 * **PARAM-REG** — a ``Parameter`` built in ``Module.__init__`` but never
   registered on ``self``; it escapes ``parameters()`` and the optimizer
-  never updates it.
+  never updates it, which no forward-only pin can see.
 * **DTYPE-DRIFT** — explicit promotion to float64 in hot-path packages;
-  doubles GEMM/SpMM bytes and flops against the float32 feature tensors
-  the whole cost model assumes.
-* **ADD-AT** — ``np.add.at`` / ``np.subtract.at`` buffered scatter in the
-  kernel-path packages; 10-50x slower than ``reduceat`` segment reduction
-  over the adjacency's sorted edge order (PR 4's fast-path layer).  The
-  deliberate reference fallbacks behind ``use_reference_kernels()`` carry
-  justified suppressions.
+  doubles host GEMM/SpMM bytes and flops against the float32 feature
+  tensors while the simulated cost model (and every pin) is unchanged.
 
 All detection is purely syntactic (``ast``); rules accept rare false
 positives, to be silenced with a justified inline suppression, in
@@ -35,7 +27,7 @@ exchange for zero runtime cost and no imports of the linted code.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
+from typing import Dict, Iterator, List, Optional, Type
 
 from repro.lint.engine import FileContext, Finding, Rule
 
@@ -65,19 +57,6 @@ def register(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
-def resolve_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
-    """Registry lookup honoring a ``--select`` list (case-insensitive)."""
-    if not select:
-        return list(RULES.values())
-    wanted = {name.strip().upper() for name in select if name.strip()}
-    unknown = wanted - set(RULES)
-    if unknown:
-        raise KeyError(
-            f"unknown rule(s) {sorted(unknown)}; available: {sorted(RULES)}"
-        )
-    return [rule for name, rule in RULES.items() if name in wanted]
-
-
 # ---------------------------------------------------------------------------
 # Shared AST helpers
 
@@ -92,18 +71,6 @@ def dotted_name(node: ast.AST) -> str:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return ""
-
-
-def _in_hot_path(ctx: FileContext) -> bool:
-    return any(
-        ctx.module == pkg or ctx.module.startswith(pkg + ".")
-        for pkg in HOT_PATH_PACKAGES
-    )
-
-
-def _expr_span(node: ast.AST) -> tuple:
-    line = getattr(node, "lineno", 1)
-    return (line, getattr(node, "end_lineno", line) or line)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +134,7 @@ class HotLoopRule(Rule):
                    "sampler before PR 1)")
 
     def applies(self, ctx: FileContext) -> bool:
-        return _in_hot_path(ctx)
+        return ctx.in_packages(*HOT_PATH_PACKAGES)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ctx.walk():
@@ -184,68 +151,7 @@ class HotLoopRule(Rule):
                         ctx, node,
                         f"per-element Python loop over array data ({reason}); "
                         "replace with a vectorized numpy operation",
-                        span=_expr_span(it),
-                    )
-
-
-# ---------------------------------------------------------------------------
-# RNG-SEED
-
-#: Legacy global-state numpy RNG entry points (non-exhaustive lists fail
-#: open, so this covers everything the numpy docs group under "legacy").
-LEGACY_RANDOM_FUNCS = {
-    "seed", "rand", "randn", "randint", "random_integers", "random",
-    "random_sample", "ranf", "sample", "choice", "shuffle", "permutation",
-    "uniform", "normal", "standard_normal", "binomial", "poisson", "beta",
-    "gamma", "exponential", "pareto", "lognormal", "laplace", "logistic",
-    "multinomial", "multivariate_normal", "geometric", "hypergeometric",
-    "negative_binomial", "noncentral_chisquare", "chisquare", "dirichlet",
-    "f", "gumbel", "logseries", "power", "rayleigh", "standard_cauchy",
-    "standard_exponential", "standard_gamma", "standard_t", "triangular",
-    "vonmises", "wald", "weibull", "zipf", "bytes", "get_state", "set_state",
-    "RandomState",
-}
-
-
-@register
-class RngSeedRule(Rule):
-    name = "RNG-SEED"
-    severity = "error"
-    description = ("unseeded np.random.default_rng() or legacy global-state "
-                   "np.random.* call; thread a seeded Generator instead so "
-                   "runs are reproducible and frameworks comparable")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ctx.walk():
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if not name:
-                continue
-            if name.endswith("random.default_rng") or name == "default_rng":
-                first = node.args[0] if node.args else None
-                seeded = bool(node.args or node.keywords)
-                if isinstance(first, ast.Constant) and first.value is None:
-                    seeded = False
-                if not seeded:
-                    yield self.finding(
-                        ctx, node,
-                        "np.random.default_rng() without a seed is "
-                        "nondeterministic; pass an explicit seed or accept a "
-                        "threaded Generator",
-                        span=_expr_span(node),
-                    )
-            elif "." in name:
-                head, leaf = name.rsplit(".", 1)
-                # Anchor on the `random` *module* (np.random / stdlib
-                # random), not arbitrary objects whose name ends in it.
-                if (head == "random" or head.endswith(".random")) \
-                        and leaf in LEGACY_RANDOM_FUNCS:
-                    yield self.finding(
-                        ctx, node,
-                        f"legacy global-state RNG call {name}(); use a "
-                        "seeded np.random.Generator threaded from the caller",
-                        span=_expr_span(node),
+                        span=(it.lineno, it.end_lineno),
                     )
 
 
@@ -294,47 +200,33 @@ class InplaceGradRule(Rule):
                    "corrupts gradients")
 
     def applies(self, ctx: FileContext) -> bool:
-        if not (ctx.module == "repro" or ctx.module.startswith("repro.")):
-            return False
-        return ctx.module not in INPLACE_EXEMPT_MODULES
-
-    def _flag(self, ctx: FileContext, node: ast.AST, buffer: str,
-              verb: str) -> Optional[Finding]:
-        if _inside_no_grad(ctx, node):
-            return None
-        return self.finding(
-            ctx, node,
-            f"{verb} of a Tensor .{buffer} buffer outside no_grad; wrap the "
-            "mutation in `with no_grad():` or route it through the optimizer",
-        )
+        return (ctx.in_packages("repro")
+                and ctx.module not in INPLACE_EXEMPT_MODULES)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ctx.walk():
             if isinstance(node, ast.Assign):
-                targets = []
-                for t in node.targets:
-                    targets.extend(t.elts if isinstance(t, ast.Tuple) else [t])
+                targets = [e for t in node.targets
+                           for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+                verb = "assignment"
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
+                verb = ("augmented assignment"
+                        if isinstance(node, ast.AugAssign) else "assignment")
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                     and node.func.attr in MUTATING_ARRAY_METHODS:
-                buffer = _tensor_buffer_attr(node.func.value)
-                if buffer:
-                    f = self._flag(ctx, node, buffer,
-                                   f"in-place .{node.func.attr}()")
-                    if f:
-                        yield f
-                continue
+                targets = [node.func.value]
+                verb = f"in-place .{node.func.attr}()"
             else:
                 continue
             for target in targets:
                 buffer = _tensor_buffer_attr(target)
-                if buffer:
-                    verb = ("augmented assignment"
-                            if isinstance(node, ast.AugAssign) else "assignment")
-                    f = self._flag(ctx, node, buffer, verb)
-                    if f:
-                        yield f
+                if buffer and not _inside_no_grad(ctx, node):
+                    yield self.finding(
+                        ctx, node,
+                        f"{verb} of a Tensor .{buffer} buffer outside no_grad; "
+                        "wrap the mutation in `with no_grad():` or route it "
+                        "through the optimizer")
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +284,7 @@ class ParamRegRule(Rule):
                    "updates it")
 
     def applies(self, ctx: FileContext) -> bool:
-        return ctx.module == "repro" or ctx.module.startswith("repro.")
+        return ctx.in_packages("repro")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for cls in ctx.walk():
@@ -461,7 +353,7 @@ class DtypeDriftRule(Rule):
                    "where f64 is semantically required)")
 
     def applies(self, ctx: FileContext) -> bool:
-        return _in_hot_path(ctx)
+        return ctx.in_packages(*HOT_PATH_PACKAGES)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ctx.walk():
@@ -474,7 +366,6 @@ class DtypeDriftRule(Rule):
                         ctx, node,
                         "astype to float64 promotes a float32 pipeline; keep "
                         "float32 or suppress with the reason f64 is required",
-                        span=_expr_span(node),
                     )
                 continue
             if dotted_name(func).split(".")[-1] == "float64":
@@ -482,7 +373,6 @@ class DtypeDriftRule(Rule):
                     ctx, node,
                     "np.float64() constructs a double; keep the pipeline in "
                     "float32",
-                    span=_expr_span(node),
                 )
                 continue
             for kw in node.keywords:
@@ -491,248 +381,4 @@ class DtypeDriftRule(Rule):
                         ctx, node,
                         "dtype=float64 allocates a double-precision array in "
                         "a float32 pipeline",
-                        span=_expr_span(node),
                     )
-
-
-# ---------------------------------------------------------------------------
-# ADD-AT
-
-#: Packages where an unbuffered-scatter ufunc `.at` call sits on the
-#: kernel path.  Narrower than HOT_PATH_PACKAGES: sampling has no segment
-#: structure to reduce over, so the rule doesn't apply there.
-ADD_AT_PACKAGES = (
-    "repro.kernels",
-    "repro.frameworks",
-    "repro.tensor",
-)
-
-#: ufuncs whose ``.at`` form the fast-path layer replaces with reduceat.
-_SCATTER_UFUNCS = {"add", "subtract"}
-
-
-@register
-class AddAtRule(Rule):
-    name = "ADD-AT"
-    severity = "error"
-    description = ("np.add.at/np.subtract.at scatter in a kernel-path "
-                   "package; ufunc.at is 10-50x slower than reduceat segment "
-                   "reduction over SparseAdj's sorted edge order — use "
-                   "adj.sum_edges()/adj.max_edges() (suppress with a "
-                   "justification where the unsorted fallback is deliberate)")
-
-    def applies(self, ctx: FileContext) -> bool:
-        return any(
-            ctx.module == pkg or ctx.module.startswith(pkg + ".")
-            for pkg in ADD_AT_PACKAGES
-        )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ctx.walk():
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            parts = name.split(".")
-            if len(parts) >= 3 and parts[-1] == "at" \
-                    and parts[-2] in _SCATTER_UFUNCS:
-                yield self.finding(
-                    ctx, node,
-                    f"{name}() is a buffered per-index scatter; edges are "
-                    "dst-sorted here, so use reduceat-based segment "
-                    "reduction (adj.sum_edges) instead",
-                    span=_expr_span(node),
-                )
-
-
-# ---------------------------------------------------------------------------
-# TELEMETRY-LEAK
-
-#: Metric classes that must be created through the MetricsRegistry.
-TELEMETRY_METRIC_CLASSES = {"Counter", "Gauge", "Histogram"}
-
-#: Span-opening context-manager factories.
-_SPAN_FACTORIES = {"span", "phase", "maybe_span"}
-
-
-def _telemetry_metric_imports(nodes) -> tuple:
-    """(class name bindings, module aliases) for repro.telemetry imports.
-
-    Tracks both ``from repro.telemetry... import Counter [as C]`` (class
-    bindings) and ``from repro.telemetry import metrics as m`` / ``import
-    repro.telemetry.metrics as m`` (module aliases through which
-    ``m.Counter(...)`` still bypasses the registry).  ``nodes`` is the
-    file's shared pre-walked node list (``ctx.walk()``).
-    """
-    classes: Dict[str, str] = {}
-    modules: set = set()
-    for node in nodes:
-        if isinstance(node, ast.ImportFrom) and node.module \
-                and node.module.startswith("repro.telemetry"):
-            for alias in node.names:
-                if alias.name in TELEMETRY_METRIC_CLASSES:
-                    classes[alias.asname or alias.name] = alias.name
-                elif alias.name == "metrics":
-                    modules.add(alias.asname or alias.name)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in ("repro.telemetry.metrics", "repro.telemetry"):
-                    modules.add(alias.asname or alias.name)
-    return classes, modules
-
-
-@register
-class TelemetryLeakRule(Rule):
-    name = "TELEMETRY-LEAK"
-    severity = "error"
-    description = ("telemetry bypassing its lifecycle: a span opened without "
-                   "a context manager (start_span, or a span()/phase()/"
-                   "maybe_span() result that is discarded) never closes and "
-                   "wedges the tracer stack; a Counter/Gauge/Histogram "
-                   "constructed directly instead of through the "
-                   "MetricsRegistry is invisible to every exporter")
-
-    def applies(self, ctx: FileContext) -> bool:
-        if not (ctx.module == "repro" or ctx.module.startswith("repro.")):
-            return False
-        # The telemetry package itself implements the lifecycle.
-        return not (ctx.module == "repro.telemetry"
-                    or ctx.module.startswith("repro.telemetry."))
-
-    def _is_discarded_statement(self, ctx: FileContext, node: ast.Call) -> bool:
-        parent = next(ctx.ancestors(node), None)
-        return isinstance(parent, ast.Expr)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        metric_imports, metric_modules = _telemetry_metric_imports(ctx.walk())
-        for node in ctx.walk():
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "start_span":
-                yield self.finding(
-                    ctx, node,
-                    "low-level start_span() outside the telemetry package; "
-                    "use `with tracer.span(...)` so the span always closes",
-                    span=_expr_span(node),
-                )
-                continue
-            if isinstance(func, ast.Attribute) and func.attr in _SPAN_FACTORIES \
-                    and self._is_discarded_statement(ctx, node):
-                yield self.finding(
-                    ctx, node,
-                    f"{func.attr}() result discarded; the span context manager "
-                    "must be entered (`with ...:`) or it never opens/closes",
-                    span=_expr_span(node),
-                )
-                continue
-            if isinstance(func, ast.Name) and func.id == "maybe_span" \
-                    and self._is_discarded_statement(ctx, node):
-                yield self.finding(
-                    ctx, node,
-                    "maybe_span() result discarded; enter it with `with ...:`",
-                    span=_expr_span(node),
-                )
-                continue
-            name = dotted_name(func)
-            if isinstance(func, ast.Name) and func.id in metric_imports:
-                yield self.finding(
-                    ctx, node,
-                    f"direct {metric_imports[func.id]}() construction bypasses "
-                    "the MetricsRegistry; use registry.counter()/gauge()/"
-                    "histogram() so exporters see the metric",
-                    span=_expr_span(node),
-                )
-            elif name and "." in name:
-                head, leaf = name.rsplit(".", 1)
-                if leaf in TELEMETRY_METRIC_CLASSES \
-                        and (head in metric_modules
-                             or head.endswith("telemetry.metrics")
-                             or head.endswith("telemetry")):
-                    yield self.finding(
-                        ctx, node,
-                        f"direct {leaf}() construction bypasses the "
-                        "MetricsRegistry; use registry.counter()/gauge()/"
-                        "histogram() so exporters see the metric",
-                        span=_expr_span(node),
-                    )
-
-
-# ---------------------------------------------------------------------------
-# BARE-RETRY
-
-
-def _scan_handler(nodes) -> tuple:
-    """(has_continue, has_raise/return) scanning a handler body.
-
-    Does not descend into nested loops or function definitions — a
-    ``continue`` there belongs to the inner loop, and a ``raise`` there
-    does not bound the outer retry.
-    """
-    has_continue = False
-    has_escape = False
-    for node in nodes:
-        if isinstance(node, ast.Continue):
-            has_continue = True
-        elif isinstance(node, (ast.Raise, ast.Return, ast.Break)):
-            has_escape = True
-        elif isinstance(node, (ast.While, ast.For, ast.FunctionDef,
-                               ast.AsyncFunctionDef)):
-            continue
-        else:
-            sub_continue, sub_escape = _scan_handler(ast.iter_child_nodes(node))
-            has_continue = has_continue or sub_continue
-            has_escape = has_escape or sub_escape
-    return has_continue, has_escape
-
-
-def _while_true_tries(loop: ast.While):
-    """Try statements directly inside ``loop`` (not in a nested loop)."""
-    stack = list(loop.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Try):
-            yield node
-            continue
-        if isinstance(node, (ast.While, ast.For, ast.FunctionDef,
-                             ast.AsyncFunctionDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-@register
-class BareRetryRule(Rule):
-    name = "BARE-RETRY"
-    severity = "error"
-    description = ("unbounded `while True` retry loop: an except handler "
-                   "swallows the error and continues forever.  A faulted "
-                   "operation must retry under a bounded RecoveryPolicy "
-                   "(repro.resilience.with_retries) so injected faults "
-                   "terminate in RecoveryExhausted instead of spinning")
-
-    def applies(self, ctx: FileContext) -> bool:
-        if not (ctx.module == "repro" or ctx.module.startswith("repro.")):
-            return False
-        # The resilience package implements the bounded retry engine.
-        return not (ctx.module == "repro.resilience"
-                    or ctx.module.startswith("repro.resilience."))
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ctx.walk():
-            if not isinstance(node, ast.While):
-                continue
-            test = node.test
-            if not (isinstance(test, ast.Constant) and bool(test.value)):
-                continue
-            for try_stmt in _while_true_tries(node):
-                for handler in try_stmt.handlers:
-                    has_continue, has_escape = _scan_handler(handler.body)
-                    if has_continue and not has_escape:
-                        kinds = dotted_name(handler.type) if handler.type \
-                            else "Exception"
-                        yield self.finding(
-                            ctx, handler,
-                            f"`while True` retry swallows {kinds or 'errors'} "
-                            "and continues unboundedly; bound the attempts "
-                            "(for attempt in range(...)) or route through "
-                            "repro.resilience.with_retries",
-                        )

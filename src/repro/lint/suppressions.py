@@ -25,7 +25,6 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Set, Tuple
 
 _MARKER = re.compile(
@@ -61,18 +60,11 @@ def _parse_rules(spec: str) -> Set[str]:
     return {name.strip().upper() for name in spec.split(",") if name.strip()}
 
 
-@lru_cache(maxsize=512)
 def suppressions_for_source(source: str) -> SuppressionIndex:
     """Scan ``source`` for suppression comments.
 
     Unreadable/untokenizable sources yield an empty index — the engine
     reports the syntax error separately; suppressions just stay inert.
-
-    Memoized on the source text: the deep pass re-filters findings per
-    file after the flat pass already scanned it, and repeated engine
-    runs in one process (tests, editors) hit the same sources — the
-    tokenize pass runs once per distinct file content.  Callers must
-    treat the returned index as read-only.
     """
     index = SuppressionIndex()
     try:

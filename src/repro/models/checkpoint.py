@@ -13,19 +13,26 @@ from __future__ import annotations
 
 import io
 import json
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 import numpy as np
 
 from repro.artifacts import atomic_write
-from repro.datasets.storage import _NPZ_READ_ERRORS
 from repro.errors import ReproError
 from repro.tensor.module import Module
 from repro.tensor.optim import Adam, Optimizer
 from repro.tensor.tensor import no_grad
 
 _FORMAT_VERSION = 2
+
+#: Failure modes of reading a damaged/truncated ``.npz``: a torn zip
+#: container, a corrupted deflate stream, a short read, or numpy refusing
+#: the payload.
+_NPZ_READ_ERRORS = (zipfile.BadZipFile, zlib.error, OSError, EOFError,
+                    ValueError)
 
 
 class CheckpointError(ReproError):

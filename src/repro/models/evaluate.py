@@ -10,7 +10,7 @@ multi-label PPI/Yelp) on the train/val/test splits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,9 +29,6 @@ class EvalReport:
     train: float
     val: float
     test: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"train": self.train, "val": self.val, "test": self.test}
 
 
 def _split_metric(logits: Tensor, labels: np.ndarray, mask: np.ndarray,

@@ -32,9 +32,9 @@ def _energy_between(clock: VirtualClock, device: Device,
 class RaplMeter:
     """CPU energy meter in the style of Intel RAPL.
 
-    RAPL exposes a cumulative energy counter; tools read it twice and
-    divide by wall time to get average power.  We reproduce exactly that
-    interface against the virtual clock.
+    RAPL exposes a cumulative energy counter; tools read it at both ends
+    of a window and take the difference, which :meth:`energy_between`
+    reproduces against the virtual clock.
     """
 
     def __init__(self, clock: VirtualClock, cpu: Device) -> None:
@@ -42,20 +42,9 @@ class RaplMeter:
             raise ValueError("RaplMeter must be attached to a CPU device")
         self.clock = clock
         self.cpu = cpu
-        self._origin = clock.now
-
-    def energy_counter(self) -> float:
-        """Cumulative joules since the meter was created (RAPL-style)."""
-        return _energy_between(self.clock, self.cpu, self._origin, self.clock.now)
 
     def energy_between(self, start: float, end: float | np.ndarray):
         return _energy_between(self.clock, self.cpu, start, end)
-
-    def average_power(self, start: float, end: float) -> float:
-        span = end - start
-        if span <= 0:
-            return self.cpu.spec.idle_power
-        return self.energy_between(start, end) / span
 
 
 class NvmlMeter:

@@ -2,49 +2,17 @@
 
 The paper's title promises kernel-level insight; this module surfaces it:
 every simulated device keeps per-kernel busy-time counters
-(:class:`~repro.hardware.device.DeviceCounters`), and the report here
-aggregates them into the table that explains *why* a framework is slow —
-e.g. PyG-CPU training time concentrating in ``scatter_add`` while DGL's
-concentrates in fused ``spmm``.
+(:class:`~repro.hardware.device.DeviceCounters`), exported as the
+``kernel.*`` metrics of a run, and the table here ranks them to explain
+*why* a framework is slow — e.g. PyG-CPU training time concentrating in
+``scatter_add`` while DGL's concentrates in fused ``spmm``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.hardware.machine import Machine
-
-
-@dataclass(frozen=True)
-class KernelEntry:
-    """One kernel's aggregate activity on one device."""
-
-    device: str
-    kernel: str
-    seconds: float
-    fraction: float  # of that device's busy time
-
-
-def kernel_breakdown(machine: Machine, top: int = 0) -> List[KernelEntry]:
-    """Per-kernel busy seconds for every device, sorted descending.
-
-    ``top`` limits entries per device (0 = all).
-    """
-    entries: List[KernelEntry] = []
-    devices = [machine.cpu] + ([machine.gpu] if machine.gpu is not None else [])
-    for device in devices:
-        total = device.counters.busy_seconds
-        if total <= 0:
-            continue
-        ranked = sorted(device.counters.by_kernel.items(),
-                        key=lambda kv: -kv[1])
-        if top:
-            ranked = ranked[:top]
-        for kernel, seconds in ranked:
-            entries.append(KernelEntry(device.name, kernel, seconds,
-                                       seconds / total))
-    return entries
 
 
 def group_by_family(machine: Machine) -> Dict[str, float]:
@@ -79,9 +47,9 @@ def kernel_rows_from_metrics(metric_records: Sequence[dict],
                              top: int = 0) -> List[dict]:
     """Per-(device, kernel) rows joined from a run manifest's counters.
 
-    This is the offline twin of :func:`kernel_breakdown`: it needs no
-    live :class:`Machine`, only the ``metrics`` list of a ``run.json``,
-    so ``repro report --telemetry`` can rank kernels after the fact.
+    It needs no live :class:`Machine`, only the ``metrics`` list of a
+    ``run.json``, so ``repro report --telemetry`` can rank kernels after
+    the fact.
     ``sort`` picks the descending axis (``virtual`` seconds, ``flops``,
     or ``bytes``); ``top`` limits the rows (0 = all).
     """
@@ -117,19 +85,4 @@ def format_metric_kernel_table(rows: Sequence[dict],
             f"{row['device']:<24}{row['kernel']:<26}"
             f"{row['seconds']:>10.4f}s{row['flops'] / 1e9:>10.3f}"
             f"{row['bytes'] / 1e6:>10.2f}{int(row['launches']):>10}")
-    return "\n".join(lines)
-
-
-def format_kernel_table(entries: Sequence[KernelEntry], title: str = "") -> str:
-    """Render kernel entries as an aligned text table."""
-    lines: List[str] = []
-    if title:
-        lines += [title, "=" * len(title)]
-    header = f"{'device':<24}{'kernel':<28}{'seconds':>12}{'share':>8}"
-    lines += [header, "-" * len(header)]
-    for entry in entries:
-        lines.append(
-            f"{entry.device:<24}{entry.kernel:<28}"
-            f"{entry.seconds:>11.4f}s{100 * entry.fraction:>7.1f}%"
-        )
     return "\n".join(lines)

@@ -190,19 +190,3 @@ class FaultPlan:
         if not path.exists():
             raise FaultPlanError(f"no fault plan at {path}")
         return cls.from_json(path.read_text())
-
-    def to_json(self) -> str:
-        def spec_dict(spec: FaultSpec) -> Dict:
-            out = {"site": spec.site, "kind": spec.kind, "at": spec.at,
-                   "count": spec.count, "severity": spec.severity,
-                   "stall_seconds": spec.stall_seconds,
-                   "slow_factor": spec.slow_factor}
-            if spec.rank is not None:
-                out["rank"] = spec.rank
-            return out
-
-        return json.dumps({
-            "seed": self.seed,
-            "faults": [spec_dict(f) for f in self.faults],
-            "policies": {site: vars(p) for site, p in sorted(self.policies.items())},
-        }, indent=2)

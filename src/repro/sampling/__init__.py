@@ -22,12 +22,7 @@ implementation overhead.
 """
 
 from repro.sampling.base import SampleWork, BlockSample, SubgraphSample
-from repro.sampling.relabel import (
-    block_locals,
-    gather_neighborhoods,
-    relabel,
-    unique_with_seeds,
-)
+from repro.sampling.relabel import block_locals, gather_neighborhoods
 from repro.sampling.neighbor import NeighborSampler
 from repro.sampling.cluster import ClusterSampler
 from repro.sampling.randomwalk import RandomWalkSampler
@@ -47,6 +42,4 @@ __all__ = [
     "SubgraphSample",
     "block_locals",
     "gather_neighborhoods",
-    "relabel",
-    "unique_with_seeds",
 ]

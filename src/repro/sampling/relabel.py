@@ -17,9 +17,6 @@ Primitives:
   (:class:`~repro.graph.formats.IdTable`): gathers and scatters over the
   edges plus a sort of only the fresh unique ids, no sort of the edge
   list.  Every sampler and block builder goes through it.
-* :func:`relabel` / :func:`unique_with_seeds` — the same two steps
-  against an explicit id map, by ``searchsorted``, for callers that hold
-  an id map but no graph-sized table.
 * :func:`gather_neighborhoods` — concatenate the CSR neighbor lists of a
   whole frontier with ``np.repeat``/offset arithmetic (no per-seed loop).
 """
@@ -39,69 +36,10 @@ from repro.graph.formats import (
 )
 
 __all__ = [
-    "relabel",
-    "unique_with_seeds",
     "gather_neighborhoods",
     "flat_positions",
     "block_locals",
 ]
-
-
-def relabel(global_ids: np.ndarray, id_map: np.ndarray,
-            sorter: np.ndarray = None, validate: bool = True) -> np.ndarray:
-    """Map each global id to its position in ``id_map`` (vectorized).
-
-    ``id_map`` holds unique global ids in arbitrary order; the result is
-    the local index such that ``id_map[result] == global_ids``.  Raises
-    :class:`SamplerError` if any id is missing from the map.  Pass a
-    precomputed ``sorter`` (``np.argsort(id_map)``) to amortize the sort
-    across several relabel calls against the same map, and
-    ``validate=False`` to skip the membership check when the caller
-    guarantees every id is present (the result is garbage otherwise).
-    """
-    global_ids = np.asarray(global_ids, dtype=INDEX_DTYPE)
-    id_map = np.asarray(id_map, dtype=INDEX_DTYPE)
-    if global_ids.size == 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    if id_map.size == 0:
-        raise SamplerError("cannot relabel against an empty id map")
-    if sorter is None:
-        sorter = np.argsort(id_map, kind="stable")
-    pos = np.searchsorted(id_map, global_ids, sorter=sorter)
-    local = sorter[np.minimum(pos, id_map.size - 1)]
-    if validate and not np.array_equal(id_map[local], global_ids):
-        missing = global_ids[id_map[local] != global_ids]
-        raise SamplerError(
-            f"relabel: {missing.size} id(s) not in the id map "
-            f"(first missing: {int(missing[0])})"
-        )
-    return local.astype(INDEX_DTYPE, copy=False)
-
-
-def unique_with_seeds(seeds: np.ndarray, extra: np.ndarray) -> np.ndarray:
-    """Seeds first (order preserved), then sorted unique extras not in seeds.
-
-    This is the block node-set layout: ``seeds`` become the dst prefix
-    (self-inclusion) and the extra ids — typically the sampled neighbors —
-    are appended deduplicated.
-    """
-    seeds = np.asarray(seeds, dtype=INDEX_DTYPE)
-    extra = np.asarray(extra, dtype=INDEX_DTYPE)
-    if extra.size == 0:
-        return seeds
-    fresh = np.unique(extra)
-    if seeds.size:
-        # Drop extras that are seeds: a searchsorted membership probe
-        # against the sorted seeds (np.setdiff1d re-sorts both sides on
-        # every call and costs more than the sampling pass itself).
-        sorted_seeds = np.sort(seeds)
-        pos = np.minimum(
-            np.searchsorted(sorted_seeds, fresh), seeds.size - 1
-        )
-        fresh = fresh[sorted_seeds[pos] != fresh]
-    if fresh.size == 0:
-        return seeds
-    return np.concatenate([seeds, fresh])
 
 
 def _require_ids_in_table(ids: np.ndarray, table: IdTable, what: str) -> None:

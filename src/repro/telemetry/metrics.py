@@ -4,9 +4,8 @@ The registry is the single place metrics are created — hot paths call
 ``registry.counter(name, **labels).inc(...)`` and get the same object on
 every call (get-or-create keyed by name + sorted labels).  Direct
 instantiation of :class:`Counter`/:class:`Gauge`/:class:`Histogram`
-outside this module is a TELEMETRY-LEAK lint finding: an unregistered
-metric is invisible to every exporter, so its increments vanish from the
-run artifacts.
+outside this module would create an unregistered metric, invisible to
+every exporter, so its increments would vanish from the run artifacts.
 
 Naming convention (see ``docs/telemetry.md``): ``component.quantity`` in
 snake_case with dots as the hierarchy separator (``pcie.bytes``,
@@ -135,22 +134,6 @@ class Histogram(Metric):
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket
-        holding the q-th observation, clipped to the observed range)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        cum = 0
-        for i, n in enumerate(self.bucket_counts):
-            cum += n
-            if cum >= target and n:
-                upper = self.bounds[i] if i < len(self.bounds) else self.max
-                return float(min(max(upper, self.min), self.max))
-        return float(self.max)
 
     def to_record(self) -> Dict[str, object]:
         return {

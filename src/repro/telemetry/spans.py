@@ -144,8 +144,7 @@ class SpanTracer:
         return _SpanContext(self, self.start_span(name, category, **attrs))
 
     def start_span(self, name: str, category: str = "", **attrs) -> Span:
-        """Low-level open (prefer :meth:`span`; ``repro lint`` flags this
-        outside the telemetry package via TELEMETRY-LEAK)."""
+        """Low-level open; prefer :meth:`span`, which always closes."""
         parent = self.current()
         span = Span(
             name=name,

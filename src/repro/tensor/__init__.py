@@ -15,17 +15,15 @@ from repro.tensor.context import (
 )
 from repro.tensor.tensor import Tensor, no_grad
 from repro.tensor import functional
-from repro.tensor.module import Module, Parameter, Linear, Sequential, Dropout
-from repro.tensor.optim import SGD, Adam, Optimizer
-from repro.tensor.schedule import CosineLR, StepLR, WarmupLR, clip_grad_norm
+from repro.tensor.module import Module, Parameter, Linear, Dropout
+from repro.tensor.optim import Adam, Optimizer
+from repro.tensor.schedule import CosineLR, clip_grad_norm
 from repro.tensor import init
 
 __all__ = [
     "Adam",
     "CosineLR",
     "CostProfile",
-    "StepLR",
-    "WarmupLR",
     "clip_grad_norm",
     "Dropout",
     "GENERIC_PROFILE",
@@ -33,8 +31,6 @@ __all__ = [
     "Module",
     "Optimizer",
     "Parameter",
-    "SGD",
-    "Sequential",
     "Tensor",
     "active_profile",
     "charge",

@@ -14,8 +14,8 @@ from repro.tensor.context import charge
 from repro.tensor.tensor import FLOAT_DTYPE, Tensor
 
 # Shared fallback stream for callers that don't thread their own
-# Generator (repro-lint RNG-SEED): seeded so bare dropout() calls are
-# reproducible across runs while successive calls still draw fresh masks.
+# Generator: seeded so bare dropout() calls are reproducible across runs
+# while successive calls still draw fresh masks.
 _FALLBACK_RNG = np.random.default_rng(0)
 
 
@@ -63,100 +63,6 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
                 np.copyto(grad, out.grad, where=x.data > 0)
             x._accumulate(grad, fresh=True)
             charge(out.device, "leaky_relu.bwd", "elementwise", flops=2 * n, bytes_moved=8 * n,
-                   scale=out.work_scale)
-        out._backward = _backward
-    return out
-
-
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    out_data = np.minimum(x.data, 0.0, out=np.empty_like(x.data))
-    np.exp(out_data, out=out_data)
-    out_data -= 1.0
-    out_data *= alpha
-    if 0.0 < alpha < np.inf:
-        # alpha * (exp(0) - 1) is exactly +0 wherever x > 0.
-        out_data += np.maximum(x.data, 0.0)
-    else:
-        np.copyto(out_data, x.data, where=x.data > 0)
-    out = Tensor._result(out_data, (x,), "elu")
-    n = out.data.size
-    charge(out.device, "elu", "elementwise", flops=5 * n, bytes_moved=8 * n, scale=out.work_scale)
-
-    if out.requires_grad:
-        def _backward(out: Tensor) -> None:
-            grad = np.add(out.data, alpha, out=np.empty_like(out.data))
-            grad *= out.grad
-            np.copyto(grad, out.grad, where=x.data > 0)
-            x._accumulate(grad, fresh=True)
-            charge(out.device, "elu.bwd", "elementwise", flops=2 * n, bytes_moved=8 * n,
-                   scale=out.work_scale)
-        out._backward = _backward
-    return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor._result(out_data, (x,), "sigmoid")
-    n = out.data.size
-    charge(out.device, "sigmoid", "elementwise", flops=5 * n, bytes_moved=8 * n,
-           scale=out.work_scale)
-
-    if out.requires_grad:
-        def _backward(out: Tensor) -> None:
-            x._accumulate(out.grad * out.data * (1.0 - out.data), fresh=True)
-            charge(out.device, "sigmoid.bwd", "elementwise", flops=3 * n, bytes_moved=8 * n,
-                   scale=out.work_scale)
-        out._backward = _backward
-    return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = Tensor._result(np.tanh(x.data), (x,), "tanh")
-    n = out.data.size
-    charge(out.device, "tanh", "elementwise", flops=6 * n, bytes_moved=8 * n, scale=out.work_scale)
-
-    if out.requires_grad:
-        def _backward(out: Tensor) -> None:
-            x._accumulate(out.grad * (1.0 - out.data * out.data), fresh=True)
-            charge(out.device, "tanh.bwd", "elementwise", flops=3 * n, bytes_moved=8 * n,
-                   scale=out.work_scale)
-        out._backward = _backward
-    return out
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    out_data = ex / ex.sum(axis=axis, keepdims=True)
-    out = Tensor._result(out_data, (x,), "softmax")
-    n = out.data.size
-    charge(out.device, "softmax", "elementwise", flops=8 * n, bytes_moved=12 * n,
-           scale=out.work_scale)
-
-    if out.requires_grad:
-        def _backward(out: Tensor) -> None:
-            dot = (out.grad * out.data).sum(axis=axis, keepdims=True)
-            x._accumulate(out.data * (out.grad - dot), fresh=True)
-            charge(out.device, "softmax.bwd", "elementwise", flops=4 * n, bytes_moved=12 * n,
-                   scale=out.work_scale)
-        out._backward = _backward
-    return out
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = Tensor._result(shifted - logsum, (x,), "log_softmax")
-    n = out.data.size
-    charge(out.device, "log_softmax", "elementwise", flops=8 * n, bytes_moved=12 * n,
-           scale=out.work_scale)
-
-    if out.requires_grad:
-        def _backward(out: Tensor) -> None:
-            softmax_data = np.exp(out.data)
-            grad_sum = out.grad.sum(axis=axis, keepdims=True)
-            x._accumulate(out.grad - softmax_data * grad_sum, fresh=True)
-            charge(out.device, "log_softmax.bwd", "elementwise", flops=4 * n, bytes_moved=12 * n,
                    scale=out.work_scale)
         out._backward = _backward
     return out

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.tensor import init
-from repro.tensor.tensor import Tensor, no_grad
+from repro.tensor.tensor import Tensor
 from repro.tensor import functional as F
 
 
@@ -90,26 +90,6 @@ class Module:
             child.to(device, link=link)
         return self
 
-    def param_nbytes(self) -> int:
-        return sum(p.nbytes for p in self.parameters())
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if missing or unexpected:
-            raise KeyError(f"state dict mismatch: missing={sorted(missing)}, "
-                           f"unexpected={sorted(unexpected)}")
-        with no_grad():
-            for name, array in state.items():
-                if own[name].data.shape != array.shape:
-                    raise ValueError(f"shape mismatch for {name}")
-                own[name].data = array.astype(own[name].data.dtype, copy=True)
-
 
 def _move_tensor(param: Parameter, device, link) -> Parameter:
     if param.device is device:
@@ -155,25 +135,3 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, p=self.p, training=self.training, rng=self._rng)
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self._layers = []
-        for i, layer in enumerate(layers):
-            setattr(self, f"layer{i}", layer)
-            self._layers.append(layer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self._layers:
-            x = layer(x)
-        return x
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._layers)
-
-    def __len__(self) -> int:
-        return len(self._layers)

@@ -1,4 +1,4 @@
-"""Optimizers: SGD and Adam.
+"""The Adam optimizer.
 
 Both the DGL and PyG official examples train with Adam; the update itself
 is part of the paper's "model training" phase, so the step charges
@@ -38,36 +38,6 @@ class Optimizer:
         n = sum(p.data.size for p in self.params)
         charge(device, type(self).__name__.lower() + ".step", "elementwise",
                flops=flops_per_elem * n, bytes_moved=12 * n)
-
-
-class SGD(Optimizer):
-    """Vanilla SGD with optional momentum and weight decay."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(params, lr)
-        if not (0.0 <= momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.params)
-
-    def step(self) -> None:
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                velocity = self._velocity[i]
-                if velocity is None:
-                    velocity = self._velocity[i] = np.zeros_like(p.data, dtype=FLOAT_DTYPE)
-                np.multiply(velocity, self.momentum, out=velocity)
-                np.add(velocity, grad, out=velocity)
-                grad = velocity
-            np.subtract(p.data, self.lr * grad, out=p.data)
-        self._charge_update(flops_per_elem=4)
 
 
 class Adam(Optimizer):

@@ -62,21 +62,6 @@ class LRScheduler:
         raise NotImplementedError
 
 
-class StepLR(LRScheduler):
-    """Multiply the rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int = 10,
-                 gamma: float = 0.5) -> None:
-        if step_size < 1 or not (0 < gamma <= 1):
-            raise ValueError("need step_size >= 1 and 0 < gamma <= 1")
-        super().__init__(optimizer)
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def compute_lr(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
 class CosineLR(LRScheduler):
     """Cosine annealing from the base rate to ``min_lr`` over ``t_max``."""
 
@@ -92,17 +77,3 @@ class CosineLR(LRScheduler):
         progress = min(1.0, epoch / self.t_max)
         cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
         return self.min_lr + (self.base_lr - self.min_lr) * cosine
-
-
-class WarmupLR(LRScheduler):
-    """Linear warmup to the base rate over the first ``warmup`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, warmup: int = 5) -> None:
-        if warmup < 1:
-            raise ValueError("warmup must be >= 1")
-        super().__init__(optimizer)
-        self.warmup = warmup
-        optimizer.lr = self.compute_lr(0)
-
-    def compute_lr(self, epoch: int) -> float:
-        return self.base_lr * min(1.0, (epoch + 1) / (self.warmup + 1))

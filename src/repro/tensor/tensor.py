@@ -150,9 +150,6 @@ class Tensor:
     def logical_nbytes(self) -> int:
         return int(self.data.nbytes * self.work_scale)
 
-    def numel(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError("item() requires a single-element tensor")
@@ -160,15 +157,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(
-            self.data,
-            device=self.device,
-            requires_grad=False,
-            work_scale=self.work_scale,
-            _owns_memory=False,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dev = self.device.name if self.device is not None else "host"
@@ -379,7 +367,7 @@ class Tensor:
                 grad = np.zeros_like(self.data, dtype=FLOAT_DTYPE)
                 # Arbitrary caller-supplied index: no sorted-segment
                 # structure to reduceat over.
-                np.add.at(grad, index, out.grad)  # repro-lint: disable=ADD-AT generic unsorted index
+                np.add.at(grad, index, out.grad)
                 self._accumulate(grad, fresh=True)
                 charge(out.device, "index_select.bwd", "index", bytes_moved=2 * moved,
                        scale=out.work_scale)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bench import harness
-from repro.bench.format import format_matrix, format_series
+from repro.bench.format import format_series
 from repro.bench.harness import (
     measure_conv_forward,
     measure_data_loader,
@@ -149,11 +149,6 @@ class TestFormatting:
     def test_format_series(self):
         text = format_series("Fig X", {"DGL": {"ppi": 1.0}, "PyG": {"ppi": 2.0}})
         assert "Fig X" in text and "DGL" in text and "ppi" in text
-
-    def test_format_matrix_with_oom_strings(self):
-        text = format_matrix("Fig 5", ["DGL"], ["reddit"],
-                             {("DGL", "reddit"): "OOM"})
-        assert "OOM" in text
 
     def test_missing_cells_render_dash(self):
         text = format_series("t", {"a": {"x": 1.0}, "b": {}})

@@ -87,6 +87,12 @@ class TestArtifacts:
         assert "numpy" in artifact["provenance"]
         assert artifact["provenance"]["kernel_mode"] == "fast"
 
+    def test_unknown_area_rejected_before_any_cell_runs(self):
+        seen = []
+        with pytest.raises(BenchmarkError, match="unknown sweep area 'power'"):
+            run_sweep("power", progress=seen.append)
+        assert seen == []
+
     def test_sweep_is_a_pure_function_of_code_and_seeds(self, tmp_path):
         paths = [SWEEP.write(tmp_path / name / "BENCH_training.json",
                              tiny_sweep())

@@ -66,11 +66,11 @@ class TestCrashResumeEquivalence:
             _straight_and_resumed(framework, tmp_path)
         assert resumed.completed
         assert resumed.start_epoch == KILL_AFTER
-        straight_state = straight_net.state_dict()
-        resumed_state = resumed_net.state_dict()
+        straight_state = dict(straight_net.named_parameters())
+        resumed_state = dict(resumed_net.named_parameters())
         assert set(straight_state) == set(resumed_state)
         for name, value in straight_state.items():
-            assert np.array_equal(value, resumed_state[name]), name
+            assert np.array_equal(value.data, resumed_state[name].data), name
 
     def test_loss_history_matches_exactly(self, framework, tmp_path):
         straight, _, killed, resumed, _ = \
@@ -93,8 +93,9 @@ class TestCrashResumeCpuGpu:
     def test_equivalence_holds_with_data_movement(self, tmp_path):
         straight, straight_net, _, resumed, resumed_net = \
             _straight_and_resumed("dglite", tmp_path, placement="cpugpu")
-        for name, value in straight_net.state_dict().items():
-            assert np.array_equal(value, resumed_net.state_dict()[name])
+        resumed_state = dict(resumed_net.named_parameters())
+        for name, value in straight_net.named_parameters():
+            assert np.array_equal(value.data, resumed_state[name].data)
         assert set(resumed.phases) == set(straight.phases)
         assert "data_movement" in straight.phases
         for phase, seconds in straight.phases.items():

@@ -39,12 +39,6 @@ class TestMultiGpuMachine:
         names = {gpu.name for gpu in machine.gpus}
         assert len(names) == 4
 
-    def test_rank_lookup_bounds(self):
-        machine = multi_gpu_testbed(2)
-        assert machine.gpu_rank(1) is machine.gpus[1]
-        with pytest.raises(DeviceError):
-            machine.gpu_rank(2)
-
     def test_zero_gpus_rejected(self):
         with pytest.raises(DeviceError):
             MultiGpuMachine(num_gpus=0)

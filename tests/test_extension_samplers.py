@@ -61,6 +61,10 @@ class TestSaintEdgeSampler:
         batch = SaintEdgeSampler(tiny_graph, budget=20000, seed=0).sample()
         assert batch.work.items > 0
 
+    def test_zero_budget_rejected(self, tiny_graph):
+        with pytest.raises(SamplerError, match="budget must be >= 1"):
+            SaintEdgeSampler(tiny_graph, budget=0)
+
 
 class TestFastGCN:
     def test_block_structure(self, tiny_graph):
@@ -103,6 +107,30 @@ class TestFastGCN:
             FastGCNSampler(tiny_graph, layer_sizes=())
 
 
+@pytest.mark.parametrize("sampler_cls", [FastGCNSampler, LadiesSampler])
+class TestLayerwiseEpoch:
+    def test_epoch_covers_every_train_node_once(self, tiny_graph, sampler_cls):
+        sampler = sampler_cls(tiny_graph, layer_sizes=(200, 200),
+                              batch_size=2000, seed=0)
+        train = tiny_graph.train_nodes()
+        roots = [b.output_nodes for b in sampler.epoch_batches()]
+        assert len(roots) == sampler.num_batches(train.size)
+        assert np.array_equal(np.sort(np.concatenate(roots)), np.sort(train))
+        assert all(r.size <= sampler.actual_batch_size for r in roots)
+
+    def test_unshuffled_epoch_keeps_train_order(self, tiny_graph, sampler_cls):
+        sampler = sampler_cls(tiny_graph, layer_sizes=(200, 200),
+                              batch_size=2000, seed=0)
+        roots = [b.output_nodes for b in sampler.epoch_batches(shuffle=False)]
+        assert np.array_equal(np.concatenate(roots), tiny_graph.train_nodes())
+
+    def test_num_batches_is_at_least_one(self, tiny_graph, sampler_cls):
+        sampler = sampler_cls(tiny_graph, seed=0)
+        assert sampler.num_batches(0) == 1
+        size = sampler.actual_batch_size
+        assert sampler.num_batches(size + 1) == 2
+
+
 class TestLadies:
     def test_block_structure(self, tiny_graph):
         sampler = LadiesSampler(tiny_graph, layer_sizes=(2000, 2000), seed=0)
@@ -110,6 +138,14 @@ class TestLadies:
         batch = sampler.sample(roots)
         assert len(batch.blocks) == 2
         assert np.array_equal(batch.blocks[-1].dst_nodes, roots)
+
+    def test_empty_roots_rejected(self, tiny_graph):
+        with pytest.raises(SamplerError, match="empty root batch"):
+            LadiesSampler(tiny_graph, seed=0).sample(np.array([], dtype=np.int64))
+
+    def test_empty_layer_sizes_rejected(self, tiny_graph):
+        with pytest.raises(SamplerError, match="layer_sizes"):
+            LadiesSampler(tiny_graph, layer_sizes=())
 
     def test_draws_are_better_utilized_than_fastgcn(self, tiny_graph):
         """LADIES fixes FastGCN's sparsity issue: its candidates come from

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import BenchmarkError, DeviceError
 from repro.frameworks import get_framework
 from repro.frameworks.feature_cache import GpuFeatureCache
-from repro.hardware.machine import cpu_only_testbed, paper_testbed
+from repro.hardware.machine import Machine, paper_testbed
 
 
 @pytest.fixture
@@ -26,7 +26,7 @@ class TestConstruction:
             GpuFeatureCache(fgraph, policy="lfu")
 
     def test_requires_gpu(self):
-        machine = cpu_only_testbed()
+        machine = Machine(gpu_spec=None)
         fgraph = get_framework("dglite").load("ppi", machine, scale=0.3)
         with pytest.raises(DeviceError):
             GpuFeatureCache(fgraph)
@@ -34,7 +34,7 @@ class TestConstruction:
     def test_capacity_matches_fraction(self, fgraph):
         cache = GpuFeatureCache(fgraph, fraction=0.25)
         expected = round(0.25 * fgraph.num_nodes)
-        assert cache.capacity_nodes == expected
+        assert cache.cached_nodes.size == expected
 
     def test_fill_charges_transfer_and_pins_memory(self, fgraph, machine):
         before_bytes = machine.pcie.counters.bytes_h2d
@@ -56,7 +56,7 @@ class TestLookups:
         cache = GpuFeatureCache(fgraph, fraction=0.3, policy="degree")
         nodes = np.arange(fgraph.num_nodes)
         mask = cache.hit_mask(nodes)
-        assert mask.sum() == cache.capacity_nodes
+        assert mask.sum() == cache.cached_nodes.size
 
     def test_hit_mask_is_pure(self, fgraph):
         """Repeated probes of the same batch must not skew hit_rate."""
@@ -72,7 +72,7 @@ class TestLookups:
         nodes = np.arange(fgraph.num_nodes)
         mask = cache.record(nodes)
         assert np.array_equal(mask, cache.hit_mask(nodes))
-        assert cache.hits == cache.capacity_nodes
+        assert cache.hits == cache.cached_nodes.size
         assert cache.hits + cache.misses == nodes.size
         cache.record(nodes)
         assert cache.hits + cache.misses == 2 * nodes.size

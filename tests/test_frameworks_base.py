@@ -258,8 +258,8 @@ class TestPreload:
 
     def test_preload_requires_gpu(self):
         from repro.errors import DeviceError
-        from repro.hardware.machine import cpu_only_testbed
-        machine = cpu_only_testbed()
+        from repro.hardware.machine import Machine
+        machine = Machine(gpu_spec=None)
         fw = get_framework("dglite")
         fgraph = fw.load("ppi", machine, scale=0.3)
         with pytest.raises(DeviceError):

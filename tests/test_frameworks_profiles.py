@@ -128,6 +128,45 @@ class TestGpuSampling:
         assert not PYGLITE_PROFILE.supports_prefetch
 
 
+class TestSensitivityCopies:
+    """The perturbed profiles the calibration-sensitivity bench builds."""
+
+    def test_efficiency_scaled_touches_one_cell_and_clamps(self):
+        base = PYGLITE_PROFILE
+        compute, memory = base.cost.eff("spmm", "cpu")
+        faster = base.with_efficiency_scaled("spmm", "cpu", 2.0)
+        assert faster.cost.eff("spmm", "cpu") == (min(1.0, 2 * compute),
+                                                  min(1.0, 2 * memory))
+        assert faster.cost.eff("spmm", "gpu") == base.cost.eff("spmm", "gpu")
+        assert faster.cost.eff("gemm", "cpu") == base.cost.eff("gemm", "cpu")
+        capped = base.with_efficiency_scaled("spmm", "cpu", 1e9)
+        assert capped.cost.eff("spmm", "cpu") == (1.0, 1.0)
+        assert base.cost.eff("spmm", "cpu") == (compute, memory)
+
+    def test_sampler_scaled_touches_one_kind(self):
+        base = PYGLITE_PROFILE
+        half = base.with_sampler_scaled("neighbor", 0.5)
+        costs, was = half.sampler_costs("neighbor"), base.sampler_costs("neighbor")
+        assert costs.per_item == pytest.approx(0.5 * was.per_item)
+        assert costs.per_batch == pytest.approx(0.5 * was.per_batch)
+        for kind in base.sampler:
+            if kind != "neighbor":
+                assert half.sampler_costs(kind) == base.sampler_costs(kind)
+
+    @pytest.mark.parametrize("scale", [
+        lambda p: p.with_efficiency_scaled("spmm", "cpu", 0.0),
+        lambda p: p.with_efficiency_scaled("spmm", "cpu", -1.0),
+        lambda p: p.with_sampler_scaled("neighbor", 0.0),
+    ])
+    def test_non_positive_factor_rejected(self, scale):
+        with pytest.raises(ValueError, match="factor must be positive"):
+            scale(DGLITE_PROFILE)
+
+    def test_unknown_sampler_kind_rejected(self):
+        with pytest.raises(KeyError, match="no cost entry"):
+            DGLITE_PROFILE.with_sampler_scaled("nope", 2.0)
+
+
 class TestCostProfile:
     def test_default_eff_fallback(self):
         profile = CostProfile(name="x", default_eff=(0.3, 0.4))

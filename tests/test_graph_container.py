@@ -1,6 +1,7 @@
 """Tests for the Graph container and logical-scale bookkeeping."""
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import GraphFormatError
@@ -21,6 +22,10 @@ class TestGraphStats:
         assert stats.feature_nbytes() == 4 * 1000 * 32
         assert stats.structure_nbytes() == 8 * 1001 + 8 * 8000
         assert stats.label_nbytes() == 8 * 1000
+        # the paper-scale read charged at load: all three parts
+        assert stats.stored_nbytes() == (stats.feature_nbytes()
+                                         + stats.structure_nbytes()
+                                         + stats.label_nbytes())
 
     def test_multilabel_label_bytes(self):
         stats = GraphStats("g", "d", 100, 400, 8, 10, True, Split(0.6, 0.2, 0.2))
@@ -40,6 +45,25 @@ class TestGraph:
                 tiny_graph.stats,
             )
 
+    @pytest.mark.parametrize("part, match", [
+        ("labels", "label rows"),
+        ("val_mask", "masks must be 1-D"),
+        ("multilabel", "multilabel graphs need 2-D labels"),
+    ])
+    def test_each_mismatch_named(self, tiny_graph, part, match):
+        g = tiny_graph
+        args = dict(adj=g.adj, features=g.features, labels=g.labels,
+                    train_mask=g.train_mask, val_mask=g.val_mask,
+                    test_mask=g.test_mask, stats=g.stats)
+        if part == "labels":
+            args["labels"] = g.labels[:-1]
+        elif part == "val_mask":
+            args["val_mask"] = g.val_mask.reshape(-1, 1)
+        else:
+            args["stats"] = replace(g.stats, multilabel=True)
+        with pytest.raises(GraphFormatError, match=match):
+            Graph(**args)
+
     def test_scales_reflect_logical_sizes(self, tiny_graph):
         assert tiny_graph.node_scale == pytest.approx(
             tiny_graph.stats.logical_num_nodes / tiny_graph.num_nodes
@@ -47,28 +71,7 @@ class TestGraph:
         assert tiny_graph.node_scale > 1.0
         assert tiny_graph.edge_scale > 1.0
 
-    def test_mask_node_lists(self, tiny_graph):
+    def test_train_nodes_are_the_train_mask(self, tiny_graph):
         train = tiny_graph.train_nodes()
-        val = tiny_graph.val_nodes()
-        test = tiny_graph.test_nodes()
-        assert train.size + val.size + test.size == tiny_graph.num_nodes
-        assert np.intersect1d(train, val).size == 0
-
-    def test_subgraph_basic(self, tiny_graph):
-        nodes = np.arange(50)
-        sub = tiny_graph.subgraph(nodes)
-        assert sub.num_nodes == 50
-        assert sub.features.shape == (50, tiny_graph.num_features)
-        assert sub.labels.shape[0] == 50
-
-    def test_subgraph_inherits_scales(self, tiny_graph):
-        nodes = np.arange(60)
-        sub = tiny_graph.subgraph(nodes)
-        assert sub.node_scale == pytest.approx(tiny_graph.node_scale, rel=0.02)
-        if sub.num_edges:
-            assert sub.edge_scale == pytest.approx(tiny_graph.edge_scale, rel=0.02)
-
-    def test_subgraph_edges_internal(self, tiny_graph):
-        nodes = np.arange(40)
-        sub = tiny_graph.subgraph(nodes)
-        assert sub.adj.indices.max(initial=0) < 40
+        assert train.size == int(tiny_graph.train_mask.sum())
+        assert tiny_graph.train_mask[train].all()

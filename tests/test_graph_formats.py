@@ -6,9 +6,7 @@ import pytest
 from repro.errors import GraphFormatError
 from repro.graph.formats import (
     AdjacencyCOO,
-    AdjacencyCSC,
     AdjacencyCSR,
-    add_self_loops,
     coalesce,
     induced_subgraph,
     remove_self_loops,
@@ -51,9 +49,20 @@ class TestValidation:
         with pytest.raises(GraphFormatError):
             AdjacencyCSR(2, np.array([0, 1, 3]), np.array([0, 1]))
 
-    def test_csc_neighbor_range_checked(self):
-        with pytest.raises(GraphFormatError):
-            AdjacencyCSC(2, np.array([0, 1, 2]), np.array([0, 5]))
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: AdjacencyCOO(3, np.zeros((2, 2)), np.zeros((2, 2))),
+         "must be 1-D"),
+        (lambda: AdjacencyCOO(-1, [], []), "num_nodes must be non-negative"),
+        (lambda: AdjacencyCOO(3, [0, 1], [1, 3]), "dst index out of range"),
+        (lambda: AdjacencyCSR(3, [0, 1, 2, 2], [0, 5]),
+         "neighbor index out of range"),
+        (lambda: AdjacencyCSR(3, [0, 1, 2, 2], [0, -1]),
+         "neighbor index out of range"),
+    ])
+    def test_each_malformed_array_named(self, build, match):
+        with pytest.raises(GraphFormatError, match=match):
+            build()
 
 
 class TestConversions:
@@ -63,24 +72,12 @@ class TestConversions:
         assert csr.neighbors(4).size == 0
         assert csr.num_edges == coo.num_edges
 
-    def test_coo_to_csc_in_neighbors(self, coo):
-        csc = coo.to_csc()
-        assert sorted(csc.in_neighbors(2).tolist()) == [0, 1, 2]
-        assert csc.in_neighbors(0).tolist() == [3]
-
     def test_csr_roundtrip_through_coo(self, coo):
         csr = coo.to_csr()
         back = csr.to_coo()
         orig = sorted(zip(coo.src.tolist(), coo.dst.tolist()))
         round_ = sorted(zip(back.src.tolist(), back.dst.tolist()))
         assert orig == round_
-
-    def test_csr_to_csc_preserves_edges(self, coo):
-        csr = coo.to_csr()
-        csc = csr.to_csc()
-        orig = sorted(zip(coo.src.tolist(), coo.dst.tolist()))
-        via = sorted(zip(csc.to_coo().src.tolist(), csc.to_coo().dst.tolist()))
-        assert orig == via
 
     def test_transpose_reverses_edges(self, coo):
         csr = coo.to_csr()
@@ -90,7 +87,6 @@ class TestConversions:
         assert orig == rev
 
     def test_degrees(self, coo):
-        assert coo.out_degrees().tolist() == [3, 1, 1, 1, 0]
         assert coo.in_degrees().tolist() == [1, 2, 3, 0, 0]
         csr = coo.to_csr()
         assert csr.degrees().tolist() == [3, 1, 1, 1, 0]
@@ -101,13 +97,6 @@ class TestEdgeOps:
         clean = remove_self_loops(coo)
         assert clean.num_edges == coo.num_edges - 1
         assert not np.any(clean.src == clean.dst)
-
-    def test_add_self_loops(self):
-        coo = AdjacencyCOO(3, np.array([0]), np.array([1]))
-        with_loops = add_self_loops(coo)
-        assert with_loops.num_edges == 4
-        loops = with_loops.src == with_loops.dst
-        assert loops.sum() == 3
 
     def test_coalesce_removes_duplicates(self, coo):
         unique = coalesce(coo)

@@ -6,9 +6,7 @@ import pytest
 from repro.graph.generators import (
     correlated_features,
     dcsbm_graph,
-    erdos_renyi_graph,
     power_law_degrees,
-    ring_graph,
     split_masks,
 )
 
@@ -64,18 +62,6 @@ class TestDcsbm:
         with pytest.raises(ValueError):
             dcsbm_graph(10, 20, num_communities=0)
 
-
-class TestOtherGenerators:
-    def test_erdos_renyi_dedup_and_no_loops(self):
-        coo = erdos_renyi_graph(50, 400, seed=1)
-        assert not np.any(coo.src == coo.dst)
-        pairs = list(zip(coo.src.tolist(), coo.dst.tolist()))
-        assert len(pairs) == len(set(pairs))
-
-    def test_ring_is_2_regular(self):
-        coo = ring_graph(10)
-        assert coo.num_edges == 20
-        assert np.all(coo.out_degrees() == 2)
 
 
 class TestFeaturesAndLabels:

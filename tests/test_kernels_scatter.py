@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import OutOfMemoryError
 from repro.kernels.adj import SparseAdj
-from repro.kernels.scatter import gather, scatter_add, scatter_mean
+from repro.kernels.scatter import gather, scatter_add
 from repro.kernels.spmm import spmm
 from repro.tensor.tensor import Tensor
 
@@ -61,19 +61,6 @@ class TestScatter:
         fused = spmm(small_adj, x)
         unfused = scatter_add(small_adj, gather(small_adj, x))
         assert np.allclose(fused.data, unfused.data, atol=1e-4)
-
-    def test_scatter_mean_normalizes_by_in_degree(self):
-        adj = SparseAdj(np.array([0, 1, 2]), np.array([0, 0, 1]), 3, 2)
-        msgs = Tensor(np.array([[2.0], [4.0], [6.0]], dtype=np.float32))
-        out = scatter_mean(adj, msgs)
-        assert out.data[0, 0] == pytest.approx(3.0)
-        assert out.data[1, 0] == pytest.approx(6.0)
-
-    def test_scatter_mean_isolated_dst_is_zero(self):
-        adj = SparseAdj(np.array([0]), np.array([0]), 1, 3)
-        msgs = Tensor(np.ones((1, 2), dtype=np.float32))
-        out = scatter_mean(adj, msgs)
-        assert np.allclose(out.data[1:], 0.0)
 
     def test_shape_validation(self, small_adj):
         with pytest.raises(ValueError):

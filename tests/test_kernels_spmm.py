@@ -32,7 +32,6 @@ class TestSparseAdj:
     def test_degrees(self):
         adj = SparseAdj(np.array([0, 1, 2]), np.array([1, 1, 0]), 3, 2)
         assert adj.in_degrees().tolist() == [1, 2]
-        assert adj.out_degrees().tolist() == [1, 1, 1]
 
     def test_logical_quantities(self):
         adj = SparseAdj(np.array([0]), np.array([1]), 2, 2,
@@ -94,6 +93,16 @@ class TestSpmmForward:
         x = Tensor(np.zeros((small_adj.num_src, 3), dtype=np.float32))
         with pytest.raises(ValueError):
             spmm(small_adj, x, weight=Tensor(np.zeros(3, dtype=np.float32)))
+
+    def test_multi_head_weight_shape_checked(self, small_adj):
+        x = Tensor(np.zeros((small_adj.num_src, 2, 3), dtype=np.float32))
+        weight = Tensor(np.zeros((small_adj.num_edges, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"multi-head weight must be \(E, H\)"):
+            spmm(small_adj, x, weight=weight)
+
+    def test_sum_edges_side_checked(self, small_adj):
+        with pytest.raises(ValueError, match="side must be 'src' or 'dst'"):
+            small_adj.sum_edges(np.ones(small_adj.num_edges), side="both")
 
     def test_device_mismatch_rejected(self, machine):
         adj = SparseAdj(np.array([0]), np.array([0]), 1, 1, device=machine.gpu)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kernels.adj import SparseAdj
-from repro.kernels.transfer import adj_to_device, graph_bytes, to_device
+from repro.kernels.transfer import adj_to_device, to_device
 from repro.tensor.tensor import Tensor
 
 
@@ -58,7 +58,7 @@ class TestAdjTransfer:
         placed = adj_to_device(adj, machine.gpu, machine.pcie)
         assert placed.device is machine.gpu
         assert machine.pcie.counters.bytes_h2d - before == pytest.approx(
-            graph_bytes(adj)
+            adj.structure_nbytes()
         )
 
     def test_noop_when_already_there(self, machine):

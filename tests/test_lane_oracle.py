@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datapipe import run_epoch
 from repro.datapipe.pipeline import Stage, _attribute_phases, _EpochState
-from repro.hardware.machine import cpu_only_testbed, paper_testbed
+from repro.hardware.machine import Machine, paper_testbed
 from repro.power.monitor import EnergyMonitor
 from repro.simtime import (DeferredRecord, LaneJob, LaneScheduler,
                            VirtualClock, _EPS)
@@ -381,7 +381,7 @@ STEPS = st.sampled_from([0.0, 0.001, 0.02, 0.0625, 0.1, 0.125, 0.25, 0.5,
        has_gpu=st.booleans())
 def test_monitor_on_a_serial_clock_equals_the_scalar_sampler(
         interval, head, ops, has_gpu):
-    machine = paper_testbed() if has_gpu else cpu_only_testbed()
+    machine = paper_testbed() if has_gpu else Machine(gpu_spec=None)
     clock = machine.clock
     cpu = machine.cpu.name
     gpu = machine.gpu.name if has_gpu else "no-gpu"
@@ -409,7 +409,7 @@ def test_monitor_over_a_lane_schedule_equals_the_scalar_sampler(
         spec, interval, has_gpu):
     """One drain advances over many boundaries with future-dated busy
     intervals already committed; the lanes' devices are the machine's."""
-    machine = paper_testbed() if has_gpu else cpu_only_testbed()
+    machine = paper_testbed() if has_gpu else Machine(gpu_spec=None)
     names = {"cpu": machine.cpu.name, "pcie": "pcie",
              "gpu": machine.gpu.name if has_gpu else machine.cpu.name}
     spec = dict(spec, stages=[
@@ -500,6 +500,28 @@ def test_lane_job_wait_is_time_queued_behind_its_lane():
     late = sched.submit("pcie", 0.25, copy, 4.0)
     assert (late.ready, late.start, late.wait) == (4.0, 4.0, 0.0)
     assert sched.drain() == 4.25 and clock.now == 4.25
+
+
+def test_negative_plain_duration_rejected_before_scheduling():
+    sched = LaneScheduler(VirtualClock())
+    with pytest.raises(ValueError, match="negative duration"):
+        sched.submit("gpu", -0.5)
+    assert sched.jobs == [] and sched.finish == sched.origin
+
+
+@pytest.mark.parametrize("use", [
+    lambda s: s.submit("gpu", 1.0),
+    lambda s: s.submit_chain([("gpu", DeferredRecord(1.0), "")]),
+    lambda s: s.drain(),
+])
+def test_a_drained_scheduler_is_finished(use):
+    clock = VirtualClock()
+    sched = LaneScheduler(clock)
+    sched.submit("gpu", 1.0)
+    assert sched.drain() == 1.0
+    with pytest.raises(RuntimeError, match="already drained"):
+        use(sched)
+    assert clock.now == 1.0 and len(sched.jobs) == 1
 
 
 def test_a_chain_is_its_steps_submitted_one_after_another():

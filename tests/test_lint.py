@@ -1,26 +1,24 @@
 """Tests for the ``repro lint`` static-analysis subsystem.
 
 Each rule gets true-positive and true-negative fixture snippets, written
-into a synthetic ``repro.*`` package tree so path-scoped rules (HOTLOOP,
-INPLACE-GRAD, PARAM-REG, DTYPE-DRIFT) see the module names they key on.
-The meta-test at the bottom pins the acceptance criterion: the real
-``src/repro`` tree is clean under every rule with an *empty* baseline.
+into a synthetic ``repro.*`` package tree so path-scoped rules see the
+module names they key on.  The meta-tests at the bottom pin the gate:
+the shipped tree is clean, and the planted fixture trips every rule.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.lint import RULES, lint_paths, load_baseline, save_baseline
-from repro.lint.baseline import BaselineError
-from repro.lint.engine import module_name_for
-from repro.lint.reporting import SCHEMA_VERSION, to_json_payload
-from repro.lint.rules import resolve_rules
+from repro.lint import RULES, LintUsageError, lint_paths
+from repro.lint.engine import (SKIP_DIRS, Rule, iter_python_files,
+                               module_name_for, select_rules)
+from repro.lint.rules import register
+from repro.lint.suppressions import SuppressionIndex, suppressions_for_source
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,23 +42,44 @@ def run_rules(tmp_path, rel, source, select=None):
     return lint_paths([str(path)], select=select).findings
 
 
+def fired(tmp_path, rel, body, header="import numpy as np\n\n"):
+    """Rule names fired by ``body`` placed inside ``def f(xs, ys, p, v)``."""
+    source = header + "def f(xs, ys, p, v):\n" + textwrap.indent(
+        textwrap.dedent(body).strip() + "\n", "    ")
+    return [f.rule for f in run_rules(tmp_path, rel, source)]
+
+
 # ---------------------------------------------------------------------------
 # registry
 
 
 def test_registry_has_all_rules():
-    assert set(RULES) == {"HOTLOOP", "RNG-SEED", "INPLACE-GRAD",
-                          "PARAM-REG", "DTYPE-DRIFT", "TELEMETRY-LEAK",
-                          "ADD-AT", "BARE-RETRY"}
+    assert set(RULES) == {"HOTLOOP", "INPLACE-GRAD", "PARAM-REG",
+                          "DTYPE-DRIFT"}
     for rule in RULES.values():
         assert rule.severity in ("error", "warning")
         assert rule.description
 
 
-def test_resolve_rules_select_and_unknown():
-    assert [r.name for r in resolve_rules(["hotloop"])] == ["HOTLOOP"]
-    with pytest.raises(KeyError):
-        resolve_rules(["NOPE"])
+def test_select_rules_and_unknown():
+    assert [r.name for r in select_rules(["hotloop"])] == ["HOTLOOP"]
+    with pytest.raises(LintUsageError):
+        select_rules(["NOPE"])
+
+
+def test_select_ignores_blank_entries():
+    names = [r.name for r in select_rules(["dtype-drift", " ", ""])]
+    assert names == ["DTYPE-DRIFT"]
+
+
+def test_register_rejects_a_duplicate_name():
+    class Again(Rule):
+        name = "HOTLOOP"
+
+    before = dict(RULES)
+    with pytest.raises(ValueError, match="duplicate rule name"):
+        register(Again)
+    assert RULES == before
 
 
 def test_module_name_for(tmp_path):
@@ -69,6 +88,34 @@ def test_module_name_for(tmp_path):
     loose = tmp_path / "loose.py"
     loose.write_text("x = 1\n")
     assert module_name_for(loose) == "loose"
+
+
+def test_module_name_for_package_init(tmp_path):
+    write_module(tmp_path, "repro/kernels/mod.py", "x = 1\n")
+    init = tmp_path / "repro" / "kernels" / "__init__.py"
+    assert module_name_for(init) == "repro.kernels"
+
+
+# ---------------------------------------------------------------------------
+# scope: which packages each rule watches
+
+HOT_DEFECTS = """
+    for i in range(len(xs)):
+        ys = xs.astype(np.float64)
+"""
+
+
+@pytest.mark.parametrize("package", ["sampling", "kernels", "tensor",
+                                     "frameworks"])
+def test_hot_path_packages_get_hotloop_and_dtype_drift(tmp_path, package):
+    rules = fired(tmp_path, f"repro/{package}/mod.py", HOT_DEFECTS)
+    assert sorted(rules) == ["DTYPE-DRIFT", "HOTLOOP"]
+
+
+@pytest.mark.parametrize("package", ["models", "profiling", "bench",
+                                     "serving"])
+def test_cold_packages_skip_hotloop_and_dtype_drift(tmp_path, package):
+    assert fired(tmp_path, f"repro/{package}/mod.py", HOT_DEFECTS) == []
 
 
 # ---------------------------------------------------------------------------
@@ -110,47 +157,51 @@ def test_hotloop_ignores_strided_and_scalar_loops(tmp_path):
     assert run_rules(tmp_path, "repro/sampling/ok.py", source) == []
 
 
+@pytest.mark.parametrize("body", [
+    "for i in range(len(xs)): pass",
+    "for i in range(xs.size): pass",
+    "for i in range(xs.shape[1]): pass",
+    "for i in range(1, len(xs)): pass",
+    "for v in xs.flat: pass",
+    "for v in xs.tolist(): pass",
+    "for v in np.nditer(xs): pass",
+    "for idx, v in np.ndenumerate(xs): pass",
+    "for i, v in enumerate(xs.tolist()): pass",
+    "for a, b in zip(ys, xs.flat): pass",
+    "for i in reversed(range(len(xs))): pass",
+    "for v in sorted(xs.tolist()): pass",
+    "ys = [v for v in xs.flat]",
+    "ys = {v for v in xs.tolist()}",
+    "ys = {i: v for i, v in enumerate(xs.flat)}",
+    "return sum(v for v in xs.tolist())",
+])
+def test_hotloop_each_per_element_idiom(tmp_path, body):
+    assert fired(tmp_path, "repro/kernels/hot.py", body) == ["HOTLOOP"]
+
+
+@pytest.mark.parametrize("body", [
+    "for start in range(0, len(xs), 64): pass",
+    "for i in range(3): pass",
+    "for v in ys: pass",
+    "for i, fanout in enumerate(ys): pass",
+    "for a, b in zip(ys, v): pass",
+    "while len(xs) > 3:\n    xs = xs[1:]",
+])
+def test_hotloop_leaves_non_element_loops_alone(tmp_path, body):
+    assert fired(tmp_path, "repro/kernels/ok.py", body) == []
+
+
+def test_hotloop_reports_the_loop_line(tmp_path):
+    source = "def f(xs):\n    x = 1\n    for v in xs.flat:\n        x += v\n"
+    (finding,) = run_rules(tmp_path, "repro/tensor/line.py", source)
+    assert (finding.line, finding.span) == (3, (3, 3))
+    assert ".flat" in finding.message
+
+
 def test_hotloop_scoped_to_hot_path_packages(tmp_path):
     # Same per-element loop outside the hot-path packages: not flagged.
     assert run_rules(tmp_path, "repro/models/cold.py", HOTLOOP_TP) == []
     assert run_rules(tmp_path, "plain/pkg.py", HOTLOOP_TP) == []
-
-
-# ---------------------------------------------------------------------------
-# RNG-SEED
-
-
-def test_rng_seed_true_positives(tmp_path):
-    source = """
-        import numpy as np
-
-        def f():
-            a = np.random.default_rng()
-            b = np.random.default_rng(None)
-            c = np.random.rand(3)
-            np.random.seed(0)
-            np.random.shuffle(c)
-            return a, b, c
-    """
-    findings = run_rules(tmp_path, "anywhere.py", source)
-    assert len(findings) == 5
-    assert all(f.rule == "RNG-SEED" for f in findings)
-
-
-def test_rng_seed_true_negatives(tmp_path):
-    source = """
-        import numpy as np
-
-        def f(seed, rng=None):
-            a = np.random.default_rng(0)
-            b = np.random.default_rng(seed)
-            rng = rng if rng is not None else np.random.default_rng(seed)
-            keys = rng.random(10)
-            pick = rng.choice(10, size=3)
-            gen = np.random.Generator(np.random.PCG64(seed))
-            return a, b, keys, pick, gen
-    """
-    assert run_rules(tmp_path, "anywhere.py", source) == []
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +219,47 @@ def test_inplace_grad_true_positives(tmp_path):
     findings = run_rules(tmp_path, "repro/models/mutate.py", source)
     assert len(findings) == 4
     assert all(f.rule == "INPLACE-GRAD" for f in findings)
+
+
+@pytest.mark.parametrize("body", [
+    "p.data = v",
+    "p.grad = v",
+    "p.data[0] = v",
+    "p.data[:, 1] += v",
+    "p.grad += v",
+    "p.grad -= v",
+    "p.data: object = v",
+    "p.data, ys = v, v",
+    "p.data.fill(0)",
+    "p.grad.sort()",
+    "p.data.put([0], v)",
+    "p.data.resize((2,))",
+    "p.data.partition(1)",
+    "v.weight.grad = None",
+])
+def test_inplace_grad_each_mutation_form(tmp_path, body):
+    assert fired(tmp_path, "repro/models/mut.py", body) == ["INPLACE-GRAD"]
+
+
+@pytest.mark.parametrize("body", [
+    "ys = p.data",
+    "ys = p.data + v",
+    "data = v",
+    "p.data_cache = v",
+    "ys = p.data.copy()\nys.fill(0)",
+    "ys = np.sort(p.data)",
+    "with no_grad():\n    p.data = v",
+    "with repro.tensor.no_grad():\n    p.grad = None",
+    "with no_grad():\n    for i in range(2):\n        p.data[i] = v",
+])
+def test_inplace_grad_leaves_reads_and_guarded_writes_alone(tmp_path, body):
+    assert fired(tmp_path, "repro/models/ok.py", body) == []
+
+
+@pytest.mark.parametrize("module", ["repro/tensor/tensor.py",
+                                    "repro/tensor/optim.py"])
+def test_inplace_grad_exempt_modules(tmp_path, module):
+    assert fired(tmp_path, module, "p.data = v\np.grad.fill(0)") == []
 
 
 def test_inplace_grad_allows_no_grad_and_exempt_modules(tmp_path):
@@ -209,6 +301,48 @@ def test_param_reg_true_positives(tmp_path):
     findings = run_rules(tmp_path, "repro/models/layers.py", source)
     assert len(findings) == 3
     assert all(f.rule == "PARAM-REG" for f in findings)
+
+
+def param_init(body: str) -> str:
+    return ("from repro.tensor.module import Module, Parameter\n\n"
+            "class M(Module):\n"
+            "    def __init__(self, w0):\n"
+            "        super().__init__()\n"
+            + textwrap.indent(textwrap.dedent(body).strip() + "\n", " " * 8))
+
+
+@pytest.mark.parametrize("body", [
+    "Parameter(w0)",
+    "w = Parameter(w0)",
+    "w = Parameter(w0)\nself.v = w.data",
+    "w = Parameter(w0)\nself.v = w * 2",
+    "w = nn.Parameter(w0)",
+    "w = Parameter(w0)\nalias = w",
+])
+def test_param_reg_each_unregistered_form(tmp_path, body):
+    findings = run_rules(tmp_path, "repro/models/m.py", param_init(body))
+    assert [f.rule for f in findings] == ["PARAM-REG"]
+
+
+@pytest.mark.parametrize("body", [
+    "self.w = Parameter(w0)",
+    "w = Parameter(w0)\nself.w = w",
+    "w = Parameter(w0)\nsetattr(self, 'w', w)",
+    "w = Parameter(w0)\nself.ws = [w]",
+    "w = Parameter(w0)\nself.ws = {'a': w}",
+    "w = Parameter(w0)\nself.register(w)",
+    "w = Parameter(w0)\nself.cfg: object = w",
+    "self.ws = []\nw = Parameter(w0)\nself.ws.append(w)",
+    "self.a, self.b = Parameter(w0), Parameter(w0)",
+])
+def test_param_reg_each_registration_form(tmp_path, body):
+    assert run_rules(tmp_path, "repro/models/m.py", param_init(body)) == []
+
+
+def test_param_reg_message_names_class_and_local(tmp_path):
+    (finding,) = run_rules(tmp_path, "repro/models/m.py",
+                           param_init("w = Parameter(w0)"))
+    assert "'w'" in finding.message and "M.__init__" in finding.message
 
 
 def test_param_reg_true_negatives(tmp_path):
@@ -272,74 +406,96 @@ def test_dtype_drift_true_negatives(tmp_path):
     assert run_rules(tmp_path, "repro/profiling/report2.py", drift) == []
 
 
+@pytest.mark.parametrize("expr", [
+    "xs.astype(np.float64)",
+    'xs.astype("float64")',
+    "xs.astype(float)",
+    'xs.astype("double")',
+    'xs.astype("d")',
+    "xs.astype(np.double)",
+    "xs.astype(np.float_)",
+    "np.zeros(3, dtype=np.float64)",
+    'np.empty(3, dtype="float64")',
+    "np.asarray(xs, dtype=float)",
+    "np.float64(1)",
+    "numpy.float64(xs)",
+])
+def test_dtype_drift_each_float64_spelling(tmp_path, expr):
+    assert fired(tmp_path, "repro/kernels/d.py", f"return {expr}") \
+        == ["DTYPE-DRIFT"]
+
+
+@pytest.mark.parametrize("expr", [
+    "xs.astype(np.float32)",
+    'xs.astype("float32")',
+    "xs.astype(np.float16)",
+    "xs.astype(xs.dtype)",
+    "np.zeros(3)",
+    "np.zeros(3, dtype=np.int64)",
+    "np.float32(1)",
+])
+def test_dtype_drift_leaves_other_dtypes_alone(tmp_path, expr):
+    assert fired(tmp_path, "repro/kernels/d.py", f"return {expr}") == []
+
+
 # ---------------------------------------------------------------------------
-# ADD-AT
+# mutation audit: each kept row of docs/lint.md, replayed on the real file
+
+#: (rule, real module, anchor text, planted replacement).  The anchor must
+#: occur exactly once, so a rewrite of the real code fails here loudly
+#: instead of leaving the row silently untested.
+MUTATION_ROWS = [
+    ("HOTLOOP", "repro/sampling/neighbor.py",
+     "    examined = int(degrees.sum())\n",
+     "    examined = 0\n"
+     "    for i in range(len(degrees)):\n"
+     "        examined += int(degrees[i])\n"),
+    ("INPLACE-GRAD", "repro/frameworks/nn.py",
+     "        support = h * (1.0 - self.alpha) + x0 * self.alpha\n",
+     "        h.data *= (1.0 - self.alpha)\n"
+     "        support = h + x0 * self.alpha\n"),
+    ("PARAM-REG", "repro/frameworks/nn.py",
+     "        self.eps = Parameter(init.zeros((1,)))\n",
+     "        eps = Parameter(init.zeros((1,)))\n"
+     "        self.eps = Tensor(eps.data)\n"),
+    ("DTYPE-DRIFT", "repro/frameworks/base.py",
+     "            features.data[sample.input_nodes],\n",
+     "            features.data[sample.input_nodes].astype(np.float64),\n"),
+]
 
 
-def test_add_at_true_positives(tmp_path):
-    source = """
-        import numpy as np
-
-        def f(out, index, values):
-            np.add.at(out, index, values)
-            np.subtract.at(out, index, values)
-            numpy.add.at(out, index, values)
-            return out
-    """
-    for rel in ("repro/kernels/scat.py", "repro/frameworks/agg.py",
-                "repro/tensor/ops.py"):
-        findings = run_rules(tmp_path, rel, source)
-        assert len(findings) == 3, rel
-        assert all(f.rule == "ADD-AT" for f in findings)
-        assert all(f.severity == "error" for f in findings)
+def test_mutation_table_covers_every_rule():
+    assert sorted(row[0] for row in MUTATION_ROWS) == sorted(RULES)
 
 
-def test_add_at_true_negatives(tmp_path):
-    source = """
-        import numpy as np
-
-        def f(out, indptr, values, starts):
-            out[:] = np.add.reduceat(values, starts, axis=0)
-            np.maximum.at(out, starts, values)
-            np.add(out, values, out=out)
-            return out
-    """
-    assert run_rules(tmp_path, "repro/kernels/scat.py", source) == []
-    # Outside the kernel-path packages (e.g. sampling) the idiom is not
-    # flagged — there is no sorted-segment structure to reduce over.
-    scatter = ("import numpy as np\n\ndef f(out, idx, v):\n"
-               "    np.add.at(out, idx, v)\n    return out\n")
-    assert run_rules(tmp_path, "repro/sampling/walk2.py", scatter) == []
-    assert run_rules(tmp_path, "repro/profiling/agg2.py", scatter) == []
-
-
-def test_add_at_justified_suppression(tmp_path):
-    source = """
-        import numpy as np
-
-        def f(out, index, values):
-            np.add.at(out, index, values)  # repro-lint: disable=ADD-AT reference fallback
-            return out
-    """
-    assert run_rules(tmp_path, "repro/kernels/scat.py", source) == []
+@pytest.mark.parametrize("rule, rel, anchor, plant", MUTATION_ROWS,
+                         ids=[row[0] for row in MUTATION_ROWS])
+def test_mutation_row_fires_on_the_real_file(tmp_path, rule, rel, anchor, plant):
+    real = (REPO_ROOT / "src" / rel).read_text(encoding="utf-8")
+    assert real.count(anchor) == 1
+    assert run_rules(tmp_path / "clean", rel, real, select=[rule]) == []
+    mutant = run_rules(tmp_path / "mutant", rel,
+                       real.replace(anchor, plant), select=[rule])
+    assert [f.rule for f in mutant] == [rule]
 
 
 # ---------------------------------------------------------------------------
 # inline suppressions
 
+PROMOTE = "x.astype(np.float64)"
+
 
 def test_inline_suppression_silences_only_that_line(tmp_path):
-    source = """
+    source = f"""
         import numpy as np
 
-        def f():
-            a = np.random.default_rng()  # repro-lint: disable=RNG-SEED justified here
-            b = np.random.default_rng()
+        def f(x):
+            a = {PROMOTE}  # repro-lint: disable=DTYPE-DRIFT justified here
+            b = {PROMOTE}
             return a, b
     """
-    findings = run_rules(tmp_path, "anywhere.py", source)
-    assert len(findings) == 1
-    assert findings[0].line == 6
+    findings = run_rules(tmp_path, "repro/kernels/one.py", source)
+    assert [f.line for f in findings] == [6]
 
 
 def test_suppression_matches_multiline_expression_span(tmp_path):
@@ -355,79 +511,124 @@ def test_suppression_matches_multiline_expression_span(tmp_path):
 
 
 def test_file_level_suppression_and_disable_all(tmp_path):
-    source = """
-        # repro-lint: disable-file=RNG-SEED
+    source = f"""
+        # repro-lint: disable-file=DTYPE-DRIFT
         import numpy as np
 
-        def f():
-            a = np.random.default_rng()
-            b = np.random.rand(3)  # repro-lint: disable=all
-            return a, b
+        def f(x, p):
+            a = {PROMOTE}
+            p.data = a  # repro-lint: disable=all
+            return a
     """
-    assert run_rules(tmp_path, "anywhere.py", source) == []
+    assert run_rules(tmp_path, "repro/kernels/file.py", source) == []
 
 
 def test_marker_inside_string_is_not_a_suppression(tmp_path):
+    source = f"""
+        import numpy as np
+
+        def f(x):
+            note = "# repro-lint: disable=DTYPE-DRIFT"
+            return {PROMOTE}, note
+    """
+    assert len(run_rules(tmp_path, "repro/kernels/note.py", source)) == 1
+
+
+def test_suppression_rule_names_are_case_insensitive(tmp_path):
+    source = f"""
+        import numpy as np
+
+        def f(x):
+            return {PROMOTE}  # repro-lint: disable=dtype-drift
+    """
+    result = lint_paths([str(write_module(tmp_path, "repro/kernels/c.py",
+                                          source))])
+    assert result.findings == [] and result.suppressed == 1
+
+
+def test_suppression_lists_several_rules(tmp_path):
     source = """
         import numpy as np
 
-        def f():
-            note = "# repro-lint: disable=RNG-SEED"
-            return np.random.default_rng(), note
+        def f(xs):
+            return [v for v in xs.astype(np.float64).flat]  # repro-lint: disable=HOTLOOP,DTYPE-DRIFT
     """
-    findings = run_rules(tmp_path, "anywhere.py", source)
-    assert len(findings) == 1
+    result = lint_paths([str(write_module(tmp_path, "repro/kernels/l.py",
+                                          source))])
+    assert result.findings == [] and result.suppressed == 2
+
+
+def test_suppression_of_another_rule_does_not_silence(tmp_path):
+    source = f"""
+        import numpy as np
+
+        def f(x):
+            return {PROMOTE}  # repro-lint: disable=HOTLOOP
+    """
+    findings = run_rules(tmp_path, "repro/kernels/o.py", source)
+    assert [f.rule for f in findings] == ["DTYPE-DRIFT"]
+
+
+def test_file_level_disable_all(tmp_path):
+    source = f"""
+        # repro-lint: disable-file=all
+        import numpy as np
+
+        def f(x, p):
+            p.data = {PROMOTE}
+    """
+    assert run_rules(tmp_path, "repro/kernels/all.py", source) == []
+
+
+def test_suppression_index_accepts_a_reversed_span():
+    index = SuppressionIndex()
+    index.add(4, {"HOTLOOP"})
+    assert index.is_suppressed("hotloop", (5, 3))
+    assert not index.is_suppressed("HOTLOOP", (5, 6))
+
+
+def test_untokenizable_source_has_no_suppressions():
+    index = suppressions_for_source('x = """never closed  # repro-lint: disable=all\n')
+    assert index.by_line == {} and index.file_level == set()
 
 
 # ---------------------------------------------------------------------------
-# baseline
+# file discovery
 
 
-BASELINE_SRC = """
-    import numpy as np
-
-    def f():
-        return np.random.default_rng()
-"""
-
-
-def test_baseline_roundtrip_filters_old_findings(tmp_path):
-    path = write_module(tmp_path, "anywhere.py", BASELINE_SRC)
-    first = lint_paths([str(path)])
-    assert len(first.findings) == 1
-
-    baseline_file = tmp_path / "baseline.json"
-    save_baseline(first.findings, baseline_file)
-    counts = load_baseline(baseline_file)
-    assert sum(counts.values()) == 1
-
-    second = lint_paths([str(path)], baseline=counts)
-    assert second.ok
-    assert len(second.baselined) == 1
+@pytest.mark.parametrize("skipped", sorted(SKIP_DIRS))
+def test_discovery_skips_tool_directories(tmp_path, skipped):
+    write_module(tmp_path, "pkg/kept.py", "x = 1\n")
+    hidden = tmp_path / "pkg" / skipped / "hidden.py"
+    hidden.parent.mkdir(parents=True)
+    hidden.write_text("def f(:\n")
+    assert [p.name for p in iter_python_files([str(tmp_path)])] \
+        == ["__init__.py", "kept.py"]
 
 
-def test_baseline_counts_gate_additional_instances(tmp_path):
-    path = write_module(tmp_path, "anywhere.py", BASELINE_SRC)
-    counts = {f.baseline_key(): 1 for f in lint_paths([str(path)]).findings}
-
-    # A second identical violation in the same file is NEW, not absorbed.
-    write_module(tmp_path, "anywhere.py", BASELINE_SRC + """
-    def g():
-        return np.random.default_rng()
-""")
-    result = lint_paths([str(path)], baseline=counts)
-    assert len(result.baselined) == 1
-    assert len(result.findings) == 1
+def test_discovery_order_is_by_posix_path(tmp_path):
+    for rel in ("b/z.py", "a/y.py", "a_b.py", "a/x/w.py"):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text("x = 1\n")
+    found = [p.relative_to(tmp_path).as_posix()
+             for p in iter_python_files([str(tmp_path)])]
+    assert found == sorted(found) == ["a/x/w.py", "a/y.py", "a_b.py", "b/z.py"]
 
 
-def test_baseline_rejects_malformed_files(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("[]")
-    with pytest.raises(BaselineError):
-        load_baseline(bad)
-    bad.write_text('{"version": 99, "findings": []}')
-    with pytest.raises(BaselineError):
-        load_baseline(bad)
+def test_explicit_non_python_file_is_ignored_beside_a_python_one(tmp_path):
+    (tmp_path / "notes.md").write_text("# notes\n")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    result = lint_paths([str(tmp_path / "notes.md"), str(tmp_path / "a.py")])
+    assert result.files_checked == 1 and result.ok
+
+
+def test_findings_are_sorted_by_path_then_line(tmp_path):
+    drift = f"import numpy as np\n\ndef f(x):\n    a = {PROMOTE}\n    return {PROMOTE}\n"
+    write_module(tmp_path, "repro/kernels/b.py", drift)
+    write_module(tmp_path, "repro/kernels/a.py", drift)
+    findings = lint_paths([str(tmp_path / "repro")]).findings
+    assert [(Path(f.path).name, f.line) for f in findings] \
+        == [("a.py", 4), ("a.py", 5), ("b.py", 4), ("b.py", 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -442,71 +643,50 @@ def test_unparsable_file_yields_syntax_finding(tmp_path):
     assert findings[0].severity == "error"
 
 
-# ---------------------------------------------------------------------------
-# JSON schema (documented contract for downstream tooling)
-
-
-def test_json_payload_schema(tmp_path):
-    path = write_module(tmp_path, "anywhere.py", BASELINE_SRC)
-    payload = to_json_payload(lint_paths([str(path)]))
-
-    assert payload["version"] == SCHEMA_VERSION == 2
-    assert payload["tool"] == "repro-lint"
-    assert payload["ok"] is False
-    assert payload["deep"] is False
-    summary = payload["summary"]
-    assert set(summary) == {"files_checked", "new", "baselined", "suppressed",
-                            "by_rule", "by_severity"}
-    assert summary["new"] == 1
-    assert summary["by_rule"] == {"RNG-SEED": 1}
-    assert summary["by_severity"] == {"error": 1}
-    (finding,) = payload["findings"]
-    assert set(finding) == {"rule", "severity", "path", "line", "col", "message"}
-    assert finding["rule"] == "RNG-SEED"
-    assert isinstance(finding["line"], int) and finding["line"] >= 1
-    json.dumps(payload)  # must be serializable as-is
+def test_undecodable_file_yields_syntax_finding(tmp_path):
+    path = tmp_path / "latin1.py"
+    path.write_bytes(b"x = '\xe9'\n")
+    (finding,) = lint_paths([str(path)]).findings
+    assert finding.rule == "SYNTAX" and "unreadable" in finding.message
 
 
 # ---------------------------------------------------------------------------
 # CLI
 
 
-def test_cli_exit_codes_and_json(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # avoid picking up the repo's baseline
-    dirty = write_module(tmp_path, "dirty.py", BASELINE_SRC)
-    clean = write_module(tmp_path, "clean.py", "x = 1\n")
-
-    assert cli_main(["lint", str(clean)]) == 0
-    capsys.readouterr()
-
-    assert cli_main(["lint", str(dirty), "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["ok"] is False and payload["summary"]["new"] == 1
-
-    # --select an unrelated rule: the RNG finding is out of scope.
-    assert cli_main(["lint", str(dirty), "--select", "HOTLOOP"]) == 0
-    capsys.readouterr()
-
-    assert cli_main(["lint", str(dirty), "--select", "BOGUS"]) == 2
-    capsys.readouterr()
-
-    assert cli_main(["lint", str(dirty), "--baseline", "missing.json"]) == 2
-    capsys.readouterr()
-
-
-def test_cli_update_baseline_then_gate(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, code", [
+    (["clean.py"], 0),
+    (["repro/kernels/dirty.py"], 1),
+    (["repro/kernels/dirty.py", "--select", "HOTLOOP"], 0),  # out of scope
+    (["repro/kernels/dirty.py", "--select", "BOGUS"], 2),
+    (["does-not-exist"], 2),   # a typo in a CI path must not pass the gate
+    (["notes.md"], 2),         # an existing path with no Python file in it
+])
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch, argv, code):
     monkeypatch.chdir(tmp_path)
-    dirty = write_module(tmp_path, "dirty.py", BASELINE_SRC)
-    baseline = tmp_path / "lint-baseline.json"
+    write_module(tmp_path, "repro/kernels/dirty.py", f"""
+        import numpy as np
 
-    assert cli_main(["lint", str(dirty), "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-    capsys.readouterr()
-    assert baseline.exists()
-
-    assert cli_main(["lint", str(dirty), "--baseline", str(baseline)]) == 0
+        def f(x):
+            return {PROMOTE}
+    """)
+    write_module(tmp_path, "clean.py", "x = 1\n")
+    (tmp_path / "notes.md").write_text("# notes\n")
+    assert cli_main(["lint", *argv]) == code
     out = capsys.readouterr().out
-    assert "1 baselined" in out
+    if code == 2:
+        assert out.startswith("error: ")
+
+
+def test_cli_prints_one_line_per_finding_and_a_summary(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_module(tmp_path, "repro/kernels/dirty.py",
+                 f"import numpy as np\n\ndef f(x):\n    return {PROMOTE}\n")
+    assert cli_main(["lint", "repro", "--select", "dtype-drift"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("repro/kernels/dirty.py:4:12: DTYPE-DRIFT [warning] ")
+    assert lines[-1] == "1 finding(s) in 3 file(s) (0 suppressed)"
 
 
 def test_cli_list_rules(capsys):
@@ -517,172 +697,20 @@ def test_cli_list_rules(capsys):
 
 
 # ---------------------------------------------------------------------------
-# TELEMETRY-LEAK
+# meta: the shipped tree is clean, the planted fixture is not
 
 
-def test_telemetry_leak_true_positives(tmp_path):
-    source = """
-        from repro.telemetry import Counter
-        from repro.telemetry.metrics import Histogram
-        from repro.telemetry import metrics as tmetrics
-
-        def f(tracer, profiler, registry):
-            span = tracer.start_span("work")        # no context manager
-            tracer.span("dangling")                 # CM result discarded
-            profiler.phase("sampling")              # CM result discarded
-            c = Counter("my.counter")               # bypasses the registry
-            h = Histogram("my.hist")                # bypasses the registry
-            g = tmetrics.Gauge("my.gauge")          # bypasses the registry
-            return span, c, h, g
-    """
-    findings = run_rules(tmp_path, "repro/models/leaky.py", source)
-    assert len(findings) == 6
-    assert all(f.rule == "TELEMETRY-LEAK" for f in findings)
-
-
-def test_telemetry_leak_true_negatives(tmp_path):
-    source = """
-        from collections import Counter
-        from repro.telemetry.runtime import maybe_span
-
-        def f(tracer, profiler, registry, words):
-            with tracer.span("work"):
-                pass
-            with profiler.phase("sampling"):
-                pass
-            with maybe_span("train.epoch") as span:
-                pass
-            c = registry.counter("sampler.items")   # registry path is fine
-            c.inc()
-            registry.histogram("pcie.transfer_bytes").observe(4096)
-            return Counter(words), span             # stdlib Counter untouched
-    """
-    assert run_rules(tmp_path, "repro/models/clean.py", source) == []
-
-
-def test_telemetry_leak_scoped_to_repro_and_exempts_telemetry(tmp_path):
-    leak = """
-        def f(tracer):
-            return tracer.start_span("internal")
-    """
-    # The telemetry package itself implements the lifecycle.
-    assert run_rules(tmp_path, "repro/telemetry/spans2.py", leak) == []
-    # Code outside the repro package is out of scope.
-    assert run_rules(tmp_path, "plain/other.py", leak) == []
-    # Anywhere else in repro it is flagged.
-    assert len(run_rules(tmp_path, "repro/models/bad.py", leak)) == 1
-
-
-# ---------------------------------------------------------------------------
-# BARE-RETRY
-
-
-def test_bare_retry_true_positives(tmp_path):
-    findings = run_rules(tmp_path, "repro/datasets/fetcher.py", """
-        def fetch(path):
-            while True:
-                try:
-                    return open(path).read()
-                except OSError:
-                    continue
-
-        def fetch_verbose(path):
-            while 1:
-                try:
-                    data = open(path).read()
-                    return data
-                except (OSError, ValueError):
-                    note = "retrying"
-                    if path:
-                        continue
-                    continue
-    """, select=["BARE-RETRY"])
-    assert len(findings) == 2
-    assert all(f.rule == "BARE-RETRY" for f in findings)
-    assert "unbounded" in findings[0].message
-
-
-def test_bare_retry_true_negatives(tmp_path):
-    # Bounded attempts, raise-on-exhaustion, and a continue that belongs
-    # to an inner loop are all acceptable retry shapes.
-    findings = run_rules(tmp_path, "repro/datasets/fetcher.py", """
-        def bounded(path):
-            for attempt in range(5):
-                try:
-                    return open(path).read()
-                except OSError:
-                    continue
-            raise RuntimeError("exhausted")
-
-        def raises_eventually(path, budget):
-            while True:
-                try:
-                    return open(path).read()
-                except OSError:
-                    budget -= 1
-                    if budget <= 0:
-                        raise
-                    continue
-
-        def inner_loop_continue(paths):
-            while True:
-                try:
-                    return [open(p).read() for p in paths]
-                except OSError:
-                    for p in paths:
-                        if not p:
-                            continue
-                    return None
-    """, select=["BARE-RETRY"])
-    assert findings == []
-
-
-def test_bare_retry_exempts_resilience_package(tmp_path):
-    source = """
-        def spin(fn):
-            while True:
-                try:
-                    return fn()
-                except OSError:
-                    continue
-    """
-    # The resilience package implements the bounded retry engine itself.
-    assert run_rules(tmp_path, "repro/resilience/engine.py", source,
-                     select=["BARE-RETRY"]) == []
-    # Code outside the repro package is out of scope.
-    assert run_rules(tmp_path, "plain/other.py", source,
-                     select=["BARE-RETRY"]) == []
-    # The same code anywhere else in repro is flagged.
-    assert len(run_rules(tmp_path, "repro/models/spinner.py", source,
-                         select=["BARE-RETRY"])) == 1
-
-
-# ---------------------------------------------------------------------------
-# meta: the shipped tree is clean
-
-
-def test_src_repro_is_clean_with_empty_baseline():
-    """Acceptance criterion: `repro lint src/repro` has zero findings.
-
-    Deliberately run WITHOUT the shipped baseline so this cannot pass by
-    grandfathering: the tree itself must be clean.
-    """
-    result = lint_paths([str(REPO_ROOT / "src" / "repro")])
+def test_repo_tree_is_clean():
+    """`repro lint src tests benchmarks` — the CI gate — has no findings."""
+    result = lint_paths([str(REPO_ROOT / top)
+                         for top in ("src", "tests", "benchmarks")])
     assert result.ok, "\n".join(
         f"{f.path}:{f.line}: {f.rule} {f.message}" for f in result.findings
     )
-    assert result.files_checked > 90
+    assert result.files_checked > 150
 
 
-def test_shipped_baseline_is_empty():
-    counts = load_baseline(REPO_ROOT / ".repro-lint-baseline.json")
-    assert counts == {}
-
-
-def test_tests_and_benchmarks_are_clean():
-    """The CI gate lints tests/ and benchmarks/ too — keep them clean."""
-    result = lint_paths([str(REPO_ROOT / "tests"),
-                         str(REPO_ROOT / "benchmarks")])
-    assert result.ok, "\n".join(
-        f"{f.path}:{f.line}: {f.rule} {f.message}" for f in result.findings
-    )
+def test_planted_fixture_trips_every_rule():
+    """CI's must-fail self-test: one planted defect per rule, each caught."""
+    result = lint_paths([str(REPO_ROOT / "examples" / "lint" / "planted")])
+    assert sorted(f.rule for f in result.findings) == sorted(RULES)

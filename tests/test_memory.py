@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import OutOfMemoryError
-from repro.hardware.memory import MemoryLedger, ScopedAllocation
+from repro.hardware.memory import MemoryLedger
 
 
 class TestAllocation:
@@ -11,7 +11,6 @@ class TestAllocation:
         ledger = MemoryLedger("dev", capacity=1000)
         ledger.alloc(400, "a")
         assert ledger.in_use == 400
-        assert ledger.free == 600
 
     def test_exceeding_capacity_raises_oom(self):
         ledger = MemoryLedger("dev", capacity=1000)
@@ -32,7 +31,7 @@ class TestAllocation:
     def test_exact_fit_allowed(self):
         ledger = MemoryLedger("dev", capacity=100)
         ledger.alloc(100)
-        assert ledger.free == 0
+        assert ledger.in_use == ledger.capacity
 
     def test_negative_alloc_rejected(self):
         with pytest.raises(ValueError):
@@ -51,20 +50,11 @@ class TestRelease:
         assert ledger.in_use == 0
 
     def test_release_is_idempotent(self):
-        """Tensor finalizers may fire after release_all tore the ledger down."""
+        """Tensor finalizers may fire after the owner already released."""
         ledger = MemoryLedger("dev", capacity=100)
         alloc = ledger.alloc(60)
         ledger.release(alloc)
         ledger.release(alloc)  # no error, no double-credit
-        assert ledger.in_use == 0
-
-    def test_release_all(self):
-        ledger = MemoryLedger("dev", capacity=100)
-        a = ledger.alloc(30)
-        ledger.alloc(30)
-        ledger.release_all()
-        assert ledger.in_use == 0
-        ledger.release(a)  # idempotent after release_all
         assert ledger.in_use == 0
 
 
@@ -84,23 +74,3 @@ class TestPeak:
         ledger.reset_peak()
         assert ledger.peak == 0
 
-
-class TestScopedAllocation:
-    def test_frees_on_exit(self):
-        ledger = MemoryLedger("dev", capacity=100)
-        with ScopedAllocation(ledger, 50):
-            assert ledger.in_use == 50
-        assert ledger.in_use == 0
-
-    def test_frees_on_exception(self):
-        ledger = MemoryLedger("dev", capacity=100)
-        with pytest.raises(RuntimeError):
-            with ScopedAllocation(ledger, 50):
-                raise RuntimeError("boom")
-        assert ledger.in_use == 0
-
-    def test_would_fit(self):
-        ledger = MemoryLedger("dev", capacity=100)
-        ledger.alloc(80)
-        assert ledger.would_fit(20)
-        assert not ledger.would_fit(21)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.metrics.gpsup import GpsUp, gps_up
 from repro.telemetry.spans import PHASE_CATEGORY, SpanTracer
-from repro.profiling.report import BreakdownReport, format_breakdown_table
 from repro.simtime import VirtualClock
 
 
@@ -109,20 +108,3 @@ class TestPhaseProfiler:
     def test_negative_credit_rejected(self):
         with pytest.raises(ValueError):
             SpanTracer(VirtualClock()).credit("x", -1.0)
-
-
-class TestBreakdownReport:
-    def test_fractions_and_total(self):
-        report = BreakdownReport("DGL-CPU", {"sampling": 3.0, "training": 1.0})
-        assert report.total == pytest.approx(4.0)
-        assert report.fraction("sampling") == pytest.approx(0.75)
-        assert report.seconds("data_movement") == 0.0
-
-    def test_table_renders_all_rows(self):
-        reports = [
-            BreakdownReport("DGL-CPU", {"sampling": 3.0, "training": 1.0}),
-            BreakdownReport("PyG-CPU", {"sampling": 9.0, "training": 2.0}),
-        ]
-        text = format_breakdown_table(reports)
-        assert "DGL-CPU" in text and "PyG-CPU" in text
-        assert "sampling" in text

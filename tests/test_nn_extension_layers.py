@@ -69,6 +69,14 @@ class TestAppnpMath:
         with pytest.raises(ValueError):
             nn.APPNPConv(4, 4, alpha=1.0)
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: nn.TAGConv(4, 4, k=-1), "TAGConv k must be >= 0"),
+        (lambda: nn.SGConv(4, 4, k=0), "SGConv k must be >= 1"),
+    ])
+    def test_hop_count_bounds(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
 
 class TestGinMath:
     def test_eps_shifts_self_weight(self, adj):

@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.graph.generators import dcsbm_graph, ring_graph
+from repro.graph.formats import AdjacencyCOO
+from repro.graph.generators import dcsbm_graph
 from repro.graph.partition import bfs_order, partition_graph
+
+
+def ring_graph(num_nodes: int) -> AdjacencyCOO:
+    """Deterministic bidirectional ring (smallest sane connected graph)."""
+    ids = np.arange(num_nodes)
+    nxt = (ids + 1) % num_nodes
+    return AdjacencyCOO(num_nodes, np.concatenate([ids, nxt]),
+                        np.concatenate([nxt, ids]))
 
 
 @pytest.fixture
@@ -23,7 +32,6 @@ class TestBfsOrder:
         ring = ring_graph(6)
         src = np.concatenate([ring.src, ring.src + 6])
         dst = np.concatenate([ring.dst, ring.dst + 6])
-        from repro.graph.formats import AdjacencyCOO
         csr = AdjacencyCOO(12, src, dst).to_csr()
         order = bfs_order(csr, seed=0)
         assert sorted(order.tolist()) == list(range(12))
@@ -38,16 +46,11 @@ class TestPartition:
 
     def test_balance_within_tolerance(self, community_graph):
         result = partition_graph(community_graph, 10, seed=0)
-        sizes = result.part_sizes()
+        sizes = np.bincount(result.assignments, minlength=10)
         # Refinement may trade some balance for cut quality, bounded by
         # the partitioner's imbalance cap.
         assert sizes.min() >= 0.4 * sizes.max()
         assert sizes.sum() == community_graph.num_nodes
-
-    def test_part_nodes_consistent(self, community_graph):
-        result = partition_graph(community_graph, 5, seed=0)
-        total = sum(result.part_nodes(p).size for p in range(5))
-        assert total == community_graph.num_nodes
 
     def test_edge_cut_beats_random(self, community_graph):
         result = partition_graph(community_graph, 8, seed=0)
@@ -84,4 +87,4 @@ class TestPartition:
         for seed in range(6):
             coo, _ = dcsbm_graph(200, 1600, num_communities=4, seed=seed)
             result = partition_graph(coo.to_csr(), 40, seed=0)
-            assert result.part_sizes().min() >= 1, seed
+            assert np.bincount(result.assignments, minlength=40).min() >= 1, seed

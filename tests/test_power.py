@@ -9,24 +9,25 @@ from repro.power.monitor import EnergyMonitor
 
 
 class TestRaplMeter:
-    def test_counter_is_cumulative(self, machine):
+    def test_energy_is_additive_over_windows(self, machine):
         meter = RaplMeter(machine.clock, machine.cpu)
         machine.clock.advance(2.0)
-        first = meter.energy_counter()
+        first = meter.energy_between(0.0, 2.0)
         machine.clock.advance(2.0)
-        assert meter.energy_counter() == pytest.approx(2 * first)
+        assert meter.energy_between(0.0, 4.0) == pytest.approx(2 * first)
 
     def test_idle_energy_is_idle_power_times_time(self, machine):
         meter = RaplMeter(machine.clock, machine.cpu)
         machine.clock.advance(10.0)
         expected = machine.cpu.spec.idle_power * 10.0
-        assert meter.energy_counter() == pytest.approx(expected)
+        assert meter.energy_between(0.0, 10.0) == pytest.approx(expected)
 
     def test_busy_energy_exceeds_idle(self, machine):
         meter = RaplMeter(machine.clock, machine.cpu)
         machine.cpu.execute(KernelCost("k", fixed_time=10.0))
         expected = machine.cpu.spec.busy_power * 10.0
-        assert meter.energy_counter() == pytest.approx(expected, rel=1e-3)
+        assert meter.energy_between(0.0, 10.0) == pytest.approx(expected,
+                                                                rel=1e-3)
 
     def test_average_power_of_half_busy_window(self, machine):
         meter = RaplMeter(machine.clock, machine.cpu)
@@ -34,7 +35,8 @@ class TestRaplMeter:
         machine.clock.advance(5.0)
         spec = machine.cpu.spec
         mid = (spec.idle_power + spec.busy_power) / 2
-        assert meter.average_power(0.0, 10.0) == pytest.approx(mid, rel=1e-3)
+        assert meter.energy_between(0.0, 10.0) / 10.0 == pytest.approx(
+            mid, rel=1e-3)
 
     def test_requires_cpu_device(self, machine):
         with pytest.raises(ValueError):
@@ -144,8 +146,8 @@ class TestEnergyMonitor:
                    for s in report.gpu_power_trace)
 
     def test_monitor_on_cpu_only_machine(self):
-        from repro.hardware.machine import cpu_only_testbed
-        machine = cpu_only_testbed()
+        from repro.hardware.machine import Machine
+        machine = Machine(gpu_spec=None)
         monitor = EnergyMonitor(machine, interval=0.1)
         monitor.start()
         machine.clock.advance(0.5)

@@ -35,7 +35,6 @@ from repro.profiling.kernel_report import (
     format_metric_kernel_table,
     kernel_rows_from_metrics,
 )
-from repro.profiling.report import BreakdownReport
 from repro.simtime import VirtualClock
 
 
@@ -131,10 +130,6 @@ class TestRooflineGuards:
 
     def test_pct_of_peak_normal(self):
         assert pct_of_peak(50.0, 100.0) == pytest.approx(0.5)
-
-    def test_fractions_zero_total_returns_zeros(self):
-        report = BreakdownReport("empty", {"sampling": 0.0, "training": 0.0})
-        assert report.fraction("sampling") == report.fraction("missing") == 0.0
 
     def test_roofline_without_hardware_section_never_raises(self):
         manifest = {

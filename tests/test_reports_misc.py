@@ -3,8 +3,6 @@
 import pytest
 
 from repro.bench.repeats import RepeatedStats, run_repeated
-from repro.hardware.device import KernelCost
-from repro.profiling.kernel_report import format_kernel_table, kernel_breakdown
 
 
 class TestRepeatedStats:
@@ -43,29 +41,3 @@ class TestRepeatedStats:
             dataset_scale=0.3,
         )
         assert stats["total_time"].cov == pytest.approx(0.0, abs=1e-9)
-
-
-class TestKernelTable:
-    def test_entries_and_fractions(self, machine):
-        machine.cpu.execute(KernelCost("spmm.fwd", fixed_time=3.0))
-        machine.cpu.execute(KernelCost("matmul", fixed_time=1.0))
-        entries = kernel_breakdown(machine)
-        assert entries[0].kernel == "spmm.fwd"
-        assert entries[0].fraction == pytest.approx(0.75, rel=1e-3)
-        assert sum(e.fraction for e in entries) == pytest.approx(1.0, rel=1e-3)
-
-    def test_top_limits_per_device(self, machine):
-        for i in range(5):
-            machine.cpu.execute(KernelCost(f"k{i}", fixed_time=1.0))
-        assert len(kernel_breakdown(machine, top=2)) == 2
-
-    def test_idle_machine_has_no_entries(self, machine):
-        machine.clock.advance(1.0)
-        assert kernel_breakdown(machine) == []
-
-    def test_format_renders_rows(self, machine):
-        machine.cpu.execute(KernelCost("spmm.fwd", fixed_time=1.0))
-        text = format_kernel_table(kernel_breakdown(machine), title="Lens")
-        assert "Lens" in text
-        assert "spmm.fwd" in text
-        assert "%" in text

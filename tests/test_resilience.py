@@ -38,16 +38,17 @@ from repro.telemetry.runtime import session as telemetry_session
 # plans
 # ----------------------------------------------------------------------
 class TestFaultPlan:
-    def test_from_dict_round_trips_through_json(self):
-        plan = FaultPlan.from_dict({
+    def test_from_json_parses_like_from_dict(self):
+        raw = {
             "seed": 7,
             "faults": [
                 {"site": "storage.read", "kind": "error", "at": 2},
                 {"site": "replica", "kind": "dead", "rank": 3},
             ],
             "policies": {"storage.read": {"max_retries": 5, "jitter": 0.1}},
-        })
-        again = FaultPlan.from_json(plan.to_json())
+        }
+        plan = FaultPlan.from_dict(raw)
+        again = FaultPlan.from_json(json.dumps(raw))
         assert again == plan
         assert again.seed == 7
         assert again.policy("storage.read").max_retries == 5
@@ -101,6 +102,8 @@ class TestFaultPlan:
     def test_policy_bounds(self):
         with pytest.raises(FaultPlanError):
             RecoveryPolicy(max_retries=-1)
+        with pytest.raises(FaultPlanError, match="backoff must be >= 0"):
+            RecoveryPolicy(backoff=-0.01)
         with pytest.raises(FaultPlanError):
             RecoveryPolicy(factor=0.9)
         with pytest.raises(FaultPlanError):

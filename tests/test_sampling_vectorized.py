@@ -22,7 +22,7 @@ from repro.graph.formats import (
 )
 from repro.sampling.neighbor import NeighborSampler, sample_block_neighbors
 from repro.sampling.randomwalk import RandomWalkSampler
-from repro.sampling.relabel import block_locals, relabel, unique_with_seeds
+from repro.sampling.relabel import block_locals
 
 
 def reference_sample_block_neighbors(indptr, indices, seeds, fanout, rng):
@@ -99,52 +99,6 @@ class TestGatherNeighborhoods:
             csr.indptr, csr.indices, np.empty(0, dtype=INDEX_DTYPE)
         )
         assert neighbors.size == degrees.size == positions.size == 0
-
-
-class TestRelabel:
-    def test_roundtrip_against_unsorted_map(self):
-        id_map = np.array([40, 3, 17, 99, 8])
-        ids = np.array([8, 8, 99, 3, 40])
-        local = relabel(ids, id_map)
-        assert np.array_equal(id_map[local], ids)
-
-    def test_missing_id_raises(self):
-        with pytest.raises(SamplerError, match="not in the id map"):
-            relabel(np.array([1, 5]), np.array([1, 2, 3]))
-
-    def test_missing_id_above_map_range_raises(self):
-        with pytest.raises(SamplerError):
-            relabel(np.array([1000]), np.array([1, 2, 3]))
-
-    def test_empty_ids(self):
-        out = relabel(np.empty(0, dtype=INDEX_DTYPE), np.array([4, 2]))
-        assert out.size == 0
-
-    def test_empty_map_rejected(self):
-        with pytest.raises(SamplerError, match="empty id map"):
-            relabel(np.array([1]), np.empty(0, dtype=INDEX_DTYPE))
-
-    def test_precomputed_sorter_matches(self):
-        id_map = np.array([9, 1, 5, 7])
-        ids = np.array([5, 9, 1])
-        sorter = np.argsort(id_map, kind="stable")
-        assert np.array_equal(relabel(ids, id_map, sorter=sorter),
-                              relabel(ids, id_map))
-
-
-class TestUniqueWithSeeds:
-    def test_seeds_prefix_then_sorted_fresh(self):
-        out = unique_with_seeds(np.array([5, 2]), np.array([2, 9, 9, 1]))
-        assert np.array_equal(out, [5, 2, 1, 9])
-
-    def test_empty_extra_returns_seeds(self):
-        seeds = np.array([3, 1, 4])
-        assert np.array_equal(unique_with_seeds(seeds, np.empty(0)), seeds)
-
-    def test_all_extras_already_seeds(self):
-        seeds = np.array([3, 1, 4])
-        out = unique_with_seeds(seeds, np.array([4, 1, 1, 3]))
-        assert np.array_equal(out, seeds)
 
 
 class TestBlockLocals:

@@ -19,6 +19,7 @@ from repro.serving import (
     run_serving_experiment,
 )
 from repro.serving.latency import LatencyAccountant
+from repro.telemetry import session as telemetry_session
 from repro.serving.workload import Request
 
 
@@ -76,6 +77,20 @@ class TestWorkload:
             generate_trace("poisson", 0, 100.0, 10)
         with pytest.raises(BenchmarkError):
             generate_trace("poisson", 10, -1.0, 10)
+
+    @pytest.mark.parametrize("knob, match", [
+        ({"num_nodes": 0}, "num_nodes"),
+        ({"nodes_per_request": 0}, "nodes_per_request"),
+        ({"burst_factor": 0.5}, "burst_factor"),
+        ({"burst_width": 0}, "burst_width"),
+        ({"diurnal_period": 0.0}, "diurnal period"),
+        ({"diurnal_amplitude": 1.0}, "amplitude"),
+        ({"diurnal_amplitude": -0.1}, "amplitude"),
+    ])
+    def test_each_bad_knob_names_itself(self, knob, match):
+        args = {"num_nodes": 10, **knob}
+        with pytest.raises(BenchmarkError, match=match):
+            generate_trace("diurnal", 10, 100.0, **args)
 
 
 def _requests(arrivals):
@@ -152,6 +167,11 @@ class TestLatencyAccountant:
         assert summary["max"] == pytest.approx(0.3)
         assert accountant.throughput(3.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("q", [-0.01, 1.01])
+    def test_quantile_outside_unit_interval_rejected(self, q):
+        with pytest.raises(ValueError, match=r"quantile must be in \[0, 1\]"):
+            nearest_rank([1.0, 2.0], q)
+
     def test_negative_latency_rejected(self):
         accountant = LatencyAccountant()
         with pytest.raises(ValueError):
@@ -220,6 +240,43 @@ class TestEngine:
     def test_gpu_placement_rejected(self):
         with pytest.raises(BenchmarkError):
             _config(placement="gpu")
+
+    @pytest.mark.parametrize("knob, match", [
+        ({"degraded_mode": "retry-forever"}, "degraded mode"),
+        ({"trace": "zipf"}, "trace kind"),
+        ({"budget_s": 0.0}, "latency budget"),
+        ({"max_batch": 0}, "max batch"),
+        ({"cache_fraction": 1.5}, "cache fraction"),
+        ({"cache_fraction": -0.1}, "cache fraction"),
+        ({"rate": 0.0}, "rate must be"),
+        ({"num_requests": 0}, "num_requests"),
+    ])
+    def test_each_bad_config_knob_rejected(self, knob, match):
+        with pytest.raises(BenchmarkError, match=match):
+            _config(**knob)
+
+    def test_non_block_model_rejected_before_any_work(self):
+        with pytest.raises(BenchmarkError, match="layered block model"):
+            run_serving_experiment(_config(model="clustergcn"))
+
+    def test_session_metrics_count_every_request(self):
+        with telemetry_session() as sess:
+            result = run_serving_experiment(_config())
+        registry = sess.metrics
+        served = registry.get("serve.requests", framework="dglite",
+                              outcome="completed")
+        assert served.value == result.completed == 24
+        batches = sum(m.value for m in registry.metrics()
+                      if m.name == "serve.batches")
+        assert batches == len(result.batch_sizes)
+        sizes = registry.get("serve.batch_size", framework="dglite")
+        assert sizes.count == len(result.batch_sizes)
+        assert sizes.sum == sum(result.batch_sizes)
+        latency = registry.get("serve.latency_seconds", framework="dglite")
+        assert latency.count == len(result.latencies)
+        hit_rate = registry.get("serve.cache_hit_rate", framework="dglite")
+        assert hit_rate.value == pytest.approx(
+            result.cache_hits / (result.cache_hits + result.cache_misses))
 
     def test_pipeline_validation_shared_with_train(self):
         with pytest.raises(BenchmarkError):

@@ -199,6 +199,11 @@ class TestRuntime:
 
 
 class TestMetrics:
+    @pytest.mark.parametrize("buckets", [(), (10.0, 1.0), (1.0, 3.0, 2.0)])
+    def test_histogram_buckets_must_be_sorted_and_non_empty(self, buckets):
+        with pytest.raises(ValueError, match="sorted and non-empty"):
+            MetricsRegistry().histogram("pcie.transfer_bytes", buckets=buckets)
+
     def test_counter_get_or_create_and_monotonicity(self):
         reg = MetricsRegistry()
         c1 = reg.counter("pcie.bytes", direction="h2d")
@@ -233,7 +238,7 @@ class TestMetrics:
         g.set(25)
         assert g.value == 25
 
-    def test_histogram_buckets_and_quantiles(self):
+    def test_histogram_buckets(self):
         reg = MetricsRegistry()
         h = reg.histogram("t.v", buckets=(1, 10, 100))
         for v in (0.5, 5, 5, 50, 500):
@@ -242,8 +247,6 @@ class TestMetrics:
         assert h.sum == pytest.approx(560.5)
         assert h.min == 0.5 and h.max == 500
         assert h.bucket_counts == [1, 2, 1, 1]  # <=1, <=10, <=100, +Inf
-        assert h.quantile(0.0) <= h.quantile(0.5) <= h.quantile(1.0)
-        assert h.quantile(1.0) == 500
         record = h.to_record()
         assert record["buckets"][-1]["le"] == "+Inf"
 
@@ -380,6 +383,114 @@ class TestExporters:
         assert {e["tid"] for e in span_events} == {0, 1}  # one lane per depth
         batch = next(e for e in span_events if e["name"] == "train.batch")
         assert batch["args"]["parent_id"] is not None
+
+
+def _span(records, name):
+    return next(r for r in records
+                if r["type"] == "span" and r["name"] == name)
+
+
+def _drop_key(record, key):
+    del record[key]
+
+
+#: One defect per check of ``validate_events_records``, each planted into
+#: a valid stream: (edit, the problem it must produce).
+EVENTS_DEFECTS = {
+    "empty": (lambda r: r.clear(), "events stream is empty"),
+    "no-header": (lambda r: r.__setitem__(0, {"type": "preamble"}),
+                  "first record must be the schema header"),
+    "foreign-schema": (lambda r: r[0].update(schema="other/9"),
+                       "unknown events schema 'other/9'"),
+    "non-object": (lambda r: r.append(["span"]), "record is not an object"),
+    "span-no-dur": (lambda r: _drop_key(_span(r, "train.batch"), "dur"),
+                    "span record missing 'dur'"),
+    "duplicate-id": (lambda r: _span(r, "train.batch").update(
+        id=_span(r, "sampling")["id"]), "duplicate span id"),
+    "orphan": (lambda r: _span(r, "train.batch").update(parent=999),
+               "has unknown parent 999"),
+    "unknown-type": (lambda r: r.append({"type": "log"}),
+                     "unknown record type 'log'"),
+}
+
+
+def _x_event(events):
+    return next(e for e in events if e["ph"] == "X")
+
+
+#: The same for ``validate_chrome_trace``, planted into ``traceEvents``.
+TRACE_DEFECTS = {
+    "non-object-event": (lambda e: e.append("X"), "trace event is not an object"),
+    "begin-phase": (lambda e: e.append({**_x_event(e), "ph": "B"}),
+                    "unexpected event phase 'B'"),
+    "no-name": (lambda e: _drop_key(_x_event(e), "name"),
+                "trace event missing pid/name"),
+    "no-dur": (lambda e: _drop_key(_x_event(e), "dur"), "missing ts/dur"),
+    "unnamed-lane": (lambda e: e.append({**_x_event(e), "tid": 77}),
+                     "tid=77 has no thread_name metadata"),
+}
+
+#: And for ``validate_prometheus_text``: a line appended to valid text.
+PROM_DEFECTS = {
+    "bad-type": ("# TYPE repro_x summary", "malformed TYPE comment"),
+    "no-value": ("repro_sampler_items", "expected 'name value'"),
+    "non-numeric": ('repro_sampler_items{kind="n"} many',
+                    "non-numeric value 'many'"),
+    "untyped": ("repro_undeclared 1.0",
+                "sample 'repro_undeclared' has no TYPE comment"),
+}
+
+
+class TestValidatorsCatchEachDefect:
+    """Every check a validator makes fires on exactly its planted defect."""
+
+    @pytest.mark.parametrize("defect", sorted(EVENTS_DEFECTS))
+    def test_events(self, defect):
+        _, sess = _sample_session()
+        records = event_records(sess.tracer, sess.metrics)
+        assert validate_events_records(records) == []
+        edit, problem = EVENTS_DEFECTS[defect]
+        edit(records)
+        problems = validate_events_records(records)
+        assert len(problems) == 1 and problem in problems[0]
+
+    @pytest.mark.parametrize("defect", sorted(TRACE_DEFECTS))
+    def test_chrome_trace(self, defect):
+        clock, sess = _sample_session()
+        events = merged_trace_events(clock, sess.tracer)
+        edit, problem = TRACE_DEFECTS[defect]
+        edit(events)
+        problems = validate_chrome_trace({"traceEvents": events})
+        assert len(problems) == 1 and problem in problems[0]
+
+    @pytest.mark.parametrize("payload, problem", [
+        ([], "trace is not a JSON object"),
+        ({"traceEvents": []}, "traceEvents missing or empty"),
+        ({}, "traceEvents missing or empty"),
+    ])
+    def test_chrome_trace_shape(self, payload, problem):
+        assert validate_chrome_trace(payload) == [problem]
+
+    @pytest.mark.parametrize("defect", sorted(PROM_DEFECTS))
+    def test_prometheus(self, defect):
+        _, sess = _sample_session()
+        text = sess.metrics.prometheus_text()
+        line, problem = PROM_DEFECTS[defect]
+        broken = text + line + "\n"
+        problems = validate_prometheus_text(broken)
+        line_no = len(broken.splitlines())
+        assert problems == [f"line {line_no}: {problem}"]
+
+    def test_run_dir_reports_missing_and_unparseable(self, tmp_path):
+        clock, sess = _sample_session()
+        for name, write in _WRITERS.items():
+            write(tmp_path / name, clock, sess)
+        assert validate_run_dir(tmp_path) == []
+        (tmp_path / "trace.json").write_text("{not json")
+        (tmp_path / "metrics.prom").unlink()
+        problems = validate_run_dir(tmp_path)
+        assert "metrics.prom: missing" in problems
+        assert [p for p in problems if p.startswith("trace.json: unparseable")]
 
 
 def _manifest(sess, **config):

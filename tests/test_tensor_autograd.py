@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tensor import functional as F
-from repro.tensor.optim import SGD, Adam
+from repro.tensor.optim import Adam
 from repro.tensor.tensor import Tensor, cat
 
 RNG = np.random.default_rng(42)
@@ -111,24 +111,9 @@ class TestFunctionalGrads:
     def test_leaky_relu(self):
         gradcheck(lambda a: F.leaky_relu(a, 0.1), (4, 4))
 
-    def test_elu(self):
-        gradcheck(lambda a: F.elu(a), (4, 4))
-
-    def test_sigmoid(self):
-        gradcheck(lambda a: F.sigmoid(a), (4, 4))
-
-    def test_tanh(self):
-        gradcheck(lambda a: F.tanh(a), (4, 4))
-
     def test_exp_log(self):
         gradcheck(lambda a: a.exp(), (3, 3))
         gradcheck(lambda a: a.log(), (3, 3), positive=True)
-
-    def test_softmax(self):
-        gradcheck(lambda a: F.softmax(a) ** 2, (3, 5))
-
-    def test_log_softmax(self):
-        gradcheck(lambda a: F.log_softmax(a) * 0.5, (3, 5))
 
     def test_cross_entropy(self):
         labels = np.array([0, 2, 1])
@@ -221,20 +206,6 @@ class TestLeakyReluBits:
         assert np.array_equal(bits(x.grad), bits(want_grad))
         assert np.array_equal(bits(x.data), bits(x_data)), "input was written to"
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0, -0.5])
-    def test_elu_matches_select(self, alpha):
-        x_data = np.concatenate([SPECIALS, RNG.standard_normal(53).astype(np.float32)])
-        upstream = RNG.standard_normal(x_data.size).astype(np.float32)
-        with np.errstate(invalid="ignore", over="ignore"):
-            x = Tensor(x_data.copy(), requires_grad=True)
-            out = F.elu(x, alpha)
-            out.backward(upstream)
-            want = np.where(x_data > 0, x_data,
-                            alpha * (np.exp(np.minimum(x_data, 0.0)) - 1.0))
-            want_grad = upstream * np.where(x_data > 0, 1.0, want + alpha)
-        assert np.array_equal(bits(out.data), bits(want))
-        assert np.array_equal(bits(x.grad), bits(want_grad))
-
 
 class TestGradientOwnership:
     """``.grad`` is float32, owned by its tensor, and shared with no other."""
@@ -309,21 +280,6 @@ class TestOptimizerParity:
 
     GRADS = [RNG.standard_normal((4, 3)).astype(np.float32) for _ in range(5)]
     START = RNG.standard_normal((4, 3)).astype(np.float32)
-
-    def test_sgd_momentum_weight_decay(self):
-        lr, momentum, decay = 0.05, 0.9, 0.01
-        p = Tensor(self.START.copy(), requires_grad=True)
-        opt = SGD([p], lr=lr, momentum=momentum, weight_decay=decay)
-        data = self.START.copy()
-        velocity = np.zeros_like(data)
-        for grad in self.GRADS:
-            p.grad = grad.copy()
-            opt.step()
-            assert np.array_equal(bits(p.grad), bits(grad)), "step wrote to .grad"
-            grad = grad + decay * data
-            velocity = momentum * velocity + grad
-            data = (data - lr * velocity).astype(np.float32)
-            assert np.array_equal(bits(p.data), bits(data))
 
     def test_adam(self):
         lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8

@@ -18,22 +18,15 @@ class TestConstruction:
     def test_int_arrays_become_int64(self):
         assert Tensor(np.array([1, 2, 3], dtype=np.int32)).dtype == np.int64
 
-    def test_shape_and_numel(self):
+    def test_shape_and_len(self):
         x = zeros((3, 4))
         assert x.shape == (3, 4)
-        assert x.numel() == 12
         assert len(x) == 3
 
     def test_item_requires_scalar(self):
         with pytest.raises(ValueError):
             t([1.0, 2.0]).item()
         assert t([2.5]).item() == pytest.approx(2.5)
-
-    def test_detach_shares_data_drops_grad(self):
-        x = t([[1.0, 2.0]], requires_grad=True)
-        d = x.detach()
-        assert not d.requires_grad
-        assert d.data is x.data
 
 
 class TestArithmetic:

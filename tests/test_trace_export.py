@@ -1,59 +1,11 @@
-"""Tests for carbon accounting and Chrome-trace export."""
+"""Tests for Chrome-trace export."""
 
 import json
 
 import pytest
 
 from repro.hardware.device import KernelCost
-from repro.power.carbon import GRID_INTENSITY, CarbonReport, carbon_from_energy
-from repro.power.monitor import EnergyMonitor
 from repro.telemetry.exporters import device_trace_events, write_merged_trace
-
-
-def _report(machine, busy_seconds=1.0):
-    monitor = EnergyMonitor(machine, interval=0.1)
-    monitor.start()
-    machine.cpu.execute(KernelCost("work", fixed_time=busy_seconds))
-    return monitor.stop()
-
-
-class TestCarbon:
-    def test_grams_formula(self, machine):
-        report = _report(machine)
-        carbon = carbon_from_energy(report, grid="texas", pue=1.5)
-        expected = report.total_energy / 3.6e6 * 1.5 * GRID_INTENSITY["texas"]
-        assert carbon.grams_co2eq == pytest.approx(expected)
-
-    def test_cleaner_grid_emits_less(self, machine):
-        report = _report(machine)
-        texas = carbon_from_energy(report, grid="texas")
-        sweden = carbon_from_energy(report, grid="sweden")
-        assert sweden.grams_co2eq < texas.grams_co2eq
-
-    def test_pue_uplift(self, machine):
-        report = _report(machine)
-        bare = carbon_from_energy(report, pue=1.0)
-        dc = carbon_from_energy(report, pue=2.0)
-        assert dc.grams_co2eq == pytest.approx(2 * bare.grams_co2eq)
-
-    def test_unknown_grid_rejected(self, machine):
-        with pytest.raises(KeyError):
-            carbon_from_energy(_report(machine), grid="mars")
-
-    def test_sub_unity_pue_rejected(self, machine):
-        with pytest.raises(ValueError):
-            carbon_from_energy(_report(machine), pue=0.9)
-
-    def test_kg_and_km_equivalents(self):
-        carbon = CarbonReport(energy_kwh=1.0, grid="world",
-                              intensity=192.0, pue=1.0)
-        assert carbon.kg_co2eq == pytest.approx(0.192)
-        assert carbon.equivalent_km_driven() == pytest.approx(1.0)
-
-    def test_longer_run_emits_more(self, machine):
-        short = carbon_from_energy(_report(machine, 0.5))
-        long = carbon_from_energy(_report(machine, 2.0))
-        assert long.grams_co2eq > short.grams_co2eq
 
 
 class TestTrace:

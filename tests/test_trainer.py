@@ -54,6 +54,17 @@ class TestTrainConfig:
         with pytest.raises(BenchmarkError):
             TrainConfig(representative_batches=0)
 
+    @pytest.mark.parametrize("knob, match", [
+        ({"num_workers": -1}, "num_workers must be >= 0"),
+        ({"num_workers": 2, "placement": "gpu"}, "CPU-side samplers only"),
+        ({"checkpoint_every": -1}, "checkpoint_every must be >= 0"),
+        ({"checkpoint_every": 2}, "needs a checkpoint_path"),
+        ({"halt_after_epochs": 0}, "halt_after_epochs must be >= 1"),
+    ])
+    def test_each_bad_knob_rejected(self, knob, match):
+        with pytest.raises(BenchmarkError, match=match):
+            TrainConfig(**knob)
+
     def test_off_is_one_batch_in_flight(self):
         assert TrainConfig().pipeline == "off"
         assert TrainConfig().pipeline_depth == 1

@@ -1,11 +1,13 @@
 """Structural guards over the source tree: each row names one mechanism
-that exists exactly once and fails if a second copy reappears.
+that exists exactly once and fails if a second copy reappears, or one
+kind of code that must not exist at all.
 
 A guard is a pure-Python scan of the working tree (no git needed).  Each
 row also carries a planted violation, and must catch it in a scratch
 tree — a guard that cannot fail guards nothing.
 """
 
+import ast
 import re
 from collections import Counter
 from pathlib import Path
@@ -51,6 +53,88 @@ def schema_ids_spelled_twice(root: Path) -> List[str]:
             if n > 1]
 
 
+#: Entry points: code that runs outside the test suite.  ``src/`` module
+#: bodies count too — they run at import (registries, tables).
+ENTRY_TOPS = ("src/repro/cli.py", "src/repro/__main__.py", "benchmarks",
+              "examples", "perf")
+
+#: ``src/`` definitions nothing outside the tests reaches, each with the
+#: reason it stays.  Empty: such code is deleted or moved under tests/.
+REACHABLE_ONLY_FROM_TESTS_ALLOWED: Dict[str, str] = {}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _mentions(nodes) -> set:
+    """Every identifier a subtree loads or stores, imports excluded —
+    re-exporting a name is not using it."""
+    names = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _body(nodes) -> list:
+    return [n for n in nodes if not isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def only_tests_reach(root: Path) -> List[str]:
+    """``src/`` definitions that no entry point reaches.
+
+    The reference graph is by name, which over-approximates the call
+    graph: a function, class or method is reached once reached code
+    mentions its name (``f(...)``, ``obj.f``, ``fn=f``), a reached class
+    reaches its bases, decorators, class body and dunder methods, and a
+    definition a ``src/`` decorator registers is reached at import.  So a
+    report is never a dynamic-dispatch false alarm: nothing outside the
+    tests can name it.
+    """
+    defs: Dict[str, list] = {}   # simple name -> [(qualname, node)]
+    live = set()
+    for rel, text in _files(root, ("src/repro",), ()):
+        tree = ast.parse(text)
+        own = {n.name for n in tree.body if isinstance(n, _DEFS)}
+        for node in tree.body:
+            if isinstance(node, _DEFS):
+                defs.setdefault(node.name, []).append((f"{rel}:{node.name}", node))
+                if _mentions(node.decorator_list) & own:
+                    live.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    for meth in node.body:
+                        if isinstance(meth, _DEFS):
+                            defs.setdefault(meth.name, []).append(
+                                (f"{rel}:{node.name}.{meth.name}", meth))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                live |= _mentions([node])
+    for rel, text in _files(root, ENTRY_TOPS, ()):
+        if rel.endswith(".py"):
+            live |= _mentions(_body(ast.parse(text).body))
+    reached, todo = set(), set(live)
+    while todo:
+        for qualname, node in defs.get(todo.pop(), ()):
+            if qualname in reached:
+                continue
+            reached.add(qualname)
+            inner = list(node.decorator_list)
+            if isinstance(node, ast.ClassDef):
+                inner += node.bases + [
+                    n for n in node.body if not isinstance(n, _DEFS)]
+                todo |= {m.name for m in node.body if isinstance(m, _DEFS)
+                         and m.name.startswith("__")
+                         and m.name.endswith("__")}
+            else:
+                inner += [node.args] + _body(node.body)
+            todo |= _mentions(inner) - live
+            live |= _mentions(inner)
+    return sorted(q for entries in defs.values() for q, _ in entries
+                  if q not in reached
+                  and q not in REACHABLE_ONLY_FROM_TESTS_ALLOWED)
+
+
 class Guard(NamedTuple):
     name: str
     scan: Callable[[Path], List[str]]
@@ -84,7 +168,7 @@ GUARDS = [
           grep(r"os\.replace|tempfile|\.write_text\(|\.write_bytes\("
                r"|refusing to write",
                exclude=("src/repro/artifacts.py",)),
-          {"src/repro/lint/baseline.py": "path.write_text(text)\n"}),
+          {"src/repro/datasets/x.py": "path.write_text(text)\n"}),
     Guard("one-artifact-layer (np.savez only into an in-memory buffer)",
           grep(r"np\.savez\w*\((?!\s*buffer\b)",
                exclude=("src/repro/artifacts.py",)),
@@ -106,6 +190,13 @@ GUARDS = [
           schema_ids_spelled_twice,
           {"src/repro/telemetry/a.py": 'A = "repro.telemetry.events/1"\n',
            "src/repro/telemetry/b.py": "B = 'repro.telemetry.events/1'\n"}),
+    Guard("nothing-only-tests-reach (every src definition has a caller "
+          "outside the tests)",
+          only_tests_reach,
+          {"src/repro/graph/extra.py": "def orphan():\n    return 1\n",
+           "tests/test_extra.py": "from repro.graph.extra import orphan\n\n"
+                                  "def test_orphan():\n"
+                                  "    assert orphan() == 1\n"}),
 ]
 
 
