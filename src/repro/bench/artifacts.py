@@ -5,11 +5,9 @@ One artifact records one sweep area (``kernels``, ``training`` or
 × logical-scale matrix — each carrying exactly what was measured: one
 virtual-time and one energy value per seed.  Both are deterministic
 functions of (code, seed), so an artifact is a pure function of the two
-and a re-sweep in the same environment is byte-identical; statistics
-over the seeds are derived by the reader
-(:class:`~repro.bench.repeats.RepeatedStats`), never stored.  The
-committed copies at the repo root are the perf baseline every future PR
-is gated against (``repro bench gate``); :data:`SWEEP` is their format
+and a re-sweep in the same environment is byte-identical.  The committed
+copies at the repo root are the perf baseline every change must
+reproduce exactly (``repro bench gate``); :data:`SWEEP` is their format
 (:mod:`repro.artifacts`).
 """
 
@@ -68,7 +66,8 @@ SWEEP = Format("repro.bench.sweep/2", {
     "provenance": dict,
     "cells": ListOf({
         "id": str,
-        "params": {"driver": str, "framework": str, "kernel": str,
+        "params": {"driver": OneOf("conv", "train", "serve"),
+                   "framework": str, "kernel": str,
                    "dataset": str, "scale": NUM},
         "metrics": {name: ListOf(NUM) for name in CELL_METRICS},
         "attribution": Opt({"phases": Opt(MapOf(NUM)),

@@ -35,9 +35,8 @@ class RepeatedStats:
         """Sample standard deviation (Bessel-corrected, N−1 denominator).
 
         Benches run 3–5 seed repeats; the population formula (N) would
-        understate the spread at that N and make regression-gate noise
-        envelopes too tight.  A single value carries no spread information,
-        so N=1 reports 0.
+        understate the spread at that N.  A single value carries no spread
+        information, so N=1 reports 0.
         """
         n = len(self.values)
         if n < 2:

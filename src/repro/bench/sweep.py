@@ -16,10 +16,9 @@ measures a fixed grid of cells through the existing harness drivers:
 
 Every cell runs once per seed and records the per-seed virtual seconds
 and joules, nothing else.  Both are deterministic functions of
-(code, seed), so two sweeps of one tree are byte-identical; the gate
-derives :class:`~repro.bench.repeats.RepeatedStats` from the per-seed
-values when it needs a noise envelope (mean + k·sample-std).  Host time
-is not measured here — ``perf/`` owns it.
+(code, seed), so two sweeps of one tree are byte-identical and the gate
+holds a fresh sweep to the committed baseline by equality.  Host time is
+not measured here — ``perf/`` owns it.
 
 There is no fast/reference kernel axis: by the kernel layer's
 charged-cost invariance a cell costs the same under
@@ -116,7 +115,7 @@ TRAINING_MATRIX = _grid("train", kernels=("graphsage",),
 # The datapipe ablation axis: serial vs depth-4 streaming on the
 # CPU-sample/GPU-train placement, at both logical scales.  The gate
 # tracks the pipelined cells' virtual time like any other metric, so a
-# change that erodes the overlap win trips the regression envelope.
+# change that erodes the overlap win moves these cells.
 PIPELINE_MATRIX = tuple(
     SweepCell("train", "dglite", "graphsage", "ppi", scale,
               placement="cpugpu", pipeline=pipeline)
@@ -162,8 +161,7 @@ def run_cell_once(cell: SweepCell, seed: int):
             cell.framework, cell.dataset, cell.kernel, device="cpu",
             seed=seed, dataset_scale=cell.scale)
         if result.oom:
-            raise BenchmarkError(f"sweep cell {cell.cell_id} hit OOM: "
-                                 f"{result.error}")
+            raise BenchmarkError(f"hit OOM: {result.error}")
         virtual = result.phases["forward"]
     elif cell.driver == "train":
         result = run_training_experiment(
@@ -172,8 +170,7 @@ def run_cell_once(cell: SweepCell, seed: int):
             epochs=_TRAIN_EPOCHS, representative_batches=_TRAIN_BATCHES,
             seed=seed, dataset_scale=cell.scale)
         if result.oom:
-            raise BenchmarkError(f"sweep cell {cell.cell_id} hit OOM: "
-                                 f"{result.error}")
+            raise BenchmarkError(f"hit OOM: {result.error}")
         virtual = result.total_time
     elif cell.driver == "serve":
         from repro.serving import ServeConfig, run_serving_experiment
@@ -206,7 +203,10 @@ def run_cell(cell: SweepCell, seeds: Sequence[int] = DEFAULT_SEEDS) -> dict:
     series: Dict[str, List[float]] = {}
     attribution: Optional[dict] = None
     for seed in seeds:
-        run, attr = run_cell_once(cell, seed)
+        try:
+            run, attr = run_cell_once(cell, seed)
+        except BenchmarkError as exc:
+            raise BenchmarkError(f"sweep cell {cell.cell_id}: {exc}") from exc
         if attribution is None:
             # First seed's breakdown; virtual time is deterministic per
             # seed, so one representative is enough for the gate's hints.

@@ -21,7 +21,6 @@ Commands mirror the paper's experiment families:
 from __future__ import annotations
 
 import argparse
-import json
 from typing import List, Optional
 
 from repro.bench import (
@@ -228,39 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out-dir", default=".",
                        help="directory for BENCH_<area>.json (default: repo "
                             "root, i.e. the committed baselines)")
-    sweep.add_argument("--seeds", default="0,1,2",
-                       help="comma-separated seeds; the spread across them "
-                            "is the gate's noise envelope")
 
     gate = bench_sub.add_parser(
         "gate",
-        help="re-run the baseline's sweep cells and fail on regression "
-             "beyond the noise envelope")
+        help="re-run the baseline's sweep cells and fail unless every "
+             "cell reproduces bit for bit")
     gate.add_argument("--area",
                       choices=("kernels", "training", "serving", "all"),
                       default="all")
     gate.add_argument("--baseline-dir", default=".",
                       help="directory holding the committed BENCH_*.json")
-    gate.add_argument("--k", type=float, default=None,
-                      help="noise-envelope width: mean + k*sample_std "
-                           "(default 3.0)")
-    gate.add_argument("--rel-slack", type=float, default=None,
-                      help="relative floor for zero-std cells (default 0.02)")
-    gate.add_argument("--format", choices=("text", "json"), default="text")
-    gate.add_argument("--out", default=None,
-                      help="also write the JSON gate report to this file")
-    gate.add_argument("--inject-slowdown", default=None, metavar="CELL=FACTOR",
-                      help="self-test: scale one fresh cell's metrics "
-                           "by FACTOR before comparing (must fail the gate)")
-
-    suite = sub.add_parser("suite", help="run a JSON experiment suite")
-    suite.add_argument("path", help="suite JSON file (list of specs)")
-    suite.add_argument("--out", default=None,
-                       help="write result records to this JSON file")
-    suite.add_argument("--compare", default=None,
-                       help="compare against previous results; non-zero exit "
-                            "on drift beyond --tolerance")
-    suite.add_argument("--tolerance", type=float, default=0.05)
 
     from repro.lint.cli import add_lint_parser
 
@@ -568,77 +544,45 @@ def _bench_areas(value: str) -> List[str]:
     return list(SWEEP_AREAS) if value == "all" else [value]
 
 
-def _parse_seeds(value: str) -> List[int]:
-    try:
-        seeds = [int(part) for part in value.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(f"repro bench: invalid seed list {value!r}")
-    if not seeds:
-        raise SystemExit("repro bench: need at least one seed")
-    return seeds
-
-
 def cmd_bench_sweep(args: argparse.Namespace) -> int:
     from repro.bench.artifacts import SWEEP, artifact_path
-    from repro.bench.sweep import run_sweep
+    from repro.bench.sweep import DEFAULT_SEEDS, run_sweep
 
-    seeds = _parse_seeds(args.seeds)
     for area in _bench_areas(args.area):
-        print(f"sweep: {area} (seeds {seeds})")
-        artifact = run_sweep(area, seeds=seeds, progress=print)
+        print(f"sweep: {area} (seeds {list(DEFAULT_SEEDS)})")
+        artifact = run_sweep(area, progress=print)
         path = SWEEP.write(artifact_path(args.out_dir, area), artifact)
         print(f"wrote {path} ({len(artifact['cells'])} cells)")
     return 0
 
 
 def cmd_bench_gate(args: argparse.Namespace) -> int:
-    from repro.artifacts import atomic_write, dumps, load
-    from repro.bench import gate as bench_gate
+    from repro.artifacts import load
     from repro.bench.artifacts import artifact_path, validate_baseline_dir
+    from repro.bench.gate import GateResult, compare_artifacts, format_gate_report
     from repro.bench.sweep import SweepCell, run_sweep
+    from repro.errors import BenchmarkError
 
-    k = args.k if args.k is not None else bench_gate.DEFAULT_NOISE_K
-    rel_slack = (args.rel_slack if args.rel_slack is not None
-                 else bench_gate.DEFAULT_REL_SLACK)
-    injection = None
-    if args.inject_slowdown:
-        cell_id, _, factor = args.inject_slowdown.partition("=")
-        try:
-            injection = (cell_id, float(factor))
-        except ValueError:
-            raise SystemExit("repro bench gate: --inject-slowdown expects "
-                             "CELL=FACTOR (e.g. conv/dglite/gcn/ppi/x1=2)")
     areas = _bench_areas(args.area)
     # A bad baseline is reported before any cell runs: nothing swept
     # against it could be compared.
-    results = [bench_gate.GateResult(area=area, problems=problems)
+    results = [GateResult(area=area, problems=problems)
                for area, problems
                in validate_baseline_dir(args.baseline_dir, areas).items()
                if problems]
     if not results:
-        injected = False
         for area in areas:
             baseline = load(artifact_path(args.baseline_dir, area))
-            cells = [SweepCell.from_params(cell["params"])
-                     for cell in baseline["cells"]]
-            fresh = run_sweep(area, seeds=baseline["seeds"], cells=cells)
-            if injection is not None and any(c["id"] == injection[0]
-                                            for c in fresh["cells"]):
-                fresh = bench_gate.inject_slowdown(fresh, *injection)
-                injected = True
-            results.append(bench_gate.compare_artifacts(
-                baseline, fresh, k=k, rel_slack=rel_slack))
-        if injection is not None and not injected:
-            raise SystemExit(f"repro bench gate: --inject-slowdown cell "
-                             f"{injection[0]!r} not found in any swept area")
-    payload = bench_gate.gate_report_payload(results)
-    if args.out:
-        atomic_write(args.out, dumps(payload))
-    if args.format == "json":
-        print(dumps(payload), end="")
-    else:
-        print(bench_gate.format_gate_report(results))
-    return 0 if payload["passed"] else 1
+            try:
+                fresh = run_sweep(area, seeds=baseline["seeds"],
+                                  cells=[SweepCell.from_params(cell["params"])
+                                         for cell in baseline["cells"]])
+            except BenchmarkError as exc:
+                results.append(GateResult(area=area, problems=[str(exc)]))
+                continue
+            results.append(compare_artifacts(baseline, fresh))
+    print(format_gate_report(results))
+    return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -682,33 +626,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.bench_command == "sweep":
         return cmd_bench_sweep(args)
     return cmd_bench_gate(args)
-
-
-def cmd_suite(args: argparse.Namespace) -> int:
-    from repro.bench.suite import (
-        compare_results,
-        load_results,
-        run_suite_file,
-        save_results,
-    )
-
-    records = run_suite_file(args.path)
-    for record in records:
-        summary = {k: v for k, v in record.items() if k != "spec"}
-        print(json.dumps(summary))
-    if args.out:
-        save_results(records, args.out)
-        print(f"wrote {len(records)} records to {args.out}")
-    if args.compare:
-        problems = compare_results(load_results(args.compare), records,
-                                   tolerance=args.tolerance)
-        if problems:
-            print(f"\n{len(problems)} regression(s) vs {args.compare}:")
-            for problem in problems:
-                print(f"  {problem}")
-            return 1
-        print(f"\nno regressions vs {args.compare}")
-    return 0
 
 
 def _validate_parsed_args(parser: argparse.ArgumentParser,
@@ -765,8 +682,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_profile(args)
     elif args.command == "bench":
         return cmd_bench(args)
-    elif args.command == "suite":
-        return cmd_suite(args)
     elif args.command == "lint":
         from repro.lint.cli import cmd_lint
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -49,6 +50,24 @@ def cyclic_garbage():
             if was_enabled:
                 gc.enable()
     return measure
+
+
+@pytest.fixture
+def scale_cell():
+    """``scale_cell(artifact, cell_id, factor)``: a deep copy of a sweep
+    artifact with one cell's metrics and attribution breakdown scaled by
+    ``factor`` — a doctored sweep for the gate tests."""
+    def scale(artifact, cell_id, factor):
+        doctored = json.loads(json.dumps(artifact))
+        (cell,) = [c for c in doctored["cells"] if c["id"] == cell_id]
+        cell["metrics"] = {metric: [v * factor for v in values]
+                           for metric, values in cell["metrics"].items()}
+        for axis in ("phases", "kernel_families"):
+            cell["attribution"][axis] = {
+                key: v * factor
+                for key, v in cell["attribution"][axis].items()}
+        return doctored
+    return scale
 
 
 TINY_SPEC = DatasetSpec(

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.artifacts import load
-from repro.bench.gate import attribution_hints, compare_artifacts, inject_slowdown
+from repro.bench.gate import attribution_hints, compare_artifacts
 from repro.bench.harness import run_training_experiment
 from repro.bench.sweep import SweepCell, run_cell
 from repro.cli import main as cli_main
@@ -416,14 +416,13 @@ class TestGateHints:
         assert attribution["phases"]
         assert attribution["kernel_families"]
 
-    def test_injected_slowdown_surfaces_in_hints(self, swept_cell):
+    def test_slowdown_surfaces_in_hints(self, swept_cell, scale_cell):
         artifact = {"schema": "repro.bench.sweep/2", "area": "kernels",
                     "seeds": [0], "provenance": {}, "cells": [swept_cell]}
-        doctored = inject_slowdown(artifact, swept_cell["id"], 2.0)
+        doctored = scale_cell(artifact, swept_cell["id"], 2.0)
         result = compare_artifacts(artifact, doctored)
         assert not result.passed
-        hints = result.regressions[0].hints
-        assert hints
+        hints = [line for line in result.moved if " attribution: " in line]
         assert any("grown" in hint for hint in hints)
 
     def test_hints_empty_without_attribution(self):
@@ -433,6 +432,21 @@ class TestGateHints:
         (hint,) = attribution_hints(swept_cell, swept_cell)
         assert hint.startswith("attribution unchanged")
         assert "wall" not in hint
+
+    def test_hints_capped_per_axis(self, swept_cell, scale_cell):
+        artifact = {"cells": [swept_cell]}
+        (doubled,) = scale_cell(artifact, swept_cell["id"], 2.0)["cells"]
+        phase, family = attribution_hints(swept_cell, doubled, per_axis=1)
+        assert phase.startswith("phase ") and " grown: " in phase
+        assert family.startswith("kernel family ") and " grown: " in family
+
+    def test_dropped_phase_is_named_vanished(self, swept_cell):
+        fresh = json.loads(json.dumps(swept_cell))
+        dropped = sorted(fresh["attribution"]["phases"])[0]
+        del fresh["attribution"]["phases"][dropped]
+        hints = attribution_hints(swept_cell, fresh)
+        assert any(hint.startswith(f"phase {dropped} vanished: ")
+                   for hint in hints)
 
 
 # ----------------------------------------------------------------------

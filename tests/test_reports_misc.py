@@ -8,7 +8,7 @@ from repro.bench.repeats import RepeatedStats, run_repeated
 class TestRepeatedStats:
     def test_moments(self):
         # Sample (N-1) std: at the 3-5 repeats benches run, the population
-        # formula would understate spread and over-tighten gate envelopes.
+        # formula would understate spread.
         stats = RepeatedStats((1.0, 2.0, 3.0))
         assert stats.mean == pytest.approx(2.0)
         assert stats.std == pytest.approx(1.0)
