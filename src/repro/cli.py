@@ -160,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--out", default=None, metavar="FILE",
                        help="write the repro.serve/1 JSON report here "
                             "(byte-identical across same-seed runs)")
-    serve.add_argument("--reference-kernels", action="store_true",
-                       help="run on the naive reference kernel schedule "
-                            "(charged virtual cost is identical)")
 
     fullbatch = sub.add_parser("fullbatch", help="Figures 22-24: full-batch SAGE")
     fullbatch.add_argument("--framework", choices=FRAMEWORKS, default="dglite")
@@ -180,16 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--results-dir", default="benchmarks/results")
     report.add_argument("--out", default=None,
                         help="write to this file instead of stdout")
-    report.add_argument("--telemetry", default=None, metavar="DIR",
-                        help="validate and summarize a telemetry output "
-                             "directory instead of aggregating result tables")
-    report.add_argument("--top", type=int, default=0, metavar="N",
-                        help="with --telemetry: show the top N kernels in "
-                             "the breakdown (default: all)")
-    report.add_argument("--sort", choices=("virtual", "flops", "bytes"),
-                        default="virtual",
-                        help="with --telemetry: kernel breakdown sort axis "
-                             "(default: virtual seconds)")
 
     profile = sub.add_parser(
         "profile",
@@ -430,93 +417,10 @@ def cmd_fullbatch(args: argparse.Namespace) -> None:
               f"energy {result.total_energy:.1f} J")
 
 
-def cmd_telemetry_report(out_dir: str, top: int = 0,
-                         sort: str = "virtual") -> int:
-    """Validate a telemetry bundle and print the run summary."""
-    from pathlib import Path
-
-    from repro.profiling.kernel_report import (
-        format_metric_kernel_table,
-        kernel_rows_from_metrics,
-    )
-    from repro.artifacts import load
-    from repro.telemetry.manifest import validate_run_dir
-
-    problems = validate_run_dir(out_dir)
-    if problems:
-        print(f"{len(problems)} schema problem(s) in {out_dir}:")
-        for problem in problems:
-            print(f"  {problem}")
-        return 1
-    manifest = load(Path(out_dir) / "run.json")
-    print(f"{manifest['label']} / {manifest['dataset']} "
-          f"(command={manifest['command']}, seed={manifest['seed']})")
-    for phase in PHASES:
-        seconds = manifest["phases"].get(phase, 0.0)
-        fraction = manifest["phase_fractions"].get(phase, 0.0)
-        print(f"  {phase:<15}{seconds:>10.2f}s {100 * fraction:>5.1f}%")
-    print(f"  {'total':<15}{manifest['total_seconds']:>10.2f}s")
-    spans = manifest["spans"]
-    print(f"  spans: {spans['count']} ({spans['phase_spans']} phase, "
-          f"max depth {spans['max_depth']}); metrics: {len(manifest['metrics'])}")
-    rows = kernel_rows_from_metrics(manifest["metrics"], sort=sort, top=top)
-    if rows:
-        for line in format_metric_kernel_table(rows, sort=sort).splitlines():
-            print(f"  {line}")
-    fastpath = {}
-    for record in manifest["metrics"]:
-        if record["name"] in ("kernel.fastpath.hit", "kernel.fastpath.miss"):
-            path = record.get("labels", {}).get("path", "?")
-            key = "hit" if record["name"].endswith("hit") else "miss"
-            fastpath.setdefault(path, {"hit": 0, "miss": 0})[key] += record["value"]
-    if fastpath:
-        print("  kernel fast-path:")
-        for path in sorted(fastpath):
-            hits, misses = fastpath[path]["hit"], fastpath[path]["miss"]
-            total = hits + misses
-            rate = 100.0 * hits / total if total else 0.0
-            print(f"    {path:<16}{int(hits):>8} hit {int(misses):>8} miss "
-                  f"({rate:.1f}% fast)")
-    faults = {}
-    for record in manifest["metrics"]:
-        name = record["name"]
-        if not name.startswith("fault."):
-            continue
-        site = record.get("labels", {}).get("site", "?")
-        event = name.split(".", 1)[1]  # injected/recovered/retries/degraded
-        bucket = faults.setdefault(
-            site, {"injected": 0, "recovered": 0, "retries": 0, "degraded": 0})
-        bucket[event] = bucket.get(event, 0) + record["value"]
-    if faults:
-        print("  resilience:")
-        for site in sorted(faults):
-            counts = faults[site]
-            line = (f"    {site:<16}{int(counts['injected']):>4} injected "
-                    f"{int(counts['recovered']):>4} recovered "
-                    f"{int(counts['retries']):>4} retries")
-            if counts["degraded"]:
-                line += f" {int(counts['degraded'])} degraded"
-            print(line)
-    energy = manifest.get("energy")
-    if energy:
-        print(f"  energy {energy['total_joules']:.1f} J, "
-              f"avg power {energy['avg_power_w']:.1f} W, "
-              f"peak {energy['peak_power_w']:.1f} W")
-        for rail in ("cpu", "gpu"):
-            stats = energy[f"{rail}_power_w"]
-            print(f"  {rail} power  p50 {stats['p50']:.1f} W, "
-                  f"p95 {stats['p95']:.1f} W, peak {stats['peak']:.1f} W")
-    print(f"telemetry bundle OK: {out_dir}")
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """Concatenate every emitted result table into one report."""
     from pathlib import Path
 
-    if args.telemetry:
-        return cmd_telemetry_report(args.telemetry, top=args.top,
-                                    sort=args.sort)
     results_dir = Path(args.results_dir)
     files = sorted(results_dir.glob("*.txt"))
     if not files:
@@ -596,11 +500,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 format_profile_report,
             )
 
-            payload = analyze_run_dir(args.dir, out_dir=args.out)
+            bundle, payload = analyze_run_dir(args.dir, out_dir=args.out)
             if args.format == "json":
                 print(dumps(payload), end="")
             else:
-                print(format_profile_report(payload))
+                print(format_profile_report(payload, bundle))
                 for name, path in sorted(payload["artifacts"].items()):
                     print(f"wrote {name}: {path}")
             return 0

@@ -4,7 +4,7 @@ DGL-graphbolt-style stages (``ItemSampler -> NeighborSampler ->
 FeatureFetcher -> CopyTo``) with bounded prefetch queues: real execution
 stays item-sequential (so RNG consumption and numerics are bit-identical
 to the serial schedule), while every stage's measured cost is placed on
-its own resource lane by :class:`repro.simtime.LaneScheduler` — sampling
+its own resource lane by the executor's lane scheduler — sampling
 and H2D copy overlap GPU compute exactly as the paper's prefetching case
 study describes.
 

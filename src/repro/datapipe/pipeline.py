@@ -4,7 +4,7 @@
 a chain of :class:`Stage`\\ s.  Real work executes item-sequentially
 inside ``clock.deferred()`` (numerics and RNG order identical to the
 serial schedule); the measured cost of every stage execution is then
-placed on the stage's resource lane by a :class:`~repro.simtime.LaneScheduler`.
+placed on the stage's resource lane by a :class:`_LaneScheduler`.
 Bounded-queue backpressure is the scheduling constraint that item ``i``'s
 first stage cannot start before item ``i - depth``'s last stage finished
 — so ``depth-1`` reproduces the serial schedule exactly, and deeper
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from repro.errors import RecoveryExhausted
 from repro.hardware.machine import Machine
 from repro.resilience import runtime as resilience
-from repro.simtime import DeferredRecord, LaneJob, LaneScheduler
+from repro.simtime import DeferredRecord, VirtualClock
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.runtime import maybe_span
 from repro.telemetry.spans import PHASES, SpanTracer
@@ -41,6 +42,129 @@ from repro.telemetry.spans import PHASES, SpanTracer
 #: Exclusive phase attribution priority: when jobs overlap on the
 #: timeline, the visible phase is the paper's foreground activity.
 _PHASE_PRIORITY = ("training", "data_movement", "sampling", "data_loading")
+
+
+@dataclass
+class _LaneJob:
+    """One scheduled unit of work on a :class:`_LaneScheduler` lane."""
+
+    # An epoch holds one per batch and stage; spelled out because
+    # ``dataclass(slots=True)`` needs Python 3.10.
+    __slots__ = ("job_id", "lane", "start", "end", "total", "busy", "tag",
+                 "ready")
+    job_id: int
+    lane: str
+    start: float
+    end: float
+    total: float
+    busy: Dict[str, float]
+    tag: str
+    #: Earliest time the job *could* have started (dependency finish);
+    #: ``start - ready`` is the time it queued behind its lane.
+    ready: float
+
+    @property
+    def wait(self) -> float:
+        return self.start - self.ready
+
+
+class _LaneScheduler:
+    """Event-driven per-resource timelines over one :class:`VirtualClock`.
+
+    Each lane (a sampler-worker CPU, the PCIe link, the GPU, ...) is an
+    independent timeline with a monotone *front*.  ``submit()`` places a
+    job at the max of its predecessor's finish time, an optional explicit
+    lower bound, and its lane's front — so lanes overlap freely while
+    work on one lane stays serial.  Nothing touches the clock until
+    ``drain()``, which commits every job's per-device busy time (under
+    ``device@lane`` keys, see :meth:`VirtualClock.commit_schedule`) and
+    advances the machine clock once, to the latest lane front.
+
+    The scheduler is one-shot: ``drain()`` finalizes it.  ``run_epoch``
+    builds one per epoch.
+    """
+
+    def __init__(self, clock: VirtualClock) -> None:
+        self.clock = clock
+        self.origin = clock.now
+        self.jobs: List[_LaneJob] = []
+        self._fronts: Dict[str, float] = {}
+        self._drained = False
+
+    @property
+    def finish(self) -> float:
+        """The latest lane front (absolute time)."""
+        return max(self._fronts.values()) if self._fronts else self.origin
+
+    def submit(self, lane: str, work: DeferredRecord,
+               after: Optional[_LaneJob] = None, not_before: float = 0.0,
+               tag: str = "") -> _LaneJob:
+        """Schedule ``work`` (measured inside ``clock.deferred()``) on
+        ``lane``.
+
+        ``after`` is the job that must finish first; ``not_before`` adds
+        an absolute lower bound (e.g. bounded-queue backpressure).  The
+        job keeps the record's own busy dict: nothing mutates a submitted
+        record.
+        """
+        return self.submit_chain(((lane, work, tag),), after, not_before)
+
+    def submit_chain(self, steps: Iterable[Tuple[str, DeferredRecord, str]],
+                     after: Optional[_LaneJob] = None,
+                     not_before: float = 0.0) -> _LaneJob:
+        """Schedule ``(lane, record, tag)`` steps, each after the one before
+        it, and return the last job (``after`` itself for no steps).
+
+        ``after`` and ``not_before`` bound the first step as in
+        :meth:`submit`.  This loop is the one placement rule: a job starts
+        when it is ready and its lane is free.
+        """
+        if self._drained:
+            raise RuntimeError("lane scheduler already drained")
+        origin, jobs, fronts = self.origin, self.jobs, self._fronts
+        ready = max(origin, not_before)
+        job = after
+        if after is not None and after.end > ready:
+            ready = after.end
+        for lane, record, tag in steps:
+            total = record.total
+            start = max(ready, fronts.get(lane, origin))
+            end = fronts[lane] = start + total
+            job = _LaneJob(len(jobs), lane, start, end, total, record.busy,
+                           tag, ready)
+            jobs.append(job)
+            ready = end
+        return job
+
+    def lane_busy(self) -> Dict[str, float]:
+        """Total scheduled busy seconds per lane (sum of job durations)."""
+        totals: Dict[str, float] = {}
+        for job in self.jobs:
+            totals[job.lane] = totals.get(job.lane, 0.0) + job.total
+        return totals
+
+    def drain(self) -> float:
+        """Commit the schedule to the clock; returns the elapsed seconds.
+
+        Busy intervals are recorded *before* the single advance so clock
+        listeners (power sampling) integrate over the full multi-lane
+        timeline, mirroring how ``occupy()`` records-then-advances.
+        """
+        if self._drained:
+            raise RuntimeError("lane scheduler already drained")
+        self._drained = True
+        schedule = [
+            (job.start, device, job.lane, min(seconds, job.total), job.tag)
+            for job in self.jobs for device, seconds in job.busy.items()
+            if seconds > 0 and job.total > 0
+        ]
+        # Stable, so rows that tie on (start, device) stay in job order.
+        schedule.sort(key=itemgetter(0, 1))
+        self.clock.commit_schedule(schedule)
+        elapsed = self.finish - self.clock.now
+        if elapsed > 0:
+            self.clock.advance(elapsed)
+        return max(0.0, elapsed)
 
 
 @dataclass
@@ -92,10 +216,10 @@ class EpochReport:
     extrapolated: int
     max_in_flight: int = 1
     degraded: bool = False
-    jobs: List[LaneJob] = field(default_factory=list)
+    jobs: List[_LaneJob] = field(default_factory=list)
     lane_busy: Dict[str, float] = field(default_factory=dict)
     #: Each item's last job, in item order (symbolic tail included).
-    terminal: List[LaneJob] = field(default_factory=list)
+    terminal: List[_LaneJob] = field(default_factory=list)
     #: Clean (pre-fault, post-scale) executed seconds per stage name.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
@@ -130,15 +254,15 @@ def run_epoch(
     if depth < 1:
         raise ValueError("pipeline depth must be >= 1")
     clock = machine.clock
-    sched = LaneScheduler(clock)
+    sched = _LaneScheduler(clock)
     state = _EpochState(machine=machine, sched=sched, depth=depth)
     outputs: List[Any] = []
 
     # islice stops *before* drawing item ``limit``: pulling it would cost
     # the source one more RNG draw / sub-graph induction per epoch.
     for index, payload in enumerate(islice(source, limit)):
-        prev: Optional[LaneJob] = None
-        first: Optional[LaneJob] = None
+        prev: Optional[_LaneJob] = None
+        first: Optional[_LaneJob] = None
         released = release(payload) if release is not None else 0.0
         for stage in stages:
             with clock.deferred() as rec:
@@ -179,20 +303,20 @@ def run_epoch(
 class _EpochState:
     """Scheduling state threaded through one ``run_epoch`` call."""
 
-    def __init__(self, machine: Machine, sched: LaneScheduler, depth: int) -> None:
+    def __init__(self, machine: Machine, sched: _LaneScheduler, depth: int) -> None:
         self.machine = machine
         self.sched = sched
         self.depth = depth
         self.degraded = False
         self.max_in_flight = 1
-        self.terminal: List[LaneJob] = []
+        self.terminal: List[_LaneJob] = []
         #: Clean (pre-fault, post-scale) per-stage sums for extrapolation.
         self.stage_totals: Dict[str, float] = {}
         self.stage_busy: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     def schedule(self, stage: Stage, index: int, rec: DeferredRecord,
-                 prev: Optional[LaneJob], released: float) -> LaneJob:
+                 prev: Optional[_LaneJob], released: float) -> _LaneJob:
         """Place one *executed* stage run: scale, fault seam, lane, span."""
         scale = 1.0 if self.degraded else stage.scale
         clean = DeferredRecord(
@@ -218,7 +342,7 @@ class _EpochState:
         return job
 
     def _place(self, stage: Stage, index: int, record: DeferredRecord,
-               prev: Optional[LaneJob], released: float) -> LaneJob:
+               prev: Optional[_LaneJob], released: float) -> _LaneJob:
         """Submit one stage job behind its item's previous stage."""
         not_before = self._gate(index, released) if prev is None else 0.0
         return self.sched.submit(self._lane(stage, index), record, prev,
@@ -237,8 +361,8 @@ class _EpochState:
     def _lane(self, stage: Stage, index: int) -> str:
         return stage.lanes[0 if self.degraded else index % len(stage.lanes)]
 
-    def finish_item(self, first: Optional[LaneJob],
-                    last: Optional[LaneJob]) -> None:
+    def finish_item(self, first: Optional[_LaneJob],
+                    last: Optional[_LaneJob]) -> None:
         if last is None:
             return
         # Queue depth when this item entered the pipe: itself plus every
@@ -329,7 +453,7 @@ class _EpochState:
                 hist.observe(wait)
 
 
-def _attribute_phases(jobs: Sequence[LaneJob], by_tag: Dict[str, Stage],
+def _attribute_phases(jobs: Sequence[_LaneJob], by_tag: Dict[str, Stage],
                       origin: float, finish: float) -> Dict[str, float]:
     """Exclusive four-phase split of the epoch window.
 

@@ -235,8 +235,16 @@ class UnfusedGATv2Conv(GATv2Conv):
         g_src = gather(adj, z_src, side="src")
         g_dst = gather(adj, z_dst, side="dst")
         combined = F.leaky_relu(g_src + g_dst, self.negative_slope)
-        scores = (combined * self.att).sum(axis=2)
+        product = combined * self.att
+        scores = product.sum(axis=2)
+        # Host memory only (the tensor and its ledger entry die here, as
+        # before): hold the product's buffer until the softmax output
+        # exists, so that (E, H) buffer cannot split the freed slot, which
+        # ``messages`` would then miss and grow the heap by E x H x D.
+        slot = product.data
+        del product
         alpha = segment_softmax(adj, scores)
+        del slot
         messages = g_src * alpha.reshape(adj.num_edges, self.heads, 1)
         out = scatter_add(adj, messages)
         return out.reshape(adj.num_dst, self.heads * self.head_dim)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.artifacts import load, summarize
+from repro.artifacts import load
 from repro.errors import BenchmarkError
 
 
@@ -56,9 +56,6 @@ class RunBundle:
     def hardware(self) -> dict:
         return dict(self.manifest.get("hardware", {}))
 
-    def lanes(self) -> List[str]:
-        return sorted({iv.lane for iv in self.intervals})
-
     def counter_series(self, name: str) -> Dict[tuple, float]:
         """All series of one counter, keyed by sorted label items."""
         series: Dict[tuple, float] = {}
@@ -69,55 +66,71 @@ class RunBundle:
             series[key] = series.get(key, 0.0) + float(record.get("value", 0.0))
         return series
 
+    def counter_by(self, name: str, label: str) -> Dict[str, float]:
+        """One counter summed per value of ``label`` (``"?"`` if unset)."""
+        totals: Dict[str, float] = {}
+        for labels, value in self.counter_series(name).items():
+            key = str(dict(labels).get(label, "?"))
+            totals[key] = totals.get(key, 0.0) + value
+        return totals
 
-def _trace_intervals(payload: dict, time_unit: float = 1e6) -> List[LaneInterval]:
-    """Device lanes (pid 0) of a merged Chrome trace, back in seconds."""
+    def kernel_series(self) -> Dict[tuple, Dict[str, float]]:
+        """(device, kernel) -> {flops, bytes, seconds, launches}: the one
+        join of the four ``kernel.*`` counters."""
+        series: Dict[tuple, Dict[str, float]] = {}
+        for metric, field_name in (("kernel.flops", "flops"),
+                                   ("kernel.bytes_moved", "bytes"),
+                                   ("kernel.busy_seconds", "seconds"),
+                                   ("kernel.invocations", "launches")):
+            for labels, value in self.counter_series(metric).items():
+                labeled = dict(labels)
+                key = (labeled.get("device", "?"), labeled.get("kernel", "?"))
+                entry = series.setdefault(key, {"flops": 0.0, "bytes": 0.0,
+                                                "seconds": 0.0, "launches": 0.0})
+                entry[field_name] += value
+        return series
+
+
+def _trace_intervals(payload: dict) -> List[LaneInterval]:
+    """Device lanes (pid 0) of a validated merged Chrome trace, back in
+    seconds from its microseconds."""
     from repro.telemetry.exporters import DEVICE_PID
 
-    events = payload.get("traceEvents", [])
     intervals = []
-    for event in events:
-        if not isinstance(event, dict) or event.get("ph") != "X":
-            continue
-        if event.get("pid") != DEVICE_PID:
-            continue
-        start = float(event["ts"]) / time_unit
-        duration = float(event["dur"]) / time_unit
-        intervals.append(LaneInterval(
-            lane=str(event.get("cat", "?")),
-            name=str(event.get("name", "busy")),
-            start=start,
-            end=start + duration,
-        ))
+    for event in payload["traceEvents"]:
+        if event["ph"] == "X" and event["pid"] == DEVICE_PID:
+            start = event["ts"] / 1e6
+            intervals.append(LaneInterval(lane=str(event.get("cat", "?")),
+                                          name=str(event["name"]),
+                                          start=start,
+                                          end=start + event["dur"] / 1e6))
     intervals.sort(key=lambda iv: (iv.start, iv.end, iv.lane, iv.name))
     return intervals
 
 
 def load_run_bundle(out_dir: Union[str, Path]) -> RunBundle:
-    """Parse one telemetry directory; raises on missing/invalid artifacts."""
+    """Parse one telemetry directory once all four artifacts validate.
+
+    Raises :class:`BenchmarkError` listing every ``file: problem``
+    (:func:`~repro.telemetry.manifest.validate_run_dir`).
+    """
     from repro.telemetry.exporters import read_events_jsonl
-    from repro.telemetry.manifest import RUN
+    from repro.telemetry.manifest import validate_run_dir
 
     out = Path(out_dir)
-    manifest_path = out / "run.json"
-    trace_path = out / "trace.json"
-    events_path = out / "events.jsonl"
-    for path in (manifest_path, trace_path, events_path):
-        if not path.exists():
-            raise BenchmarkError(
-                f"not a telemetry directory: {out} is missing {path.name} "
-                "(produce one with `repro train --telemetry DIR`)")
-    manifest = load(manifest_path)
-    problems = RUN.validate(manifest)
+    if not out.is_dir():
+        raise BenchmarkError(
+            f"not a telemetry directory: {out} "
+            "(produce one with `repro train --telemetry DIR`)")
+    problems = validate_run_dir(out)
     if problems:
-        raise BenchmarkError(f"{manifest_path}: invalid run manifest: "
-                             f"{summarize(problems)}")
-    spans = [r for r in read_events_jsonl(events_path)
+        raise BenchmarkError("\n  ".join(
+            [f"{len(problems)} problem(s) in {out}:"] + problems))
+    spans = [r for r in read_events_jsonl(out / "events.jsonl")
              if r.get("type") == "span"]
-    trace = load(trace_path)
-    return RunBundle(manifest=manifest,
+    return RunBundle(manifest=load(out / "run.json"),
                      span_records=spans,
-                     intervals=_trace_intervals(trace))
+                     intervals=_trace_intervals(load(out / "trace.json")))
 
 
 def device_peaks(bundle: RunBundle) -> Dict[str, dict]:

@@ -133,23 +133,16 @@ def diff_bundles(base: RunBundle, current: RunBundle) -> dict:
 
 def _fastpath_counts(bundle: RunBundle) -> Dict[str, float]:
     """path/hit|miss -> count from the kernel fast-path probe counters."""
-    counts: Dict[str, float] = {}
-    for metric, outcome in (("kernel.fastpath.hit", "hit"),
-                            ("kernel.fastpath.miss", "miss")):
-        for labels, value in bundle.counter_series(metric).items():
-            key = f"{dict(labels).get('path', '?')}/{outcome}"
-            counts[key] = counts.get(key, 0.0) + value
-    return counts
+    return {f"{path}/{outcome}": count
+            for outcome in ("hit", "miss")
+            for path, count in bundle.counter_by(
+                f"kernel.fastpath.{outcome}", "path").items()}
 
 
 def _kernel_seconds(bundle: RunBundle) -> Dict[str, float]:
     """device/kernel -> busy seconds from the run's counters."""
-    totals: Dict[str, float] = {}
-    for labels, value in bundle.counter_series("kernel.busy_seconds").items():
-        labeled = dict(labels)
-        key = f"{labeled.get('device', '?')}/{labeled.get('kernel', '?')}"
-        totals[key] = totals.get(key, 0.0) + value
-    return totals
+    return {f"{device}/{kernel}": row["seconds"]
+            for (device, kernel), row in bundle.kernel_series().items()}
 
 
 def _all_empty(classified: Dict[str, Dict[str, List[dict]]]) -> bool:

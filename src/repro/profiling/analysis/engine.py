@@ -4,14 +4,15 @@
 loads the bundle, runs critical-path extraction, roofline attribution,
 and the flamegraph fold, writes ``profile.json`` (validated,
 ``repro.profile/1``) plus ``flame.folded`` next to the run artifacts,
-and returns the payload.  The formatters render the payloads for the
-terminal.
+and returns the bundle and the payload.  The formatters render them for
+the terminal: the analyze report leads with the run summary read from
+``run.json`` (phases, fast-path hit rates, faults per site, power).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.artifacts import atomic_write
 from repro.profiling.analysis.bundle import RunBundle, load_run_bundle
@@ -19,6 +20,7 @@ from repro.profiling.analysis.critical_path import extract_critical_path
 from repro.profiling.analysis.flame import folded_stacks, render_folded
 from repro.profiling.analysis.roofline import roofline_attribution
 from repro.profiling.analysis.schema import PROFILE, build_profile_payload
+from repro.telemetry.spans import PHASES
 
 PROFILE_FILENAME = "profile.json"
 FLAME_FILENAME = "flame.folded"
@@ -48,12 +50,14 @@ def analyze_bundle(bundle: RunBundle) -> dict:
 
 
 def analyze_run_dir(run_dir: Union[str, Path],
-                    out_dir: Optional[Union[str, Path]] = None) -> dict:
+                    out_dir: Optional[Union[str, Path]] = None
+                    ) -> Tuple[RunBundle, dict]:
     """Analyze one telemetry directory and write the profile artifacts.
 
     Writes ``profile.json`` and ``flame.folded`` into ``out_dir``
-    (default: the run directory itself) and returns the validated
-    payload with an ``artifacts`` map of written paths attached.
+    (default: the run directory itself) and returns the loaded bundle and
+    the validated payload with an ``artifacts`` map of written paths
+    attached.
     """
     bundle = load_run_bundle(run_dir)
     out = Path(out_dir) if out_dir is not None else Path(run_dir)
@@ -63,20 +67,68 @@ def analyze_run_dir(run_dir: Union[str, Path],
         out / FLAME_FILENAME, render_folded(folded_stacks(bundle.span_records)))
     payload["artifacts"] = {"profile": str(profile_path),
                             "flame": str(flame_path)}
-    return payload
+    return bundle, payload
 
 
 # ----------------------------------------------------------------------
 # terminal rendering
 # ----------------------------------------------------------------------
-def format_profile_report(payload: dict) -> str:
-    run = payload.get("run", {})
+def _run_lines(bundle: RunBundle) -> List[str]:
+    """The run as ``run.json`` records it: phases, span and metric
+    counts, fast-path hit rates, faults per site, and power."""
+    manifest = bundle.manifest
+    lines = [f"{bundle.label} / {manifest['dataset']} "
+             f"(command={manifest['command']}, seed={manifest['seed']})"]
+    for phase in PHASES:
+        seconds = manifest["phases"].get(phase, 0.0)
+        fraction = manifest["phase_fractions"].get(phase, 0.0)
+        lines.append(f"  {phase:<15}{seconds:>10.4f}s {100 * fraction:>5.1f}%")
+    lines.append(f"  {'total':<15}{bundle.total_seconds:>10.4f}s")
+    spans = manifest["spans"]
+    lines.append(f"  spans: {spans['count']} ({spans['phase_spans']} phase, "
+                 f"max depth {spans['max_depth']}); "
+                 f"metrics: {len(bundle.metric_records)}")
+    hits = bundle.counter_by("kernel.fastpath.hit", "path")
+    misses = bundle.counter_by("kernel.fastpath.miss", "path")
+    if hits or misses:
+        lines.append("  kernel fast-path:")
+    for path in sorted(set(hits) | set(misses)):
+        hit, miss = hits.get(path, 0.0), misses.get(path, 0.0)
+        rate = 100.0 * hit / (hit + miss) if hit + miss else 0.0
+        lines.append(f"    {path:<16}{int(hit):>8} hit {int(miss):>8} miss "
+                     f"({rate:.1f}% fast)")
+    faults = {event: bundle.counter_by(f"fault.{event}", "site")
+              for event in ("injected", "recovered", "retries", "degraded")}
+    sites = sorted(set().union(*faults.values()))
+    if sites:
+        lines.append("  resilience:")
+    for site in sites:
+        count = {event: int(by_site.get(site, 0))
+                 for event, by_site in faults.items()}
+        lines.append(f"    {site:<16}{count['injected']:>4} injected "
+                     f"{count['recovered']:>4} recovered "
+                     f"{count['retries']:>4} retries"
+                     + (f" {count['degraded']} degraded"
+                        if count["degraded"] else ""))
+    energy = manifest.get("energy")
+    if energy:
+        lines.append(f"  energy {energy['total_joules']:.1f} J, "
+                     f"avg power {energy['avg_power_w']:.1f} W, "
+                     f"peak {energy['peak_power_w']:.1f} W")
+        for rail in ("cpu", "gpu"):
+            stats = energy[f"{rail}_power_w"]
+            lines.append(f"  {rail} power  p50 {stats['p50']:.1f} W, "
+                         f"p95 {stats['p95']:.1f} W, "
+                         f"peak {stats['peak']:.1f} W")
+    return lines
+
+
+def format_profile_report(payload: dict, bundle: RunBundle) -> str:
+    """The ``repro profile analyze`` text report: the run from
+    ``bundle.manifest``, then the analyses in ``payload``."""
     critical = payload.get("critical_path", {})
     roofline = payload.get("roofline", {})
-    lines: List[str] = []
-    lines.append(f"{run.get('label', '?')} / {run.get('dataset', '?')} "
-                 f"(seed {run.get('seed', '?')}, "
-                 f"total {run.get('total_seconds', 0.0):.4f}s)")
+    lines = _run_lines(bundle)
     lines.append("")
     lines.append(f"critical path: {critical.get('critical_seconds', 0.0):.4f}s "
                  f"over a {critical.get('makespan', 0.0):.4f}s makespan "

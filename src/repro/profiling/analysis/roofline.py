@@ -1,8 +1,8 @@
 """Roofline attribution: where every kernel sits relative to peak.
 
-Joins the per-kernel ``kernel.flops`` / ``kernel.bytes_moved`` /
-``kernel.busy_seconds`` counters against the device peaks recorded in
-the run manifest's ``hardware`` section, classifying each (device,
+Joins the per-kernel counters (:meth:`RunBundle.kernel_series`) against
+the device peaks recorded in the run manifest's ``hardware`` section,
+classifying each (device,
 kernel) series compute-, memory-, or overhead-bound with arithmetic
 intensity and achieved %-of-peak.  PCIe traffic is attributed as
 transfer-bound against the link's DMA bandwidth.
@@ -33,22 +33,6 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator
 
 
-def _kernel_series(bundle: RunBundle) -> Dict[tuple, Dict[str, float]]:
-    """(device, kernel) -> {flops, bytes, seconds, launches}."""
-    series: Dict[tuple, Dict[str, float]] = {}
-    for metric, field in (("kernel.flops", "flops"),
-                          ("kernel.bytes_moved", "bytes"),
-                          ("kernel.busy_seconds", "seconds"),
-                          ("kernel.invocations", "launches")):
-        for labels, value in bundle.counter_series(metric).items():
-            labeled = dict(labels)
-            key = (labeled.get("device", "?"), labeled.get("kernel", "?"))
-            entry = series.setdefault(key, {"flops": 0.0, "bytes": 0.0,
-                                            "seconds": 0.0, "launches": 0.0})
-            entry[field] += value
-    return series
-
-
 def _classify(flops: float, nbytes: float, peak_flops: float,
               mem_bw: float) -> str:
     """Which roofline wall the kernel leans on, from ideal times."""
@@ -65,7 +49,7 @@ def roofline_attribution(bundle: RunBundle) -> dict:
     """Roofline payload: per-kernel entries plus the transfer lanes."""
     peaks = device_peaks(bundle)
     entries: List[dict] = []
-    for (device, kernel), work in sorted(_kernel_series(bundle).items()):
+    for (device, kernel), work in sorted(bundle.kernel_series().items()):
         spec = peaks.get(device, {})
         peak_flops = float(spec.get("peak_flops", 0.0) or 0.0)
         mem_bw = float(spec.get("mem_bandwidth", 0.0) or 0.0)

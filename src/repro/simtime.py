@@ -11,13 +11,6 @@ Devices can advance the clock in two modes:
 * ``advance(dt)`` — serial progress: the whole machine moves forward.
 * ``occupy(device_key, dt)`` — per-device busy tracking used by the power
   model to integrate dynamic power only while a device is actually busy.
-
-Multi-lane schedules (the streaming datapipe) are built with
-:class:`LaneScheduler`: each resource (sampler-worker CPUs, PCIe, GPU)
-gets its own timeline, jobs are placed at the max of their dependency
-finish times and their lane's front, and ``drain()`` commits the busy
-intervals in one pass and advances the machine clock once to the latest
-lane front — replacing per-call serial ``advance()`` on the hot path.
 """
 
 from __future__ import annotations
@@ -25,7 +18,6 @@ from __future__ import annotations
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -195,7 +187,7 @@ class VirtualClock:
             self, schedule: Iterable[Tuple[float, str, str, float, str]]) -> None:
         """Record an externally scheduled multi-lane timeline in one pass.
 
-        :class:`LaneScheduler.drain` hands over its whole schedule as
+        The datapipe's lane scheduler hands over its whole schedule as
         ``(start, device, lane, seconds, tag)`` rows: intervals may lie in
         the clock's *future* (the caller advances afterwards) but must
         arrive start-ordered and disjoint per key.  With ``lane`` set, the
@@ -281,130 +273,3 @@ class VirtualClock:
         """Busy intervals, optionally filtered by device key."""
         return [BusyInterval(*row) for row in self._busy
                 if device is None or row[0] == device]
-
-
-@dataclass
-class LaneJob:
-    """One scheduled unit of work on a :class:`LaneScheduler` lane."""
-
-    # An epoch holds one per batch and stage; spelled out because
-    # ``dataclass(slots=True)`` needs Python 3.10.
-    __slots__ = ("job_id", "lane", "start", "end", "total", "busy", "tag",
-                 "ready")
-    job_id: int
-    lane: str
-    start: float
-    end: float
-    total: float
-    busy: Dict[str, float]
-    tag: str
-    #: Earliest time the job *could* have started (dependency finish);
-    #: ``start - ready`` is the time it queued behind its lane.
-    ready: float
-
-    @property
-    def wait(self) -> float:
-        return self.start - self.ready
-
-
-class LaneScheduler:
-    """Event-driven per-resource timelines over one :class:`VirtualClock`.
-
-    Each lane (a sampler-worker CPU, the PCIe link, the GPU, ...) is an
-    independent timeline with a monotone *front*.  ``submit()`` places a
-    job at the max of its predecessor's finish time, an optional explicit
-    lower bound, and its lane's front — so lanes overlap freely while
-    work on one lane stays serial.  Nothing touches the clock until
-    ``drain()``, which commits every job's per-device busy time (under
-    ``device@lane`` keys, see :meth:`VirtualClock.commit_schedule`) and
-    advances the machine clock once, to the latest lane front.
-
-    The scheduler is one-shot: ``drain()`` finalizes it.  Pipelines build
-    one scheduler per epoch.
-    """
-
-    def __init__(self, clock: VirtualClock, origin: Optional[float] = None) -> None:
-        self.clock = clock
-        self.origin = clock.now if origin is None else origin
-        self.jobs: List[LaneJob] = []
-        self._fronts: Dict[str, float] = {}
-        self._drained = False
-
-    @property
-    def finish(self) -> float:
-        """The latest lane front (absolute time)."""
-        return max(self._fronts.values()) if self._fronts else self.origin
-
-    def submit(self, lane: str, work: Union[DeferredRecord, float],
-               after: Optional[LaneJob] = None, not_before: float = 0.0,
-               tag: str = "") -> LaneJob:
-        """Schedule measured ``work`` on ``lane``.
-
-        ``work`` is a :class:`DeferredRecord` (measured inside
-        ``clock.deferred()``) or plain seconds.  ``after`` is the job that
-        must finish first; ``not_before`` adds an absolute lower bound
-        (e.g. bounded-queue backpressure).  The job keeps the record's
-        own busy dict: nothing mutates a submitted record.
-        """
-        if not isinstance(work, DeferredRecord):
-            if work < 0:
-                raise ValueError("cannot schedule negative duration")
-            work = DeferredRecord(total=float(work))
-        return self.submit_chain(((lane, work, tag),), after, not_before)
-
-    def submit_chain(self, steps: Iterable[Tuple[str, DeferredRecord, str]],
-                     after: Optional[LaneJob] = None,
-                     not_before: float = 0.0) -> LaneJob:
-        """Schedule ``(lane, record, tag)`` steps, each after the one before
-        it, and return the last job (``after`` itself for no steps).
-
-        ``after`` and ``not_before`` bound the first step as in
-        :meth:`submit`.  This loop is the one placement rule: a job starts
-        when it is ready and its lane is free.
-        """
-        if self._drained:
-            raise RuntimeError("LaneScheduler already drained")
-        origin, jobs, fronts = self.origin, self.jobs, self._fronts
-        ready = max(origin, not_before)
-        job = after
-        if after is not None and after.end > ready:
-            ready = after.end
-        for lane, record, tag in steps:
-            total = record.total
-            start = max(ready, fronts.get(lane, origin))
-            end = fronts[lane] = start + total
-            job = LaneJob(len(jobs), lane, start, end, total, record.busy, tag,
-                          ready)
-            jobs.append(job)
-            ready = end
-        return job
-
-    def lane_busy(self) -> Dict[str, float]:
-        """Total scheduled busy seconds per lane (sum of job durations)."""
-        totals: Dict[str, float] = {}
-        for job in self.jobs:
-            totals[job.lane] = totals.get(job.lane, 0.0) + job.total
-        return totals
-
-    def drain(self) -> float:
-        """Commit the schedule to the clock; returns the elapsed seconds.
-
-        Busy intervals are recorded *before* the single advance so clock
-        listeners (power sampling) integrate over the full multi-lane
-        timeline, mirroring how ``occupy()`` records-then-advances.
-        """
-        if self._drained:
-            raise RuntimeError("LaneScheduler already drained")
-        self._drained = True
-        schedule = [
-            (job.start, device, job.lane, min(seconds, job.total), job.tag)
-            for job in self.jobs for device, seconds in job.busy.items()
-            if seconds > 0 and job.total > 0
-        ]
-        # Stable, so rows that tie on (start, device) stay in job order.
-        schedule.sort(key=itemgetter(0, 1))
-        self.clock.commit_schedule(schedule)
-        elapsed = self.finish - self.clock.now
-        if elapsed > 0:
-            self.clock.advance(elapsed)
-        return max(0.0, elapsed)

@@ -5,8 +5,8 @@ Three machine-readable views over one session:
 * ``events.jsonl`` — every span (dual-clock timing, parent ids, attrs)
   and every metric's final state, one JSON object per line, led by a
   schema header line.  The stream is the ground truth the other views
-  are derived from; ``repro report --telemetry`` and the tests re-derive
-  the four-phase rollup from it.
+  are derived from; ``repro profile analyze`` reads its span tree back,
+  and the tests re-derive the four-phase rollup from it.
 * ``metrics.prom`` — a Prometheus exposition-format snapshot of the
   registry (scrape-shaped, diffable between runs).
 * ``trace.json`` — the existing device-lane Chrome trace *merged* with

@@ -12,10 +12,10 @@ byte-identical manifests — asserted by ``tests/test_telemetry.py``.
 Wall-clock timings live only in ``events.jsonl``.
 
 :data:`RUN` is the manifest's format (:mod:`repro.artifacts`); it and
-the ``validate_*`` stream checks are the schema gate used by the tests
-and the CI telemetry smoke step (via ``repro report --telemetry``): each
-returns a list of human-readable problems, empty when the artifact
-conforms.
+the ``validate_*`` stream checks are the schema gate every reader of a
+run directory passes through (:func:`validate_run_dir`, called by
+``repro profile analyze|diff``): each returns a list of human-readable
+problems, empty when the artifact conforms.
 """
 
 from __future__ import annotations

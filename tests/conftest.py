@@ -138,7 +138,8 @@ def telemetry_bundle(tmp_path_factory):
         "dglite", "ppi", "graphsage", epochs=2,
         representative_batches=2, seed=0, telemetry_dir=str(out),
     )
-    return out, result, analyze_run_dir(out)
+    _, payload = analyze_run_dir(out)
+    return out, result, payload
 
 
 @pytest.fixture(autouse=True)

@@ -111,6 +111,20 @@ class TestReportCommand:
         assert main(["report", "--results-dir", str(empty)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--telemetry", "out/tel"],
+    ["report", "--top", "2"],
+    ["report", "--sort", "bytes"],
+    ["serve", "--reference-kernels"],
+], ids=["report-telemetry", "report-top", "report-sort",
+        "serve-reference-kernels"])
+def test_retired_options_are_argparse_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 class TestResilienceCli:
     PLAN = {
         "seed": 0,
@@ -133,18 +147,19 @@ class TestResilienceCli:
         out = capsys.readouterr().out
         assert "faults: 2 injected, 2 recovered" in out
 
-    def test_report_telemetry_shows_resilience_section(self, tmp_path,
-                                                       capsys):
+    def test_profile_analyze_shows_resilience_section(self, tmp_path,
+                                                      capsys):
         plan = self._write_plan(tmp_path)
         out_dir = tmp_path / "telemetry"
         assert main(["train", "--dataset", "ppi", "--epochs", "1",
                      "--placement", "cpugpu", "--faults", str(plan),
                      "--telemetry", str(out_dir)]) == 0
         capsys.readouterr()
-        assert main(["report", "--telemetry", str(out_dir)]) == 0
+        assert main(["profile", "analyze", str(out_dir)]) == 0
         out = capsys.readouterr().out
         assert "resilience:" in out
-        assert "storage.read" in out
+        assert "    storage.read       1 injected    1 recovered    1 " \
+            "retries" in out
         assert "transfer.h2d" in out
 
     def test_checkpoint_halt_and_resume(self, tmp_path, capsys):

@@ -1,11 +1,19 @@
 """Tests for the conv layers of both frameworks: shapes, math, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.frameworks import get_framework, nn
+from repro.frameworks.common import dst_rows
+from repro.hardware.machine import paper_testbed
 from repro.kernels.adj import SparseAdj
-from repro.tensor.tensor import Tensor
+from repro.kernels.scatter import gather, scatter_add
+from repro.kernels.sddmm import segment_softmax
+from repro.kernels.transfer import adj_to_device, to_device
+from repro.tensor import functional as F
+from repro.tensor.tensor import Tensor, no_grad
 
 RNG = np.random.default_rng(31)
 KINDS = ("gcn", "gcn2", "cheb", "sage", "gat", "gatv2", "tag", "sg")
@@ -165,6 +173,84 @@ class TestBipartiteSupport:
         a = nn.SAGEConv(6, 4, seed=1)(adj, x)
         b = get_framework("pyglite").conv("sage", 6, 4, seed=1)(adj, x)
         assert np.allclose(a.data, b.data, atol=1e-5)
+
+
+class TestUnfusedGATv2HostMemory:
+    """The unfused GATv2 forward keeps the score product's buffer until the
+    softmax output is allocated; the simulated ledger must not notice."""
+
+    @staticmethod
+    def plain_forward(conv, adj, x):
+        z_src = conv.lin_src(x).reshape(x.shape[0], conv.heads, conv.head_dim)
+        z_dst = conv.lin_dst(dst_rows(x, adj)).reshape(adj.num_dst, conv.heads, conv.head_dim)
+        g_src = gather(adj, z_src, side="src")
+        g_dst = gather(adj, z_dst, side="dst")
+        combined = F.leaky_relu(g_src + g_dst, conv.negative_slope)
+        scores = (combined * conv.att).sum(axis=2)
+        alpha = segment_softmax(adj, scores)
+        messages = g_src * alpha.reshape(adj.num_edges, conv.heads, 1)
+        out = scatter_add(adj, messages)
+        return out.reshape(adj.num_dst, conv.heads * conv.head_dim)
+
+    @staticmethod
+    def on_gpu(adj, monkeypatch, out_features=8):
+        machine = paper_testbed()
+        gpu = machine.device("gpu")
+        ledger = gpu.memory
+        events = []
+        real_alloc, real_release = ledger.alloc, ledger.release
+
+        def alloc(nbytes, label=""):
+            events.append(("alloc", label, int(nbytes)))
+            return real_alloc(nbytes, label)
+
+        def release(allocation):
+            events.append(("release", allocation.label, allocation.nbytes))
+            real_release(allocation)
+
+        monkeypatch.setattr(ledger, "alloc", alloc)
+        monkeypatch.setattr(ledger, "release", release)
+        x = Tensor(np.random.default_rng(5).random((adj.num_src, 12)).astype(np.float32))
+        conv = nn.UnfusedGATv2Conv(12, out_features, seed=3)
+        conv.to(gpu)
+        return (conv, adj_to_device(adj, gpu, machine.pcie),
+                to_device(x, gpu, machine.pcie), ledger, events)
+
+    def test_ledger_events_match_the_plain_expression(self, adj, monkeypatch):
+        runs = []
+        for forward in (nn.UnfusedGATv2Conv.forward, self.plain_forward):
+            conv, dev_adj, dev_x, ledger, events = self.on_gpu(adj, monkeypatch)
+            events.clear()
+            with no_grad():
+                out = forward(conv, dev_adj, dev_x)
+            runs.append((out.data, list(events), ledger.peak))
+        (out_a, events_a, peak_a), (out_b, events_b, peak_b) = runs
+        assert np.array_equal(out_a, out_b)
+        assert events_a == events_b
+        assert peak_a == peak_b
+
+    def test_product_buffer_is_held_through_the_softmax(self, monkeypatch):
+        # Big enough that four E x H x D buffers dwarf everything else.
+        rng = np.random.default_rng(7)
+        adj = SparseAdj(rng.integers(0, 500, 20000), rng.integers(0, 500, 20000), 500, 500)
+        conv, dev_adj, dev_x, _, _ = self.on_gpu(adj, monkeypatch, out_features=64)
+        slab = dev_adj.num_edges * conv.heads * conv.head_dim * 4
+        held = []
+
+        def spy(a, scores):
+            # g_src, g_dst, combined and the product: four E x H x D buffers.
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            return segment_softmax(a, scores)
+
+        monkeypatch.setattr(nn, "segment_softmax", spy)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                conv(dev_adj, dev_x)
+        finally:
+            tracemalloc.stop()
+        assert held and held[0] >= 4 * slab
 
 
 class TestConstructorValidation:

@@ -9,6 +9,7 @@ attribution hints, schema round-trips, and the CLI surfaces.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -31,11 +32,6 @@ from repro.profiling.analysis.critical_path import extract_critical_path
 from repro.profiling.analysis.diff import classify_deltas, span_path_totals
 from repro.profiling.analysis.flame import folded_stacks, render_folded
 from repro.profiling.analysis.roofline import pct_of_peak, roofline_attribution
-from repro.profiling.kernel_report import (
-    format_metric_kernel_table,
-    kernel_rows_from_metrics,
-)
-from repro.simtime import VirtualClock
 
 
 def _train_run(out_dir, seed=0, fastpath=True):
@@ -305,8 +301,8 @@ class TestAnalyzeEndToEnd:
             == (out / "flame.folded").read_bytes()
 
     def test_report_renders(self, analyzed_run):
-        _, payload = analyzed_run
-        text = format_profile_report(payload)
+        out, payload = analyzed_run
+        text = format_profile_report(payload, load_run_bundle(out))
         assert "critical path:" in text
         assert "roofline:" in text
         assert "flamegraph:" in text
@@ -370,35 +366,40 @@ class TestSchema:
 
 
 # ----------------------------------------------------------------------
-# kernel report (satellite: --top / --sort)
+# the one (device, kernel) counter join
 # ----------------------------------------------------------------------
-class TestKernelRows:
-    def _metrics(self, analyzed_run):
-        out, _ = analyzed_run
-        return load_run_bundle(out).metric_records
+class TestKernelSeries:
+    def test_joins_the_four_counters_per_device_and_kernel(self):
+        def counter(name, value, **labels):
+            return {"name": name, "kind": "counter", "value": value,
+                    "labels": {"device": "gpu0", "kernel": "spmm", **labels}}
 
-    def test_sort_virtual_descending(self, analyzed_run):
-        rows = kernel_rows_from_metrics(self._metrics(analyzed_run))
-        seconds = [row["seconds"] for row in rows]
+        bundle = RunBundle(manifest={"metrics": [
+            counter("kernel.busy_seconds", 0.25),
+            counter("kernel.busy_seconds", 0.5, label="b"),
+            counter("kernel.flops", 1e9),
+            counter("kernel.bytes_moved", 4e6),
+            counter("kernel.invocations", 3),
+            {"name": "kernel.invocations", "kind": "counter", "value": 1,
+             "labels": {"device": "cpu0", "kernel": "free"}},
+            {"name": "kernel.busy_seconds", "kind": "gauge", "value": 9.0,
+             "labels": {"device": "gpu0", "kernel": "spmm"}},
+        ]})
+        assert bundle.kernel_series() == {
+            ("gpu0", "spmm"): {"seconds": 0.75, "flops": 1e9,
+                               "bytes": 4e6, "launches": 3.0},
+            ("cpu0", "free"): {"seconds": 0.0, "flops": 0.0,
+                               "bytes": 0.0, "launches": 1.0},
+        }
+
+    def test_roofline_reads_the_join_sorted_by_seconds(self, analyzed_run):
+        out, payload = analyzed_run
+        series = load_run_bundle(out).kernel_series()
+        assert {(e["device"], e["kernel"]): e["seconds"]
+                for e in payload["roofline"]["kernels"]} == \
+            {key: row["seconds"] for key, row in series.items()}
+        seconds = [e["seconds"] for e in payload["roofline"]["kernels"]]
         assert seconds == sorted(seconds, reverse=True)
-
-    def test_sort_flops_and_top(self, analyzed_run):
-        rows = kernel_rows_from_metrics(self._metrics(analyzed_run),
-                                        sort="flops", top=3)
-        assert len(rows) == 3
-        assert rows[0]["kernel"] == "matmul.bwd"
-        flops = [row["flops"] for row in rows]
-        assert flops == sorted(flops, reverse=True)
-
-    def test_unknown_sort_raises(self):
-        with pytest.raises(ValueError, match="unknown sort axis"):
-            kernel_rows_from_metrics([], sort="wall")
-
-    def test_table_renders(self, analyzed_run):
-        rows = kernel_rows_from_metrics(self._metrics(analyzed_run), top=2)
-        table = format_metric_kernel_table(rows, sort="virtual")
-        assert "sorted by virtual" in table
-        assert len(table.splitlines()) == 5  # title + header + rule + 2 rows
 
 
 # ----------------------------------------------------------------------
@@ -452,6 +453,16 @@ class TestGateHints:
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+def _truncate_trace(run_dir):
+    trace = run_dir / "trace.json"
+    trace.write_text(trace.read_text()[:100])
+
+
+def _append_bad_event(run_dir):
+    with (run_dir / "events.jsonl").open("a") as events:
+        events.write("not json\n")
+
+
 class TestCli:
     def test_profile_analyze_and_diff(self, analyzed_run, capsys):
         out, _ = analyzed_run
@@ -472,10 +483,62 @@ class TestCli:
                          "--out", str(dest)]) == 0
         assert PROFILE.validate(load(dest)) == []
 
-    def test_report_top_sort_flags(self, analyzed_run, capsys):
+    def test_profile_analyze_prints_the_run_summary(self, analyzed_run,
+                                                    tmp_path, capsys):
         out, _ = analyzed_run
-        assert cli_main(["report", "--telemetry", str(out),
-                         "--top", "2", "--sort", "bytes"]) == 0
+        assert cli_main(["profile", "analyze", str(out),
+                         "--out", str(tmp_path)]) == 0
         text = capsys.readouterr().out
-        assert "sorted by bytes" in text
-        assert "matmul.bwd" in text
+        manifest = load(out / "run.json")
+        assert text.startswith(f"{manifest['label']} / ppi "
+                               "(command=train, seed=0)\n")
+        for phase, fraction in manifest["phase_fractions"].items():
+            assert f"  {phase:<15}" in text
+            assert f"{100 * fraction:>5.1f}%" in text
+        assert f"metrics: {len(manifest['metrics'])}" in text
+        assert "kernel fast-path:" in text and "% fast)" in text
+        assert "energy " in text and "gpu power  p50 " in text
+        # The roofline table stands in for the old kernel breakdown.
+        assert "matmul.bwd" in text and "%peak" in text
+
+    @staticmethod
+    def _damaged(analyzed_run, tmp_path, damage):
+        copy = tmp_path / "damaged"
+        shutil.copytree(analyzed_run[0], copy)
+        damage(copy)
+        return str(copy)
+
+    @pytest.mark.parametrize("damage, problem", [
+        (_truncate_trace, "trace.json: unparseable"),
+        (_append_bad_event, "events.jsonl: unparseable"),
+        (lambda d: (d / "metrics.prom").unlink(), "metrics.prom: missing"),
+    ], ids=["truncated-trace", "bad-events-line", "missing-metrics"])
+    def test_profile_analyze_rejects_a_damaged_bundle(
+            self, analyzed_run, tmp_path, capsys, damage, problem):
+        damaged = self._damaged(analyzed_run, tmp_path, damage)
+        assert cli_main(["profile", "analyze", damaged]) == 1
+        text = capsys.readouterr().out
+        assert f"problem(s) in {damaged}:" in text
+        assert f"\n  {problem}" in text
+        assert "Traceback" not in text
+
+    @pytest.mark.parametrize("side", ["base", "current"])
+    def test_profile_diff_rejects_a_bad_events_line(
+            self, analyzed_run, tmp_path, capsys, side):
+        damaged = self._damaged(analyzed_run, tmp_path, _append_bad_event)
+        good = str(analyzed_run[0])
+        argv = [damaged, good] if side == "base" else [good, damaged]
+        assert cli_main(["profile", "diff", *argv]) == 1
+        text = capsys.readouterr().out
+        assert f"problem(s) in {damaged}:" in text
+        assert "events.jsonl: unparseable" in text
+        assert "Traceback" not in text
+
+    def test_profile_analyze_lists_every_problem(self, tmp_path, capsys):
+        (tmp_path / "run.json").write_text("{}")
+        assert cli_main(["profile", "analyze", str(tmp_path)]) == 1
+        text = capsys.readouterr().out
+        assert "4 problem(s)" in text
+        for line in ("run.json: unknown schema None", "events.jsonl: missing",
+                     "trace.json: missing", "metrics.prom: missing"):
+            assert f"\n  {line}" in text

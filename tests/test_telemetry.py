@@ -642,17 +642,19 @@ class TestCli:
         assert "telemetry:" in capsys.readouterr().out
         assert validate_run_dir(out) == []
 
-    def test_report_telemetry_summary(self, tmp_path, capsys):
+    def test_profile_analyze_summarizes_the_run(self, tmp_path, capsys):
         out = tmp_path / "t"
         cli_main(["train", "--dataset", "ppi", "--epochs", "1",
                   "--telemetry", str(out)])
         capsys.readouterr()
-        assert cli_main(["report", "--telemetry", str(out)]) == 0
+        assert cli_main(["profile", "analyze", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "telemetry bundle OK" in text
-        assert "p95" in text
+        assert "(command=train, seed=0)" in text
+        assert "spans: " in text
+        assert "cpu power  p50 " in text and "p95" in text
 
-    def test_report_telemetry_rejects_invalid_dir(self, tmp_path, capsys):
+    def test_profile_analyze_rejects_invalid_dir(self, tmp_path, capsys):
         (tmp_path / "run.json").write_text("{}")
-        assert cli_main(["report", "--telemetry", str(tmp_path)]) == 1
-        assert "schema problem" in capsys.readouterr().out
+        assert cli_main(["profile", "analyze", str(tmp_path)]) == 1
+        text = capsys.readouterr().out
+        assert "problem(s) in" in text and "run.json: unknown schema" in text

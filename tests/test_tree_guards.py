@@ -145,7 +145,7 @@ GUARDS = [
     Guard("one-overlap-engine (no scheduler or extrapolator outside the "
           "datapipe)",
           grep(r"LaneScheduler|_usage_snapshot|_extrapolate\(",
-               exclude=("src/repro/simtime.py", "src/repro/datapipe/")),
+               exclude=("src/repro/datapipe/",)),
           {"src/repro/serving/x.py": "class LaneScheduler:\n    pass\n"}),
     Guard("one-layer-zoo (each conv layer is written once)",
           grep(r"^class .*Conv\b", exclude=("src/repro/frameworks/nn.py",)),
