@@ -31,6 +31,7 @@ from repro.bench import (
     run_training_experiment,
 )
 from repro.datasets import DATASET_NAMES, list_datasets
+from repro.errors import RecoveryExhausted
 from repro.frameworks.nn import CONVS
 from repro.telemetry.spans import PHASES
 
@@ -557,6 +558,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate_parsed_args(parser, args)
+    try:
+        return _dispatch(args)
+    except RecoveryExhausted as exc:  # a --faults plan outlasted its retries
+        raise SystemExit(f"repro {args.command}: {exc}")
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "datasets":
         cmd_datasets()
     elif args.command == "loader":

@@ -376,37 +376,29 @@ class _EpochState:
     # ------------------------------------------------------------------
     def _survive_faults(self, stage: Stage,
                         clean: DeferredRecord) -> DeferredRecord:
-        """Apply the stage's fault seam to one execution's charged cost."""
-        injector = resilience.active()
-        if injector is None:
-            return clean
-        site = stage.fault_site
-        policy = injector.policy(site)
-        cpu_name = self.machine.cpu.name
-        wasted = 0.0
-        delay = 0.0
-        crashes = 0
-        while True:
-            fault = injector.arm(site)
-            if fault is None or fault.kind != "crash":
-                break
-            crashes += 1
-            injector.record_injected(site, "crash")
-            wasted += clean.total * fault.severity
-            delay += injector.backoff_delay(site, crashes)
-            if crashes > policy.max_retries:
-                if policy.degrade:
-                    self.degraded = True
-                    injector.record_degraded(site)
-                    injector.record_recovered(site, action="degrade")
-                    break
-                raise RecoveryExhausted(site, crashes)
-            injector.record_retry(site)
-            injector.record_recovered(site, action="respawn")
+        """Apply the stage's fault seam to one execution's charged cost:
+        crashed work lands on the CPU, respawn backoff on the job only."""
+        wasted = delay = 0.0
+
+        def waste(seconds: float, kind: str) -> None:
+            nonlocal wasted
+            wasted += seconds
+
+        def wait(seconds: float) -> None:
+            nonlocal delay
+            delay += seconds
+
+        try:
+            resilience.recover(stage.fault_site, clean.total, waste, wait,
+                               action="respawn")
+        except RecoveryExhausted as exhausted:
+            resilience.degrade(exhausted)
+            self.degraded = True
         if wasted <= 0 and delay <= 0:
             return clean
         busy = dict(clean.busy)
         if wasted > 0:
+            cpu_name = self.machine.cpu.name
             busy[cpu_name] = busy.get(cpu_name, 0.0) + wasted
         return DeferredRecord(total=clean.total + wasted + delay, busy=busy)
 

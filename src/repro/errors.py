@@ -69,22 +69,6 @@ class FaultPlanError(ResilienceError):
     """A fault plan is malformed (unknown site/kind, bad parameters)."""
 
 
-class InjectedFault(ResilienceError):
-    """A fault armed by the active :class:`FaultInjector` fired.
-
-    Transient by construction: recovery policies retry the failed
-    operation, so this error only escapes when retries are exhausted
-    (see :class:`RecoveryExhausted`).
-    """
-
-    def __init__(self, site: str, kind: str, occurrence: int = 0):
-        self.site = site
-        self.kind = kind
-        self.occurrence = int(occurrence)
-        super().__init__(f"injected {kind} fault at {site} "
-                         f"(occurrence {occurrence})")
-
-
 class RecoveryExhausted(ResilienceError):
     """An operation kept faulting past its policy's retry budget."""
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.errors import DeviceError, InjectedFault
+from repro.errors import DeviceError
 from repro.hardware.specs import LinkSpec
 from repro.resilience import runtime as resilience
 from repro.simtime import VirtualClock
@@ -51,7 +51,8 @@ class Interconnect:
         The ``transfer.h2d`` fault site: an armed ``stall`` holds the
         link for ``stall_seconds`` extra, an ``error`` (link hiccup /
         failed DMA) wastes ``severity`` of the copy before failing and
-        retries under the site's recovery policy.
+        retries under the site's recovery policy
+        (:func:`repro.resilience.runtime.recover`).
         """
         return self._dma("h2d", nbytes, tag)
 
@@ -61,36 +62,20 @@ class Interconnect:
 
     def _dma(self, direction: str, nbytes: float, tag: str) -> float:
         seconds = self.transfer_time(nbytes)
-
-        def attempt() -> float:
-            extra = 0.0
-            fault = resilience.arm("transfer.h2d") if direction == "h2d" else None
-            if fault is not None:
-                injector = resilience.active()
-                if fault.kind == "stall":
-                    injector.record_injected("transfer.h2d", "stall")
-                    self._charge(fault.stall_seconds, f"{tag}!stall")
-                    injector.record_recovered("transfer.h2d", action="stall")
-                    extra = fault.stall_seconds
-                else:
-                    wasted = seconds * fault.severity
-                    if wasted > 0:
-                        self._charge(wasted, f"{tag}!{fault.kind}")
-                    injector.record_injected("transfer.h2d", fault.kind)
-                    raise InjectedFault("transfer.h2d", fault.kind,
-                                        injector.occurrence("transfer.h2d"))
-            self._charge(seconds, tag)
-            self.counters.transfers += 1
-            if direction == "h2d":
-                self.counters.bytes_h2d += nbytes
-            else:
-                self.counters.bytes_d2h += nbytes
-            self._record_metrics(direction, tag, nbytes)
-            return seconds + extra
-
-        if direction != "h2d" or not resilience.enabled():
-            return attempt()
-        return resilience.with_retries("transfer.h2d", self.clock, attempt)
+        extra = 0.0
+        if direction == "h2d":
+            extra = resilience.recover(
+                "transfer.h2d", seconds,
+                lambda wasted, kind: self._charge(wasted, f"{tag}!{kind}"),
+                self.clock.advance)
+        self._charge(seconds, tag)
+        self.counters.transfers += 1
+        if direction == "h2d":
+            self.counters.bytes_h2d += nbytes
+        else:
+            self.counters.bytes_d2h += nbytes
+        self._record_metrics(direction, tag, nbytes)
+        return seconds + extra
 
     def _charge(self, seconds: float, tag: str) -> None:
         """Hold the link busy: clock interval + link-seconds accounting."""

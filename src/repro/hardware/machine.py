@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.errors import DeviceError, InjectedFault
+from repro.errors import DeviceError
 from repro.hardware.device import Device
 from repro.hardware.interconnect import Interconnect
 from repro.hardware.specs import (
@@ -63,46 +63,25 @@ class Machine:
     def read_storage(self, nbytes: float, tag: str = "storage-read") -> float:
         """Read ``nbytes`` from local storage into host memory.
 
-        This is the ``storage.read`` fault site: an armed ``error`` wastes
-        ``severity`` of the read before failing, a ``torn_write`` pays the
-        full read before the payload is found corrupted, and a ``stall``
-        completes but takes ``stall_seconds`` longer.  Failures retry
-        under the site's recovery policy (virtual-clock backoff).
+        This is the ``storage.read`` fault site (``error``, ``torn_write``
+        — detected only after the full read — and ``stall``); failures
+        retry under the site's recovery policy, on the virtual clock,
+        through :func:`repro.resilience.runtime.recover`.
         """
         if nbytes < 0:
             raise ValueError("negative read size")
         seconds = self.storage.seek_latency + nbytes / self.storage.read_bandwidth
-
-        def attempt() -> float:
-            extra = 0.0
-            fault = resilience.arm("storage.read")
-            if fault is not None:
-                injector = resilience.active()
-                if fault.kind == "stall":
-                    injector.record_injected("storage.read", "stall")
-                    self.clock.occupy("storage", fault.stall_seconds,
-                                      tag=f"{tag}!stall")
-                    injector.record_recovered("storage.read", action="stall")
-                    extra = fault.stall_seconds
-                else:
-                    # A torn write is only detected after the full read.
-                    wasted_frac = 1.0 if fault.kind == "torn_write" \
-                        else fault.severity
-                    wasted = seconds * wasted_frac
-                    if wasted > 0:
-                        self.clock.occupy("storage", wasted,
-                                          tag=f"{tag}!{fault.kind}")
-                    injector.record_injected("storage.read", fault.kind)
-                    raise InjectedFault("storage.read", fault.kind,
-                                        injector.occurrence("storage.read"))
-            self.clock.occupy("storage", seconds, tag=tag)
-            registry = telemetry.metrics()
-            if registry is not None:
-                registry.counter("storage.bytes_read", tag=tag).inc(nbytes)
-                registry.counter("storage.reads", tag=tag).inc()
-            return seconds + extra
-
-        return resilience.with_retries("storage.read", self.clock, attempt)
+        extra = resilience.recover(
+            "storage.read", seconds,
+            lambda wasted, kind: self.clock.occupy("storage", wasted,
+                                                   tag=f"{tag}!{kind}"),
+            self.clock.advance)
+        self.clock.occupy("storage", seconds, tag=tag)
+        registry = telemetry.metrics()
+        if registry is not None:
+            registry.counter("storage.bytes_read", tag=tag).inc(nbytes)
+            registry.counter("storage.reads", tag=tag).inc()
+        return seconds + extra
 
     def power_draw(self, device_key: str, start: float, end: float) -> float:
         """Average power (watts) of a device over [start, end)."""

@@ -5,8 +5,11 @@ Public surface:
 * :class:`FaultPlan` / :class:`FaultSpec` / :class:`RecoveryPolicy` —
   the declarative schedule (``repro train --faults plan.json``).
 * :class:`FaultInjector` + the ambient :func:`session` /
-  :func:`active` / :func:`arm` / :func:`with_retries` runtime the
-  hot-path seams consult.
+  :func:`active` / :func:`arm` runtime the hot-path seams consult.
+* :func:`recover` — the one recovery loop: the ``storage.read``,
+  ``transfer.h2d`` and ``sampler.worker`` seams fail, back off, retry
+  and give up (:class:`~repro.errors.RecoveryExhausted`) through it;
+  :func:`degrade` is the one fallback path for callers that have one.
 * :func:`capture_rng_states` / :func:`restore_rng_states` — the
   generator snapshots that make resumed runs bit-identical.
 
@@ -26,9 +29,9 @@ from repro.resilience.plan import (
 from repro.resilience.runtime import (
     active,
     arm,
-    enabled,
+    degrade,
+    recover,
     session,
-    with_retries,
 )
 
 __all__ = [
@@ -42,8 +45,8 @@ __all__ = [
     "active",
     "arm",
     "capture_rng_states",
-    "enabled",
+    "degrade",
+    "recover",
     "restore_rng_states",
     "session",
-    "with_retries",
 ]

@@ -22,7 +22,10 @@ site                where it arms
 
 Occurrences are counted per site starting at 1, in virtual-clock order,
 so a plan is exactly as deterministic as the run it attacks: the same
-seed and schedule produce byte-identical telemetry bundles.
+seed and schedule produce byte-identical telemetry bundles.  The first
+three sites retry through one loop,
+:func:`repro.resilience.runtime.recover`; ``replica`` recovers in the
+data-parallel trainer (straggler wait, dead-replica exclusion).
 """
 
 from __future__ import annotations
@@ -100,9 +103,10 @@ class RecoveryPolicy:
 
     Bounded retry with exponential backoff: attempt ``1 + max_retries``
     times, sleeping ``backoff * factor**(n-1)`` virtual seconds before
-    the n-th retry (plus seeded jitter of ±``jitter`` fraction).  Sites
-    with a structural fallback (worker pool → inline sampling) degrade
-    instead of failing when ``degrade`` is set.
+    the n-th retry (plus seeded jitter of ±``jitter`` fraction).  Callers
+    with a structural fallback (worker pool → inline sampling, serving →
+    shed/stale answers) degrade instead of failing when ``degrade`` is
+    set.
     """
 
     max_retries: int = 3

@@ -1,27 +1,24 @@
 """Ambient resilience session, mirroring ``repro.telemetry.runtime``.
 
-Hot paths never hold an injector reference; they ask this module.  The
-disabled path is a single function call returning ``None`` — when no
-fault plan is active, :func:`arm` costs one list check and
-:func:`with_retries` degenerates to calling the operation once, so the
-subsystem is free for every ordinary run.
+Hot paths never hold an injector reference; they ask this module.  With
+no fault plan active, :func:`arm` and :func:`recover` cost one list
+check, so the subsystem is free for every ordinary run.  Sessions stack
+(LIFO) so a test can nest a plan inside an instrumented harness.
 
-Sessions stack (LIFO) so a test can nest a plan inside an instrumented
-harness without clobbering it.
+:func:`recover` is the one recovery loop of the retrying seams
+(``storage.read``, ``transfer.h2d``, ``sampler.worker``); :func:`degrade`
+is the one fallback path for callers that have a fallback.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, TypeVar
+from contextlib import contextmanager, nullcontext
+from typing import Callable, Iterator, List, Optional
 
-from repro.errors import InjectedFault, RecoveryExhausted
+from repro.errors import RecoveryExhausted
 from repro.resilience.injector import FaultInjector
 from repro.resilience.plan import FaultPlan, FaultSpec
-from repro.simtime import VirtualClock
 from repro.telemetry.runtime import maybe_span
-
-T = TypeVar("T")
 
 _STACK: List[FaultInjector] = []
 
@@ -31,33 +28,15 @@ def active() -> Optional[FaultInjector]:
     return _STACK[-1] if _STACK else None
 
 
-def enabled() -> bool:
-    return bool(_STACK)
-
-
-def push_injector(injector: FaultInjector) -> FaultInjector:
-    """Activate ``injector`` (prefer the :func:`session` context manager)."""
-    _STACK.append(injector)
-    return injector
-
-
-def pop_injector(injector: FaultInjector) -> None:
-    """Deactivate ``injector`` (and anything stacked above it)."""
-    while _STACK:
-        if _STACK.pop() is injector:
-            return
-    raise RuntimeError("pop_injector: injector was not active")
-
-
 @contextmanager
 def session(plan: FaultPlan) -> Iterator[FaultInjector]:
     """Activate a fresh injector for ``plan`` for the duration of the block."""
     injector = FaultInjector(plan)
-    push_injector(injector)
+    _STACK.append(injector)
     try:
         yield injector
     finally:
-        pop_injector(injector)
+        del _STACK[_STACK.index(injector):]
 
 
 def arm(site: str) -> Optional[FaultSpec]:
@@ -67,39 +46,57 @@ def arm(site: str) -> Optional[FaultSpec]:
     return _STACK[-1].arm(site)
 
 
-def with_retries(site: str, clock: VirtualClock,
-                 attempt: Callable[[], T]) -> T:
-    """Run ``attempt`` under the site's bounded-retry policy.
+def recover(site: str, cost: float, charge: Callable[[float, str], None],
+            wait: Callable[[float], None], action: str = "retry") -> float:
+    """Survive the faults of one operation of clean cost ``cost`` at ``site``.
 
-    Each :class:`InjectedFault` raised by ``attempt`` consumes one retry:
-    the exponential-backoff delay is charged against the *virtual* clock
-    inside a ``recover.retry`` span, then the operation re-runs (arming a
-    fresh occurrence, so ``count``-limited faults eventually clear).
-    Past ``max_retries`` failures the last fault escapes wrapped in
-    :class:`RecoveryExhausted`.  Real (non-injected) exceptions are never
-    retried.
+    Arms the site once per attempt until an attempt comes up clean, and
+    returns that attempt's stall seconds (the caller charges ``cost``).
+    A ``stall`` bills ``charge(stall_seconds, "stall")`` and completes;
+    any other kind bills its wasted share, ``charge(cost * severity,
+    kind)`` (all of ``cost`` for a ``torn_write``), and fails.  A failure
+    past ``max_retries`` raises :class:`RecoveryExhausted` at once;
+    otherwise its backoff is billed as ``wait(seconds)`` — in a
+    ``recover.retry`` span for ``action="retry"``; a worker ``respawn``
+    waits inside its datapipe job — and one retry and one recovery
+    (``action``) are recorded.
     """
-    injector = _STACK[-1] if _STACK else None
-    if injector is None:
-        return attempt()
+    if not _STACK:
+        return 0.0
+    injector = _STACK[-1]
     policy = injector.policy(site)
     failures = 0
     while True:
-        try:
-            return attempt()
-        except InjectedFault as fault:
-            failures += 1
-            if failures > policy.max_retries:
-                # This fault stays unrecovered: recovered < injected in
-                # the telemetry marks the run as genuinely failed.
-                raise RecoveryExhausted(site, failures) from fault
-            delay = injector.backoff_delay(site, failures)
-            with maybe_span("recover.retry", category="resilience",
-                            site=site, attempt=failures):
-                if delay > 0:
-                    clock.advance(delay)
-            # Each injected fault is cleared by exactly one retry (a
-            # repeated fault arms a fresh occurrence with its own
-            # retry), keeping recovered == injected for healthy runs.
-            injector.record_retry(site)
-            injector.record_recovered(site, action="retry")
+        fault = injector.arm(site)
+        if fault is None:
+            return 0.0
+        injector.record_injected(site, fault.kind)
+        if fault.kind == "stall":
+            charge(fault.stall_seconds, "stall")
+            injector.record_recovered(site, action="stall")
+            return fault.stall_seconds
+        wasted = cost * (1.0 if fault.kind == "torn_write" else fault.severity)
+        if wasted > 0:
+            charge(wasted, fault.kind)
+        failures += 1
+        if failures > policy.max_retries:
+            raise RecoveryExhausted(site, failures)
+        delay = injector.backoff_delay(site, failures)
+        with (maybe_span("recover.retry", category="resilience", site=site,
+                         attempt=failures)
+              if action == "retry" else nullcontext()):
+            if delay > 0:
+                wait(delay)
+        injector.record_retry(site)
+        injector.record_recovered(site, action=action)
+
+
+def degrade(exhausted: RecoveryExhausted) -> None:
+    """Take the caller's fallback for ``exhausted``, or re-raise it under a
+    ``degrade: false`` policy.  The fallback recovers the exhausted fault
+    (action ``degrade``), so ``recovered == injected`` still holds."""
+    injector = _STACK[-1]
+    if not injector.policy(exhausted.site).degrade:
+        raise exhausted
+    injector.record_degraded(exhausted.site)
+    injector.record_recovered(exhausted.site, action="degrade")

@@ -26,6 +26,10 @@ requests never complete — offered load above the failure is simply
 dropped, protecting the budget for everyone else) or serves **stale**-cache answers (cache-hit rows only,
 miss rows zero-filled) so the batch still completes inside its budget.
 Stale service requires a feature cache; without one the engine sheds.
+Either way the exhausted fault is recovered by the fallback
+(:func:`repro.resilience.runtime.degrade`: one ``degraded``, one
+``recovered`` with action ``degrade``); a ``degrade: false`` policy
+raises :class:`~repro.errors.RecoveryExhausted` instead.
 """
 
 from __future__ import annotations
@@ -38,15 +42,15 @@ import numpy as np
 
 from repro.datapipe.config import parse_pipeline, validate_pipeline_placement
 from repro.datapipe.pipeline import EndItem, Stage, run_epoch
-from repro.errors import BenchmarkError, ResilienceError
+from repro.errors import BenchmarkError, RecoveryExhausted
 from repro.frameworks import get_framework
 from repro.hardware.device import KernelCost
 from repro.hardware.machine import paper_testbed
 from repro.models.graphsage import build_graphsage
 from repro.models.inference import batch_blocks
 from repro.power.monitor import EnergyMonitor, EnergyReport
+from repro.resilience import runtime as resilience
 from repro.resilience.plan import FaultPlan
-from repro.resilience.runtime import session as resilience_session
 from repro.serving.batcher import form_batches
 from repro.serving.latency import LatencyAccountant
 from repro.serving.workload import TRACE_KINDS, generate_trace
@@ -188,7 +192,7 @@ def run_serving_experiment(
     plan = FaultPlan.coerce(fault_plan)
     fw = get_framework(config.framework)
     machine = paper_testbed()
-    fault_cm = (resilience_session(plan) if plan is not None
+    fault_cm = (resilience.session(plan) if plan is not None
                 else nullcontext(None))
     with fault_cm as injector:
         monitor = EnergyMonitor(machine, interval=monitor_interval)
@@ -277,7 +281,8 @@ def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
         if item.miss_bytes > 0:
             try:
                 machine.read_storage(item.miss_bytes, tag="serve-feature-read")
-            except ResilienceError:
+            except RecoveryExhausted as exhausted:
+                resilience.degrade(exhausted)
                 item.degraded = fallback
         return item
 
@@ -286,7 +291,8 @@ def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
         if on_gpu and item.degraded is None and item.miss_bytes > 0:
             try:
                 machine.pcie.h2d(item.miss_bytes, tag="serve-features")
-            except ResilienceError:
+            except RecoveryExhausted as exhausted:
+                resilience.degrade(exhausted)
                 item.degraded = fallback
         if item.degraded == "shed":
             return EndItem("shed")

@@ -175,6 +175,27 @@ class TestResilienceCli:
         out = capsys.readouterr().out
         assert "avg power" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--dataset", "ppi", "--epochs", "1"],
+        ["serve", "--dataset", "ppi", "--scale", "0.3", "--requests", "8",
+         "--rates", "100"],
+    ], ids=["train", "serve"])
+    def test_exhausted_recovery_is_a_one_line_error(self, argv, tmp_path,
+                                                    capsys):
+        import json
+        plan = tmp_path / "exhaust.json"
+        plan.write_text(json.dumps({
+            "faults": [{"site": "storage.read", "kind": "error",
+                        "count": 99}],
+            "policies": {"storage.read": {"max_retries": 0}},
+        }))
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--faults", str(plan)])
+        assert exc.value.code == (
+            f"repro {argv[0]}: storage.read: still failing after 1 "
+            "attempt(s); retry budget exhausted")
+        capsys.readouterr()
+
     def test_missing_plan_file_fails_cleanly(self, capsys):
         with pytest.raises(SystemExit):
             main(["train", "--dataset", "ppi", "--epochs", "1",

@@ -14,7 +14,7 @@ import pytest
 from repro.bench.harness import run_training_experiment
 from repro.distributed import (DataParallelTrainer, multi_gpu_testbed,
                                ring_allreduce_time)
-from repro.errors import FaultPlanError, InjectedFault, RecoveryExhausted
+from repro.errors import FaultPlanError, RecoveryExhausted
 from repro.frameworks import get_framework
 from repro.hardware.machine import paper_testbed
 from repro.models.graphsage import build_graphsage, graphsage_sampler
@@ -29,7 +29,6 @@ from repro.resilience import (
     SITES,
 )
 from repro.resilience import runtime as resilience
-from repro.simtime import VirtualClock
 from repro.telemetry.exporters import write_prometheus
 from repro.telemetry.runtime import session as telemetry_session
 
@@ -185,8 +184,9 @@ class TestInjector:
 class TestRuntime:
     def test_disabled_by_default(self):
         assert resilience.active() is None
-        assert not resilience.enabled()
         assert resilience.arm("storage.read") is None
+        # No session: nothing is armed, charged or recorded.
+        assert resilience.recover("storage.read", 1.0, _never, _never) == 0.0
 
     def test_session_activates_and_pops(self):
         plan = FaultPlan(faults=(
@@ -197,65 +197,85 @@ class TestRuntime:
             assert resilience.arm("storage.read") is not None
         assert resilience.active() is None
 
-    def test_with_retries_charges_backoff_on_virtual_clock(self):
+    def test_recover_bills_waste_then_backoff_until_clean(self):
         plan = FaultPlan(
-            faults=(FaultSpec(site="storage.read", kind="error", count=2),),
+            faults=(FaultSpec(site="storage.read", kind="error", count=2,
+                              severity=0.25),),
             policies={"storage.read": RecoveryPolicy(max_retries=3,
                                                      backoff=0.5, factor=2.0)},
         )
-        clock = VirtualClock()
-        calls = []
-
-        def attempt():
-            fault = resilience.arm("storage.read")
-            calls.append(1)
-            if fault is not None:
-                raise InjectedFault("storage.read", fault.kind)
-            return "ok"
-
+        bills = []
         with resilience.session(plan) as injector:
-            assert resilience.with_retries("storage.read", clock,
-                                           attempt) == "ok"
-        assert len(calls) == 3                      # 2 faults + 1 success
-        assert clock.now == pytest.approx(0.5 + 1.0)
+            extra = resilience.recover(
+                "storage.read", 2.0,
+                lambda seconds, kind: bills.append((kind, seconds)),
+                lambda seconds: bills.append(("wait", seconds)))
+        assert extra == 0.0
+        assert bills == [("error", 0.5), ("wait", 0.5),
+                         ("error", 0.5), ("wait", 1.0)]
+        assert injector.occurrence("storage.read") == 3  # 2 faults + clean
         summary = injector.summary()
-        assert summary["injected"] == 0             # attempt() did not record
-        assert summary["retries"] == 2
-        assert summary["recovered"] == 2
+        assert (summary["injected"], summary["retries"],
+                summary["recovered"]) == (2, 2, 2)
 
-    def test_with_retries_exhausts_into_recovery_exhausted(self):
+    def test_stall_completes_the_attempt_late(self):
+        plan = FaultPlan(faults=(
+            FaultSpec(site="transfer.h2d", kind="stall", stall_seconds=0.125),
+        ))
+        bills = []
+        with resilience.session(plan) as injector:
+            extra = resilience.recover(
+                "transfer.h2d", 1.0,
+                lambda seconds, kind: bills.append((kind, seconds)), _never)
+        assert extra == 0.125 and bills == [("stall", 0.125)]
+        assert injector.occurrence("transfer.h2d") == 1  # no retry
+        assert injector.summary()["sites"]["transfer.h2d"] == {
+            "injected": 1, "recovered": 1, "retries": 0, "degraded": 0}
+
+    def test_recover_exhausts_before_backing_off(self):
         plan = FaultPlan(
             faults=(FaultSpec(site="transfer.h2d", kind="error", count=99),),
             policies={"transfer.h2d": RecoveryPolicy(max_retries=2,
-                                                     backoff=0.0)},
+                                                     backoff=1.0)},
         )
-        clock = VirtualClock()
-
-        def attempt():
-            fault = resilience.arm("transfer.h2d")
-            if fault is not None:
-                raise InjectedFault("transfer.h2d", fault.kind)
-            return "ok"
-
+        waits = []
         with resilience.session(plan) as injector:
             with pytest.raises(RecoveryExhausted) as excinfo:
-                resilience.with_retries("transfer.h2d", clock, attempt)
+                resilience.recover("transfer.h2d", 1.0,
+                                   lambda seconds, kind: None, waits.append)
         assert excinfo.value.failures == 3
+        # Two retries backed off; the third failure gave up at once.
+        assert waits == [1.0, 2.0]
         # The terminal fault stays unrecovered: the telemetry shows it.
+        assert injector.summary()["injected"] == 3
         assert injector.summary()["recovered"] == 2
 
-    def test_real_exceptions_are_never_retried(self):
-        calls = []
+    @pytest.mark.parametrize("allowed", [True, False])
+    def test_degrade_recovers_the_exhausted_fault_or_reraises(self, allowed):
+        plan = FaultPlan(
+            faults=(FaultSpec(site="storage.read", kind="error"),),
+            policies={"storage.read": RecoveryPolicy(max_retries=0,
+                                                     degrade=allowed)},
+        )
+        with resilience.session(plan) as injector:
+            try:
+                resilience.recover("storage.read", 1.0,
+                                   lambda seconds, kind: None, _never)
+            except RecoveryExhausted as exhausted:
+                if allowed:
+                    resilience.degrade(exhausted)
+                else:
+                    with pytest.raises(RecoveryExhausted) as excinfo:
+                        resilience.degrade(exhausted)
+                    assert excinfo.value is exhausted
+        summary = injector.summary()
+        assert summary["injected"] == 1
+        assert (summary["recovered"], summary["degraded"]) == \
+            ((1, 1) if allowed else (0, 0))
 
-        def attempt():
-            calls.append(1)
-            raise ValueError("real bug")
 
-        with resilience.session(FaultPlan()):
-            with pytest.raises(ValueError):
-                resilience.with_retries("storage.read", VirtualClock(),
-                                        attempt)
-        assert len(calls) == 1
+def _never(*args):
+    raise AssertionError(f"unexpected charge {args}")
 
 
 # ----------------------------------------------------------------------
@@ -408,6 +428,27 @@ class TestWorkerSeam:
         # is never armed again.
         assert injector.occurrence("sampler.worker") == 2
         assert result.losses
+
+    def test_degrading_pool_backs_off_only_for_respawns(self):
+        """The crash past the budget tears the pool down at once: only
+        the one respawn before it pays the backoff."""
+        def clock_after(backoff):
+            machine = paper_testbed()
+            trainer = _minibatch_trainer(machine, num_workers=2)
+            plan = _plan(
+                FaultSpec(site="sampler.worker", kind="crash", count=99),
+                policies={"sampler.worker": RecoveryPolicy(
+                    max_retries=1, backoff=backoff, factor=1.0)},
+            )
+            with resilience.session(plan) as injector:
+                trainer.run()
+            return machine.clock.now, injector.summary()
+
+        clean, _ = clock_after(0.0)
+        slow, summary = clock_after(0.5)
+        assert (summary["retries"], summary["degraded"]) == (1, 1)
+        assert slow - clean == pytest.approx(0.5 * summary["retries"],
+                                             rel=1e-12)
 
     def test_torn_down_pool_stays_inline_for_the_rest_of_the_run(self):
         machine = paper_testbed()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, RecoveryExhausted
 from repro.kernels.config import use_reference_kernels
 from repro.serving import (
     SERVE,
@@ -18,6 +18,7 @@ from repro.serving import (
     nearest_rank,
     run_serving_experiment,
 )
+from repro.serving.engine import DEGRADED_MODES
 from repro.serving.latency import LatencyAccountant
 from repro.telemetry import session as telemetry_session
 from repro.serving.workload import Request
@@ -312,6 +313,25 @@ class TestDegradedModes:
             _config(degraded_mode="stale", cache_fraction=0.0),
             fault_plan=_FAULT_PLAN)
         assert result.stale == 0 and result.shed > 0
+
+    @pytest.mark.parametrize("mode", DEGRADED_MODES)
+    def test_each_degraded_batch_recovers_its_exhausted_fault(self, mode):
+        # Storage occurrences 2..10 fail with one retry each: batches 2-5
+        # exhaust (two faults each) and degrade, batch 6 retries clean.
+        result = run_serving_experiment(_config(degraded_mode=mode),
+                                        fault_plan=_FAULT_PLAN)
+        summary = result.resilience
+        assert (summary["injected"], summary["recovered"],
+                summary["retries"], summary["degraded"]) == (9, 9, 5, 4)
+        assert summary["sites"]["storage.read"]["degraded"] == 4
+
+    @pytest.mark.parametrize("mode", DEGRADED_MODES)
+    def test_degrade_false_raises_instead_of_degrading(self, mode):
+        plan = json.loads(json.dumps(_FAULT_PLAN))
+        plan["policies"]["storage.read"]["degrade"] = False
+        with pytest.raises(RecoveryExhausted, match="storage.read"):
+            run_serving_experiment(_config(degraded_mode=mode),
+                                   fault_plan=plan)
 
 
 class TestSchema:

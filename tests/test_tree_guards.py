@@ -190,6 +190,13 @@ GUARDS = [
           schema_ids_spelled_twice,
           {"src/repro/telemetry/a.py": 'A = "repro.telemetry.events/1"\n',
            "src/repro/telemetry/b.py": "B = 'repro.telemetry.events/1'\n"}),
+    Guard("one-recovery-loop (only repro.resilience reads a fault's "
+          "severity or backoff)",
+          # Lint rules carry an unrelated ``severity`` (error/warning).
+          grep(r"InjectedFault|with_retries|backoff_delay\(|\.severity\b",
+               exclude=("src/repro/resilience/", "src/repro/lint/")),
+          {"src/repro/datapipe/x.py":
+           "wasted += clean.total * fault.severity\n"}),
     Guard("nothing-only-tests-reach (every src definition has a caller "
           "outside the tests)",
           only_tests_reach,
