@@ -221,16 +221,20 @@ def remove_self_loops(coo: AdjacencyCOO) -> AdjacencyCOO:
 
 
 def coalesce(coo: AdjacencyCOO) -> AdjacencyCOO:
-    """Remove duplicate edges, keeping the edge set sorted by (src, dst)."""
+    """Remove duplicate edges, keeping the edge set sorted by (src, dst).
+
+    One in-place sort of the packed ``src * n + dst`` keys, then an
+    adjacent-difference mask keeps the first key of every run.
+    """
     if coo.num_edges == 0:
         return coo
     keys = coo.src * coo.num_nodes + coo.dst
-    unique_keys = np.unique(keys)
-    return AdjacencyCOO(
-        coo.num_nodes,
-        (unique_keys // coo.num_nodes).astype(INDEX_DTYPE),
-        (unique_keys % coo.num_nodes).astype(INDEX_DTYPE),
-    )
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    src, dst = np.divmod(keys[first], coo.num_nodes)
+    return AdjacencyCOO(coo.num_nodes, src, dst)
 
 
 def symmetrize(coo: AdjacencyCOO) -> AdjacencyCOO:

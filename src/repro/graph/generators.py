@@ -41,6 +41,21 @@ def power_law_degrees(
     return np.maximum(1, np.round(degrees)).astype(INDEX_DTYPE)
 
 
+def _stable_groups(labels: np.ndarray,
+                   num_groups: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions grouped by label, ``(order, bounds)``: the positions with
+    label ``g`` are ``order[bounds[g]:bounds[g + 1]]``, ascending.
+
+    The labels are sorted in the narrowest dtype that holds them, where
+    numpy's stable sort is a radix sort.
+    """
+    keys = labels.astype(np.min_scalar_type(num_groups), copy=False)
+    order = np.argsort(keys, kind="stable")
+    bounds = np.zeros(num_groups + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(labels, minlength=num_groups), out=bounds[1:])
+    return order, bounds
+
+
 def dcsbm_graph(
     num_nodes: int,
     num_edges: int,
@@ -75,21 +90,20 @@ def dcsbm_graph(
     if n_inter:
         dst[~intra] = rng.choice(num_nodes, size=n_inter, p=weights)
 
-    # Community-restricted draws, one community at a time.
-    order = np.argsort(communities, kind="stable")
-    comm_sorted = communities[order]
-    boundaries = np.searchsorted(comm_sorted, np.arange(num_communities + 1))
+    # Community-restricted draws, one community at a time.  A stable sort
+    # groups the intra slots by their source's community once; within a
+    # group the slots stay in ascending position, the order the draws fill.
+    members, member_bounds = _stable_groups(communities, num_communities)
+    slots = np.flatnonzero(intra)
+    by_comm, slot_bounds = _stable_groups(communities[src[slots]], num_communities)
+    slots = slots[by_comm]
     for c in range(num_communities):
-        members = order[boundaries[c]:boundaries[c + 1]]
-        mask = intra & (communities[src] == c)
-        count = int(mask.sum())
-        if count == 0 or members.size == 0:
-            if count:
-                dst[mask] = rng.choice(num_nodes, size=count, p=weights)
+        own = slots[slot_bounds[c]:slot_bounds[c + 1]]
+        if own.size == 0:
             continue
-        member_w = weights[members]
-        member_w = member_w / member_w.sum()
-        dst[mask] = rng.choice(members, size=count, p=member_w)
+        group = members[member_bounds[c]:member_bounds[c + 1]]
+        member_w = weights[group]
+        dst[own] = rng.choice(group, size=own.size, p=member_w / member_w.sum())
 
     coo = AdjacencyCOO(num_nodes, src, dst)
     coo = remove_self_loops(coo)
@@ -118,9 +132,14 @@ def correlated_features(
     num_communities = int(communities.max()) + 1 if num_nodes else 0
 
     centroids = rng.standard_normal((num_communities, num_features)).astype(np.float32)
-    features = centroids[communities] + noise * rng.standard_normal(
-        (num_nodes, num_features)
-    ).astype(np.float32)
+    # Noise in row blocks of about a million draws: the same stream as one
+    # (num_nodes, num_features) draw, without that draw's full-size float64
+    # temporary, which set the peak memory of a cold dataset build.
+    features = centroids[communities]
+    rows = max(1, (1 << 20) // max(1, num_features))
+    for start in range(0, num_nodes, rows):
+        draws = rng.standard_normal((min(rows, num_nodes - start), num_features))
+        features[start:start + rows] += noise * draws.astype(np.float32)
 
     community_class = rng.integers(0, num_classes, size=num_communities)
     if multilabel:

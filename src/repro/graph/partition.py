@@ -6,16 +6,21 @@ a BFS-ordering partitioner with a single boundary-refinement pass, which is
 the classic lightweight approximation: BFS order gives locality, chunking
 gives balance, and refinement trims the cut.  Its charged cost is the
 METIS-like O(E) one-time cost (see the sampler cost model).
+
+The BFS and the chunking are whole-array passes (one gather per BFS level,
+one ``np.repeat`` for the chunks); only the refinement walks nodes one at a
+time, because each move changes the part sizes and the neighbour counts
+the next node sees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.graph.formats import AdjacencyCSR, INDEX_DTYPE
+from repro.graph.formats import AdjacencyCSR, INDEX_DTYPE, gather_neighborhoods
 
 
 @dataclass(frozen=True)
@@ -28,38 +33,52 @@ class PartitionResult:
 
 
 def bfs_order(adj: AdjacencyCSR, seed: Optional[int] = None) -> np.ndarray:
-    """Visit order of a BFS over all components (random restarts)."""
+    """Visit order of a BFS over all components (random restarts).
+
+    Level-synchronous: each level gathers the whole frontier's neighbour
+    lists and keeps the first occurrence of every unvisited node, which is
+    exactly the order a FIFO queue visits them in.  A restart takes the
+    next unvisited node of a seeded permutation; unvisited candidates with
+    no out-edges are components of their own and are emitted in one run.
+    """
     rng = np.random.default_rng(seed)
     n = adj.num_nodes
+    out_degree = adj.degrees()
     visited = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=INDEX_DTYPE)
     pos = 0
-    start_candidates = rng.permutation(n)
-    head = 0
-    queue: List[int] = []
-    while pos < n:
-        if not queue:
-            while head < n and visited[start_candidates[head]]:
-                head += 1
-            if head >= n:
-                break
-            root = int(start_candidates[head])
-            visited[root] = True
-            queue.append(root)
-        node = queue.pop(0)
-        order[pos] = node
-        pos += 1
-        for nbr in adj.neighbors(node):
-            nbr = int(nbr)
-            if not visited[nbr]:
-                visited[nbr] = True
-                queue.append(nbr)
-    return order[:pos]
-
-
-def _edge_cut(adj: AdjacencyCSR, assignments: np.ndarray) -> int:
-    coo = adj.to_coo()
-    return int((assignments[coo.src] != assignments[coo.dst]).sum())
+    candidates = rng.permutation(n)
+    head, window = 0, 64
+    while head < n:
+        # Scan the permutation in doubling windows: linear over all restarts.
+        span = candidates[head:head + window]
+        fresh = np.flatnonzero(~visited[span])
+        if fresh.size == 0:
+            head += span.size
+            window *= 2
+            continue
+        window = 64
+        roots = span[fresh]
+        with_edges = np.flatnonzero(out_degree[roots])
+        k = int(with_edges[0]) if with_edges.size else roots.size
+        visited[roots[:k]] = True
+        order[pos:pos + k] = roots[:k]
+        pos += k
+        if k == roots.size:
+            head += span.size
+            continue
+        head += int(fresh[k]) + 1
+        frontier = roots[k:k + 1]
+        visited[frontier] = True
+        while frontier.size:
+            order[pos:pos + frontier.size] = frontier
+            pos += frontier.size
+            nbrs, _, _ = gather_neighborhoods(adj.indptr, adj.indices, frontier)
+            nbrs = nbrs[~visited[nbrs]]
+            _, first = np.unique(nbrs, return_index=True)
+            frontier = nbrs[np.sort(first)]
+            visited[frontier] = True
+    return order
 
 
 def partition_graph(
@@ -82,15 +101,14 @@ def partition_graph(
         raise ValueError(f"cannot split {n} nodes into {num_parts} parts")
 
     order = bfs_order(adj, seed=seed)
-    assignments = np.empty(n, dtype=INDEX_DTYPE)
     # Chunk sizes differ by at most 1.
     base = n // num_parts
     remainder = n % num_parts
-    start = 0
-    for part in range(num_parts):
-        size = base + (1 if part < remainder else 0)
-        assignments[order[start:start + size]] = part
-        start += size
+    chunk_sizes = np.full(num_parts, base, dtype=INDEX_DTYPE)
+    chunk_sizes[:remainder] += 1
+    assignments = np.empty(n, dtype=INDEX_DTYPE)
+    assignments[order] = np.repeat(np.arange(num_parts, dtype=INDEX_DTYPE),
+                                   chunk_sizes)
 
     max_size = base + 1 + max(1, base // 10)  # allow ~10% imbalance in refinement
     coo = adj.to_coo()
@@ -116,4 +134,5 @@ def partition_graph(
         if moved == 0:
             break
 
-    return PartitionResult(num_parts, assignments, _edge_cut(adj, assignments))
+    edge_cut = int((assignments[coo.src] != assignments[coo.dst]).sum())
+    return PartitionResult(num_parts, assignments, edge_cut)

@@ -89,10 +89,8 @@ def _transfer_entries(bundle: RunBundle) -> List[dict]:
     link = link_spec(bundle) or {}
     lane = str(link.get("lane", "pcie"))
     bandwidth = float(link.get("bandwidth", 0.0) or 0.0)
-    bytes_by_direction = {
-        dict(labels).get("direction", "?"): value
-        for labels, value in bundle.counter_series("pcie.bytes").items()
-    }
+    # Summed over the counter's other labels (each transfer's ``tag``).
+    bytes_by_direction = bundle.counter_by("pcie.bytes", "direction")
     # Lane-qualified keys ("pcie@copy", "pcie@h2d") are the pipeline's
     # per-stage PCIe timelines; they are still this link's traffic.
     seconds_total = sum(iv.duration for iv in bundle.intervals

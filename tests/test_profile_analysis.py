@@ -161,6 +161,18 @@ class TestRooflineGuards:
         assert result["kernels"][0]["bound"] == "overhead"
         assert result["kernels"][0]["intensity_flops_per_byte"] is None
 
+    def test_transfer_bytes_sum_over_tags(self):
+        """Regression: ``pcie.bytes`` also carries a ``tag`` label, and
+        keying the bytes by direction alone kept only one tag's share."""
+        manifest = {"total_seconds": 1.0, "metrics": [
+            {"name": "pcie.bytes", "kind": "counter",
+             "labels": {"direction": "h2d", "tag": tag}, "value": value}
+            for tag, value in (("features", 300.0), ("labels", 20.0))]}
+        (transfer,) = roofline_attribution(
+            RunBundle(manifest=manifest))["transfers"]
+        assert transfer["bytes_by_direction"] == {"h2d": 320.0}
+        assert transfer["bytes"] == 320.0
+
 
 # ----------------------------------------------------------------------
 # unit: flamegraph folding

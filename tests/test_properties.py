@@ -1,10 +1,14 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.formats import AdjacencyCOO, coalesce, symmetrize
+from repro.graph.generators import correlated_features
+from repro.graph.partition import bfs_order
 from repro.hardware.memory import MemoryLedger
 from repro.kernels.adj import SparseAdj
 from repro.kernels.scatter import gather, scatter_add
@@ -25,6 +29,107 @@ def edge_lists(draw, max_nodes=24, max_edges=80):
     src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
     dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
     return n, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+
+
+@st.composite
+def degenerate_edge_lists(draw):
+    """Edge lists that are empty, one edge, one edge repeated, or general."""
+    n, src, dst = draw(edge_lists())
+    shape = draw(st.sampled_from(("empty", "single", "all-duplicate",
+                                  "general")))
+    if shape == "empty" or src.size == 0:
+        return n, src[:0], dst[:0]
+    if shape == "single":
+        return n, src[:1], dst[:1]
+    if shape == "all-duplicate":
+        return n, np.repeat(src[:1], src.size), np.repeat(dst[:1], src.size)
+    return n, src, dst
+
+
+@st.composite
+def multi_component_graphs(draw):
+    """A CSR over disjoint blocks of shuffled node ids: several components,
+    isolated nodes and repeated edges, directed or symmetric."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    n = sum(sizes)
+    ids = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    src, dst, offset = [], [], 0
+    for size in sizes:
+        pairs = draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                        st.integers(0, size - 1)),
+                              max_size=2 * size))
+        if pairs:
+            pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+        src += [offset + s for s, _ in pairs]
+        dst += [offset + d for _, d in pairs]
+        offset += size
+    src = ids[np.array(src, dtype=np.int64)]
+    dst = ids[np.array(dst, dtype=np.int64)]
+    if draw(st.booleans()):
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    return AdjacencyCOO(n, src, dst).to_csr()
+
+
+def fifo_bfs_order(adj, seed):
+    """Reference BFS: one FIFO queue, one node at a time, restarts from a
+    seeded permutation."""
+    rng = np.random.default_rng(seed)
+    n = adj.num_nodes
+    visited = np.zeros(n, dtype=bool)
+    order = []
+    start_candidates = rng.permutation(n)
+    head = 0
+    queue = deque()
+    while len(order) < n:
+        if not queue:
+            while visited[start_candidates[head]]:
+                head += 1
+            root = int(start_candidates[head])
+            visited[root] = True
+            queue.append(root)
+        node = queue.popleft()
+        order.append(node)
+        for nbr in adj.neighbors(node):
+            nbr = int(nbr)
+            if not visited[nbr]:
+                visited[nbr] = True
+                queue.append(nbr)
+    return np.array(order, dtype=np.int64)
+
+
+class TestColdStartOracles:
+    @given(multi_component_graphs(), st.integers(0, 2**31 - 1))
+    def test_frontier_bfs_equals_fifo_queue(self, adj, seed):
+        order = bfs_order(adj, seed=seed)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, fifo_bfs_order(adj, seed))
+
+    @pytest.mark.parametrize("num_nodes,num_features,noise", [
+        (0, 8, 1.0), (3000, 600, 0.7), (2100, 1000, 1.3)])
+    def test_blocked_feature_noise_equals_one_draw(self, num_nodes,
+                                                   num_features, noise):
+        """The noise is drawn in row blocks; several blocks, a partial
+        last one and a non-unit scale must give the one-draw bytes."""
+        communities = np.random.default_rng(5).integers(0, 7, num_nodes)
+        features, _ = correlated_features(communities, num_features, 4,
+                                          noise=noise, seed=9)
+        rng = np.random.default_rng(9)
+        centroids = rng.standard_normal(
+            (int(communities.max(initial=-1)) + 1, num_features)
+        ).astype(np.float32)
+        reference = centroids[communities] + noise * rng.standard_normal(
+            (num_nodes, num_features)).astype(np.float32)
+        assert features.dtype == reference.dtype
+        assert features.tobytes() == reference.tobytes()
+
+    @given(degenerate_edge_lists())
+    def test_coalesce_equals_unique_reference(self, edges):
+        n, src, dst = edges
+        out = coalesce(AdjacencyCOO(n, src, dst))
+        keys = np.unique(src * n + dst)
+        assert out.src.dtype == out.dst.dtype == np.int64
+        assert np.array_equal(out.src, keys // n)
+        assert np.array_equal(out.dst, keys % n)
 
 
 class TestFormatProperties:

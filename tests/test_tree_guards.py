@@ -197,6 +197,10 @@ GUARDS = [
                exclude=("src/repro/resilience/", "src/repro/lint/")),
           {"src/repro/datapipe/x.py":
            "wasted += clean.total * fault.severity\n"}),
+    Guard("no-front-pop-queue (list.pop(0) is O(n), so a BFS on it is "
+          "quadratic)",
+          grep(r"\.pop\(\s*0\s*\)"),
+          {"src/repro/graph/partition.py": "        node = queue.pop(0)\n"}),
     Guard("nothing-only-tests-reach (every src definition has a caller "
           "outside the tests)",
           only_tests_reach,
