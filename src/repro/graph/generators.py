@@ -132,11 +132,12 @@ def correlated_features(
     num_communities = int(communities.max()) + 1 if num_nodes else 0
 
     centroids = rng.standard_normal((num_communities, num_features)).astype(np.float32)
-    # Noise in row blocks of about a million draws: the same stream as one
-    # (num_nodes, num_features) draw, without that draw's full-size float64
-    # temporary, which set the peak memory of a cold dataset build.
+    # Noise in row blocks of about 65 thousand draws: the same stream as one
+    # (num_nodes, num_features) draw, without its float64 temporary, which
+    # set the peak memory of a cold dataset build (at a million draws per
+    # block, still an 8 MB one).
     features = centroids[communities]
-    rows = max(1, (1 << 20) // max(1, num_features))
+    rows = max(1, (1 << 16) // max(1, num_features))
     for start in range(0, num_nodes, rows):
         draws = rng.standard_normal((min(rows, num_nodes - start), num_features))
         features[start:start + rows] += noise * draws.astype(np.float32)

@@ -29,17 +29,22 @@ invariant — one SpMM against a cached edge-incidence selector (or
 ``ufunc.reduceat`` for non-float dtypes) rather than the 20-30x slower
 ``np.add.at``.  None of this changes what
 ``charge(...)`` records — cost depends only on logical edge/node counts.
+
+Row reuse: an adjacency whose ``row_memo`` slot holds a :class:`RowMemo`
+computes only the weighted SpMM rows the memo lacks and copies the rest
+(see :meth:`SparseAdj.matmul_data`).  Only the serving engine sets it.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import GraphFormatError
-from repro.graph.formats import INDEX_DTYPE
+from repro.graph.formats import INDEX_DTYPE, gather_neighborhoods
 from repro.kernels.config import fastpath_enabled
 from repro.telemetry import runtime as telemetry
 
@@ -50,6 +55,47 @@ def _count_fastpath(path: str, hit: bool) -> None:
     if registry is not None:
         name = "kernel.fastpath.hit" if hit else "kernel.fastpath.miss"
         registry.counter(name, path=path).inc()
+
+
+def _count_row_memo(reused: int, computed: int) -> None:
+    """Guarded probe: kernel.row_memo.edges{outcome=reused|computed}."""
+    registry = telemetry.metrics()
+    if registry is not None:
+        registry.counter("kernel.row_memo.edges", outcome="reused").inc(reused)
+        registry.counter("kernel.row_memo.edges", outcome="computed").inc(computed)
+
+
+class RowMemo:
+    """Finished weighted-SpMM rows keyed by global destination node id.
+
+    A row of a block's SpMM depends only on its destination's global id
+    when the block holds that node's complete in-neighbourhood, the weights
+    are a function of the node (``1/deg`` for the mean) and the source
+    rows are raw features: the edges come in graph-CSR order and scipy
+    accumulates each row sequentially, so recomputing the row elsewhere
+    yields the same bytes.
+
+    Only rows of in-degree ``>= min_degree`` are kept; the others are
+    recomputed.  Rows are appended to one ``(num_nodes, width)`` slab in
+    the order they are first kept.  The slab is an anonymous mapping, not
+    a heap block: only the pages written are resident, it never takes the
+    heap hole the next feature gather would reuse, and it is unmapped
+    with the memo.
+    """
+
+    def __init__(self, num_nodes: int, width: int, min_degree: float) -> None:
+        self.slot = np.full(num_nodes, -1, dtype=INDEX_DTYPE)
+        self.rows = np.frombuffer(
+            mmap.mmap(-1, 4 * num_nodes * width),
+            dtype=np.float32).reshape(num_nodes, width)
+        self.count = 0
+        self.min_degree = min_degree
+
+    def store(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        end = self.count + keys.size
+        self.rows[self.count:end] = rows
+        self.slot[keys] = np.arange(self.count, end, dtype=INDEX_DTYPE)
+        self.count = end
 
 
 def _segment_reduceat(ufunc, ordered, indptr: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -169,6 +215,9 @@ class SparseAdj:
         self._inv_in_degrees: Optional[np.ndarray] = None
         self._inc_dst: Optional[sp.csr_matrix] = None
         self._inc_src: Optional[sp.csr_matrix] = None
+        # Weighted matmul rows shared across blocks; keys are the global
+        # ids in ``src_nodes[:num_dst]`` (see models.inference._chunk_block).
+        self.row_memo: Optional[RowMemo] = None
 
     # ------------------------------------------------------------------
     @property
@@ -309,7 +358,8 @@ class SparseAdj:
         means unweighted (stored weights if any, else ones).  Weighted
         calls swap ``data`` into the prebuilt structure in place instead of
         constructing a fresh ``sp.csr_matrix`` (the default data buffer is
-        restored before returning).
+        restored before returning).  With a :class:`RowMemo` attached,
+        weighted calls multiply only the rows the memo lacks.
         """
         mat = self._csr()
         if data is None:
@@ -322,12 +372,38 @@ class SparseAdj:
             )
             return np.asarray(rebuilt @ x, dtype=np.float32)
         _count_fastpath("csr_reuse", hit=True)
+        if self.row_memo is not None:
+            return self._matmul_memo(data, x)
         try:
             mat.data = data  # repro-lint: disable=INPLACE-GRAD scipy csr buffer, not a Tensor
             out = mat @ x
         finally:
             mat.data = self._default_data  # repro-lint: disable=INPLACE-GRAD scipy csr buffer, not a Tensor
         return np.asarray(out, dtype=np.float32)
+
+    def _matmul_memo(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Weighted matmul through :attr:`row_memo`: rows the memo holds
+        are copied out of it, a sub-CSR of the others (same edges, same
+        order) runs, and the memo keeps those of high enough degree."""
+        memo = self.row_memo
+        keys = self.src_nodes[:self.num_dst]
+        slots = memo.slot[keys]
+        held = slots >= 0
+        out = np.empty((self.num_dst, x.shape[1]), dtype=np.float32)
+        out[held] = memo.rows[slots[held]]
+        missing = np.flatnonzero(~held)
+        cols, degrees, positions = gather_neighborhoods(
+            self.indptr, self.src, missing)
+        indptr = np.zeros(missing.size + 1, dtype=INDEX_DTYPE)
+        np.cumsum(degrees, out=indptr[1:])
+        sub = sp.csr_matrix((data[positions], cols, indptr),
+                            shape=(missing.size, self.num_src))
+        rows = sub @ x
+        out[missing] = rows
+        keep = degrees >= memo.min_degree
+        memo.store(keys[missing[keep]], rows[keep])
+        _count_row_memo(self.num_edges - positions.size, positions.size)
+        return out
 
     def _transpose(self) -> sp.csr_matrix:
         """Lazily built-and-cached CSR of the transposed structure.

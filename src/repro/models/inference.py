@@ -101,7 +101,7 @@ def _layer_chunks(framework, fgraph, layer, x_host, target,
         # Block: all in-edges of this chunk's rows.
         block = _chunk_block(graph, rows, target)
         with framework.activate():
-            x_in = Tensor(x_host[block_src_nodes(block, rows)],
+            x_in = Tensor(x_host[block.src_nodes],
                           device=machine.cpu, work_scale=graph.node_scale)
         pool.stage_host(index, x_in.logical_nbytes)
         return block, x_in
@@ -166,13 +166,10 @@ def _chunk_block(graph, rows: np.ndarray, device) -> SparseAdj:
         src_local, dst_local, num_src=src_nodes.size,
         num_dst=rows.size, device=device,
         node_scale=graph.node_scale, edge_scale=graph.edge_scale)
-    adj.src_nodes = src_nodes  # stashed for feature lookup
+    # Global id of every source row, dst-prefix first: feature lookup
+    # gathers by it, and src_nodes[:num_dst] keys a RowMemo.
+    adj.src_nodes = src_nodes
     return adj
-
-
-def block_src_nodes(block: SparseAdj, rows: np.ndarray) -> np.ndarray:
-    """Global feature rows needed by a chunk block."""
-    return block.src_nodes
 
 
 def batch_blocks(graph, nodes: np.ndarray, num_layers: int, device) -> list:

@@ -46,6 +46,7 @@ from repro.errors import BenchmarkError, RecoveryExhausted
 from repro.frameworks import get_framework
 from repro.hardware.device import KernelCost
 from repro.hardware.machine import paper_testbed
+from repro.kernels.adj import RowMemo
 from repro.models.graphsage import build_graphsage
 from repro.models.inference import batch_blocks
 from repro.power.monitor import EnergyMonitor, EnergyReport
@@ -261,6 +262,12 @@ def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
     feat_row_bytes = 4.0 * graph.node_scale * graph.num_features
     # What an exhausted fault seam degrades a batch to.
     fallback = config.degraded_mode if cache is not None else "shed"
+    # Layer-0 neighbour means of this window (a blocks[0] row is the
+    # node's full in-neighbourhood over raw features, so it repeats
+    # byte for byte).  Rows under the mean degree are most of the rows
+    # but little of the edge work, so they are recomputed, not kept.
+    memo = RowMemo(graph.num_nodes, graph.num_features,
+                   min_degree=graph.num_edges / graph.num_nodes)
 
     def fetch(index, batch) -> _InFlight:
         """Block stack + feature-store read for miss rows."""
@@ -305,12 +312,16 @@ def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
     def compute(index, item: _InFlight) -> _InFlight:
         """Exact layerwise inference over the block stack."""
         with fw.activate():
+            # An advanced-index gather: a fresh array the stale path may
+            # overwrite.
             x = x_host[item.blocks[0].src_nodes]
             if item.degraded == "stale":
                 # Stale-cache answer: only cached rows carry real
-                # features; the failed miss rows are zero-filled.
-                x = x.copy()
+                # features; the failed miss rows are zero-filled, so
+                # its rows neither come from nor go to the memo.
                 x[~item.mask] = 0.0
+            else:
+                item.blocks[0].row_memo = memo
             out = Tensor(x, device=target, work_scale=graph.node_scale)
             for i, layer in enumerate(layers):
                 out = layer(item.blocks[i], out)

@@ -201,6 +201,13 @@ GUARDS = [
           "quadratic)",
           grep(r"\.pop\(\s*0\s*\)"),
           {"src/repro/graph/partition.py": "        node = queue.pop(0)\n"}),
+    Guard("row-memo-only-in-serving (a RowMemo is exact only for full "
+          "neighbourhoods over raw features, so only serving attaches one; "
+          "kernels/adj.py sets the None default)",
+          grep(r"row_memo\s*=(?!=)(?!\s*None$)",
+               exclude=("src/repro/serving/",)),
+          {"src/repro/models/trainer.py":
+           "        blocks[0].row_memo = RowMemo(n, f)\n"}),
     Guard("nothing-only-tests-reach (every src definition has a caller "
           "outside the tests)",
           only_tests_reach,
