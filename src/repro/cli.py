@@ -21,6 +21,7 @@ Commands mirror the paper's experiment families:
 from __future__ import annotations
 
 import argparse
+import math
 from typing import List, Optional
 
 from repro.bench import (
@@ -338,8 +339,9 @@ def _parse_rates(value: str) -> List[float]:
         rates = [float(part) for part in value.split(",") if part.strip()]
     except ValueError:
         raise SystemExit(f"repro serve: invalid rate list {value!r}")
-    if not rates or any(r <= 0 for r in rates):
-        raise SystemExit("repro serve: need at least one positive rate")
+    if not rates or not all(math.isfinite(r) and r > 0 for r in rates):
+        raise SystemExit("repro serve: need finite positive rates, "
+                         f"got {value!r}")
     return rates
 
 

@@ -31,7 +31,8 @@ invariant — one SpMM against a cached edge-incidence selector (or
 ``charge(...)`` records — cost depends only on logical edge/node counts.
 
 Row reuse: an adjacency whose ``row_memo`` slot holds a :class:`RowMemo`
-computes only the weighted SpMM rows the memo lacks and copies the rest
+reads its weighted SpMM's source rows from the memo's feature store by
+global id, computes only the rows the memo lacks and copies the rest
 (see :meth:`SparseAdj.matmul_data`).  Only the serving engine sets it.
 """
 
@@ -66,24 +67,28 @@ def _count_row_memo(reused: int, computed: int) -> None:
 
 
 class RowMemo:
-    """Finished weighted-SpMM rows keyed by global destination node id.
+    """Finished weighted-SpMM rows over a feature store, keyed by global
+    destination node id.
 
     A row of a block's SpMM depends only on its destination's global id
     when the block holds that node's complete in-neighbourhood, the weights
     are a function of the node (``1/deg`` for the mean) and the source
-    rows are raw features: the edges come in graph-CSR order and scipy
-    accumulates each row sequentially, so recomputing the row elsewhere
-    yields the same bytes.
+    rows are the raw ``features``: the edges come in graph-CSR order and
+    scipy accumulates each row sequentially, so recomputing the row
+    elsewhere yields the same bytes.  An adjacency with a memo attached
+    reads its source rows from ``features`` by global id
+    (``src_nodes[cols]``), never from the gathered ``x``.
 
     Only rows of in-degree ``>= min_degree`` are kept; the others are
-    recomputed.  Rows are appended to one ``(num_nodes, width)`` slab in
+    recomputed.  Rows are appended to one slab of ``features.shape`` in
     the order they are first kept.  The slab is an anonymous mapping, not
-    a heap block: only the pages written are resident, it never takes the
-    heap hole the next feature gather would reuse, and it is unmapped
+    a heap block: only the pages written are resident, and it is unmapped
     with the memo.
     """
 
-    def __init__(self, num_nodes: int, width: int, min_degree: float) -> None:
+    def __init__(self, features: np.ndarray, min_degree: float) -> None:
+        self.features = features
+        num_nodes, width = features.shape
         self.slot = np.full(num_nodes, -1, dtype=INDEX_DTYPE)
         self.rows = np.frombuffer(
             mmap.mmap(-1, 4 * num_nodes * width),
@@ -215,8 +220,8 @@ class SparseAdj:
         self._inv_in_degrees: Optional[np.ndarray] = None
         self._inc_dst: Optional[sp.csr_matrix] = None
         self._inc_src: Optional[sp.csr_matrix] = None
-        # Weighted matmul rows shared across blocks; keys are the global
-        # ids in ``src_nodes[:num_dst]`` (see models.inference._chunk_block).
+        # Weighted matmul rows shared across blocks; keys and source rows
+        # are the global ids in ``src_nodes`` (models.inference._chunk_block).
         self.row_memo: Optional[RowMemo] = None
 
     # ------------------------------------------------------------------
@@ -359,7 +364,9 @@ class SparseAdj:
         calls swap ``data`` into the prebuilt structure in place instead of
         constructing a fresh ``sp.csr_matrix`` (the default data buffer is
         restored before returning).  With a :class:`RowMemo` attached,
-        weighted calls multiply only the rows the memo lacks.
+        weighted calls read source rows from the memo's feature store by
+        global id and never ``x``, and the fast path multiplies only the
+        rows the memo lacks.
         """
         mat = self._csr()
         if data is None:
@@ -367,13 +374,15 @@ class SparseAdj:
         data = np.asarray(data, dtype=np.float32)
         if not fastpath_enabled():
             _count_fastpath("csr_reuse", hit=False)
-            rebuilt = sp.csr_matrix(
-                (data, mat.indices, mat.indptr), shape=mat.shape
-            )
-            return np.asarray(rebuilt @ x, dtype=np.float32)
+            cols, source = mat.indices, x
+            if self.row_memo is not None:  # no reuse, same source rows
+                cols, source = self.src_nodes[cols], self.row_memo.features
+            rebuilt = sp.csr_matrix((data, cols, mat.indptr),
+                                    shape=(self.num_dst, source.shape[0]))
+            return np.asarray(rebuilt @ source, dtype=np.float32)
         _count_fastpath("csr_reuse", hit=True)
         if self.row_memo is not None:
-            return self._matmul_memo(data, x)
+            return self._matmul_memo(data)
         try:
             mat.data = data  # repro-lint: disable=INPLACE-GRAD scipy csr buffer, not a Tensor
             out = mat @ x
@@ -381,24 +390,26 @@ class SparseAdj:
             mat.data = self._default_data  # repro-lint: disable=INPLACE-GRAD scipy csr buffer, not a Tensor
         return np.asarray(out, dtype=np.float32)
 
-    def _matmul_memo(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _matmul_memo(self, data: np.ndarray) -> np.ndarray:
         """Weighted matmul through :attr:`row_memo`: rows the memo holds
         are copied out of it, a sub-CSR of the others (same edges, same
-        order) runs, and the memo keeps those of high enough degree."""
+        order, global columns) runs against the memo's feature store, and
+        the memo keeps those of high enough degree."""
         memo = self.row_memo
         keys = self.src_nodes[:self.num_dst]
         slots = memo.slot[keys]
         held = slots >= 0
-        out = np.empty((self.num_dst, x.shape[1]), dtype=np.float32)
+        out = np.empty((self.num_dst, memo.features.shape[1]),
+                       dtype=np.float32)
         out[held] = memo.rows[slots[held]]
         missing = np.flatnonzero(~held)
         cols, degrees, positions = gather_neighborhoods(
             self.indptr, self.src, missing)
         indptr = np.zeros(missing.size + 1, dtype=INDEX_DTYPE)
         np.cumsum(degrees, out=indptr[1:])
-        sub = sp.csr_matrix((data[positions], cols, indptr),
-                            shape=(missing.size, self.num_src))
-        rows = sub @ x
+        sub = sp.csr_matrix((data[positions], self.src_nodes[cols], indptr),
+                            shape=(missing.size, memo.features.shape[0]))
+        rows = sub @ memo.features
         out[missing] = rows
         keep = degrees >= memo.min_degree
         memo.store(keys[missing[keep]], rows[keep])

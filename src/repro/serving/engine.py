@@ -34,6 +34,7 @@ raises :class:`~repro.errors.RecoveryExhausted` instead.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
@@ -104,14 +105,19 @@ class ServeConfig:
         if self.trace not in TRACE_KINDS:
             raise BenchmarkError(
                 f"unknown trace kind {self.trace!r}; expected {TRACE_KINDS}")
-        if self.budget_s <= 0:
-            raise BenchmarkError("latency budget must be > 0 seconds")
+        for knob, value in (("rate", self.rate),
+                            ("latency budget", self.budget_s),
+                            ("dataset scale", self.dataset_scale)):
+            if not (math.isfinite(value) and value > 0):
+                raise BenchmarkError(
+                    f"{knob} must be finite and > 0, got {value!r}")
         if self.max_batch < 1:
             raise BenchmarkError("max batch size must be >= 1")
         if not (0.0 <= self.cache_fraction <= 1.0):
             raise BenchmarkError("cache fraction must be in [0, 1]")
-        if self.rate <= 0 or self.num_requests < 1:
-            raise BenchmarkError("rate must be > 0 and num_requests >= 1")
+        if self.num_requests < 1 or self.nodes_per_request < 1:
+            raise BenchmarkError(
+                "num_requests and nodes_per_request must be >= 1")
         # The single pipeline × placement validation path shared with
         # `repro train` (see repro.datapipe.config).
         validate_pipeline_placement(self.pipeline, self.placement)
@@ -262,12 +268,12 @@ def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
     feat_row_bytes = 4.0 * graph.node_scale * graph.num_features
     # What an exhausted fault seam degrades a batch to.
     fallback = config.degraded_mode if cache is not None else "shed"
-    # Layer-0 neighbour means of this window (a blocks[0] row is the
-    # node's full in-neighbourhood over raw features, so it repeats
-    # byte for byte).  Rows under the mean degree are most of the rows
-    # but little of the edge work, so they are recomputed, not kept.
-    memo = RowMemo(graph.num_nodes, graph.num_features,
-                   min_degree=graph.num_edges / graph.num_nodes)
+    # Layer-0 neighbour means of this window, read from the feature
+    # store in place (a blocks[0] row is the node's full
+    # in-neighbourhood over raw features, so it repeats byte for byte).
+    # Rows under the mean degree are most of the rows but little of the
+    # edge work, so they are recomputed, not kept.
+    memo = RowMemo(x_host, min_degree=graph.num_edges / graph.num_nodes)
 
     def fetch(index, batch) -> _InFlight:
         """Block stack + feature-store read for miss rows."""
@@ -311,17 +317,24 @@ def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
 
     def compute(index, item: _InFlight) -> _InFlight:
         """Exact layerwise inference over the block stack."""
+        block = item.blocks[0]
         with fw.activate():
-            # An advanced-index gather: a fresh array the stale path may
-            # overwrite.
-            x = x_host[item.blocks[0].src_nodes]
             if item.degraded == "stale":
                 # Stale-cache answer: only cached rows carry real
-                # features; the failed miss rows are zero-filled, so
-                # its rows neither come from nor go to the memo.
+                # features; the failed miss rows are zero-filled in a
+                # full gather (a fresh array, not the store), so its
+                # rows neither come from nor go to the memo.
+                x = x_host[block.src_nodes]
                 x[~item.mask] = 0.0
             else:
-                item.blocks[0].row_memo = memo
+                # The memo's SpMM reads source rows from the store in
+                # place, so only the destination prefix is copied; the
+                # rest of x is never read.
+                x = np.empty((block.num_src, x_host.shape[1]),
+                             dtype=x_host.dtype)
+                np.take(x_host, block.src_nodes[:block.num_dst], axis=0,
+                        out=x[:block.num_dst])
+                block.row_memo = memo
             out = Tensor(x, device=target, work_scale=graph.node_scale)
             for i, layer in enumerate(layers):
                 out = layer(item.blocks[i], out)

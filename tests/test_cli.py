@@ -200,3 +200,22 @@ class TestResilienceCli:
         with pytest.raises(SystemExit):
             main(["train", "--dataset", "ppi", "--epochs", "1",
                   "--faults", "/nonexistent/plan.json"])
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--rates", "nan"], "need finite positive rates, got 'nan'"),
+    (["--rates", "100,nan"], "need finite positive rates, got '100,nan'"),
+    (["--rates", "inf"], "need finite positive rates, got 'inf'"),
+    (["--budget-ms", "nan"], "latency budget must be finite and > 0"),
+    (["--scale", "nan"], "dataset scale must be finite and > 0, got nan"),
+    (["--scale", "0"], "dataset scale must be finite and > 0, got 0.0"),
+    (["--nodes-per-request", "0"], "nodes_per_request must be >= 1"),
+], ids=["rate-nan", "rates-100-nan", "rate-inf", "budget-nan", "scale-nan",
+        "scale-0", "nodes-per-request-0"])
+def test_serve_rejects_a_bad_knob_with_one_line(flags, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--dataset", "ppi", "--scale", "0.3",
+              "--requests", "8"] + flags)
+    assert exc.value.code.startswith("repro serve: ")
+    assert message in exc.value.code and "\n" not in exc.value.code
+    assert capsys.readouterr().out == ""  # rejected before any work

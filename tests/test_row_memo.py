@@ -1,21 +1,27 @@
 """Row reuse in the layer-0 SpMM of a serving window is exact.
 
 A serving window keeps one :class:`~repro.kernels.adj.RowMemo` of
-layer-0 neighbour means by global node id.  These tests hold the memo to
-the bytes the plain kernels produce: every SAGE layer output of a window
-equals the same window on the reference kernels (which never read a
-memo), and memo rows equal the full-graph SpMM rows for any sequence of
-overlapping batches.
+layer-0 neighbour means by global node id, over the window's feature
+store.  These tests hold the memo to the bytes the plain kernels
+produce: every SAGE layer output of a window equals the same window on
+the reference kernels (which never reuse a row), memo rows read from the
+store equal the full-graph SpMM rows over gathered features for any
+sequence of overlapping batches, and a clean batch never reads the rows
+of its layer-0 input past the destinations, which it does not copy.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets.registry import get_dataset
+from repro.frameworks.feature_cache import GpuFeatureCache
 from repro.frameworks.nn import SAGEConv
 from repro.kernels.adj import RowMemo
 from repro.kernels.config import use_reference_kernels
+from repro.models.graphsage import HIDDEN
 from repro.models.inference import batch_blocks
 from repro.serving import ServeConfig, run_serving_experiment
 from repro.telemetry import session as telemetry_session
@@ -99,6 +105,57 @@ class TestWindowBytes:
         assert fast == reference
 
 
+class TestStoreRead:
+    @pytest.mark.parametrize("reference", [False, True],
+                             ids=["fast", "reference"])
+    @pytest.mark.parametrize("key", ["plain", "cpu"])
+    def test_layer0_rows_past_the_destinations_are_never_read(
+            self, sage_outputs, monkeypatch, key, reference):
+        overrides, plan = WINDOWS[key]
+        with use_reference_kernels():
+            expected = sage_outputs(_config(**overrides), plan)
+        forward = SAGEConv.forward
+
+        def poisoned(self, adj, x):
+            if adj.row_memo is not None:
+                x.data[adj.num_dst:] = np.nan
+            return forward(self, adj, x)
+
+        monkeypatch.setattr(SAGEConv, "forward", poisoned)
+        with use_reference_kernels() if reference else nullcontext():
+            assert sage_outputs(_config(**overrides), plan) == expected
+
+    @pytest.mark.parametrize("key", ["stale-storage", "stale-middle"])
+    def test_a_stale_batch_gathers_every_source_row(self, monkeypatch, key):
+        caches = []
+        record = GpuFeatureCache.record
+
+        def recording(self, nodes):
+            caches.append(self)
+            return record(self, nodes)
+
+        forward = SAGEConv.forward
+        inputs = []  # (layer-0 input bytes, store rows with misses zeroed)
+
+        def checking(self, adj, x):
+            if adj.row_memo is None and x.shape[1] == store.shape[1]:
+                rows = store[adj.src_nodes]
+                rows[~caches[-1].hit_mask(adj.src_nodes)] = 0.0
+                inputs.append((x.data.tobytes(), rows.tobytes()))
+            return forward(self, adj, x)
+
+        monkeypatch.setattr(GpuFeatureCache, "record", recording)
+        monkeypatch.setattr(SAGEConv, "forward", checking)
+        overrides, plan = WINDOWS[key]
+        config = _config(**overrides)
+        store = get_dataset(config.dataset,
+                            scale=config.dataset_scale).features
+        assert store.shape[1] != HIDDEN  # so layer 1 never matches
+        result = run_serving_experiment(config, fault_plan=plan)
+        assert result.stale > 0 and inputs
+        assert all(got == want for got, want in inputs)
+
+
 class TestRowMemoCounter:
     def test_reused_plus_computed_is_every_clean_layer0_edge(
             self, monkeypatch):
@@ -148,7 +205,7 @@ class TestMemoLaw:
     @settings(max_examples=60, deadline=None)
     @given(_batches, st.integers(0, int(2 * _DEGREES.mean())))
     def test_memo_rows_equal_full_csr_rows(self, batches, min_degree):
-        memo = RowMemo(_GRAPH.num_nodes, _X.shape[1], min_degree=min_degree)
+        memo = RowMemo(_X, min_degree=min_degree)
         for nodes in batches:
             block = batch_blocks(_GRAPH, np.array(nodes), 2, None)[0]
             block.row_memo = memo

@@ -250,7 +250,11 @@ class TestEngine:
         ({"cache_fraction": 1.5}, "cache fraction"),
         ({"cache_fraction": -0.1}, "cache fraction"),
         ({"rate": 0.0}, "rate must be"),
+        ({"rate": float("nan")}, "rate must be"),
+        ({"budget_s": float("inf")}, "latency budget"),
+        ({"dataset_scale": 0.0}, "dataset scale"),
         ({"num_requests": 0}, "num_requests"),
+        ({"nodes_per_request": 0}, "nodes_per_request"),
     ])
     def test_each_bad_config_knob_rejected(self, knob, match):
         with pytest.raises(BenchmarkError, match=match):

@@ -8,6 +8,7 @@ tree — a guard that cannot fail guards nothing.
 """
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -51,6 +52,33 @@ def schema_ids_spelled_twice(root: Path) -> List[str]:
                                        text))
     return [f"{schema} spelled {n} times" for schema, n in ids.items()
             if n > 1]
+
+
+#: A dotted ``repro`` name opening a code span, with an optional call
+#: suffix; schema ids (``repro.serve/1``) are not names.
+_DOC_NAME = re.compile(r"`(repro(?:\.\w+)+)(?:\(.*?\))?`")
+
+
+def _resolves(name: str) -> bool:
+    """Import the longest module prefix of ``name``, getattr the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def unresolved_doc_names(root: Path) -> List[str]:
+    return [f"{rel}: `{m.group(1)}` does not resolve"
+            for rel, text in _files(root, ("README.md", "docs"), ())
+            for m in _DOC_NAME.finditer(text) if not _resolves(m.group(1))]
 
 
 #: Entry points: code that runs outside the test suite.  ``src/`` module
@@ -208,6 +236,10 @@ GUARDS = [
                exclude=("src/repro/serving/",)),
           {"src/repro/models/trainer.py":
            "        blocks[0].row_memo = RowMemo(n, f)\n"}),
+    Guard("docs-name-what-exists (every backticked repro.x.y name in "
+          "README.md and docs/ resolves by import and getattr)",
+          unresolved_doc_names,
+          {"docs/kernels.md": "Rows live in `repro.kernels.adj.RowCache`.\n"}),
     Guard("nothing-only-tests-reach (every src definition has a caller "
           "outside the tests)",
           only_tests_reach,
