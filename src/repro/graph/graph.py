@@ -91,7 +91,10 @@ class Graph:
         if stats.multilabel and labels.ndim != 2:
             raise GraphFormatError("multilabel graphs need 2-D labels")
         self.adj = adj
+        # Read-only: rows derived from the store (the serving RowMemo)
+        # outlive any one reader, so the store must not change under them.
         self.features = np.ascontiguousarray(features, dtype=np.float32)
+        self.features.setflags(write=False)
         self.labels = labels
         self.train_mask = train_mask.astype(bool)
         self.val_mask = val_mask.astype(bool)
@@ -102,7 +105,9 @@ class Graph:
         # by whoever derives it so it is derived at most once and lives
         # exactly as long as the dataset cache keeps the graph —
         # ``datasets.clear_cache()`` drops both together.  Every reader
-        # gets the same object: store read-only arrays.
+        # gets the same object: store read-only arrays.  The one entry
+        # that grows is the serving ``RowMemo`` (``RowMemo.of``), which
+        # appends layer-0 rows of the read-only features.
         self.derived: Dict[Hashable, Any] = {}
 
     # ------------------------------------------------------------------

@@ -33,7 +33,8 @@ invariant — one SpMM against a cached edge-incidence selector (or
 Row reuse: an adjacency whose ``row_memo`` slot holds a :class:`RowMemo`
 reads its weighted SpMM's source rows from the memo's feature store by
 global id, computes only the rows the memo lacks and copies the rest
-(see :meth:`SparseAdj.matmul_data`).  Only the serving engine sets it.
+(see :meth:`SparseAdj.matmul_data`).  Only the serving engine sets it,
+to the graph's one memo (:meth:`RowMemo.of`).
 """
 
 from __future__ import annotations
@@ -95,6 +96,24 @@ class RowMemo:
             dtype=np.float32).reshape(num_nodes, width)
         self.count = 0
         self.min_degree = min_degree
+
+    @classmethod
+    def of(cls, graph) -> "RowMemo":
+        """The graph's one memo over its (read-only) feature store.
+
+        A row is a function of the graph alone, so the memo lives in
+        ``graph.derived`` as long as the dataset cache holds the graph,
+        and every serving window on it reuses what the earlier ones kept.
+        Only rows of at least twice the mean in-degree are kept: on a
+        skewed graph they are few of the rows but much of the edge work,
+        and the threshold bounds what a memo that never shrinks holds.
+        """
+        memo = graph.derived.get("RowMemo")
+        if memo is None:
+            memo = graph.derived["RowMemo"] = cls(
+                graph.features,
+                min_degree=2 * graph.num_edges / graph.num_nodes)
+        return memo
 
     def store(self, keys: np.ndarray, rows: np.ndarray) -> None:
         end = self.count + keys.size

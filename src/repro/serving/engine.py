@@ -264,16 +264,15 @@ def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
 
     accountant = LatencyAccountant()
     registry = telemetry.metrics()
-    x_host = fgraph.features.data
+    # Layer-0 neighbour means, read from the feature store in place (a
+    # blocks[0] row is the node's full in-neighbourhood over raw
+    # features, so it repeats byte for byte in every window on this
+    # graph).  The engine reads the memo's store, so the two are one.
+    memo = RowMemo.of(graph)
+    x_host = memo.features
     feat_row_bytes = 4.0 * graph.node_scale * graph.num_features
     # What an exhausted fault seam degrades a batch to.
     fallback = config.degraded_mode if cache is not None else "shed"
-    # Layer-0 neighbour means of this window, read from the feature
-    # store in place (a blocks[0] row is the node's full
-    # in-neighbourhood over raw features, so it repeats byte for byte).
-    # Rows under the mean degree are most of the rows but little of the
-    # edge work, so they are recomputed, not kept.
-    memo = RowMemo(x_host, min_degree=graph.num_edges / graph.num_nodes)
 
     def fetch(index, batch) -> _InFlight:
         """Block stack + feature-store read for miss rows."""

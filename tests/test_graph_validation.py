@@ -78,11 +78,13 @@ class TestValidGraphs:
 
 class TestBrokenGraphs:
     def test_nonfinite_features_detected(self, tiny_graph):
-        tiny_graph.features[0, 0] = np.nan
-        try:
-            assert "non-finite feature values" in validate_graph(tiny_graph)
-        finally:
-            tiny_graph.features[0, 0] = 0.0
+        # The cached graph's store is read-only: plant the NaN in a copy.
+        features = tiny_graph.features.copy()
+        features[0, 0] = np.nan
+        broken = Graph(tiny_graph.adj, features, tiny_graph.labels,
+                       tiny_graph.train_mask, tiny_graph.val_mask,
+                       tiny_graph.test_mask, tiny_graph.stats)
+        assert "non-finite feature values" in validate_graph(broken)
 
     def test_label_out_of_range_detected(self, tiny_graph):
         original = tiny_graph.labels[0]

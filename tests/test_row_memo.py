@@ -1,13 +1,14 @@
-"""Row reuse in the layer-0 SpMM of a serving window is exact.
+"""Row reuse in the layer-0 SpMM of serving windows is exact.
 
-A serving window keeps one :class:`~repro.kernels.adj.RowMemo` of
-layer-0 neighbour means by global node id, over the window's feature
-store.  These tests hold the memo to the bytes the plain kernels
-produce: every SAGE layer output of a window equals the same window on
-the reference kernels (which never reuse a row), memo rows read from the
-store equal the full-graph SpMM rows over gathered features for any
-sequence of overlapping batches, and a clean batch never reads the rows
-of its layer-0 input past the destinations, which it does not copy.
+A cached graph keeps one :class:`~repro.kernels.adj.RowMemo` of layer-0
+neighbour means by global node id, over its read-only feature store, and
+every serving window on that graph shares it.  These tests hold the memo
+to the bytes the plain kernels produce: every SAGE layer output of a
+window, alone or after other windows on the same graph, equals the same
+window on the reference kernels (which never reuse a row), memo rows read
+from the store equal the full-graph SpMM rows over gathered features for
+any sequence of overlapping batches, and a clean batch never reads the
+rows of its layer-0 input past the destinations, which it does not copy.
 """
 
 from contextlib import nullcontext
@@ -16,10 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets import clear_cache
 from repro.datasets.registry import get_dataset
+from repro.frameworks import get_framework
 from repro.frameworks.feature_cache import GpuFeatureCache
 from repro.frameworks.nn import SAGEConv
-from repro.kernels.adj import RowMemo
+from repro.hardware.machine import paper_testbed
+from repro.kernels.adj import RowMemo, SparseAdj
 from repro.kernels.config import use_reference_kernels
 from repro.models.graphsage import HIDDEN
 from repro.models.inference import batch_blocks
@@ -56,6 +60,14 @@ WINDOWS = {
     "stale-middle": ({"rate": 1000.0, "degraded_mode": "stale"},
                      _storage_faults(at=4, count=2)),
 }
+
+
+@pytest.fixture(autouse=True)
+def _cold_memo():
+    """Each test starts on freshly built graphs, so on empty memos: a memo
+    lives as long as its cached graph, and rows an earlier test kept would
+    hide what this test's first windows store."""
+    clear_cache()
 
 
 @pytest.fixture
@@ -176,6 +188,79 @@ class TestRowMemoCounter:
             for outcome in ("reused", "computed"))
         assert reused > 0 and computed > 0
         assert reused + computed == sum(clean_edges)
+
+
+#: Windows served one after another on one ppi x0.3 graph, so one memo:
+#: clean, stale after clean (a stale write would poison the windows
+#: after it), cpu, then clean at another seed and rate.
+SEQUENCE = [WINDOWS["plain"], WINDOWS["stale-middle"], WINDOWS["cpu"],
+            ({"seed": 1, "rate": 500.0}, None)]
+
+
+def _reused_edges(sess):
+    counter = sess.metrics.get("kernel.row_memo.edges", outcome="reused")
+    return counter.value if counter is not None else 0
+
+
+class TestAcrossWindows:
+    def test_every_window_equals_the_reference_kernels(self, sage_outputs):
+        fast = [sage_outputs(_config(**overrides), plan)
+                for overrides, plan in SEQUENCE]
+        with use_reference_kernels():
+            reference = [sage_outputs(_config(**overrides), plan)
+                         for overrides, plan in SEQUENCE]
+        assert ([[out for _, out in window] for window in fast]
+                == [[out for _, out in window] for window in reference])
+
+    def test_one_memo_per_cached_graph(self, monkeypatch):
+        graph = get_dataset("ppi", scale=0.3)
+        memo = RowMemo.of(graph)
+        assert memo.count == 0
+        forward = SAGEConv.forward
+        served = []  # (window, memo, reused edges so far) per clean batch
+
+        def recording(self, adj, x):
+            out = forward(self, adj, x)
+            if adj.row_memo is not None:
+                served.append((window, adj.row_memo, _reused_edges(sess)))
+            return out
+
+        monkeypatch.setattr(SAGEConv, "forward", recording)
+        with telemetry_session() as sess:
+            for window, (overrides, plan) in enumerate(SEQUENCE):
+                run_serving_experiment(_config(**overrides), fault_plan=plan)
+                if window == 0:
+                    after_first = _reused_edges(sess)
+        assert {id(used) for _, used, _ in served} == {id(memo)}
+        assert RowMemo.of(graph) is memo and memo.count > 0
+        first_of_second = next(reused for window, _, reused in served
+                               if window == 1)
+        assert first_of_second > after_first
+        clear_cache()
+        fresh = RowMemo.of(get_dataset("ppi", scale=0.3))
+        assert fresh is not memo
+        assert fresh.count == 0 and (fresh.slot < 0).all()
+
+    def test_only_rows_of_at_least_twice_the_mean_degree_are_kept(self):
+        graph = get_dataset("ppi", scale=0.3)
+        for overrides, plan in SEQUENCE:
+            run_serving_experiment(_config(**overrides), fault_plan=plan)
+        memo = RowMemo.of(graph)
+        assert memo.min_degree == 2 * graph.num_edges / graph.num_nodes
+        degrees = np.diff(SparseAdj.from_graph(graph).indptr)
+        kept = np.flatnonzero(memo.slot >= 0)
+        assert kept.size == memo.count > 0
+        assert (degrees[kept] >= memo.min_degree).all()
+        assert memo.count <= np.count_nonzero(degrees >= memo.min_degree)
+
+    def test_the_feature_store_is_read_only(self):
+        graph = get_dataset("ppi", scale=0.3)
+        fgraph = get_framework("dglite").load("ppi", paper_testbed(),
+                                              scale=0.3)
+        for store in (graph.features, fgraph.features.data,
+                      RowMemo.of(graph).features):
+            with pytest.raises(ValueError):
+                store[0, 0] = 0.0
 
 
 _GRAPH = get_dataset("ppi", scale=0.1)

@@ -236,6 +236,11 @@ GUARDS = [
                exclude=("src/repro/serving/",)),
           {"src/repro/models/trainer.py":
            "        blocks[0].row_memo = RowMemo(n, f)\n"}),
+    Guard("row-memo-built-once (RowMemo.of in kernels/adj.py decides a "
+          "memo's lifetime and threshold, so nothing else constructs one)",
+          grep(r"\bRowMemo\(", exclude=("src/repro/kernels/adj.py",)),
+          {"src/repro/serving/engine.py":
+           "    memo = RowMemo(x_host, min_degree=1.0)\n"}),
     Guard("docs-name-what-exists (every backticked repro.x.y name in "
           "README.md and docs/ resolves by import and getattr)",
           unresolved_doc_names,
