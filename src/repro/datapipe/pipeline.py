@@ -34,6 +34,7 @@ import numpy as np
 from repro.errors import RecoveryExhausted
 from repro.hardware.machine import Machine
 from repro.resilience import runtime as resilience
+from repro.resilience.plan import FaultSpec
 from repro.simtime import DeferredRecord, VirtualClock
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.runtime import maybe_span
@@ -380,7 +381,7 @@ class _EpochState:
         crashed work lands on the CPU, respawn backoff on the job only."""
         wasted = delay = 0.0
 
-        def waste(seconds: float, kind: str) -> None:
+        def waste(seconds: float, fault: FaultSpec) -> None:
             nonlocal wasted
             wasted += seconds
 

@@ -28,11 +28,12 @@ import numpy as np
 from repro.datapipe.pipeline import Stage, run_epoch
 from repro.distributed.collective import ring_allreduce
 from repro.distributed.machine import MultiGpuMachine
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, RecoveryExhausted
 from repro.frameworks.base import Framework, FrameworkGraph
 from repro.kernels.transfer import adj_to_device, to_device
 from repro.models.base import make_loss
 from repro.resilience import runtime as resilience
+from repro.resilience.plan import FaultSpec
 from repro.telemetry.runtime import maybe_span, tracer_for
 from repro.telemetry.spans import PHASE_CATEGORY, SpanTracer
 from repro.tensor.module import Module
@@ -130,8 +131,6 @@ class DataParallelTrainer:
         window (symmetric shards) inside the job's record.
         """
         clock = self.machine.clock
-        # The "replica" fault site arms once per global step.
-        fault = resilience.arm("replica")
         with self.framework.activate():
             self.model.train()
             self.optimizer.zero_grad()
@@ -142,47 +141,49 @@ class DataParallelTrainer:
             # far is the compute window.
             compute = clock.deferred_seconds
             clock.credit_busy({name: compute for name in self._replica_names()})
-            if fault is not None:
-                self._apply_replica_fault(fault, compute)
+            self._survive_replica_faults(compute)
             ring_allreduce(self.machine, self._grad_nbytes(), tag="dp-allreduce",
                            gpus=[self.machine.gpus[r] for r in self._active_ranks])
             self.optimizer.step()
         return loss.item()
 
-    def _apply_replica_fault(self, fault, compute: float) -> None:
-        """Recover from a dead or straggling replica before the all-reduce.
+    def _survive_replica_faults(self, compute: float) -> None:
+        """The ``replica`` fault site, once per step while a rank > 0 lives.
 
         ``straggler``: the victim's step takes ``slow_factor`` times
-        longer and the synchronous ring waits for it.  ``dead``: the
-        victim is excluded from the ring, and rank 0 re-executes its
-        shard (one extra compute window) so no data is silently dropped;
-        later steps re-shard over the surviving ranks.
+        longer and the synchronous ring waits for it.  ``dead``: rank 0
+        re-executes the victim's shard (one extra compute window) so no
+        data is silently dropped, and the exhausted fault degrades by
+        excluding the victim; later steps re-shard over the survivors.
+        A fault aimed at an excluded rank bills nothing.
         """
-        injector = resilience.active()
-        machine = self.machine
-        candidates = [r for r in self._active_ranks if r > 0]
-        victim = fault.rank if fault.rank is not None else \
-            (candidates[-1] if candidates else None)
-        if victim not in candidates:
-            # Nothing excludable (single-GPU ring, or the rank already
-            # died): the fault cannot fire, so neither counter moves.
+        live = [rank for rank in self._active_ranks if rank > 0]
+        if not live:
             return
-        name = machine.gpus[victim].name
-        if fault.kind == "straggler":
-            injector.record_injected("replica", "straggler")
-            extra = compute * (fault.slow_factor - 1.0)
-            with maybe_span("recover.straggler", category="resilience",
-                            rank=victim, extra_seconds=extra):
-                if extra > 0:
-                    machine.clock.occupy(name, extra)
-            injector.record_recovered("replica", action="wait")
-        else:  # dead
-            injector.record_injected("replica", "dead")
-            with maybe_span("recover.exclude", category="resilience",
-                            rank=victim):
+        clock = self.machine.clock
+        gpus = self.machine.gpus
+        victim = None
+
+        def charge(seconds: float, fault: FaultSpec) -> None:
+            nonlocal victim
+            victim = live[-1] if fault.rank is None else fault.rank
+            if victim not in live:
+                return
+            if fault.kind == "straggler":
+                with maybe_span("recover.straggler", category="resilience",
+                                rank=victim, extra_seconds=seconds):
+                    clock.occupy(gpus[victim].name, seconds)
+            else:
+                with maybe_span("recover.exclude", category="resilience",
+                                rank=victim):
+                    clock.occupy(gpus[0].name, seconds)
+
+        try:
+            resilience.recover("replica", compute, charge, clock.advance)
+        except RecoveryExhausted as exhausted:
+            resilience.degrade(exhausted)
+            if victim in self._active_ranks:
                 self._active_ranks.remove(victim)
-                machine.clock.occupy(machine.gpus[0].name, compute)
-            injector.record_recovered("replica", action="exclude")
 
     # ------------------------------------------------------------------
     def run(self) -> ScalingResult:

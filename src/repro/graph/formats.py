@@ -220,28 +220,29 @@ def remove_self_loops(coo: AdjacencyCOO) -> AdjacencyCOO:
     return AdjacencyCOO(coo.num_nodes, coo.src[keep], coo.dst[keep])
 
 
-def coalesce(coo: AdjacencyCOO) -> AdjacencyCOO:
-    """Remove duplicate edges, keeping the edge set sorted by (src, dst).
+def coalesce(coo: AdjacencyCOO, both_directions: bool = False) -> AdjacencyCOO:
+    """Remove duplicate edges, keeping the edge set sorted by (src, dst);
+    ``both_directions`` first adds every edge's reverse, as packed keys.
 
     One in-place sort of the packed ``src * n + dst`` keys, then an
     adjacent-difference mask keeps the first key of every run.
     """
     if coo.num_edges == 0:
         return coo
-    keys = coo.src * coo.num_nodes + coo.dst
+    n = coo.num_nodes
+    keys = coo.src * n + coo.dst
+    if both_directions:
+        keys = np.concatenate([keys, coo.dst * n + coo.src])
     keys.sort()
     first = np.empty(keys.size, dtype=bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    src, dst = np.divmod(keys[first], coo.num_nodes)
-    return AdjacencyCOO(coo.num_nodes, src, dst)
+    unique = keys[first]
+    del keys, first
+    src, dst = np.divmod(unique, n)
+    return AdjacencyCOO(n, src, dst)
 
 
 def symmetrize(coo: AdjacencyCOO) -> AdjacencyCOO:
     """Make the edge set undirected (add reverse edges, dedupe)."""
-    both = AdjacencyCOO(
-        coo.num_nodes,
-        np.concatenate([coo.src, coo.dst]),
-        np.concatenate([coo.dst, coo.src]),
-    )
-    return coalesce(both)
+    return coalesce(coo, both_directions=True)

@@ -14,12 +14,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.graph.formats import (
-    AdjacencyCOO,
-    INDEX_DTYPE,
-    remove_self_loops,
-    symmetrize,
-)
+from repro.graph.formats import (AdjacencyCOO, INDEX_DTYPE, remove_self_loops,
+                                 symmetrize)
+from repro.graph.graph import mapped_rows
 
 
 def power_law_degrees(
@@ -105,10 +102,10 @@ def dcsbm_graph(
         member_w = weights[group]
         dst[own] = rng.choice(group, size=own.size, p=member_w / member_w.sum())
 
-    coo = AdjacencyCOO(num_nodes, src, dst)
-    coo = remove_self_loops(coo)
-    coo = symmetrize(coo)
-    return coo, communities
+    del intra, slots, by_comm  # scratch: free it before the dedup's keys
+    coo = remove_self_loops(AdjacencyCOO(num_nodes, src, dst))
+    del src, dst
+    return symmetrize(coo), communities
 
 
 def correlated_features(
@@ -132,11 +129,13 @@ def correlated_features(
     num_communities = int(communities.max()) + 1 if num_nodes else 0
 
     centroids = rng.standard_normal((num_communities, num_features)).astype(np.float32)
+    # mode="clip" writes straight into the store ("raise" stages a copy).
+    features = mapped_rows((num_nodes, num_features), prefault=True)
+    np.take(centroids, communities, axis=0, out=features, mode="clip")
     # Noise in row blocks of about 65 thousand draws: the same stream as one
     # (num_nodes, num_features) draw, without its float64 temporary, which
     # set the peak memory of a cold dataset build (at a million draws per
     # block, still an 8 MB one).
-    features = centroids[communities]
     rows = max(1, (1 << 16) // max(1, num_features))
     for start in range(0, num_nodes, rows):
         draws = rng.standard_normal((min(rows, num_nodes - start), num_features))

@@ -66,7 +66,8 @@ class Interconnect:
         if direction == "h2d":
             extra = resilience.recover(
                 "transfer.h2d", seconds,
-                lambda wasted, kind: self._charge(wasted, f"{tag}!{kind}"),
+                lambda wasted, fault: self._charge(wasted,
+                                                   f"{tag}!{fault.kind}"),
                 self.clock.advance)
         self._charge(seconds, tag)
         self.counters.transfers += 1

@@ -73,8 +73,8 @@ class Machine:
         seconds = self.storage.seek_latency + nbytes / self.storage.read_bandwidth
         extra = resilience.recover(
             "storage.read", seconds,
-            lambda wasted, kind: self.clock.occupy("storage", wasted,
-                                                   tag=f"{tag}!{kind}"),
+            lambda wasted, fault: self.clock.occupy(
+                "storage", wasted, tag=f"{tag}!{fault.kind}"),
             self.clock.advance)
         self.clock.occupy("storage", seconds, tag=tag)
         registry = telemetry.metrics()

@@ -390,8 +390,7 @@ class MiniBatchTrainer:
         off the virtual clock's critical path (asynchronous checkpoint
         I/O), so checkpointing never perturbs the reported breakdown.
         """
-        from repro.models.checkpoint import save_checkpoint
-        from repro.resilience.checkpointing import capture_rng_states
+        from repro.models.checkpoint import capture_rng_states, save_checkpoint
 
         with maybe_span("checkpoint.save", category="resilience",
                         epoch=next_epoch):
@@ -413,8 +412,8 @@ class MiniBatchTrainer:
 
     def _resume(self, path: str):
         """Restore a ``train-resume`` checkpoint written by this driver."""
-        from repro.models.checkpoint import CheckpointError, load_checkpoint
-        from repro.resilience.checkpointing import restore_rng_states
+        from repro.models.checkpoint import (CheckpointError, load_checkpoint,
+                                             restore_rng_states)
 
         with maybe_span("recover.resume", category="resilience",
                         path=str(path)):

@@ -1,22 +1,20 @@
-"""Deterministic fault injection, recovery policies, and crash–resume.
+"""Deterministic fault injection and recovery policies.
 
 Public surface:
 
 * :class:`FaultPlan` / :class:`FaultSpec` / :class:`RecoveryPolicy` —
   the declarative schedule (``repro train --faults plan.json``).
 * :class:`FaultInjector` + the ambient :func:`session` /
-  :func:`active` / :func:`arm` runtime the hot-path seams consult.
-* :func:`recover` — the one recovery loop: the ``storage.read``,
-  ``transfer.h2d`` and ``sampler.worker`` seams fail, back off, retry
-  and give up (:class:`~repro.errors.RecoveryExhausted`) through it;
-  :func:`degrade` is the one fallback path for callers that have one.
-* :func:`capture_rng_states` / :func:`restore_rng_states` — the
-  generator snapshots that make resumed runs bit-identical.
+  :func:`active` runtime the hot-path seams consult.
+* :func:`recover` — the one recovery loop: all four sites
+  (``storage.read``, ``transfer.h2d``, ``sampler.worker``, ``replica``)
+  fail, back off, retry and give up
+  (:class:`~repro.errors.RecoveryExhausted`) through it; :func:`degrade`
+  is the one fallback path for callers that have one.
 
 See ``docs/resilience.md`` for the plan schema and policy semantics.
 """
 
-from repro.resilience.checkpointing import capture_rng_states, restore_rng_states
 from repro.resilience.injector import FaultInjector
 from repro.resilience.plan import (
     DEFAULT_POLICY,
@@ -28,7 +26,6 @@ from repro.resilience.plan import (
 )
 from repro.resilience.runtime import (
     active,
-    arm,
     degrade,
     recover,
     session,
@@ -43,10 +40,7 @@ __all__ = [
     "RecoveryPolicy",
     "SITES",
     "active",
-    "arm",
-    "capture_rng_states",
     "degrade",
     "recover",
-    "restore_rng_states",
     "session",
 ]

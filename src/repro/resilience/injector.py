@@ -1,8 +1,8 @@
 """The fault injector: arms scheduled faults and accounts recoveries.
 
 One injector drives one run.  Seams call :meth:`FaultInjector.arm` once
-per *attempt* (so a retried read arms a fresh occurrence), and the
-recovery paths report back through ``record_*`` so that
+per *attempt* (so a retried read arms a fresh occurrence), and the one
+recovery loop reports back through :meth:`FaultInjector.record` so that
 
 * every injected fault and recovery lands in the guarded telemetry
   counters (``fault.injected`` / ``fault.recovered`` / ``fault.retries``
@@ -66,36 +66,16 @@ class FaultInjector:
         return delay
 
     # ------------------------------------------------------------------
-    def _bump(self, event: str, site: str) -> None:
+    def record(self, event: str, site: str, **labels: str) -> None:
+        """Count one ``event`` at ``site``: ``injected`` (label ``kind``),
+        ``recovered`` (label ``action``), ``retries`` or ``degraded`` —
+        in :meth:`summary` and as the ``fault.<event>`` counter."""
         self._totals[event] += 1
-        bucket = self._by_site.setdefault(
-            site, {"injected": 0, "recovered": 0, "retries": 0, "degraded": 0}
-        )
+        bucket = self._by_site.setdefault(site, dict.fromkeys(self._totals, 0))
         bucket[event] += 1
-
-    def record_injected(self, site: str, kind: str) -> None:
-        self._bump("injected", site)
         registry = telemetry.metrics()
         if registry is not None:
-            registry.counter("fault.injected", site=site, kind=kind).inc()
-
-    def record_recovered(self, site: str, action: str) -> None:
-        self._bump("recovered", site)
-        registry = telemetry.metrics()
-        if registry is not None:
-            registry.counter("fault.recovered", site=site, action=action).inc()
-
-    def record_retry(self, site: str) -> None:
-        self._bump("retries", site)
-        registry = telemetry.metrics()
-        if registry is not None:
-            registry.counter("fault.retries", site=site).inc()
-
-    def record_degraded(self, site: str) -> None:
-        self._bump("degraded", site)
-        registry = telemetry.metrics()
-        if registry is not None:
-            registry.counter("fault.degraded", site=site).inc()
+            registry.counter(f"fault.{event}", site=site, **labels).inc()
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, object]:

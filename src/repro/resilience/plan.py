@@ -22,10 +22,9 @@ site                where it arms
 
 Occurrences are counted per site starting at 1, in virtual-clock order,
 so a plan is exactly as deterministic as the run it attacks: the same
-seed and schedule produce byte-identical telemetry bundles.  The first
-three sites retry through one loop,
-:func:`repro.resilience.runtime.recover`; ``replica`` recovers in the
-data-parallel trainer (straggler wait, dead-replica exclusion).
+seed and schedule produce byte-identical telemetry bundles.  All four
+sites recover through one loop, :func:`repro.resilience.runtime.recover`,
+which reads what each kind does from the tables below.
 """
 
 from __future__ import annotations
@@ -47,6 +46,15 @@ KINDS: Dict[str, Tuple[str, ...]] = {
     "sampler.worker": ("crash",),
     "replica": ("dead", "straggler"),
 }
+
+#: Kinds that complete their operation late instead of failing it.
+LATE_KINDS = ("stall", "straggler")
+
+#: Failing kinds that waste all of the operation, not ``severity`` of it.
+WHOLE_WASTE_KINDS = ("torn_write", "dead")
+
+#: Kinds no retry revives: they exhaust the site's policy at once.
+FATAL_KINDS = ("dead",)
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,16 @@ class FaultSpec:
     def covers(self, occurrence: int) -> bool:
         """Does this spec fire on the ``occurrence``-th arm of its site?"""
         return self.at <= occurrence < self.at + self.count
+
+    def seconds(self, cost: float) -> float:
+        """What this fault bills an operation of clean ``cost``: how late
+        a late kind completes it, or how much of it a failing kind wastes."""
+        if self.kind == "stall":
+            return self.stall_seconds
+        if self.kind == "straggler":
+            return cost * (self.slow_factor - 1.0)
+        return cost * (1.0 if self.kind in WHOLE_WASTE_KINDS
+                       else self.severity)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 """Ambient resilience session, mirroring ``repro.telemetry.runtime``.
 
 Hot paths never hold an injector reference; they ask this module.  With
-no fault plan active, :func:`arm` and :func:`recover` cost one list
-check, so the subsystem is free for every ordinary run.  Sessions stack
+no fault plan active, :func:`recover` costs one list check, so the
+subsystem is free for every ordinary run.  Sessions stack
 (LIFO) so a test can nest a plan inside an instrumented harness.
 
-:func:`recover` is the one recovery loop of the retrying seams
-(``storage.read``, ``transfer.h2d``, ``sampler.worker``); :func:`degrade`
-is the one fallback path for callers that have a fallback.
+:func:`recover` is the one recovery loop of all four fault sites
+(``storage.read``, ``transfer.h2d``, ``sampler.worker``, ``replica``);
+:func:`degrade` is the one fallback path for callers that have a fallback.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import Callable, Iterator, List, Optional
 
 from repro.errors import RecoveryExhausted
 from repro.resilience.injector import FaultInjector
-from repro.resilience.plan import FaultPlan, FaultSpec
+from repro.resilience.plan import FATAL_KINDS, LATE_KINDS, FaultPlan, \
+    FaultSpec
 from repro.telemetry.runtime import maybe_span
 
 _STACK: List[FaultInjector] = []
@@ -39,24 +40,18 @@ def session(plan: FaultPlan) -> Iterator[FaultInjector]:
         del _STACK[_STACK.index(injector):]
 
 
-def arm(site: str) -> Optional[FaultSpec]:
-    """Arm ``site`` on the active injector; None when injection is off."""
-    if not _STACK:
-        return None
-    return _STACK[-1].arm(site)
-
-
-def recover(site: str, cost: float, charge: Callable[[float, str], None],
+def recover(site: str, cost: float, charge: Callable[[float, FaultSpec], None],
             wait: Callable[[float], None], action: str = "retry") -> float:
     """Survive the faults of one operation of clean cost ``cost`` at ``site``.
 
     Arms the site once per attempt until an attempt comes up clean, and
-    returns that attempt's stall seconds (the caller charges ``cost``).
-    A ``stall`` bills ``charge(stall_seconds, "stall")`` and completes;
-    any other kind bills its wasted share, ``charge(cost * severity,
-    kind)`` (all of ``cost`` for a ``torn_write``), and fails.  A failure
-    past ``max_retries`` raises :class:`RecoveryExhausted` at once;
-    otherwise its backoff is billed as ``wait(seconds)`` — in a
+    returns how late the last attempt completed (the caller charges
+    ``cost``).  Each armed fault bills ``charge(fault.seconds(cost),
+    fault)``: a late kind (``stall``, ``straggler``) completes late and
+    is recovered with action ``stall``; any other kind bills its wasted
+    share (skipped when zero) and fails.  A failure past ``max_retries``,
+    or of a fatal kind (``dead``), raises :class:`RecoveryExhausted` at
+    once; otherwise its backoff is billed as ``wait(seconds)`` — in a
     ``recover.retry`` span for ``action="retry"``; a worker ``respawn``
     waits inside its datapipe job — and one retry and one recovery
     (``action``) are recorded.
@@ -70,16 +65,16 @@ def recover(site: str, cost: float, charge: Callable[[float, str], None],
         fault = injector.arm(site)
         if fault is None:
             return 0.0
-        injector.record_injected(site, fault.kind)
-        if fault.kind == "stall":
-            charge(fault.stall_seconds, "stall")
-            injector.record_recovered(site, action="stall")
-            return fault.stall_seconds
-        wasted = cost * (1.0 if fault.kind == "torn_write" else fault.severity)
-        if wasted > 0:
-            charge(wasted, fault.kind)
+        injector.record("injected", site, kind=fault.kind)
+        seconds = fault.seconds(cost)
+        if fault.kind in LATE_KINDS:
+            charge(seconds, fault)
+            injector.record("recovered", site, action="stall")
+            return seconds
+        if seconds > 0:
+            charge(seconds, fault)
         failures += 1
-        if failures > policy.max_retries:
+        if failures > policy.max_retries or fault.kind in FATAL_KINDS:
             raise RecoveryExhausted(site, failures)
         delay = injector.backoff_delay(site, failures)
         with (maybe_span("recover.retry", category="resilience", site=site,
@@ -87,8 +82,8 @@ def recover(site: str, cost: float, charge: Callable[[float, str], None],
               if action == "retry" else nullcontext()):
             if delay > 0:
                 wait(delay)
-        injector.record_retry(site)
-        injector.record_recovered(site, action=action)
+        injector.record("retries", site)
+        injector.record("recovered", site, action=action)
 
 
 def degrade(exhausted: RecoveryExhausted) -> None:
@@ -98,5 +93,5 @@ def degrade(exhausted: RecoveryExhausted) -> None:
     injector = _STACK[-1]
     if not injector.policy(exhausted.site).degrade:
         raise exhausted
-    injector.record_degraded(exhausted.site)
-    injector.record_recovered(exhausted.site, action="degrade")
+    injector.record("degraded", exhausted.site)
+    injector.record("recovered", exhausted.site, action="degrade")

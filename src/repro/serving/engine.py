@@ -45,6 +45,7 @@ from repro.datapipe.config import parse_pipeline, validate_pipeline_placement
 from repro.datapipe.pipeline import EndItem, Stage, run_epoch
 from repro.errors import BenchmarkError, RecoveryExhausted
 from repro.frameworks import get_framework
+from repro.graph.graph import mapped_rows
 from repro.hardware.device import KernelCost
 from repro.hardware.machine import paper_testbed
 from repro.kernels.adj import RowMemo
@@ -270,6 +271,9 @@ def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
     # graph).  The engine reads the memo's store, so the two are one.
     memo = RowMemo.of(graph)
     x_host = memo.features
+    # Layer 0 touches only each batch's destination prefix of its input, so
+    # all batches slice one mapped store-shaped array instead of the heap.
+    x_rows = mapped_rows(x_host.shape)
     feat_row_bytes = 4.0 * graph.node_scale * graph.num_features
     # What an exhausted fault seam degrades a batch to.
     fallback = config.degraded_mode if cache is not None else "shed"
@@ -329,8 +333,7 @@ def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
                 # The memo's SpMM reads source rows from the store in
                 # place, so only the destination prefix is copied; the
                 # rest of x is never read.
-                x = np.empty((block.num_src, x_host.shape[1]),
-                             dtype=x_host.dtype)
+                x = x_rows[:block.num_src]
                 np.take(x_host, block.src_nodes[:block.num_dst], axis=0,
                         out=x[:block.num_dst])
                 block.row_memo = memo

@@ -131,6 +131,17 @@ class TestColdStartOracles:
         assert np.array_equal(out.src, keys // n)
         assert np.array_equal(out.dst, keys % n)
 
+    @given(degenerate_edge_lists())
+    def test_symmetrize_equals_unique_reference(self, edges):
+        """Both directions packed into one key array give the edges of
+        deduplicating the doubled ``src``/``dst`` pair."""
+        n, src, dst = edges
+        out = symmetrize(AdjacencyCOO(n, src, dst))
+        keys = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+        assert out.src.dtype == out.dst.dtype == np.int64
+        assert np.array_equal(out.src, keys // n)
+        assert np.array_equal(out.dst, keys % n)
+
 
 class TestFormatProperties:
     @given(edge_lists())

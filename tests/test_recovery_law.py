@@ -1,14 +1,16 @@
 """The accounting law of the one recovery loop, under random fault plans.
 
-Every retrying seam (``storage.read`` and ``transfer.h2d`` driven by
+Every fault site (``storage.read`` and ``transfer.h2d`` driven by
 direct hardware calls, ``sampler.worker`` driven by a tiny
-``run_epoch``) fails, backs off, retries and gives up through
+``run_epoch``, ``replica`` driven by direct ``recover`` calls) fails,
+backs off, retries and gives up through
 ``repro.resilience.runtime.recover``.  For any seeded plan two laws hold:
 
 * every injected fault is either recovered or escapes as one
   ``RecoveryExhausted``: ``injected == recovered + exhausted``;
 * the clock pays exactly the clean cost of every completed operation
-  plus Σ waste + Σ backoff + Σ stall.
+  plus Σ waste + Σ backoff + Σ late (a ``stall``'s seconds, a
+  ``straggler``'s slowdown).
 
 The expected bills come from a replay of the plan written here, not
 from the code under test (only the backoff formula,
@@ -28,6 +30,8 @@ from repro.resilience import runtime as resilience
 
 LAW = settings(max_examples=60, deadline=None)
 HARDWARE_SITES = ("storage.read", "transfer.h2d")
+#: Sites whose driver below degrades an exhausted fault when allowed.
+DEGRADING_SITES = ("sampler.worker", "replica")
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +42,8 @@ def specs(site):
         FaultSpec, site=st.just(site), kind=st.sampled_from(KINDS[site]),
         at=st.integers(1, 8), count=st.integers(1, 4),
         severity=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
-        stall_seconds=st.sampled_from([0.0, 0.01, 0.125]))
+        stall_seconds=st.sampled_from([0.0, 0.01, 0.125]),
+        slow_factor=st.sampled_from([1.0, 1.5, 3.0]))
 
 
 POLICIES = st.builds(
@@ -69,7 +74,7 @@ class Replay:
         self.delays = FaultInjector(plan)  # the backoff formula only
         self.occurrences = {}
         self.injected = self.recovered = self.exhausted = 0
-        self.clean = self.waste = self.backoff = self.stall = 0.0
+        self.clean = self.waste = self.backoff = self.late = 0.0
 
     def fault(self, site):
         n = self.occurrences[site] = self.occurrences.get(site, 0) + 1
@@ -86,17 +91,18 @@ class Replay:
                 self.clean += cost
                 return True
             self.injected += 1
-            if fault.kind == "stall":
-                self.stall += fault.stall_seconds
+            if fault.kind in ("stall", "straggler"):
+                self.late += (fault.stall_seconds if fault.kind == "stall"
+                              else cost * (fault.slow_factor - 1.0))
                 self.recovered += 1
                 self.clean += cost
                 return True
-            self.waste += cost * (1.0 if fault.kind == "torn_write"
+            self.waste += cost * (1.0 if fault.kind in ("torn_write", "dead")
                                   else fault.severity)
             failures += 1
-            if failures > policy.max_retries:
-                if policy.degrade and site == "sampler.worker":
-                    self.recovered += 1  # the inline fallback
+            if failures > policy.max_retries or fault.kind == "dead":
+                if policy.degrade and site in DEGRADING_SITES:
+                    self.recovered += 1  # the caller's fallback
                 else:
                     self.exhausted += 1
                 return False
@@ -105,7 +111,7 @@ class Replay:
 
     @property
     def billed(self):
-        return self.clean + self.waste + self.backoff + self.stall
+        return self.clean + self.waste + self.backoff + self.late
 
 
 def assert_laws(injector, replay, exhausted, clock_delta=None):
@@ -177,3 +183,33 @@ def test_worker_seam_accounts_for_every_fault_and_second(plan, costs, depth):
             exhausted = 1
     assert_laws(injector, replay, exhausted,
                 None if exhausted else machine.clock.now)
+
+
+@LAW
+@given(plan=plans(("replica",)),
+       costs=st.lists(st.sampled_from([0.0, 0.001, 0.02, 0.25]),
+                      min_size=1, max_size=8))
+def test_replica_seam_accounts_for_every_fault_and_second(plan, costs):
+    # Driven the way the data-parallel trainer drives it: one ``recover``
+    # per global step of compute ``cost``, an exhausted fault degraded.
+    # ``recover`` bills only the faults; the compute is the caller's, and
+    # a backoff would land in ``billed`` too (the replay expects none).
+    replay = Replay(plan)
+    billed = []
+    exhausted = 0
+    with resilience.session(plan) as injector:
+        for cost in costs:
+            replay.operation("replica", cost)
+            try:
+                resilience.recover("replica", cost,
+                                   lambda seconds, fault: billed.append(seconds),
+                                   billed.append)
+            except RecoveryExhausted as failure:
+                try:
+                    resilience.degrade(failure)
+                except RecoveryExhausted:
+                    exhausted += 1
+    assert_laws(injector, replay, exhausted)
+    assert replay.backoff == 0.0
+    assert sum(billed) == pytest.approx(replay.late + replay.waste,
+                                        rel=1e-12, abs=1e-15)

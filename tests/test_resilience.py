@@ -167,11 +167,11 @@ class TestInjector:
 
     def test_summary_accounts_by_site(self):
         injector = FaultInjector(FaultPlan())
-        injector.record_injected("storage.read", kind="error")
-        injector.record_retry("storage.read")
-        injector.record_recovered("storage.read", action="retry")
-        injector.record_injected("replica", kind="dead")
-        injector.record_recovered("replica", action="exclude")
+        injector.record("injected", "storage.read", kind="error")
+        injector.record("retries", "storage.read")
+        injector.record("recovered", "storage.read", action="retry")
+        injector.record("injected", "replica", kind="dead")
+        injector.record("recovered", "replica", action="degrade")
         summary = injector.summary()
         assert summary["injected"] == 2
         assert summary["recovered"] == 2
@@ -184,7 +184,6 @@ class TestInjector:
 class TestRuntime:
     def test_disabled_by_default(self):
         assert resilience.active() is None
-        assert resilience.arm("storage.read") is None
         # No session: nothing is armed, charged or recorded.
         assert resilience.recover("storage.read", 1.0, _never, _never) == 0.0
 
@@ -194,7 +193,7 @@ class TestRuntime:
         ))
         with resilience.session(plan) as injector:
             assert resilience.active() is injector
-            assert resilience.arm("storage.read") is not None
+            assert injector.arm("storage.read") is not None
         assert resilience.active() is None
 
     def test_recover_bills_waste_then_backoff_until_clean(self):
@@ -208,7 +207,7 @@ class TestRuntime:
         with resilience.session(plan) as injector:
             extra = resilience.recover(
                 "storage.read", 2.0,
-                lambda seconds, kind: bills.append((kind, seconds)),
+                lambda seconds, fault: bills.append((fault.kind, seconds)),
                 lambda seconds: bills.append(("wait", seconds)))
         assert extra == 0.0
         assert bills == [("error", 0.5), ("wait", 0.5),
@@ -226,7 +225,8 @@ class TestRuntime:
         with resilience.session(plan) as injector:
             extra = resilience.recover(
                 "transfer.h2d", 1.0,
-                lambda seconds, kind: bills.append((kind, seconds)), _never)
+                lambda seconds, fault: bills.append((fault.kind, seconds)),
+                _never)
         assert extra == 0.125 and bills == [("stall", 0.125)]
         assert injector.occurrence("transfer.h2d") == 1  # no retry
         assert injector.summary()["sites"]["transfer.h2d"] == {
@@ -242,7 +242,7 @@ class TestRuntime:
         with resilience.session(plan) as injector:
             with pytest.raises(RecoveryExhausted) as excinfo:
                 resilience.recover("transfer.h2d", 1.0,
-                                   lambda seconds, kind: None, waits.append)
+                                   lambda seconds, fault: None, waits.append)
         assert excinfo.value.failures == 3
         # Two retries backed off; the third failure gave up at once.
         assert waits == [1.0, 2.0]
@@ -260,7 +260,7 @@ class TestRuntime:
         with resilience.session(plan) as injector:
             try:
                 resilience.recover("storage.read", 1.0,
-                                   lambda seconds, kind: None, _never)
+                                   lambda seconds, fault: None, _never)
             except RecoveryExhausted as exhausted:
                 if allowed:
                     resilience.degrade(exhausted)
@@ -575,6 +575,75 @@ class TestReplicaSeam:
         # neither counter moves (recovered == injected still holds).
         summary = injector.summary()
         assert summary["injected"] == summary["recovered"] == 0
+
+
+def _dp_run(plan, k=4):
+    """One faulted data-parallel run: (fault counters, injector, trainer,
+    result)."""
+    machine, trainer = _dp_trainer(k=k)
+    with telemetry_session(machine.clock) as tsession, \
+            resilience.session(FaultPlan.coerce(plan)) as injector:
+        result = trainer.run()
+    return tsession.metrics, injector, trainer, result
+
+
+class TestReplicaRecoversThroughTheLoop:
+    """``replica`` recovers through ``recover``/``degrade`` like every
+    other site: policies, exhaustion and action labels included."""
+
+    def test_straggler_is_recovered_as_a_stall(self):
+        metrics, injector, _, _ = _dp_run({"faults": [
+            {"site": "replica", "kind": "straggler", "slow_factor": 3.0}]})
+        assert metrics.get("fault.recovered", site="replica",
+                           action="stall").value == 1
+        assert metrics.get("fault.degraded", site="replica") is None
+        assert injector.summary()["sites"]["replica"] == {
+            "injected": 1, "recovered": 1, "retries": 0, "degraded": 0}
+
+    def test_dead_replica_is_recovered_by_degrading(self):
+        metrics, injector, trainer, _ = _dp_run({"faults": [
+            {"site": "replica", "kind": "dead", "rank": 2}]})
+        assert metrics.get("fault.recovered", site="replica",
+                           action="degrade").value == 1
+        assert metrics.get("fault.degraded", site="replica").value == 1
+        assert injector.summary()["sites"]["replica"] == {
+            "injected": 1, "recovered": 1, "retries": 0, "degraded": 1}
+        assert trainer._active_ranks == [0, 1, 3]
+
+    def test_dead_replica_fails_the_run_without_degrade(self):
+        machine, trainer = _dp_trainer(k=4)
+        plan = FaultPlan.from_dict({
+            "faults": [{"site": "replica", "kind": "dead", "rank": 2}],
+            "policies": {"replica": {"degrade": False}},
+        })
+        with resilience.session(plan) as injector:
+            with pytest.raises(RecoveryExhausted) as excinfo:
+                trainer.run()
+        assert (excinfo.value.site, excinfo.value.failures) == ("replica", 1)
+        assert (injector.summary()["injected"],
+                injector.summary()["recovered"]) == (1, 0)
+
+    def test_fault_at_an_excluded_rank_is_recovered_at_zero_cost(self):
+        dead = {"site": "replica", "kind": "dead", "at": 1, "rank": 2}
+        _, _, _, alone = _dp_run({"faults": [dead]})
+        _, injector, trainer, result = _dp_run({"faults": [
+            dead, {"site": "replica", "kind": "straggler", "at": 2,
+                   "rank": 2, "slow_factor": 3.0}]})
+        summary = injector.summary()
+        assert (summary["injected"], summary["recovered"]) == (2, 2)
+        assert trainer._active_ranks == [0, 1, 3]
+        assert result.phases == alone.phases
+        assert result.total_time == alone.total_time
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_site_is_not_armed_without_a_live_replica(self, k):
+        # k=2: the one replica dies at step 1; steps 2.. have no victim.
+        _, injector, trainer, _ = _dp_run({"faults": [
+            {"site": "replica", "kind": "dead", "count": 99}]}, k=k)
+        assert trainer._active_ranks == [0]
+        assert injector.occurrence("replica") == k - 1
+        assert (injector.summary()["injected"],
+                injector.summary()["recovered"]) == (k - 1, k - 1)
 
 
 # ----------------------------------------------------------------------

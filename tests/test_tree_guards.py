@@ -225,6 +225,15 @@ GUARDS = [
                exclude=("src/repro/resilience/", "src/repro/lint/")),
           {"src/repro/datapipe/x.py":
            "wasted += clean.total * fault.severity\n"}),
+    Guard("one-recovery-loop (only repro.resilience records a fault "
+          "outcome)",
+          grep(r"\brecord(_\w+)?\(\s*[\"'](injected|recovered|retries|"
+               r"degraded|storage\.read|transfer\.h2d|sampler\.worker|"
+               r"replica)[\"']|[\"']fault\.(injected|recovered|retries|"
+               r"degraded)[\"']",
+               exclude=("src/repro/resilience/",)),
+          {"src/repro/distributed/trainer.py":
+           '            injector.record_injected("replica", "dead")\n'}),
     Guard("no-front-pop-queue (list.pop(0) is O(n), so a BFS on it is "
           "quadratic)",
           grep(r"\.pop\(\s*0\s*\)"),
