@@ -23,6 +23,10 @@ from repro.hardware.machine import Machine, paper_testbed
 from repro.datasets import get_dataset, list_datasets
 from repro.power import EnergyMonitor
 from repro.metrics import gps_up
+from repro.hostmem import keep_freed_pages
+
+# Once per process, before any workload frees its first temporary.
+keep_freed_pages()
 
 __version__ = "1.0.0"
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.graph.formats import (AdjacencyCOO, INDEX_DTYPE, remove_self_loops,
                                  symmetrize)
-from repro.graph.graph import mapped_rows
+from repro.hostmem import mapped_rows
 
 
 def power_law_degrees(

@@ -9,7 +9,6 @@ Cost and memory models consume logical quantities via the ``node_scale`` /
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional
 
@@ -67,20 +66,6 @@ class GraphStats:
     def stored_nbytes(self) -> int:
         """Logical on-disk footprint charged when loading this dataset."""
         return self.feature_nbytes() + self.structure_nbytes() + self.label_nbytes()
-
-
-def mapped_rows(shape: tuple, *, prefault: bool = False) -> np.ndarray:
-    """An uninitialised float32 array in a private anonymous mapping.
-
-    Its pages return to the OS when it dies, and unwritten pages are never
-    resident; a freed store-sized heap block instead raises glibc's mmap
-    threshold and leaves a hole that decides where later arrays land.
-    ``prefault`` maps all pages in one call, for an array written whole.
-    """
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | (
-        mmap.MAP_POPULATE if prefault else 0)
-    pages = mmap.mmap(-1, max(4, 4 * shape[0] * shape[1]), flags=flags)
-    return np.ndarray(shape, np.float32, buffer=pages)
 
 
 class Graph:

@@ -39,7 +39,6 @@ to the graph's one memo (:meth:`RowMemo.of`).
 
 from __future__ import annotations
 
-import mmap
 from typing import Optional
 
 import numpy as np
@@ -47,6 +46,7 @@ import scipy.sparse as sp
 
 from repro.errors import GraphFormatError
 from repro.graph.formats import INDEX_DTYPE, gather_neighborhoods
+from repro.hostmem import mapped_rows
 from repro.kernels.config import fastpath_enabled
 from repro.telemetry import runtime as telemetry
 
@@ -91,9 +91,7 @@ class RowMemo:
         self.features = features
         num_nodes, width = features.shape
         self.slot = np.full(num_nodes, -1, dtype=INDEX_DTYPE)
-        self.rows = np.frombuffer(
-            mmap.mmap(-1, 4 * num_nodes * width),
-            dtype=np.float32).reshape(num_nodes, width)
+        self.rows = mapped_rows((num_nodes, width))
         self.count = 0
         self.min_degree = min_degree
 

@@ -45,9 +45,9 @@ from repro.datapipe.config import parse_pipeline, validate_pipeline_placement
 from repro.datapipe.pipeline import EndItem, Stage, run_epoch
 from repro.errors import BenchmarkError, RecoveryExhausted
 from repro.frameworks import get_framework
-from repro.graph.graph import mapped_rows
 from repro.hardware.device import KernelCost
 from repro.hardware.machine import paper_testbed
+from repro.hostmem import mapped_rows
 from repro.kernels.adj import RowMemo
 from repro.models.graphsage import build_graphsage
 from repro.models.inference import batch_blocks

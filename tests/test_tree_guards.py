@@ -250,6 +250,11 @@ GUARDS = [
           grep(r"\bRowMemo\(", exclude=("src/repro/kernels/adj.py",)),
           {"src/repro/serving/engine.py":
            "    memo = RowMemo(x_host, min_degree=1.0)\n"}),
+    Guard("one-host-memory-policy (only repro.hostmem tunes malloc or maps "
+          "pages)",
+          grep(r"\bmallopt\b|\bmalloc_trim\b|mmap\.mmap\(",
+               exclude=("src/repro/hostmem.py",)),
+          {"src/repro/serving/x.py": "pages = mmap.mmap(-1, nbytes)\n"}),
     Guard("docs-name-what-exists (every backticked repro.x.y name in "
           "README.md and docs/ resolves by import and getattr)",
           unresolved_doc_names,
