@@ -12,6 +12,10 @@ The relabel rows time the id-table :func:`block_locals` against the
 sort-based implementation it replaced (kept below as the oracle) on the
 sampler's own block and on a serving-shaped one — few nodes, many edges,
 the shape ``inference.batch_blocks`` relabels per micro-batch.
+
+The selection row times the partial selection (sort only the keys below
+the per-seed limit) against sorting every key, on the same keys for the
+second-hop frontier, and checks both pick the same CSR positions.
 """
 
 import time
@@ -21,7 +25,11 @@ import numpy as np
 from conftest import emit
 
 from repro.graph.formats import INDEX_DTYPE, IdTable
-from repro.sampling.neighbor import sample_block_neighbors
+from repro.sampling.neighbor import (
+    _full_sort_positions,
+    _smallest_key_positions,
+    sample_block_neighbors,
+)
 from repro.sampling.relabel import block_locals
 
 NUM_NODES = 100_000
@@ -124,6 +132,29 @@ def _relabel_row(num_nodes, num_seeds, num_edges, seed):
     return 1000.0 * sort_s / calls, 1000.0 * table_s / calls
 
 
+def _selection_row(indptr, indices, roots, table):
+    """Full sort vs partial selection on the keys of the second-hop
+    frontier (the sources of the roots' block): equal picks, ms/call."""
+    src, _, _ = sample_block_neighbors(indptr, indices, roots, FANOUT,
+                                       np.random.default_rng(6))
+    frontier, _, _ = block_locals(src, np.empty(0, dtype=INDEX_DTYPE),
+                                  roots, table)
+    starts = indptr[frontier]
+    degrees = indptr[frontier + 1] - starts
+    sub = degrees > FANOUT
+    keys = np.random.default_rng(7).random(int(degrees[sub].sum()))
+    args = (keys, starts[sub], degrees[sub], FANOUT)
+    assert np.array_equal(_smallest_key_positions(*args),
+                          _full_sort_positions(*args))
+    calls = 10
+    full_s = best_of(lambda: [_full_sort_positions(*args)
+                              for _ in range(calls)], repeats=15)
+    partial_s = best_of(lambda: [_smallest_key_positions(*args)
+                                 for _ in range(calls)], repeats=15)
+    return (frontier.size, keys.size,
+            1000.0 * full_s / calls, 1000.0 * partial_s / calls)
+
+
 def powerlaw_csr(num_nodes, seed):
     """CSR with shifted zipf out-degrees and duplicate-free neighbor lists
     (each row is a contiguous id range starting at a random base).  The
@@ -159,9 +190,9 @@ def _run():
     def run_new():
         rng = np.random.default_rng(2)
         for seeds in batches:
-            src, dst, _ = sample_block_neighbors(
+            src, counts, _ = sample_block_neighbors(
                 indptr, indices, seeds, FANOUT, rng)
-            block_locals(src, dst, seeds, table)
+            block_locals(src, np.repeat(seeds, counts), seeds, table)
 
     old_s = best_of(run_old)
     new_s = best_of(run_new)
@@ -172,10 +203,11 @@ def _run():
                                  np.random.default_rng(3))
     ref = reference_sample_block_neighbors(indptr, indices, seeds, FANOUT,
                                            np.random.default_rng(3))
-    assert np.array_equal(new[1], ref[1]), "dst arrays must be identical"
+    dsts = np.repeat(seeds, new[1])
+    assert np.array_equal(dsts, ref[1]), "dst arrays must be identical"
     assert new[2] == ref[2], "examined counts must be identical"
     for seed in seeds:
-        mine = new[0][new[1] == seed]
+        mine = new[0][dsts == seed]
         hood = indices[indptr[seed]:indptr[seed + 1]]
         assert mine.size == min(hood.size, FANOUT)
         assert mine.size == np.unique(mine).size
@@ -204,6 +236,7 @@ def _run():
             (label, nodes, edges) + _relabel_row(nodes, seeds, edges, seed=5)
             for label, nodes, seeds, edges in RELABEL_BLOCKS
         ],
+        "selection": _selection_row(indptr, indices, batches[0], table),
     }
 
 
@@ -227,6 +260,12 @@ def test_ablation_sampler_vectorization(once):
             f"   sort {sort_ms:.3f}   table {table_ms:.3f}"
             f"   {sort_ms / table_ms:.1f}x"
         )
+    frontier, keys, full_ms, partial_ms = row["selection"]
+    lines += [
+        "  selection, partial vs full sort (second-hop frontier, ms/call):",
+        f"    {frontier:,} seeds, {keys:,} keys   full {full_ms:.3f}"
+        f"   partial {partial_ms:.3f}   {full_ms / partial_ms:.1f}x",
+    ]
     emit("ablation_sampler_vectorization", "\n".join(lines))
 
     assert row["speedup"] >= MIN_SPEEDUP
@@ -237,3 +276,5 @@ def test_ablation_sampler_vectorization(once):
     # on either shape.
     for label, _, _, sort_ms, table_ms in row["relabel"]:
         assert table_ms <= sort_ms, label
+    # The partial selection replaced the full sort: it may not be slower.
+    assert row["selection"][3] <= row["selection"][2]

@@ -36,12 +36,40 @@ class IdTable:
     ``O(num_nodes)``: every entry of :attr:`local` is ``-1`` between uses,
     and a user that assigns entries resets exactly those entries before
     it returns (in a ``finally``, so a raised error leaks nothing into the
-    next use).  Ids index the table raw — range-check anything that did
-    not come out of the owning graph's own index arrays.
+    next use).  Ids index the table raw — pass anything that did not come
+    out of the owning graph's own index arrays through
+    :meth:`require_ids` first.
     """
 
     def __init__(self, num_nodes: int) -> None:
         self.local = np.full(num_nodes, -1, dtype=INDEX_DTYPE)
+
+    def require_ids(self, what: str, error: type = GraphFormatError,
+                    **named_ids: np.ndarray) -> None:
+        """Raise ``error`` naming the first id outside ``[0, num_nodes)``
+        (a negative id would silently wrap) of the first named array that
+        has one."""
+        size = self.local.size
+        for name, ids in named_ids.items():
+            # One pass: a negative int64 read as uint64 exceeds any size.
+            if ids.size and int(ids.view(np.uint64).max()) >= size:
+                bad = int(ids[(ids < 0) | (ids >= size)][0])
+                raise error(f"{what}: {name} id {bad} outside the graph's "
+                            f"[0, {size}) node range")
+
+    def assign_slots(self, ids: np.ndarray, what: str,
+                     error: type = GraphFormatError) -> None:
+        """Map ``ids[i] -> i``; raise ``error`` naming the first repeated
+        id.  One gather-compare finds a repeat: it lost its slot to a
+        later occurrence.  The caller resets ``local[ids]`` in its
+        ``finally``, error or not."""
+        slots = np.arange(ids.size, dtype=INDEX_DTYPE)
+        self.local[ids] = slots
+        lost = self.local[ids] != slots
+        if lost.any():
+            first = ids[np.isin(ids, ids[lost])][0]
+            raise error(f"{what} must be duplicate-free "
+                        f"(first duplicate: {int(first)})")
 
 
 @dataclass(frozen=True)
@@ -179,7 +207,8 @@ def induced_subgraph(
 
     Returns the subgraph edge list (in local ids, ordered by the position
     of each node in ``nodes``) and the original edge ids kept.  ``nodes``
-    must be duplicate-free.
+    must be duplicate-free ids of the graph; an id out of range or
+    repeated raises :class:`GraphFormatError` naming it.
 
     ``order`` picks which endpoint the gathered CSR row becomes: with
     ``"src"`` (the default) edges come out src-sorted; with ``"dst"`` the
@@ -192,26 +221,30 @@ def induced_subgraph(
     Only the selected rows are touched: the members' neighbor lists are
     gathered in one vectorized pass and filtered by a membership lookup
     in the graph's :class:`IdTable`, so the cost is O(incident edges of
-    ``nodes``), not O(all edges) or O(all nodes).
+    ``nodes``), not O(all edges) or O(all nodes).  Only the kept edges
+    learn their owner: a binary search of each kept position in the
+    members' cumulative degrees, not a repeat over every incident edge.
     """
     if order not in ("src", "dst"):
         raise ValueError("order must be 'src' or 'dst'")
     nodes = _as_index(nodes)
+    table = csr.id_table
+    table.require_ids("induced_subgraph", nodes=nodes)
     neighbors, degrees, positions = gather_neighborhoods(
         csr.indptr, csr.indices, nodes
     )
-    mapping = csr.id_table.local
     try:
-        mapping[nodes] = np.arange(nodes.size, dtype=INDEX_DTYPE)
-        local_other = mapping[neighbors]
+        table.assign_slots(nodes, "induced_subgraph: nodes")
+        local_other = table.local[neighbors]
     finally:
-        mapping[nodes] = -1
-    keep = local_other >= 0
-    local_owner = np.repeat(np.arange(nodes.size, dtype=INDEX_DTYPE), degrees)
+        table.local[nodes] = -1
+    keep = np.flatnonzero(local_other >= 0)
+    local_owner = np.searchsorted(np.cumsum(degrees), keep, side="right")
+    local_other = local_other[keep]
     if order == "src":
-        sub = AdjacencyCOO(nodes.size, local_owner[keep], local_other[keep])
+        sub = AdjacencyCOO(nodes.size, local_owner, local_other)
     else:
-        sub = AdjacencyCOO(nodes.size, local_other[keep], local_owner[keep])
+        sub = AdjacencyCOO(nodes.size, local_other, local_owner)
     return sub, positions[keep]
 
 

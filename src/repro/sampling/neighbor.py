@@ -22,6 +22,7 @@ folded into the blocks' logical edge scale.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -33,6 +34,69 @@ from repro.sampling.base import Block, BlockSample, SampleWork
 from repro.sampling.relabel import block_locals, flat_positions
 
 
+#: A subsampled seed of degree ``d`` sorts only the candidates whose key
+#: is below ``(f + SURVIVOR_SPREAD * sqrt(f) + SURVIVOR_SLACK) / d``.  The
+#: number kept is binomial with that mean, so fewer than ``f`` survivors
+#: (the full-sort fallback) is a many-sigma event.
+SURVIVOR_SPREAD = 4.0
+SURVIVOR_SLACK = 8.0
+
+
+def survivor_limit(fanout: int, degrees: np.ndarray) -> np.ndarray:
+    """Per-segment key bound of the partial selection."""
+    return (fanout + SURVIVOR_SPREAD * math.sqrt(fanout)
+            + SURVIVOR_SLACK) / degrees
+
+
+def _full_sort_positions(keys, starts, degrees, fanout):
+    """CSR positions of each segment's ``fanout`` smallest keys, in key
+    order: one argsort of ``segment + key`` over every candidate."""
+    candidates = flat_positions(starts, degrees)
+    segment = np.repeat(np.arange(degrees.size), degrees)
+    order = np.argsort(segment + keys)
+    rank = (np.arange(keys.size, dtype=INDEX_DTYPE)
+            - np.repeat(np.cumsum(degrees) - degrees, degrees))
+    return candidates[order[rank < fanout]]
+
+
+def _smallest_key_positions(keys, starts, degrees, fanout):
+    """:func:`_full_sort_positions`, bit for bit, sorting only the
+    candidates whose key is below :func:`survivor_limit`.
+
+    Survivors carry the very ``segment + key`` values the full sort
+    would, so the result is the same whenever the survivors' order decides
+    every pick.  Three fallbacks run the full sort where it might not:
+    (a) a segment keeps fewer than ``fanout`` survivors; (b) two survivor
+    values are equal, or a survivor's value is its segment number (its
+    key vanished in the sum, so it may tie the previous segment's
+    rounded-up top key); (c) a segment's last pick is not strictly below
+    ``fl(segment + limit)``, the least value a non-survivor rounds to.
+    """
+    # Array methods, not ``np.*`` wrappers: a call sees ~5 k keys, so
+    # per-call dispatch is a visible share of its cost.
+    ends = degrees.cumsum()
+    limit = survivor_limit(fanout, degrees)
+    survivors = (keys < limit.repeat(degrees)).nonzero()[0]
+    kept = survivors.searchsorted(ends)  # survivors in segments <= s
+    firsts = np.empty_like(kept)
+    firsts[0] = 0
+    firsts[1:] = kept[:-1]
+    per_segment = kept - firsts
+    if per_segment.min() < fanout:  # (a)
+        return _full_sort_positions(keys, starts, degrees, fanout)
+    ids = np.arange(degrees.size)
+    segment = ids.repeat(per_segment)
+    values = segment + keys[survivors]
+    order = values.argsort()
+    ranked = values[order]
+    if ((ranked[1:] == ranked[:-1]).any()  # (b) a tie
+            or (values == segment).any()  # (b) a vanished key
+            or (ranked[firsts + (fanout - 1)] >= ids + limit).any()):  # (c)
+        return _full_sort_positions(keys, starts, degrees, fanout)
+    picks = survivors[order[(firsts[:, None] + np.arange(fanout)).ravel()]]
+    return picks + (starts - ends + degrees).repeat(fanout)
+
+
 def sample_block_neighbors(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -42,63 +106,40 @@ def sample_block_neighbors(
 ):
     """Sample up to ``fanout`` neighbors (without replacement) per seed.
 
-    Returns (srcs, dsts) as global ids (dst = the seed) and the number of
-    neighbor candidates examined.  Output edges are grouped by seed in
-    ``seeds`` order.
+    Returns ``(srcs, counts, examined)``: the sampled neighbors as global
+    ids, grouped by seed in ``seeds`` order; how many each seed got, so
+    the edges' local destinations are
+    ``np.repeat(np.arange(seeds.size), counts)``; and the number of
+    neighbor candidates examined.
 
     The whole frontier is handled at once: degrees come from one ``indptr``
-    difference; seeds with ``degree <= fanout`` have their entire neighbor
-    list sliced out via offset arithmetic; the remaining seeds draw one
-    batch of uniform keys and keep the ``fanout`` smallest per seed — a
-    segmented sort-of-uniforms scheme that is exactly uniform sampling
-    without replacement per seed.
+    difference; seeds with ``degree <= fanout`` keep their entire neighbor
+    list; the remaining seeds draw one batch of uniform keys and keep the
+    ``fanout`` smallest per seed — a segmented sort-of-uniforms scheme
+    that is exactly uniform sampling without replacement per seed.  Only
+    the keys below a per-seed bound are sorted
+    (:func:`_smallest_key_positions`); the picks, their order and the RNG
+    draws are those of sorting every key.  The output is one array of CSR
+    positions and one ``indices`` gather.
     """
     if fanout < 1:
         raise SamplerError("fanout must be >= 1")
     seeds = np.asarray(seeds, dtype=INDEX_DTYPE)
-    empty = np.empty(0, dtype=INDEX_DTYPE)
-    if seeds.size == 0:
-        return empty, empty, 0
     starts = indptr[seeds]
     degrees = (indptr[seeds + 1] - starts).astype(INDEX_DTYPE, copy=False)
     examined = int(degrees.sum())
-    if examined == 0:
-        return empty, empty, 0
-
-    # Per-seed number of sampled neighbors, and each seed's slice of the
-    # output array (grouped by seed, in input order).
     counts = np.minimum(degrees, fanout)
-    out_starts = np.cumsum(counts) - counts
-    srcs = np.empty(int(counts.sum()), dtype=INDEX_DTYPE)
-
-    take_all = degrees <= fanout
-    take_idx = np.nonzero(take_all & (degrees > 0))[0]
-    if take_idx.size:
-        positions = flat_positions(starts[take_idx], degrees[take_idx])
-        srcs[flat_positions(out_starts[take_idx], counts[take_idx])] = (
-            indices[positions]
-        )
-
-    sub_idx = np.nonzero(~take_all)[0]
-    if sub_idx.size:
-        sub_degrees = degrees[sub_idx]
-        candidates = flat_positions(starts[sub_idx], sub_degrees)
-        # One uniform key per candidate; the fanout smallest keys of each
-        # seed's segment are a uniform without-replacement sample.  Keys
-        # live in [0, 1), so segment + key sorts by segment then key in a
-        # single argsort pass.
-        keys = rng.random(candidates.size)
-        segment = np.repeat(np.arange(sub_idx.size), sub_degrees)
-        order = np.argsort(segment + keys)
-        rank = (np.arange(candidates.size, dtype=INDEX_DTYPE)
-                - np.repeat(np.cumsum(sub_degrees) - sub_degrees, sub_degrees))
-        chosen = candidates[order[rank < fanout]]
-        srcs[flat_positions(out_starts[sub_idx], counts[sub_idx])] = (
-            indices[chosen]
-        )
-
-    dsts = np.repeat(seeds, counts)
-    return srcs, dsts, examined
+    # Take-all seeds keep their row; subsampled seeds' first ``fanout``
+    # slots are overwritten with the picks below.
+    positions = flat_positions(starts, counts)
+    sub = degrees > fanout
+    if sub.any():
+        sub_degrees = degrees[sub]
+        # One uniform key per candidate, drawn in seed order.
+        keys = rng.random(int(sub_degrees.sum()))
+        positions[np.repeat(sub, counts)] = _smallest_key_positions(
+            keys, starts[sub], sub_degrees, fanout)
+    return indices[positions], counts, examined
 
 
 class NeighborSampler:
@@ -154,7 +195,7 @@ class NeighborSampler:
         cumulative = node_scale  # logical/actual ratio of the current frontier
         # Output-side layer first (last fanout applies to the roots).
         for fanout in reversed(self.fanouts):
-            src_g, dst_g, examined = sample_block_neighbors(
+            src_g, counts, examined = sample_block_neighbors(
                 self._indptr, self._indices, seeds, fanout, self.rng
             )
             correction = self.hop_correction(fanout)
@@ -163,9 +204,12 @@ class NeighborSampler:
             work.items += (examined + src_g.size) * edge_scale
 
             # Block node set: dst nodes first (self-inclusion), then new
-            # srcs; endpoints relabeled through the graph's id table.
-            src_nodes, src_local, dst_local = block_locals(
-                src_g, dst_g, seeds, self._id_table)
+            # srcs relabeled through the graph's id table.  Edges come
+            # grouped by seed, so each one's dst is its seed's slot.
+            dst_local = np.repeat(np.arange(seeds.size, dtype=INDEX_DTYPE),
+                                  counts)
+            src_nodes, src_local, _ = block_locals(
+                src_g, np.empty(0, dtype=INDEX_DTYPE), seeds, self._id_table)
             blocks.append(
                 Block(
                     src_nodes=src_nodes,

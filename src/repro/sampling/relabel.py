@@ -42,16 +42,6 @@ __all__ = [
 ]
 
 
-def _require_ids_in_table(ids: np.ndarray, table: IdTable, what: str) -> None:
-    """Raise unless every id indexes ``table`` (negatives would wrap)."""
-    # One pass: a negative int64 reinterpreted as uint64 exceeds any size.
-    if ids.size and int(ids.view(np.uint64).max()) >= table.local.size:
-        raise SamplerError(
-            f"relabel: {what} id outside the graph's "
-            f"[0, {table.local.size}) node range"
-        )
-
-
 def block_locals(
     src_global: np.ndarray, dst_global: np.ndarray, dst_nodes: np.ndarray,
     table: IdTable,
@@ -86,13 +76,11 @@ def block_locals(
     src_global = np.asarray(src_global, dtype=INDEX_DTYPE)
     dst_global = np.asarray(dst_global, dtype=INDEX_DTYPE)
     dst_nodes = np.asarray(dst_nodes, dtype=INDEX_DTYPE)
-    _require_ids_in_table(dst_nodes, table, "dst_nodes")
-    _require_ids_in_table(src_global, table, "src_global")
-    _require_ids_in_table(dst_global, table, "dst_global")
+    table.require_ids("relabel", SamplerError, dst_nodes=dst_nodes,
+                      src_global=src_global, dst_global=dst_global)
 
     local = table.local
     num_seeds = dst_nodes.size
-    seed_slots = np.arange(num_seeds, dtype=INDEX_DTYPE)
     # Edge codes start past the seed slots, so an entry tells which of
     # the two wrote it last.
     edge_codes = np.arange(num_seeds, num_seeds + src_global.size,
@@ -103,15 +91,7 @@ def block_locals(
         # occurrence of each id reads its own code back.
         local[src_global] = edge_codes
         touched = src_global[local[src_global] == edge_codes]
-        local[dst_nodes] = seed_slots
-        if not np.array_equal(local[dst_nodes], seed_slots):
-            # A repeated seed lost its slot to another occurrence.
-            repeated = dst_nodes[local[dst_nodes] != seed_slots]
-            first = dst_nodes[np.isin(dst_nodes, repeated)][0]
-            raise SamplerError(
-                f"relabel: dst_nodes must be duplicate-free "
-                f"(first duplicate: {int(first)})"
-            )
+        table.assign_slots(dst_nodes, "relabel: dst_nodes", SamplerError)
         fresh = np.sort(touched[local[touched] >= num_seeds])
         local[fresh] = np.arange(num_seeds, num_seeds + fresh.size,
                                  dtype=INDEX_DTYPE)

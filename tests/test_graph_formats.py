@@ -159,3 +159,17 @@ class TestInducedSubgraph:
         assert np.array_equal(second.src, fresh.src)
         assert np.array_equal(second.dst, fresh.dst)
         assert first.num_edges == coo.num_edges - 1
+
+    @pytest.mark.parametrize("nodes, named", [
+        ([2, -2], "id -2 outside"),  # would wrap to node 2: a phantom loop
+        ([0, 7], "id 7 outside"),
+        ([0, 1, 0], "first duplicate: 0"),  # would split node 0's edges
+        ([3, 1, 2, 1, 3], "first duplicate: 3"),
+    ])
+    def test_bad_node_ids_rejected_naming_the_first(self, nodes, named):
+        csr = AdjacencyCOO(4, np.array([0, 1, 2, 3]),
+                           np.array([1, 2, 3, 0])).to_csr()
+        with pytest.raises(GraphFormatError, match=named):
+            induced_subgraph(csr, np.array(nodes))
+        # The failed call left the shared scratch clean.
+        assert np.all(csr.id_table.local == -1)

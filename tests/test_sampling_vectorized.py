@@ -140,6 +140,13 @@ class TestBlockLocals:
                 block_locals(src, dst, nodes, table)
         assert np.all(table.local == -1)
 
+    def test_out_of_range_error_names_the_first_bad_id(self):
+        table = IdTable(10)
+        with pytest.raises(SamplerError, match=r"src_global id -3 outside"):
+            block_locals(np.array([4, -3, 12]), np.array([1, 1, 1]),
+                         np.array([1]), table)
+        assert np.all(table.local == -1)
+
     def test_dst_outside_the_block_rejected(self):
         table = IdTable(10)
         with pytest.raises(SamplerError, match="first missing: 7"):
@@ -161,7 +168,7 @@ class TestNeighborEquivalence:
             ref = reference_sample_block_neighbors(
                 csr.indptr, csr.indices, seeds, fanout, np.random.default_rng(1)
             )
-            assert np.array_equal(new[1], ref[1])  # dsts
+            assert np.array_equal(np.repeat(seeds, new[1]), ref[1])  # dsts
             assert new[0].size == ref[0].size
             assert new[2] == ref[2]  # examined
 
@@ -169,9 +176,10 @@ class TestNeighborEquivalence:
         csr = random_csr(200, 3000, seed=12)
         seeds = np.arange(120)
         fanout = 4
-        src, dst, _ = sample_block_neighbors(
+        src, counts, _ = sample_block_neighbors(
             csr.indptr, csr.indices, seeds, fanout, np.random.default_rng(2)
         )
+        dst = np.repeat(seeds, counts)
         for seed in np.unique(dst):
             mine = src[dst == seed]
             hood = csr.neighbors(int(seed))
@@ -192,7 +200,7 @@ class TestNeighborEquivalence:
             csr.indptr, csr.indices, seeds, fanout, np.random.default_rng(3)
         )
         assert np.array_equal(new[0], ref[0])
-        assert np.array_equal(new[1], ref[1])
+        assert np.array_equal(np.repeat(seeds, new[1]), ref[1])
         assert new[2] == ref[2]
 
     def test_marginal_frequencies_match_uniform(self):
@@ -218,19 +226,21 @@ class TestNeighborEquivalence:
     def test_all_degree_zero_seed_batch(self):
         # Only node 0 has an out-edge; seeds 2..4 are all degree 0.
         csr = AdjacencyCOO(5, np.array([0]), np.array([1])).to_csr()
-        src, dst, examined = sample_block_neighbors(
-            csr.indptr, csr.indices, np.array([2, 3, 4]), 5,
-            np.random.default_rng(0)
+        seeds = np.array([2, 3, 4])
+        src, counts, examined = sample_block_neighbors(
+            csr.indptr, csr.indices, seeds, 5, np.random.default_rng(0)
         )
+        dst = np.repeat(seeds, counts)
         assert src.size == dst.size == 0
         assert examined == 0
 
     def test_empty_seed_batch(self):
         csr = random_csr(10, 50, seed=14)
-        src, dst, examined = sample_block_neighbors(
-            csr.indptr, csr.indices, np.empty(0, dtype=INDEX_DTYPE), 5,
-            np.random.default_rng(0)
+        seeds = np.empty(0, dtype=INDEX_DTYPE)
+        src, counts, examined = sample_block_neighbors(
+            csr.indptr, csr.indices, seeds, 5, np.random.default_rng(0)
         )
+        dst = np.repeat(seeds, counts)
         assert src.size == dst.size == 0
         assert examined == 0
 
