@@ -24,9 +24,11 @@ pipeline degrades to depth-1 on a single worker lane (inline sampling).
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
-from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,12 +49,9 @@ _PHASE_PRIORITY = ("training", "data_movement", "sampling", "data_loading")
 
 @dataclass
 class _LaneJob:
-    """One scheduled unit of work on a :class:`_LaneScheduler` lane."""
+    """One scheduled unit of work on a :class:`_LaneScheduler` lane, as
+    read off its columns."""
 
-    # An epoch holds one per batch and stage; spelled out because
-    # ``dataclass(slots=True)`` needs Python 3.10.
-    __slots__ = ("job_id", "lane", "start", "end", "total", "busy", "tag",
-                 "ready")
     job_id: int
     lane: str
     start: float
@@ -81,6 +80,11 @@ class _LaneScheduler:
     ``device@lane`` keys, see :meth:`VirtualClock.commit_schedule`) and
     advances the machine clock once, to the latest lane front.
 
+    Jobs are kept as columns, one entry per job in submission order:
+    ``start``/``end``/``total``/``ready`` seconds and codes into
+    ``lanes``, ``tags`` and ``records`` (each job's busy seconds per
+    device).  :meth:`job` materialises one as a :class:`_LaneJob`.
+
     The scheduler is one-shot: ``drain()`` finalizes it.  ``run_epoch``
     builds one per epoch.
     """
@@ -88,14 +92,38 @@ class _LaneScheduler:
     def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
         self.origin = clock.now
-        self.jobs: List[_LaneJob] = []
-        self._fronts: Dict[str, float] = {}
+        self.start, self.end, self.total, self.ready = (
+            array("d") for _ in range(4))
+        self.lane, self.tag, self.record = (array("q") for _ in range(3))
+        self.lanes: List[str] = []
+        self.tags: List[str] = []
+        self.records: List[Dict[str, float]] = []
+        #: Each lane's front (absolute time), by lane code.
+        self.fronts: List[float] = []
         self._drained = False
 
     @property
     def finish(self) -> float:
         """The latest lane front (absolute time)."""
-        return max(self._fronts.values()) if self._fronts else self.origin
+        return max(self.fronts, default=self.origin)
+
+    @property
+    def jobs(self) -> "_Jobs":
+        """Every job so far, in submission order."""
+        return _Jobs(self, range(len(self.start)))
+
+    def job(self, i: int) -> _LaneJob:
+        return _LaneJob(i, self.lanes[self.lane[i]], self.start[i],
+                        self.end[i], self.total[i],
+                        self.records[self.record[i]], self.tags[self.tag[i]],
+                        self.ready[i])
+
+    def lane_code(self, lane: str) -> int:
+        """``lane``'s code; a new lane's front starts at the origin."""
+        code = _intern(self.lanes, lane)
+        if code == len(self.fronts):
+            self.fronts.append(self.origin)
+        return code
 
     def submit(self, lane: str, work: DeferredRecord,
                after: Optional[_LaneJob] = None, not_before: float = 0.0,
@@ -112,37 +140,49 @@ class _LaneScheduler:
 
     def submit_chain(self, steps: Iterable[Tuple[str, DeferredRecord, str]],
                      after: Optional[_LaneJob] = None,
-                     not_before: float = 0.0) -> _LaneJob:
+                     not_before: float = 0.0) -> Optional[_LaneJob]:
         """Schedule ``(lane, record, tag)`` steps, each after the one before
         it, and return the last job (``after`` itself for no steps).
 
         ``after`` and ``not_before`` bound the first step as in
-        :meth:`submit`.  This loop is the one placement rule: a job starts
-        when it is ready and its lane is free.
+        :meth:`submit`.  This loop is the placement rule: a job starts
+        when it is ready and its lane is free.  (``_EpochState.extrapolate``
+        applies the same rule to the symbolic tail on floats alone.)
         """
         if self._drained:
             raise RuntimeError("lane scheduler already drained")
-        origin, jobs, fronts = self.origin, self.jobs, self._fronts
-        ready = max(origin, not_before)
-        job = after
+        ready = max(self.origin, not_before)
         if after is not None and after.end > ready:
             ready = after.end
+        fronts, placed = self.fronts, len(self.start)
         for lane, record, tag in steps:
-            total = record.total
-            start = max(ready, fronts.get(lane, origin))
-            end = fronts[lane] = start + total
-            job = _LaneJob(len(jobs), lane, start, end, total, record.busy,
-                           tag, ready)
-            jobs.append(job)
+            code = self.lane_code(lane)
+            start = max(ready, fronts[code])
+            end = fronts[code] = start + record.total
+            self.start.append(start)
+            self.end.append(end)
+            self.total.append(record.total)
+            self.ready.append(ready)
+            self.lane.append(code)
+            self.tag.append(_intern(self.tags, tag))
+            self.record.append(len(self.records))
+            self.records.append(record.busy)
             ready = end
-        return job
+        return self.job(len(self.start) - 1) if len(self.start) > placed \
+            else after
+
+    def extend(self, **columns: Sequence) -> None:
+        """Append whole columns at once (the symbolic tail)."""
+        for name, values in columns.items():
+            column = getattr(self, name)
+            column.frombytes(np.asarray(values, column.typecode).tobytes())
 
     def lane_busy(self) -> Dict[str, float]:
-        """Total scheduled busy seconds per lane (sum of job durations)."""
-        totals: Dict[str, float] = {}
-        for job in self.jobs:
-            totals[job.lane] = totals.get(job.lane, 0.0) + job.total
-        return totals
+        """Total scheduled busy seconds per lane (sum of job durations),
+        lanes in first-seen order (the order they were coded in)."""
+        return dict(zip(self.lanes, np.bincount(
+            _view(self.lane), weights=_view(self.total),
+            minlength=len(self.lanes)).tolist()))
 
     def drain(self) -> float:
         """Commit the schedule to the clock; returns the elapsed seconds.
@@ -154,18 +194,73 @@ class _LaneScheduler:
         if self._drained:
             raise RuntimeError("lane scheduler already drained")
         self._drained = True
-        schedule = [
-            (job.start, device, job.lane, min(seconds, job.total), job.tag)
-            for job in self.jobs for device, seconds in job.busy.items()
-            if seconds > 0 and job.total > 0
-        ]
-        # Stable, so rows that tie on (start, device) stay in job order.
-        schedule.sort(key=itemgetter(0, 1))
-        self.clock.commit_schedule(schedule)
+        self.clock.commit_schedule(*self._busy_rows())
         elapsed = self.finish - self.clock.now
         if elapsed > 0:
             self.clock.advance(elapsed)
         return max(0.0, elapsed)
+
+    def _busy_rows(self) -> tuple:
+        """``commit_schedule``'s columns: one row per positive busy entry of
+        each positive-length job, ordered by (start, device name) — stably,
+        so rows that tie stay in job order."""
+        devices = sorted({device for busy in self.records for device in busy})
+        width = max(map(len, self.records), default=0)
+        # Record r's c-th busy entry: its device code and seconds at [r, c].
+        codes: List[int] = []
+        busy_s: List[float] = []
+        for busy in self.records:
+            pad = width - len(busy)
+            codes += [devices.index(device) for device in busy] + [0] * pad
+            busy_s += list(busy.values()) + [0.0] * pad
+        shape = (len(self.records), width)
+        total, record = _view(self.total), _view(self.record)
+        seconds = np.array(busy_s).reshape(shape)[record]
+        live = (seconds > 0) & (total > 0)[:, None]
+        job = live.nonzero()[0]  # row-major: job order, then dict order
+        device = np.array(codes, dtype=np.intp).reshape(shape)[record][live]
+        seconds = np.minimum(seconds[live], total[job])
+        start = _view(self.start)[job]
+        order = np.lexsort((device, start))  # device codes sort as names
+        keys = [(name, lane) for name in devices for lane in self.lanes]
+        key = device * len(self.lanes) + _view(self.lane)[job]
+        return (start[order], seconds[order], key[order], keys,
+                _view(self.tag)[job][order], self.tags)
+
+
+class _Jobs(SequenceABC):
+    """Jobs of a :class:`_LaneScheduler` by id, each materialised as a
+    :class:`_LaneJob` when read."""
+
+    def __init__(self, sched: _LaneScheduler, ids: Sequence[int]) -> None:
+        self._sched, self._ids = sched, ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._sched.job(j) for j in self._ids[i]]
+        return self._sched.job(self._ids[i])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _intern(names: List[str], name: str) -> int:
+    """``name``'s index in ``names``, appended on first use."""
+    try:
+        return names.index(name)
+    except ValueError:
+        names.append(name)
+        return len(names) - 1
+
+
+def _view(column: array) -> np.ndarray:
+    """A column as a numpy array, without a copy (valid until it grows)."""
+    return np.frombuffer(column, dtype=column.typecode)
 
 
 @dataclass
@@ -192,6 +287,12 @@ class Stage:
         if self.phase not in PHASES:
             raise ValueError(f"stage {self.name!r}: phase {self.phase!r} is "
                              f"not one of {PHASES}")
+        if not self.lanes or not all(self.lanes):
+            raise ValueError(f"stage {self.name!r}: needs at least one lane, "
+                             f"each named, got {self.lanes!r}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"stage {self.name!r}: scale must be finite and "
+                             f"> 0, got {self.scale!r}")
         self.tag = f"datapipe:{self.name}"
 
 
@@ -211,18 +312,32 @@ class EpochReport:
     """Outcome of one pipelined epoch."""
 
     outputs: List[Any]
-    phases: Dict[str, float]
     elapsed: float
     executed: int
     extrapolated: int
     max_in_flight: int = 1
     degraded: bool = False
-    jobs: List[_LaneJob] = field(default_factory=list)
+    #: Every scheduled job, materialised on read.
+    jobs: Sequence[_LaneJob] = ()
     lane_busy: Dict[str, float] = field(default_factory=dict)
-    #: Each item's last job, in item order (symbolic tail included).
-    terminal: List[_LaneJob] = field(default_factory=list)
+    #: Each item's last job, in item order (symbolic tail included),
+    #: materialised on read.
+    terminal: Sequence[_LaneJob] = ()
     #: Clean (pre-fault, post-scale) executed seconds per stage name.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
+    #: The drained schedule and each of its tags' phase rank, which
+    #: ``phases`` is computed from.
+    schedule: Optional[_LaneScheduler] = field(default=None, repr=False)
+    rank: np.ndarray = field(default=None, repr=False)
+
+    @cached_property
+    def phases(self) -> Dict[str, float]:
+        """Exclusive split of the epoch window into the four phases,
+        computed on first read (a serving window never reads it)."""
+        sched = self.schedule
+        return _attribute_phases(_view(sched.start), _view(sched.end),
+                                 self.rank[_view(sched.tag)], sched.origin,
+                                 sched.finish)
 
     def credit_phases(self, tracer: SpanTracer) -> None:
         """Credit the epoch's exclusive phase seconds to ``tracer``."""
@@ -254,6 +369,13 @@ def run_epoch(
     """
     if depth < 1:
         raise ValueError("pipeline depth must be >= 1")
+    if not stages:
+        raise ValueError("run_epoch needs at least one stage")
+    names = [stage.name for stage in stages]
+    for name in names:
+        if names.count(name) > 1:
+            # Their tags, stage totals and means would merge into one.
+            raise ValueError(f"stage {name!r}: two stages share the name")
     clock = machine.clock
     sched = _LaneScheduler(clock)
     state = _EpochState(machine=machine, sched=sched, depth=depth)
@@ -284,20 +406,22 @@ def run_epoch(
     lane_busy = sched.lane_busy()
     elapsed = sched.drain()
     by_tag = {stage.tag: stage for stage in stages}
-    phases = _attribute_phases(sched.jobs, by_tag, sched.origin, sched.finish)
     state.record_metrics(label, by_tag)
     return EpochReport(
         outputs=outputs,
-        phases=phases,
         elapsed=elapsed,
         executed=executed,
         extrapolated=extrapolated,
         max_in_flight=state.max_in_flight,
         degraded=state.degraded,
-        jobs=list(sched.jobs),
+        jobs=sched.jobs,
         lane_busy=lane_busy,
-        terminal=state.terminal,
+        terminal=_Jobs(sched, [job.job_id for job in state.terminal]
+                       + list(state.tail)),
         stage_seconds=state.stage_totals,
+        schedule=sched,
+        rank=np.array([_PHASE_PRIORITY.index(by_tag[tag].phase)
+                       for tag in sched.tags], dtype=np.intp),
     )
 
 
@@ -310,7 +434,10 @@ class _EpochState:
         self.depth = depth
         self.degraded = False
         self.max_in_flight = 1
+        #: Each executed item's last job, in item order.
         self.terminal: List[_LaneJob] = []
+        #: Each symbolic item's last job id (see :meth:`extrapolate`).
+        self.tail: Sequence[int] = ()
         #: Clean (pre-fault, post-scale) per-stage sums for extrapolation.
         self.stage_totals: Dict[str, float] = {}
         self.stage_busy: Dict[str, Dict[str, float]] = {}
@@ -408,25 +535,61 @@ class _EpochState:
                     target: int) -> None:
         """Replay the remaining items symbolically at measured mean cost.
 
-        The same jobs an executed item submits, minus what is constant
-        per stage: the clean (pre-fault, post-scale) mean record is built
-        once, outside the per-item loop.
+        Every tail job carries its stage's clean (pre-fault, post-scale)
+        mean record, so placing it is float arithmetic alone: the loop
+        below is ``submit_chain``'s rule (a job starts when it is ready
+        and its lane is free) and appends one start per job.  The other
+        columns follow by array ops from the same ``start + total``
+        additions.
         """
-        tail: List[Tuple[Stage, DeferredRecord]] = []
-        for stage in stages:
-            busy = self.stage_busy.get(stage.name, {})
-            tail.append((stage, DeferredRecord(
-                total=self.stage_totals.get(stage.name, 0.0) / executed,
-                busy={d: s / executed for d, s in busy.items()},
-            )))
+        sched, k, n = self.sched, len(stages), target - executed
+        totals = [self.stage_totals.get(stage.name, 0.0) / executed
+                  for stage in stages]
+        records = range(len(sched.records), len(sched.records) + k)
+        sched.records.extend(
+            {d: s / executed for d, s in self.stage_busy.get(stage.name,
+                                                             {}).items()}
+            for stage in stages)
         # An item's chain depends on its index only through the round-robin
-        # lane of each stage: one chain per residue, one submit per item.
+        # lane of each stage: one row of lane codes per residue, coded in
+        # the order the tail first uses them.
         period = math.lcm(*(len(stage.lanes) for stage in stages))
-        chains = [[(self._lane(stage, residue), mean, stage.tag)
-                   for stage, mean in tail] for residue in range(period)]
+        lanes = np.zeros((period, k), dtype=np.int64)
+        for index in range(executed, min(target, executed + period)):
+            lanes[index % period] = [sched.lane_code(self._lane(stage, index))
+                                     for stage in stages]
+        chains = [list(zip(row, totals)) for row in lanes.tolist()]
+        depth = 1 if self.degraded else self.depth
+        # Each item's last end: the bounded queue gates on item ``- depth``.
+        ends = [job.end for job in self.terminal]
+        origin, fronts, starts = sched.origin, sched.fronts, array("d")
         for index in range(executed, target):
-            self.terminal.append(self.sched.submit_chain(
-                chains[index % period], None, self._gate(index)))
+            ready = ends[index - depth] if index >= depth else origin
+            if ready < origin:
+                ready = origin
+            for lane, total in chains[index % period]:
+                if fronts[lane] > ready:
+                    ready = fronts[lane]
+                starts.append(ready)
+                ready = fronts[lane] = ready + total
+            ends.append(ready)
+
+        start, total = np.frombuffer(starts), np.tile(totals, n)
+        end = start + total
+        # A step is ready when the one before it ends, an item's first step
+        # when its gate opens.
+        ready = np.empty_like(end)
+        ready[1:] = end[:-1]
+        gate = np.arange(executed, target) - depth
+        ready[::k] = np.where(
+            gate >= 0, np.maximum(np.array(ends)[gate.clip(0)], origin), origin)
+        first = len(sched.start)
+        sched.extend(start=start, end=end, total=total, ready=ready,
+                     lane=lanes[np.arange(executed, target) % period],
+                     tag=np.tile([_intern(sched.tags, stage.tag)
+                                  for stage in stages], n),
+                     record=np.tile(records, n))
+        self.tail = range(first + k - 1, first + n * k, k)
 
     # ------------------------------------------------------------------
     def record_metrics(self, label: str, by_tag: Dict[str, Stage]) -> None:
@@ -436,24 +599,24 @@ class _EpochState:
         labels = {"label": label} if label else {}
         registry.gauge("datapipe.queue_depth", **labels).set(self.max_in_flight)
         registry.gauge("datapipe.depth_limit", **labels).set(self.depth)
-        waits: Dict[str, List[float]] = {}
-        for job in self.sched.jobs:
-            waits.setdefault(by_tag[job.tag].name, []).append(job.wait)
-        for name, values in waits.items():
+        sched = self.sched
+        codes = _view(sched.tag)
+        waits = _view(sched.start) - _view(sched.ready)
+        for code, tag in enumerate(sched.tags):  # first-seen order
             hist = registry.histogram("datapipe.stage_wait_seconds",
-                                      stage=name, **labels)
-            for wait in values:
+                                      stage=by_tag[tag].name, **labels)
+            for wait in waits[codes == code].tolist():
                 hist.observe(wait)
 
 
-def _attribute_phases(jobs: Sequence[_LaneJob], by_tag: Dict[str, Stage],
+def _attribute_phases(start: np.ndarray, end: np.ndarray, rank: np.ndarray,
                       origin: float, finish: float) -> Dict[str, float]:
     """Exclusive four-phase split of the epoch window.
 
     Sweeps the job intervals chronologically; each elementary segment is
     attributed to the highest-priority phase active over it (training >
     movement > sampling), matching the paper's foreground accounting; a
-    job's phase is its stage's (``by_tag``).
+    job's ``rank`` is its stage's phase's index in ``_PHASE_PRIORITY``.
     Window time no job covers (only the backpressure seams between
     items) falls to "sampling", so the phases always sum to the elapsed
     epoch time.
@@ -463,11 +626,6 @@ def _attribute_phases(jobs: Sequence[_LaneJob], by_tag: Dict[str, Stage],
     """
     if finish <= origin:
         return {}
-    rank_of = {tag: _PHASE_PRIORITY.index(stage.phase)
-               for tag, stage in by_tag.items()}
-    start = np.array([job.start for job in jobs])
-    end = np.array([job.end for job in jobs])
-    rank = np.array([rank_of[job.tag] for job in jobs], dtype=np.intp)
     live = end > start  # an empty job would split a segment (and its sum)
     t = np.concatenate((start[live], end[live]))
     delta = np.repeat((1, -1), len(t) // 2)

@@ -18,7 +18,9 @@ from __future__ import annotations
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from itertools import chain
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -55,9 +57,10 @@ class VirtualClock:
         self._now: float = 0.0
         self._defer_depth: int = 0
         self._defer_record: Optional["DeferredRecord"] = None
-        #: (key, start, end, tag) rows in commit order; ``busy_intervals()``
-        #: materialises :class:`BusyInterval` objects on read.
-        self._busy: List[Tuple[str, float, float, str]] = []
+        #: (key, start, end, tag) rows and :class:`_BusyRows` chunks in
+        #: commit order; ``busy_intervals()`` materialises
+        #: :class:`BusyInterval` objects on read.
+        self._busy: List[Union[Tuple[str, float, float, str], "_BusyRows"]] = []
         # Per-device sorted indexes for O(log n) busy_time queries: the
         # energy monitor samples busy_time thousands of times per run.
         # Intervals per device are disjoint and start-ordered because the
@@ -183,59 +186,112 @@ class VirtualClock:
         outside one) — ``now`` does not move inside it."""
         return self._defer_record.total if self._defer_depth > 0 else 0.0
 
-    def commit_schedule(
-            self, schedule: Iterable[Tuple[float, str, str, float, str]]) -> None:
+    def commit_schedule(self, start: np.ndarray, seconds: np.ndarray,
+                        key: np.ndarray, keys: Sequence[Tuple[str, str]],
+                        tag: np.ndarray, tags: Sequence[str]) -> None:
         """Record an externally scheduled multi-lane timeline in one pass.
 
         The datapipe's lane scheduler hands over its whole schedule as
-        ``(start, device, lane, seconds, tag)`` rows: intervals may lie in
-        the clock's *future* (the caller advances afterwards) but must
-        arrive start-ordered and disjoint per key.  With ``lane`` set, the
-        interval is recorded under the ``device@lane`` key (its own trace
-        lane) and additionally merged into the base device's busy-time
-        index as a *union* across lanes, so power metering — which asks
-        ``busy_time(device)`` — keeps seeing the device as busy whenever
-        any of its lanes is.
+        columns: row ``i`` keeps ``(device, lane) = keys[key[i]]`` busy for
+        ``seconds[i]`` from ``start[i]``, tagged ``tags[tag[i]]``.  Rows
+        may lie in the clock's *future* (the caller advances afterwards)
+        but must be start-ordered and disjoint per key, or nothing is
+        recorded.  A row is recorded under the ``device@lane`` key (its
+        own trace lane) and merged into the base device's busy-time index
+        as a *union* across lanes, so power metering — which asks
+        ``busy_time(device)`` — sees the device busy whenever any of its
+        lanes is.
+
+        One array pass over every key and every base device at once: each
+        live row sits in its key's run and in its device's run, and the
+        running maximum of the ends before it (``np.maximum.accumulate``)
+        gives the overlap check, the ``_EPS`` clip and where a union
+        interval opens; ``np.add.accumulate`` then adds each run's seconds
+        in row order, as a row loop would.  A lane key is written only
+        here, so its device's union always reaches at least as far.
         """
-        tracks: Dict[Tuple[str, str], tuple] = {}
-        log = self._busy.append
-        for start, device, lane, seconds, tag in schedule:
-            end = start + seconds
-            if end < start:
-                raise ValueError(f"interval ends before it starts ({start}..{end})")
-            if end - start <= 0:
-                continue
-            track = tracks.get((device, lane))
-            if track is None:  # resolve the key and its indexes once
-                key = f"{device}@{lane}" if lane else device
-                track = tracks[device, lane] = (
-                    key, self._index(key), self._index(device) if lane else None)
-            key, (starts, ends, cum), union = track
-            if ends:
-                last = ends[-1]
-                if start < last - _EPS:
-                    raise ValueError(
-                        f"interval [{start}, {end}) overlaps existing busy time on "
-                        f"{key!r} (last end {last})"
-                    )
-                if start < last:
-                    start = last
-                if end <= start:
-                    continue
-            log((key, start, end, tag))
-            starts.append(start)
-            ends.append(end)
-            cum.append(cum[-1] + (end - start))
-            if union is not None:  # fold into the base device's busy-time union
-                starts, ends, cum = union
-                last = ends[-1] if ends else None
-                if last is None or start > last + _EPS:
-                    starts.append(start)
-                    ends.append(end)
-                    cum.append(cum[-1] + (end - start))
-                elif end > last:  # extends the trailing interval
-                    cum[-1] += end - last
-                    ends[-1] = end
+        if not all(lane for _, lane in keys):
+            raise ValueError("every key of a schedule needs a lane")
+        start = np.asarray(start, dtype=float)
+        end = start + np.asarray(seconds, dtype=float)
+        key = np.asarray(key, dtype=np.intp)
+        # The first offending row raises, as appending row by row would.
+        errors = {}
+        if (end < start).any():
+            row = int((end < start).argmax())
+            errors[row] = (f"interval ends before it starts "
+                           f"({start[row]}..{end[row]})")
+        live = (end - start > 0).nonzero()[0]
+        n = len(live)
+        if not n:
+            if errors:
+                raise ValueError(errors[min(errors)])
+            return
+        devices = list(dict.fromkeys(device for device, _ in keys))
+        base = np.array([devices.index(device) for device, _ in keys])
+        # Runs: each key's live rows, then each device's (from element
+        # ``n`` on), in row order.  Grid cell ``cell - 1`` of an element
+        # holds its run's value before it.
+        run = np.concatenate((key[live], len(keys) + base[key[live]]))
+        order = np.argsort(run, kind="stable")
+        row = np.concatenate((live, live))[order]
+        ids, first, seg, pos = _segments(run[order])
+        names = [f"{keys[i][0]}@{keys[i][1]}" if i < len(keys)
+                 else devices[i - len(keys)] for i in ids.tolist()]
+        width = int(pos.max()) + 1
+        cell = seg * width + pos
+        begin, stop = start[row], end[row]
+        reach = _accumulate(np.maximum, [
+            self._ends[name][-1] if self._ends.get(name) else -np.inf
+            for name in names], width, cell, stop)
+        before, after = reach[cell - 1], reach[cell]
+        over = (begin[:n] < before[:n] - _EPS).nonzero()[0]
+        if len(over):
+            i = over[np.argmin(row[over])]
+            errors[row[i]] = (
+                f"interval [{begin[i]}, {stop[i]}) overlaps existing busy "
+                f"time on {names[seg[i]]!r} (last end {before[i]})")
+        if errors:
+            raise ValueError(errors[min(errors)])
+        # A lane row is clipped to its key's reach; a device row opens an
+        # interval past its union's reach, else extends the one it meets.
+        opens = begin[n:] > before[n:] + _EPS
+        low = np.concatenate((np.maximum(begin[:n], before[:n]),
+                              np.where(opens, begin[n:], before[n:])))
+        total = _accumulate(np.add, [
+            self._cumdur[name][-1] if name in self._cumdur else 0.0
+            for name in names], width, cell, np.maximum(stop - low, 0.0))[cell]
+        kept = (stop[:n] > low[:n]).nonzero()[0]
+        opened = opens.nonzero()[0] + n
+        # A device row closes an interval if it is its run's last or the
+        # next row opens one.
+        closed = n + np.concatenate((opens[1:] | (seg[n + 1:] != seg[n:-1]),
+                                     [True])).nonzero()[0]
+        bounds = np.concatenate((first, [2 * n]))
+        k, o, c = (np.searchsorted(x, bounds).tolist()
+                   for x in (kept, opened, closed))
+        low_k, stop_k, total_k = low[kept], stop[kept], total[kept]
+        begin_o, after_c, total_c = begin[opened], after[closed], total[closed]
+        runs = int((ids < len(keys)).sum())  # the key runs come first
+        # Indexes come into being in the order of each key's first row.
+        for s in sorted(range(runs), key=lambda s: row[first[s]]):
+            starts, ends, cums = self._index(names[s])
+            self._index(keys[ids[s]][0])
+            starts.frombytes(low_k[k[s]:k[s + 1]].tobytes())
+            ends.frombytes(stop_k[k[s]:k[s + 1]].tobytes())
+            cums.frombytes(total_k[k[s]:k[s + 1]].tobytes())
+        for s in range(runs, len(ids)):
+            starts, ends, cums = self._index(names[s])
+            lead = c[s + 1] - c[s] - (o[s + 1] - o[s])
+            if lead:  # its first rows extend the trailing interval
+                ends[-1], cums[-1] = after_c[c[s]], total_c[c[s]]
+            starts.frombytes(begin_o[o[s]:o[s + 1]].tobytes())
+            ends.frombytes(after_c[c[s] + lead:c[s + 1]].tobytes())
+            cums.frombytes(total_c[c[s] + lead:c[s + 1]].tobytes())
+        if len(kept):
+            self._busy.append(_BusyRows(names, row[kept], seg[kept], low_k,
+                                        stop_k, list(tags),
+                                        np.asarray(tag)[row[kept]]))
 
     def _index(self, key: str) -> Tuple[array, array, array]:
         """``key``'s (starts, ends, cumulative seconds), created on first use."""
@@ -271,5 +327,52 @@ class VirtualClock:
 
     def busy_intervals(self, device: Optional[str] = None) -> List[BusyInterval]:
         """Busy intervals, optionally filtered by device key."""
-        return [BusyInterval(*row) for row in self._busy
+        rows = chain.from_iterable(
+            (entry,) if type(entry) is tuple else entry.rows()
+            for entry in self._busy)
+        return [BusyInterval(*row) for row in rows
                 if device is None or row[0] == device]
+
+
+def _segments(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
+                                          np.ndarray, np.ndarray]:
+    """Runs of equal values in sorted, non-empty ``codes``: each run's code
+    and first index, and each element's run and 1-based place in it."""
+    new = np.empty(len(codes), dtype=bool)
+    new[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    first = new.nonzero()[0]
+    seg = new.cumsum() - 1
+    return codes[first], first, seg, np.arange(1, len(codes) + 1) - first[seg]
+
+
+def _accumulate(ufunc: np.ufunc, seeds: List[float], width: int,
+                cell: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``ufunc.accumulate`` along every run from its seed in one call, on a
+    grid whose row ``s`` holds ``seeds[s]`` and then run ``s``'s values (at
+    the flat indexes ``cell``); returned flat.  Cells past a run's end are
+    never read."""
+    grid = np.zeros((len(seeds), width))
+    grid[:, 0] = seeds
+    grid.reshape(-1)[cell] = values
+    return ufunc.accumulate(grid, axis=1).reshape(-1)
+
+
+class _BusyRows(NamedTuple):
+    """The rows one ``commit_schedule`` call recorded, as columns (``row``
+    is each one's place in commit order)."""
+
+    names: List[str]
+    row: np.ndarray
+    key: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    tags: List[str]
+    tag: np.ndarray
+
+    def rows(self) -> Iterator[Tuple[str, float, float, str]]:
+        """``(key, start, end, tag)`` tuples, in commit order."""
+        order = np.argsort(self.row)
+        return zip(map(self.names.__getitem__, self.key[order].tolist()),
+                   self.start[order].tolist(), self.end[order].tolist(),
+                   map(self.tags.__getitem__, self.tag[order].tolist()))

@@ -261,6 +261,47 @@ class TestRunEpoch:
         with pytest.raises(ValueError):
             run_epoch(machine, _two_stage(machine), range(2), depth=0)
 
+    def test_stages_that_share_a_name_are_rejected(self):
+        # Their tags and stage totals would merge: the tail would bill each
+        # at the pair's summed mean (30 s here, not 18 s) and every phase
+        # would go to the later stage.
+        machine = paper_testbed()
+
+        def cost(seconds):
+            def fn(i, x):
+                machine.clock.occupy(machine.cpu.name, seconds)
+                return x
+            return fn
+
+        one, two = (Stage("s", phase, fn=cost(seconds), lanes=(lane,))
+                    for phase, seconds, lane in (("sampling", 1.0, "a"),
+                                                 ("training", 2.0, "b")))
+        with pytest.raises(ValueError, match="stage 's'"):
+            run_epoch(machine, [one, two], range(2), depth=1,
+                      extrapolate_to=6)
+        assert machine.clock.now == 0.0
+        two = Stage("t", "training", fn=cost(2.0), lanes=("b",))
+        report = run_epoch(machine, [one, two], range(2), depth=1,
+                           extrapolate_to=6)
+        assert report.elapsed == 18.0
+        assert report.phases == {"training": 12.0, "sampling": 6.0}
+
+    @pytest.mark.parametrize("lanes", [(), ("a", "")])
+    def test_a_stage_needs_named_lanes(self, lanes):
+        with pytest.raises(ValueError, match="stage 'fetch'.*lane"):
+            Stage("fetch", "sampling", fn=lambda i, x: x, lanes=lanes)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_a_stage_scale_is_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="stage 'sample'.*scale"):
+            Stage("sample", "sampling", fn=lambda i, x: x, lanes=("a",),
+                  scale=scale)
+
+    def test_an_epoch_needs_a_stage(self):
+        with pytest.raises(ValueError, match="at least one stage"):
+            run_epoch(paper_testbed(), [], range(2), depth=1)
+
     def test_source_is_pulled_exactly_limit_times(self):
         """Drawing item ``limit`` just to drop it costs a sampler an RNG
         draw (GraphSAINT) or a sub-graph induction (ClusterGCN)."""

@@ -9,16 +9,19 @@ included.  The same strategies give two conservation laws for free.
 """
 
 import bisect
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datapipe import run_epoch
+from repro.datapipe import EndItem, run_epoch
 from repro.datapipe.pipeline import (Stage, _attribute_phases, _EpochState,
                                      _LaneJob, _LaneScheduler)
 from repro.hardware.machine import Machine, paper_testbed
 from repro.power.monitor import EnergyMonitor
+from repro.resilience import runtime as resilience
+from repro.resilience.plan import FaultPlan, FaultSpec, RecoveryPolicy
 from repro.simtime import DeferredRecord, VirtualClock, _EPS
 from repro.telemetry.spans import PHASES
 
@@ -253,6 +256,34 @@ def epochs(draw):
                 origin=draw(st.sampled_from([0.0, 0.03, 1.7])))
 
 
+@st.composite
+def wide_epochs(draw):
+    """``epochs()`` plus the shapes a columnar schedule must get right:
+    lanes of one device tied at equal starts, a stage whose mean record
+    is empty (zero cost), items that end early (``EndItem``) ahead of the
+    symbolic tail, and ``sampler.worker`` crashes that may degrade the
+    pipe mid-epoch."""
+    spec = draw(epochs())
+    costs = [list(row) for row in spec["costs"]]
+    n_stages, executed = len(spec["stages"]), len(costs)
+    stages = [dict(decl) for decl in spec["stages"]]
+    if draw(st.booleans()):  # the first stage fans out at one cost
+        stages[0]["lanes"] = LANES[:draw(st.integers(3, 4))]
+        tied = draw(COSTS)
+        for row in costs:
+            row[0] = tied
+    if draw(st.booleans()):  # one stage never costs anything
+        zero = draw(st.integers(0, n_stages - 1))
+        for row in costs:
+            row[zero] = 0.0
+    ends = draw(st.dictionaries(st.integers(0, executed - 1),
+                                st.integers(0, n_stages - 1)))
+    fault = draw(st.none() | st.tuples(st.integers(1, executed),
+                                       st.integers(1, 3)))
+    return dict(spec, stages=stages, costs=costs, ends=ends, fault=fault,
+                depth=draw(st.integers(2, 4)), tail=draw(st.integers(1, 12)))
+
+
 def run_drawn_epoch(machine, spec):
     """Run ``spec`` through ``run_epoch`` on ``machine``; returns the report
     and the stages by tag."""
@@ -265,11 +296,15 @@ def run_drawn_epoch(machine, spec):
             if decl["helper"] and decl["helper"] != decl["device"]:
                 # Concurrent busy seconds on a second device: no extra time.
                 clock.credit_busy({decl["helper"]: cost * decl["helper_share"]})
+            if spec.get("ends", {}).get(index) == position:
+                return EndItem(payload)
             return payload
         return fn
 
     stages = [Stage(f"s{i}", decl["phase"], fn=make_fn(i, decl),
-                    lanes=decl["lanes"])
+                    lanes=decl["lanes"],
+                    fault_site="sampler.worker" if i == 0 and
+                    spec.get("fault") else "")
               for i, decl in enumerate(spec["stages"])]
     releases = spec["releases"]
     executed = len(spec["costs"])
@@ -281,10 +316,43 @@ def run_drawn_epoch(machine, spec):
     return report, {stage.tag: stage for stage in stages}
 
 
+def run_wide_epoch(machine, spec):
+    """``run_drawn_epoch`` under ``spec["fault"]``'s ``sampler.worker``
+    crashes, if any: ``(at, count)`` with one retry, then degrade."""
+    if not spec.get("fault"):
+        return run_drawn_epoch(machine, spec)
+    at, count = spec["fault"]
+    plan = FaultPlan(seed=0, faults=(FaultSpec(
+        site="sampler.worker", kind="crash", at=at, count=count),),
+        policies={"sampler.worker": RecoveryPolicy(
+            max_retries=1, backoff=0.01, degrade=True)})
+    with resilience.session(plan):
+        return run_drawn_epoch(machine, spec)
+
+
 def index_of(clock):
     return ({k: list(v) for k, v in clock._starts.items()},
             {k: list(v) for k, v in clock._ends.items()},
             {k: list(v) for k, v in clock._cumdur.items()})
+
+
+def commit_rows(clock, rows):
+    """``commit_schedule`` over ``(start, device, lane, seconds, tag)``
+    rows."""
+    keys = list(dict.fromkeys((device, lane) for _, device, lane, _, _ in rows))
+    tags = list(dict.fromkeys(row[4] for row in rows))
+    clock.commit_schedule([row[0] for row in rows], [row[3] for row in rows],
+                          [keys.index(row[1:3]) for row in rows], keys,
+                          [tags.index(row[4]) for row in rows], tags)
+
+
+def phases_of(jobs, by_tag, origin, finish):
+    """``_attribute_phases`` over a list of jobs."""
+    priority = ("training", "data_movement", "sampling", "data_loading")
+    return _attribute_phases(
+        np.array([job.start for job in jobs]), np.array([job.end for job in jobs]),
+        np.array([priority.index(by_tag[job.tag].phase) for job in jobs]),
+        origin, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +431,49 @@ def test_vector_busy_time_equals_the_scalar_loop(spec, windows):
         for (s, e), want in zip(windows, expected):
             got = clock.busy_time(device, s, e)
             assert type(got) is float and got == want
+
+
+def ref_lane_busy(jobs):
+    """The job-by-job ``lane_busy``."""
+    totals = {}
+    for job in jobs:
+        totals[job.lane] = totals.get(job.lane, 0.0) + job.total
+    return totals
+
+
+@ORACLE
+@given(spec=wide_epochs())
+def test_wide_epochs_commit_place_and_materialise_as_the_scalar_code(spec):
+    machine = paper_testbed()
+    clock = machine.clock
+    ref = RefClock()
+    if spec["origin"]:
+        clock.occupy("cpu", spec["origin"], tag="before")
+        ref.record("cpu", 0.0, spec["origin"], spec["origin"], "before")
+    origin = clock.now
+    report, by_tag = run_wide_epoch(machine, spec)
+
+    ref.drain(report.jobs)
+    assert index_of(clock) == (ref.starts, ref.ends, ref.cumdur)
+    assert [(iv.device, iv.start, iv.end, iv.tag)
+            for iv in clock.busy_intervals()] == ref.busy
+    expected = ref_attribute_phases(report.jobs, by_tag, origin, clock.now)
+    assert list(report.phases.items()) == list(expected.items())
+    assert list(report.lane_busy.items()) == \
+        list(ref_lane_busy(report.jobs).items())
+
+    # The jobs and terminal jobs read off the columns equal those the tail
+    # placed job by job as _LaneJob objects.
+    twin = paper_testbed()
+    if spec["origin"]:
+        twin.clock.occupy("cpu", spec["origin"], tag="before")
+    with mock.patch.object(_EpochState, "extrapolate", ref_extrapolate):
+        by_job, _ = run_wide_epoch(twin, spec)
+    assert by_job.degraded == report.degraded
+    assert list(by_job.jobs) == list(report.jobs)
+    assert list(by_job.terminal) == list(report.terminal)
+    assert len(report.terminal) == report.executed + report.extrapolated
+    assert twin.clock.now == clock.now
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +565,17 @@ def test_advance_ending_exactly_on_a_boundary_samples_it():
 # ---------------------------------------------------------------------------
 def test_out_of_order_commit_names_the_key():
     clock = VirtualClock()
-    clock.commit_schedule([(1.0, "gpu", "train", 1.0, "t")])
+    commit_rows(clock, [(1.0, "gpu", "train", 1.0, "t")])
     with pytest.raises(ValueError, match=r"overlaps.*'gpu@train'"):
-        clock.commit_schedule([(1.5, "gpu", "train", 1.0, "t")])
+        commit_rows(clock, [(1.5, "gpu", "train", 1.0, "t")])
     # Another lane of the same device may overlap: that is what lanes are.
-    clock.commit_schedule([(1.5, "gpu", "copy", 1.0, "t")])
+    commit_rows(clock, [(1.5, "gpu", "copy", 1.0, "t")])
     assert clock.busy_time("gpu", 0.0, 3.0) == 1.5
 
 
 def test_commit_within_eps_is_clipped_not_rejected():
     clock = VirtualClock()
-    clock.commit_schedule([(0.0, "cpu", "w", 1.0, ""),
+    commit_rows(clock, [(0.0, "cpu", "w", 1.0, ""),
                            (1.0 - _EPS / 2, "cpu", "w", 1.0, "")])
     second = clock.busy_intervals("cpu@w")[1]
     assert second.start == 1.0 and second.end == 1.0 - _EPS / 2 + 1.0
@@ -472,13 +583,13 @@ def test_commit_within_eps_is_clipped_not_rejected():
 
 def test_negative_interval_rejected():
     with pytest.raises(ValueError, match="ends before it starts"):
-        VirtualClock().commit_schedule([(1.0, "cpu", "w", -0.5, "")])
+        commit_rows(VirtualClock(), [(1.0, "cpu", "w", -0.5, "")])
 
 
 def test_busy_intervals_materialise_equal_objects_in_commit_order():
     clock = VirtualClock()
     clock.occupy("cpu", 1.0, tag="a")
-    clock.commit_schedule([(2.0, "gpu", "train", 0.5, "b")])
+    commit_rows(clock, [(2.0, "gpu", "train", 0.5, "b")])
     first, second = clock.busy_intervals()
     assert (first.device, first.tag, first.duration) == ("cpu", "a", 1.0)
     assert (second.device, second.start, second.end) == ("gpu@train", 2.0, 2.5)
@@ -538,6 +649,6 @@ def test_phases_of_an_epoch_without_positive_jobs():
     stage = Stage("s", "training", fn=lambda i, p: p, lanes=("a",))
     job = _LaneJob(0, "a", 1.0, 1.0, 0.0, {}, stage.tag, 1.0)
     for finish in (1.0, 1.0 + 1e-13, 2.0):
-        assert _attribute_phases([job], {stage.tag: stage}, 0.5, finish) == \
+        assert phases_of([job], {stage.tag: stage}, 0.5, finish) == \
             ref_attribute_phases([job], {stage.tag: stage}, 0.5, finish)
-    assert _attribute_phases([job], {stage.tag: stage}, 0.5, 0.5) == {}
+    assert phases_of([job], {stage.tag: stage}, 0.5, 0.5) == {}

@@ -7,6 +7,7 @@ row also carries a planted violation, and must catch it in a scratch
 tree — a guard that cannot fail guards nothing.
 """
 
+import argparse
 import ast
 import importlib
 import re
@@ -40,6 +41,29 @@ def grep(pattern: str, tops: Sequence[str] = ("src/repro",),
                 for rel, text in _files(root, tops, exclude)
                 for m in regex.finditer(text)]
     return scan
+
+
+def calls_within(functions: Sequence[str],
+                 callee: str) -> Callable[[Path], List[str]]:
+    """A guard: every call of ``callee`` inside a ``def`` named in
+    ``functions`` under ``src/repro``."""
+    def scan(root: Path) -> List[str]:
+        return [f"{rel}:{call.lineno}: {callee}( in {node.name}"
+                for rel, text in _files(root, ("src/repro",), ())
+                if rel.endswith(".py")
+                for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.FunctionDef)
+                and node.name in functions
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == callee]
+    return scan
+
+
+def either(*scans: Callable[[Path], List[str]]) -> Callable[[Path], List[str]]:
+    """A guard that reports what any of ``scans`` reports."""
+    return lambda root: [hit for scan in scans for hit in scan(root)]
 
 
 def absent(*paths: str) -> Callable[[Path], List[str]]:
@@ -79,6 +103,52 @@ def unresolved_doc_names(root: Path) -> List[str]:
     return [f"{rel}: `{m.group(1)}` does not resolve"
             for rel, text in _files(root, ("README.md", "docs"), ())
             for m in _DOC_NAME.finditer(text) if not _resolves(m.group(1))]
+
+
+#: A backticked ``repro`` command, after optional ``VAR=value`` words and
+#: ``python -m``: subcommand words, then options and arguments, across
+#: line breaks.  A quoted message (``repro train: …``) or a placeholder
+#: (``repro ...``) is not a command.
+_DOC_COMMAND = re.compile(r"`(?:[A-Z_]+=\S+\s+)*(?:python3?\s+-m\s+)?"
+                          r"repro\s+([a-z][\w|-]*(?:\s[^`]*)?)`")
+
+
+def _command_problem(tokens: Sequence[str]) -> str:
+    """Why ``repro <tokens>`` does not parse, or ``""``: each word names a
+    subcommand while the parser has subcommands (``a|b`` names two), and
+    every ``--option`` is one the subcommand path defines.  Brackets
+    (``[--area --out-dir]``) are a synopsis, not syntax."""
+    from repro.cli import build_parser
+
+    parsers = [build_parser()]
+    for token in tokens:
+        token = token.strip("[]")
+        subs = [action.choices for action in parsers[0]._actions
+                if isinstance(action, argparse._SubParsersAction)]
+        if subs and token and not token.startswith("-"):
+            missing = [name for name in token.split("|")
+                       if name not in subs[0]]
+            if missing:
+                return f"no subcommand {missing[0]!r}"
+            parsers = [subs[0][name] for name in token.split("|")]
+        elif token.startswith("--"):
+            option = token.split("=")[0]
+            if not all(option in parser._option_string_actions
+                       for parser in parsers):
+                return f"no option {option}"
+    return ""
+
+
+def undefined_doc_commands(root: Path) -> List[str]:
+    problems = []
+    for rel, text in _files(root, ("README.md", "docs"), ()):
+        for m in _DOC_COMMAND.finditer(text):
+            problem = _command_problem(m.group(1).split())
+            if problem:
+                line = text.count("\n", 0, m.start()) + 1
+                problems.append(f"{rel}:{line}: `repro {m.group(1)}`: "
+                                f"{problem}")
+    return problems
 
 
 #: Entry points: code that runs outside the test suite.  ``src/`` module
@@ -184,9 +254,19 @@ GUARDS = [
     Guard("one-layer-zoo (one sampler charging path)",
           grep(r"_CONVS|def _assemble|def has_fused"),
           {"src/repro/frameworks/base.py": "    def _assemble(self):\n"}),
-    Guard("no-scalar-twin (an epoch is billed in one pass per concern)",
-          grep(r"def commit_interval|def _union_merge|def _take_sample\("),
-          {"src/repro/simtime.py": "def commit_interval(self):\n"}),
+    Guard("no-scalar-twin (an epoch is billed in one pass per concern: no "
+          "per-row commit loop, no per-job _LaneJob in submit_chain or "
+          "extrapolate beside the column pass)",
+          either(grep(r"def commit_interval|def _union_merge"
+                      r"|def _take_sample\(|log\(\(key,"),
+                 calls_within(("submit_chain", "extrapolate"), "_LaneJob")),
+          {"src/repro/simtime.py":
+           "def commit_interval(self):\n"
+           "    log((key, start, end, tag))\n",
+           "src/repro/datapipe/pipeline.py":
+           "def extrapolate(self, stages):\n"
+           "    for stage in stages:\n"
+           "        jobs.append(_LaneJob(len(jobs), stage.lanes[0]))\n"}),
     Guard("one-owner-of-host-time (the sweep artifact records nothing "
           "volatile or derived)",
           grep(r"\b(?:wall_s|check_cost_invariance|stats_payload)\b",
@@ -259,6 +339,11 @@ GUARDS = [
           "README.md and docs/ resolves by import and getattr)",
           unresolved_doc_names,
           {"docs/kernels.md": "Rows live in `repro.kernels.adj.RowCache`.\n"}),
+    Guard("docs-commands-exist (every backticked repro command in "
+          "README.md and docs/ names a subcommand path and options that "
+          "cli.build_parser() defines)",
+          undefined_doc_commands,
+          {"docs/x.md": "Rebuild it with `repro report --telemetry`.\n"}),
     Guard("nothing-only-tests-reach (every src definition has a caller "
           "outside the tests)",
           only_tests_reach,
