@@ -14,8 +14,6 @@ Commands mirror the paper's experiment families:
   the regression gate over the committed ``BENCH_*.json`` baselines.
 * ``profile analyze`` / ``profile diff`` — offline critical-path,
   roofline, and differential analysis over telemetry directories.
-* ``lint`` — static analysis enforcing the stack's hot-path and
-  autograd invariants.
 """
 
 from __future__ import annotations
@@ -226,10 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default="all")
     gate.add_argument("--baseline-dir", default=".",
                       help="directory holding the committed BENCH_*.json")
-
-    from repro.lint.cli import add_lint_parser
-
-    add_lint_parser(sub)
     return parser
 
 
@@ -596,10 +590,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return cmd_profile(args)
     elif args.command == "bench":
         return cmd_bench(args)
-    elif args.command == "lint":
-        from repro.lint.cli import cmd_lint
-
-        return cmd_lint(args)
     return 0
 
 

@@ -401,10 +401,10 @@ class SparseAdj:
         if self.row_memo is not None:
             return self._matmul_memo(data)
         try:
-            mat.data = data  # repro-lint: disable=INPLACE-GRAD scipy csr buffer, not a Tensor
+            mat.data = data
             out = mat @ x
         finally:
-            mat.data = self._default_data  # repro-lint: disable=INPLACE-GRAD scipy csr buffer, not a Tensor
+            mat.data = self._default_data
         return np.asarray(out, dtype=np.float32)
 
     def _matmul_memo(self, data: np.ndarray) -> np.ndarray:
@@ -481,10 +481,10 @@ class SparseAdj:
         _count_fastpath("csr_reuse", hit=True)
         data_t = np.asarray(data, dtype=np.float32)[self.src_order()]
         try:
-            mat_t.data = data_t  # repro-lint: disable=INPLACE-GRAD scipy csr buffer, not a Tensor
+            mat_t.data = data_t
             out = mat_t @ grad
         finally:
-            mat_t.data = self._default_data_t  # repro-lint: disable=INPLACE-GRAD scipy csr buffer, not a Tensor
+            mat_t.data = self._default_data_t
         return np.asarray(out, dtype=np.float32)
 
     # -- cached degree vectors (treat results as read-only) ------------

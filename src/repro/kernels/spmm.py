@@ -86,7 +86,7 @@ def spmm(adj: SparseAdj, x: Tensor, weight: Optional[Tensor] = None,
                     grad_x = np.empty_like(x.data)
                     # Per-head, not per-element: H is tiny and each
                     # iteration is one full SpMM.
-                    for h in range(x.shape[1]):  # repro-lint: disable=HOTLOOP
+                    for h in range(x.shape[1]):
                         grad_x[:, h, :] = adj.rmatmul(out.grad[:, h, :], weight.data[:, h])
                 elif weight is not None:
                     grad_x = adj.rmatmul(out.grad, weight.data)

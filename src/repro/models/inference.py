@@ -181,9 +181,12 @@ def batch_blocks(graph, nodes: np.ndarray, num_layers: int, device) -> list:
     output row per requested node.  Layer ``l``'s output rows are exactly
     layer ``l+1``'s source rows, so the stack feeds a layered model
     directly.  The online serving engine scores micro-batches this way:
-    no neighbor sampling, hence no prediction bias per request.
+    no neighbor sampling, hence no prediction bias per request.  An id
+    outside the graph raises :class:`~repro.errors.GraphFormatError`
+    naming it, before any adjacency or feature row is read.
     """
     nodes = np.asarray(nodes, dtype=INDEX_DTYPE)
+    graph.adj.id_table.require_ids("batch_blocks", nodes=nodes)
     blocks = []
     rows = nodes
     for _ in range(num_layers):

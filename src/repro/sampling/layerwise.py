@@ -79,7 +79,7 @@ class FastGCNSampler:
         self.actual_batch_size = max(2, int(round(batch_size / graph.node_scale)))
         self.rng = np.random.default_rng(seed)
         # choice() needs f64 probabilities that sum to exactly 1.
-        degrees = np.maximum(graph.adj.degrees(), 1).astype(np.float64)  # repro-lint: disable=DTYPE-DRIFT
+        degrees = np.maximum(graph.adj.degrees(), 1).astype(np.float64)
         weights = degrees ** 2
         self._probs = weights / weights.sum()
         self._indptr = graph.adj.indptr
@@ -169,7 +169,7 @@ class LadiesSampler:
             return frontier, np.ones(frontier.size) / frontier.size, 0
         candidates, counts = np.unique(all_neigh, return_counts=True)
         # choice() needs f64 probabilities that sum to exactly 1.
-        probs = counts.astype(np.float64)  # repro-lint: disable=DTYPE-DRIFT
+        probs = counts.astype(np.float64)
         probs /= probs.sum()
         return candidates, probs, all_neigh.size
 

@@ -35,7 +35,7 @@ class SaintNodeSampler:
         self.actual_budget = max(2, int(round(budget / graph.node_scale)))
         self.rng = np.random.default_rng(seed)
         # choice() needs f64 probabilities that sum to exactly 1.
-        degrees = np.maximum(graph.adj.degrees(), 1).astype(np.float64)  # repro-lint: disable=DTYPE-DRIFT
+        degrees = np.maximum(graph.adj.degrees(), 1).astype(np.float64)
         weights = degrees ** 2
         self._probs = weights / weights.sum()
 
@@ -82,7 +82,7 @@ class SaintEdgeSampler:
         # choice() needs f64 probabilities that sum to exactly 1.
         degrees = np.maximum(
             np.bincount(self._src, minlength=graph.num_nodes), 1
-        ).astype(np.float64)  # repro-lint: disable=DTYPE-DRIFT
+        ).astype(np.float64)
         weights = 1.0 / degrees[self._src] + 1.0 / degrees[self._dst]
         self._probs = weights / weights.sum()
 

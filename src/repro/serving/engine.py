@@ -332,10 +332,12 @@ def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
             else:
                 # The memo's SpMM reads source rows from the store in
                 # place, so only the destination prefix is copied; the
-                # rest of x is never read.
+                # rest of x is never read.  mode="clip" writes straight
+                # into x ("raise" stages a full copy first); batch_blocks
+                # has already rejected any id outside the graph.
                 x = x_rows[:block.num_src]
                 np.take(x_host, block.src_nodes[:block.num_dst], axis=0,
-                        out=x[:block.num_dst])
+                        out=x[:block.num_dst], mode="clip")
                 block.row_memo = memo
             out = Tensor(x, device=target, work_scale=graph.node_scale)
             for i, layer in enumerate(layers):

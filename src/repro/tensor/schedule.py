@@ -31,7 +31,7 @@ def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
     total_sq = 0.0
     for p in params:
         # f64 accumulation keeps the global norm stable over many params.
-        grad64 = p.grad.astype(np.float64)  # repro-lint: disable=DTYPE-DRIFT
+        grad64 = p.grad.astype(np.float64)
         total_sq += float((grad64 ** 2).sum())
     total = math.sqrt(total_sq)
     if total > max_norm:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import BenchmarkError, SamplerError
+from repro.errors import BenchmarkError, GraphFormatError, SamplerError
 from repro.frameworks import get_framework
 from repro.models.evaluate import full_graph_logits
 from repro.models.graphsage import build_graphsage
@@ -84,4 +84,16 @@ class TestBatchBlocks:
         _, fgraph, _ = setup
         with pytest.raises(SamplerError, match="first duplicate: 3"):
             batch_blocks(fgraph.graph, np.array([3, 3, 4]), 2,
+                         fgraph.machine.cpu)
+
+    @pytest.mark.parametrize("bad", [-1, "num_nodes"])
+    def test_id_outside_the_graph_rejected_by_name(self, setup, bad):
+        """Serving gathers layer-0 rows with ``np.take(mode="clip")``,
+        which would clip an out-of-range id silently, so the stack must
+        refuse it first, naming the id."""
+        _, fgraph, _ = setup
+        bad = fgraph.num_nodes if bad == "num_nodes" else bad
+        with pytest.raises(GraphFormatError,
+                           match=rf"batch_blocks: nodes id {bad} outside"):
+            batch_blocks(fgraph.graph, np.array([4, bad]), 2,
                          fgraph.machine.cpu)
