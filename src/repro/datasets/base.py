@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -65,8 +66,8 @@ def build_dataset(spec: DatasetSpec, scale: float = 1.0) -> Graph:
     default reduced size; tests use smaller scales).  Logical stats are
     unaffected — they always describe the paper-scale dataset.
     """
-    if scale <= 0:
-        raise DatasetError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise DatasetError(f"scale must be positive and finite, got {scale}")
     key = (spec.name, scale)
     if key in _CACHE:
         return _CACHE[key]

@@ -26,6 +26,18 @@ def _as_index(arr) -> np.ndarray:
     return out
 
 
+def stable_order(ids: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for ids in ``[0, bound]``.
+
+    The ids are sorted as the narrowest unsigned type that holds ``bound``;
+    numpy's stable sort of keys of 16 bits or less is a radix sort, and a
+    stable sort by equal keys is the same permutation.  The caller checks
+    the range first: an id outside it would wrap in the cast.
+    """
+    return np.argsort(ids.astype(np.min_scalar_type(bound), copy=False),
+                      kind="stable")
+
+
 class IdTable:
     """Dense ``global id -> local index`` scratch over ``[0, num_nodes)``.
 
@@ -98,7 +110,7 @@ class AdjacencyCOO:
 
     def to_csr(self) -> "AdjacencyCSR":
         """Sort edges by source and build row pointers."""
-        order = np.argsort(self.src, kind="stable")
+        order = stable_order(self.src, self.num_nodes)
         sorted_src = self.src[order]
         indptr = np.zeros(self.num_nodes + 1, dtype=INDEX_DTYPE)
         counts = np.bincount(sorted_src, minlength=self.num_nodes)

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graph.formats import (AdjacencyCOO, INDEX_DTYPE, remove_self_loops,
-                                 symmetrize)
+                                 stable_order, symmetrize)
 from repro.hostmem import mapped_rows
 
 
@@ -38,16 +38,55 @@ def power_law_degrees(
     return np.maximum(1, np.round(degrees)).astype(INDEX_DTYPE)
 
 
+def weighted_choice(rng: np.random.Generator, a, size: int,
+                    p: np.ndarray) -> np.ndarray:
+    """Exactly ``rng.choice(a, size=size, p=p)``, leaving ``rng`` in the
+    same state, without a binary search per draw.
+
+    The same checks on ``p``, the same ``cdf`` and the same one
+    ``rng.random(size)`` call; only the lookup of each draw ``u`` (the
+    count of ``cdf`` entries ``<= u``) changes.  With ``k >= 4 n`` buckets,
+    a power of two, ``cdf * k`` and ``u * k`` are exact, so the
+    ``lo[b]`` entries with ``ceil(cdf k) <= b = floor(u k)`` are all
+    ``<= u``: the answer is ``lo[b]`` plus the few entries of bucket
+    ``b + 1`` that are ``<= u``.  Two vectorised steps count almost all of
+    those; a binary search finishes what is left (runs of equal ``cdf``
+    values in one bucket).  ``cdf[-1]`` is exactly 1, above every ``u``,
+    so a step never runs past the end.
+    """
+    a = np.asarray(a)
+    pop_size = int(a) if a.ndim == 0 else a.shape[0]
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    if p.size != pop_size:
+        raise ValueError("a and p must have same size")
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+
+    k = 4 << (pop_size - 1).bit_length()
+    lo = np.bincount(np.ceil(cdf * k).astype(INDEX_DTYPE), minlength=k + 1)
+    idx = lo.cumsum(out=lo)[(u * k).astype(INDEX_DTYPE)]
+    for _ in range(2):
+        idx += cdf.take(idx, mode="clip") <= u
+    rest = np.flatnonzero(cdf.take(idx, mode="clip") <= u)
+    idx[rest] = cdf.searchsorted(u[rest], side="right")
+    return idx if a.ndim == 0 else a.take(idx)
+
+
 def _stable_groups(labels: np.ndarray,
                    num_groups: int) -> Tuple[np.ndarray, np.ndarray]:
     """Positions grouped by label, ``(order, bounds)``: the positions with
-    label ``g`` are ``order[bounds[g]:bounds[g + 1]]``, ascending.
-
-    The labels are sorted in the narrowest dtype that holds them, where
-    numpy's stable sort is a radix sort.
-    """
-    keys = labels.astype(np.min_scalar_type(num_groups), copy=False)
-    order = np.argsort(keys, kind="stable")
+    label ``g`` are ``order[bounds[g]:bounds[g + 1]]``, ascending."""
+    order = stable_order(labels, num_groups)
     bounds = np.zeros(num_groups + 1, dtype=INDEX_DTYPE)
     np.cumsum(np.bincount(labels, minlength=num_groups), out=bounds[1:])
     return order, bounds
@@ -78,14 +117,14 @@ def dcsbm_graph(
     # Draw directed stubs: sources by degree weight; destinations by degree
     # weight within the source's community with prob intra_prob, else global.
     n_draw = num_edges
-    src = rng.choice(num_nodes, size=n_draw, p=weights).astype(INDEX_DTYPE)
+    src = weighted_choice(rng, num_nodes, n_draw, weights)
     dst = np.empty(n_draw, dtype=INDEX_DTYPE)
     intra = rng.random(n_draw) < intra_prob
 
     # Global draws for the inter-community endpoints.
     n_inter = int((~intra).sum())
     if n_inter:
-        dst[~intra] = rng.choice(num_nodes, size=n_inter, p=weights)
+        dst[~intra] = weighted_choice(rng, num_nodes, n_inter, weights)
 
     # Community-restricted draws, one community at a time.  A stable sort
     # groups the intra slots by their source's community once; within a
@@ -100,7 +139,8 @@ def dcsbm_graph(
             continue
         group = members[member_bounds[c]:member_bounds[c + 1]]
         member_w = weights[group]
-        dst[own] = rng.choice(group, size=own.size, p=member_w / member_w.sum())
+        dst[own] = weighted_choice(rng, group, own.size,
+                                   member_w / member_w.sum())
 
     del intra, slots, by_comm  # scratch: free it before the dedup's keys
     coo = remove_self_loops(AdjacencyCOO(num_nodes, src, dst))

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import GraphFormatError
-from repro.graph.formats import INDEX_DTYPE, gather_neighborhoods
+from repro.graph.formats import INDEX_DTYPE, gather_neighborhoods, stable_order
 from repro.hostmem import mapped_rows
 from repro.kernels.config import fastpath_enabled
 from repro.telemetry import runtime as telemetry
@@ -160,7 +160,7 @@ class SparseAdj:
             raise GraphFormatError("dst index out of range")
         # Canonical edge order: sorted by (dst, then original position) so
         # CSR data positions line up with the stored COO arrays.
-        order = np.argsort(dst, kind="stable")
+        order = stable_order(dst, num_dst)
         if edge_weight is not None:
             edge_weight = np.asarray(edge_weight, dtype=np.float32)[order]
         self._finalize(src[order], dst[order], num_src, num_dst, device,
@@ -301,7 +301,7 @@ class SparseAdj:
         direction of the segment-reduce fast path.  Treat as read-only.
         """
         if self._perm_src is None:
-            self._perm_src = np.argsort(self.src, kind="stable")
+            self._perm_src = stable_order(self.src, self.num_src)
         return self._perm_src
 
     # -- segment reductions over per-edge rows -------------------------

@@ -1,10 +1,13 @@
-"""The cold start's bytes, pinned: every Table-1 dataset and the ClusterGCN
-partitions of the sampler benchmarks hash to committed literals.
+"""The cold start's bytes, pinned: every Table-1 dataset, the ClusterGCN
+partitions of the sampler benchmarks and the full-graph adjacencies'
+canonical edge order hash to committed literals.
 
 Dataset synthesis (``dcsbm_graph``, ``coalesce``, the features and the
-splits) and partitioning (``bfs_order``, ``partition_graph``) are host-time
-hot spots that get rewritten for speed.  A rewrite must build the same
-graphs and the same partitions byte for byte; these pins are that proof.
+splits), partitioning (``bfs_order``, ``partition_graph``) and the
+canonical order of ``SparseAdj.from_graph`` are host-time hot spots that
+get rewritten for speed.  A rewrite must build the same graphs, the same
+partitions and the same edge orders byte for byte; these pins are that
+proof.
 A literal moves only with a deliberate behaviour change.  Print the
 current values with:
 
@@ -18,6 +21,7 @@ import pytest
 
 from repro.datasets.registry import DATASET_NAMES, get_dataset
 from repro.graph.partition import partition_graph
+from repro.kernels.adj import SparseAdj
 from repro.sampling.cluster import ClusterSampler
 
 #: ``(dataset, scale)`` -> sha256 of (indptr, indices, features, labels,
@@ -63,6 +67,19 @@ PARTITION_PINS = {
         112462),
 }
 
+#: ``(dataset, scale)`` -> sha256 of ``SparseAdj.from_graph``'s canonical
+#: ``(src, dst)``: the full-graph adjacencies ``perf/`` and the tests build.
+EDGE_ORDER_PINS = {
+    ("ppi", 0.3):
+        "ab8c80a5282b50ab9015d28910df5a37948197d347c6c09539dd432fc701804e",
+    ("ogbn-arxiv", 0.5):
+        "fb9c81734e5e6ec7287dcb771a25ac633229697746a9277498fe63579371cb41",
+    ("reddit", 2.0):
+        "0ef5eaa3ce8577a3c2fcfd61920367040b541d2d5549a13e847e43c29c99e854",
+    ("ogbn-products", 2.0):
+        "180fb42b0bc629e7d658b85fac36b23a9032460b16dd90bcdf1b75c2ad849db7",
+}
+
 
 def digest(*arrays: np.ndarray) -> str:
     """sha256 over each array's dtype, shape and bytes, in order."""
@@ -87,6 +104,11 @@ def partition_pin(name: str, seed: int):
     return digest(result.assignments), result.edge_cut
 
 
+def edge_order_digest(name: str, scale: float) -> str:
+    adj = SparseAdj.from_graph(get_dataset(name, scale))
+    return digest(adj.src, adj.dst)
+
+
 def test_pins_cover_every_dataset():
     assert {name for name, _ in DATASET_PINS} == set(DATASET_NAMES)
 
@@ -101,8 +123,15 @@ def test_partition_bytes_are_pinned(name, seed):
     assert partition_pin(name, seed) == PARTITION_PINS[name, seed]
 
 
+@pytest.mark.parametrize("name,scale", sorted(EDGE_ORDER_PINS))
+def test_full_graph_edge_order_is_pinned(name, scale):
+    assert edge_order_digest(name, scale) == EDGE_ORDER_PINS[name, scale]
+
+
 if __name__ == "__main__":
     for name, scale in DATASET_PINS:
         print(f"    ({name!r}, {scale}): {dataset_digest(name, scale)!r},")
     for name, seed in PARTITION_PINS:
         print(f"    ({name!r}, {seed}): {partition_pin(name, seed)!r},")
+    for name, scale in EDGE_ORDER_PINS:
+        print(f"    ({name!r}, {scale}): {edge_order_digest(name, scale)!r},")

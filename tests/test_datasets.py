@@ -99,9 +99,10 @@ class TestBuilder:
         b = get_dataset("ppi", scale=0.25)
         assert a is not b
 
-    def test_invalid_scale_rejected(self):
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_scale_rejected(self, scale):
         with pytest.raises(DatasetError):
-            get_dataset("ppi", scale=0.0)
+            get_dataset("ppi", scale=scale)
 
     def test_masks_follow_split_fractions(self):
         graph = get_dataset("flickr", scale=0.5)

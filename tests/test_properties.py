@@ -4,10 +4,10 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.graph.formats import AdjacencyCOO, coalesce, symmetrize
-from repro.graph.generators import correlated_features
+from repro.graph.formats import AdjacencyCOO, coalesce, stable_order, symmetrize
+from repro.graph.generators import correlated_features, weighted_choice
 from repro.graph.partition import bfs_order
 from repro.hardware.memory import MemoryLedger
 from repro.kernels.adj import SparseAdj
@@ -70,6 +70,35 @@ def multi_component_graphs(draw):
     return AdjacencyCOO(n, src, dst).to_csr()
 
 
+@st.composite
+def choice_weights(draw):
+    """A probability vector with zero weights, one non-zero weight,
+    1e-300 weights, or a run of equal ``cdf`` values (zeros after a
+    positive weight) inside one bucket, longer than two lookup steps."""
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(("general", "zeros", "one-hot", "tiny",
+                                  "run")))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n,
+                               max_size=n)))
+    if shape == "zeros":
+        w[np.array(draw(st.lists(st.booleans(), min_size=n,
+                                 max_size=n)))] = 0.0
+    elif shape == "one-hot":
+        w = np.zeros(n)
+        w[draw(st.integers(0, n - 1))] = 1.0
+    elif shape == "tiny":
+        w[np.array(draw(st.lists(st.booleans(), min_size=n,
+                                 max_size=n)))] = 1e-300
+    elif shape == "run":
+        # Just past a bucket edge at any power-of-two bucket count.
+        edge = 0.5 + 2.0**-30
+        w = np.concatenate([[edge], np.zeros(draw(st.integers(3, 40))),
+                            w / w.sum() * (1.0 - edge)])
+    if w.sum() == 0:
+        w[0] = 1.0
+    return w / w.sum()
+
+
 def fifo_bfs_order(adj, seed):
     """Reference BFS: one FIFO queue, one node at a time, restarts from a
     seeded permutation."""
@@ -121,6 +150,40 @@ class TestColdStartOracles:
             (num_nodes, num_features)).astype(np.float32)
         assert features.dtype == reference.dtype
         assert features.tobytes() == reference.tobytes()
+
+    @given(choice_weights(), st.sampled_from((0, 1, 7, 3000)),
+           st.booleans(), st.integers(0, 2**31 - 1))
+    @example(np.array([0.5 + 2.0**-30, 0, 0, 0, 0, 0.5 - 2.0**-30]), 3000,
+             False, 0)
+    def test_weighted_choice_equals_rng_choice(self, p, size, array_a, seed):
+        """The same picks, and the generator left where ``rng.choice``
+        leaves it."""
+        a = np.arange(p.size) * 3 + 5 if array_a else p.size
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        picked = weighted_choice(ours, a, size, p)
+        reference = theirs.choice(a, size=size, p=p)
+        assert picked.dtype == reference.dtype
+        assert np.array_equal(picked, reference)
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("p", [
+        [0.5, np.nan], [1.5, -0.5], [0.5, 0.4], [[0.5, 0.5]], [1.0]])
+    def test_weighted_choice_rejects_what_rng_choice_rejects(self, p):
+        p = np.array(p)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(2, size=3, p=p)
+        with pytest.raises(ValueError):
+            weighted_choice(np.random.default_rng(0), 2, 3, p)
+
+    @given(st.sampled_from((1, 255, 256, 65_535, 65_536, 2**20)), st.data())
+    def test_stable_order_equals_stable_argsort(self, bound, data):
+        """Across the uint8/uint16/uint32 switch points, ties included."""
+        pool = data.draw(st.lists(st.integers(0, bound), min_size=1,
+                                  max_size=4))
+        ids = np.array(data.draw(st.lists(st.sampled_from(pool),
+                                          max_size=200)), dtype=np.int64)
+        order = stable_order(ids, bound)
+        assert np.array_equal(order, np.argsort(ids, kind="stable"))
 
     @given(degenerate_edge_lists())
     def test_coalesce_equals_unique_reference(self, edges):
