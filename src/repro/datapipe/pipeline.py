@@ -4,7 +4,9 @@
 a chain of :class:`Stage`\\ s.  Real work executes item-sequentially
 inside ``clock.deferred()`` (numerics and RNG order identical to the
 serial schedule); the measured cost of every stage execution is then
-placed on the stage's resource lane by a :class:`_LaneScheduler`.
+placed on the stage's resource lane by a :class:`_LaneScheduler`, where a
+job is an index into columns (start, end, lane, ...) and nothing else —
+the report hands on those columns and each item's finish time.
 Bounded-queue backpressure is the scheduling constraint that item ``i``'s
 first stage cannot start before item ``i - depth``'s last stage finished
 — so ``depth-1`` reproduces the serial schedule exactly, and deeper
@@ -25,10 +27,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,27 +48,6 @@ from repro.telemetry.spans import PHASES, SpanTracer
 _PHASE_PRIORITY = ("training", "data_movement", "sampling", "data_loading")
 
 
-@dataclass
-class _LaneJob:
-    """One scheduled unit of work on a :class:`_LaneScheduler` lane, as
-    read off its columns."""
-
-    job_id: int
-    lane: str
-    start: float
-    end: float
-    total: float
-    busy: Dict[str, float]
-    tag: str
-    #: Earliest time the job *could* have started (dependency finish);
-    #: ``start - ready`` is the time it queued behind its lane.
-    ready: float
-
-    @property
-    def wait(self) -> float:
-        return self.start - self.ready
-
-
 class _LaneScheduler:
     """Event-driven per-resource timelines over one :class:`VirtualClock`.
 
@@ -80,10 +60,11 @@ class _LaneScheduler:
     ``device@lane`` keys, see :meth:`VirtualClock.commit_schedule`) and
     advances the machine clock once, to the latest lane front.
 
-    Jobs are kept as columns, one entry per job in submission order:
-    ``start``/``end``/``total``/``ready`` seconds and codes into
+    A job is its index into columns, one entry per job in submission
+    order: ``start``/``end``/``total``/``ready`` seconds (``start -
+    ready`` is the time it queued behind its lane) and codes into
     ``lanes``, ``tags`` and ``records`` (each job's busy seconds per
-    device).  :meth:`job` materialises one as a :class:`_LaneJob`.
+    device).
 
     The scheduler is one-shot: ``drain()`` finalizes it.  ``run_epoch``
     builds one per epoch.
@@ -107,17 +88,6 @@ class _LaneScheduler:
         """The latest lane front (absolute time)."""
         return max(self.fronts, default=self.origin)
 
-    @property
-    def jobs(self) -> "_Jobs":
-        """Every job so far, in submission order."""
-        return _Jobs(self, range(len(self.start)))
-
-    def job(self, i: int) -> _LaneJob:
-        return _LaneJob(i, self.lanes[self.lane[i]], self.start[i],
-                        self.end[i], self.total[i],
-                        self.records[self.record[i]], self.tags[self.tag[i]],
-                        self.ready[i])
-
     def lane_code(self, lane: str) -> int:
         """``lane``'s code; a new lane's front starts at the origin."""
         code = _intern(self.lanes, lane)
@@ -126,50 +96,36 @@ class _LaneScheduler:
         return code
 
     def submit(self, lane: str, work: DeferredRecord,
-               after: Optional[_LaneJob] = None, not_before: float = 0.0,
-               tag: str = "") -> _LaneJob:
+               after: Optional[int] = None, not_before: float = 0.0,
+               tag: str = "") -> int:
         """Schedule ``work`` (measured inside ``clock.deferred()``) on
-        ``lane``.
+        ``lane``; returns the job's index.
 
-        ``after`` is the job that must finish first; ``not_before`` adds
-        an absolute lower bound (e.g. bounded-queue backpressure).  The
+        ``after`` is the index of the job that must finish first;
+        ``not_before`` adds an absolute lower bound (e.g. bounded-queue
+        backpressure).  This is the placement rule: a job starts when it
+        is ready and its lane is free.  (``_EpochState.extrapolate``
+        applies the same rule to the symbolic tail on floats alone.)  The
         job keeps the record's own busy dict: nothing mutates a submitted
         record.
-        """
-        return self.submit_chain(((lane, work, tag),), after, not_before)
-
-    def submit_chain(self, steps: Iterable[Tuple[str, DeferredRecord, str]],
-                     after: Optional[_LaneJob] = None,
-                     not_before: float = 0.0) -> Optional[_LaneJob]:
-        """Schedule ``(lane, record, tag)`` steps, each after the one before
-        it, and return the last job (``after`` itself for no steps).
-
-        ``after`` and ``not_before`` bound the first step as in
-        :meth:`submit`.  This loop is the placement rule: a job starts
-        when it is ready and its lane is free.  (``_EpochState.extrapolate``
-        applies the same rule to the symbolic tail on floats alone.)
         """
         if self._drained:
             raise RuntimeError("lane scheduler already drained")
         ready = max(self.origin, not_before)
-        if after is not None and after.end > ready:
-            ready = after.end
-        fronts, placed = self.fronts, len(self.start)
-        for lane, record, tag in steps:
-            code = self.lane_code(lane)
-            start = max(ready, fronts[code])
-            end = fronts[code] = start + record.total
-            self.start.append(start)
-            self.end.append(end)
-            self.total.append(record.total)
-            self.ready.append(ready)
-            self.lane.append(code)
-            self.tag.append(_intern(self.tags, tag))
-            self.record.append(len(self.records))
-            self.records.append(record.busy)
-            ready = end
-        return self.job(len(self.start) - 1) if len(self.start) > placed \
-            else after
+        if after is not None and self.end[after] > ready:
+            ready = self.end[after]
+        code = self.lane_code(lane)
+        start = max(ready, self.fronts[code])
+        end = self.fronts[code] = start + work.total
+        self.start.append(start)
+        self.end.append(end)
+        self.total.append(work.total)
+        self.ready.append(ready)
+        self.lane.append(code)
+        self.tag.append(_intern(self.tags, tag))
+        self.record.append(len(self.records))
+        self.records.append(work.busy)
+        return len(self.start) - 1
 
     def extend(self, **columns: Sequence) -> None:
         """Append whole columns at once (the symbolic tail)."""
@@ -204,49 +160,26 @@ class _LaneScheduler:
         """``commit_schedule``'s columns: one row per positive busy entry of
         each positive-length job, ordered by (start, device name) — stably,
         so rows that tie stay in job order."""
-        devices = sorted({device for busy in self.records for device in busy})
-        width = max(map(len, self.records), default=0)
-        # Record r's c-th busy entry: its device code and seconds at [r, c].
-        codes: List[int] = []
-        busy_s: List[float] = []
-        for busy in self.records:
-            pad = width - len(busy)
-            codes += [devices.index(device) for device in busy] + [0] * pad
-            busy_s += list(busy.values()) + [0.0] * pad
-        shape = (len(self.records), width)
-        total, record = _view(self.total), _view(self.record)
-        seconds = np.array(busy_s).reshape(shape)[record]
-        live = (seconds > 0) & (total > 0)[:, None]
-        job = live.nonzero()[0]  # row-major: job order, then dict order
-        device = np.array(codes, dtype=np.intp).reshape(shape)[record][live]
-        seconds = np.minimum(seconds[live], total[job])
-        start = _view(self.start)[job]
+        records = self.records
+        devices = sorted(set(chain.from_iterable(records)))
+        code = dict(zip(devices, range(len(devices))))
+        # Record r's busy seconds on device d at [r, d].
+        grid = np.zeros((len(records), len(devices)))
+        grid[np.repeat(np.arange(len(records)),
+                       np.fromiter(map(len, records), np.intp, len(records))),
+             np.fromiter(map(code.__getitem__, chain.from_iterable(records)),
+                         np.intp)] = np.fromiter(
+            chain.from_iterable(map(dict.values, records)), float)
+        # A job bills at most its own length; live iff both are positive.
+        seconds = np.minimum(grid[_view(self.record)],
+                             _view(self.total)[:, None])
+        job, device = (seconds > 0).nonzero()  # job order, then device's
+        seconds, start = seconds[job, device], _view(self.start)[job]
         order = np.lexsort((device, start))  # device codes sort as names
-        keys = [(name, lane) for name in devices for lane in self.lanes]
-        key = device * len(self.lanes) + _view(self.lane)[job]
-        return (start[order], seconds[order], key[order], keys,
-                _view(self.tag)[job][order], self.tags)
-
-
-class _Jobs(SequenceABC):
-    """Jobs of a :class:`_LaneScheduler` by id, each materialised as a
-    :class:`_LaneJob` when read."""
-
-    def __init__(self, sched: _LaneScheduler, ids: Sequence[int]) -> None:
-        self._sched, self._ids = sched, ids
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._sched.job(j) for j in self._ids[i]]
-        return self._sched.job(self._ids[i])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SequenceABC):
-            return NotImplemented
-        return list(self) == list(other)
+        job = job[order]
+        return (start[order], seconds[order], device[order], devices,
+                _view(self.lane)[job], self.lanes, _view(self.tag)[job],
+                self.tags)
 
 
 def _intern(names: List[str], name: str) -> int:
@@ -317,16 +250,14 @@ class EpochReport:
     extrapolated: int
     max_in_flight: int = 1
     degraded: bool = False
-    #: Every scheduled job, materialised on read.
-    jobs: Sequence[_LaneJob] = ()
     lane_busy: Dict[str, float] = field(default_factory=dict)
-    #: Each item's last job, in item order (symbolic tail included),
-    #: materialised on read.
-    terminal: Sequence[_LaneJob] = ()
+    #: Each item's finish time (its last job's end), in item order,
+    #: symbolic tail included.
+    item_ends: List[float] = field(default_factory=list)
     #: Clean (pre-fault, post-scale) executed seconds per stage name.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: The drained schedule and each of its tags' phase rank, which
-    #: ``phases`` is computed from.
+    #: The drained schedule (its jobs as columns) and each of its tags'
+    #: phase rank, which ``phases`` is computed from.
     schedule: Optional[_LaneScheduler] = field(default=None, repr=False)
     rank: np.ndarray = field(default=None, repr=False)
 
@@ -365,7 +296,8 @@ def run_epoch(
     same lane contention and backpressure as executed ones.
     ``release(item)`` is the absolute time a source item becomes
     available: its first stage starts no earlier (and no earlier than the
-    bounded queue admits it).
+    bounded queue admits it).  The report carries the drained schedule's
+    columns and each item's finish time, not job objects.
     """
     if depth < 1:
         raise ValueError("pipeline depth must be >= 1")
@@ -384,18 +316,18 @@ def run_epoch(
     # islice stops *before* drawing item ``limit``: pulling it would cost
     # the source one more RNG draw / sub-graph induction per epoch.
     for index, payload in enumerate(islice(source, limit)):
-        prev: Optional[_LaneJob] = None
-        first: Optional[_LaneJob] = None
+        first = last = None
         released = release(payload) if release is not None else 0.0
         for stage in stages:
             with clock.deferred() as rec:
                 payload = stage.fn(index, payload)
-            prev = state.schedule(stage, index, rec, prev, released)
-            first = first or prev
+            last = state.schedule(stage, index, rec, last, released)
+            if first is None:
+                first = last
             if isinstance(payload, EndItem):
                 payload = payload.output
                 break
-        state.finish_item(first, prev)
+        state.finish_item(first, last)
         outputs.append(payload)
 
     executed = len(outputs)
@@ -403,7 +335,6 @@ def run_epoch(
     if extrapolated and executed:
         state.extrapolate(stages, executed, extrapolate_to)
 
-    lane_busy = sched.lane_busy()
     elapsed = sched.drain()
     by_tag = {stage.tag: stage for stage in stages}
     state.record_metrics(label, by_tag)
@@ -414,10 +345,8 @@ def run_epoch(
         extrapolated=extrapolated,
         max_in_flight=state.max_in_flight,
         degraded=state.degraded,
-        jobs=sched.jobs,
-        lane_busy=lane_busy,
-        terminal=_Jobs(sched, [job.job_id for job in state.terminal]
-                       + list(state.tail)),
+        lane_busy=sched.lane_busy(),
+        item_ends=[sched.end[job] for job in state.terminal],
         stage_seconds=state.stage_totals,
         schedule=sched,
         rank=np.array([_PHASE_PRIORITY.index(by_tag[tag].phase)
@@ -434,17 +363,15 @@ class _EpochState:
         self.depth = depth
         self.degraded = False
         self.max_in_flight = 1
-        #: Each executed item's last job, in item order.
-        self.terminal: List[_LaneJob] = []
-        #: Each symbolic item's last job id (see :meth:`extrapolate`).
-        self.tail: Sequence[int] = ()
+        #: Each item's last job, in item order (symbolic tail included).
+        self.terminal: List[int] = []
         #: Clean (pre-fault, post-scale) per-stage sums for extrapolation.
         self.stage_totals: Dict[str, float] = {}
         self.stage_busy: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     def schedule(self, stage: Stage, index: int, rec: DeferredRecord,
-                 prev: Optional[_LaneJob], released: float) -> _LaneJob:
+                 prev: Optional[int], released: float) -> int:
         """Place one *executed* stage run: scale, fault seam, lane, span."""
         scale = 1.0 if self.degraded else stage.scale
         clean = DeferredRecord(
@@ -462,15 +389,17 @@ class _EpochState:
         if stage.fault_site and not self.degraded:
             record = self._survive_faults(stage, clean)
         job = self._place(stage, index, record, prev, released)
+        sched = self.sched
         with maybe_span(f"datapipe.{stage.name}", category="datapipe",
-                        index=index, lane=job.lane,
-                        scheduled_start=job.start, scheduled_end=job.end,
-                        queue_wait=job.wait):
+                        index=index, lane=sched.lanes[sched.lane[job]],
+                        scheduled_start=sched.start[job],
+                        scheduled_end=sched.end[job],
+                        queue_wait=sched.start[job] - sched.ready[job]):
             pass
         return job
 
     def _place(self, stage: Stage, index: int, record: DeferredRecord,
-               prev: Optional[_LaneJob], released: float) -> _LaneJob:
+               prev: Optional[int], released: float) -> int:
         """Submit one stage job behind its item's previous stage."""
         not_before = self._gate(index, released) if prev is None else 0.0
         return self.sched.submit(self._lane(stage, index), record, prev,
@@ -479,24 +408,20 @@ class _EpochState:
     def _gate(self, index: int, released: float = 0.0) -> float:
         """Earliest start of item ``index``'s first stage: its release time
         and the bounded queue — it enters once item ``index - depth`` has
-        drained."""
-        eff_depth = 1 if self.degraded else self.depth
-        if index >= eff_depth and self.terminal:
-            gate = min(index - eff_depth, len(self.terminal) - 1)
-            return max(released, self.terminal[gate].end)
-        return released
+        drained (every earlier item has its terminal job by now)."""
+        depth = 1 if self.degraded else self.depth
+        if index < depth:
+            return released
+        return max(released, self.sched.end[self.terminal[index - depth]])
 
     def _lane(self, stage: Stage, index: int) -> str:
         return stage.lanes[0 if self.degraded else index % len(stage.lanes)]
 
-    def finish_item(self, first: Optional[_LaneJob],
-                    last: Optional[_LaneJob]) -> None:
-        if last is None:
-            return
+    def finish_item(self, first: int, last: int) -> None:
         # Queue depth when this item entered the pipe: itself plus every
         # earlier item still in flight at its first job's start time.
-        in_flight = 1 + sum(1 for job in self.terminal
-                            if job.end > first.start + 1e-12)
+        ends, entered = self.sched.end, self.sched.start[first] + 1e-12
+        in_flight = 1 + sum(ends[job] > entered for job in self.terminal)
         self.terminal.append(last)
         self.max_in_flight = max(self.max_in_flight,
                                  min(in_flight, self.depth))
@@ -537,10 +462,10 @@ class _EpochState:
 
         Every tail job carries its stage's clean (pre-fault, post-scale)
         mean record, so placing it is float arithmetic alone: the loop
-        below is ``submit_chain``'s rule (a job starts when it is ready
-        and its lane is free) and appends one start per job.  The other
-        columns follow by array ops from the same ``start + total``
-        additions.
+        below is ``submit``'s rule (a job starts when it is ready and its
+        lane is free), applied to each item's chain of stages, and appends
+        one start per job.  The other columns follow by array ops from the
+        same ``start + total`` additions.
         """
         sched, k, n = self.sched, len(stages), target - executed
         totals = [self.stage_totals.get(stage.name, 0.0) / executed
@@ -561,7 +486,7 @@ class _EpochState:
         chains = [list(zip(row, totals)) for row in lanes.tolist()]
         depth = 1 if self.degraded else self.depth
         # Each item's last end: the bounded queue gates on item ``- depth``.
-        ends = [job.end for job in self.terminal]
+        ends = [sched.end[job] for job in self.terminal]
         origin, fronts, starts = sched.origin, sched.fronts, array("d")
         for index in range(executed, target):
             ready = ends[index - depth] if index >= depth else origin
@@ -577,19 +502,18 @@ class _EpochState:
         start, total = np.frombuffer(starts), np.tile(totals, n)
         end = start + total
         # A step is ready when the one before it ends, an item's first step
-        # when its gate opens.
+        # when its gate opens (item ``- depth``'s end, or the origin).
         ready = np.empty_like(end)
         ready[1:] = end[:-1]
-        gate = np.arange(executed, target) - depth
-        ready[::k] = np.where(
-            gate >= 0, np.maximum(np.array(ends)[gate.clip(0)], origin), origin)
+        ready[::k] = np.maximum(([origin] * depth + ends)[executed:target],
+                                origin)
         first = len(sched.start)
         sched.extend(start=start, end=end, total=total, ready=ready,
                      lane=lanes[np.arange(executed, target) % period],
                      tag=np.tile([_intern(sched.tags, stage.tag)
                                   for stage in stages], n),
                      record=np.tile(records, n))
-        self.tail = range(first + k - 1, first + n * k, k)
+        self.terminal += range(first + k - 1, first + n * k, k)
 
     # ------------------------------------------------------------------
     def record_metrics(self, label: str, by_tag: Dict[str, Stage]) -> None:

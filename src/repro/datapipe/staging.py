@@ -17,7 +17,8 @@ ledger peak therefore reflects the true in-flight concurrency.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import math
+from typing import Dict
 
 from repro.hardware.machine import Machine
 from repro.hardware.memory import Allocation
@@ -48,7 +49,7 @@ class StagingPool:
             self._host[index] = self.machine.cpu.memory.alloc(
                 int(nbytes), label=f"{self.label}-staging"
             )
-            self._record(staged=True)
+            self._record()
 
     def stage_gpu(self, index: int, nbytes: float) -> None:
         """Allocate item ``index``'s landing buffer in device memory."""
@@ -59,7 +60,7 @@ class StagingPool:
             int(nbytes), label=f"{self.label}-landing"
         )
 
-    def _retire_drained(self, index: int) -> None:
+    def _retire_drained(self, index: float) -> None:
         """Release buffers of items that any valid schedule has drained."""
         horizon = index - self.depth
         for items, ledger in ((self._host, self.machine.cpu.memory),
@@ -69,18 +70,11 @@ class StagingPool:
 
     def close(self) -> None:
         """End-of-epoch teardown: every in-flight buffer is released."""
-        for i, alloc in list(self._host.items()):
-            self.machine.cpu.memory.release(alloc)
-        self._host.clear()
-        if self.machine.gpu is not None:
-            for i, alloc in list(self._gpu.items()):
-                self.machine.gpu.memory.release(alloc)
-        self._gpu.clear()
+        self._retire_drained(math.inf)
 
-    def _record(self, staged: bool = False) -> None:
+    def _record(self) -> None:
         registry = telemetry.metrics()
         if registry is None:
             return
-        if staged:
-            registry.counter("datapipe.staged_batches").inc()
+        registry.counter("datapipe.staged_batches").inc()
         registry.gauge("datapipe.staging_in_use_bytes").set(self.live_host_bytes)

@@ -347,6 +347,7 @@ class MiniBatchTrainer:
         if config.resume_from:
             start_epoch, losses, executed = self._resume(config.resume_from)
 
+        done = start_epoch  # epochs reached, resumed ones included
         for epoch in range(start_epoch, config.epochs):
             with maybe_span("train.epoch", epoch=epoch, label=self.label,
                             pipeline=config.pipeline):
@@ -364,10 +365,10 @@ class MiniBatchTrainer:
         registry = telemetry.metrics()
         if registry is not None:
             labels = {"label": self.label}
-            registry.counter("trainer.epochs", **labels).inc(config.epochs)
+            registry.counter("trainer.epochs", **labels).inc(done)
             registry.counter("trainer.batches_executed", **labels).inc(executed)
             registry.counter("trainer.batches_extrapolated", **labels).inc(
-                config.epochs * num_batches - executed
+                done * num_batches - executed
             )
 
         return RunResult(

@@ -369,7 +369,7 @@ def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
     batch_closes: Dict[str, int] = {}
     max_batch_wait = 0.0
     budget_violations = 0
-    for batch, outcome, last in zip(batches, report.outputs, report.terminal):
+    for batch, outcome, end in zip(batches, report.outputs, report.item_ends):
         batch_closes[batch.closed_by] = batch_closes.get(batch.closed_by, 0) + 1
         wait = batch.max_wait()
         max_batch_wait = max(max_batch_wait, wait)
@@ -382,9 +382,9 @@ def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
             if outcome == "stale":
                 stale += batch.size
             for request in batch.requests:
-                accountant.complete(request, last.end)
+                accountant.complete(request, end)
             latencies = accountant.latencies[-batch.size:]
-        _record_batch(registry, config, batch, outcome, last, latencies)
+        _record_batch(registry, config, batch, outcome, end, latencies)
 
     # Serving reports stage-second sums, not the exclusive timeline split.
     seconds = report.stage_seconds
@@ -415,13 +415,13 @@ def _serve_trace(config: ServeConfig, fw, fgraph, machine) -> ServeResult:
 
 
 def _record_batch(registry, config: ServeConfig, batch, outcome: str,
-                  last_job, latencies: Optional[List[float]] = None) -> None:
+                  end: float, latencies: Optional[List[float]] = None) -> None:
     """Span + metrics for one dispatched batch (no-ops without a session)."""
     with maybe_span("serve.batch", category="serving",
                     batch_id=batch.batch_id, size=batch.size,
                     closed_by=batch.closed_by, outcome=outcome,
                     formed_at=batch.formed_at,
-                    scheduled_end=last_job.end):
+                    scheduled_end=end):
         pass
     if registry is None:
         return

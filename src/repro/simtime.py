@@ -55,7 +55,7 @@ class VirtualClock:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._defer_depth: int = 0
+        #: The open :meth:`deferred` block's record, if any.
         self._defer_record: Optional["DeferredRecord"] = None
         #: (key, start, end, tag) rows and :class:`_BusyRows` chunks in
         #: commit order; ``busy_intervals()`` materialises
@@ -87,7 +87,7 @@ class VirtualClock:
         """Move simulated time forward by ``dt`` seconds."""
         if dt < 0:
             raise ValueError(f"cannot advance clock by negative dt={dt}")
-        if self._defer_depth > 0:
+        if self._defer_record is not None:
             self._defer_record.total += dt
             return
         old = self._now
@@ -99,8 +99,8 @@ class VirtualClock:
         """Advance the clock by ``dt`` and mark ``device`` busy during it."""
         if dt < 0:
             raise ValueError(f"cannot occupy for negative dt={dt}")
-        if self._defer_depth > 0:
-            rec = self._defer_record
+        rec = self._defer_record
+        if rec is not None:
             rec.total += dt
             rec.busy[device] = rec.busy.get(device, 0.0) + dt
             return
@@ -135,15 +135,12 @@ class VirtualClock:
         worker inflation and places it on the stage's lane.  Nesting is
         not supported.
         """
-        if self._defer_depth > 0:
+        if self._defer_record is not None:
             raise RuntimeError("deferred() blocks cannot nest")
-        record = DeferredRecord()
-        self._defer_depth += 1
-        self._defer_record = record
+        record = self._defer_record = DeferredRecord()
         try:
             yield record
         finally:
-            self._defer_depth -= 1
             self._defer_record = None
 
     def occupy_parallel(self, durations: Dict[str, float],
@@ -160,7 +157,7 @@ class VirtualClock:
         if not durations:
             return
         longest = max(durations.values())
-        if self._defer_depth > 0:
+        if self._defer_record is not None:
             self._defer_record.total += longest
             self.credit_busy(durations)
             return
@@ -174,7 +171,7 @@ class VirtualClock:
         ``total`` (the data-parallel trainer's replicas mirror rank 0).
         There is no live-timeline form — a clock never writes busy
         intervals into its past."""
-        if self._defer_depth == 0:
+        if self._defer_record is None:
             raise RuntimeError("credit_busy() needs an open deferred() block")
         busy = self._defer_record.busy
         for device, dt in durations.items():
@@ -184,62 +181,70 @@ class VirtualClock:
     def deferred_seconds(self) -> float:
         """Seconds measured so far by the open :meth:`deferred` block (0.0
         outside one) — ``now`` does not move inside it."""
-        return self._defer_record.total if self._defer_depth > 0 else 0.0
+        record = self._defer_record
+        return 0.0 if record is None else record.total
 
     def commit_schedule(self, start: np.ndarray, seconds: np.ndarray,
-                        key: np.ndarray, keys: Sequence[Tuple[str, str]],
+                        device: np.ndarray, devices: Sequence[str],
+                        lane: np.ndarray, lanes: Sequence[str],
                         tag: np.ndarray, tags: Sequence[str]) -> None:
         """Record an externally scheduled multi-lane timeline in one pass.
 
         The datapipe's lane scheduler hands over its whole schedule as
-        columns: row ``i`` keeps ``(device, lane) = keys[key[i]]`` busy for
-        ``seconds[i]`` from ``start[i]``, tagged ``tags[tag[i]]``.  Rows
-        may lie in the clock's *future* (the caller advances afterwards)
-        but must be start-ordered and disjoint per key, or nothing is
-        recorded.  A row is recorded under the ``device@lane`` key (its
-        own trace lane) and merged into the base device's busy-time index
-        as a *union* across lanes, so power metering — which asks
-        ``busy_time(device)`` — sees the device busy whenever any of its
-        lanes is.
+        columns: row ``i`` keeps ``devices[device[i]]`` busy on lane
+        ``lanes[lane[i]]`` for ``seconds[i]`` from ``start[i]``, tagged
+        ``tags[tag[i]]``.  Rows may lie in the clock's *future* (the caller
+        advances afterwards) but must be start-ordered and disjoint per
+        key, or nothing is recorded.  A row is recorded under the
+        ``device@lane`` key (its own trace lane) and merged into the base
+        device's busy-time index as a *union* across lanes, so power
+        metering — which asks ``busy_time(device)`` — sees the device busy
+        whenever any of its lanes is.
 
-        One array pass over every key and every base device at once: each
-        live row sits in its key's run and in its device's run, and the
+        One array pass over every used key and every base device at once:
+        each live row sits in its key's run and in its device's run, and the
         running maximum of the ends before it (``np.maximum.accumulate``)
         gives the overlap check, the ``_EPS`` clip and where a union
         interval opens; ``np.add.accumulate`` then adds each run's seconds
         in row order, as a row loop would.  A lane key is written only
         here, so its device's union always reaches at least as far.
         """
-        if not all(lane for _, lane in keys):
-            raise ValueError("every key of a schedule needs a lane")
+        if not all(lanes):
+            raise ValueError("every lane of a schedule needs a name")
         start = np.asarray(start, dtype=float)
         end = start + np.asarray(seconds, dtype=float)
-        key = np.asarray(key, dtype=np.intp)
         # The first offending row raises, as appending row by row would.
         errors = {}
         if (end < start).any():
             row = int((end < start).argmax())
             errors[row] = (f"interval ends before it starts "
                            f"({start[row]}..{end[row]})")
-        live = (end - start > 0).nonzero()[0]
+        live = (end > start).nonzero()[0]
         n = len(live)
         if not n:
             if errors:
                 raise ValueError(errors[min(errors)])
             return
-        devices = list(dict.fromkeys(device for device, _ in keys))
-        base = np.array([devices.index(device) for device, _ in keys])
-        # Runs: each key's live rows, then each device's (from element
-        # ``n`` on), in row order.  Grid cell ``cell - 1`` of an element
-        # holds its run's value before it.
-        run = np.concatenate((key[live], len(keys) + base[key[live]]))
-        order = np.argsort(run, kind="stable")
-        row = np.concatenate((live, live))[order]
-        ids, first, seg, pos = _segments(run[order])
-        names = [f"{keys[i][0]}@{keys[i][1]}" if i < len(keys)
-                 else devices[i - len(keys)] for i in ids.tolist()]
-        width = int(pos.max()) + 1
-        cell = seg * width + pos
+        # Runs: each key's live rows (run ``device * nlanes + lane``), then
+        # each device's (run ``keys + device``, from element ``n`` on), in
+        # row order.  Grid cell ``cell - 1`` of an element holds its run's
+        # value before it.
+        nlanes, keys = len(lanes), len(devices) * len(lanes)
+        code = np.asarray(device, dtype=np.intp)[live]
+        run = np.concatenate((code * nlanes + np.asarray(lane)[live],
+                              keys + code))
+        row = np.concatenate((live, live))[np.argsort(run, kind="stable")]
+        # Each used run's code, size and first element; each element's run
+        # and 1-based place in it.
+        size = np.bincount(run)
+        ids = size.nonzero()[0]
+        size = size[ids]
+        first = np.cumsum(size) - size
+        seg = np.repeat(np.arange(len(ids)), size)
+        names = [f"{devices[i // nlanes]}@{lanes[i % nlanes]}" if i < keys
+                 else devices[i - keys] for i in ids.tolist()]
+        width = int(size.max()) + 1
+        cell = seg * width + np.arange(1, 2 * n + 1) - first[seg]
         begin, stop = start[row], end[row]
         reach = _accumulate(np.maximum, [
             self._ends[name][-1] if self._ends.get(name) else -np.inf
@@ -255,43 +260,38 @@ class VirtualClock:
             raise ValueError(errors[min(errors)])
         # A lane row is clipped to its key's reach; a device row opens an
         # interval past its union's reach, else extends the one it meets.
-        opens = begin[n:] > before[n:] + _EPS
-        low = np.concatenate((np.maximum(begin[:n], before[:n]),
-                              np.where(opens, begin[n:], before[n:])))
+        opens = begin > before + _EPS
+        low = np.where(opens, begin, before)
+        low[:n] = np.maximum(begin[:n], before[:n])
         total = _accumulate(np.add, [
             self._cumdur[name][-1] if name in self._cumdur else 0.0
             for name in names], width, cell, np.maximum(stop - low, 0.0))[cell]
-        kept = (stop[:n] > low[:n]).nonzero()[0]
-        opened = opens.nonzero()[0] + n
-        # A device row closes an interval if it is its run's last or the
-        # next row opens one.
-        closed = n + np.concatenate((opens[1:] | (seg[n + 1:] != seg[n:-1]),
-                                     [True])).nonzero()[0]
-        bounds = np.concatenate((first, [2 * n]))
-        k, o, c = (np.searchsorted(x, bounds).tolist()
-                   for x in (kept, opened, closed))
-        low_k, stop_k, total_k = low[kept], stop[kept], total[kept]
-        begin_o, after_c, total_c = begin[opened], after[closed], total[closed]
-        runs = int((ids < len(keys)).sum())  # the key runs come first
-        # Indexes come into being in the order of each key's first row.
-        for s in sorted(range(runs), key=lambda s: row[first[s]]):
-            starts, ends, cums = self._index(names[s])
-            self._index(keys[ids[s]][0])
-            starts.frombytes(low_k[k[s]:k[s + 1]].tobytes())
-            ends.frombytes(stop_k[k[s]:k[s + 1]].tobytes())
-            cums.frombytes(total_k[k[s]:k[s + 1]].tobytes())
-        for s in range(runs, len(ids)):
-            starts, ends, cums = self._index(names[s])
+        # A lane row that keeps any time is an interval of its own (its
+        # ``after`` is its ``stop``); a device row closes an interval if it
+        # is its run's last or the next row opens one.
+        opens[:n] = stop[:n] > low[:n]
+        closes = np.empty_like(opens)
+        np.logical_or(opens[1:], seg[1:] != seg[:-1], out=closes[:-1])
+        closes[:n], closes[-1] = opens[:n], True
+        opened, closed = opens.nonzero()[0], closes.nonzero()[0]
+        o, c = (np.searchsorted(x, first).tolist() + [len(x)]
+                for x in (opened, closed))
+        # Each run's new interval starts, and its ends and cumulative
+        # seconds where an interval closes.
+        lo, hi, cum = low[opened], after[closed], total[closed]
+        for s, name in enumerate(names):
+            starts, ends, cums = self._index(name)
             lead = c[s + 1] - c[s] - (o[s + 1] - o[s])
             if lead:  # its first rows extend the trailing interval
-                ends[-1], cums[-1] = after_c[c[s]], total_c[c[s]]
-            starts.frombytes(begin_o[o[s]:o[s + 1]].tobytes())
-            ends.frombytes(after_c[c[s] + lead:c[s + 1]].tobytes())
-            cums.frombytes(total_c[c[s] + lead:c[s + 1]].tobytes())
+                ends[-1], cums[-1] = hi[c[s]], cum[c[s]]
+            starts.frombytes(lo[o[s]:o[s + 1]].tobytes())
+            ends.frombytes(hi[c[s] + lead:c[s + 1]].tobytes())
+            cums.frombytes(cum[c[s] + lead:c[s + 1]].tobytes())
+        kept = opened[:np.count_nonzero(opens[:n])]  # the lane rows
         if len(kept):
-            self._busy.append(_BusyRows(names, row[kept], seg[kept], low_k,
-                                        stop_k, list(tags),
-                                        np.asarray(tag)[row[kept]]))
+            self._busy.append(_BusyRows(names, row[kept], seg[kept],
+                                        lo[:len(kept)], hi[:len(kept)],
+                                        list(tags), np.asarray(tag)[row[kept]]))
 
     def _index(self, key: str) -> Tuple[array, array, array]:
         """``key``'s (starts, ends, cumulative seconds), created on first use."""
@@ -332,18 +332,6 @@ class VirtualClock:
             for entry in self._busy)
         return [BusyInterval(*row) for row in rows
                 if device is None or row[0] == device]
-
-
-def _segments(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
-                                          np.ndarray, np.ndarray]:
-    """Runs of equal values in sorted, non-empty ``codes``: each run's code
-    and first index, and each element's run and 1-based place in it."""
-    new = np.empty(len(codes), dtype=bool)
-    new[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=new[1:])
-    first = new.nonzero()[0]
-    seg = new.cumsum() - 1
-    return codes[first], first, seg, np.arange(1, len(codes) + 1) - first[seg]
 
 
 def _accumulate(ufunc: np.ufunc, seeds: List[float], width: int,

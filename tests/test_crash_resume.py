@@ -15,6 +15,7 @@ from repro.hardware.machine import paper_testbed
 from repro.models.checkpoint import CheckpointError, save_checkpoint
 from repro.models.graphsage import build_graphsage, graphsage_sampler
 from repro.models.trainer import MiniBatchTrainer, TrainConfig
+from repro.telemetry import runtime as telemetry
 
 EPOCHS = 3
 KILL_AFTER = 2
@@ -100,6 +101,36 @@ class TestCrashResumeCpuGpu:
         assert "data_movement" in straight.phases
         for phase, seconds in straight.phases.items():
             assert abs(resumed.phases[phase] - seconds) < 1e-9, phase
+
+
+def _counted(trainer):
+    """Run ``trainer`` under a telemetry session; return the result and its
+    ``trainer.*`` counters."""
+    with telemetry.session(trainer.machine.clock) as session:
+        result = trainer.run()
+    return result, {
+        name: session.metrics.get(f"trainer.{name}", label=result.label).value
+        for name in ("epochs", "batches_executed", "batches_extrapolated")}
+
+
+class TestHaltedRunCounters:
+    def test_counters_stop_at_the_epoch_reached(self, tmp_path):
+        ckpt = str(tmp_path / "train.npz")
+        killed, counts = _counted(_fresh_trainer(
+            "dglite", checkpoint_every=1, checkpoint_path=ckpt,
+            halt_after_epochs=KILL_AFTER)[0])
+        assert not killed.completed
+        assert counts["epochs"] == KILL_AFTER
+        assert counts["batches_executed"] == killed.executed_batches
+        assert counts["batches_executed"] + counts["batches_extrapolated"] \
+            == KILL_AFTER * killed.batches_per_epoch
+        # A resumed run counts cumulatively, like its RunResult.
+        resumed, counts = _counted(_fresh_trainer(
+            "dglite", resume_from=ckpt)[0])
+        assert resumed.completed and counts["epochs"] == EPOCHS
+        assert counts["batches_executed"] == resumed.executed_batches
+        assert counts["batches_executed"] + counts["batches_extrapolated"] \
+            == EPOCHS * resumed.batches_per_epoch
 
 
 class TestCheckpointingMechanics:

@@ -52,6 +52,13 @@ def spy_on_run_epoch(monkeypatch, module):
     return reports
 
 
+def tagged(report, tag):
+    """The indexes of ``report``'s jobs tagged ``tag``, in job order."""
+    sched = report.schedule
+    return [job for job, code in enumerate(sched.tag)
+            if sched.tags[code] == tag]
+
+
 def overlap_seconds(report):
     """Scheduled lane busy time in excess of elapsed time."""
     return max(0.0, sum(report.lane_busy.values()) - report.elapsed)
@@ -61,14 +68,14 @@ def assert_serial_sum(report):
     """The depth-1 conservation law for one epoch: nothing overlaps, so
     the epoch lasts exactly the executed plus extrapolated stage costs,
     and the exclusive phases add up to it."""
+    sched = report.schedule
     assert report.max_in_flight == 1
     assert overlap_seconds(report) == pytest.approx(0.0, abs=1e-12)
-    assert report.elapsed == pytest.approx(
-        sum(job.total for job in report.jobs), rel=1e-12)
+    assert report.elapsed == pytest.approx(sum(sched.total), rel=1e-12)
     assert sum(report.phases.values()) == pytest.approx(report.elapsed,
                                                         rel=1e-12)
-    for before, after in zip(report.jobs, report.jobs[1:]):
-        assert after.start == pytest.approx(before.end, abs=1e-12)
+    for end, start in zip(sched.end, sched.start[1:]):
+        assert start == pytest.approx(end, abs=1e-12)
 
 
 def run_one(pipeline, **kwargs):
@@ -138,11 +145,11 @@ class TestChargedTime:
             assert report.executed == 3
             assert report.executed + report.extrapolated \
                 == result.batches_per_epoch
-            assert len(report.jobs) == 4 * result.batches_per_epoch
+            total = report.schedule.total
+            assert len(total) == 4 * result.batches_per_epoch
             assert_serial_sum(report)
             # The symbolic tail is billed at the executed per-stage mean.
-            head = sum(job.total for job in report.jobs[:4 * 3])
-            tail = sum(job.total for job in report.jobs[4 * 3:])
+            head, tail = sum(total[:4 * 3]), sum(total[4 * 3:])
             assert tail == pytest.approx(head / 3 * report.extrapolated,
                                          rel=1e-12)
         assert sum(result.phases.values()) == pytest.approx(
@@ -234,11 +241,12 @@ class TestRunEpoch:
         machine = paper_testbed()
         report = run_epoch(machine, _two_stage(machine, workers=8),
                            range(6), depth=2)
-        jobs = [j for j in report.jobs if j.tag == "datapipe:sample"]
-        done = [j for j in report.jobs if j.tag == "datapipe:train"]
+        sched = report.schedule
+        jobs = tagged(report, "datapipe:sample")
+        done = tagged(report, "datapipe:train")
         for i in range(2, 6):
             # Item i's first stage cannot start before item i-2 drained.
-            assert jobs[i].start >= done[i - 2].end - 1e-12
+            assert sched.start[jobs[i]] >= sched.end[done[i - 2]] - 1e-12
 
     def test_overlap_reported(self):
         machine = paper_testbed()
@@ -344,14 +352,17 @@ class TestRunEpoch:
         releases = [t0, t0 + 0.5, t0 + 0.51, t0 + 0.52]
         report = run_epoch(machine, _two_stage(machine), releases, depth=1,
                            release=lambda item: item)
-        firsts = [j for j in report.jobs if j.tag == "datapipe:sample"]
-        assert firsts[0].start == t0
-        assert firsts[1].start == releases[1]  # idle pipe: release decides
+        sched = report.schedule
+        firsts = tagged(report, "datapipe:sample")
+        start = [sched.start[job] for job in firsts]
+        assert start[0] == t0
+        assert start[1] == releases[1]  # idle pipe: release decides
         # Items 2 and 3 were released while item 1 was in flight: at
         # depth 1 they queue behind the previous item's last job.
-        assert firsts[2].start == report.terminal[1].end > releases[2]
-        assert firsts[3].start == report.terminal[2].end > releases[3]
-        assert firsts[2].wait == 0.0  # gated, not queued behind its lane
+        assert start[2] == report.item_ends[1] > releases[2]
+        assert start[3] == report.item_ends[2] > releases[3]
+        # Gated, not queued behind its lane.
+        assert start[2] - sched.ready[firsts[2]] == 0.0
 
     def test_end_item_skips_the_remaining_stages(self):
         machine = paper_testbed()
@@ -361,14 +372,17 @@ class TestRunEpoch:
                                      else sample(i, x))
         report = run_epoch(machine, stages, range(3), depth=2)
         assert report.outputs == [0, "dropped", 20]
-        assert [job.tag for job in report.terminal] == \
-            ["datapipe:train", "datapipe:sample", "datapipe:train"]
-        assert len(report.jobs) == 5
+        sched = report.schedule
+        assert [sched.tags[code] for code in sched.tag] == [
+            "datapipe:sample", "datapipe:train", "datapipe:sample",
+            "datapipe:sample", "datapipe:train"]
+        # Item 1's last job is its sample.
+        assert report.item_ends == [sched.end[1], sched.end[2], sched.end[4]]
         # Clean per-stage sums count what actually ran.
         assert report.stage_seconds == {
             "sample": pytest.approx(2 * 0.02), "train": pytest.approx(2 * 0.01)}
         # The bounded queue gates on the early exit like on any last job.
-        assert report.jobs[-2].start >= report.terminal[0].end
+        assert sched.start[3] >= report.item_ends[0]
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +532,7 @@ class TestPipelinedInference:
         assert len(reports) == 2  # one barrier-separated pipe per layer
         for report in reports:
             assert report.extrapolated == 0
-            assert len(report.jobs) == 4 * report.executed
+            assert len(report.schedule.start) == 4 * report.executed
             assert_serial_sum(report)
         assert result.total_time == pytest.approx(
             sum(report.elapsed for report in reports), rel=1e-12)

@@ -9,6 +9,7 @@ included.  The same strategies give two conservation laws for free.
 """
 
 import bisect
+from collections import namedtuple
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datapipe import EndItem, run_epoch
 from repro.datapipe.pipeline import (Stage, _attribute_phases, _EpochState,
-                                     _LaneJob, _LaneScheduler)
+                                     _LaneScheduler)
 from repro.hardware.machine import Machine, paper_testbed
 from repro.power.monitor import EnergyMonitor
 from repro.resilience import runtime as resilience
@@ -330,6 +331,18 @@ def run_wide_epoch(machine, spec):
         return run_drawn_epoch(machine, spec)
 
 
+#: One job as the references read it.
+Job = namedtuple("Job", "job_id lane start end total busy tag ready")
+
+
+def jobs_of(report):
+    """Every job of ``report``'s drained schedule, read off its columns."""
+    s = report.schedule
+    return [Job(i, s.lanes[s.lane[i]], s.start[i], s.end[i], s.total[i],
+                s.records[s.record[i]], s.tags[s.tag[i]], s.ready[i])
+            for i in range(len(s.start))]
+
+
 def index_of(clock):
     return ({k: list(v) for k, v in clock._starts.items()},
             {k: list(v) for k, v in clock._ends.items()},
@@ -339,11 +352,12 @@ def index_of(clock):
 def commit_rows(clock, rows):
     """``commit_schedule`` over ``(start, device, lane, seconds, tag)``
     rows."""
-    keys = list(dict.fromkeys((device, lane) for _, device, lane, _, _ in rows))
-    tags = list(dict.fromkeys(row[4] for row in rows))
+    columns = []
+    for field in (1, 2, 4):  # device, lane, tag: codes and names
+        names = list(dict.fromkeys(row[field] for row in rows))
+        columns += [[names.index(row[field]) for row in rows], names]
     clock.commit_schedule([row[0] for row in rows], [row[3] for row in rows],
-                          [keys.index(row[1:3]) for row in rows], keys,
-                          [tags.index(row[4]) for row in rows], tags)
+                          *columns)
 
 
 def phases_of(jobs, by_tag, origin, finish):
@@ -372,12 +386,12 @@ def test_epoch_commit_and_phases_equal_the_scalar_code(spec):
     report, by_tag = run_drawn_epoch(machine, spec)
     finish = clock.now
 
-    ref.drain(report.jobs)
+    ref.drain(jobs_of(report))
     assert index_of(clock) == (ref.starts, ref.ends, ref.cumdur)
     assert [(iv.device, iv.start, iv.end, iv.tag)
             for iv in clock.busy_intervals()] == ref.busy
 
-    expected = ref_attribute_phases(report.jobs, by_tag, origin, finish)
+    expected = ref_attribute_phases(jobs_of(report), by_tag, origin, finish)
     assert list(report.phases.items()) == list(expected.items())
 
     # One chain per item places the tail exactly where job-by-job does.
@@ -389,7 +403,8 @@ def test_epoch_commit_and_phases_equal_the_scalar_code(spec):
         by_job, _ = run_drawn_epoch(twin, spec)
     finally:
         _EpochState.extrapolate = chained
-    assert by_job.jobs == report.jobs and by_job.terminal == report.terminal
+    assert jobs_of(by_job) == jobs_of(report) and \
+        by_job.item_ends == report.item_ends
 
     # Conservation: the exclusive phases tile the epoch window ...
     assert sum(report.phases.values()) == pytest.approx(finish - origin,
@@ -453,26 +468,26 @@ def test_wide_epochs_commit_place_and_materialise_as_the_scalar_code(spec):
     origin = clock.now
     report, by_tag = run_wide_epoch(machine, spec)
 
-    ref.drain(report.jobs)
+    ref.drain(jobs_of(report))
     assert index_of(clock) == (ref.starts, ref.ends, ref.cumdur)
     assert [(iv.device, iv.start, iv.end, iv.tag)
             for iv in clock.busy_intervals()] == ref.busy
-    expected = ref_attribute_phases(report.jobs, by_tag, origin, clock.now)
+    expected = ref_attribute_phases(jobs_of(report), by_tag, origin, clock.now)
     assert list(report.phases.items()) == list(expected.items())
     assert list(report.lane_busy.items()) == \
-        list(ref_lane_busy(report.jobs).items())
+        list(ref_lane_busy(jobs_of(report)).items())
 
-    # The jobs and terminal jobs read off the columns equal those the tail
-    # placed job by job as _LaneJob objects.
+    # The jobs and item finish times the float loop placed equal those the
+    # tail placed job by job through ``submit``.
     twin = paper_testbed()
     if spec["origin"]:
         twin.clock.occupy("cpu", spec["origin"], tag="before")
     with mock.patch.object(_EpochState, "extrapolate", ref_extrapolate):
         by_job, _ = run_wide_epoch(twin, spec)
     assert by_job.degraded == report.degraded
-    assert list(by_job.jobs) == list(report.jobs)
-    assert list(by_job.terminal) == list(report.terminal)
-    assert len(report.terminal) == report.executed + report.extrapolated
+    assert jobs_of(by_job) == jobs_of(report)
+    assert by_job.item_ends == report.item_ends
+    assert len(report.item_ends) == report.executed + report.extrapolated
     assert twin.clock.now == clock.now
 
 
@@ -604,18 +619,23 @@ def test_lane_job_wait_is_time_queued_behind_its_lane():
     copy = sched.submit("pcie", DeferredRecord(0.5))
     # Ready when the copy lands (0.5), but the GPU lane is busy until 2.0.
     second = sched.submit("gpu", DeferredRecord(1.0), copy, tag="train")
-    assert isinstance(second, _LaneJob) and second.tag == "train"
-    assert (second.ready, second.start, second.end) == (0.5, 2.0, 3.0)
-    assert second.wait == 1.5 and first.wait == 0.0
+    assert (first, copy, second) == (0, 1, 2)
+    assert sched.tags[sched.tag[second]] == "train"
+    assert (sched.ready[second], sched.start[second], sched.end[second]) == \
+        (0.5, 2.0, 3.0)
+
+    def wait(job):
+        return sched.start[job] - sched.ready[job]
+
+    assert wait(second) == 1.5 and wait(first) == 0.0
     # ``not_before`` later than the predecessor wins.
     late = sched.submit("pcie", DeferredRecord(0.25), copy, 4.0)
-    assert (late.ready, late.start, late.wait) == (4.0, 4.0, 0.0)
+    assert (sched.ready[late], sched.start[late], wait(late)) == (4.0, 4.0, 0.0)
     assert sched.drain() == 4.25 and clock.now == 4.25
 
 
 @pytest.mark.parametrize("use", [
     lambda s: s.submit("gpu", DeferredRecord(1.0)),
-    lambda s: s.submit_chain([("gpu", DeferredRecord(1.0), "")]),
     lambda s: s.drain(),
 ])
 def test_a_drained_scheduler_is_finished(use):
@@ -625,29 +645,12 @@ def test_a_drained_scheduler_is_finished(use):
     assert sched.drain() == 1.0
     with pytest.raises(RuntimeError, match="already drained"):
         use(sched)
-    assert clock.now == 1.0 and len(sched.jobs) == 1
-
-
-def test_a_chain_is_its_steps_submitted_one_after_another():
-    steps = [("cpu", DeferredRecord(0.5, {"cpu": 0.5}), "a"),
-             ("pcie", DeferredRecord(0.0), "b"),
-             ("gpu", DeferredRecord(0.25, {"gpu": 0.2}), "c")]
-    chained, single = _LaneScheduler(VirtualClock()), _LaneScheduler(VirtualClock())
-    for sched in (chained, single):
-        sched.submit("gpu", DeferredRecord(1.0))  # busy until 1.0
-    head = chained.jobs[0]
-    last = chained.submit_chain(steps, head, 0.75)
-    prev = single.jobs[0]
-    for position, (lane, record, tag) in enumerate(steps):
-        prev = single.submit(lane, record, prev, 0.0 if position else 0.75, tag)
-    assert chained.jobs == single.jobs and last == prev == chained.jobs[-1]
-    assert [job.ready for job in chained.jobs[1:]] == [1.0, 1.5, 1.5]
-    assert chained.submit_chain([], head) is head
+    assert clock.now == 1.0 and len(sched.start) == 1
 
 
 def test_phases_of_an_epoch_without_positive_jobs():
     stage = Stage("s", "training", fn=lambda i, p: p, lanes=("a",))
-    job = _LaneJob(0, "a", 1.0, 1.0, 0.0, {}, stage.tag, 1.0)
+    job = Job(0, "a", 1.0, 1.0, 0.0, {}, stage.tag, 1.0)
     for finish in (1.0, 1.0 + 1e-13, 2.0):
         assert phases_of([job], {stage.tag: stage}, 0.5, finish) == \
             ref_attribute_phases([job], {stage.tag: stage}, 0.5, finish)

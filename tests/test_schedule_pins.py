@@ -68,7 +68,7 @@ def _digest(clock, reports, energy) -> str:
     for report in reports:
         put(*(v for item in report.phases.items() for v in item))
         put(*(v for item in report.lane_busy.items() for v in item))
-        put(*(job.end for job in report.terminal))
+        put(*report.item_ends)
     for sample in energy.cpu_power_trace + energy.gpu_power_trace:
         put(sample.time, sample.watts)
     put(energy.cpu_energy, energy.gpu_energy)

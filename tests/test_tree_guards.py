@@ -67,29 +67,6 @@ def parse(text: str) -> Parsed:
                                 for child in ast.iter_child_nodes(node)})
 
 
-def calls_within(functions: Sequence[str],
-                 callee: str) -> Callable[[Path], List[str]]:
-    """A guard: every call of ``callee`` inside a ``def`` named in
-    ``functions`` under ``src/repro``."""
-    def scan(root: Path) -> List[str]:
-        return [f"{rel}:{call.lineno}: {callee}( in {node.name}"
-                for rel, text in _files(root, ("src/repro",), ())
-                if rel.endswith(".py")
-                for node in parse(text).nodes
-                if isinstance(node, ast.FunctionDef)
-                and node.name in functions
-                for call in ast.walk(node)
-                if isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Name)
-                and call.func.id == callee]
-    return scan
-
-
-def either(*scans: Callable[[Path], List[str]]) -> Callable[[Path], List[str]]:
-    """A guard that reports what any of ``scans`` reports."""
-    return lambda root: [hit for scan in scans for hit in scan(root)]
-
-
 def absent(*paths: str) -> Callable[[Path], List[str]]:
     return lambda root: [p for p in paths if (root / p).exists()]
 
@@ -651,18 +628,20 @@ GUARDS = [
           grep(r"_CONVS|def _assemble|def has_fused"),
           {"src/repro/frameworks/base.py": "    def _assemble(self):\n"}),
     Guard("no-scalar-twin (an epoch is billed in one pass per concern: no "
-          "per-row commit loop, no per-job _LaneJob in submit_chain or "
-          "extrapolate beside the column pass)",
-          either(grep(r"def commit_interval|def _union_merge"
-                      r"|def _take_sample\(|log\(\(key,"),
-                 calls_within(("submit_chain", "extrapolate"), "_LaneJob")),
+          "per-row commit loop beside the column pass)",
+          grep(r"def commit_interval|def _union_merge"
+               r"|def _take_sample\(|log\(\(key,"),
           {"src/repro/simtime.py":
            "def commit_interval(self):\n"
-           "    log((key, start, end, tag))\n",
-           "src/repro/datapipe/pipeline.py":
-           "def extrapolate(self, stages):\n"
-           "    for stage in stages:\n"
-           "        jobs.append(_LaneJob(len(jobs), stage.lanes[0]))\n"}),
+           "    log((key, start, end, tag))\n"}),
+    Guard("one-job-representation (a lane job is an index into the "
+          "scheduler's columns: no job object, no chain form, no per-job "
+          "reader)",
+          grep(r"class _LaneJob\b|class _Jobs\b|def submit_chain\b|def job\(",
+               tops=("src/repro/datapipe",)),
+          {"src/repro/datapipe/pipeline.py":
+           "class _LaneJob:\n"
+           "    job_id: int\n"}),
     Guard("one-owner-of-host-time (the sweep artifact records nothing "
           "volatile or derived)",
           grep(r"\b(?:wall_s|check_cost_invariance|stats_payload)\b",
