@@ -350,6 +350,9 @@ def measure_sampler_epoch(framework: str, dataset: str, sampler: str,
     Returns ``{"epoch": s, "one_time": s, "batches": n}`` where
     ``one_time`` is CSC conversion + (for ClusterGCN) partitioning.
     """
+    if representative_batches < 1:
+        raise BenchmarkError("representative_batches must be >= 1, got "
+                             f"{representative_batches}")
     fw = get_framework(framework)
     machine = paper_testbed()
     fgraph = fw.load(dataset, machine, scale=dataset_scale)

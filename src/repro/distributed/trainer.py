@@ -104,8 +104,15 @@ class DataParallelTrainer:
                 for rank in self._active_ranks if rank > 0]
 
     def _sample(self, index: int, shards):
-        """(1) host-side sampling of every shard — serial on the CPU."""
-        return [self.sampler.sample(roots) for roots in shards]
+        """(1) host-side sampling of every shard — serial on the CPU.
+
+        Each shard's features are gathered as it is sampled, so the
+        ledger sees every shard's rows in this stage, in shard order."""
+        batches = []
+        for roots in shards:
+            batches.append(self.sampler.sample(roots))
+            _ = batches[-1].x  # gather now
+        return batches
 
     def _move(self, index: int, batches):
         """(2) PCIe transfers serialize on the shared link."""

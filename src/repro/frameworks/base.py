@@ -10,8 +10,8 @@ zoo (:mod:`repro.frameworks.nn`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -95,20 +95,35 @@ class FrameworkBatch:
 
     ``adjs`` holds one bipartite block per layer (GraphSAGE) or a single
     square subgraph adjacency (ClusterGCN / GraphSAINT).  ``x`` is the
-    input feature tensor; ``y`` the labels of the rows the loss reads.
-    ``train_rows`` restricts the loss to training nodes for subgraph
-    batches (None = all output rows).
+    input feature tensor, gathered out of the feature store on first
+    read, so a loop that only samples copies no feature rows; ``y`` the
+    labels of the rows the loss reads.  ``train_rows`` restricts the loss
+    to training nodes for subgraph batches (None = all output rows).
     """
 
     kind: str  # "blocks" | "subgraph"
     adjs: List[SparseAdj]
-    x: Tensor
     y: np.ndarray
     y_logical_nbytes: float
+    # Global ids of the rows of ``x`` (also used by the feature-cache
+    # movement path to split hits from misses).
+    input_nodes: np.ndarray
+    # (store, device, work_scale) that ``x`` is gathered with on first read.
+    x_source: Tuple[Tensor, Device, float]
     train_rows: Optional[np.ndarray] = None
-    # Global ids of the rows of ``x`` (used by the feature-cache movement
-    # path to split hits from misses).
-    input_nodes: Optional[np.ndarray] = None
+    _x: Optional[Tensor] = field(default=None, repr=False)
+
+    @property
+    def x(self) -> Tensor:
+        if self._x is None:
+            store, device, work_scale = self.x_source
+            self._x = Tensor(store.data[self.input_nodes], device=device,
+                             work_scale=work_scale)
+        return self._x
+
+    @x.setter
+    def x(self, value: Tensor) -> None:
+        self._x = value
 
 
 class Framework:
@@ -403,19 +418,14 @@ class _BlockSamplerWrapper(_SamplerWrapper):
             for block in sample.blocks
         ]
         input_scale = sample.blocks[0].edge_scale  # input frontier ratio
-        features = self.fgraph.features_on(device)
-        x = Tensor(
-            features.data[sample.input_nodes],
-            device=device,
-            work_scale=max(1.0, input_scale),
-        )
         y = graph.labels[sample.output_nodes]
         y_bytes = sample.output_nodes.size * graph.node_scale * (
             4.0 * y.shape[1] if y.ndim == 2 else 8.0
         )
-        return FrameworkBatch(kind="blocks", adjs=adjs, x=x, y=y,
+        source = (self.fgraph.features_on(device), device, max(1.0, input_scale))
+        return FrameworkBatch(kind="blocks", adjs=adjs, y=y,
                               y_logical_nbytes=y_bytes,
-                              input_nodes=sample.input_nodes)
+                              input_nodes=sample.input_nodes, x_source=source)
 
     def num_batches(self) -> int:
         return self.algorithm.num_batches(int(self.fgraph.graph.train_mask.sum()))
@@ -500,20 +510,15 @@ class _SubgraphSamplerWrapper(_SamplerWrapper):
             node_scale=sample.node_scale,
             edge_scale=sample.edge_scale,
         )
-        features = self.fgraph.features_on(device)
-        x = Tensor(
-            features.data[sample.nodes],
-            device=device,
-            work_scale=sample.node_scale,
-        )
         y = graph.labels[sample.nodes]
         train_rows = np.nonzero(graph.train_mask[sample.nodes])[0]
         y_bytes = sample.num_nodes * sample.node_scale * (
             4.0 * y.shape[1] if y.ndim == 2 else 8.0
         )
-        return FrameworkBatch(kind="subgraph", adjs=[adj], x=x, y=y,
+        source = (self.fgraph.features_on(device), device, sample.node_scale)
+        return FrameworkBatch(kind="subgraph", adjs=[adj], y=y,
                               y_logical_nbytes=y_bytes, train_rows=train_rows,
-                              input_nodes=sample.nodes)
+                              input_nodes=sample.nodes, x_source=source)
 
 
 class WrappedClusterSampler(_SubgraphSamplerWrapper):

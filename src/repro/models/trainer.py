@@ -188,8 +188,7 @@ class MiniBatchTrainer:
             batch.adjs = [
                 adj_to_device(adj, gpu, link, tag="batch-graph") for adj in batch.adjs
             ]
-            if (moved_x and self.feature_cache is not None
-                    and batch.input_nodes is not None):
+            if moved_x and self.feature_cache is not None:
                 self._move_features_cached(batch, gpu, link)
             else:
                 batch.x = to_device(batch.x, gpu, link, tag="batch-features")
@@ -300,6 +299,7 @@ class MiniBatchTrainer:
 
         def fetch(index: int, sample) -> FrameworkBatch:
             batch = self.sampler.assemble_features(sample)
+            # Sizing the staging reads ``batch.x``: its rows are gathered here.
             pool.stage_host(index, self._batch_staging_bytes(batch))
             return batch
 

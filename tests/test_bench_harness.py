@@ -92,6 +92,13 @@ class TestFunctionalMeasurements:
         with pytest.raises(BenchmarkError):
             measure_sampler_epoch("dglite", "ppi", "frontier", **SMALL)
 
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_sampler_epoch_needs_a_representative_batch(self, reps):
+        """No batch drawn is no Fig 4 epoch, not a zero-second one."""
+        with pytest.raises(BenchmarkError, match=rf"got {reps}$"):
+            measure_sampler_epoch("dglite", "ppi", "neighbor",
+                                  representative_batches=reps, **SMALL)
+
     def test_conv_forward_cpu_gpu(self):
         cpu = measure_conv_forward("dglite", "ppi", "gcn", device="cpu", **SMALL)
         gpu = measure_conv_forward("dglite", "ppi", "gcn", device="gpu", **SMALL)

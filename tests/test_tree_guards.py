@@ -594,9 +594,10 @@ DTYPE_DRIFT = Guard(
         Allowed("src/repro/sampling/saint_variants.py",
                 "SaintEdgeSampler.__init__", _CHOICE)]),
     audit_plant("src/repro/frameworks/base.py",
-                "            features.data[sample.input_nodes],\n",
-                "            features.data[sample.input_nodes]"
-                ".astype(np.float64),\n"))
+                "            self._x = Tensor(store.data[self.input_nodes], "
+                "device=device,\n",
+                "            self._x = Tensor(store.data[self.input_nodes]"
+                ".astype(np.float64), device=device,\n"))
 
 EVERY_KERNEL_CHARGES = Guard(
     "every-kernel-charges (a kernels/ function that builds a Tensor bills "
