@@ -19,7 +19,8 @@ def main(dataset: str = "flickr") -> None:
     if dataset not in DATASET_NAMES:
         raise SystemExit(f"unknown dataset {dataset!r}; pick one of {DATASET_NAMES}")
 
-    print(f"One forward pass over the full {dataset} graph (out_dim = 256)\n")
+    print(f"One forward pass over the full {dataset} graph "
+          "(out_dim = 256; gcn2 keeps the input width)\n")
     header = (f"{'layer':<8}{'DGL cpu':>12}{'PyG cpu':>12}{'cpu ratio':>10}"
               f"{'DGL gpu':>12}{'PyG gpu':>12}{'best gpu speedup':>18}")
     print(header)

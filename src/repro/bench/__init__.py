@@ -2,6 +2,7 @@
 
 from repro.bench.harness import (
     ExperimentResult,
+    conv_out_features,
     measure_conv_forward,
     measure_data_loader,
     measure_sampler_epoch,
@@ -16,6 +17,7 @@ __all__ = [
     "ExperimentResult",
     "SweepCell",
     "compare_artifacts",
+    "conv_out_features",
     "format_gate_report",
     "format_series",
     "run_sweep",

@@ -31,6 +31,7 @@ from repro.resilience.runtime import session as resilience_session
 from repro.telemetry.runtime import TelemetrySession, tracer_for
 from repro.telemetry.runtime import session as telemetry_session
 from repro.telemetry.spans import PHASE_CATEGORY
+from repro.tensor.context import cost_only
 from repro.tensor.tensor import no_grad
 
 MODEL_BUILDERS = {
@@ -384,6 +385,12 @@ def measure_sampler_epoch(framework: str, dataset: str, sampler: str,
     return {"epoch": elapsed, "one_time": one_time, "batches": float(num_batches)}
 
 
+def conv_out_features(kind: str, in_features: int, out_features: int = 256) -> int:
+    """The width Fig 5 runs a conv layer at: ``out_features``, except
+    GCNII, whose initial residual keeps the input width."""
+    return in_features if kind == "gcn2" else out_features
+
+
 def measure_conv_forward(framework: str, dataset: str, kind: str,
                          device: str = "cpu", out_features: int = 256,
                          seed: int = 0, dataset_scale: float = 1.0,
@@ -392,7 +399,9 @@ def measure_conv_forward(framework: str, dataset: str, kind: str,
     """Figure 5: one forward pass of a conv layer over the full graph.
 
     The run is energy-monitored so the perf-trajectory sweep can record
-    joules per op cell; ``fastpath=False`` runs the reference kernel
+    joules per op cell.  The forward runs :func:`cost_only`: nothing reads
+    the layer's output, and its charges, ledger and OOM are the executed
+    forward's.  ``fastpath=False`` executes it on the reference kernel
     schedules (host time only — charged cost is schedule-invariant).
     """
     fw = get_framework(framework)
@@ -409,13 +418,13 @@ def measure_conv_forward(framework: str, dataset: str, kind: str,
                 adj = adj_to_device(fgraph.adj, target, machine.pcie)
                 x = to_device(fgraph.features, target, machine.pcie)
                 in_features = fgraph.stats.num_features
-                if kind == "gcn2":
-                    conv = fw.conv(kind, in_features, in_features, seed=seed)
-                else:
-                    conv = fw.conv(kind, in_features, out_features, seed=seed)
+                conv = fw.conv(kind, in_features,
+                               conv_out_features(kind, in_features, out_features),
+                               seed=seed)
                 conv.to(target)
                 start = machine.clock.now
-                conv(adj, x)
+                with cost_only() if fastpath else nullcontext():
+                    conv(adj, x)
                 seconds = machine.clock.now - start
         report = monitor.stop()
         from repro.profiling.kernel_report import group_by_family

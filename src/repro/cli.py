@@ -23,13 +23,14 @@ import math
 from typing import List, Optional
 
 from repro.bench import (
+    conv_out_features,
     measure_conv_forward,
     measure_data_loader,
     measure_sampler_epoch,
     run_fullbatch_experiment,
     run_training_experiment,
 )
-from repro.datasets import DATASET_NAMES, list_datasets
+from repro.datasets import DATASET_NAMES, dataset_spec, list_datasets
 from repro.errors import RecoveryExhausted
 from repro.frameworks.nn import CONVS
 from repro.telemetry.spans import PHASES
@@ -257,15 +258,16 @@ def cmd_samplers(datasets: List[str], sampler: str, seed: int = 0) -> None:
 
 
 def cmd_conv(datasets: List[str], kind: str, device: str) -> None:
-    print(f"layer = {kind}, device = {device}, out_dim = 256")
-    print(f"{'dataset':<15}{'DGLite':>14}{'PyGLite':>14}")
+    print(f"layer = {kind}, device = {device}")
+    print(f"{'dataset':<15}{'out_dim':>8}{'DGLite':>14}{'PyGLite':>14}")
     for ds in datasets:
         cells = []
         for fw in FRAMEWORKS:
             result = measure_conv_forward(fw, ds, kind, device=device)
             cells.append("OOM" if result.oom
                          else f"{result.phases['forward'] * 1000:.3f}ms")
-        print(f"{ds:<15}{cells[0]:>14}{cells[1]:>14}")
+        width = conv_out_features(kind, dataset_spec(ds).num_features)
+        print(f"{ds:<15}{width:>8}{cells[0]:>14}{cells[1]:>14}")
 
 
 def cmd_train(args: argparse.Namespace) -> None:

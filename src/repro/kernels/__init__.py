@@ -11,8 +11,10 @@ talks about:
 * :func:`sddmm_u_add_v` / :func:`segment_softmax` — per-edge attention
   primitives (GAT/GATv2), DGL's g-SDDMM path.
 
-Every kernel runs real numpy/scipy math and charges logical-scale roofline
-cost to the tensor's device under the active framework profile.  The
+Every kernel runs real numpy/scipy math (or, under
+:func:`repro.tensor.context.cost_only`, returns a shape-only placeholder)
+and charges logical-scale roofline cost to the tensor's device under the
+active framework profile.  The
 kernels keep two schedules for the same math — a ``reduceat``/CSR-reuse
 fast path and the naive ``np.add.at``/scipy-rebuild reference (toggled by
 :func:`use_reference_kernels`) — with identical charged cost either way;

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.adj import SparseAdj
-from repro.tensor.context import charge
+from repro.tensor.context import charge, cost_only_active, placeholder
 from repro.tensor.tensor import Tensor
 
 
@@ -27,7 +27,8 @@ def gather(adj: SparseAdj, x: Tensor, side: str = "src") -> Tensor:
         raise ValueError("side must be 'src' or 'dst'")
     index = adj.src if side == "src" else adj.dst
     out = Tensor(
-        np.take(x.data, index, axis=0),
+        placeholder(index.shape + x.shape[1:]) if cost_only_active()
+        else np.take(x.data, index, axis=0),
         device=adj.device,
         requires_grad=x.requires_grad,
         work_scale=adj.edge_scale,
@@ -53,7 +54,8 @@ def scatter_add(adj: SparseAdj, messages: Tensor) -> Tensor:
     """Reduce per-edge messages to destinations: ``out[d] += msg[e]``."""
     if messages.shape[0] != adj.num_edges:
         raise ValueError("messages must have one row per edge")
-    out_data = adj.sum_edges(messages.data, side="dst")
+    out_data = (placeholder((adj.num_dst,) + messages.shape[1:]) if cost_only_active()
+                else adj.sum_edges(messages.data, side="dst"))
     out = Tensor(
         out_data,
         device=adj.device,

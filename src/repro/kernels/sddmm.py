@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.adj import SparseAdj
-from repro.tensor.context import charge
+from repro.tensor.context import charge, cost_only_active, placeholder
 from repro.tensor.tensor import FLOAT_DTYPE, Tensor
 
 
@@ -21,8 +21,11 @@ def sddmm_u_add_v(adj: SparseAdj, u_feat: Tensor, v_feat: Tensor,
     """``out[e] = u_feat[src[e]] + v_feat[dst[e]]`` (GAT's score assembly)."""
     if u_feat.shape[0] != adj.num_src or v_feat.shape[0] != adj.num_dst:
         raise ValueError("endpoint feature rows must match adjacency sides")
-    out_data = np.take(u_feat.data, adj.src, axis=0)
-    out_data += np.take(v_feat.data, adj.dst, axis=0)
+    if cost_only_active():
+        out_data = placeholder((adj.num_edges,) + u_feat.shape[1:])
+    else:
+        out_data = np.take(u_feat.data, adj.src, axis=0)
+        out_data += np.take(v_feat.data, adj.dst, axis=0)
     requires = u_feat.requires_grad or v_feat.requires_grad
     out = Tensor(
         out_data,
@@ -67,18 +70,22 @@ def fused_gatv2_scores(adj: SparseAdj, u_feat: Tensor, v_feat: Tensor,
     # sum, and a second one that holds the dst gather, then the scaled
     # copy, then the activation.
     slope = FLOAT_DTYPE(negative_slope)
-    summed = np.take(u_feat.data, adj.src, axis=0)
-    activated = np.take(v_feat.data, adj.dst, axis=0)
-    summed += activated
-    np.multiply(summed, slope, out=activated)
     # maximum(x, slope * x) is leaky-ReLU to the last bit only for
     # 0 < slope <= 1 (see repro.tensor.functional.leaky_relu).
     as_maximum = 0.0 < negative_slope <= 1.0
-    if as_maximum:
-        np.maximum(summed, activated, out=activated)
+    if cost_only_active():
+        out_data = placeholder((adj.num_edges, u_feat.shape[1]))
     else:
-        np.copyto(activated, summed, where=summed > 0)
-    out_data = np.einsum("ehd,hd->eh", activated, att.data).astype(FLOAT_DTYPE, copy=False)
+        summed = np.take(u_feat.data, adj.src, axis=0)
+        activated = np.take(v_feat.data, adj.dst, axis=0)
+        summed += activated
+        np.multiply(summed, slope, out=activated)
+        if as_maximum:
+            np.maximum(summed, activated, out=activated)
+        else:
+            np.copyto(activated, summed, where=summed > 0)
+        out_data = np.einsum("ehd,hd->eh", activated, att.data).astype(FLOAT_DTYPE,
+                                                                         copy=False)
     requires = u_feat.requires_grad or v_feat.requires_grad or att.requires_grad
     out = Tensor(
         out_data,
@@ -124,15 +131,18 @@ def segment_softmax(adj: SparseAdj, scores: Tensor, family: str = "sddmm") -> Te
         raise ValueError("scores must have one row per edge")
     dst = adj.dst
     width_shape = scores.shape[1:]
-    # Per-destination max for numerical stability (reduceat fast path).
-    max_buf = adj.max_edges(scores.data)
-    # The gathered max is shifted in place: one E-row buffer, not two.
-    out_data = np.take(max_buf, dst, axis=0)
-    np.subtract(scores.data, out_data, out=out_data)
-    np.exp(out_data, out=out_data)
-    sum_buf = adj.sum_edges(out_data, side="dst")
-    np.maximum(sum_buf, np.finfo(FLOAT_DTYPE).tiny, out=sum_buf)
-    out_data /= np.take(sum_buf, dst, axis=0)
+    if cost_only_active():
+        out_data = placeholder(scores.shape)
+    else:
+        # Per-destination max for numerical stability (reduceat fast path).
+        max_buf = adj.max_edges(scores.data)
+        # The gathered max is shifted in place: one E-row buffer, not two.
+        out_data = np.take(max_buf, dst, axis=0)
+        np.subtract(scores.data, out_data, out=out_data)
+        np.exp(out_data, out=out_data)
+        sum_buf = adj.sum_edges(out_data, side="dst")
+        np.maximum(sum_buf, np.finfo(FLOAT_DTYPE).tiny, out=sum_buf)
+        out_data /= np.take(sum_buf, dst, axis=0)
     out = Tensor(
         out_data,
         device=adj.device,

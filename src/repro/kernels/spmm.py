@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import PlacementError
 from repro.kernels.adj import SparseAdj
-from repro.tensor.context import charge
+from repro.tensor.context import charge, cost_only_active, placeholder
 from repro.tensor.tensor import FLOAT_DTYPE, Tensor
 
 
@@ -45,16 +45,18 @@ def spmm(adj: SparseAdj, x: Tensor, weight: Optional[Tensor] = None,
         raise ValueError(f"x has {x.shape[0]} rows, adjacency expects {adj.num_src}")
 
     multihead = x.ndim == 3
-    if weight is not None and multihead:
-        if weight.shape != (adj.num_edges, x.shape[1]):
-            raise ValueError("multi-head weight must be (E, H)")
+    if weight is not None and multihead and weight.shape != (adj.num_edges, x.shape[1]):
+        raise ValueError("multi-head weight must be (E, H)")
+    if weight is not None and not multihead and weight.shape != (adj.num_edges,):
+        raise ValueError("weight must be (E,)")
+    if cost_only_active():
+        out_data = placeholder((adj.num_dst,) + x.shape[1:])
+    elif weight is not None and multihead:
         heads = x.shape[1]
         out_data = np.empty((adj.num_dst, heads, x.shape[2]), dtype=FLOAT_DTYPE)
         for h in range(heads):
             out_data[:, h, :] = adj.matmul_data(weight.data[:, h], x.data[:, h, :])
     elif weight is not None:
-        if weight.shape != (adj.num_edges,):
-            raise ValueError("weight must be (E,)")
         out_data = adj.matmul_data(weight.data, x.data)
     elif multihead:
         flat = x.data.reshape(adj.num_src, -1)

@@ -2,7 +2,8 @@
 
 Every tensor op runs real numpy math *and* charges simulated time to the
 device the tensor lives on, scaled by the framework profile that is active
-(see :mod:`repro.tensor.context`).  Gradients are exact; tests verify them
+(see :mod:`repro.tensor.context`), whose ``cost_only`` switch keeps the
+charge and skips the math.  Gradients are exact; tests verify them
 against finite differences.
 """
 

@@ -15,6 +15,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple, TYPE_CHECKING
 
+import numpy as np
+
+from repro.errors import AutogradError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hardware.device import Device
 
@@ -68,6 +72,46 @@ def use_profile(profile: CostProfile) -> Iterator[CostProfile]:
         yield profile
     finally:
         _active_profile.reset(token)
+
+
+_cost_only = False
+
+
+@contextmanager
+def cost_only() -> Iterator[None]:
+    """Run the enclosed forward ops for their cost alone.
+
+    Every op charges its kernel and allocates its output on the device
+    ledger as executing it would, but its output data is a
+    :func:`placeholder`: no op computes a value nobody reads.  Sparse
+    structure (``SparseAdj``, self-loops, degree-derived edge weights),
+    parameters and RNG streams stay real.  Forward only: a placeholder has
+    no gradient, so entering with grad enabled raises ``AutogradError``.
+    """
+    global _cost_only
+    from repro.tensor import tensor  # local: tensor imports this module
+
+    if tensor._grad_enabled:
+        raise AutogradError("cost_only() is forward-only: enter it under no_grad()")
+    previous, _cost_only = _cost_only, True
+    try:
+        yield
+    finally:
+        _cost_only = previous
+
+
+def cost_only_active() -> bool:
+    """True inside :func:`cost_only`: ops return placeholders."""
+    return _cost_only
+
+
+def placeholder(shape: Tuple[int, ...]) -> np.ndarray:
+    """A cost-only op's output: zero-stride, read-only float32 zeros.
+
+    Its ``nbytes`` is the executed array's, so the ledger allocation is
+    unchanged; an op that lacks its shape rule and writes into it fails.
+    """
+    return np.broadcast_to(np.float32(0), shape)
 
 
 def charge(

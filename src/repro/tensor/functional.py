@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.tensor.context import charge
+from repro.tensor.context import charge, cost_only_active, placeholder
 from repro.tensor.tensor import FLOAT_DTYPE, Tensor
 
 # Shared fallback stream for callers that don't thread their own
@@ -20,7 +20,8 @@ _FALLBACK_RNG = np.random.default_rng(0)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor._result(np.maximum(x.data, 0.0), (x,), "relu")
+    out_data = placeholder(x.shape) if cost_only_active() else np.maximum(x.data, 0.0)
+    out = Tensor._result(out_data, (x,), "relu")
     n = out.data.size
     charge(out.device, "relu", "elementwise", flops=n, bytes_moved=8 * n, scale=out.work_scale)
 
@@ -40,11 +41,14 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     # 0 < slope <= 1: outside it the wrong branch wins (or signed zeros
     # differ), and 0 * inf is NaN where the select keeps inf.
     as_maximum = 0.0 < negative_slope <= 1.0
-    out_data = np.multiply(x.data, slope, out=np.empty_like(x.data))
-    if as_maximum:
-        np.maximum(x.data, out_data, out=out_data)
+    if cost_only_active():
+        out_data = placeholder(x.shape)
     else:
-        np.copyto(out_data, x.data, where=x.data > 0)
+        out_data = np.multiply(x.data, slope, out=np.empty_like(x.data))
+        if as_maximum:
+            np.maximum(x.data, out_data, out=out_data)
+        else:
+            np.copyto(out_data, x.data, where=x.data > 0)
     out = Tensor._result(out_data, (x,), "leaky_relu")
     n = out.data.size
     charge(out.device, "leaky_relu", "elementwise", flops=2 * n, bytes_moved=8 * n,
@@ -78,7 +82,8 @@ def dropout(x: Tensor, p: float = 0.5, training: bool = True,
     rng = rng if rng is not None else _FALLBACK_RNG
     mask = (rng.random(x.shape) >= p).astype(FLOAT_DTYPE)
     mask /= 1.0 - p
-    out = Tensor._result(x.data * mask, (x,), "dropout")
+    out_data = placeholder(x.shape) if cost_only_active() else x.data * mask
+    out = Tensor._result(out_data, (x,), "dropout")
     n = out.data.size
     charge(out.device, "dropout", "elementwise", flops=2 * n, bytes_moved=12 * n,
            scale=out.work_scale)
@@ -102,11 +107,14 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
         raise ValueError("labels must be 1-D with one entry per row of logits")
     n_rows, n_classes = logits.shape
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - logsum
-    picked = log_probs[np.arange(n_rows), labels]
-    out = Tensor._result(np.asarray(-picked.mean()), (logits,), "cross_entropy")
+    if cost_only_active():
+        loss = placeholder(())
+    else:
+        shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+        logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        log_probs = shifted - logsum
+        loss = np.asarray(-log_probs[np.arange(n_rows), labels].mean())
+    out = Tensor._result(loss, (logits,), "cross_entropy")
     n = logits.data.size
     charge(out.device, "cross_entropy", "elementwise", flops=8 * n, bytes_moved=12 * n,
            scale=out.work_scale)
@@ -128,9 +136,13 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
     if targets.shape != logits.shape:
         raise ValueError("targets must match logits shape")
     z = logits.data
-    # Numerically stable: max(z,0) - z*y + log(1 + exp(-|z|))
-    loss = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
-    out = Tensor._result(np.asarray(loss.mean()), (logits,), "bce_logits")
+    if cost_only_active():
+        loss = placeholder(())
+    else:
+        # Numerically stable: max(z,0) - z*y + log(1 + exp(-|z|))
+        loss = np.asarray((np.maximum(z, 0.0) - z * targets
+                           + np.log1p(np.exp(-np.abs(z)))).mean())
+    out = Tensor._result(loss, (logits,), "bce_logits")
     n = logits.data.size
     charge(out.device, "bce_logits", "elementwise", flops=10 * n, bytes_moved=12 * n,
            scale=out.work_scale)

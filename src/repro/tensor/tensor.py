@@ -19,7 +19,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import AutogradError, PlacementError
-from repro.tensor.context import charge
+from repro.tensor.context import charge, cost_only_active, placeholder
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -58,6 +58,21 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def _matmul_shape(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The shape of ``np.matmul`` of operands shaped ``a`` and ``b``."""
+    cols = b[-1:] if len(b) > 1 else ()
+    return np.broadcast_shapes(a[:-2], b[:-2]) + a[-2:-1] + cols
+
+
+def _reduced_shape(shape: Tuple[int, ...], axis: Optional[int],
+                   keepdims: bool) -> Tuple[int, ...]:
+    """The shape of reducing an array shaped ``shape`` over ``axis``."""
+    if axis is None:
+        return (1,) * len(shape) if keepdims else ()
+    axis %= len(shape)
+    return shape[:axis] + ((1,) if keepdims else ()) + shape[axis + 1:]
 
 
 def _merge_placement(*tensors: "Tensor"):
@@ -214,7 +229,9 @@ class Tensor:
 
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        out = Tensor._result(self.data + other.data, (self, other), "add")
+        out_data = (placeholder(np.broadcast_shapes(self.shape, other.shape))
+                    if cost_only_active() else self.data + other.data)
+        out = Tensor._result(out_data, (self, other), "add")
         n = out.data.size
         charge(out.device, "add", "elementwise", flops=n, bytes_moved=12 * n, scale=out.work_scale)
 
@@ -243,7 +260,9 @@ class Tensor:
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        out = Tensor._result(self.data * other.data, (self, other), "mul")
+        out_data = (placeholder(np.broadcast_shapes(self.shape, other.shape))
+                    if cost_only_active() else self.data * other.data)
+        out = Tensor._result(out_data, (self, other), "mul")
         n = out.data.size
         charge(out.device, "mul", "elementwise", flops=n, bytes_moved=12 * n, scale=out.work_scale)
 
@@ -263,7 +282,9 @@ class Tensor:
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
-        out = Tensor._result(self.data / other.data, (self, other), "div")
+        out_data = (placeholder(np.broadcast_shapes(self.shape, other.shape))
+                    if cost_only_active() else self.data / other.data)
+        out = Tensor._result(out_data, (self, other), "div")
         n = out.data.size
         charge(out.device, "div", "elementwise", flops=n, bytes_moved=12 * n, scale=out.work_scale)
 
@@ -285,7 +306,8 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar powers are supported")
-        out = Tensor._result(self.data ** exponent, (self,), "pow")
+        out_data = placeholder(self.shape) if cost_only_active() else self.data ** exponent
+        out = Tensor._result(out_data, (self,), "pow")
         n = out.data.size
         charge(out.device, "pow", "elementwise", flops=2 * n, bytes_moved=8 * n, scale=out.work_scale)
 
@@ -302,7 +324,9 @@ class Tensor:
     # ------------------------------------------------------------------
     def matmul(self, other: "Tensor") -> "Tensor":
         other = self._coerce(other)
-        out = Tensor._result(self.data @ other.data, (self, other), "matmul")
+        out_data = (placeholder(_matmul_shape(self.shape, other.shape))
+                    if cost_only_active() else self.data @ other.data)
+        out = Tensor._result(out_data, (self, other), "matmul")
         m = int(np.prod(self.shape[:-1]))
         k = self.shape[-1]
         n = other.shape[-1] if other.ndim > 1 else 1
@@ -358,7 +382,9 @@ class Tensor:
     def index_select(self, index: np.ndarray) -> "Tensor":
         """Gather rows: ``out[i] = self[index[i]]`` (PyG-style gather)."""
         index = np.asarray(index)
-        out = Tensor._result(self.data[index], (self,), "index_select")
+        out_data = (placeholder(index.shape + self.shape[1:])
+                    if cost_only_active() else self.data[index])
+        out = Tensor._result(out_data, (self,), "index_select")
         moved = out.data.nbytes * 2
         charge(out.device, "index_select", "index", bytes_moved=moved, scale=out.work_scale)
 
@@ -391,7 +417,9 @@ class Tensor:
     # reductions
     # ------------------------------------------------------------------
     def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out = Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
+        out_data = (placeholder(_reduced_shape(self.shape, axis, keepdims))
+                    if cost_only_active() else self.data.sum(axis=axis, keepdims=keepdims))
+        out = Tensor._result(out_data, (self,), "sum")
         n = self.data.size
         charge(out.device, "sum", "reduce", flops=n, bytes_moved=4 * n, scale=out.work_scale)
 
@@ -411,7 +439,8 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
+        out_data = (placeholder(_reduced_shape(self.shape, axis, keepdims))
+                    if cost_only_active() else self.data.max(axis=axis, keepdims=keepdims))
         out = Tensor._result(out_data, (self,), "max")
         n = self.data.size
         charge(out.device, "max", "reduce", flops=n, bytes_moved=4 * n, scale=out.work_scale)
@@ -432,7 +461,8 @@ class Tensor:
     # pointwise nonlinearities used pervasively by GNN layers
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        out = Tensor._result(np.exp(self.data), (self,), "exp")
+        out_data = placeholder(self.shape) if cost_only_active() else np.exp(self.data)
+        out = Tensor._result(out_data, (self,), "exp")
         n = out.data.size
         charge(out.device, "exp", "elementwise", flops=4 * n, bytes_moved=8 * n, scale=out.work_scale)
 
@@ -445,7 +475,8 @@ class Tensor:
         return out
 
     def log(self) -> "Tensor":
-        out = Tensor._result(np.log(self.data), (self,), "log")
+        out_data = placeholder(self.shape) if cost_only_active() else np.log(self.data)
+        out = Tensor._result(out_data, (self,), "log")
         n = out.data.size
         charge(out.device, "log", "elementwise", flops=4 * n, bytes_moved=8 * n, scale=out.work_scale)
 
@@ -509,7 +540,12 @@ def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ValueError("cat() of empty sequence")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
+    if cost_only_active():
+        shape = list(tensors[0].shape)
+        shape[axis] = sum(t.shape[axis] for t in tensors)
+        data = placeholder(tuple(shape))
+    else:
+        data = np.concatenate([t.data for t in tensors], axis=axis)
     out = Tensor._result(data, tuple(tensors), "cat")
     charge(out.device, "cat", "index", bytes_moved=2 * data.nbytes, scale=out.work_scale)
 

@@ -17,6 +17,7 @@ from repro.bench.harness import (
 from repro.errors import BenchmarkError
 from repro.hardware.machine import Machine
 from repro.hardware.specs import PAPER_CPU, PAPER_GPU, PAPER_PCIE
+from tests.test_host_memory import conv_pass
 
 SMALL = dict(dataset_scale=0.3)
 
@@ -115,9 +116,11 @@ class TestNoCyclicGarbage:
     """The harness does not call gc.collect(); nothing it runs may need it."""
 
     CASES = {
-        "conv-fused-gatv2": lambda: measure_conv_forward(
-            "dglite", "ppi", "gatv2", device="gpu", **SMALL),
-        "conv-unfused-gatv2": lambda: measure_conv_forward(
+        "conv-fused-gatv2": lambda: conv_pass(
+            "dglite", "ppi", "gatv2", scale=0.3)(),
+        "conv-unfused-gatv2": lambda: conv_pass(
+            "pyglite", "ppi", "gatv2", scale=0.3)(),
+        "conv-unfused-gatv2-cost-only": lambda: measure_conv_forward(
             "pyglite", "ppi", "gatv2", device="gpu", **SMALL),
         "fullbatch": lambda: run_fullbatch_experiment(
             "pyglite", "ppi", device="gpu", epochs=2, **SMALL),

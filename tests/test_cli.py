@@ -48,6 +48,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert kind in out and "ms" in out
 
+    @pytest.mark.parametrize("kind, width", [("gcn2", "50"), ("gcn", "256")])
+    def test_conv_prints_the_width_the_layer_runs_at(self, capsys, kind,
+                                                     width):
+        """gcn2 keeps ppi's 50 input features; the others run at 256."""
+        assert main(["conv", "--dataset", "ppi", "--kind", kind]) == 0
+        row = capsys.readouterr().out.splitlines()[2].split()
+        assert row[:2] == ["ppi", width]
+
     def test_conv_reports_oom(self, capsys):
         assert main(["conv", "--dataset", "reddit", "--kind", "gat",
                      "--device", "gpu"]) == 0

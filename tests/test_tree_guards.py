@@ -505,14 +505,15 @@ def float64_promotions(parsed: Parsed):
 
 
 def _own_calls(fn: ast.AST) -> set:
-    """Names a function calls in its own body, nested scopes excluded."""
+    """Dotted names a function calls in its own body, nested scopes
+    excluded."""
     names, todo = set(), list(ast.iter_child_nodes(fn))
     while todo:
         node = todo.pop()
         if isinstance(node, _SCOPES + (ast.Lambda,)):
             continue
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            names.add(node.func.id)
+        if isinstance(node, ast.Call):
+            names.add(_dotted(node.func))
         todo.extend(ast.iter_child_nodes(node))
     return names
 
@@ -523,6 +524,16 @@ def uncharged_kernels(parsed: Parsed):
             calls = _own_calls(fn)
             if "Tensor" in calls and "charge" not in calls:
                 yield fn, "builds a Tensor but charges nothing"
+
+
+def charged_ops_without_shape_rule(parsed: Parsed):
+    for fn in parsed.nodes:
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls = _own_calls(fn)
+            if "charge" in calls and calls & {"Tensor", "Tensor._result"} \
+                    and "placeholder" not in calls:
+                yield fn, ("charges an op but its output never goes "
+                           "through placeholder()")
 
 
 def audit_plant(rel: str, anchor: str, plant: str) -> Dict[str, str]:
@@ -611,6 +622,17 @@ EVERY_KERNEL_CHARGES = Guard(
                 "flops=4.0 * e_log * heads * dim,\n"
                 "           bytes_moved=4.0 * 3.0 * e_log * heads * dim)\n",
                 ""))
+
+EVERY_CHARGED_OP_HAS_A_SHAPE_RULE = Guard(
+    "every-charged-op-has-a-shape-rule (a tensor/ or kernels/ function that "
+    "charges and builds a Tensor returns placeholder(shape) under "
+    "cost_only(), so a cost-only forward computes nothing)",
+    code_rule(charged_ops_without_shape_rule,
+              tops=("src/repro/tensor", "src/repro/kernels")),
+    audit_plant("src/repro/tensor/functional.py",
+                "    out_data = placeholder(x.shape) if cost_only_active() "
+                "else np.maximum(x.data, 0.0)\n",
+                "    out_data = np.maximum(x.data, 0.0)\n"))
 
 
 GUARDS = [
@@ -732,7 +754,8 @@ GUARDS = [
           unknown_doc_telemetry_names,
           {"docs/telemetry.md": "Each `train.batch` span nests in its "
                                 "epoch.\n"}),
-    EVERY_KERNEL_CHARGES, HOTLOOP, INPLACE_GRAD, PARAM_REG, DTYPE_DRIFT,
+    EVERY_KERNEL_CHARGES, EVERY_CHARGED_OP_HAS_A_SHAPE_RULE, HOTLOOP,
+    INPLACE_GRAD, PARAM_REG, DTYPE_DRIFT,
 ]
 
 
@@ -1023,6 +1046,33 @@ RULE_CASES = [
         "class K:\n    def k(self, x):\n        return Tensor(x)\n"], 0),
     *_cases(EVERY_KERNEL_CHARGES, "src/repro/models/k.py",
             ["def k(x):\n    return Tensor(x)\n"], 0),
+    # every-charged-op-has-a-shape-rule: a function (or method) that
+    # charges and builds a Tensor calls placeholder() in its own body.
+    *_cases(EVERY_CHARGED_OP_HAS_A_SHAPE_RULE, "src/repro/tensor/t.py", [
+        "def k(x):\n    out = Tensor(x.data * 2)\n    charge(x.device, 'k', 'f')\n",
+        "class T:\n"
+        "    def op(self):\n"
+        "        out = Tensor._result(self.data * 2, (self,), 'op')\n"
+        "        charge(out.device, 'op', 'f')\n",
+        "def k(x):\n"
+        "    out = Tensor(x.data * 2)\n"
+        "    charge(x.device, 'k', 'f')\n"
+        "    shape = lambda: placeholder(x.shape)\n"],
+            1, needle="never goes through placeholder() in "),
+    *_cases(EVERY_CHARGED_OP_HAS_A_SHAPE_RULE, "src/repro/kernels/k.py", [
+        "def k(x):\n"
+        "    data = placeholder(x.shape) if cost_only_active() else x.data * 2\n"
+        "    out = Tensor(data)\n"
+        "    charge(x.device, 'k', 'f')\n",
+        "def k(x):\n"
+        "    out = Tensor(x.data * 2)\n"
+        "    def _backward(g):\n"
+        "        charge(x.device, 'k.bwd', 'f')\n",
+        "def step(p):\n    charge(p.device, 'adam.step', 'f')\n",
+        "def k(x):\n    return Tensor(x)\n"], 0),
+    *_cases(EVERY_CHARGED_OP_HAS_A_SHAPE_RULE, "src/repro/frameworks/k.py",
+            ["def k(x):\n    out = Tensor(x.data)\n    charge(x.device, 'k', 'f')\n"],
+            0),
 ]
 
 
@@ -1075,8 +1125,8 @@ def test_allowed_entry_for_an_absent_file_is_silent(tmp_path):
     assert scan(tmp_path) == []
 
 
-CODE_RULES = [EVERY_KERNEL_CHARGES, HOTLOOP, INPLACE_GRAD, PARAM_REG,
-              DTYPE_DRIFT]
+CODE_RULES = [EVERY_KERNEL_CHARGES, EVERY_CHARGED_OP_HAS_A_SHAPE_RULE, HOTLOOP,
+              INPLACE_GRAD, PARAM_REG, DTYPE_DRIFT]
 
 
 @pytest.mark.parametrize("guard", CODE_RULES,
