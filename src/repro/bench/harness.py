@@ -23,7 +23,6 @@ from repro.models.fullbatch import FullBatchTrainer, build_fullbatch_sage
 from repro.models.graphsage import build_graphsage, graphsage_sampler
 from repro.models.graphsaint import build_graphsaint, graphsaint_sampler
 from repro.models.trainer import MiniBatchTrainer, TrainConfig
-from repro.kernels.config import use_reference_kernels
 from repro.kernels.transfer import adj_to_device, to_device
 from repro.power.monitor import EnergyMonitor, EnergyReport
 from repro.resilience.plan import FaultPlan
@@ -106,7 +105,6 @@ def run_training_experiment(
     checkpoint_path: Optional[str] = None,
     resume_from: Optional[str] = None,
     halt_after_epochs: Optional[int] = None,
-    fastpath: bool = True,
 ) -> ExperimentResult:
     """Train one GNN end-to-end and return breakdown + power/energy.
 
@@ -133,11 +131,6 @@ def run_training_experiment(
     "depth-N" is N; ``num_workers=w`` samples on a pool of ``w`` lanes
     with at least ``w`` in flight; ``prefetch`` (DGL only) keeps two in
     flight with sample/fetch/copy on one background loader lane.
-
-    ``fastpath=False`` runs the whole experiment on the naive reference
-    kernels (:func:`repro.kernels.config.use_reference_kernels`); charged
-    virtual cost is identical either way, only host time moves (``repro
-    train --reference-kernels``; ``perf/`` measures the difference).
     """
     if model not in MODEL_BUILDERS:
         raise BenchmarkError(f"unknown model {model!r}")
@@ -149,8 +142,7 @@ def run_training_experiment(
                   else nullcontext(None))
     fault_cm = (resilience_session(plan) if plan is not None
                 else nullcontext(None))
-    kernel_cm = nullcontext() if fastpath else use_reference_kernels()
-    with session_cm as tsession, fault_cm as injector, kernel_cm:
+    with session_cm as tsession, fault_cm as injector:
         monitor = EnergyMonitor(machine, interval=monitor_interval)
         tracer = tracer_for(machine.clock)
         label = _label(framework, placement, preload, prefetch, pipeline)
@@ -241,7 +233,6 @@ def run_training_experiment(
                     "cache_policy": cache_policy,
                     "num_workers": num_workers,
                     "pipeline": pipeline,
-                    "fastpath": fastpath,
                     "fault_plan": plan.describe() if plan is not None else "",
                     "checkpoint_every": checkpoint_every,
                     "resumed": bool(resume_from),
@@ -305,6 +296,8 @@ def run_fullbatch_experiment(
     dataset_scale: float = 1.0,
 ) -> ExperimentResult:
     """Full-batch GraphSAGE; reports per-epoch time and power/energy."""
+    if epochs < 1:
+        raise BenchmarkError(f"epochs must be >= 1, got {epochs}")
     fw = get_framework(framework)
     machine = paper_testbed()
     tracer = tracer_for(machine.clock)
@@ -401,31 +394,31 @@ def measure_conv_forward(framework: str, dataset: str, kind: str,
     The run is energy-monitored so the perf-trajectory sweep can record
     joules per op cell.  The forward runs :func:`cost_only`: nothing reads
     the layer's output, and its charges, ledger and OOM are the executed
-    forward's.  ``fastpath=False`` executes it on the reference kernel
-    schedules (host time only — charged cost is schedule-invariant).
+    forward's.  ``fastpath=False`` executes the forward instead, and
+    charges exactly the same; it stays because the ``perf/`` benchmark's
+    ``conv_ref`` checks pass it to hold the cost-only charges to an
+    executed forward's.
     """
     fw = get_framework(framework)
     machine = paper_testbed()
     label = f"{framework}/{dataset}/{kind}/{device}"
     monitor = EnergyMonitor(machine, interval=monitor_interval)
     monitor.start()
-    kernel_cm = nullcontext() if fastpath else use_reference_kernels()
     try:
-        with kernel_cm:
-            fgraph = fw.load(dataset, machine, scale=dataset_scale)
-            with fw.activate(), no_grad():
-                target = machine.device(device)
-                adj = adj_to_device(fgraph.adj, target, machine.pcie)
-                x = to_device(fgraph.features, target, machine.pcie)
-                in_features = fgraph.stats.num_features
-                conv = fw.conv(kind, in_features,
-                               conv_out_features(kind, in_features, out_features),
-                               seed=seed)
-                conv.to(target)
-                start = machine.clock.now
-                with cost_only() if fastpath else nullcontext():
-                    conv(adj, x)
-                seconds = machine.clock.now - start
+        fgraph = fw.load(dataset, machine, scale=dataset_scale)
+        with fw.activate(), no_grad():
+            target = machine.device(device)
+            adj = adj_to_device(fgraph.adj, target, machine.pcie)
+            x = to_device(fgraph.features, target, machine.pcie)
+            in_features = fgraph.stats.num_features
+            conv = fw.conv(kind, in_features,
+                           conv_out_features(kind, in_features, out_features),
+                           seed=seed)
+            conv.to(target)
+            start = machine.clock.now
+            with cost_only() if fastpath else nullcontext():
+                conv(adj, x)
+            seconds = machine.clock.now - start
         report = monitor.stop()
         from repro.profiling.kernel_report import group_by_family
 

@@ -20,10 +20,9 @@ and joules, nothing else.  Both are deterministic functions of
 holds a fresh sweep to the committed baseline by equality.  Host time is
 not measured here — ``perf/`` owns it.
 
-There is no fast/reference kernel axis: by the kernel layer's
-charged-cost invariance a cell costs the same under
-:func:`repro.kernels.config.use_reference_kernels`, which the tier-1
-``TestChargedCostInvariance`` law asserts for every cell of ``MATRICES``.
+There is no kernel-schedule axis: each sparse primitive has one
+schedule, and its charge depends only on logical edge and node counts,
+not on how numpy orders the arithmetic.
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ def _grid(driver: str, kernels: Sequence[str], datasets: Sequence[str],
 # CI-smoke territory (~seconds): small datasets, one epoch, two
 # representative batches.  ``gcn`` exercises the fused SpMM path, ``sage``
 # the dense-dominated path, ``gat`` the unfused gather/softmax/scatter
-# segment reductions the fast-path layer targets.
+# segment reductions.
 KERNEL_MATRIX = _grid("conv", kernels=("gcn", "sage", "gat"),
                       datasets=("ppi",), scales=(0.5, 1.0))
 TRAINING_MATRIX = _grid("train", kernels=("graphsage",),

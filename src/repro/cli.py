@@ -31,7 +31,7 @@ from repro.bench import (
     run_training_experiment,
 )
 from repro.datasets import DATASET_NAMES, dataset_spec, list_datasets
-from repro.errors import RecoveryExhausted
+from repro.errors import BenchmarkError, FaultPlanError, RecoveryExhausted
 from repro.frameworks.nn import CONVS
 from repro.telemetry.spans import PHASES
 
@@ -114,10 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--halt-after", type=int, default=None, metavar="E",
                        help="stop after E epochs as a simulated crash "
                             "(pair with --checkpoint-every, then resume)")
-    train.add_argument("--reference-kernels", action="store_true",
-                       help="run on the naive reference kernel schedule "
-                            "(A/B partner for `repro profile diff`; charged "
-                            "virtual cost is identical to the fast path)")
 
     serve = sub.add_parser(
         "serve",
@@ -273,13 +269,9 @@ def cmd_conv(datasets: List[str], kind: str, device: str) -> None:
 def cmd_train(args: argparse.Namespace) -> None:
     fault_plan = args.faults
     if fault_plan is not None:
-        from repro.errors import FaultPlanError
         from repro.resilience import FaultPlan
 
-        try:
-            fault_plan = FaultPlan.from_file(fault_plan)
-        except FaultPlanError as exc:
-            raise SystemExit(f"repro train: {exc}")
+        fault_plan = FaultPlan.from_file(fault_plan)
     checkpoint = args.checkpoint
     if args.checkpoint_every and not checkpoint:
         checkpoint = "out/ckpt.npz"
@@ -299,7 +291,6 @@ def cmd_train(args: argparse.Namespace) -> None:
             pipeline=args.pipeline,
             seed=args.seed,
             telemetry_dir=telemetry_dir,
-            fastpath=not args.reference_kernels,
             fault_plan=fault_plan,
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=checkpoint,
@@ -342,7 +333,6 @@ def _parse_rates(value: str) -> List[float]:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import BenchmarkError, FaultPlanError
     from repro.serving import (
         SERVE,
         ServeConfig,
@@ -355,33 +345,27 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if fault_plan is not None:
         from repro.resilience import FaultPlan
 
-        try:
-            fault_plan = FaultPlan.from_file(fault_plan)
-        except FaultPlanError as exc:
-            raise SystemExit(f"repro serve: {exc}")
+        fault_plan = FaultPlan.from_file(fault_plan)
     rates = _parse_rates(args.rates)
     frameworks = (list(FRAMEWORKS) if args.framework == "both"
                   else [args.framework])
-    try:
-        base = ServeConfig(
-            framework=frameworks[0],
-            dataset=args.dataset,
-            rate=rates[0],
-            num_requests=args.requests,
-            trace=args.trace,
-            nodes_per_request=args.nodes_per_request,
-            budget_s=args.budget_ms / 1000.0,
-            max_batch=args.max_batch,
-            placement=args.placement,
-            pipeline=args.pipeline,
-            cache_fraction=args.cache_fraction,
-            cache_policy=args.cache_policy,
-            degraded_mode=args.degraded,
-            seed=args.seed,
-            dataset_scale=args.scale,
-        )
-    except BenchmarkError as exc:
-        raise SystemExit(f"repro serve: {exc}")
+    base = ServeConfig(
+        framework=frameworks[0],
+        dataset=args.dataset,
+        rate=rates[0],
+        num_requests=args.requests,
+        trace=args.trace,
+        nodes_per_request=args.nodes_per_request,
+        budget_s=args.budget_ms / 1000.0,
+        max_batch=args.max_batch,
+        placement=args.placement,
+        pipeline=args.pipeline,
+        cache_fraction=args.cache_fraction,
+        cache_policy=args.cache_policy,
+        degraded_mode=args.degraded,
+        seed=args.seed,
+        dataset_scale=args.scale,
+    )
     print(f"serve: {args.dataset} {args.trace} trace, "
           f"{args.requests} requests/window, budget {args.budget_ms:g} ms, "
           f"max batch {args.max_batch}, seed {args.seed}")
@@ -464,7 +448,6 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
     from repro.bench.artifacts import artifact_path, validate_baseline_dir
     from repro.bench.gate import GateResult, compare_artifacts, format_gate_report
     from repro.bench.sweep import SweepCell, run_sweep
-    from repro.errors import BenchmarkError
 
     areas = _bench_areas(args.area)
     # A bad baseline is reported before any cell runs: nothing swept
@@ -490,7 +473,6 @@ def cmd_bench_gate(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.artifacts import dumps
-    from repro.errors import BenchmarkError
 
     try:
         if args.profile_command == "analyze":
@@ -544,7 +526,6 @@ def _validate_parsed_args(parser: argparse.ArgumentParser,
     """
     if args.command in ("train", "serve"):
         from repro.datapipe.config import validate_pipeline_placement
-        from repro.errors import BenchmarkError
 
         try:
             validate_pipeline_placement(args.pipeline, args.placement)
@@ -556,9 +537,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate_parsed_args(parser, args)
+    # A rejected argument or fault plan, or a --faults plan that outlasted
+    # its retries, ends the command with one line naming it, no traceback.
     try:
         return _dispatch(args)
-    except RecoveryExhausted as exc:  # a --faults plan outlasted its retries
+    except (BenchmarkError, FaultPlanError, RecoveryExhausted) as exc:
         raise SystemExit(f"repro {args.command}: {exc}")
 
 

@@ -172,11 +172,6 @@ class AdjacencyCSR:
         src = np.repeat(np.arange(self.num_nodes, dtype=INDEX_DTYPE), np.diff(self.indptr))
         return AdjacencyCOO(self.num_nodes, src, self.indices)
 
-    def transpose(self) -> "AdjacencyCSR":
-        """CSR of the reversed edge set (used by SpMM backward)."""
-        coo = self.to_coo()
-        return coo.reverse().to_csr()
-
 
 def flat_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenate ``[starts[i], starts[i] + lengths[i])`` ranges.

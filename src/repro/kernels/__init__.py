@@ -14,15 +14,10 @@ talks about:
 Every kernel runs real numpy/scipy math (or, under
 :func:`repro.tensor.context.cost_only`, returns a shape-only placeholder)
 and charges logical-scale roofline cost to the tensor's device under the
-active framework profile.  The
-kernels keep two schedules for the same math — a ``reduceat``/CSR-reuse
-fast path and the naive ``np.add.at``/scipy-rebuild reference (toggled by
-:func:`use_reference_kernels`) — with identical charged cost either way;
-see :mod:`repro.kernels.config` and ``docs/kernels.md``.
+active framework profile; see ``docs/kernels.md``.
 """
 
 from repro.kernels.adj import SparseAdj
-from repro.kernels.config import fastpath_enabled, use_reference_kernels
 from repro.kernels.spmm import spmm
 from repro.kernels.scatter import gather, scatter_add
 from repro.kernels.sddmm import (
@@ -34,10 +29,8 @@ from repro.kernels.transfer import to_device
 
 __all__ = [
     "SparseAdj",
-    "fastpath_enabled",
     "fused_gatv2_scores",
     "gather",
-    "use_reference_kernels",
     "scatter_add",
     "sddmm_u_add_v",
     "segment_softmax",

@@ -19,16 +19,17 @@ is asked for).  :meth:`from_graph` goes one step further for the
 full-graph adjacency: its canonical edge arrays are memoised on the
 cached :class:`~repro.graph.graph.Graph` (``Graph.derived``).
 
-Fast-path layer (see :mod:`repro.kernels.config`): the CSR structure is
-*reused* once built — weighted :meth:`matmul_data` / :meth:`rmatmul`
-swap the ``.data`` array in place instead of reconstructing a scipy
-matrix, and :meth:`from_sorted_block` skips the canonicalizing argsort
-for sampler-emitted blocks that are already dst-sorted.  Segment
-reductions (:meth:`sum_edges`, :meth:`max_edges`) exploit the dst-sorted
-invariant — one SpMM against a cached edge-incidence selector (or
-``ufunc.reduceat`` for non-float dtypes) rather than the 20-30x slower
-``np.add.at``.  None of this changes what
+The CSR structure is *reused* once built — weighted :meth:`matmul_data`
+/ :meth:`rmatmul` swap the ``.data`` array in place instead of
+reconstructing a scipy matrix, and :meth:`from_sorted_block` skips the
+canonicalizing argsort for sampler-emitted blocks that are already
+dst-sorted.  Segment reductions (:meth:`sum_edges`, :meth:`max_edges`)
+exploit the dst-sorted invariant — one SpMM against a cached
+edge-incidence selector (or ``ufunc.reduceat`` for non-float dtypes)
+rather than a 20-30x slower buffered scatter.  None of this changes what
 ``charge(...)`` records — cost depends only on logical edge/node counts.
+The naive formulation of each primitive is the test oracle
+(``tests/kernel_oracle.py``).
 
 Row reuse: an adjacency whose ``row_memo`` slot holds a :class:`RowMemo`
 reads its weighted SpMM's source rows from the memo's feature store by
@@ -47,16 +48,7 @@ import scipy.sparse as sp
 from repro.errors import GraphFormatError
 from repro.graph.formats import INDEX_DTYPE, gather_neighborhoods, stable_order
 from repro.hostmem import mapped_rows
-from repro.kernels.config import fastpath_enabled
 from repro.telemetry import runtime as telemetry
-
-
-def _count_fastpath(path: str, hit: bool) -> None:
-    """Guarded probe: kernel.fastpath.{hit,miss} counters per path label."""
-    registry = telemetry.metrics()
-    if registry is not None:
-        name = "kernel.fastpath.hit" if hit else "kernel.fastpath.miss"
-        registry.counter(name, path=path).inc()
 
 
 def _count_row_memo(reused: int, computed: int) -> None:
@@ -185,17 +177,10 @@ class SparseAdj:
         so re-sorting and full bounds validation here would be pure waste.
         This constructor verifies only the load-bearing invariant — ``dst``
         non-decreasing and within range, O(E) compare instead of an O(E
-        log E) argsort — and trusts ``src`` to be pre-validated.  Falls
-        back to the canonicalizing constructor when the fast path is
-        disabled.
+        log E) argsort — and trusts ``src`` to be pre-validated.
         """
         src = np.asarray(src, dtype=INDEX_DTYPE)
         dst = np.asarray(dst, dtype=INDEX_DTYPE)
-        if not fastpath_enabled():
-            _count_fastpath("sorted_block", hit=False)
-            return cls(src, dst, num_src=num_src, num_dst=num_dst,
-                       device=device, node_scale=node_scale,
-                       edge_scale=edge_scale, edge_weight=edge_weight)
         if src.shape != dst.shape:
             raise GraphFormatError("src and dst must have equal length")
         if dst.size:
@@ -206,7 +191,6 @@ class SparseAdj:
                     "from_sorted_block requires dst-sorted edges; "
                     "use SparseAdj(...) for unsorted input"
                 )
-        _count_fastpath("sorted_block", hit=True)
         self = object.__new__(cls)
         if edge_weight is not None:
             edge_weight = np.asarray(edge_weight, dtype=np.float32)
@@ -298,7 +282,7 @@ class SparseAdj:
 
         ``values[self.src_order()]`` groups per-edge rows contiguously by
         source node, aligned with :attr:`src_indptr` — the gather-backward
-        direction of the segment-reduce fast path.  Treat as read-only.
+        direction of the segment reductions.  Treat as read-only.
         """
         if self._perm_src is None:
             self._perm_src = stable_order(self.src, self.num_src)
@@ -310,7 +294,7 @@ class SparseAdj:
 
         Row ``n`` holds a one at every edge id incident to node ``n``, so
         ``inc @ values`` is a segment sum over that side's buckets — a
-        single C-level SpMM instead of a buffered ``np.add.at`` scatter.
+        single C-level SpMM instead of a buffered per-edge scatter.
         Both selectors share this adjacency's cached index structure
         (``indptr`` / ``src_order``) and are built at most once.
         """
@@ -334,24 +318,16 @@ class SparseAdj:
     def sum_edges(self, values: np.ndarray, side: str = "dst") -> np.ndarray:
         """Sum per-edge rows into per-node buckets on ``side``.
 
-        Fast path: one SpMM against the cached edge-incidence selector
-        (edges are dst-sorted; the src side reuses the cached src-order
-        permutation).  Non-float inputs fall back to ``np.add.reduceat``
-        over the same contiguous segments.  Reference path: ``np.add.at``
-        scatter, kept for runtime A/B equivalence checks.  Charged cost is
-        the caller's concern — this is raw numpy either way.
+        One SpMM against the cached edge-incidence selector (edges are
+        dst-sorted; the src side reuses the cached src-order permutation).
+        Non-float inputs use ``np.add.reduceat`` over the same contiguous
+        segments.  Charged cost is the caller's concern — this is raw
+        numpy.
         """
         if side not in ("src", "dst"):
             raise ValueError("side must be 'src' or 'dst'")
         values = np.asarray(values)
         num = self.num_dst if side == "dst" else self.num_src
-        if not fastpath_enabled():
-            out = np.zeros((num,) + values.shape[1:], dtype=values.dtype)
-            index = self.dst if side == "dst" else self.src
-            # Deliberate reference fallback for A/B testing of the
-            # segment-reduce fast path.
-            np.add.at(out, index, values)
-            return out
         if values.size and values.dtype in (np.float32, np.float64):
             flat = values.reshape(values.shape[0], -1)
             summed = self._incidence(side) @ flat
@@ -367,9 +343,6 @@ class SparseAdj:
         """Max-reduce per-edge rows by destination; empty rows get ``fill``."""
         values = np.asarray(values)
         out = np.full((self.num_dst,) + values.shape[1:], fill, dtype=values.dtype)
-        if not fastpath_enabled():
-            np.maximum.at(out, self.dst, values)
-            return out
         return _segment_reduceat(np.maximum, values, self.indptr, out)
 
     # -- CSR matmul with structure reuse -------------------------------
@@ -382,22 +355,13 @@ class SparseAdj:
         constructing a fresh ``sp.csr_matrix`` (the default data buffer is
         restored before returning).  With a :class:`RowMemo` attached,
         weighted calls read source rows from the memo's feature store by
-        global id and never ``x``, and the fast path multiplies only the
-        rows the memo lacks.
+        global id and never ``x``, and only the rows the memo lacks are
+        multiplied.
         """
         mat = self._csr()
         if data is None:
             return np.asarray(mat @ x, dtype=np.float32)
         data = np.asarray(data, dtype=np.float32)
-        if not fastpath_enabled():
-            _count_fastpath("csr_reuse", hit=False)
-            cols, source = mat.indices, x
-            if self.row_memo is not None:  # no reuse, same source rows
-                cols, source = self.src_nodes[cols], self.row_memo.features
-            rebuilt = sp.csr_matrix((data, cols, mat.indptr),
-                                    shape=(self.num_dst, source.shape[0]))
-            return np.asarray(rebuilt @ source, dtype=np.float32)
-        _count_fastpath("csr_reuse", hit=True)
         if self.row_memo is not None:
             return self._matmul_memo(data)
         try:
@@ -437,19 +401,16 @@ class SparseAdj:
         """Lazily built-and-cached CSR of the transposed structure.
 
         Built directly from the cached src-order permutation (no scipy
-        ``.T.tocsr()`` conversion): rows = src, indices = dst in src
-        order, data = default data in src order.
+        transpose-and-convert): rows = src, indices = dst in src order,
+        data = default data in src order.
         """
         if self._mat_t is None:
-            _count_fastpath("transpose_cache", hit=False)
             perm = self.src_order()
             self._mat_t = sp.csr_matrix(
                 (self._csr().data[perm], self.dst[perm], self.src_indptr),
                 shape=(self.num_src, self.num_dst),
             )
             self._default_data_t = self._mat_t.data
-        else:
-            _count_fastpath("transpose_cache", hit=True)
         return self._mat_t
 
     def rmatmul(self, grad: np.ndarray, data: Optional[np.ndarray] = None) -> np.ndarray:
@@ -459,26 +420,9 @@ class SparseAdj:
         the weighted case; weighted calls permute ``data`` into src order
         and swap it in place.
         """
-        if not fastpath_enabled():
-            mat = self._csr()
-            if data is None:
-                if self._mat_t is None:
-                    self._mat_t = mat.T.tocsr()
-                    self._default_data_t = self._mat_t.data
-                    _count_fastpath("transpose_cache", hit=False)
-                else:
-                    _count_fastpath("transpose_cache", hit=True)
-                return np.asarray(self._mat_t @ grad, dtype=np.float32)
-            _count_fastpath("csr_reuse", hit=False)
-            rebuilt = sp.csr_matrix(
-                (np.asarray(data, dtype=np.float32), mat.indices, mat.indptr),
-                shape=mat.shape,
-            )
-            return np.asarray(rebuilt.T @ grad, dtype=np.float32)
         mat_t = self._transpose()
         if data is None:
             return np.asarray(mat_t @ grad, dtype=np.float32)
-        _count_fastpath("csr_reuse", hit=True)
         data_t = np.asarray(data, dtype=np.float32)[self.src_order()]
         try:
             mat_t.data = data_t
@@ -521,8 +465,7 @@ class SparseAdj:
         The validated, dst-sorted edge arrays are derived once per graph
         (memoised in ``graph.derived``) and shared read-only by every
         adjacency built from it; each call returns its own object with its
-        own device, scales and (unbuilt) derived structure, so nothing a
-        fast-path run built is visible to a reference-kernel run.
+        own device, scales and (unbuilt) derived structure.
         """
         key = ("SparseAdj.edges", reverse)
         edges = graph.derived.get(key)

@@ -41,8 +41,6 @@ def gather(adj: SparseAdj, x: Tensor, side: str = "src") -> Tensor:
 
     if out.requires_grad:
         def _backward(out: Tensor) -> None:
-            # Segment-reduce fast path (reduceat over sorted edge order)
-            # with the np.add.at reference behind use_reference_kernels().
             x._accumulate(adj.sum_edges(out.grad, side=side), fresh=True)
             charge(adj.device, "gather.bwd", "scatter", flops=adj.logical_num_edges * feat_width,
                    bytes_moved=2.0 * moved)

@@ -6,11 +6,7 @@ the same key the flamegraph folds on), so renamed phases show up as one
 and missing spans land in ``vanished``.  The total virtual-time delta is
 then attributed along four axes — span paths, the four phases, kernel
 families, and per-(device, kernel) busy seconds — the A/B view for
-dglite-vs-pyglite comparisons.  A fifth ``fastpath`` axis diffs the
-``kernel.fastpath.hit``/``miss`` probe counters: fastpath-on vs
-fastpath-off runs are virtual-time identical by the charged-cost
-invariance, so the accelerated kernels show up there (hits vanished,
-misses appeared), not as seconds.
+dglite-vs-pyglite comparisons.
 """
 
 from __future__ import annotations
@@ -48,8 +44,8 @@ def span_path_totals(span_records: Sequence[dict]) -> Dict[str, float]:
     return totals
 
 
-def classify_deltas(base: Dict[str, float], current: Dict[str, float],
-                    eps: float = DELTA_EPS) -> Dict[str, List[dict]]:
+def classify_deltas(base: Dict[str, float],
+                    current: Dict[str, float]) -> Dict[str, List[dict]]:
     """Grown / shrunk / appeared / vanished entries between two keyed
     totals, each sorted by absolute delta (largest first)."""
     grown: List[dict] = []
@@ -60,17 +56,17 @@ def classify_deltas(base: Dict[str, float], current: Dict[str, float],
         a = base.get(key)
         b = current.get(key)
         if a is None:
-            if b is not None and abs(b) > eps:
+            if b is not None and abs(b) > DELTA_EPS:
                 appeared.append({"key": key, "base": 0.0, "current": b,
                                  "delta": b})
             continue
         if b is None:
-            if abs(a) > eps:
+            if abs(a) > DELTA_EPS:
                 vanished.append({"key": key, "base": a, "current": 0.0,
                                  "delta": -a})
             continue
         delta = b - a
-        if abs(delta) <= eps:
+        if abs(delta) <= DELTA_EPS:
             continue
         entry = {"key": key, "base": a, "current": b, "delta": delta}
         (grown if delta > 0 else shrunk).append(entry)
@@ -83,14 +79,11 @@ def classify_deltas(base: Dict[str, float], current: Dict[str, float],
 
 def _run_summary(bundle: RunBundle) -> dict:
     manifest = bundle.manifest
-    provenance = manifest.get("provenance", {})
     return {
         "label": bundle.label,
         "command": manifest.get("command", "?"),
         "dataset": manifest.get("dataset", "?"),
         "seed": manifest.get("seed", 0),
-        "kernel_mode": str(provenance.get("kernel_mode", "?"))
-        if isinstance(provenance, dict) else "?",
         "total_seconds": bundle.total_seconds,
     }
 
@@ -113,13 +106,6 @@ def diff_bundles(base: RunBundle, current: RunBundle) -> dict:
         "phases": classify_deltas(phases_a, phases_b),
         "kernel_families": classify_deltas(families_a, families_b),
         "kernels": classify_deltas(kernels_a, kernels_b),
-        # By the kernel layer's charged-cost invariance, fastpath-on vs
-        # fastpath-off runs agree on every virtual-time axis bit-for-bit;
-        # the schedule change only shows in which accelerated paths were
-        # taken, so the hit/miss counters get their own delta axis.
-        "fastpath": classify_deltas(_fastpath_counts(base),
-                                    _fastpath_counts(current),
-                                    eps=0.0),
     }
     payload = {
         "base": _run_summary(base),
@@ -129,14 +115,6 @@ def diff_bundles(base: RunBundle, current: RunBundle) -> dict:
     }
     payload.update(classified)
     return payload
-
-
-def _fastpath_counts(bundle: RunBundle) -> Dict[str, float]:
-    """path/hit|miss -> count from the kernel fast-path probe counters."""
-    return {f"{path}/{outcome}": count
-            for outcome in ("hit", "miss")
-            for path, count in bundle.counter_by(
-                f"kernel.fastpath.{outcome}", "path").items()}
 
 
 def _kernel_seconds(bundle: RunBundle) -> Dict[str, float]:

@@ -6,7 +6,7 @@ and the flamegraph fold, writes ``profile.json`` (validated,
 ``repro.profile/1``) plus ``flame.folded`` next to the run artifacts,
 and returns the bundle and the payload.  The formatters render them for
 the terminal: the analyze report leads with the run summary read from
-``run.json`` (phases, fast-path hit rates, faults per site, power).
+``run.json`` (phases, faults per site, power).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def analyze_run_dir(run_dir: Union[str, Path],
 # ----------------------------------------------------------------------
 def _run_lines(bundle: RunBundle) -> List[str]:
     """The run as ``run.json`` records it: phases, span and metric
-    counts, fast-path hit rates, faults per site, and power."""
+    counts, faults per site, and power."""
     manifest = bundle.manifest
     lines = [f"{bundle.label} / {manifest['dataset']} "
              f"(command={manifest['command']}, seed={manifest['seed']})"]
@@ -88,15 +88,6 @@ def _run_lines(bundle: RunBundle) -> List[str]:
     lines.append(f"  spans: {spans['count']} ({spans['phase_spans']} phase, "
                  f"max depth {spans['max_depth']}); "
                  f"metrics: {len(bundle.metric_records)}")
-    hits = bundle.counter_by("kernel.fastpath.hit", "path")
-    misses = bundle.counter_by("kernel.fastpath.miss", "path")
-    if hits or misses:
-        lines.append("  kernel fast-path:")
-    for path in sorted(set(hits) | set(misses)):
-        hit, miss = hits.get(path, 0.0), misses.get(path, 0.0)
-        rate = 100.0 * hit / (hit + miss) if hit + miss else 0.0
-        lines.append(f"    {path:<16}{int(hit):>8} hit {int(miss):>8} miss "
-                     f"({rate:.1f}% fast)")
     faults = {event: bundle.counter_by(f"fault.{event}", "site")
               for event in ("injected", "recovered", "retries", "degraded")}
     sites = sorted(set().union(*faults.values()))
@@ -198,9 +189,6 @@ def format_diff_report(payload: dict) -> str:
     lines.append(f"total: {base.get('total_seconds', 0.0):.4f}s -> "
                  f"{current.get('total_seconds', 0.0):.4f}s "
                  f"({delta:+.4f}s)")
-    if base.get("kernel_mode") != current.get("kernel_mode"):
-        lines.append(f"kernel schedule: {base.get('kernel_mode', '?')} -> "
-                     f"{current.get('kernel_mode', '?')}")
     if payload.get("identical"):
         lines.append("runs are identical on the virtual clock "
                      "(zero delta on every axis)")
@@ -218,13 +206,4 @@ def format_diff_report(payload: dict) -> str:
                          f"{entry['base']:>10.4f}s -> "
                          f"{entry['current']:>10.4f}s "
                          f"({entry['delta']:+.4f}s)")
-    fastpath = _flatten_axis(payload, "fastpath")
-    if fastpath:
-        lines.append("kernel fast-path schedule (hit/miss counts, "
-                     "virtual cost unchanged by design):")
-        for bucket, entry in fastpath[:10]:
-            lines.append(f"  {bucket:<9}{entry['key']:<44}"
-                         f"{entry['base']:>10.0f} -> "
-                         f"{entry['current']:>10.0f} "
-                         f"({entry['delta']:+.0f})")
     return "\n".join(lines)

@@ -19,7 +19,7 @@ from typing import List
 
 from repro.artifacts import NUM, Format, ListOf, OneOf, conform
 
-_DELTA_AXES = ("spans", "phases", "kernel_families", "kernels", "fastpath")
+_DELTA_AXES = ("spans", "phases", "kernel_families", "kernels")
 _DELTA_BUCKETS = ("grown", "shrunk", "appeared", "vanished")
 
 _PEAK_KEYS = ("pct_peak_compute", "pct_peak_memory")

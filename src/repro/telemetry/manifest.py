@@ -33,24 +33,21 @@ def build_provenance() -> dict:
     """Environment fingerprint embedded in run manifests and bench artifacts.
 
     Perf baselines (``BENCH_*.json``) outlive the environment that
-    produced them; recording the interpreter/library versions and the
-    active kernel schedule makes a drifted comparison diagnosable.
-    Everything here is deterministic within one environment, so manifest
-    byte-determinism across same-seed runs is preserved.
+    produced them; recording the interpreter/library versions makes a
+    drifted comparison diagnosable.  Everything here is deterministic
+    within one environment, so manifest byte-determinism across same-seed
+    runs is preserved.
     """
     import platform
 
     import numpy
     import scipy
 
-    from repro.kernels.config import kernel_mode
-
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "platform": platform.system().lower(),
-        "kernel_mode": kernel_mode(),
     }
 
 

@@ -208,8 +208,8 @@ class Tensor:
         ``fresh=True`` is the caller's promise that it computed ``grad`` for
         this call and keeps no other reference to it or to a view of it: the
         first touch then adopts the buffer instead of copying it.  Anything
-        that may alias another array (``out.grad`` itself, a reshape, slice
-        or transpose of it) is copied, so no two tensors ever share a
+        that may alias another array (``out.grad`` itself, a reshape or
+        slice of it) is copied, so no two tensors ever share a
         ``.grad`` buffer and later touches can add in place.
         """
         if self.grad is not None:
@@ -363,21 +363,6 @@ class Tensor:
                 self._accumulate(out.grad.reshape(self.shape))
             out._backward = _backward
         return out
-
-    def transpose(self, axis0: int = -2, axis1: int = -1) -> "Tensor":
-        out = Tensor._result(
-            np.swapaxes(self.data, axis0, axis1), (self,), "transpose", owns_memory=False
-        )
-
-        if out.requires_grad:
-            def _backward(out: "Tensor") -> None:
-                self._accumulate(np.swapaxes(out.grad, axis0, axis1))
-            out._backward = _backward
-        return out
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def index_select(self, index: np.ndarray) -> "Tensor":
         """Gather rows: ``out[i] = self[index[i]]`` (PyG-style gather)."""

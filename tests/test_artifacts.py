@@ -2,7 +2,8 @@
 
 (a) The committed ``BENCH_*.json`` are in canonical form.  (b) The files
 of fixed seeded runs hash to values pinned at 7cf21e1, before the layer
-replaced the per-format writers, so every writer kept its bytes.  (c) One
+replaced the per-format writers, so every writer kept its bytes; three of
+them were re-pinned at 4b8931e without the kernel-schedule records.  (c) One
 table of malformed payloads per format; each row names the field its
 problem must mention.  (d) One unit test per shape primitive.
 """
@@ -75,22 +76,54 @@ def _canonical_texts(run_dir, serve_report, tmp_path):
 
 
 PINNED_SHA256 = {
-    "events.jsonl": "67301c772bcba91675a0e010d2e246583072998aea754060d4aaddeb7703e1d8",
+    "events.jsonl": "3065e68079d46e77c303a1fad9d4e7f64bb1fd6cac5971cd9ca60b412dec00b3",
     "flame.folded": "ea6a075d9733bcb73b9c570cb8933c23d2a8f223957186663c1b704482fe2e17",
-    "metrics.prom": "4662117bf1e89b437b962e2a15668d20e44d97f1b315c2ce3fc607c399755326",
+    "metrics.prom": "5ff0eb89a57cc38f8819e1b17ebff94676bc8db74f67476ffea4b02942269235",
     "profile.json": "e1b9c9bbb29e42b3ed5a7b368c5cf4e4ffbee606753b8d2ebef41f62d722a41e",
-    "run.json": "ffb5f5cb2f881067205c2efca00ef6d8d3e1656f9822943824c3148bbeb4522a",
+    "run.json": "4d9257f572f5ece4707023e6e916dede108c6265613c634aa825be0f645959f7",
     "serve.json": "e188a451b6359c00f00ae0ccf8896e0adb7558011eecd854848fa866c8319711",
     "trace.json": "7bd0bff0523a4b0d9b33d9bb570ddc06426c307c2531bdc07eba88eda4487315",
 }
 
 
+def _digests(texts):
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in texts.items()}
+
+
 def test_artifact_bytes_match_the_pins(telemetry_bundle, serve_report,
                                        tmp_path):
     texts = _canonical_texts(telemetry_bundle[0], serve_report, tmp_path)
-    digests = {name: hashlib.sha256(text.encode()).hexdigest()
-               for name, text in texts.items()}
-    assert digests == PINNED_SHA256
+    assert _digests(texts) == PINNED_SHA256
+
+
+def without_kernel_schedule(texts):
+    """``texts`` minus what a switchable kernel schedule wrote: the
+    ``kernel.fastpath.*`` counters (in ``run.json``, ``events.jsonl`` and
+    ``metrics.prom``) and ``run.json``'s ``config.fastpath``.  On a tree
+    without the switch it deletes nothing."""
+    def kept(record):
+        return not record.get("name", "").startswith("kernel.fastpath.")
+
+    manifest = json.loads(texts["run.json"])
+    manifest["config"].pop("fastpath", None)
+    manifest["metrics"] = [m for m in manifest["metrics"] if kept(m)]
+    events = "".join(line for line in texts["events.jsonl"].splitlines(True)
+                     if kept(json.loads(line)))
+    prom = "".join(line for line in texts["metrics.prom"].splitlines(True)
+                   if "repro_kernel_fastpath_" not in line)
+    return {**texts, "run.json": dumps(manifest), "events.jsonl": events,
+            "metrics.prom": prom}
+
+
+def test_pins_are_the_texts_without_the_schedule_records(
+        telemetry_bundle, serve_report, tmp_path):
+    """How the pins of run.json, events.jsonl and metrics.prom were taken:
+    at 4b8931e, the last commit whose kernels had a switchable schedule,
+    this test passes (the test above does not), so the pins differ from
+    that commit's texts by the schedule records alone."""
+    texts = _canonical_texts(telemetry_bundle[0], serve_report, tmp_path)
+    assert _digests(without_kernel_schedule(texts)) == PINNED_SHA256
 
 
 # ----------------------------------------------------------------------
@@ -171,9 +204,7 @@ MALFORMED = [
     ("analysis", ("roofline", "kernels", 0, "pct_peak_memory"), -0.5,
      "roofline.kernels[0].pct_peak_memory: negative", 1),
     ("diff", (), {"schema": "repro.profile/1", "kind": "diff"},
-     "delta_total_seconds: missing", 9),
-    ("diff", (), {"schema": "repro.profile/1", "kind": "diff"},
-     "fastpath: missing", 9),
+     "delta_total_seconds: missing", 8),
     ("diff", ("identical",), "yes", "identical: expected bool", 1),
     ("diff", ("kernels", "grown"), [{"key": "k"}],
      "kernels.grown[0].delta: missing", 1),

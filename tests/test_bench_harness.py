@@ -75,6 +75,12 @@ class TestFullbatchExperiment:
                                           epochs=1, **SMALL)
         assert result.phases.get("data_movement", 0) > 0
 
+    @pytest.mark.parametrize("epochs", [0, -2])
+    def test_needs_an_epoch(self, epochs):
+        """No epoch run is no per-epoch time, not a zero-second one."""
+        with pytest.raises(BenchmarkError, match=rf"got {epochs}$"):
+            run_fullbatch_experiment("dglite", "ppi", epochs=epochs, **SMALL)
+
 
 class TestFunctionalMeasurements:
     def test_data_loader_positive(self):

@@ -124,8 +124,9 @@ class TestReportCommand:
     ["report", "--top", "2"],
     ["report", "--sort", "bytes"],
     ["serve", "--reference-kernels"],
+    ["train", "--reference-kernels"],
 ], ids=["report-telemetry", "report-top", "report-sort",
-        "serve-reference-kernels"])
+        "serve-reference-kernels", "train-reference-kernels"])
 def test_retired_options_are_argparse_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -227,3 +228,16 @@ def test_serve_rejects_a_bad_knob_with_one_line(flags, message, capsys):
     assert exc.value.code.startswith("repro serve: ")
     assert message in exc.value.code and "\n" not in exc.value.code
     assert capsys.readouterr().out == ""  # rejected before any work
+
+
+@pytest.mark.parametrize("command, message", [
+    ("train", "epochs and representative_batches must be >= 1"),
+    ("fullbatch", "epochs must be >= 1, got 0"),
+])
+def test_zero_epochs_is_a_one_line_error(command, message, capsys):
+    """A rejected argument ends the command with one ``repro <cmd>:`` line,
+    not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--dataset", "ppi", "--epochs", "0"])
+    assert exc.value.code == f"repro {command}: {message}"
+    capsys.readouterr()

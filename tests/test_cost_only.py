@@ -193,7 +193,7 @@ OPS = {
     "pow": lambda a, w: a ** 2,
     "matmul": lambda a, w: a @ w,
     "matvec": lambda a, w: a @ w[:, 0],
-    "vecmat": lambda a, w: a[0] @ a.T,
+    "vecmat": lambda a, w: a[0] @ w,
     "batched-matmul": lambda a, w: a.reshape(2, 3, 4) @ w,
     "index_select": lambda a, w: a[np.array([[0, 5], [2, 2]])],
     "sum": lambda a, w: a.sum(),

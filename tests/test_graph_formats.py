@@ -79,13 +79,6 @@ class TestConversions:
         round_ = sorted(zip(back.src.tolist(), back.dst.tolist()))
         assert orig == round_
 
-    def test_transpose_reverses_edges(self, coo):
-        csr = coo.to_csr()
-        trans = csr.transpose()
-        orig = sorted(zip(coo.src.tolist(), coo.dst.tolist()))
-        rev = sorted(zip(trans.to_coo().dst.tolist(), trans.to_coo().src.tolist()))
-        assert orig == rev
-
     def test_degrees(self, coo):
         assert coo.in_degrees().tolist() == [1, 2, 3, 0, 0]
         csr = coo.to_csr()

@@ -1,28 +1,32 @@
-"""Fast-path vs. reference-path equivalence for the kernel layer.
+"""The sparse kernels against the naive oracle, and :class:`SparseAdj`'s
+derived structure.
 
-Every kernel in ``repro.kernels`` has two arithmetic schedules: the default
-fast path (``np.add.reduceat`` segment reduction, reusable CSR buffers,
-cached transpose/degrees) and the reference path (``np.add.at`` /
-per-call scipy rebuilds) selected by ``use_reference_kernels()``.  These
-tests assert the two schedules agree to 1e-6 on values and gradients —
-including empty blocks, isolated nodes, multi-head features, and weighted
-edges — and that the *charged* cost model is bit-for-bit identical across
-schedules (the paper's measurements must not depend on which schedule ran).
+Every kernel in ``repro.kernels`` reduces, multiplies and transposes
+through its adjacency's cached structure (segment SpMMs and ``reduceat``
+over the dst-sorted edges, in-place CSR ``.data`` swaps, a transpose built
+from the src-order permutation).  The equivalence tests run each kernel
+forward and backward on an adjacency and on its oracle twin
+(``tests/kernel_oracle.py``: ``np.add.at`` scatters, CSR rebuilds,
+``.T.tocsr()``), from inputs drawn from one seed, and require the values
+and gradients to be equal bit for bit — including empty blocks, isolated
+nodes, multi-head features and weighted edges.  The primitives are held
+to the oracle directly too, so a divergence the kernels never expose (an
+empty row of ``max_edges`` left unfilled) still fails.  And the charge must
+not see the schedule: every sweep cell, run once more with the oracle's
+primitives in place of the kernels', charges the same, bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from repro import telemetry
-from repro.errors import GraphFormatError
 from repro.bench.harness import run_training_experiment
 from repro.bench.sweep import MATRICES, run_cell_once
+from repro.errors import GraphFormatError
 from repro.frameworks import get_framework
 from repro.frameworks.common import with_self_loops
 from repro.graph.formats import AdjacencyCOO, induced_subgraph
 from repro.hardware import paper_testbed
 from repro.kernels.adj import SparseAdj
-from repro.kernels.config import fastpath_enabled, use_reference_kernels
 from repro.kernels.scatter import gather, scatter_add
 from repro.kernels.sddmm import (
     fused_gatv2_scores,
@@ -31,6 +35,8 @@ from repro.kernels.sddmm import (
 )
 from repro.kernels.spmm import spmm
 from repro.tensor.tensor import Tensor
+from tests import kernel_oracle
+from tests.kernel_oracle import OracleAdj, oracle_kernels
 
 SEED = 20260806
 
@@ -51,56 +57,43 @@ def make_adj(case="basic", seed=SEED, **kwargs):
         num_src, num_dst, num_edges = 30, 24, 90
         src = rng.integers(0, 20, num_edges)
         dst = rng.integers(0, 18, num_edges)
+    elif case == "hub":
+        # Every edge enters the last dst node: one long segment after 23
+        # empty ones.
+        num_src, num_dst, num_edges = 30, 24, 80
+        src = rng.integers(0, num_src, num_edges)
+        dst = np.full(num_edges, num_dst - 1)
     else:  # pragma: no cover - guard against typos in parametrize lists
         raise ValueError(case)
     return SparseAdj(src, dst, num_src=num_src, num_dst=num_dst, **kwargs)
 
 
-def run_both_modes(build_and_run, seed=SEED):
-    """Run ``build_and_run(rng)`` under fast and reference schedules.
-
-    Fresh inputs are drawn from the same seed in each mode so any
-    divergence is attributable to the kernel schedule alone.  Returns
-    ``(fast, reference)`` where each is whatever ``build_and_run`` returns.
-    """
-    fast = build_and_run(np.random.default_rng(seed))
-    with use_reference_kernels():
-        assert not fastpath_enabled()
-        reference = build_and_run(np.random.default_rng(seed))
-    assert fastpath_enabled()
-    return fast, reference
-
-
-def assert_close(a, b, label=""):
-    assert a is not None and b is not None, label
-    assert np.allclose(a, b, rtol=1e-6, atol=1e-6), label
-
-
-def run_kernel(adj, build_inputs, kernel):
-    """One mode's worth of forward + backward through ``kernel``.
+def run_kernel(build_inputs, kernel, adj, seed=SEED):
+    """One forward + backward through ``kernel`` on ``adj``.
 
     Uses a random linear functional of the output as the loss so the
     upstream gradient is non-trivial (``.sum()`` would send ones).
     """
-    def _run(rng):
-        inputs = build_inputs(rng, adj)
-        out = kernel(adj, *inputs)
-        probe = rng.standard_normal(out.shape).astype(np.float32)
-        (out * probe).sum().backward()
-        grads = tuple(t.grad.copy() if t.grad is not None else None
-                      for t in inputs)
-        return out.data.copy(), grads
-    return _run
+    rng = np.random.default_rng(seed)
+    inputs = build_inputs(rng, adj)
+    out = kernel(adj, *inputs)
+    probe = rng.standard_normal(out.shape).astype(np.float32)
+    (out * probe).sum().backward()
+    grads = tuple(t.grad.copy() if t.grad is not None else None
+                  for t in inputs)
+    return out.data.copy(), grads
 
 
 def check_kernel_equivalence(adj, build_inputs, kernel, label):
-    fast, ref = run_both_modes(run_kernel(adj, build_inputs, kernel))
-    assert_close(fast[0], ref[0], f"{label}: forward")
+    """The kernel on ``adj`` equals the kernel on its oracle twin."""
+    fast = run_kernel(build_inputs, kernel, adj)
+    ref = run_kernel(build_inputs, kernel, OracleAdj.of(adj))
+    assert np.array_equal(fast[0], ref[0]), f"{label}: forward"
     assert len(fast[1]) == len(ref[1])
     for i, (gf, gr) in enumerate(zip(fast[1], ref[1])):
         assert (gf is None) == (gr is None), f"{label}: grad[{i}] presence"
         if gf is not None:
-            assert_close(gf, gr, f"{label}: grad[{i}]")
+            assert np.array_equal(gf, gr), f"{label}: grad[{i}]"
 
 
 def feat(rng, rows, *tail):
@@ -108,7 +101,35 @@ def feat(rng, rows, *tail):
                   requires_grad=True)
 
 
-CASES = ["basic", "empty", "isolated"]
+CASES = ["basic", "empty", "isolated", "hub"]
+
+
+def check_primitives_equal_the_oracle(adj):
+    """``adj``'s segment reductions (float rows through the incidence
+    SpMM, integer rows through ``reduceat``) and its unweighted and
+    weighted matmuls equal its oracle twin's, bit for bit."""
+    oracle = OracleAdj.of(adj)
+    rng = np.random.default_rng(SEED)
+    x = rng.standard_normal((adj.num_src, 3)).astype(np.float32)
+    grad = rng.standard_normal((adj.num_dst, 3)).astype(np.float32)
+    per_edge = rng.standard_normal((adj.num_edges, 3)).astype(np.float32)
+    counts = rng.integers(-5, 5, (adj.num_edges, 2))
+    weights = rng.random(adj.num_edges).astype(np.float32)
+
+    def primitives(a, data):
+        return (a.matmul_data(data, x), a.rmatmul(grad, data=data),
+                a.sum_edges(per_edge, side="src"), a.sum_edges(per_edge),
+                a.sum_edges(counts, side="src"), a.sum_edges(counts),
+                a.max_edges(per_edge))
+
+    for data in (None, weights):
+        for fast, ref in zip(primitives(adj, data), primitives(oracle, data)):
+            assert fast.dtype == ref.dtype and np.array_equal(fast, ref)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_primitives_equal_the_oracle(case):
+    check_primitives_equal_the_oracle(make_adj(case))
 
 
 class TestScatterEquivalence:
@@ -270,12 +291,20 @@ class TestFromSortedBlock:
             SparseAdj.from_sorted_block(
                 np.array([0, 1, 2]), np.array([0, 1]), num_src=3, num_dst=2)
 
-    def test_reference_mode_falls_back_and_sorts(self):
-        src = np.array([2, 0, 1])
-        dst = np.array([3, 1, 0])
-        with use_reference_kernels():
-            adj = SparseAdj.from_sorted_block(src, dst, num_src=3, num_dst=4)
-        assert np.array_equal(adj.dst, np.sort(dst))
+    def test_weighted_block_matches_canonicalizing_constructor(self):
+        rng = np.random.default_rng(SEED)
+        dst = np.sort(rng.integers(0, 12, 60))
+        src = rng.integers(0, 15, 60)
+        weight = rng.random(60)
+        fast = SparseAdj.from_sorted_block(src, dst, num_src=15, num_dst=12,
+                                           edge_weight=weight)
+        full = kernel_oracle.from_sorted_block(
+            SparseAdj, src, dst, num_src=15, num_dst=12, edge_weight=weight)
+        assert fast.edge_weight.dtype == np.float32
+        assert np.array_equal(fast.edge_weight, full.edge_weight)
+        x = rng.standard_normal((15, 3)).astype(np.float32)
+        assert np.array_equal(fast.matmul_data(None, x),
+                              full.matmul_data(None, x))
 
     def test_empty_block(self):
         adj = SparseAdj.from_sorted_block(
@@ -317,6 +346,58 @@ class TestCsrReuseInvariants:
                 scale = 1.0 if data is None else data[e]
                 dense[adj.src[e]] += scale * grad[adj.dst[e]]
             assert np.allclose(adj.rmatmul(grad, data=data), dense, atol=1e-5)
+
+
+def run_on_both(build_and_run, seed=SEED):
+    """``build_and_run(rng)`` on the kernels, then on the oracle's
+    primitives, each from fresh inputs drawn from ``seed``."""
+    kernels = build_and_run(np.random.default_rng(seed))
+    with oracle_kernels():
+        oracle = build_and_run(np.random.default_rng(seed))
+    return kernels, oracle
+
+
+class TestChargedCostInvariance:
+    """The cost model must not see which arithmetic schedule executed."""
+
+    def test_device_counters_identical_on_the_oracle(self):
+        def run(rng):
+            machine = paper_testbed()
+            adj = make_adj("basic", device=machine.cpu)
+            x = Tensor(rng.standard_normal((adj.num_src, 8)).astype(np.float32),
+                       device=machine.cpu, requires_grad=True)
+            w = Tensor(rng.random(adj.num_edges).astype(np.float32),
+                       device=machine.cpu, requires_grad=True)
+            spmm(adj, x, w).sum().backward()
+            msg = Tensor(rng.standard_normal(
+                (adj.num_edges, 4)).astype(np.float32),
+                device=machine.cpu, requires_grad=True)
+            scatter_add(adj, msg).sum().backward()
+            c = machine.cpu.counters
+            return c.flops, c.bytes_moved, dict(c.by_kernel)
+
+        kernels, oracle = run_on_both(run)
+        assert kernels == oracle
+
+    def test_experiment_accounting_identical_on_the_oracle(self):
+        def run(_rng):
+            return run_training_experiment(
+                framework="pyglite", dataset="ppi", model="graphsage",
+                epochs=1, representative_batches=2, seed=0)
+
+        kernels, oracle = run_on_both(run)
+        assert kernels.phases == oracle.phases
+        assert kernels.kernel_families == oracle.kernel_families
+        assert kernels.total_energy == oracle.total_energy
+        assert kernels.losses == oracle.losses
+
+    @pytest.mark.parametrize(
+        "cell", [cell for matrix in MATRICES.values() for cell in matrix],
+        ids=lambda cell: cell.cell_id)
+    def test_every_sweep_cell_costs_the_same_on_the_oracle(self, cell):
+        """Why ``BENCH_*.json`` needs no schedule axis: the pair is equal."""
+        kernels, oracle = run_on_both(lambda _rng: run_cell_once(cell, seed=0))
+        assert kernels == oracle  # (metrics, attribution), bit for bit
 
 
 DERIVED_SLOTS = ("_indptr", "_mat", "_default_data", "_mat_t", "_perm_src",
@@ -407,15 +488,9 @@ class TestStructureOnDemand:
             assert np.array_equal(view.rmatmul(grad), batch_adj.rmatmul(grad))
             assert np.array_equal(view.in_degrees(), batch_adj.in_degrees())
 
-    def test_reference_mode_builds_on_demand_too(self, batch_adj):
-        x = np.ones((batch_adj.num_src, 2), dtype=np.float32)
-        expected = self.eager_twin(batch_adj).matmul_data(None, x)
-        with use_reference_kernels():
-            assert np.array_equal(batch_adj.matmul_data(None, x), expected)
-            grad = np.ones((batch_adj.num_dst, 2), dtype=np.float32)
-            weights = np.full(batch_adj.num_edges, 0.5, dtype=np.float32)
-            assert np.allclose(batch_adj.rmatmul(grad, data=weights),
-                               0.5 * batch_adj.rmatmul(grad))
+    def test_sampler_block_computes_like_its_oracle_twin(self, batch_adj):
+        assert batch_adj.num_edges > 0
+        check_primitives_equal_the_oracle(batch_adj)
 
     def test_unused_batches_leave_no_cyclic_garbage(self, cyclic_garbage):
         def run():
@@ -446,48 +521,6 @@ class TestDegreeCaches:
         # Isolated dst nodes divide by one, not zero.
         assert np.all(np.isfinite(inv))
         assert adj.inv_in_degrees() is inv
-
-
-class TestFastpathCounters:
-    def test_sorted_block_hit_and_miss(self):
-        src = np.array([0, 1])
-        dst = np.array([0, 1])
-        with telemetry.session() as sess:
-            SparseAdj.from_sorted_block(src, dst, num_src=2, num_dst=2)
-            assert sess.metrics.counter(
-                "kernel.fastpath.hit", path="sorted_block").value == 1
-            with use_reference_kernels():
-                SparseAdj.from_sorted_block(src, dst, num_src=2, num_dst=2)
-            assert sess.metrics.counter(
-                "kernel.fastpath.miss", path="sorted_block").value == 1
-
-    def test_csr_reuse_and_transpose_counters(self):
-        adj = make_adj("basic")
-        rng = np.random.default_rng(SEED)
-        x = rng.standard_normal((adj.num_src, 3)).astype(np.float32)
-        grad = rng.standard_normal((adj.num_dst, 3)).astype(np.float32)
-        w = rng.random(adj.num_edges).astype(np.float32)
-        with telemetry.session() as sess:
-            adj.matmul_data(w, x)
-            assert sess.metrics.counter(
-                "kernel.fastpath.hit", path="csr_reuse").value == 1
-            adj.rmatmul(grad)   # first transpose: built fresh
-            adj.rmatmul(grad)   # second: served from cache
-            assert sess.metrics.counter(
-                "kernel.fastpath.miss", path="transpose_cache").value == 1
-            assert sess.metrics.counter(
-                "kernel.fastpath.hit", path="transpose_cache").value == 1
-            with use_reference_kernels():
-                adj.matmul_data(w, x)
-            assert sess.metrics.counter(
-                "kernel.fastpath.miss", path="csr_reuse").value == 1
-
-    def test_counters_silent_without_session(self):
-        # The guarded probe must be a no-op when telemetry is off.
-        assert telemetry.metrics() is None
-        adj = make_adj("basic")
-        adj.matmul_data(np.ones(adj.num_edges, dtype=np.float32),
-                        np.ones((adj.num_src, 2), dtype=np.float32))
 
 
 class TestBlockConstructionEquivalence:
@@ -523,49 +556,3 @@ class TestBlockConstructionEquivalence:
         csr = AdjacencyCOO(4, np.array([0, 1]), np.array([1, 2])).to_csr()
         with pytest.raises(ValueError):
             induced_subgraph(csr, np.array([0, 1]), order="rows")
-
-
-class TestChargedCostInvariance:
-    """The cost model must not see which arithmetic schedule executed."""
-
-    def test_device_counters_identical_across_modes(self):
-        def run(rng):
-            machine = paper_testbed()
-            adj = make_adj("basic", device=machine.cpu)
-            x = Tensor(rng.standard_normal((adj.num_src, 8)).astype(np.float32),
-                       device=machine.cpu, requires_grad=True)
-            w = Tensor(rng.random(adj.num_edges).astype(np.float32),
-                       device=machine.cpu, requires_grad=True)
-            spmm(adj, x, w).sum().backward()
-            msg = Tensor(rng.standard_normal(
-                (adj.num_edges, 4)).astype(np.float32),
-                device=machine.cpu, requires_grad=True)
-            scatter_add(adj, msg).sum().backward()
-            c = machine.cpu.counters
-            return c.flops, c.bytes_moved, dict(c.by_kernel)
-
-        fast, ref = run_both_modes(run)
-        assert fast[0] == ref[0]
-        assert fast[1] == ref[1]
-        assert fast[2] == ref[2]
-
-    def test_experiment_accounting_identical_across_modes(self):
-        def run(_rng):
-            return run_training_experiment(
-                framework="pyglite", dataset="ppi", model="graphsage",
-                epochs=1, representative_batches=2, seed=0)
-
-        fast, ref = run_both_modes(run)
-        assert fast.phases == ref.phases
-        assert fast.kernel_families == ref.kernel_families
-        assert fast.total_energy == ref.total_energy
-        # Arithmetic order may differ in the last float32 bits only.
-        assert fast.losses == pytest.approx(ref.losses, rel=1e-5)
-
-    @pytest.mark.parametrize(
-        "cell", [cell for matrix in MATRICES.values() for cell in matrix],
-        ids=lambda cell: cell.cell_id)
-    def test_every_sweep_cell_costs_the_same_on_reference_kernels(self, cell):
-        """Why ``BENCH_*.json`` needs no fast/ref axis: the pair is equal."""
-        fast, ref = run_both_modes(lambda _rng: run_cell_once(cell, seed=0))
-        assert fast == ref  # (metrics, attribution), bit for bit

@@ -4,8 +4,7 @@ Covers byte-determinism of the ``repro.profile/1`` artifacts across
 same-seed runs, critical-path extraction (coverage, slack, tie-breaks),
 roofline attribution and its zero-peak guards, folded-flamegraph
 exclusive-time accounting, diff alignment edge cases (missing spans,
-renamed phases), the fastpath-on/off acceptance diff, the bench-gate
-attribution hints, schema round-trips, and the CLI surfaces.
+renamed phases), the bench-gate attribution hints, schema round-trips, and the CLI surfaces.
 """
 
 import json
@@ -34,11 +33,10 @@ from repro.profiling.analysis.flame import folded_stacks, render_folded
 from repro.profiling.analysis.roofline import pct_of_peak, roofline_attribution
 
 
-def _train_run(out_dir, seed=0, fastpath=True):
+def _train_run(out_dir, seed=0):
     return run_training_experiment(
         "dglite", "ppi", "graphsage", epochs=2,
         representative_batches=2, seed=seed, telemetry_dir=str(out_dir),
-        fastpath=fastpath,
     )
 
 
@@ -334,27 +332,6 @@ class TestDiffEndToEnd:
         text = format_diff_report(payload)
         assert "identical on the virtual clock" in text
 
-    def test_fastpath_diff_attributes_accelerated_kernels(self, analyzed_run,
-                                                          tmp_path):
-        out, _ = analyzed_run
-        ref = tmp_path / "ref"
-        _train_run(ref, fastpath=False)
-        payload = diff_run_dirs(out, ref)
-        # Charged-cost invariance: virtual axes all empty...
-        assert payload["delta_total_seconds"] == pytest.approx(0.0, abs=1e-9)
-        for axis in ("spans", "phases", "kernel_families", "kernels"):
-            assert all(not bucket for bucket in payload[axis].values())
-        # ...but the schedule delta names the accelerated kernel paths.
-        assert payload["identical"] is False
-        vanished = {e["key"] for e in payload["fastpath"]["vanished"]}
-        appeared = {e["key"] for e in payload["fastpath"]["appeared"]}
-        assert "csr_reuse/hit" in vanished
-        assert "sorted_block/hit" in vanished
-        assert "csr_reuse/miss" in appeared
-        text = format_diff_report(payload)
-        assert "kernel schedule: fast -> reference" in text
-        assert "csr_reuse" in text
-
     def test_different_seed_diff_has_nonzero_axes(self, analyzed_run, tmp_path):
         out, _ = analyzed_run
         other = tmp_path / "seed1"
@@ -508,7 +485,6 @@ class TestCli:
             assert f"  {phase:<15}" in text
             assert f"{100 * fraction:>5.1f}%" in text
         assert f"metrics: {len(manifest['metrics'])}" in text
-        assert "kernel fast-path:" in text and "% fast)" in text
         assert "energy " in text and "gpu power  p50 " in text
         # The roofline table stands in for the old kernel breakdown.
         assert "matmul.bwd" in text and "%peak" in text

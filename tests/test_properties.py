@@ -237,15 +237,6 @@ class TestFormatProperties:
         pairs = set(zip(sym.src.tolist(), sym.dst.tolist()))
         assert all((d, s) in pairs for s, d in pairs)
 
-    @given(edge_lists())
-    def test_transpose_involution(self, edges):
-        n, src, dst = edges
-        csr = AdjacencyCOO(n, src, dst).to_csr()
-        double = csr.transpose().transpose()
-        orig = sorted(zip(csr.to_coo().src.tolist(), csr.to_coo().dst.tolist()))
-        back = sorted(zip(double.to_coo().src.tolist(), double.to_coo().dst.tolist()))
-        assert orig == back
-
 
 class TestKernelProperties:
     @given(edge_lists(max_nodes=12, max_edges=40),

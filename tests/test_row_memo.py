@@ -5,7 +5,8 @@ neighbour means by global node id, over its read-only feature store, and
 every serving window on that graph shares it.  These tests hold the memo
 to the bytes the plain kernels produce: every SAGE layer output of a
 window, alone or after other windows on the same graph, equals the same
-window on the reference kernels (which never reuse a row), memo rows read
+window on the oracle kernels (``tests/kernel_oracle.py``, which never
+reuse a row), memo rows read
 from the store equal the full-graph SpMM rows over gathered features for
 any sequence of overlapping batches, and a clean batch never reads the
 rows of its layer-0 input past the destinations, which it does not copy.
@@ -24,11 +25,11 @@ from repro.frameworks.feature_cache import GpuFeatureCache
 from repro.frameworks.nn import SAGEConv
 from repro.hardware.machine import paper_testbed
 from repro.kernels.adj import RowMemo, SparseAdj
-from repro.kernels.config import use_reference_kernels
 from repro.models.graphsage import HIDDEN
 from repro.models.inference import batch_blocks
 from repro.serving import ServeConfig, run_serving_experiment
 from repro.telemetry import session as telemetry_session
+from tests.kernel_oracle import oracle_kernels
 
 
 def _config(**overrides):
@@ -93,11 +94,11 @@ def sage_outputs(monkeypatch):
 
 class TestWindowBytes:
     @pytest.mark.parametrize("key", sorted(WINDOWS))
-    def test_every_layer_output_equals_the_reference_kernels(
+    def test_every_layer_output_equals_the_oracle_kernels(
             self, sage_outputs, key):
         overrides, plan = WINDOWS[key]
         fast = sage_outputs(_config(**overrides), plan)
-        with use_reference_kernels():
+        with oracle_kernels():
             reference = sage_outputs(_config(**overrides), plan)
         assert [out for _, out in fast] == [out for _, out in reference]
         assert any(memo for memo, _ in fast)
@@ -112,19 +113,18 @@ class TestWindowBytes:
     def test_windows_at_different_scales_share_nothing(self, sage_outputs):
         windows = [_config(dataset_scale=scale) for scale in (0.3, 0.5, 0.3)]
         fast = [sage_outputs(config) for config in windows]
-        with use_reference_kernels():
+        with oracle_kernels():
             reference = [sage_outputs(config) for config in windows]
         assert fast == reference
 
 
 class TestStoreRead:
-    @pytest.mark.parametrize("reference", [False, True],
-                             ids=["fast", "reference"])
+    @pytest.mark.parametrize("oracle", [False, True], ids=["fast", "oracle"])
     @pytest.mark.parametrize("key", ["plain", "cpu"])
     def test_layer0_rows_past_the_destinations_are_never_read(
-            self, sage_outputs, monkeypatch, key, reference):
+            self, sage_outputs, monkeypatch, key, oracle):
         overrides, plan = WINDOWS[key]
-        with use_reference_kernels():
+        with oracle_kernels():
             expected = sage_outputs(_config(**overrides), plan)
         forward = SAGEConv.forward
 
@@ -134,7 +134,7 @@ class TestStoreRead:
             return forward(self, adj, x)
 
         monkeypatch.setattr(SAGEConv, "forward", poisoned)
-        with use_reference_kernels() if reference else nullcontext():
+        with oracle_kernels() if oracle else nullcontext():
             assert sage_outputs(_config(**overrides), plan) == expected
 
     @pytest.mark.parametrize("key", ["stale-storage", "stale-middle"])
@@ -203,10 +203,10 @@ def _reused_edges(sess):
 
 
 class TestAcrossWindows:
-    def test_every_window_equals_the_reference_kernels(self, sage_outputs):
+    def test_every_window_equals_the_oracle_kernels(self, sage_outputs):
         fast = [sage_outputs(_config(**overrides), plan)
                 for overrides, plan in SEQUENCE]
-        with use_reference_kernels():
+        with oracle_kernels():
             reference = [sage_outputs(_config(**overrides), plan)
                          for overrides, plan in SEQUENCE]
         assert ([[out for _, out in window] for window in fast]

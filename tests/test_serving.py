@@ -8,7 +8,6 @@ import pytest
 
 from repro.cli import main
 from repro.errors import BenchmarkError, RecoveryExhausted
-from repro.kernels.config import use_reference_kernels
 from repro.serving import (
     SERVE,
     ServeConfig,
@@ -22,6 +21,7 @@ from repro.serving.engine import DEGRADED_MODES
 from repro.serving.latency import LatencyAccountant
 from repro.telemetry import session as telemetry_session
 from repro.serving.workload import Request
+from tests.kernel_oracle import oracle_kernels
 
 
 class TestWorkload:
@@ -231,12 +231,12 @@ class TestEngine:
         assert a.latencies == b.latencies
         assert a.makespan == b.makespan and a.total_energy == b.total_energy
 
-    def test_fastpath_cost_invariance(self):
-        fast = run_serving_experiment(_config())
-        with use_reference_kernels():
-            ref = run_serving_experiment(_config())
-        assert fast.makespan == ref.makespan
-        assert fast.total_energy == ref.total_energy
+    def test_oracle_kernel_cost_invariance(self):
+        kernels = run_serving_experiment(_config())
+        with oracle_kernels():
+            oracle = run_serving_experiment(_config())
+        assert kernels.makespan == oracle.makespan
+        assert kernels.total_energy == oracle.total_energy
 
     def test_gpu_placement_rejected(self):
         with pytest.raises(BenchmarkError):

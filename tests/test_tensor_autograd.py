@@ -70,9 +70,6 @@ class TestShapeGrads:
     def test_reshape(self):
         gradcheck(lambda a: (a.reshape(2, 6) * 2).sum(), (3, 4))
 
-    def test_transpose(self):
-        gradcheck(lambda a: (a.T @ a), (3, 4))
-
     def test_index_select(self):
         idx = np.array([0, 2, 2, 1])
         gradcheck(lambda a: a.index_select(idx) * 3, (4, 3))
@@ -254,7 +251,6 @@ class TestGradientOwnership:
 
     @pytest.mark.parametrize("view", [
         lambda t: t.reshape(3, 2),
-        lambda t: t.transpose(),
         lambda t: t[0:1],
         lambda t: cat([t, t], axis=0),
     ])
